@@ -18,7 +18,7 @@ cmake -S "${repo_root}" -B "${build_dir}" \
 cmake --build "${build_dir}" -j "$(nproc)" \
   --target thread_pool_test parallel_determinism_test fedsc_test \
   faults_test defense_test trace_test journal_test logging_test blas_test \
-  qr_cholesky_test svd_eig_test sketch_test
+  qr_cholesky_test svd_eig_test sketch_test sc_test
 
 # halt_on_error makes the first race fail the run instead of just logging.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -51,6 +51,10 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # pool, all writing disjoint slots; TSAN proves the slots really are
 # disjoint for nt in {1, 2, 8}.
 "${build_dir}/tests/sketch_test"
+# The exact SSC-ADMM solve threads its Z-update GEMMs and its soft-threshold
+# pass, which writes C, U and the next Z-update input over disjoint column
+# panels; TSAN proves the panels really are disjoint.
+"${build_dir}/tests/sc_test"
 
 # Forced-generic pass: FEDSC_FORCE_ISA pins the portable micro-kernel tier,
 # so the threaded packing/fan-out paths are race-checked on the exact code
@@ -59,6 +63,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 FEDSC_FORCE_ISA=generic "${build_dir}/tests/blas_test"
 FEDSC_FORCE_ISA=generic "${build_dir}/tests/parallel_determinism_test"
 FEDSC_FORCE_ISA=generic "${build_dir}/tests/sketch_test"
+FEDSC_FORCE_ISA=generic "${build_dir}/tests/sc_test"
 
 echo "TSAN: all threaded suites passed with zero reported races."
 
@@ -71,7 +76,7 @@ cmake -S "${repo_root}" -B "${asan_dir}" \
 cmake --build "${asan_dir}" -j "$(nproc)" \
   --target faults_test defense_test blas_test parallel_determinism_test \
   qr_cholesky_test svd_eig_test codec_test wire_fuzz_test journal_test \
-  sketch_test
+  sketch_test sc_test
 
 "${asan_dir}/tests/faults_test"
 # Screening indexes per-sample peer lists and per-device slots built from
@@ -98,6 +103,9 @@ cmake --build "${asan_dir}" -j "$(nproc)" \
 # through touched-list scratch resets, and indexes per-atom core rows; ASAN
 # is the gate for an off-by-one in the gather/scatter index arithmetic.
 "${asan_dir}/tests/sketch_test"
+# The ADMM solvers index Z-update scratch whose row count depends on the
+# factored/direct operator shape; ASAN gates that indexing.
+"${asan_dir}/tests/sc_test"
 
 # Forced-generic pass, mirroring the TSAN one: the ragged packed-panel
 # tails differ per micro-tile shape, so the generic tier's edge handling
@@ -105,6 +113,7 @@ cmake --build "${asan_dir}" -j "$(nproc)" \
 FEDSC_FORCE_ISA=generic "${asan_dir}/tests/blas_test"
 FEDSC_FORCE_ISA=generic "${asan_dir}/tests/parallel_determinism_test"
 FEDSC_FORCE_ISA=generic "${asan_dir}/tests/sketch_test"
+FEDSC_FORCE_ISA=generic "${asan_dir}/tests/sc_test"
 
 echo "ASAN: fault-injection, codec, and wire-fuzz suites passed with zero"
 echo "reported errors."

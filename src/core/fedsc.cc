@@ -557,8 +557,7 @@ Result<FedScResult> RunFedSc(const FederatedDataset& data,
     FEDSC_JOURNAL_EVENT(
         "central_start", -1, sim_uplink_ms,
         {{"samples", total_samples},
-         {"method",
-          options.central_method == ScMethod::kSsc ? "ssc" : "tsc"},
+         {"method", ScMethodKey(options.central_method)},
          {"central_path", CentralPathName(central_path)}});
     FEDSC_METRIC_GAUGE("fedsc.central_sketched", MetricKind::kDeterministic)
         .Set(central_path == CentralPath::kSketched ? 1.0 : 0.0);

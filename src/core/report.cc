@@ -80,7 +80,7 @@ std::string FedScOptionsFingerprint(const FedScOptions& options) {
     text += value;
     text += "|";
   };
-  add(options.central_method == ScMethod::kSsc ? "ssc" : "tsc");
+  add(ScMethodKey(options.central_method));
   add(std::to_string(options.use_eigengap));
   add(std::to_string(options.max_local_clusters));
   add(std::to_string(options.sample_dim));

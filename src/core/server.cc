@@ -189,7 +189,7 @@ Status FedScServer::Cluster() {
   FEDSC_JOURNAL_EVENT(
       "central_start", -1, -1,
       {{"samples", solve.cols()},
-       {"method", central.method == ScMethod::kSsc ? "ssc" : "tsc"},
+       {"method", ScMethodKey(central.method)},
        {"central_path",
         CentralPathName(
             ResolveCentralPath(central, solve.cols(), num_clusters_))}});

@@ -205,6 +205,9 @@ Result<WireMessage> ParseWireMessage(const uint8_t* data, size_t size,
   message.header.rows = ReadLe<uint32_t>(data + 12);
   message.header.cols = ReadLe<uint32_t>(data + 16);
   message.header.quant_range = ReadLe<double>(data + 20);
+  if (ReadLe<uint32_t>(data + 28) != 0) {
+    return Corrupt("nonzero reserved word in the header");
+  }
   if (message.header.num_sections == 0) {
     return Corrupt("message declares zero sections");
   }
@@ -233,6 +236,10 @@ Result<WireMessage> ParseWireMessage(const uint8_t* data, size_t size,
       return Corrupt("unknown section dtype byte " + std::to_string(sh[1]));
     }
     view.dtype = static_cast<WireDtype>(sh[1]);
+    if (ReadLe<uint16_t>(sh + 2) != 0) {
+      return Corrupt("section " + std::to_string(s) +
+                     " has a nonzero reserved word");
+    }
     view.rows = ReadLe<uint32_t>(sh + 4);
     view.cols = ReadLe<uint32_t>(sh + 8);
     const uint64_t declared_bytes = ReadLe<uint64_t>(sh + 12);

@@ -22,7 +22,7 @@ void SolveLowerTransposedInPlace(const Matrix& l, Matrix* b);
 // Solves A X = B for SPD A via Cholesky.
 Result<Matrix> SolveSpd(const Matrix& a, const Matrix& b);
 
-// Inverse of an SPD matrix (used by the Woodbury path of the ADMM solver,
+// Inverse of an SPD matrix (used by the ADMM Z-update operator,
 // where the matrix is small).
 Result<Matrix> SpdInverse(const Matrix& a);
 

@@ -1,6 +1,7 @@
 #include "sc/pipeline.h"
 
 #include <algorithm>
+#include <cctype>
 #include <utility>
 
 #include "common/metrics.h"
@@ -92,6 +93,14 @@ const char* ScMethodName(ScMethod method) {
       return "ESC";
   }
   return "?";
+}
+
+std::string ScMethodKey(ScMethod method) {
+  std::string key = ScMethodName(method);
+  for (char& ch : key) {
+    ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
+  }
+  return key;
 }
 
 const char* CentralPathName(CentralPath path) {

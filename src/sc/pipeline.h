@@ -28,6 +28,10 @@ enum class ScMethod { kSsc, kSscOmp, kEnsc, kTsc, kNsn, kEsc };
 
 const char* ScMethodName(ScMethod method);
 
+// ScMethodName lower-cased ("ssc", "sscomp", "tsc", ...): the spelling of
+// the method in run records (journal events, the options fingerprint).
+std::string ScMethodKey(ScMethod method);
+
 // Which central-clustering engine runs. Mirrors the GemmOptions::kernel /
 // QrOptions::variant dispatch contract: the choice is RESULT-AFFECTING (the
 // sketched path solves against a d-column dictionary and clusters the

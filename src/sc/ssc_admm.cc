@@ -60,6 +60,134 @@ void RecordGramFlops(int64_t nn, int64_t kk) {
   FEDSC_METRIC_COUNTER("sc.ssc_admm.gram_flops").Add(nn * (nn + 1) * kk);
 }
 
+// C-update over columns [j0, j1): soft-threshold Z + U at `threshold` with
+// row pinned(j) held at zero, fold in the dual update U += Z - C, and leave
+// the next Z-update input M = C - U + shift(j) in z. Returns the stopping
+// rule's max(|C - C_prev|, |Z - C|) over those columns.
+template <typename Pinned, typename Shift>
+double ThresholdColumns(int64_t j0, int64_t j1, double threshold,
+                        Pinned pinned, Shift shift, Matrix* c, Matrix* u,
+                        Matrix* z) {
+  double residual = 0.0;
+  for (int64_t j = j0; j < j1; ++j) {
+    double* cj = c->ColData(j);
+    double* uj = u->ColData(j);
+    double* zj = z->ColData(j);
+    const int64_t zero_row = pinned(j);
+    const double offset = shift(j);
+    for (int64_t i = 0; i < c->rows(); ++i) {
+      const double next =
+          i == zero_row ? 0.0 : SoftThreshold(zj[i] + uj[i], threshold);
+      const double gap = zj[i] - next;
+      residual = std::max({residual, std::fabs(next - cj[i]), std::fabs(gap)});
+      cj[i] = next;
+      uj[i] += gap;
+      zj[i] = next - uj[i] + offset;
+    }
+  }
+  return residual;
+}
+
+// Reports a finished solve to `info` and the sc.ssc_admm.* metrics.
+void RecordSolve(const char* solver, int iterations, double residual,
+                 bool converged, SscAdmmInfo* info) {
+  if (!converged) {
+    FEDSC_LOG(Debug) << solver << " stopped at max_iterations with residual "
+                     << residual;
+  }
+  if (info != nullptr) *info = {iterations, residual, converged};
+  FEDSC_METRIC_COUNTER("sc.ssc_admm.solves").Increment();
+  FEDSC_METRIC_COUNTER("sc.ssc_admm.iterations").Add(iterations);
+  if (converged) FEDSC_METRIC_COUNTER("sc.ssc_admm.converged").Increment();
+  FEDSC_METRIC_HISTOGRAM("sc.ssc_admm.iterations_per_solve").Record(iterations);
+  // Last-writer-wins across concurrent device solves, hence kExecution.
+  FEDSC_METRIC_GAUGE("sc.ssc_admm.last_residual", MetricKind::kExecution)
+      .Set(residual);
+}
+
+// The Z-update shared by both solvers. Over a dictionary A (r x m: A = X on
+// the exact solve, A = B on the sketched one) it solves
+//   H Z = lambda A^T X_blk + rho M,   H = lambda A^T A + rho I,  M = C - U.
+// The push-through identity H^{-1} A^T = A^T S^{-1}, S = rho I + lambda A A^T,
+// plus Woodbury give Z = M + F^T (Y - K M), with
+//   factored (r < m): K = lambda S^{-1} A, F = A, Y = lambda S^{-1} X_blk;
+//   direct (r >= m):  K = I - rho H^{-1},  F = I, Y = lambda H^{-1} A^T X_blk.
+// On the exact solve X_blk = A, so Y = K in both branches. An iteration costs
+// two r x m x cols GEMMs (factored) or one m x m x cols GEMM (direct).
+struct ZUpdate {
+  const Matrix* a = nullptr;
+  double lambda = 0.0;
+  double rho = 0.0;
+  bool factored = false;
+  Matrix k;
+  Matrix w;  // lambda S^{-1}, factored only
+
+  // Y for the data columns x_blk (single-threaded: called per block).
+  Matrix Target(const Matrix& x_blk) const {
+    if (factored) return MatMul(w, x_blk);
+    // lambda H^{-1} = (lambda / rho) (I - K).
+    const Matrix g = MatMulTN(*a, x_blk);
+    Matrix y = g;
+    Gemm(Trans::kNo, Trans::kNo, -1.0, k, g, 1.0, &y);
+    y *= lambda / rho;
+    return y;
+  }
+
+  // H^{-1} 1 = (1/rho) (1 - F^T K 1), for the affine Sherman-Morrison step.
+  Vector InverseOnes() const {
+    const Vector ones(static_cast<size_t>(k.cols()), 1.0);
+    Vector fk1 = Gemv(Trans::kNo, k, ones);
+    if (factored) fk1 = Gemv(Trans::kTrans, *a, fk1);
+    for (double& v : fk1) v = (1.0 - v) / rho;
+    return fk1;
+  }
+
+  // *z holds M on entry and Z on exit; t is K.rows() x cols scratch.
+  void Apply(const Matrix& y, Matrix* t, Matrix* z, int num_threads) const {
+    *t = y;
+    Gemm(Trans::kNo, Trans::kNo, -1.0, k, *z, 1.0, t, num_threads);
+    if (factored) {
+      Gemm(Trans::kTrans, Trans::kNo, 1.0, *a, *t, 1.0, z, num_threads);
+    } else {
+      *z += *t;
+    }
+  }
+};
+
+// Builds the operator for dictionary `a`. `gram` is A^T A when the caller
+// already holds it (the exact solve builds it for mu), else empty; it is
+// consumed either way.
+Result<ZUpdate> BuildZUpdate(const Matrix& a, Matrix gram, double lambda,
+                             double rho, int num_threads) {
+  ZUpdate op;
+  op.a = &a;
+  op.lambda = lambda;
+  op.rho = rho;
+  op.factored = a.rows() < a.cols();
+  if (op.factored) {
+    gram = Matrix();
+    Matrix s = OuterGram(a, num_threads);  // A A^T, via Syrk
+    RecordGramFlops(a.rows(), a.cols());
+    s *= lambda;
+    for (int64_t i = 0; i < s.rows(); ++i) s(i, i) += rho;
+    FEDSC_ASSIGN_OR_RETURN(op.w, SpdInverse(s));
+    op.w *= lambda;
+    op.k = Matrix(a.rows(), a.cols());
+    Gemm(Trans::kNo, Trans::kNo, 1.0, op.w, a, 0.0, &op.k, num_threads);
+    return op;
+  }
+  if (gram.empty()) {
+    gram = Gram(a, num_threads);  // A^T A, via Syrk
+    RecordGramFlops(a.cols(), a.rows());
+  }
+  gram *= lambda;  // H, in place
+  for (int64_t i = 0; i < gram.rows(); ++i) gram(i, i) += rho;
+  FEDSC_ASSIGN_OR_RETURN(op.k, SpdInverse(gram));
+  op.k *= -rho;
+  for (int64_t i = 0; i < op.k.rows(); ++i) op.k(i, i) += 1.0;
+  return op;
+}
+
 }  // namespace
 
 double SscLambda(const Matrix& x, double alpha, int num_threads) {
@@ -84,7 +212,7 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
   }
   FEDSC_TRACE_SPAN("sc/ssc_admm", {{"points", num_points}, {"dim", n}});
 
-  const Matrix gram = Gram(x, options.num_threads);  // X^T X, via Syrk
+  Matrix gram = Gram(x, options.num_threads);  // X^T X, via Syrk
   RecordGramFlops(num_points, n);
   const double mu = MutualCoherenceFloor(gram, options.num_threads);
   if (mu <= 0.0) {
@@ -93,76 +221,29 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
   }
   const double lambda = options.alpha / mu;
   const double rho = options.rho > 0.0 ? options.rho : options.alpha;
-
-  // Precompute the Z-update operator. Z-update solves
-  //   (lambda X^T X + rho I) Z = lambda X^T X + rho (C - U).
-  // Small-N path: invert the N x N system directly. Large-N path (n < N):
-  // Woodbury,
-  //   (lambda G + rho I)^{-1} M
-  //     = (1/rho) (M - lambda X^T (rho I_n + lambda X X^T)^{-1} X M).
-  const bool use_woodbury = n < num_points;
-  Matrix h_inverse;       // (lambda G + rho I)^{-1}, direct path
-  Matrix s_inverse;       // (rho I_n + lambda X X^T)^{-1}, Woodbury path
-  if (use_woodbury) {
-    Matrix s = OuterGram(x, options.num_threads);  // X X^T, via Syrk
-    RecordGramFlops(n, num_points);
-    s *= lambda;
-    for (int64_t i = 0; i < n; ++i) s(i, i) += rho;
-    FEDSC_ASSIGN_OR_RETURN(s_inverse, SpdInverse(s));
-  } else {
-    Matrix h = gram;
-    h *= lambda;
-    for (int64_t i = 0; i < num_points; ++i) h(i, i) += rho;
-    FEDSC_ASSIGN_OR_RETURN(h_inverse, SpdInverse(h));
-  }
+  // A = X: the Gram goes into the direct operator or is freed here.
+  FEDSC_ASSIGN_OR_RETURN(
+      const ZUpdate op,
+      BuildZUpdate(x, std::move(gram), lambda, rho, options.num_threads));
 
   Matrix c(num_points, num_points);
   Matrix u(num_points, num_points);
+  // M = C - U [+ 1 (1 - u_affine)^T] into each Z-update, Z out of it.
   Matrix z(num_points, num_points);
-  Matrix rhs(num_points, num_points);
-  Matrix xm;  // scratch for the Woodbury path
-  Matrix sxm;
-  if (use_woodbury) {
-    xm = Matrix(n, num_points);
-    sxm = Matrix(n, num_points);
-  }
-
-  // Applies (lambda G + rho I)^{-1} to `rhs`, writing into `z`.
-  auto apply_inverse = [&](const Matrix& m, Matrix* out) {
-    if (use_woodbury) {
-      if (xm.cols() != m.cols()) {
-        xm = Matrix(n, m.cols());
-        sxm = Matrix(n, m.cols());
-      }
-      // (1/rho) (m - lambda X^T S^{-1} X m)
-      Gemm(Trans::kNo, Trans::kNo, 1.0, x, m, 0.0, &xm, options.num_threads);
-      Gemm(Trans::kNo, Trans::kNo, 1.0, s_inverse, xm, 0.0, &sxm,
-           options.num_threads);
-      *out = m;
-      Gemm(Trans::kTrans, Trans::kNo, -lambda, x, sxm, 1.0, out,
-           options.num_threads);
-      *out *= 1.0 / rho;
-    } else {
-      Gemm(Trans::kNo, Trans::kNo, 1.0, h_inverse, m, 0.0, out,
-           options.num_threads);
-    }
-  };
+  Matrix t(op.k.rows(), num_points);
 
   // Affine mode: Sherman-Morrison data for (lambda G + rho I + rho 1 1^T),
   // plus the scaled dual of the 1^T Z = 1^T constraint.
-  Vector h_ones;          // H * 1
-  double affine_scale = 0.0;  // rho / (1 + rho * 1^T H 1)
+  Vector h_ones;          // H^{-1} 1
+  double affine_scale = 0.0;  // rho / (1 + rho * 1^T H^{-1} 1)
   Vector u_affine;        // scaled dual, length N
   if (options.affine) {
-    Matrix ones(num_points, 1);
-    ones.Fill(1.0);
-    Matrix h1(num_points, 1);
-    apply_inverse(ones, &h1);
-    h_ones = h1.Col(0);
+    h_ones = op.InverseOnes();
     double dot_1h1 = 0.0;
     for (double v : h_ones) dot_1h1 += v;
     affine_scale = rho / (1.0 + rho * dot_1h1);
     u_affine.assign(static_cast<size_t>(num_points), 0.0);
+    z.Fill(1.0);
   }
 
   Stopwatch deadline_timer;
@@ -175,97 +256,48 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
                                       std::to_string(options.deadline_seconds) +
                                       "s");
     }
-    // rhs = lambda G + rho (C - U) [+ rho 1 (1 - u_affine)^T in affine mode]
-    rhs = c;
-    rhs -= u;
-    rhs *= rho;
-    Axpy(lambda, gram.data(), rhs.data(), gram.size());
+    op.Apply(op.k, &t, &z, options.num_threads);
     if (options.affine) {
-      for (int64_t j = 0; j < num_points; ++j) {
-        const double w = rho * (1.0 - u_affine[static_cast<size_t>(j)]);
-        double* col = rhs.ColData(j);
-        for (int64_t i = 0; i < num_points; ++i) col[i] += w;
-      }
-    }
-
-    apply_inverse(rhs, &z);
-    if (options.affine) {
-      // Sherman-Morrison correction for the rho 1 1^T term:
-      // Z -= (H 1) * affine_scale * (1^T Z).
+      // Sherman-Morrison correction for the rho 1 1^T term,
+      // Z -= (H^{-1} 1) * affine_scale * (1^T Z), then the dual update for
+      // 1^T Z = 1^T.
       for (int64_t j = 0; j < num_points; ++j) {
         double* col = z.ColData(j);
         double colsum = 0.0;
         for (int64_t i = 0; i < num_points; ++i) colsum += col[i];
         Axpy(-affine_scale * colsum, h_ones.data(), col, num_points);
-      }
-      // Dual update for 1^T Z = 1^T.
-      for (int64_t j = 0; j < num_points; ++j) {
-        double colsum = 0.0;
-        const double* col = z.ColData(j);
+        colsum = 0.0;
         for (int64_t i = 0; i < num_points; ++i) colsum += col[i];
         u_affine[static_cast<size_t>(j)] += colsum - 1.0;
       }
     }
 
-    // C-update: soft-threshold Z + U at 1/rho, zero the diagonal. Track the
-    // largest change for the stopping rule. Column panels are disjoint, and
-    // the stopping-rule maxima reduce per chunk then combine — max is exact
-    // in any order, so the residual is bit-identical across thread counts.
-    const double threshold = 1.0 / rho;
+    // C-update with the diagonal pinned to zero. Column panels are
+    // disjoint, and the stopping-rule maxima reduce per chunk then combine —
+    // max is exact in any order, so the residual is bit-identical across
+    // thread counts.
     const int chunks = std::max(
         1, ParallelChunkCount(0, num_points, options.num_threads));
-    std::vector<double> chunk_dc(static_cast<size_t>(chunks), 0.0);
-    std::vector<double> chunk_zc(static_cast<size_t>(chunks), 0.0);
+    std::vector<double> chunk_residual(static_cast<size_t>(chunks), 0.0);
     ParallelForRanges(
         0, num_points, options.num_threads,
         [&](int64_t j0, int64_t j1, int chunk) {
-          double max_dc = 0.0;
-          double max_zc = 0.0;
-          for (int64_t j = j0; j < j1; ++j) {
-            double* cj = c.ColData(j);
-            const double* zj = z.ColData(j);
-            double* uj = u.ColData(j);
-            for (int64_t i = 0; i < num_points; ++i) {
-              const double next =
-                  i == j ? 0.0 : SoftThreshold(zj[i] + uj[i], threshold);
-              max_dc = std::max(max_dc, std::fabs(next - cj[i]));
-              cj[i] = next;
-              const double gap = zj[i] - next;
-              max_zc = std::max(max_zc, std::fabs(gap));
-              uj[i] += gap;  // dual update folded into the same pass
-            }
-          }
-          chunk_dc[static_cast<size_t>(chunk)] = max_dc;
-          chunk_zc[static_cast<size_t>(chunk)] = max_zc;
+          chunk_residual[static_cast<size_t>(chunk)] = ThresholdColumns(
+              j0, j1, 1.0 / rho, [](int64_t j) { return j; },
+              [&](int64_t j) {
+                return options.affine
+                           ? 1.0 - u_affine[static_cast<size_t>(j)]
+                           : 0.0;
+              },
+              &c, &u, &z);
         });
-
-    residual = 0.0;
-    for (int t = 0; t < chunks; ++t) {
-      residual = std::max(residual, chunk_dc[static_cast<size_t>(t)]);
-      residual = std::max(residual, chunk_zc[static_cast<size_t>(t)]);
-    }
+    residual = *std::max_element(chunk_residual.begin(), chunk_residual.end());
     if (residual < options.tol) break;
   }
   const bool converged = residual < options.tol;
   // The break above skips the loop's increment, so count it explicitly.
-  const int iterations = converged ? iteration + 1 : iteration;
-  if (!converged) {
-    FEDSC_LOG(Debug) << "SSC ADMM stopped at max_iterations with residual "
-                     << residual;
-  }
-  if (info != nullptr) {
-    info->iterations = iterations;
-    info->final_residual = residual;
-    info->converged = converged;
-  }
-  FEDSC_METRIC_COUNTER("sc.ssc_admm.solves").Increment();
-  FEDSC_METRIC_COUNTER("sc.ssc_admm.iterations").Add(iterations);
-  if (converged) FEDSC_METRIC_COUNTER("sc.ssc_admm.converged").Increment();
-  FEDSC_METRIC_HISTOGRAM("sc.ssc_admm.iterations_per_solve").Record(iterations);
-  // Last-writer-wins across concurrent device solves, hence kExecution.
-  FEDSC_METRIC_GAUGE("sc.ssc_admm.last_residual", MetricKind::kExecution)
-      .Set(residual);
-
+  RecordSolve("SSC ADMM", converged ? iteration + 1 : iteration, residual,
+              converged, info);
   return SparsifyCoefficients(c, options.top_k, options.drop_tol,
                               options.num_threads);
 }
@@ -353,12 +385,10 @@ Result<SparseMatrix> SscSketchedSelfExpression(const Matrix& x,
   const double lambda = options.alpha / mu;
   const double rho = options.rho > 0.0 ? options.rho : options.alpha;
 
-  // Shared d x d Z-update operator: (lambda B^T B + rho I)^{-1}.
-  Matrix h = Gram(b, options.num_threads);
-  RecordGramFlops(num_atoms, n);
-  h *= lambda;
-  for (int64_t a = 0; a < num_atoms; ++a) h(a, a) += rho;
-  FEDSC_ASSIGN_OR_RETURN(const Matrix h_inverse, SpdInverse(h));
+  // A = B: one Z-update operator shared by every block.
+  FEDSC_ASSIGN_OR_RETURN(
+      const ZUpdate op,
+      BuildZUpdate(b, Matrix(), lambda, rho, options.num_threads));
 
   const int64_t num_blocks =
       (num_points + kSketchBlockCols - 1) / kSketchBlockCols;
@@ -385,44 +415,20 @@ Result<SparseMatrix> SscSketchedSelfExpression(const Matrix& x,
       const int64_t j0 = blk * kSketchBlockCols;
       const int64_t j1 = std::min(num_points, j0 + kSketchBlockCols);
       const int64_t nb = j1 - j0;
-      const Matrix xb = x.ColRange(j0, j1);
-      Matrix g(num_atoms, nb);  // lambda B^T X_blk, reused every iteration
-      Gemm(Trans::kTrans, Trans::kNo, lambda, b, xb, 0.0, &g);
+      const Matrix y = op.Target(x.ColRange(j0, j1));  // every iteration's Y
 
       Matrix c(num_atoms, nb);
       Matrix u(num_atoms, nb);
-      Matrix z(num_atoms, nb);
-      Matrix rhs(num_atoms, nb);
-      const double threshold = 1.0 / rho;
+      Matrix z(num_atoms, nb);  // M = C - U in, Z out
+      Matrix t(op.k.rows(), nb);
       double residual = std::numeric_limits<double>::infinity();
       int iteration = 0;
       for (; iteration < options.max_iterations; ++iteration) {
-        rhs = c;
-        rhs -= u;
-        rhs *= rho;
-        Axpy(1.0, g.data(), rhs.data(), g.size());
-        Gemm(Trans::kNo, Trans::kNo, 1.0, h_inverse, rhs, 0.0, &z);
-
-        double max_dc = 0.0;
-        double max_zc = 0.0;
-        for (int64_t jj = 0; jj < nb; ++jj) {
-          const int64_t forbidden =
-              self_atom[static_cast<size_t>(j0 + jj)];
-          double* cj = c.ColData(jj);
-          const double* zj = z.ColData(jj);
-          double* uj = u.ColData(jj);
-          for (int64_t a = 0; a < num_atoms; ++a) {
-            const double next =
-                a == forbidden ? 0.0
-                               : SoftThreshold(zj[a] + uj[a], threshold);
-            max_dc = std::max(max_dc, std::fabs(next - cj[a]));
-            cj[a] = next;
-            const double gap = zj[a] - next;
-            max_zc = std::max(max_zc, std::fabs(gap));
-            uj[a] += gap;
-          }
-        }
-        residual = std::max(max_dc, max_zc);
+        op.Apply(y, &t, &z, 1);
+        residual = ThresholdColumns(
+            0, nb, 1.0 / rho,
+            [&](int64_t jj) { return self_atom[static_cast<size_t>(j0 + jj)]; },
+            [](int64_t) { return 0.0; }, &c, &u, &z);
         if (residual < options.tol) break;
       }
       const bool converged = residual < options.tol;
@@ -482,23 +488,8 @@ Result<SparseMatrix> SscSketchedSelfExpression(const Matrix& x,
     residual = std::max(residual, block_residual[static_cast<size_t>(blk)]);
     converged = converged && block_converged[static_cast<size_t>(blk)] != 0;
   }
-  if (!converged) {
-    FEDSC_LOG(Debug) << "sketched SSC ADMM stopped at max_iterations with "
-                     << "residual " << residual;
-  }
-  if (info != nullptr) {
-    info->iterations = iterations;
-    info->final_residual = residual;
-    info->converged = converged;
-  }
-  FEDSC_METRIC_COUNTER("sc.ssc_admm.solves").Increment();
   FEDSC_METRIC_COUNTER("sc.ssc_admm.sketched_solves").Increment();
-  FEDSC_METRIC_COUNTER("sc.ssc_admm.iterations").Add(iterations);
-  if (converged) FEDSC_METRIC_COUNTER("sc.ssc_admm.converged").Increment();
-  FEDSC_METRIC_HISTOGRAM("sc.ssc_admm.iterations_per_solve")
-      .Record(iterations);
-  FEDSC_METRIC_GAUGE("sc.ssc_admm.last_residual", MetricKind::kExecution)
-      .Set(residual);
+  RecordSolve("sketched SSC ADMM", iterations, residual, converged, info);
 
   std::vector<Triplet> triplets;
   for (const auto& chunk : chunk_triplets) {

@@ -6,10 +6,11 @@
 //   min_C  ||C||_1 + lambda/2 ||X - X C||_F^2   s.t.  diag(C) = 0
 //
 // with lambda = alpha / mu, mu = min_i max_{j != i} |x_j^T x_i| (Proposition
-// 1 of Elhamifar-Vidal; the paper uses alpha = 50). The linear system of the
-// Z-update is inverted once through whichever of the N x N and n x n
-// (Woodbury) formulations is smaller, so the per-iteration cost is
-// O(min(n, N) * N^2).
+// 1 of Elhamifar-Vidal; the paper uses alpha = 50). The Z-update runs
+// through one operator shared with the sketched solver: factored,
+// Z = M + X^T (K - K M) with K = lambda (rho I + lambda X X^T)^{-1} X, when
+// n < N (two n x N x N GEMMs per iteration), else direct with the N x N
+// inverse (one N x N x N GEMM). Per iteration that is O(min(n, N) * N^2).
 
 #ifndef FEDSC_SC_SSC_ADMM_H_
 #define FEDSC_SC_SSC_ADMM_H_
@@ -70,8 +71,10 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
 //
 //   min_C ||C||_1 + lambda/2 ||X - B C||_F^2,   C in R^{d x N},
 //
-// so the Z-update inverts one d x d operator shared by every column and the
-// per-iteration cost is O(d^2 N) instead of O(N^2 min(n, N)). The Lasso
+// with the exact solver's Z-update operator built over B: factored when
+// n < d, so a block iteration costs two n x d x cols GEMMs and never applies
+// a dense d x d inverse, else direct with one d x d x cols GEMM. Per
+// iteration that is O(min(n, d) * d * N) instead of O(N^2 min(n, N)). The Lasso
 // separates per column, so columns are processed in fixed-size blocks (a
 // pure function of N, never of the thread count) with block-local stopping;
 // results are bit-identical for every thread count. For landmark sketches a

@@ -349,6 +349,46 @@ TEST(FaultPlanTest, WireFaultsAreDeterministicAndDetectable) {
   EXPECT_TRUE(saw_fault);
 }
 
+TEST(WireTest, NonzeroReservedWordsAreRejected) {
+  // The header's reserved u32 (bytes 28..31) and each section header's
+  // reserved u16 (bytes 2..3) must be zero. The section word has no CRC
+  // over it, so only this check catches a flip there; the header word is
+  // also re-checked with its CRC patched, so the CRC is not what rejects it.
+  CodecOptions options;
+  options.mode = CodecMode::kBasisCoeffs;  // two sections
+  const std::vector<uint8_t> clean =
+      MustEncode(LowRankMatrix(64, 24, 4, 31), options);
+  auto parsed = ParseWireMessage(clean.data(), clean.size());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->sections.size(), 2u);
+
+  std::vector<size_t> reserved_bytes = {28, 29, 30, 31};
+  size_t offset = kWireHeaderBytes;
+  for (const WireSectionView& section : parsed->sections) {
+    reserved_bytes.push_back(offset + 2);
+    reserved_bytes.push_back(offset + 3);
+    offset += kWireSectionHeaderBytes + section.payload_bytes;
+  }
+  for (size_t byte : reserved_bytes) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<uint8_t> damaged = clean;
+      damaged[byte] ^= static_cast<uint8_t>(1u << bit);
+      for (bool patch_crc : {false, true}) {
+        if (patch_crc && byte < kWireHeaderBytes) {
+          const uint32_t crc = Crc32(damaged.data(), 32);
+          for (int i = 0; i < 4; ++i) {
+            damaged[32 + i] = static_cast<uint8_t>(crc >> (8 * i));
+          }
+        }
+        auto result = ParseWireMessage(damaged.data(), damaged.size());
+        ASSERT_FALSE(result.ok()) << "byte " << byte << " bit " << bit;
+        EXPECT_EQ(result.status().code(), StatusCode::kWireCorrupt)
+            << "byte " << byte << " bit " << bit;
+      }
+    }
+  }
+}
+
 TEST(FaultPlanTest, ZeroWireRatePreservesLegacySchedules) {
   // With wire_corrupt_rate at its default the pre-existing draws (dropout,
   // straggler, transient, payload, seeds) must be bit-identical to what the

@@ -330,6 +330,12 @@ TEST(RunReportTest, OptionsFingerprintTracksConfigNotThreads) {
   b = a;
   b.seed = a.seed + 1;
   EXPECT_NE(FedScOptionsFingerprint(a), FedScOptionsFingerprint(b));
+
+  // Every central method has its own spelling, not just SSC vs the rest.
+  a.central_method = ScMethod::kSscOmp;
+  b = a;
+  b.central_method = ScMethod::kTsc;
+  EXPECT_NE(FedScOptionsFingerprint(a), FedScOptionsFingerprint(b));
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 // reordered and no tolerance is needed here.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include "linalg/eig.h"
 #include "linalg/qr.h"
 #include "linalg/svd.h"
+#include "sc/sketch.h"
+#include "sc/ssc_admm.h"
 #include "sc/ssc_omp.h"
 
 namespace fedsc {
@@ -323,6 +326,66 @@ TEST(SscOmpDeterminismTest, CoefficientMatrixMatchesSerialExactly) {
     ASSERT_EQ(serial->row_ptr(), threaded->row_ptr()) << threads;
     ASSERT_EQ(serial->col_idx(), threaded->col_idx()) << threads;
     ASSERT_EQ(serial->values(), threaded->values()) << threads;
+  }
+}
+
+TEST(SscAdmmDeterminismTest, BothOperatorBranchesMatchSerialExactly) {
+  // The exact and sketched solvers share one Z-update operator whose
+  // factored (rows < atoms) and direct branches thread differently; both
+  // must reproduce the serial CSR arrays bit for bit.
+  SyntheticOptions synth;
+  synth.ambient_dim = 24;
+  synth.subspace_dim = 3;
+  synth.num_subspaces = 3;
+  synth.points_per_subspace = 40;
+  synth.seed = 23;
+  auto data = GenerateUnionOfSubspaces(synth);
+  ASSERT_TRUE(data.ok());
+  Matrix x = data->points;
+  x.NormalizeColumns();
+  const auto expect_same = [](const SparseMatrix& a, const SparseMatrix& b,
+                              const std::string& what) {
+    EXPECT_EQ(a.row_ptr(), b.row_ptr()) << what;
+    EXPECT_EQ(a.col_idx(), b.col_idx()) << what;
+    EXPECT_EQ(a.values(), b.values()) << what;
+  };
+
+  // Exact: N = 120 > n is factored, the first 20 columns direct.
+  for (const Matrix& points : {x, x.ColRange(0, 20)}) {
+    for (bool affine : {false, true}) {
+      SscAdmmOptions options;
+      options.affine = affine;
+      auto serial = SscSelfExpression(points, options);
+      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+      for (int threads : kThreadCounts) {
+        options.num_threads = threads;
+        auto threaded = SscSelfExpression(points, options);
+        ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+        expect_same(*serial, *threaded,
+                    "exact N=" + std::to_string(points.cols()) +
+                        " affine=" + std::to_string(affine) +
+                        " nt=" + std::to_string(threads));
+      }
+    }
+  }
+  // Sketched: d = 48 > n is factored, d = 16 direct.
+  for (int64_t dim : {48, 16}) {
+    SketchOptions sketch_options;
+    sketch_options.dim = dim;
+    sketch_options.kind = SketchKind::kJl;
+    auto sketch = SketchDictionary(x, sketch_options);
+    ASSERT_TRUE(sketch.ok());
+    SscAdmmOptions options;
+    auto serial = SscSketchedSelfExpression(x, *sketch, options);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    for (int threads : kThreadCounts) {
+      options.num_threads = threads;
+      auto threaded = SscSketchedSelfExpression(x, *sketch, options);
+      ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+      expect_same(*serial, *threaded,
+                  "sketched d=" + std::to_string(dim) +
+                      " nt=" + std::to_string(threads));
+    }
   }
 }
 

@@ -1,12 +1,15 @@
 #include <algorithm>
-#include <set>
 #include <cmath>
+#include <limits>
+#include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "data/synthetic.h"
 #include "linalg/blas.h"
+#include "linalg/cholesky.h"
 #include "metrics/clustering_metrics.h"
 #include "sc/affinity.h"
 #include "sc/pipeline.h"
@@ -374,6 +377,141 @@ TEST(SscAdmmInfoTest, IterationStarvedSolveReportsNotConverged) {
   EXPECT_FALSE(info.converged);
   EXPECT_EQ(info.iterations, options.max_iterations);
   EXPECT_GE(info.final_residual, options.tol);
+}
+
+// The exact solve with the Z-update applied the plain way: the explicit
+// inverse (lambda X^T X + rho I)^{-1} times lambda X^T X + rho (C - U) (plus
+// the affine terms). The solver's factored/direct operator must track it.
+struct ReferenceSolve {
+  Matrix c;
+  int iterations = 0;
+};
+
+ReferenceSolve ReferenceSsc(const Matrix& x, const SscAdmmOptions& options) {
+  const int64_t num_points = x.cols();
+  const Matrix gram = Gram(x);
+  const double lambda = SscLambdaFromGram(gram, options.alpha);
+  const double rho = options.rho > 0.0 ? options.rho : options.alpha;
+  Matrix h = gram;
+  h *= lambda;
+  for (int64_t i = 0; i < num_points; ++i) h(i, i) += rho;
+  const Matrix h_inverse = SpdInverse(h).value();
+  Matrix lambda_gram = gram;
+  lambda_gram *= lambda;
+
+  Vector h_ones;
+  double affine_scale = 0.0;
+  Vector u_affine(static_cast<size_t>(num_points), 0.0);
+  if (options.affine) {
+    h_ones = Gemv(Trans::kNo, h_inverse,
+                  Vector(static_cast<size_t>(num_points), 1.0));
+    double dot_1h1 = 0.0;
+    for (double v : h_ones) dot_1h1 += v;
+    affine_scale = rho / (1.0 + rho * dot_1h1);
+  }
+
+  Matrix c(num_points, num_points);
+  Matrix u(num_points, num_points);
+  double residual = std::numeric_limits<double>::infinity();
+  int iteration = 0;
+  for (; iteration < options.max_iterations; ++iteration) {
+    Matrix rhs = c;
+    rhs -= u;
+    rhs *= rho;
+    rhs += lambda_gram;
+    if (options.affine) {
+      for (int64_t j = 0; j < num_points; ++j) {
+        for (int64_t i = 0; i < num_points; ++i) {
+          rhs(i, j) += rho * (1.0 - u_affine[static_cast<size_t>(j)]);
+        }
+      }
+    }
+    Matrix z = MatMul(h_inverse, rhs);
+    if (options.affine) {
+      for (int64_t j = 0; j < num_points; ++j) {
+        double colsum = 0.0;
+        for (int64_t i = 0; i < num_points; ++i) colsum += z(i, j);
+        Axpy(-affine_scale * colsum, h_ones.data(), z.ColData(j),
+             num_points);
+        colsum = 0.0;
+        for (int64_t i = 0; i < num_points; ++i) colsum += z(i, j);
+        u_affine[static_cast<size_t>(j)] += colsum - 1.0;
+      }
+    }
+    residual = 0.0;
+    for (int64_t j = 0; j < num_points; ++j) {
+      for (int64_t i = 0; i < num_points; ++i) {
+        const double v = z(i, j) + u(i, j);
+        const double t = 1.0 / rho;
+        const double next =
+            i == j ? 0.0 : (v > t ? v - t : (v < -t ? v + t : 0.0));
+        residual = std::max(residual, std::fabs(next - c(i, j)));
+        c(i, j) = next;
+        residual = std::max(residual, std::fabs(z(i, j) - next));
+        u(i, j) += z(i, j) - next;
+      }
+    }
+    if (residual < options.tol) break;
+  }
+  return {std::move(c), residual < options.tol ? iteration + 1 : iteration};
+}
+
+Matrix GaussianColumns(int64_t rows, int64_t cols, uint64_t seed) {
+  Rng rng(seed);
+  Matrix x(rows, cols);
+  for (int64_t i = 0; i < x.size(); ++i) x.data()[i] = rng.Gaussian();
+  return x;
+}
+
+TEST(SscAdmmDifferentialTest, OperatorMatchesTheExplicitInverse) {
+  struct Case {
+    std::string name;
+    Matrix x;
+    bool affine = false;
+  };
+  std::vector<Case> cases;
+  // Both sides of the factored (n < N) / direct (n >= N) rule, at the edge.
+  cases.push_back({"n=N-1", GaussianColumns(11, 12, 1)});
+  cases.push_back({"n=N", GaussianColumns(12, 12, 2)});
+  cases.push_back({"subspaces factored", EasySubspaces(3, 20, 3).points});
+  cases.push_back({"subspaces direct", EasySubspaces(2, 12, 4).points});
+  // A duplicated column makes X^T X singular; H stays SPD through rho.
+  for (const auto& [rows, cols] : {std::pair<int64_t, int64_t>{10, 25},
+                                   std::pair<int64_t, int64_t>{30, 20}}) {
+    Matrix x = GaussianColumns(rows, cols, 5 + rows);
+    x.SetCol(7, x.ColData(3));
+    cases.push_back({"duplicate " + std::to_string(rows), std::move(x)});
+  }
+  // Column scales spanning 1e-3 .. 1e3 before normalization.
+  for (const auto& [rows, cols] : {std::pair<int64_t, int64_t>{8, 30},
+                                   std::pair<int64_t, int64_t>{30, 24}}) {
+    Matrix x = GaussianColumns(rows, cols, 9 + rows);
+    Rng rng(rows);
+    for (int64_t j = 0; j < cols; ++j) {
+      Scal(std::pow(10.0, rng.Uniform(-3.0, 3.0)), x.ColData(j), rows);
+    }
+    cases.push_back({"scaled " + std::to_string(rows), std::move(x)});
+  }
+  for (Case& test : cases) test.x.NormalizeColumns();
+  // Affine mode, unnormalized affine data, on both sides of the rule.
+  cases.push_back({"affine factored", AffineSubspaces(71).points, true});
+  cases.push_back(
+      {"affine direct", AffineSubspaces(72).points.ColRange(0, 10), true});
+
+  for (const Case& test : cases) {
+    SscAdmmOptions options;
+    options.affine = test.affine;
+    options.drop_tol = 0.0;
+    const ReferenceSolve reference = ReferenceSsc(test.x, options);
+    SscAdmmInfo info;
+    auto c = SscSelfExpression(test.x, options, &info);
+    ASSERT_TRUE(c.ok()) << test.name << ": " << c.status().ToString();
+    const double scale = reference.c.MaxAbs();
+    ASSERT_GT(scale, 0.0) << test.name;
+    EXPECT_LE((c->ToDense() - reference.c).MaxAbs(), 1e-8 * scale)
+        << test.name;
+    EXPECT_EQ(info.iterations, reference.iterations) << test.name;
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/journal.h"
 #include "core/server.h"
 #include "data/synthetic.h"
 #include "fed/partition.h"
@@ -74,6 +75,42 @@ TEST(FedScServerTest, MatchesBatchPipelineQuality) {
   }
   const auto global = f.fed.ToGlobalOrder(device_labels);
   EXPECT_GE(ClusteringAccuracy(f.data.labels, global), 98.0);
+}
+
+TEST(FedScServerTest, CentralStartJournalsTheRealMethod) {
+  // The server runs any central method; its ledger names that method
+  // instead of recording every non-SSC one as "tsc".
+  // Clients validate the whole option set, which names SSC or TSC only.
+  Federation f = MakeFederation(3, 30, 6, 2, 307);
+  const FedScOptions client_options;
+  FedScOptions options;
+  options.central_method = ScMethod::kSscOmp;
+  FedScServer server(3, options);
+  Rng rng(79);
+  for (int64_t z = 0; z < f.fed.num_devices(); ++z) {
+    FedScClient client(f.fed.points[static_cast<size_t>(z)], client_options,
+                       rng.Next());
+    auto upload = client.ProduceUpload();
+    ASSERT_TRUE(upload.ok()) << upload.status().ToString();
+    ASSERT_TRUE(server.AddUpload(*upload).ok());
+  }
+  ResetJournal();
+  EnableJournal(true);
+  const Status status = server.Cluster();
+  const std::vector<JournalEvent> events = SnapshotJournal();
+  EnableJournal(false);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  int64_t starts = 0;
+  for (const JournalEvent& event : events) {
+    if (event.type != "central_start") continue;
+    ++starts;
+    for (const auto& [key, value] : event.fields) {
+      if (key == "method") {
+        EXPECT_EQ(value, "\"sscomp\"");
+      }
+    }
+  }
+  EXPECT_EQ(starts, 1);
 }
 
 TEST(FedScServerTest, IncrementalDevicesReclusterCorrectly) {

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include "data/synthetic.h"
 #include "fed/partition.h"
 #include "linalg/blas.h"
+#include "linalg/cholesky.h"
 #include "metrics/clustering_metrics.h"
 #include "sc/affinity.h"
 #include "sc/pipeline.h"
@@ -383,6 +386,143 @@ TEST(SketchedRunTest, EndToEndFederatedRoundWithFaultsAndDefense) {
   }
   ASSERT_FALSE(truth.empty());
   EXPECT_GE(ClusteringAccuracy(truth, predicted), 80.0);
+}
+
+// The sketched solve with the Z-update applied the plain way: the explicit
+// inverse (lambda B^T B + rho I)^{-1} times lambda B^T X_blk + rho (C - U),
+// over the solver's fixed 256-column blocks with block-local stopping.
+// Returns the dense d x N coefficients; *iterations gets the max over blocks.
+Matrix ReferenceSketchedSsc(const Matrix& x, const SketchResult& sketch,
+                            const SscAdmmOptions& options, int* iterations) {
+  constexpr int64_t kBlockCols = 256;
+  const Matrix& b = sketch.dictionary;
+  const int64_t num_atoms = b.cols();
+  const int64_t num_points = x.cols();
+  std::vector<int64_t> self_atom(static_cast<size_t>(num_points), -1);
+  for (size_t a = 0; a < sketch.landmarks.size(); ++a) {
+    self_atom[static_cast<size_t>(sketch.landmarks[a])] =
+        static_cast<int64_t>(a);
+  }
+  const Matrix scores = MatMulTN(b, x);
+  double mu = std::numeric_limits<double>::infinity();
+  for (int64_t j = 0; j < num_points; ++j) {
+    double max_abs = 0.0;
+    for (int64_t a = 0; a < num_atoms; ++a) {
+      if (a != self_atom[static_cast<size_t>(j)]) {
+        max_abs = std::max(max_abs, std::fabs(scores(a, j)));
+      }
+    }
+    mu = std::min(mu, max_abs);
+  }
+  const double lambda = options.alpha / mu;
+  const double rho = options.rho > 0.0 ? options.rho : options.alpha;
+  Matrix h = Gram(b);
+  h *= lambda;
+  for (int64_t a = 0; a < num_atoms; ++a) h(a, a) += rho;
+  const Matrix h_inverse = SpdInverse(h).value();
+
+  Matrix c_all(num_atoms, num_points);
+  *iterations = 0;
+  for (int64_t j0 = 0; j0 < num_points; j0 += kBlockCols) {
+    const int64_t j1 = std::min(num_points, j0 + kBlockCols);
+    Matrix lambda_bx = MatMulTN(b, x.ColRange(j0, j1));
+    lambda_bx *= lambda;
+    Matrix c(num_atoms, j1 - j0);
+    Matrix u(num_atoms, j1 - j0);
+    double residual = std::numeric_limits<double>::infinity();
+    int iteration = 0;
+    for (; iteration < options.max_iterations; ++iteration) {
+      Matrix rhs = c;
+      rhs -= u;
+      rhs *= rho;
+      rhs += lambda_bx;
+      const Matrix z = MatMul(h_inverse, rhs);
+      residual = 0.0;
+      for (int64_t jj = 0; jj < j1 - j0; ++jj) {
+        for (int64_t a = 0; a < num_atoms; ++a) {
+          const double v = z(a, jj) + u(a, jj);
+          const double t = 1.0 / rho;
+          const double next =
+              a == self_atom[static_cast<size_t>(j0 + jj)]
+                  ? 0.0
+                  : (v > t ? v - t : (v < -t ? v + t : 0.0));
+          residual = std::max(residual, std::fabs(next - c(a, jj)));
+          c(a, jj) = next;
+          residual = std::max(residual, std::fabs(z(a, jj) - next));
+          u(a, jj) += z(a, jj) - next;
+        }
+      }
+      if (residual < options.tol) break;
+    }
+    *iterations = std::max(
+        *iterations, residual < options.tol ? iteration + 1 : iteration);
+    for (int64_t jj = 0; jj < j1 - j0; ++jj) {
+      c_all.SetCol(j0 + jj, c.ColData(jj));
+    }
+  }
+  return c_all;
+}
+
+TEST(SketchedSscDifferentialTest, OperatorMatchesTheExplicitInverse) {
+  struct Case {
+    std::string name;
+    Matrix x;
+    SketchKind kind;
+    int64_t dim;
+  };
+  // Ambient dim 30: dim 31 is factored (D = d - 1), dim 30 direct (D = d).
+  std::vector<Case> cases = {
+      {"jl d=D+1", EasySubspaces(4, 50, 51).points, SketchKind::kJl, 31},
+      {"jl d=D", EasySubspaces(4, 50, 52).points, SketchKind::kJl, 30},
+      {"uniform d=D+1", EasySubspaces(4, 50, 53).points,
+       SketchKind::kUniformLandmarks, 31},
+      {"uniform d=D", EasySubspaces(4, 50, 54).points,
+       SketchKind::kUniformLandmarks, 30},
+      {"leverage factored", EasySubspaces(4, 50, 55).points,
+       SketchKind::kLeverageLandmarks, 64},
+      {"leverage direct", EasySubspaces(4, 50, 56).points,
+       SketchKind::kLeverageLandmarks, 16},
+      // Two blocks, the second one partial.
+      {"jl two blocks", EasySubspaces(4, 75, 57).points, SketchKind::kJl, 48},
+  };
+  // Column scales spanning 1e-3 .. 1e3 before normalization.
+  Matrix scaled = EasySubspaces(4, 40, 58).points;
+  Rng rng(58);
+  for (int64_t j = 0; j < scaled.cols(); ++j) {
+    Scal(std::pow(10.0, rng.Uniform(-3.0, 3.0)), scaled.ColData(j),
+         scaled.rows());
+  }
+  scaled.NormalizeColumns();
+  cases.push_back({"scaled jl", scaled, SketchKind::kJl, 40});
+  cases.push_back({"scaled uniform", scaled, SketchKind::kUniformLandmarks, 20});
+
+  for (bool duplicate : {false, true}) {
+    for (const Case& test : cases) {
+      SketchOptions sketch_options;
+      sketch_options.dim = test.dim;
+      sketch_options.kind = test.kind;
+      sketch_options.seed = 3;
+      auto sketch = SketchDictionary(test.x, sketch_options);
+      ASSERT_TRUE(sketch.ok()) << test.name;
+      const std::string name = test.name + (duplicate ? " duplicate" : "");
+      if (duplicate) {
+        // A duplicated atom makes B^T B singular; H stays SPD through rho.
+        sketch->dictionary.SetCol(5, sketch->dictionary.ColData(2));
+      }
+      SscAdmmOptions options;
+      options.drop_tol = 0.0;
+      int reference_iterations = 0;
+      const Matrix reference = ReferenceSketchedSsc(test.x, *sketch, options,
+                                                    &reference_iterations);
+      SscAdmmInfo info;
+      auto c = SscSketchedSelfExpression(test.x, *sketch, options, &info);
+      ASSERT_TRUE(c.ok()) << name << ": " << c.status().ToString();
+      const double scale = reference.MaxAbs();
+      ASSERT_GT(scale, 0.0) << name;
+      EXPECT_LE((c->ToDense() - reference).MaxAbs(), 1e-8 * scale) << name;
+      EXPECT_EQ(info.iterations, reference_iterations) << name;
+    }
+  }
 }
 
 }  // namespace
