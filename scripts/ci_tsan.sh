@@ -17,8 +17,8 @@ cmake -S "${repo_root}" -B "${build_dir}" \
 
 cmake --build "${build_dir}" -j "$(nproc)" \
   --target thread_pool_test parallel_determinism_test fedsc_test \
-  faults_test defense_test trace_test journal_test logging_test blas_test \
-  qr_cholesky_test svd_eig_test sketch_test sc_test
+  server_test faults_test defense_test trace_test journal_test logging_test \
+  blas_test qr_cholesky_test svd_eig_test sketch_test sc_test
 
 # halt_on_error makes the first race fail the run instead of just logging.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -26,6 +26,9 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "${build_dir}/tests/thread_pool_test"
 "${build_dir}/tests/parallel_determinism_test"
 "${build_dir}/tests/fedsc_test"
+# The client/server API runs the same threaded screen and central solve as
+# RunFedSc (PoolAndScreen + SolveCentral), plus the call-sequence fuzz.
+"${build_dir}/tests/server_test"
 # The fault plan is consumed from serial protocol code while Phase 1/2
 # kernels fan out over worker threads; TSAN proves the combination is clean.
 "${build_dir}/tests/faults_test"
@@ -74,14 +77,18 @@ cmake -S "${repo_root}" -B "${asan_dir}" \
   -DFEDSC_SANITIZE=address
 
 cmake --build "${asan_dir}" -j "$(nproc)" \
-  --target faults_test defense_test blas_test parallel_determinism_test \
-  qr_cholesky_test svd_eig_test codec_test wire_fuzz_test journal_test \
-  sketch_test sc_test
+  --target faults_test defense_test server_test blas_test \
+  parallel_determinism_test qr_cholesky_test svd_eig_test codec_test \
+  wire_fuzz_test journal_test sketch_test sc_test
 
 "${asan_dir}/tests/faults_test"
 # Screening indexes per-sample peer lists and per-device slots built from
 # attacker-controlled pool shapes; ASAN gates the indexing.
 "${asan_dir}/tests/defense_test"
+# The server state-machine fuzz feeds NaN columns, wrong dimensions,
+# truncated / bit-flipped wire bytes, and duplicated uploads through every
+# call; ASAN gates the per-upload column maps and the pooled-label scatter.
+"${asan_dir}/tests/server_test"
 # Packing writes into 64-byte-aligned arenas with zero-padded edge
 # micro-panels; ASAN is the gate for an off-by-one on the ragged tails.
 "${asan_dir}/tests/blas_test"

@@ -247,6 +247,155 @@ Result<LocalClusteringOutput> LocalClusterAndSample(const Matrix& points,
   return out;
 }
 
+Result<CentralPool> PoolAndScreen(const std::vector<Matrix>& uploads,
+                                  const FedScOptions& options,
+                                  int64_t sim_ms) {
+  CentralPool pool;
+  int64_t rows = 0;
+  int64_t total = 0;
+  for (const Matrix& m : uploads) {
+    if (m.cols() > 0) rows = m.rows();
+    total += m.cols();
+  }
+  pool.samples = Matrix(rows, total);
+  pool.device.reserve(static_cast<size_t>(total));
+  int64_t next = 0;
+  for (size_t z = 0; z < uploads.size(); ++z) {
+    const Matrix& m = uploads[z];
+    for (int64_t c = 0; c < m.cols(); ++c) {
+      pool.samples.SetCol(next++, m.ColData(c));
+      pool.device.push_back(static_cast<int64_t>(z));
+    }
+  }
+  pool.screened.assign(uploads.size(), false);
+  if (!options.defense.enabled || total == 0) return pool;
+
+  FEDSC_TRACE_SPAN("fedsc/defense/screen", {{"samples", total}});
+  FEDSC_ASSIGN_OR_RETURN(DefensePlan defense,
+                         DefensePlan::Create(options.defense));
+  pool.screening =
+      defense.Screen(pool.samples, pool.device, options.num_threads);
+  for (const DeviceScreenVerdict& verdict : pool.screening.verdicts) {
+    if (!verdict.screened) continue;
+    pool.screened[static_cast<size_t>(verdict.device)] = true;
+    FEDSC_METRIC_COUNTER("fedsc.screened_devices").Increment();
+    FEDSC_JOURNAL_EVENT("defense_screened", verdict.device, sim_ms,
+                        {{"statistic", verdict.statistic},
+                         {"support", verdict.support},
+                         {"residual", verdict.residual}});
+    FEDSC_LOG(Warning) << "device " << verdict.device
+                       << " screened by the Byzantine defense: "
+                       << verdict.statistic;
+  }
+  return pool;
+}
+
+Result<CentralSolution> SolveCentral(CentralPool pool, int64_t num_clusters,
+                                     int64_t num_devices,
+                                     const FedScOptions& options,
+                                     int64_t sim_ms) {
+  if (num_clusters < 1) {
+    return Status::InvalidArgument("need num_clusters >= 1");
+  }
+  CentralSolution out;
+  if (pool.screening.screened_devices == 0) {
+    out.samples = std::move(pool.samples);
+    out.sample_device = std::move(pool.device);
+  } else {
+    // Screened devices' columns stay out of the solve.
+    std::vector<int64_t> keep;
+    for (size_t c = 0; c < pool.device.size(); ++c) {
+      const int64_t z = pool.device[c];
+      if (pool.screened[static_cast<size_t>(z)]) continue;
+      keep.push_back(static_cast<int64_t>(c));
+      out.sample_device.push_back(z);
+    }
+    out.samples = pool.samples.GatherCols(keep);
+    pool.samples = Matrix();  // release the full pool before the solve
+  }
+  const int64_t total = out.samples.cols();
+  if (total < num_clusters) {
+    return Status::FailedPrecondition(
+        "server received fewer samples than clusters (" +
+        std::to_string(total) + " < " + std::to_string(num_clusters) + ")");
+  }
+
+  FEDSC_TRACE_SPAN("fedsc/phase2/central", {{"samples", total}});
+  ScPipelineOptions central;
+  central.method = options.central_method;
+  central.central = options.central;
+  central.sketch = options.central_sketch;
+  // The sketch stream and the k-means seed hang off the run seed alone, so
+  // the labels are a pure function of (seed, pooled uploads).
+  central.sketch.seed = MixSeeds(options.seed, 0x5ce7c4ULL);
+  central.ssc = options.central_ssc;
+  central.tsc = options.central_tsc;
+  if (central.tsc.q <= 0) {
+    // The paper's rule: q = max(3, ceil(Z / L)).
+    central.tsc.q = std::max<int64_t>(
+        3, (num_devices + num_clusters - 1) / num_clusters);
+  }
+  central.tsc.q = std::min<int64_t>(central.tsc.q, total - 1);
+  central.spectral = options.central_spectral;
+  central.spectral.kmeans.seed = options.seed ^ 0x5e47e4ULL;
+  if (options.defense.enabled) {
+    // Robust k-engine: trimmed assignment, robust centers, and a per-device
+    // influence cap on the embedding rows (one per solved column).
+    KMeansRobustOptions& robust = central.spectral.kmeans.robust;
+    robust.enabled = true;
+    robust.trim_fraction = options.defense.trim_fraction;
+    robust.center = options.defense.robust_center;
+    robust.max_group_fraction = options.defense.max_device_fraction;
+    robust.point_group = out.sample_device;
+  }
+  // Channel noise can leave samples slightly off the unit sphere;
+  // renormalize like the paper's analysis assumes.
+  central.normalize_columns = true;
+  // Phase 2 runs after every device reported, so the worker budget that
+  // fanned Phase 1 out across devices now threads the central kernels
+  // (bit-identical for any thread count).
+  central.num_threads = options.num_threads;
+  const CentralPath central_path =
+      ResolveCentralPath(central, total, num_clusters);
+  FEDSC_JOURNAL_EVENT("central_start", -1, sim_ms,
+                      {{"samples", total},
+                       {"method", ScMethodKey(options.central_method)},
+                       {"central_path", CentralPathName(central_path)}});
+  FEDSC_METRIC_GAUGE("fedsc.central_sketched", MetricKind::kDeterministic)
+      .Set(central_path == CentralPath::kSketched ? 1.0 : 0.0);
+  FEDSC_ASSIGN_OR_RETURN(ScResult result,
+                         RunSubspaceClustering(out.samples, num_clusters,
+                                               central));
+  out.labels = std::move(result.labels);
+  out.affinity = std::move(result.affinity);
+  FEDSC_JOURNAL_EVENT("central_finish", -1, sim_ms, {{"samples", total}});
+  return out;
+}
+
+std::vector<int64_t> RelabelPoints(const LocalClusteringOutput& local,
+                                   const std::vector<int64_t>& assignments,
+                                   std::vector<int64_t>* point_sample) {
+  std::vector<int64_t> cluster_sample(
+      static_cast<size_t>(std::max<int64_t>(local.num_local_clusters, 1)),
+      -1);
+  for (size_t s = 0; s < assignments.size(); ++s) {
+    const auto t = static_cast<size_t>(local.sample_cluster[s]);
+    if (cluster_sample[t] == -1 &&
+        assignments[s] != FedScResult::kFailedDeviceLabel) {
+      cluster_sample[t] = static_cast<int64_t>(s);
+    }
+  }
+  std::vector<int64_t> labels(local.partition.size());
+  if (point_sample != nullptr) point_sample->resize(labels.size());
+  for (size_t i = 0; i < labels.size(); ++i) {
+    const int64_t s = cluster_sample[static_cast<size_t>(local.partition[i])];
+    labels[i] = s < 0 ? FedScResult::kFailedDeviceLabel
+                      : assignments[static_cast<size_t>(s)];
+    if (point_sample != nullptr) (*point_sample)[i] = s;
+  }
+  return labels;
+}
+
 Result<FedScResult> RunFedSc(const FederatedDataset& data,
                              int64_t num_clusters,
                              const FedScOptions& options) {
@@ -439,46 +588,20 @@ Result<FedScResult> RunFedSc(const FederatedDataset& data,
   // Byzantine defense: screen the accepted uploads before pooling. Screened
   // devices degrade exactly like quarantined ones — they count against the
   // quorum and their points get the sentinel label.
-  if (options.defense.enabled && total_samples > 0) {
-    FEDSC_TRACE_SPAN("fedsc/defense/screen", {{"samples", total_samples}});
-    Matrix pool(data.ambient_dim, total_samples);
-    std::vector<int64_t> pool_device;
-    pool_device.reserve(static_cast<size_t>(total_samples));
-    int64_t col = 0;
-    for (int64_t z = 0; z < num_devices; ++z) {
-      const Matrix& m = received[static_cast<size_t>(z)];
-      for (int64_t c = 0; c < m.cols(); ++c) {
-        pool.SetCol(col++, m.ColData(c));
-        pool_device.push_back(z);
-      }
-    }
-    FEDSC_ASSIGN_OR_RETURN(DefensePlan defense,
-                           DefensePlan::Create(options.defense));
-    const ScreeningOutcome screening =
-        defense.Screen(pool, pool_device, options.num_threads);
-    for (const DeviceScreenVerdict& verdict : screening.verdicts) {
-      if (!verdict.screened) continue;
-      const int64_t z = verdict.device;
-      DeviceReport& report = result.device_reports[static_cast<size_t>(z)];
-      report.outcome = DeviceOutcome::kScreened;
-      report.screen_statistic = verdict.statistic;
-      report.status = Status::InvalidArgument(
-          "device " + std::to_string(z) +
-          " screened by the Byzantine defense: " + verdict.statistic);
-      total_samples -= received[static_cast<size_t>(z)].cols();
-      received[static_cast<size_t>(z)] = Matrix();
-      kept_samples[static_cast<size_t>(z)].clear();
-      result.participating_devices -= 1;
-      result.screened_devices += 1;
-      FEDSC_METRIC_COUNTER("fedsc.screened_devices").Increment();
-      FEDSC_JOURNAL_EVENT("defense_screened", z, sim_uplink_ms,
-                          {{"statistic", verdict.statistic},
-                           {"support", verdict.support},
-                           {"residual", verdict.residual}});
-      FEDSC_LOG(Warning) << "device " << z
-                         << " screened by the Byzantine defense: "
-                         << verdict.statistic;
-    }
+  FEDSC_ASSIGN_OR_RETURN(CentralPool pool,
+                         PoolAndScreen(received, options, sim_uplink_ms));
+  for (const DeviceScreenVerdict& verdict : pool.screening.verdicts) {
+    if (!verdict.screened) continue;
+    const int64_t z = verdict.device;
+    DeviceReport& report = result.device_reports[static_cast<size_t>(z)];
+    report.outcome = DeviceOutcome::kScreened;
+    report.screen_statistic = verdict.statistic;
+    report.status = Status::InvalidArgument(
+        "device " + std::to_string(z) +
+        " screened by the Byzantine defense: " + verdict.statistic);
+    total_samples -= received[static_cast<size_t>(z)].cols();
+    result.participating_devices -= 1;
+    result.screened_devices += 1;
   }
   for (const DeviceReport& report : result.device_reports) {
     if (report.outcome != DeviceOutcome::kOk) {
@@ -519,85 +642,18 @@ Result<FedScResult> RunFedSc(const FederatedDataset& data,
                        {"quorum", options.quorum}});
   result.total_samples = total_samples;
   FEDSC_METRIC_COUNTER("fedsc.total_samples").Add(total_samples);
-  if (total_samples < num_clusters) {
-    return Status::FailedPrecondition(
-        "server received fewer samples than clusters (" +
-        std::to_string(total_samples) + " < " +
-        std::to_string(num_clusters) + ")");
-  }
-
-  // Pool the accepted samples.
-  result.samples = Matrix(data.ambient_dim, total_samples);
-  result.sample_device.reserve(static_cast<size_t>(total_samples));
-  std::vector<int64_t> device_sample_offset(
-      static_cast<size_t>(num_devices), 0);
-  int64_t next = 0;
-  for (int64_t z = 0; z < num_devices; ++z) {
-    device_sample_offset[static_cast<size_t>(z)] = next;
-    const Matrix& m = received[static_cast<size_t>(z)];
-    for (int64_t c = 0; c < m.cols(); ++c) {
-      result.samples.SetCol(next++, m.ColData(c));
-      result.sample_device.push_back(z);
-    }
-  }
 
   // Phase 2: central clustering of the pooled samples.
   Stopwatch central_timer;
-  {
-    FEDSC_TRACE_SPAN("fedsc/phase2/central", {{"samples", total_samples}});
-    ScPipelineOptions central;
-    central.method = options.central_method;
-    central.central = options.central;
-    central.sketch = options.central_sketch;
-    // The sketch stream hangs off the run seed alone (never the device RNG),
-    // so the dictionary is a pure function of (seed, pooled shape).
-    central.sketch.seed = MixSeeds(options.seed, 0x5ce7c4ULL);
-    const CentralPath central_path =
-        ResolveCentralPath(central, total_samples, num_clusters);
-    FEDSC_JOURNAL_EVENT(
-        "central_start", -1, sim_uplink_ms,
-        {{"samples", total_samples},
-         {"method", ScMethodKey(options.central_method)},
-         {"central_path", CentralPathName(central_path)}});
-    FEDSC_METRIC_GAUGE("fedsc.central_sketched", MetricKind::kDeterministic)
-        .Set(central_path == CentralPath::kSketched ? 1.0 : 0.0);
-    central.ssc = options.central_ssc;
-    central.tsc = options.central_tsc;
-    if (central.tsc.q <= 0) {
-      // The paper's rule: q = max(3, ceil(Z / L)).
-      central.tsc.q = std::max<int64_t>(
-          3, (num_devices + num_clusters - 1) / num_clusters);
-    }
-    central.tsc.q = std::min<int64_t>(central.tsc.q, total_samples - 1);
-    central.spectral = options.central_spectral;
-    central.spectral.kmeans.seed = rng.Next();
-    if (options.defense.enabled) {
-      // Robust k-engine: trimmed assignment, robust centers, and a
-      // per-device influence cap on the embedding rows (one per pooled
-      // sample, in pooling order).
-      KMeansRobustOptions& robust = central.spectral.kmeans.robust;
-      robust.enabled = true;
-      robust.trim_fraction = options.defense.trim_fraction;
-      robust.center = options.defense.robust_center;
-      robust.max_group_fraction = options.defense.max_device_fraction;
-      robust.point_group = result.sample_device;
-    }
-    // Channel noise can leave samples slightly off the unit sphere;
-    // renormalize like the paper's analysis assumes.
-    central.normalize_columns = true;
-    // Phase 2 runs on the coordinator after every device reported, so the
-    // same worker budget that fanned Phase 1 out across devices now threads
-    // the central affinity kernels (bit-identical for any thread count).
-    central.num_threads = options.num_threads;
-    FEDSC_ASSIGN_OR_RETURN(
-        ScResult central_result,
-        RunSubspaceClustering(result.samples, num_clusters, central));
-    result.sample_labels = std::move(central_result.labels);
-    result.central_affinity = std::move(central_result.affinity);
-  }
+  FEDSC_ASSIGN_OR_RETURN(
+      CentralSolution central,
+      SolveCentral(std::move(pool), num_clusters, num_devices, options,
+                   sim_uplink_ms));
   result.central_seconds = central_timer.ElapsedSeconds();
-  FEDSC_JOURNAL_EVENT("central_finish", -1, sim_uplink_ms,
-                      {{"samples", total_samples}});
+  result.samples = std::move(central.samples);
+  result.sample_device = std::move(central.sample_device);
+  result.sample_labels = std::move(central.labels);
+  result.central_affinity = std::move(central.affinity);
 
   // Phase 3: downlink assignments; devices relabel their points. Points on
   // failed devices get the sentinel label — partial participation degrades
@@ -605,53 +661,42 @@ Result<FedScResult> RunFedSc(const FederatedDataset& data,
   FEDSC_TRACE_SPAN("fedsc/phase3/relabel");
   FEDSC_JOURNAL_EVENT("broadcast", -1, sim_uplink_ms,
                       {{"devices", result.participating_devices}});
+  int64_t offset = 0;  // first pooled column of the next participating device
   for (int64_t z = 0; z < num_devices; ++z) {
     const LocalClusteringOutput& local = locals[static_cast<size_t>(z)];
     auto& labels = result.device_labels[static_cast<size_t>(z)];
     auto& point_sample = result.point_sample[static_cast<size_t>(z)];
-    const size_t num_points =
-        static_cast<size_t>(data.points[static_cast<size_t>(z)].cols());
     if (result.device_reports[static_cast<size_t>(z)].outcome !=
         DeviceOutcome::kOk) {
+      const size_t num_points =
+          static_cast<size_t>(data.points[static_cast<size_t>(z)].cols());
       labels.assign(num_points, FedScResult::kFailedDeviceLabel);
       point_sample.assign(num_points, -1);
       continue;
     }
     const std::vector<int64_t>& kept = kept_samples[static_cast<size_t>(z)];
-    const int64_t offset = device_sample_offset[static_cast<size_t>(z)];
     channel.Downlink(static_cast<int64_t>(kept.size()), num_clusters);
     FEDSC_JOURNAL_EVENT("downlink", z, sim_uplink_ms,
                         {{"values", static_cast<int64_t>(kept.size())}});
 
-    // Map each local cluster to the label of its first *accepted* sample; a
-    // cluster whose samples were all quarantined gets the sentinel.
-    std::vector<int64_t> cluster_label(
-        static_cast<size_t>(std::max<int64_t>(local.num_local_clusters, 1)),
-        FedScResult::kFailedDeviceLabel);
-    std::vector<int64_t> cluster_sample(cluster_label.size(), -1);
+    // The server's label and pooled column of each upload column. Faulted
+    // payloads may carry columns past the honest upload (duplication);
+    // those have no local cluster to label.
+    const size_t uploaded = local.sample_cluster.size();
+    std::vector<int64_t> assignments(uploaded,
+                                     FedScResult::kFailedDeviceLabel);
+    std::vector<int64_t> pooled_column(uploaded, -1);
     for (size_t k = 0; k < kept.size(); ++k) {
-      const int64_t original = kept[k];
-      // Faulted payloads may carry columns past the honest upload
-      // (duplication); those have no local cluster to label.
-      if (original < 0 ||
-          original >= static_cast<int64_t>(local.sample_cluster.size())) {
-        continue;
-      }
-      const auto t =
-          static_cast<size_t>(local.sample_cluster[static_cast<size_t>(
-              original)]);
-      if (cluster_sample[t] == -1) {
-        cluster_sample[t] = offset + static_cast<int64_t>(k);
-        cluster_label[t] =
-            result.sample_labels[static_cast<size_t>(offset) + k];
-      }
+      const auto original = static_cast<size_t>(kept[k]);
+      if (original >= uploaded) continue;
+      pooled_column[original] = offset + static_cast<int64_t>(k);
+      assignments[original] =
+          result.sample_labels[static_cast<size_t>(pooled_column[original])];
     }
-    labels.resize(local.partition.size());
-    point_sample.resize(local.partition.size());
-    for (size_t i = 0; i < local.partition.size(); ++i) {
-      const auto t = static_cast<size_t>(local.partition[i]);
-      labels[i] = cluster_label[t];
-      point_sample[i] = cluster_sample[t];
+    offset += static_cast<int64_t>(kept.size());
+    labels = RelabelPoints(local, assignments, &point_sample);
+    for (int64_t& s : point_sample) {
+      if (s >= 0) s = pooled_column[static_cast<size_t>(s)];
     }
   }
   channel.FinishRounds(rounds_used);

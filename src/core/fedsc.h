@@ -9,10 +9,10 @@
 // per cluster drawn uniformly from the unit sphere of that subspace (Eq. 5).
 //
 // Phase 2 (server): pool the samples and cluster them into L groups with SSC
-// or TSC.
+// or TSC (PoolAndScreen + SolveCentral).
 //
 // Phase 3 (every client): relabel each local point by its local cluster's
-// global assignment.
+// global assignment (RelabelPoints).
 
 #ifndef FEDSC_CORE_FEDSC_H_
 #define FEDSC_CORE_FEDSC_H_
@@ -214,6 +214,46 @@ struct FedScResult {
 Result<FedScResult> RunFedSc(const FederatedDataset& data,
                              int64_t num_clusters,
                              const FedScOptions& options = {});
+
+// Phase 2, shared by RunFedSc and FedScServer. Two calls, so RunFedSc can
+// hold its quorum check (screened devices count against it) between them.
+struct CentralPool {
+  Matrix samples;               // every accepted column, in device order
+  std::vector<int64_t> device;  // device of each pooled column
+  ScreeningOutcome screening;   // defense verdicts (empty with it off)
+  std::vector<bool> screened;   // per device
+};
+
+// Pools `uploads` (per device, its accepted columns; empty if it did not
+// participate) and, with options.defense enabled, screens the pool,
+// journaling each screened device at `sim_ms`.
+Result<CentralPool> PoolAndScreen(const std::vector<Matrix>& uploads,
+                                  const FedScOptions& options, int64_t sim_ms);
+
+struct CentralSolution {
+  Matrix samples;                      // the solved (unscreened) columns
+  std::vector<int64_t> sample_device;  // device of each solved column
+  std::vector<int64_t> labels;         // server label of each solved column
+  SparseMatrix affinity;               // W over the solved columns
+};
+
+// Clusters the pool's unscreened columns into num_clusters groups,
+// journaling central_start/central_finish at `sim_ms`. `num_devices` is Z
+// in the paper's TSC rule q = max(3, ceil(Z / L)).
+Result<CentralSolution> SolveCentral(CentralPool pool, int64_t num_clusters,
+                                     int64_t num_devices,
+                                     const FedScOptions& options,
+                                     int64_t sim_ms);
+
+// Phase 3, shared by RunFedSc and FedScClient: a local cluster takes the
+// label of its first sample (in upload order) the server clustered, else
+// FedScResult::kFailedDeviceLabel; its points inherit that label.
+// `assignments` holds one label per upload column, the sentinel where the
+// server did not cluster it. `point_sample`, when set, receives the upload
+// column each point's label came from (-1 for none).
+std::vector<int64_t> RelabelPoints(const LocalClusteringOutput& local,
+                                   const std::vector<int64_t>& assignments,
+                                   std::vector<int64_t>* point_sample = nullptr);
 
 // Out-of-sample extension: assigns new points (columns) to the clusters of
 // a completed run. The samples the server labeled with each cluster span an

@@ -7,6 +7,9 @@
 // handing every client back the assignments for its samples. Adding a device
 // and re-clustering costs one more central solve — the local phases of the
 // other devices are never repeated.
+// Both paths run the same Phase 2 (PoolAndScreen + SolveCentral) and Phase
+// 3 (RelabelPoints) from core/fedsc.h, so the same uploads get the same
+// labels; quorum, the channel model, and DeviceReports stay RunFedSc's.
 
 #ifndef FEDSC_CORE_SERVER_H_
 #define FEDSC_CORE_SERVER_H_
@@ -38,10 +41,10 @@ class FedScClient {
   // Number of samples this client uploads (valid after ProduceUpload).
   int64_t num_samples() const { return local_.samples.cols(); }
 
-  // Phase 3: map per-sample assignments (one per uploaded sample, in upload
-  // order) to per-point labels. Rejects assignment vectors whose length
-  // mismatches num_samples() or that contain negative labels (a server must
-  // never hand back the failed-device sentinel as a real assignment).
+  // Phase 3 (RelabelPoints): map per-sample assignments (one per uploaded
+  // sample, in upload order; FedScResult::kFailedDeviceLabel where the
+  // server did not cluster it) to per-point labels. Rejects vectors whose
+  // length mismatches num_samples() or that hold a value below -1.
   Result<std::vector<int64_t>> ApplyAssignments(
       const std::vector<int64_t>& sample_assignments) const;
 
@@ -56,7 +59,8 @@ class FedScClient {
 };
 
 // The coordinator: accumulates uploads, clusters them into num_clusters
-// groups with SSC or TSC, and serves per-device assignments.
+// groups with the central method (TSC's q rule counts the registered
+// devices as Z), and serves per-device assignments.
 class FedScServer {
  public:
   FedScServer(int64_t num_clusters, FedScOptions options);
@@ -75,21 +79,22 @@ class FedScServer {
   // kWireCorrupt status (never a crash or out-of-bounds read).
   Result<int64_t> AddEncodedUpload(const std::vector<uint8_t>& wire);
 
-  int64_t num_devices() const {
-    return static_cast<int64_t>(device_offsets_.size());
-  }
+  int64_t num_devices() const { return static_cast<int64_t>(uploads_.size()); }
   int64_t total_samples() const { return total_samples_; }
   // Sample columns rejected by AddUpload validation since construction.
   int64_t quarantined_samples() const { return quarantined_samples_; }
 
-  // (Re-)clusters all registered samples. Idempotent until the next
+  // (Re-)clusters all registered samples with PoolAndScreen + SolveCentral
+  // (typed errors: InvalidArgument for num_clusters < 1, FailedPrecondition
+  // for fewer unscreened samples than clusters). Idempotent until the next
   // AddUpload.
   Status Cluster();
 
-  // Assignments for device `id`'s samples, in upload order. Requires a
-  // successful Cluster() since the last AddUpload. A device screened by the
-  // Byzantine defense (FedScOptions::defense) gets a typed error instead of
-  // assignments — its samples never entered the central solve.
+  // Assignments for device `id`: one per *uploaded* column, in upload
+  // order, kFailedDeviceLabel at the columns validation quarantined.
+  // Requires a successful Cluster() since the last AddUpload. A device
+  // screened by the Byzantine defense (FedScOptions::defense) gets a typed
+  // error instead — its samples never entered the central solve.
   Result<std::vector<int64_t>> AssignmentsFor(int64_t id) const;
 
   // True when the last Cluster() screened device `id` (always false with
@@ -99,15 +104,18 @@ class FedScServer {
            screened_[static_cast<size_t>(id)];
   }
 
-  // The full pooled clustering (one label per registered sample).
+  // The full pooled clustering: one label per accepted sample, in
+  // registration order (the sentinel for screened devices' samples).
   const std::vector<int64_t>& sample_labels() const { return sample_labels_; }
 
  private:
   int64_t num_clusters_;
   FedScOptions options_;
   int64_t ambient_dim_ = -1;
-  std::vector<Matrix> uploads_;
-  std::vector<int64_t> device_offsets_;
+  std::vector<Matrix> uploads_;  // accepted columns per device
+  // Per device and uploaded column: its column in the pool (and so in
+  // sample_labels_), or -1 when validation quarantined it.
+  std::vector<std::vector<int64_t>> pooled_column_;
   int64_t total_samples_ = 0;
   int64_t quarantined_samples_ = 0;
   bool clustered_ = false;

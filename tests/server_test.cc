@@ -10,6 +10,8 @@
 #include "common/journal.h"
 #include "core/server.h"
 #include "data/synthetic.h"
+#include "fed/codec.h"
+#include "fed/network.h"
 #include "fed/partition.h"
 #include "fed/privacy.h"
 #include "linalg/blas.h"
@@ -41,6 +43,27 @@ Federation MakeFederation(int64_t num_subspaces, int64_t per_subspace,
   auto fed = PartitionAcrossDevices(*data, partition);
   EXPECT_TRUE(fed.ok());
   return {std::move(data).value(), std::move(fed).value()};
+}
+
+// Phase 3 spelled out: every point takes the assignment of the first
+// sample (in upload order) of its local cluster that the server clustered,
+// or the sentinel when there is none.
+std::vector<int64_t> FirstClusteredSampleRule(
+    const LocalClusteringOutput& local,
+    const std::vector<int64_t>& assignments) {
+  std::vector<int64_t> labels;
+  for (int64_t t : local.partition) {
+    int64_t label = FedScResult::kFailedDeviceLabel;
+    for (size_t s = 0; s < assignments.size(); ++s) {
+      if (local.sample_cluster[s] == t &&
+          assignments[s] != FedScResult::kFailedDeviceLabel) {
+        label = assignments[s];
+        break;
+      }
+    }
+    labels.push_back(label);
+  }
+  return labels;
 }
 
 TEST(FedScServerTest, MatchesBatchPipelineQuality) {
@@ -189,11 +212,17 @@ TEST(FedScClientTest, AssignmentsValidation) {
       static_cast<size_t>(client.num_samples() + 1), 0);
   EXPECT_FALSE(client.ApplyAssignments(wrong_size).ok());
 
-  // Out-of-range assignments (e.g. a leaked failed-device sentinel) are
-  // rejected instead of silently labeling points -1.
+  // The failed-device sentinel marks a sample the server did not cluster:
+  // the relabel rule skips it instead of rejecting the vector.
   std::vector<int64_t> negative(static_cast<size_t>(client.num_samples()),
                                 0);
-  negative.back() = -1;
+  negative.back() = FedScResult::kFailedDeviceLabel;
+  auto relabeled = client.ApplyAssignments(negative);
+  ASSERT_TRUE(relabeled.ok()) << relabeled.status().ToString();
+  EXPECT_EQ(*relabeled, FirstClusteredSampleRule(client.local(), negative));
+
+  // Anything below the sentinel is out of range.
+  negative.back() = -2;
   auto rejected = client.ApplyAssignments(negative);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
@@ -223,6 +252,317 @@ TEST(FedScServerTest, AddUploadQuarantinesCorruptColumns) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(server.num_devices(), 1);
   EXPECT_EQ(server.quarantined_samples(), 3);
+}
+
+TEST(FedScServerTest, NonPositiveClusterCountIsATypedError) {
+  Federation f = MakeFederation(3, 30, 6, 2, 311);
+  for (int64_t clusters : {int64_t{0}, int64_t{-2}}) {
+    FedScServer server(clusters, FedScOptions{});
+    Rng rng(83);
+    for (int64_t z = 0; z < f.fed.num_devices(); ++z) {
+      FedScClient client(f.fed.points[static_cast<size_t>(z)], FedScOptions{},
+                         rng.Next());
+      auto upload = client.ProduceUpload();
+      ASSERT_TRUE(upload.ok()) << upload.status().ToString();
+      ASSERT_TRUE(server.AddUpload(*upload).ok());
+    }
+    const Status status = server.Cluster();
+    ASSERT_FALSE(status.ok()) << "num_clusters " << clusters;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(server.AssignmentsFor(0).ok());
+  }
+}
+
+// The federation plus one device whose points live in a subspace no other
+// device shares: its uploads have no cross-device support, so the defense
+// screens it.
+FederatedDataset WithLonelyDevice(FederatedDataset fed, uint64_t seed) {
+  Rng rng(seed);
+  const Matrix basis = RandomOrthonormalBasis(fed.ambient_dim, 3, &rng);
+  Matrix coeffs(3, 20);
+  for (int64_t j = 0; j < coeffs.cols(); ++j) {
+    for (int64_t i = 0; i < 3; ++i) coeffs(i, j) = rng.Gaussian();
+  }
+  fed.points.push_back(MatMul(basis, coeffs));
+  fed.labels.emplace_back(20, fed.num_clusters);
+  std::vector<int64_t> index;
+  for (int64_t j = 0; j < 20; ++j) index.push_back(fed.total_points + j);
+  fed.global_index.push_back(std::move(index));
+  fed.total_points += 20;
+  fed.num_clusters += 1;
+  return fed;
+}
+
+std::vector<JournalEvent> CentralEvents(const std::vector<JournalEvent>& all) {
+  std::vector<JournalEvent> central;
+  for (const JournalEvent& event : all) {
+    if (event.type == "central_start" || event.type == "central_finish" ||
+        event.type == "defense_screened") {
+      central.push_back(event);
+    }
+  }
+  return central;
+}
+
+// RunFedSc and the client/server API share one Phase 2 and one relabel
+// rule: seeded the way RunFedSc seeds its devices, over a fault-free raw
+// channel, the server API returns exactly RunFedSc's labels — not merely
+// the same partition up to a permutation.
+TEST(FedScServerTest, BitIdenticalToRunFedSc) {
+  const Federation f = MakeFederation(4, 40, 10, 2, 313);
+  const FederatedDataset lonely = WithLonelyDevice(f.fed, 17);
+  for (ScMethod method : {ScMethod::kSsc, ScMethod::kTsc}) {
+    for (bool defense : {false, true}) {
+      for (CentralPath path : {CentralPath::kExact, CentralPath::kSketched}) {
+        SCOPED_TRACE(std::string(ScMethodKey(method)) +
+                     (defense ? " defended " : " ") + CentralPathName(path));
+        const FederatedDataset& fed = defense ? lonely : f.fed;
+        FedScOptions options;
+        options.central_method = method;
+        options.central = path;
+        options.central_sketch.dim = 10;
+        options.defense.enabled = defense;
+        options.quorum = 0.5;  // the screened device counts against it
+        // Threads the screen and the central solve (ci_tsan.sh runs this
+        // suite); labels are bit-identical for any thread count.
+        options.num_threads = 2;
+
+        ResetJournal();
+        EnableJournal(true);
+        auto batch = RunFedSc(fed, 4, options);
+        const std::vector<JournalEvent> batch_events =
+            CentralEvents(SnapshotJournal());
+        ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+        EXPECT_EQ(batch->screened_devices, defense ? 1 : 0);
+
+        ResetJournal();
+        FedScServer server(4, options);
+        std::vector<FedScClient> clients;
+        clients.reserve(static_cast<size_t>(fed.num_devices()));
+        const CodecOptions codec = EffectiveCodecOptions(options.channel);
+        Rng rng(options.seed);
+        for (int64_t z = 0; z < fed.num_devices(); ++z) {
+          clients.emplace_back(fed.points[static_cast<size_t>(z)], options,
+                               rng.Next());
+          auto wire = clients.back().ProduceEncodedUpload(codec);
+          ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+          auto id = server.AddEncodedUpload(*wire);
+          ASSERT_TRUE(id.ok()) << id.status().ToString();
+          EXPECT_EQ(*id, z);
+        }
+        const Status clustered = server.Cluster();
+        const std::vector<JournalEvent> server_events =
+            CentralEvents(SnapshotJournal());
+        EnableJournal(false);
+        ASSERT_TRUE(clustered.ok()) << clustered.ToString();
+
+        // The same central events and payloads; only the clock differs.
+        ASSERT_EQ(server_events.size(), batch_events.size());
+        for (size_t e = 0; e < server_events.size(); ++e) {
+          EXPECT_EQ(server_events[e].type, batch_events[e].type);
+          EXPECT_EQ(server_events[e].device, batch_events[e].device);
+          EXPECT_EQ(server_events[e].fields, batch_events[e].fields);
+        }
+        for (const JournalEvent& event : batch_events) {
+          if (event.type != "central_start") continue;
+          const std::string want =
+              std::string("\"") + CentralPathName(path) + "\"";
+          EXPECT_EQ(event.fields.back().second, want);
+        }
+
+        // Screened samples hold the sentinel in the server's pooled labels
+        // and are absent from RunFedSc's solved pool.
+        std::vector<int64_t> solved;
+        for (int64_t label : server.sample_labels()) {
+          if (label != FedScResult::kFailedDeviceLabel) solved.push_back(label);
+        }
+        EXPECT_EQ(solved, batch->sample_labels);
+
+        for (int64_t z = 0; z < fed.num_devices(); ++z) {
+          const auto zi = static_cast<size_t>(z);
+          const bool screened = batch->device_reports[zi].outcome ==
+                                DeviceOutcome::kScreened;
+          EXPECT_EQ(server.screened(z), screened) << "device " << z;
+          auto assignments = server.AssignmentsFor(z);
+          if (screened) {
+            EXPECT_FALSE(assignments.ok());
+            continue;
+          }
+          ASSERT_TRUE(assignments.ok()) << assignments.status().ToString();
+          auto labels = clients[zi].ApplyAssignments(*assignments);
+          ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+          EXPECT_EQ(*labels, batch->device_labels[zi]) << "device " << z;
+        }
+      }
+    }
+  }
+}
+
+// A client upload with one quarantined (NaN) column: the server keeps the
+// rest, AssignmentsFor still returns one entry per uploaded column with the
+// sentinel at the quarantined one, and the client relabels by the shared
+// rule. With one sample per local cluster, the cluster whose only sample
+// was quarantined gets the sentinel; with two, a cluster whose first
+// sample was quarantined takes its second sample's label.
+TEST(FedScServerTest, PartialQuarantineRelabelsByTheSharedRule) {
+  Federation f = MakeFederation(4, 40, 8, 3, 317);
+  for (int64_t per_cluster : {int64_t{1}, int64_t{2}}) {
+    SCOPED_TRACE("samples_per_cluster " + std::to_string(per_cluster));
+    FedScOptions options;
+    options.samples_per_cluster = per_cluster;
+    FedScServer server(4, options);
+    std::vector<FedScClient> clients;
+    Rng rng(91);
+    for (int64_t z = 0; z < f.fed.num_devices(); ++z) {
+      clients.emplace_back(f.fed.points[static_cast<size_t>(z)], options,
+                           rng.Next());
+    }
+    auto upload = clients[0].ProduceUpload();
+    ASSERT_TRUE(upload.ok()) << upload.status().ToString();
+    const int64_t uploaded = upload->cols();
+    ASSERT_GE(uploaded, 2 * per_cluster) << "device 0 needs two clusters";
+    const int64_t poisoned = per_cluster == 1 ? uploaded - 1 : 0;
+    (*upload)(0, poisoned) = std::numeric_limits<double>::quiet_NaN();
+    ASSERT_TRUE(server.AddUpload(*upload).ok());
+    EXPECT_EQ(server.quarantined_samples(), 1);
+    EXPECT_EQ(server.total_samples(), uploaded - 1);
+    for (size_t z = 1; z < clients.size(); ++z) {
+      auto honest = clients[z].ProduceUpload();
+      ASSERT_TRUE(honest.ok());
+      ASSERT_TRUE(server.AddUpload(*honest).ok());
+    }
+    ASSERT_TRUE(server.Cluster().ok());
+
+    auto assignments = server.AssignmentsFor(0);
+    ASSERT_TRUE(assignments.ok()) << assignments.status().ToString();
+    ASSERT_EQ(static_cast<int64_t>(assignments->size()), uploaded);
+    int64_t pooled = 0;
+    for (int64_t s = 0; s < uploaded; ++s) {
+      const int64_t want =
+          s == poisoned ? FedScResult::kFailedDeviceLabel
+                        : server.sample_labels()[static_cast<size_t>(pooled++)];
+      EXPECT_EQ((*assignments)[static_cast<size_t>(s)], want);
+    }
+    auto labels = clients[0].ApplyAssignments(*assignments);
+    ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+    const LocalClusteringOutput& local = clients[0].local();
+    EXPECT_EQ(*labels, FirstClusteredSampleRule(local, *assignments));
+    const int64_t hit = local.sample_cluster[static_cast<size_t>(poisoned)];
+    for (size_t i = 0; i < labels->size(); ++i) {
+      if (local.partition[i] != hit) {
+        EXPECT_NE((*labels)[i], FedScResult::kFailedDeviceLabel);
+      } else if (per_cluster == 1) {
+        EXPECT_EQ((*labels)[i], FedScResult::kFailedDeviceLabel);
+      } else {
+        EXPECT_EQ((*labels)[i], (*assignments)[1]);
+      }
+    }
+  }
+}
+
+// Seeded random call sequences against the server state machine: NaN
+// columns, wrong dimensions, truncated and bit-flipped wire bytes, and
+// duplicated uploads, for num_clusters in {0, 1, 3}. Every call returns a
+// Status and nothing aborts; a successful Cluster() serves every unscreened
+// device one assignment per uploaded column.
+TEST(FedScServerTest, CallSequenceFuzz) {
+  Federation f = MakeFederation(3, 30, 6, 2, 331);
+  std::vector<Matrix> honest;
+  Rng seeds(97);
+  for (const Matrix& points : f.fed.points) {
+    FedScClient client(points, FedScOptions{}, seeds.Next());
+    auto upload = client.ProduceUpload();
+    ASSERT_TRUE(upload.ok()) << upload.status().ToString();
+    honest.push_back(std::move(upload).value());
+  }
+  const CodecOptions codec;
+  for (uint64_t sequence = 0; sequence < 48; ++sequence) {
+    Rng rng(1000 + sequence);
+    const int64_t clusters = std::vector<int64_t>{0, 1, 3}[sequence % 3];
+    FedScOptions options;
+    options.defense.enabled = sequence % 2 == 1;
+    FedScServer server(clusters, options);
+    std::vector<int64_t> uploaded_cols;  // per registered id
+    bool clustered = false;
+    for (int step = 0; step < 24; ++step) {
+      SCOPED_TRACE("sequence " + std::to_string(sequence) + " step " +
+                   std::to_string(step));
+      Matrix upload = honest[static_cast<size_t>(
+          rng.UniformInt(static_cast<int64_t>(honest.size())))];
+      const int64_t op = rng.UniformInt(9);
+      if (op == 6) {
+        const Status status = server.Cluster();
+        if (clusters < 1) {
+          EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+        }
+        clustered = status.ok();
+        continue;
+      }
+      if (op >= 7) {
+        const int64_t probe = rng.UniformInt(server.num_devices() + 2) - 1;
+        auto assignments = server.AssignmentsFor(probe);
+        const bool known = probe >= 0 && probe < server.num_devices();
+        if (!known || !clustered || server.screened(probe)) {
+          EXPECT_FALSE(assignments.ok());
+          continue;
+        }
+        ASSERT_TRUE(assignments.ok()) << assignments.status().ToString();
+        EXPECT_EQ(static_cast<int64_t>(assignments->size()),
+                  uploaded_cols[static_cast<size_t>(probe)]);
+        for (int64_t label : *assignments) {
+          EXPECT_GE(label, FedScResult::kFailedDeviceLabel);
+          EXPECT_LT(label, clusters);
+        }
+        continue;
+      }
+      const Result<int64_t> id = [&]() -> Result<int64_t> {
+        switch (op) {
+          case 0:  // a NaN column
+            upload(0, rng.UniformInt(upload.cols())) =
+                std::numeric_limits<double>::quiet_NaN();
+            return server.AddUpload(upload);
+          case 1: {  // wrong ambient dimension
+            Matrix wrong(upload.rows() + 1, upload.cols());
+            for (int64_t j = 0; j < wrong.cols(); ++j) wrong(0, j) = 1.0;
+            upload = std::move(wrong);
+            return server.AddUpload(upload);
+          }
+          case 2: {  // duplicated columns
+            std::vector<int64_t> cols;
+            for (int64_t j = 0; j < upload.cols(); ++j) {
+              cols.push_back(j);
+              cols.push_back(j);
+            }
+            upload = upload.GatherCols(cols);
+            return server.AddUpload(upload);
+          }
+          case 3:    // truncated wire bytes
+          case 4: {  // one flipped wire bit
+            auto wire = EncodeUpload(upload, codec);
+            if (!wire.ok()) return wire.status();
+            if (op == 3) {
+              wire->resize(static_cast<size_t>(
+                  rng.UniformInt(static_cast<int64_t>(wire->size()))));
+            } else {
+              const auto byte = static_cast<size_t>(
+                  rng.UniformInt(static_cast<int64_t>(wire->size())));
+              (*wire)[byte] ^= static_cast<uint8_t>(1u << rng.UniformInt(8));
+            }
+            return server.AddEncodedUpload(*wire);
+          }
+          default:  // an honest, possibly repeated, upload
+            return server.AddUpload(upload);
+        }
+      }();
+      if (id.ok()) {
+        EXPECT_EQ(*id, static_cast<int64_t>(uploaded_cols.size()));
+        uploaded_cols.push_back(upload.cols());
+        clustered = false;
+      } else {
+        EXPECT_FALSE(id.status().message().empty());
+      }
+    }
+  }
 }
 
 TEST(PrivacyTest, SigmaFormulaAndValidation) {
