@@ -10,6 +10,7 @@
 #include "linalg/blas.h"
 #include "linalg/cholesky.h"
 #include "linalg/eig.h"
+#include "linalg/gemm_kernel.h"
 #include "linalg/lanczos.h"
 #include "linalg/qr.h"
 #include "linalg/sparse.h"
@@ -49,34 +50,31 @@ void BM_GemmNN(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNN)->Arg(64)->Arg(256)->Arg(512)->Arg(1024);
 
-// The legacy column-panel engine pinned via GemmKernel::kPanel — the
-// pre-blocked baseline the packed engine is measured against.
+// The column-panel kernels Gemm runs below kBlockedGemmCutoff, timed at
+// every size — the baseline the packed engine is measured against.
 void BM_GemmNNPanel(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(1);
   const Matrix a = RandomMatrix(n, n, &rng);
   const Matrix b = RandomMatrix(n, n, &rng);
   Matrix c(n, n);
-  GemmOptions options;
-  options.kernel = GemmKernel::kPanel;
   for (auto _ : state) {
-    Gemm(Trans::kNo, Trans::kNo, 1.0, a, b, 0.0, &c, options);
+    c.Fill(0.0);
+    internal_gemm::PanelGemm(Trans::kNo, Trans::kNo, 1.0, a, b, &c);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_GemmNNPanel)->Arg(64)->Arg(256)->Arg(512)->Arg(1024);
 
-// Per-ISA micro-kernel sweep: the same blocked product pinned to each
-// runtime-dispatched tier (GemmOptions::isa). The label carries the tier so
-// bench_baseline.sh can split the rates into the isa_dispatch section;
-// tiers the host cannot execute are skipped, not faked.
+// Per-ISA micro-kernel sweep: the same blocked product on each
+// runtime-dispatched tier. The label carries the tier so bench_baseline.sh
+// can split the rates into the isa_dispatch section; tiers the host cannot
+// execute are skipped, not faked.
 void BM_GemmIsa(benchmark::State& state) {
   const int64_t n = state.range(0);
   const int tier_index = static_cast<int>(state.range(1));
   const CpuIsa tiers[] = {CpuIsa::kGeneric, CpuIsa::kAvx2, CpuIsa::kAvx512};
-  const GemmIsa pins[] = {GemmIsa::kGeneric, GemmIsa::kAvx2,
-                          GemmIsa::kAvx512};
   if (!CpuIsaSupported(tiers[tier_index])) {
     state.SkipWithError("tier unsupported on this host");
     return;
@@ -85,11 +83,9 @@ void BM_GemmIsa(benchmark::State& state) {
   const Matrix a = RandomMatrix(n, n, &rng);
   const Matrix b = RandomMatrix(n, n, &rng);
   Matrix c(n, n);
-  GemmOptions options;
-  options.kernel = GemmKernel::kBlocked;
-  options.isa = pins[tier_index];
   for (auto _ : state) {
-    Gemm(Trans::kNo, Trans::kNo, 1.0, a, b, 0.0, &c, options);
+    c.Fill(0.0);
+    BlockedGemm(Trans::kNo, Trans::kNo, 1.0, a, b, &c, 1, tiers[tier_index]);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetLabel(CpuIsaName(tiers[tier_index]));
@@ -98,7 +94,9 @@ void BM_GemmIsa(benchmark::State& state) {
 BENCHMARK(BM_GemmIsa)->ArgsProduct({{512, 1024}, {0, 1, 2}});
 
 // Thread-count sweep over the deterministic parallel GEMM; results are
-// bit-identical across the sweep, only the wall time moves.
+// bit-identical across the sweep, only the wall time moves. Timed on the
+// wall clock: CPU time of the main thread alone would credit the workers'
+// time as free.
 void BM_GemmNNThreads(benchmark::State& state) {
   const int64_t n = state.range(0);
   const int threads = static_cast<int>(state.range(1));
@@ -113,7 +111,8 @@ void BM_GemmNNThreads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_GemmNNThreads)
-    ->ArgsProduct({{64, 256, 512, 1024}, {1, 2, 4, 8}});
+    ->ArgsProduct({{64, 256, 512, 1024}, {1, 2, 4, 8}})
+    ->UseRealTime();
 
 void BM_GemmTN(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -130,7 +129,7 @@ void BM_GemmTN(benchmark::State& state) {
 BENCHMARK(BM_GemmTN)->Arg(64)->Arg(256)->Arg(512);
 
 // A^T B^T: the blocked engine absorbs the double transpose into packing;
-// the panel pin pays the explicit B.Transposed() copy the old path made.
+// the panel kernels need an explicit B.Transposed() copy and a TN product.
 void BM_GemmTT(benchmark::State& state) {
   const int64_t n = state.range(0);
   const bool panel = state.range(1) != 0;
@@ -138,10 +137,14 @@ void BM_GemmTT(benchmark::State& state) {
   const Matrix a = RandomMatrix(n, n, &rng);
   const Matrix b = RandomMatrix(n, n, &rng);
   Matrix c(n, n);
-  GemmOptions options;
-  options.kernel = panel ? GemmKernel::kPanel : GemmKernel::kAuto;
   for (auto _ : state) {
-    Gemm(Trans::kTrans, Trans::kTrans, 1.0, a, b, 0.0, &c, options);
+    if (panel) {
+      c.Fill(0.0);
+      internal_gemm::PanelGemm(Trans::kTrans, Trans::kNo, 1.0, a,
+                               b.Transposed(), &c);
+    } else {
+      Gemm(Trans::kTrans, Trans::kTrans, 1.0, a, b, 0.0, &c);
+    }
     benchmark::DoNotOptimize(c.data());
   }
   state.SetLabel(panel ? "panel+copy" : "packed");
@@ -199,11 +202,10 @@ void BM_QrVariant(benchmark::State& state) {
   const bool blocked = state.range(2) != 0;
   Rng rng(10);
   const Matrix a = RandomMatrix(m, n, &rng);
-  QrOptions options;
-  options.variant = blocked ? QrVariant::kBlocked : QrVariant::kUnblocked;
   for (auto _ : state) {
-    auto qr = HouseholderQr(a, options);
-    benchmark::DoNotOptimize(qr->q.data());
+    const QrResult qr = blocked ? internal_qr::BlockedQr(a, 1)
+                                : internal_qr::UnblockedQr(a);
+    benchmark::DoNotOptimize(qr.q.data());
   }
   state.SetLabel(blocked ? "blocked" : "unblocked");
   state.SetItemsProcessed(state.iterations() *
@@ -236,7 +238,8 @@ void BM_JacobiSvd(benchmark::State& state) {
 BENCHMARK(BM_JacobiSvd)->Arg(16)->Arg(64);
 
 // Thread-count sweep over the round-robin Jacobi sweep (the 4*cols x cols
-// input is above the round-robin cutoff for cols >= 64).
+// input is above the round-robin cutoff for cols >= 64), on the wall clock
+// like BM_GemmNNThreads.
 void BM_JacobiSvdThreads(benchmark::State& state) {
   const int64_t cols = state.range(0);
   const int threads = static_cast<int>(state.range(1));
@@ -249,7 +252,9 @@ void BM_JacobiSvdThreads(benchmark::State& state) {
     benchmark::DoNotOptimize(svd->s.data());
   }
 }
-BENCHMARK(BM_JacobiSvdThreads)->ArgsProduct({{64}, {1, 2, 4, 8}});
+BENCHMARK(BM_JacobiSvdThreads)
+    ->ArgsProduct({{64}, {1, 2, 4, 8}})
+    ->UseRealTime();
 
 // QR-preconditioned vs. plain one-sided Jacobi on tall-skinny inputs: the
 // preconditioner moves every rotation from O(m) to O(n) work.
@@ -262,11 +267,9 @@ void BM_SvdTall(benchmark::State& state) {
   const bool precond = state.range(2) != 0;
   Rng rng(5);
   const Matrix a = RandomMatrix(m, n, &rng);
-  SvdOptions options;
-  options.precondition =
-      precond ? SvdPrecondition::kQr : SvdPrecondition::kNone;
   for (auto _ : state) {
-    auto svd = JacobiSvd(a, options);
+    auto svd = precond ? internal_svd::QrPreconditionedSvd(a, {})
+                       : internal_svd::PlainJacobiSvd(a, {});
     benchmark::DoNotOptimize(svd->s.data());
   }
   state.SetLabel(precond ? "precond_qr" : "plain");
@@ -306,15 +309,22 @@ BENCHMARK(BM_SymmetricEigenvaluesOnly)->Arg(64)->Arg(256);
 // eigendecomposition (the spectral-clustering server hot path).
 // items_per_second counts the 4 n^3 / 3 reduction flops, so the rate ratio
 // is the blocked speedup of the tridiagonalization-dominated run.
+// One engine's eigendecomposition of `a`: its tridiagonalization, then the
+// shared QL stage.
+Result<EigResult> EigWithEngine(const Matrix& a, bool blocked,
+                                bool accumulate) {
+  return internal_eig::SolveTridiagonal(
+      blocked ? internal_eig::BlockedTridiagonal(a, accumulate, 1)
+              : internal_eig::Tred2Tridiagonal(a, accumulate));
+}
+
 void BM_EigVariant(benchmark::State& state) {
   const int64_t n = state.range(0);
   const bool blocked = state.range(1) != 0;
   Rng rng(6);
   const Matrix a = RandomSymmetric(n, &rng);
-  EigOptions options;
-  options.variant = blocked ? EigVariant::kBlocked : EigVariant::kUnblocked;
   for (auto _ : state) {
-    auto eig = SymmetricEigen(a, options);
+    auto eig = EigWithEngine(a, blocked, /*accumulate=*/true);
     benchmark::DoNotOptimize(eig->values.data());
   }
   state.SetLabel(blocked ? "blocked" : "unblocked");
@@ -327,11 +337,9 @@ void BM_EigValuesVariant(benchmark::State& state) {
   const bool blocked = state.range(1) != 0;
   Rng rng(7);
   const Matrix a = RandomSymmetric(n, &rng);
-  EigOptions options;
-  options.variant = blocked ? EigVariant::kBlocked : EigVariant::kUnblocked;
   for (auto _ : state) {
-    auto values = SymmetricEigenvalues(a, options);
-    benchmark::DoNotOptimize(values->data());
+    auto values = EigWithEngine(a, blocked, /*accumulate=*/false);
+    benchmark::DoNotOptimize(values->values.data());
   }
   state.SetLabel(blocked ? "blocked" : "unblocked");
   state.SetItemsProcessed(state.iterations() * (4 * n * n * n) / 3);
@@ -339,10 +347,11 @@ void BM_EigValuesVariant(benchmark::State& state) {
 BENCHMARK(BM_EigValuesVariant)->ArgsProduct({{256, 512}, {0, 1}});
 
 // Batched basis estimation over a fleet of tall-skinny D=256 x n=32 panels
-// (the per-cluster shape of the Fed-SC local phase): the looped engine runs
-// the per-panel QR-preconditioned Jacobi SVD, the batched engine takes the
-// Gram route these shapes dispatch to under kAuto. Rates are panels/s so
-// the looped-vs-batched ratio in BENCH_linalg.json is a direct speedup.
+// (the per-cluster shape of the Fed-SC local phase): the looped baseline
+// calls PrincipalSubspace (the QR-preconditioned Jacobi SVD) per panel, the
+// batched call takes the Gram route these shapes dispatch to. Rates are
+// panels/s so the looped-vs-batched ratio in BENCH_linalg.json is a direct
+// speedup.
 void BM_BatchedBasis(benchmark::State& state) {
   const int64_t batch = state.range(0);
   const bool batched = state.range(1) != 0;
@@ -362,13 +371,19 @@ void BM_BatchedBasis(benchmark::State& state) {
     panels.push_back(std::move(panel));
   }
   BatchedSubspaceOptions options;
-  // Fixed rank, as the pipeline pins via sample_dim: kAuto only takes the
-  // Gram route for fixed-rank requests.
+  // Fixed rank, as the pipeline sets via sample_dim: only fixed-rank
+  // requests take the Gram route.
   options.rank = rank;
-  options.engine = batched ? BatchEngine::kAuto : BatchEngine::kLooped;
   for (auto _ : state) {
-    auto bases = BatchedPrincipalSubspace(panels, options);
-    benchmark::DoNotOptimize(bases.data());
+    if (batched) {
+      auto bases = BatchedPrincipalSubspace(panels, options);
+      benchmark::DoNotOptimize(bases.data());
+    } else {
+      for (const Matrix& panel : panels) {
+        auto basis = PrincipalSubspace(panel, rank);
+        benchmark::DoNotOptimize(basis->data());
+      }
+    }
   }
   state.SetLabel(batched ? "batched" : "looped");
   state.SetItemsProcessed(state.iterations() * batch);

@@ -81,8 +81,10 @@ fedsc_build_type = sys.argv[3].lower()
 
 
 def rows(report):
+    # UseRealTime() benches report as "<name>/real_time"; key them by the
+    # registered name like every other row.
     return {
-        b["name"]: b
+        b["name"].removesuffix("/real_time"): b
         for b in report["benchmarks"]
         if b.get("run_type", "iteration") == "iteration"
     }
@@ -120,7 +122,9 @@ out = {
     "schema": "fedsc-bench-baseline-v1",
     "generated_by": "scripts/bench_baseline.sh",
     "context": context,
-    # Blocked packed engine (the kAuto path at these sizes), 1 and 8 threads.
+    # Blocked packed engine (Gemm's path at these sizes), 1 and 8 threads,
+    # on the wall clock. check_bench_json.py marks thread counts above
+    # context.num_cpus oversubscribed and keeps them out of every floor.
     "gemm_blocked_gflops": {
         str(n): {
             "1": gflops(f"BM_GemmNNThreads/{n}/1"),
@@ -128,7 +132,7 @@ out = {
         }
         for n in sizes
     },
-    # Legacy column-panel engine, single thread (the pre-blocked baseline).
+    # Column-panel kernels at every size, single thread (the baseline).
     "gemm_panel_gflops": {str(n): gflops(f"BM_GemmNNPanel/{n}") for n in sizes},
     # A^T B^T: packing absorbs the transpose vs the panel path's B copy.
     "gemm_tt_gflops": {
@@ -156,8 +160,8 @@ out = {
     "basis_tall_d": {},
     "run_fedsc_ms": {},
 }
-# Per-ISA micro-kernel rates for the blocked GEMM engine (BM_GemmIsa pins
-# GemmOptions::isa to each tier). Tiers the bench host cannot execute are
+# Per-ISA micro-kernel rates for the blocked GEMM engine (BM_GemmIsa runs
+# BlockedGemm on each tier). Tiers the bench host cannot execute are
 # skipped by the bench and simply absent here; "generic" always runs.
 ISA_TIERS = {0: "generic", 1: "avx2", 2: "avx512"}
 out["isa_dispatch"] = {}
@@ -169,8 +173,8 @@ for n in (512, 1024):
             continue
         entry[tier] = round(row["items_per_second"] / 1e9, 3)
     out["isa_dispatch"][str(n)] = entry
-# Batched basis estimation over D=256 x n=32 rank-4 panels: the kAuto Gram
-# route vs the looped per-panel SVD (BM_BatchedBasis; rates are panels/s).
+# Batched basis estimation over D=256 x n=32 rank-4 panels: the Gram route
+# vs the looped per-panel SVD (BM_BatchedBasis; rates are panels/s).
 out["batched_basis"] = {}
 for batch in (64, 1024):
     looped = L[f"BM_BatchedBasis/{batch}/0"]["items_per_second"]
@@ -248,7 +252,7 @@ out["acceptance"] = {
         3,
     ),
     "gram512_syrk_over_gemm": out["gram"]["512"]["ratio"],
-    # Worst blocked-QR speedup over the shapes kAuto actually dispatches
+    # Worst blocked-QR speedup over the shapes HouseholderQr actually runs
     # blocked (m >= 512 and n >= kBlockedQrMinCols = 16; the n = 8 column
     # tracks why skinnier panels stay unblocked).
     "qr_blocked_over_unblocked_min_m512": min(
@@ -262,9 +266,9 @@ out["acceptance"] = {
         for m, n in SVD_SHAPES
         if m >= 8 * n
     ),
-    # Best runtime-dispatched tier over the pinned-generic kernel at n=512
-    # (the kAuto win on this host), and the batched-vs-looped basis speedup
-    # at the fleet-scale batch.
+    # Best runtime-dispatched tier over the generic kernel at n=512 (the
+    # dispatch win on this host), and the batched-vs-looped basis speedup at
+    # the fleet-scale batch.
     "isa_best_over_generic_512": round(
         max(out["isa_dispatch"]["512"].values())
         / out["isa_dispatch"]["512"]["generic"],

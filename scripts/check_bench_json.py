@@ -6,7 +6,10 @@ baseline comes from a Release build, every tracked size/shape is present,
 every rate is a positive finite number, the derived ratios are consistent
 with their components, the acceptance floors for the blocked-GEMM,
 Syrk-Gram, blocked-QR, and preconditioned-SVD speedups hold, and the
-Byzantine-defense accuracy floors on the colluding robustness sweep hold. Wired into
+Byzantine-defense accuracy floors on the colluding robustness sweep hold.
+Thread rows that ask for more threads than the bench host had
+(context.num_cpus) are reported as oversubscribed and never feed a floor:
+their rate measures time slicing, not the kernel. Wired into
 scripts/run_all.sh so a refresh that drops a field, regresses past a floor,
 or was generated from a non-Release tree fails loudly.
 """
@@ -27,7 +30,7 @@ EIG_SIZES = ("256", "512")
 MIN_GEMM512_BLOCKED_OVER_PANEL = 2.0
 MIN_GRAM512_SYRK_OVER_GEMM = 1.5
 # Blocked compact-WY QR must at least match the unblocked engine on every
-# shape kAuto dispatches blocked with m >= 512 (n >= kBlockedQrMinCols = 16;
+# shape HouseholderQr runs blocked with m >= 512 (n >= kBlockedQrMinCols = 16;
 # skinnier panels have no trailing matrix and stay unblocked by design).
 MIN_QR_BLOCKED_OVER_UNBLOCKED_M512 = 1.0
 # QR preconditioning must at least halve the tall-skinny Jacobi SVD wall
@@ -36,7 +39,7 @@ MIN_SVD_PRECOND_OVER_PLAIN_ASPECT8 = 2.0
 # Sizes the per-ISA GEMM sweep (BM_GemmIsa) must report, the tiers a host
 # may report (generic is mandatory; SIMD tiers appear only where the bench
 # host can execute them), and the floor: the best runtime-dispatched tier
-# must beat the pinned-generic kernel by >= 1.25x at n=512, single thread.
+# must beat the generic kernel by >= 1.25x at n=512, single thread.
 ISA_SIZES = ("512", "1024")
 ISA_TIERS = ("generic", "avx2", "avx512")
 MIN_ISA_BEST_OVER_GENERIC_512 = 1.25
@@ -73,10 +76,29 @@ COMM_CODECS = (
 )
 
 _errors = []
+_oversubscribed = []
 
 
 def err(msg):
     _errors.append(msg)
+
+
+def thread_rows(doc, blocked):
+    """Yields (n, threads, rate), marking rows oversubscribed on this host."""
+    num_cpus = doc.get("context", {}).get("num_cpus")
+    if (
+        not isinstance(num_cpus, int)
+        or isinstance(num_cpus, bool)
+        or num_cpus < 1
+    ):
+        err(f"context.num_cpus: expected a positive count, got {num_cpus!r}")
+        num_cpus = 1
+    for n in GEMM_SIZES:
+        for t in THREADS:
+            rate = blocked.get(n, {}).get(t)
+            if int(t) > num_cpus:
+                _oversubscribed.append(f"gemm_blocked_gflops[{n}][{t}]")
+            yield n, t, rate
 
 
 def positive(value, what):
@@ -120,11 +142,9 @@ def check(doc):
 
     blocked = doc.get("gemm_blocked_gflops", {})
     panel = doc.get("gemm_panel_gflops", {})
+    for n, t, rate in thread_rows(doc, blocked):
+        positive(rate, f"gemm_blocked_gflops[{n}][{t}]")
     for n in GEMM_SIZES:
-        for t in THREADS:
-            positive(
-                blocked.get(n, {}).get(t), f"gemm_blocked_gflops[{n}][{t}]"
-            )
         positive(panel.get(n), f"gemm_panel_gflops[{n}]")
 
     tt = doc.get("gemm_tt_gflops", {})
@@ -165,7 +185,7 @@ def check(doc):
     for n in ISA_SIZES:
         entry = isa.get(n)
         if not isinstance(entry, dict) or "generic" not in entry:
-            err(f"isa_dispatch[{n}]: missing the pinned-generic rate")
+            err(f"isa_dispatch[{n}]: missing the generic rate")
             continue
         for tier, rate in entry.items():
             if tier not in ISA_TIERS:
@@ -329,6 +349,22 @@ def check(doc):
             )
 
     acceptance = doc.get("acceptance", {})
+    # The only floor built on a thread row reads the single-thread rate; pin
+    # that, so a floor can never quietly switch to an oversubscribed row.
+    gemm512 = acceptance.get("gemm512_blocked_over_panel")
+    one = blocked.get("512", {}).get("1")
+    if (
+        isinstance(gemm512, (int, float))
+        and isinstance(one, (int, float))
+        and panel.get("512")
+    ):
+        derived = one / panel["512"]
+        if abs(derived - gemm512) > 0.01:
+            err(
+                f"acceptance.gemm512_blocked_over_panel {gemm512} is not "
+                f"gemm_blocked_gflops[512][1]/gemm_panel_gflops[512] = "
+                f"{derived:.3f}"
+            )
     floors = (
         ("gemm512_blocked_over_panel", MIN_GEMM512_BLOCKED_OVER_PANEL,
          "blocked GEMM n=512 speedup"),
@@ -341,7 +377,7 @@ def check(doc):
          MIN_SVD_PRECOND_OVER_PLAIN_ASPECT8,
          "worst preconditioned-SVD speedup at m/n >= 8"),
         ("isa_best_over_generic_512", MIN_ISA_BEST_OVER_GENERIC_512,
-         "best-ISA over pinned-generic GEMM at n=512"),
+         "best-ISA over generic GEMM at n=512"),
         ("batched_basis_speedup_1024", MIN_BATCHED_BASIS_SPEEDUP_1024,
          "batched-vs-looped basis speedup at batch=1024"),
     )
@@ -372,6 +408,11 @@ def main():
         for msg in _errors:
             print(f"{args.path}: {msg}", file=sys.stderr)
         return 1
+    if _oversubscribed:
+        print(
+            f"{args.path}: oversubscribed (threads > context.num_cpus, kept "
+            f"out of every floor): {', '.join(_oversubscribed)}"
+        )
     print(f"{args.path}: baseline OK")
     return 0
 

@@ -18,7 +18,7 @@ cmake -S "${repo_root}" -B "${build_dir}" \
 cmake --build "${build_dir}" -j "$(nproc)" \
   --target thread_pool_test parallel_determinism_test fedsc_test \
   server_test faults_test defense_test trace_test journal_test logging_test \
-  blas_test qr_cholesky_test svd_eig_test sketch_test sc_test
+  blas_test batch_test qr_cholesky_test svd_eig_test sketch_test sc_test
 
 # halt_on_error makes the first race fail the run instead of just logging.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -45,6 +45,10 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # The blocked GEMM/Syrk engine packs on the caller thread and fans the
 # micro-block loop out over the pool; TSAN checks the arena handoff.
 "${build_dir}/tests/blas_test"
+# BatchedPrincipalSubspace fans panels out with ParallelFor, each slot
+# running Syrk/Gemm (on the GEMM tier) or the looped SVD; TSAN proves the
+# per-slot writes really are disjoint.
+"${build_dir}/tests/batch_test"
 # The blocked factorizations (compact-WY QR, preconditioned SVD, blocked
 # tridiagonalization) thread their GEMM updates and triangular multiplies.
 "${build_dir}/tests/qr_cholesky_test"
@@ -64,6 +68,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # the generic dispatch runs (the intrinsic tiers share the same driver; the
 # micro-kernels themselves touch only disjoint accumulators).
 FEDSC_FORCE_ISA=generic "${build_dir}/tests/blas_test"
+FEDSC_FORCE_ISA=generic "${build_dir}/tests/batch_test"
 FEDSC_FORCE_ISA=generic "${build_dir}/tests/parallel_determinism_test"
 FEDSC_FORCE_ISA=generic "${build_dir}/tests/sketch_test"
 FEDSC_FORCE_ISA=generic "${build_dir}/tests/sc_test"
@@ -77,7 +82,7 @@ cmake -S "${repo_root}" -B "${asan_dir}" \
   -DFEDSC_SANITIZE=address
 
 cmake --build "${asan_dir}" -j "$(nproc)" \
-  --target faults_test defense_test server_test blas_test \
+  --target faults_test defense_test server_test blas_test batch_test \
   parallel_determinism_test qr_cholesky_test svd_eig_test codec_test \
   wire_fuzz_test journal_test sketch_test sc_test
 
@@ -92,6 +97,9 @@ cmake --build "${asan_dir}" -j "$(nproc)" \
 # Packing writes into 64-byte-aligned arenas with zero-padded edge
 # micro-panels; ASAN is the gate for an off-by-one on the ragged tails.
 "${asan_dir}/tests/blas_test"
+# The Gram route gathers ragged member panels and slices the top eigenvector
+# columns; ASAN gates the gather and the per-slot indexing.
+"${asan_dir}/tests/batch_test"
 "${asan_dir}/tests/parallel_determinism_test"
 # Panel factorization indexes ragged tails (m % panel, n % panel); ASAN is
 # the gate for an off-by-one in the V/T/corner copies.
@@ -118,6 +126,7 @@ cmake --build "${asan_dir}" -j "$(nproc)" \
 # tails differ per micro-tile shape, so the generic tier's edge handling
 # gets its own ASAN run.
 FEDSC_FORCE_ISA=generic "${asan_dir}/tests/blas_test"
+FEDSC_FORCE_ISA=generic "${asan_dir}/tests/batch_test"
 FEDSC_FORCE_ISA=generic "${asan_dir}/tests/parallel_determinism_test"
 FEDSC_FORCE_ISA=generic "${asan_dir}/tests/sketch_test"
 FEDSC_FORCE_ISA=generic "${asan_dir}/tests/sc_test"

@@ -2,20 +2,20 @@
 // process-wide default-tier resolution that the RunManifest records.
 //
 // The GEMM engine (linalg/gemm_kernel.h) ships three micro-kernel tiers in
-// one binary — portable-generic, AVX2+FMA, and AVX-512 — and picks one at
-// runtime. The pick is part of the repo's result-affecting pure-dispatch
-// contract: it is a pure function of (cpuid, explicit pin, FEDSC_FORCE_ISA)
-// and never of num_threads or timing, so a run is reproducible from its
-// manifest alone. This header owns the cpuid probe and the env override so
-// both the kernels (linalg) and the provenance manifest (common) can agree
-// on the answer without a layering cycle.
+// one binary — portable-generic, AVX2+FMA, and AVX-512 — and Gemm/Syrk run
+// the tier ResolveDefaultIsa() picks. The pick is result-affecting and a
+// pure function of (cpuid, FEDSC_FORCE_ISA), never of num_threads or
+// timing, so a run is reproducible from its manifest alone. This header
+// owns the cpuid probe and the env override so both the kernels (linalg)
+// and the provenance manifest (common) can agree on the answer without a
+// layering cycle.
 //
-// FEDSC_FORCE_ISA=generic|avx2|avx512 overrides the kAuto resolution for
-// the whole process (CI uses it to exercise every tier on one host). It is
+// FEDSC_FORCE_ISA=generic|avx2|avx512 overrides the cpuid pick for the
+// whole process (CI uses it to exercise every tier on one host). It is
 // read once, at first resolution; forcing a tier the host cannot execute
 // aborts with a clear message rather than faulting later on an illegal
-// instruction. Explicit per-call pins (GemmOptions::isa != kAuto) beat the
-// env override — a pinned test stays pinned under a forced-generic CI run.
+// instruction. Tests and benchmarks reach every tier directly through the
+// CpuIsa argument of BlockedGemm / BlockedSyrkLower.
 
 #ifndef FEDSC_COMMON_ISA_H_
 #define FEDSC_COMMON_ISA_H_
@@ -43,7 +43,7 @@ const char* CpuIsaName(CpuIsa isa);
 
 // How the process-wide default tier was chosen.
 struct IsaDispatch {
-  CpuIsa chosen;           // what kAuto resolves to in this process
+  CpuIsa chosen;           // the tier Gemm/Syrk run in this process
   const char* pin_source;  // "cpuid" or "env:FEDSC_FORCE_ISA=<value>"
 };
 

@@ -27,12 +27,12 @@ struct RunManifest {
   std::string cpu_model;      // /proc/cpuinfo "model name" (or "unknown")
   int hardware_threads = 0;   // std::thread::hardware_concurrency()
   // Kernel dispatch facts (common/isa.h): the best micro-kernel tier cpuid
-  // reports, the tier GEMM/Syrk actually dispatch to under GemmIsa::kAuto,
+  // reports, the tier GEMM/Syrk actually dispatch to (ResolveDefaultIsa),
   // and what pinned that choice ("cpuid", or "env:FEDSC_FORCE_ISA=..."
   // when the override is set). Recorded so a report always answers "which
   // kernels produced these bits" — the dispatch is result-affecting.
   std::string cpu_isa;         // best supported tier: generic|avx2|avx512
-  std::string gemm_isa;        // tier kAuto resolves to on this run
+  std::string gemm_isa;        // tier GEMM/Syrk run on this run
   std::string isa_pin_source;  // what decided gemm_isa
   // Run facts, filled by the caller.
   std::string options_fingerprint;  // digest of the run's options

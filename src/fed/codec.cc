@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/check.h"
-#include "linalg/batch.h"
 #include "linalg/blas.h"
 #include "linalg/svd.h"
 
@@ -214,17 +213,9 @@ Result<std::vector<uint8_t>> EncodeBasisCoeffs(const Matrix& samples,
   CodecOptions raw = options;
   raw.raw_f32 = false;
   if (rows == 0 || cols == 0) return EncodeRaw(samples, raw);
-  // Batch-of-one through the batched basis API, pinned to the looped engine:
-  // encoded payload bits are pinned by wire golden fixtures across versions,
-  // and only kLooped reproduces the historical PrincipalSubspace bits (the
-  // Gram engine reaches the same subspace with different low-order bits).
-  BatchedSubspaceOptions batch;
-  batch.rank = 0;
-  batch.rel_tol = options.basis_rel_tol;
-  batch.engine = BatchEngine::kLooped;
-  std::vector<Result<Matrix>> fitted =
-      BatchedPrincipalSubspace(std::vector<Matrix>{samples}, batch);
-  Result<Matrix> basis = std::move(fitted[0]);
+  // Auto-rank basis; the wire golden fixtures pin its bits.
+  Result<Matrix> basis =
+      PrincipalSubspace(samples, /*rank=*/0, options.basis_rel_tol);
   if (!basis.ok()) return EncodeRaw(samples, raw);
   const int64_t k = basis->cols();
   const int64_t raw_bytes =

@@ -1,9 +1,9 @@
 // Uplink codecs over the wire format (fed/wire.h): how a device's sample
 // matrix becomes the byte stream a transport would carry.
 //
-// Three modes, dispatched by CodecOptions::mode the same way
-// GemmOptions::kernel picks a product engine (a pinnable enum whose choice
-// is a pure function of the options, never of data-dependent timing):
+// Three modes, picked by CodecOptions::mode (a user-facing bytes/accuracy
+// trade-off; the encoding is a pure function of the options and the data,
+// never of timing):
 //
 //   kRawSamples   — the paper's uplink: every D-dim sample column shipped
 //                   verbatim (f64 bit-exactly; optionally f32).

@@ -1,7 +1,7 @@
 #include "linalg/batch.h"
 
 #include <algorithm>
-#include <cmath>
+#include <optional>
 
 #include "common/thread_pool.h"
 #include "linalg/blas.h"
@@ -11,72 +11,24 @@ namespace fedsc {
 
 namespace {
 
-bool UseGramEngine(int64_t rows, int64_t cols, int64_t rank,
-                   BatchEngine engine) {
-  switch (engine) {
-    case BatchEngine::kLooped:
-      return false;
-    case BatchEngine::kGram:
-      return true;
-    case BatchEngine::kAuto:
-      break;
-  }
-  // Fixed-rank requests only: with rank pinned both engines return exactly
-  // min(rank, min(m, n)) columns, so the Gram route changes bits but never
-  // structure. Auto-rank detection stays on the looped SVD — the Gram
-  // noise floor (kGramSigmaFloor) can decide marginal ranks differently,
-  // and a silently different basis dimension is not a drop-in replacement.
-  return rank > 0 && cols >= 1 && cols <= kGramEngineMaxCols &&
-         rows >= kGramEngineMinAspect * cols;
-}
-
-// The Gram route (see batch.h): G = X^T X, eigendecompose, U = X V_r with
-// unit-normalized columns. Error cases mirror PrincipalSubspace so callers
-// can treat the two engines interchangeably.
-Result<Matrix> GramSubspace(const Matrix& x,
-                            const BatchedSubspaceOptions& options) {
+// The Gram route (see batch.h) for a fixed rank on a tall panel. Returns
+// nothing when U = X V_r would not be orthonormal — sigma_rank / sigma_1 <=
+// kGramSigmaFloor or a failed eigensolve — and the caller falls back to the
+// looped route.
+std::optional<Matrix> GramSubspace(const Matrix& x, int64_t rank) {
   const int64_t m = x.rows();
   const int64_t n = x.cols();
-  if (m == 0 || n == 0) {
-    return Status::InvalidArgument("SVD of an empty matrix");
-  }
   Matrix gram(n, n);
   Syrk(Trans::kTrans, 1.0, x, 0.0, &gram);
   auto eig = SymmetricEigen(gram);
-  if (!eig.ok()) return eig.status();
+  if (!eig.ok()) return std::nullopt;
 
-  // Eigenvalues come back ascending; read the singular values off
-  // descending. Roundoff can push a zero eigenvalue slightly negative.
-  Vector sigma(static_cast<size_t>(n), 0.0);
-  for (int64_t j = 0; j < n; ++j) {
-    sigma[static_cast<size_t>(j)] =
-        std::sqrt(std::max(eig->values[static_cast<size_t>(n - 1 - j)], 0.0));
-  }
-
-  const int64_t max_rank = std::min(m, n);
-  int64_t r = 0;
-  if (options.rank > 0) {
-    r = std::min(options.rank, max_rank);
-  } else {
-    if (sigma[0] <= 0.0) {
-      return Status::FailedPrecondition("matrix has numerical rank 0");
-    }
-    const double threshold =
-        std::max(options.rel_tol, kGramSigmaFloor) * sigma[0];
-    for (double sv : sigma) {
-      if (sv > threshold) ++r;
-    }
-    r = std::min(r, max_rank);
-  }
-  if (r <= 0) {
-    return Status::FailedPrecondition("matrix has numerical rank 0");
-  }
-  // Never keep a direction with an exactly zero singular value: its U
-  // column is not defined (mirrors PrincipalSubspace).
-  while (r > 0 && sigma[static_cast<size_t>(r - 1)] <= 0.0) --r;
-  if (r <= 0) {
-    return Status::FailedPrecondition("matrix has numerical rank 0");
-  }
+  // Eigenvalues come back ascending; sigma_j^2 is the j-th largest. The
+  // test is negated so an overflowed (inf or NaN) spectrum falls back too.
+  const int64_t r = std::min(rank, n);
+  const double top = eig->values[static_cast<size_t>(n - 1)];
+  const double last = eig->values[static_cast<size_t>(n - r)];
+  if (!(last > kGramSigmaFloor * kGramSigmaFloor * top)) return std::nullopt;
 
   // V_r: the top-r eigenvector columns in descending-eigenvalue order.
   Matrix vr(n, r);
@@ -85,32 +37,24 @@ Result<Matrix> GramSubspace(const Matrix& x,
   }
   Matrix u(m, r);
   Gemm(Trans::kNo, Trans::kNo, 1.0, x, vr, 0.0, &u);
-  // Each column has norm ~sigma_j; normalize to unit length. A zero norm
-  // means the direction was pure noise after all — trim it and everything
-  // after it, exactly as the trailing-sigma trim above.
-  int64_t keep = r;
+  // Each column has norm ~sigma_j > 0; normalize to unit length.
   for (int64_t j = 0; j < r; ++j) {
-    const double norm = Norm2(u.ColData(j), m);
-    if (norm <= 0.0) {
-      keep = j;
-      break;
-    }
-    Scal(1.0 / norm, u.ColData(j), m);
+    Scal(1.0 / Norm2(u.ColData(j), m), u.ColData(j), m);
   }
-  if (keep <= 0) {
-    return Status::FailedPrecondition("matrix has numerical rank 0");
-  }
-  if (keep < r) return u.ColRange(0, keep);
   return u;
 }
 
 Result<Matrix> PanelSubspace(const Matrix& panel,
                              const BatchedSubspaceOptions& options) {
-  if (UseGramEngine(panel.rows(), panel.cols(), options.rank,
-                    options.engine)) {
-    return GramSubspace(panel, options);
+  const int64_t rows = panel.rows();
+  const int64_t cols = panel.cols();
+  if (options.rank > 0 && cols >= 1 && cols <= kGramEngineMaxCols &&
+      rows >= kGramEngineMinAspect * cols) {
+    if (std::optional<Matrix> u = GramSubspace(panel, options.rank)) {
+      return *std::move(u);
+    }
   }
-  return PrincipalSubspace(panel, options.rank, options.rel_tol, options.svd);
+  return PrincipalSubspace(panel, options.rank, options.rel_tol);
 }
 
 }  // namespace

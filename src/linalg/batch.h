@@ -2,46 +2,31 @@
 // round go through a single call with one parallel region over the batch,
 // instead of a serial loop of per-panel JacobiSvd/HouseholderQr calls. This
 // is the shape Fed-SC spends its local phase in — every device factors one
-// small panel per local cluster (basis estimation, trim/refit, codec basis
-// split) and the server re-factors per global cluster in AssignNewPoints.
+// small panel per local cluster (basis estimation, trim/refit) and the
+// server re-factors per global cluster in AssignNewPoints.
 //
-// Two engines sit behind BatchedPrincipalSubspace, completing the dispatch
-// contract of DESIGN.md "Runtime ISA dispatch & batched factorizations":
+// Two routes sit behind BatchedPrincipalSubspace, picked per panel by its
+// shape and the requested rank alone — never by num_threads or by the other
+// panels in the batch, so a panel's bits do not depend on its batch-mates:
 //
-//  * kLooped — per panel, exactly the PrincipalSubspace(panel, ...) call the
-//    pre-batched loops made, bit-for-bit; the batch only fans the panels out
-//    across threads (each panel is computed serially in one worker, so
-//    results never depend on num_threads).
-//  * kGram — per panel, the Gram route: G = X^T X via Syrk, symmetric
-//    eigendecomposition of the small n_i x n_i G (ascending; n_i below
-//    kBlockedEigCutoff runs the deterministic tred2/tql2 pair), singular
-//    values sqrt(max(lambda, 0)) read off descending, and the basis
-//    U = X V_r with columns normalized to unit length. For D >> n_i this
-//    replaces O(D n^2) Jacobi rotation sweeps with one rank-n Syrk plus an
-//    O(n^3) eigensolve — the batched-basis speedup BENCH_linalg.json floors.
+//  * Looped — exactly PrincipalSubspace(panel, rank, rel_tol), bit-for-bit;
+//    the batch only fans the panels out across threads (each panel is
+//    computed serially in one worker).
+//  * Gram — for fixed-rank requests (rank > 0) on tall-skinny panels
+//    (cols <= kGramEngineMaxCols, rows >= kGramEngineMinAspect * cols):
+//    G = X^T X via Syrk, symmetric eigendecomposition of the small n_i x n_i
+//    G, and U = X V_r with columns normalized to unit length. For D >> n_i
+//    this replaces O(D n^2) Jacobi rotation sweeps with one rank-n Syrk
+//    plus an O(n^3) eigensolve — the batched-basis speedup
+//    BENCH_linalg.json floors.
 //
-// The engine switch is RESULT-AFFECTING: the Gram route reaches the same
-// subspace but squares the condition number, so its basis agrees with the
-// SVD route only to ~sqrt(eps) in the trailing directions, not to ulps.
-// Under BatchEngine::kAuto the pick is a pure function of each panel's
-// shape and the requested rank alone — kGram iff the rank is fixed
-// (options.rank > 0, where both engines return exactly min(rank, min(m,n))
-// columns, so the route changes bits but never structure), n_i <=
-// kGramEngineMaxCols, and m >= kGramEngineMinAspect * n_i, the tall-skinny
-// regime where squaring is benign and the flop savings are real — never of
-// num_threads or of the other panels in the batch, so results stay
-// deterministic per (panel, options) and are unchanged by how panels are
-// grouped into batches. Auto-rank requests (rank <= 0) always stay on the
-// looped SVD under kAuto: the Gram noise floor below can decide marginal
-// ranks differently, and a silently different basis dimension is not a
-// drop-in replacement — so the pipeline's default (auto-rank) paths keep
-// their pre-batched bits exactly.
-//
-// Rank selection on the Gram route mirrors NumericalRank but floors the
-// relative tolerance at kGramSigmaFloor: squaring pushes the noise floor of
-// the computed singular values to ~sqrt(eps) * s[0] ~ 1.5e-8, above the
-// default 1e-8 tolerance, so without the floor pure-noise directions could
-// inflate the rank. Result-affecting, documented in DESIGN.md.
+// The Gram route squares the condition number: when the requested rank
+// reaches directions with sigma_r <= kGramSigmaFloor * sigma_1 (including
+// rank > numerical rank), U = X V_r loses orthonormality. Such a panel falls
+// back to the looped route and returns PrincipalSubspace's bits. Both
+// routes therefore return the same number of columns — the route changes
+// bits, not structure — and a Gram basis is orthonormal and spans the
+// looped basis's subspace to 1e-6 (the tolerance policy in DESIGN.md §5).
 
 #ifndef FEDSC_LINALG_BATCH_H_
 #define FEDSC_LINALG_BATCH_H_
@@ -56,41 +41,24 @@
 
 namespace fedsc {
 
-// Which factorization route each panel takes. Result-affecting, pinned to
-// (options, panel shape) alone — the escape hatch mirroring GemmKernel /
-// QrVariant / GemmIsa.
-enum class BatchEngine {
-  // kGram for fixed-rank requests on panels in the tall-skinny regime
-  // below, kLooped otherwise (in particular for every auto-rank request).
-  kAuto,
-  // Pin the per-panel PrincipalSubspace call at every shape: reproduces the
-  // pre-batched per-cluster loops bit-for-bit.
-  kLooped,
-  // Force the Gram route for every panel (empty panels still error).
-  kGram,
-};
-
-// kAuto takes the Gram route iff the rank is fixed (options.rank > 0),
-// cols <= kGramEngineMaxCols, and rows >= kGramEngineMinAspect * cols.
-// Result-affecting shape cutoffs, like kSvdPrecondMinAspect.
+// Gram-route shape cutoffs (see above).
 inline constexpr int64_t kGramEngineMaxCols = 64;
 inline constexpr int64_t kGramEngineMinAspect = 2;
-// Minimum relative singular-value tolerance on the Gram route (see header
-// comment). Applied as max(rel_tol, kGramSigmaFloor).
-inline constexpr double kGramSigmaFloor = 1e-7;
+// A Gram-route panel whose sigma_r / sigma_1 is at or below this ratio is
+// recomputed on the looped route. The Gram basis's orthonormality error
+// grows like eps / (sigma_r / sigma_1)^2: on randomized tall panels it
+// peaked near 8e-9 just above 1e-4 and near 5e-7 just above 1e-5, so 1e-4
+// keeps two orders of margin under the 1e-6 policy.
+inline constexpr double kGramSigmaFloor = 1e-4;
 
 struct BatchedSubspaceOptions {
-  // Fixed basis rank; <= 0 selects the rank numerically (NumericalRank
-  // semantics, with the Gram-route floor above).
+  // Fixed basis rank; <= 0 selects the rank numerically (PrincipalSubspace
+  // semantics with rel_tol).
   int64_t rank = 0;
   double rel_tol = 1e-8;
   // Workers fanned out over the batch; each panel is computed serially by
   // one worker, so results are bit-identical for every thread count.
   int num_threads = 1;
-  BatchEngine engine = BatchEngine::kAuto;
-  // Tunes the underlying JacobiSvd on the kLooped route (pair order,
-  // preconditioning). Ignored by the Gram route.
-  SvdOptions svd;
 };
 
 // Orthonormal bases for the column spans of all panels: slot i holds

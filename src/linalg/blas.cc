@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "common/isa.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
@@ -39,18 +40,14 @@ void Scal(double alpha, double* x, int64_t n) {
 
 namespace {
 
-// Every GEMM variant is written as a column-panel kernel over columns
-// [j0, j1) of C: each output column is produced by the same sequence of
-// Axpy/Dot calls no matter how the panel is split, so running the panels
-// in parallel is bit-exact equal to one serial [0, n) pass (see the
-// determinism contract in DESIGN.md). Panels of C are disjoint memory.
+// Each panel kernel produces every output column of C by its own sequence
+// of Axpy/Dot calls, in ascending column order.
 
 // C(m x n) = alpha * A(m x k) * B(k x n) + C, all column-major.
 // "gaxpy" order: the inner loop streams one column of A into one column of C.
-void GemmNNPanel(double alpha, const Matrix& a, const Matrix& b, Matrix* c,
-                 int64_t j0, int64_t j1) {
+void GemmNNPanel(double alpha, const Matrix& a, const Matrix& b, Matrix* c) {
   const int64_t m = a.rows(), k = a.cols();
-  for (int64_t j = j0; j < j1; ++j) {
+  for (int64_t j = 0; j < c->cols(); ++j) {
     double* cj = c->ColData(j);
     const double* bj = b.ColData(j);
     for (int64_t p = 0; p < k; ++p) {
@@ -62,10 +59,9 @@ void GemmNNPanel(double alpha, const Matrix& a, const Matrix& b, Matrix* c,
 
 // C(m x n) = alpha * A^T(m x k) * B(k x n) + C where A is (k x m).
 // Each entry is a dot of two contiguous columns.
-void GemmTNPanel(double alpha, const Matrix& a, const Matrix& b, Matrix* c,
-                 int64_t j0, int64_t j1) {
+void GemmTNPanel(double alpha, const Matrix& a, const Matrix& b, Matrix* c) {
   const int64_t m = a.cols(), k = a.rows();
-  for (int64_t j = j0; j < j1; ++j) {
+  for (int64_t j = 0; j < c->cols(); ++j) {
     const double* bj = b.ColData(j);
     double* cj = c->ColData(j);
     for (int64_t i = 0; i < m; ++i) {
@@ -75,47 +71,15 @@ void GemmTNPanel(double alpha, const Matrix& a, const Matrix& b, Matrix* c,
 }
 
 // C(m x n) = alpha * A(m x k) * B^T(k x n) + C where B is (n x k).
-// Column j of C accumulates w_p * A(:, p) in ascending p — the same
-// per-column update order as the classic p-outer loop, just regrouped so
-// the panel owns its output columns.
-void GemmNTPanel(double alpha, const Matrix& a, const Matrix& b, Matrix* c,
-                 int64_t j0, int64_t j1) {
+// Column j of C accumulates w_p * A(:, p) in ascending p.
+void GemmNTPanel(double alpha, const Matrix& a, const Matrix& b, Matrix* c) {
   const int64_t m = a.rows(), k = a.cols();
-  for (int64_t j = j0; j < j1; ++j) {
+  for (int64_t j = 0; j < c->cols(); ++j) {
     double* cj = c->ColData(j);
     for (int64_t p = 0; p < k; ++p) {
       // B(j, p) sits in column p of B.
       const double w = alpha * b.ColData(p)[j];
       if (w != 0.0) Axpy(w, a.ColData(p), cj, m);
-    }
-  }
-}
-
-// Lower triangle of C += alpha * op(X) op(X)^T (kNo) / op(X)^T op(X)
-// (kTrans) over columns [j0, j1): the legacy-panel counterpart of
-// BlockedSyrkLower. Per output element the operation sequence matches the
-// corresponding full-GEMM panel kernel restricted to i >= j, so a panel
-// Gram's lower triangle is bit-identical to the pre-Syrk MatMulTN result.
-void SyrkPanelLower(Trans trans, double alpha, const Matrix& x, Matrix* c,
-                    int64_t j0, int64_t j1) {
-  const int64_t nn = c->rows();
-  if (trans == Trans::kTrans) {
-    const int64_t kk = x.rows();
-    for (int64_t j = j0; j < j1; ++j) {
-      double* cj = c->ColData(j);
-      const double* xj = x.ColData(j);
-      for (int64_t i = j; i < nn; ++i) {
-        cj[i] += alpha * Dot(x.ColData(i), xj, kk);
-      }
-    }
-  } else {
-    const int64_t kk = x.cols();
-    for (int64_t j = j0; j < j1; ++j) {
-      double* cj = c->ColData(j);
-      for (int64_t p = 0; p < kk; ++p) {
-        const double w = alpha * x.ColData(p)[j];
-        if (w != 0.0) Axpy(w, x.ColData(p) + j, cj + j, nn - j);
-      }
     }
   }
 }
@@ -139,59 +103,53 @@ void MirrorLowerToUpper(Matrix* c, int num_threads) {
                     });
 }
 
-bool UseBlockedKernel(GemmKernel kernel, int64_t m, int64_t k, int64_t n,
-                      bool trans_both) {
-  switch (kernel) {
-    case GemmKernel::kPanel:
-      return false;
-    case GemmKernel::kBlocked:
-      return true;
-    case GemmKernel::kAuto:
-      // TT always packs (the transpose is free in the packed layout,
-      // where the panel path would materialize B^T); everything else
-      // switches on the documented result-affecting flop cutoff.
-      return trans_both || m * k * n >= kBlockedGemmCutoff;
-  }
-  return false;
-}
-
 }  // namespace
 
-CpuIsa ResolveGemmIsa(GemmIsa pin) {
-  switch (pin) {
-    case GemmIsa::kAuto:
-      return ResolveDefaultIsa().chosen;
-    case GemmIsa::kGeneric:
-      return CpuIsa::kGeneric;
-    case GemmIsa::kAvx2:
-      FEDSC_CHECK(CpuIsaSupported(CpuIsa::kAvx2))
-          << "GemmIsa::kAvx2 pinned but this host lacks AVX2+FMA";
-      return CpuIsa::kAvx2;
-    case GemmIsa::kAvx512:
-      FEDSC_CHECK(CpuIsaSupported(CpuIsa::kAvx512))
-          << "GemmIsa::kAvx512 pinned but this host lacks AVX-512F";
-      return CpuIsa::kAvx512;
+namespace internal_gemm {
+
+void PanelGemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
+               const Matrix& b, Matrix* c) {
+  FEDSC_CHECK(trans_a == Trans::kNo || trans_b == Trans::kNo)
+      << "the panel kernels have no TT case";
+  if (trans_a == Trans::kTrans) {
+    GemmTNPanel(alpha, a, b, c);
+  } else if (trans_b == Trans::kTrans) {
+    GemmNTPanel(alpha, a, b, c);
+  } else {
+    GemmNNPanel(alpha, a, b, c);
   }
-  return CpuIsa::kGeneric;
 }
 
-const char* GemmIsaName(GemmIsa pin) {
-  switch (pin) {
-    case GemmIsa::kAuto:
-      return "auto";
-    case GemmIsa::kGeneric:
-      return "generic";
-    case GemmIsa::kAvx2:
-      return "avx2";
-    case GemmIsa::kAvx512:
-      return "avx512";
+// Per output element the operation sequence matches the corresponding
+// full-GEMM panel kernel restricted to i >= j, so a panel Gram's lower
+// triangle is bit-identical to the MatMulTN panel result.
+void PanelSyrkLower(Trans trans, double alpha, const Matrix& x, Matrix* c) {
+  const int64_t nn = c->rows();
+  if (trans == Trans::kTrans) {
+    const int64_t kk = x.rows();
+    for (int64_t j = 0; j < nn; ++j) {
+      double* cj = c->ColData(j);
+      const double* xj = x.ColData(j);
+      for (int64_t i = j; i < nn; ++i) {
+        cj[i] += alpha * Dot(x.ColData(i), xj, kk);
+      }
+    }
+  } else {
+    const int64_t kk = x.cols();
+    for (int64_t j = 0; j < nn; ++j) {
+      double* cj = c->ColData(j);
+      for (int64_t p = 0; p < kk; ++p) {
+        const double w = alpha * x.ColData(p)[j];
+        if (w != 0.0) Axpy(w, x.ColData(p) + j, cj + j, nn - j);
+      }
+    }
   }
-  return "unknown";
 }
+
+}  // namespace internal_gemm
 
 void Gemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
-          const Matrix& b, double beta, Matrix* c,
-          const GemmOptions& options) {
+          const Matrix& b, double beta, Matrix* c, int num_threads) {
   const int64_t m = trans_a == Trans::kNo ? a.rows() : a.cols();
   const int64_t ka = trans_a == Trans::kNo ? a.cols() : a.rows();
   const int64_t kb = trans_b == Trans::kNo ? b.rows() : b.cols();
@@ -218,48 +176,17 @@ void Gemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
 
   const bool trans_both =
       trans_a == Trans::kTrans && trans_b == Trans::kTrans;
-  if (UseBlockedKernel(options.kernel, m, ka, n, trans_both)) {
+  if (trans_both || m * ka * n >= kBlockedGemmCutoff) {
     FEDSC_METRIC_COUNTER("linalg.gemm.blocked_calls").Increment();
-    BlockedGemm(trans_a, trans_b, alpha, a, b, c, options.num_threads,
-                ResolveGemmIsa(options.isa));
+    BlockedGemm(trans_a, trans_b, alpha, a, b, c, num_threads,
+                ResolveDefaultIsa().chosen);
     return;
   }
-
-  // Legacy panel path (small products, or pinned via GemmKernel::kPanel).
-  // TT is reduced to TN on an explicit transpose so the panel kernels below
-  // cover every case; the blocked path above never needs this copy.
-  Matrix bt;
-  if (trans_both) {
-    bt = b.Transposed();
-    trans_b = Trans::kNo;
-  }
-  const Matrix& rb = bt.empty() ? b : bt;
-
-  // Don't spin up workers for panels too small to amortize a thread: each
-  // column of C costs ~2*m*ka flops.
-  const int threads =
-      m * ka * n < (1 << 16) ? 1 : std::min<int>(options.num_threads, 64);
-  ParallelForRanges(0, n, threads,
-                    [&](int64_t j0, int64_t j1, int /*chunk*/) {
-                      if (trans_a == Trans::kNo && trans_b == Trans::kNo) {
-                        GemmNNPanel(alpha, a, rb, c, j0, j1);
-                      } else if (trans_a == Trans::kTrans) {
-                        GemmTNPanel(alpha, a, rb, c, j0, j1);
-                      } else {
-                        GemmNTPanel(alpha, a, rb, c, j0, j1);
-                      }
-                    });
-}
-
-void Gemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
-          const Matrix& b, double beta, Matrix* c, int num_threads) {
-  GemmOptions options;
-  options.num_threads = num_threads;
-  Gemm(trans_a, trans_b, alpha, a, b, beta, c, options);
+  internal_gemm::PanelGemm(trans_a, trans_b, alpha, a, b, c);
 }
 
 void Syrk(Trans trans, double alpha, const Matrix& x, double beta, Matrix* c,
-          const GemmOptions& options) {
+          int num_threads) {
   const int64_t nn = trans == Trans::kNo ? x.rows() : x.cols();
   const int64_t kk = trans == Trans::kNo ? x.cols() : x.rows();
   FEDSC_CHECK(c->rows() == nn && c->cols() == nn)
@@ -282,18 +209,13 @@ void Syrk(Trans trans, double alpha, const Matrix& x, double beta, Matrix* c,
   // Matrix traffic: X read once, the nn x nn output read+written.
   FEDSC_METRIC_COUNTER("linalg.syrk.bytes").Add(8 * (nn * kk + 2 * nn * nn));
 
-  if (UseBlockedKernel(options.kernel, nn, kk, nn, /*trans_both=*/false)) {
-    BlockedSyrkLower(trans, alpha, x, c, options.num_threads,
-                     ResolveGemmIsa(options.isa));
+  if (nn * kk * nn >= kBlockedGemmCutoff) {
+    BlockedSyrkLower(trans, alpha, x, c, num_threads,
+                     ResolveDefaultIsa().chosen);
   } else {
-    const int threads =
-        nn * kk * nn < (1 << 16) ? 1 : std::min<int>(options.num_threads, 64);
-    ParallelForRanges(0, nn, threads,
-                      [&](int64_t j0, int64_t j1, int /*chunk*/) {
-                        SyrkPanelLower(trans, alpha, x, c, j0, j1);
-                      });
+    internal_gemm::PanelSyrkLower(trans, alpha, x, c);
   }
-  MirrorLowerToUpper(c, options.num_threads);
+  MirrorLowerToUpper(c, num_threads);
 }
 
 void Gemv(Trans trans_a, double alpha, const Matrix& a, const double* x,
@@ -363,17 +285,13 @@ Matrix MatMulNT(const Matrix& a, const Matrix& b, int num_threads) {
 
 Matrix Gram(const Matrix& x, int num_threads) {
   Matrix c(x.cols(), x.cols());
-  GemmOptions options;
-  options.num_threads = num_threads;
-  Syrk(Trans::kTrans, 1.0, x, 0.0, &c, options);
+  Syrk(Trans::kTrans, 1.0, x, 0.0, &c, num_threads);
   return c;
 }
 
 Matrix OuterGram(const Matrix& x, int num_threads) {
   Matrix c(x.rows(), x.rows());
-  GemmOptions options;
-  options.num_threads = num_threads;
-  Syrk(Trans::kNo, 1.0, x, 0.0, &c, options);
+  Syrk(Trans::kNo, 1.0, x, 0.0, &c, num_threads);
   return c;
 }
 

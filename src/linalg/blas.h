@@ -1,15 +1,14 @@
 // Hand-rolled BLAS-like kernels (no external BLAS is available in this
 // environment). Loop orders are chosen for column-major storage so the hot
-// inner loops stream contiguous memory and autovectorize. Large products are
-// dispatched to the cache-blocked packed engine in linalg/gemm_kernel.h;
-// small ones keep the legacy column-panel kernels.
+// inner loops stream contiguous memory and autovectorize. Large products run
+// on the cache-blocked packed engine in linalg/gemm_kernel.h; small ones on
+// the column-panel kernels.
 
 #ifndef FEDSC_LINALG_BLAS_H_
 #define FEDSC_LINALG_BLAS_H_
 
 #include <cstdint>
 
-#include "common/isa.h"
 #include "linalg/matrix.h"
 
 namespace fedsc {
@@ -36,73 +35,22 @@ inline double Norm2(const Vector& x) {
 // --- Matrix kernels ---
 //
 // The matrix kernels accept an optional num_threads and split the *output*
-// into column panels (GEMM) or element ranges (GEMV), each produced by the
+// into column blocks (GEMM/Syrk) or element ranges (GEMV), each produced by the
 // identical serial subkernel — so results are bit-exact equal for every
 // thread count (the determinism contract in DESIGN.md). Tiny problems and
 // calls made from inside pool workers always run inline.
 
-// Which matrix-product engine Gemm/Syrk run. The choice is RESULT-AFFECTING
-// (the two engines accumulate partial sums in different orders, so low-order
-// output bits differ); it is pinned to (options, shape) alone — never thread
-// count — so outputs stay deterministic per (input, options). See "Blocked
-// GEMM & packing" in DESIGN.md.
-enum class GemmKernel {
-  // Blocked packed engine when m*k*n >= kBlockedGemmCutoff or for TT (whose
-  // packing makes the transpose free); legacy panel kernels below it.
-  kAuto,
-  // Pin the legacy column-panel kernels at every size: reproduces
-  // pre-blocked-engine results bit-for-bit (the escape hatch mirroring
-  // SvdOptions::pair_order = kCyclic).
-  kPanel,
-  // Force the blocked packed engine at every size.
-  kBlocked,
-};
-
-// The kAuto flop threshold (m * k * n) above which Gemm and Syrk switch to
-// the blocked engine. Result-affecting, like the Jacobi pair-order cutoff:
-// outputs are discontinuous across it but deterministic on both sides.
+// Gemm and Syrk run the cache-blocked packed engine (linalg/gemm_kernel.h)
+// when m * k * n >= kBlockedGemmCutoff, and always for TT (packing makes
+// the transpose free); the serial column-panel kernels below it. The switch
+// is result-affecting (the engines accumulate in different orders) and a
+// pure function of shape, never of num_threads. The blocked engine's
+// micro-kernel tier is ResolveDefaultIsa().chosen (cpuid, or
+// FEDSC_FORCE_ISA). See "Blocked GEMM & packing" in DESIGN.md.
 inline constexpr int64_t kBlockedGemmCutoff = int64_t{1} << 15;
-
-// Which micro-kernel tier the blocked engine runs (linalg/gemm_kernel.h
-// ships generic, AVX2+FMA, and AVX-512 kernels in one binary). The pick is
-// RESULT-AFFECTING in contract — tiers may differ in low-order bits on
-// builds without FMA contraction — though on contracted (Release) builds
-// every tier produces identical bits. Like GemmKernel it is pinned to
-// (options, cpuid, FEDSC_FORCE_ISA) alone, never to num_threads, and each
-// tier is individually bit-identical across thread counts. kGeneric pins
-// the pre-dispatch auto-vectorized kernel's exact bits.
-enum class GemmIsa {
-  // Best tier the host supports, unless FEDSC_FORCE_ISA overrides it.
-  kAuto,
-  // Pin the portable auto-vectorized kernel (the pre-dispatch engine).
-  kGeneric,
-  // Pin the AVX2+FMA 8x6 kernel; aborts if the host lacks AVX2/FMA.
-  kAvx2,
-  // Pin the AVX-512 24x8 kernel; aborts if the host lacks AVX-512F.
-  kAvx512,
-};
-
-// Resolves a GemmIsa pin to the executable tier: explicit pins win (and are
-// validated against cpuid — pinning an unsupported tier aborts rather than
-// faulting on an illegal instruction); kAuto follows FEDSC_FORCE_ISA when
-// set, else the best cpuid tier. Pure in (pin, cpuid, env) — the dispatch
-// purity the manifest records and tests pin down.
-CpuIsa ResolveGemmIsa(GemmIsa pin);
-
-// "auto" / "generic" / "avx2" / "avx512" (the pin, not the resolution).
-const char* GemmIsaName(GemmIsa pin);
-
-struct GemmOptions {
-  int num_threads = 1;
-  GemmKernel kernel = GemmKernel::kAuto;
-  GemmIsa isa = GemmIsa::kAuto;
-};
 
 // C = alpha * op(A) * op(B) + beta * C. C must already have the result
 // shape; aliasing C with A or B is not allowed.
-void Gemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
-          const Matrix& b, double beta, Matrix* c,
-          const GemmOptions& options);
 void Gemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
           const Matrix& b, double beta, Matrix* c, int num_threads = 1);
 
@@ -115,7 +63,7 @@ void Gemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
 // so with beta != 0 the prior C should be symmetric for a meaningful result.
 // Aliasing C with X is not allowed.
 void Syrk(Trans trans, double alpha, const Matrix& x, double beta, Matrix* c,
-          const GemmOptions& options = {});
+          int num_threads = 1);
 
 // y = alpha * op(A) * x + beta * y.
 void Gemv(Trans trans_a, double alpha, const Matrix& a, const double* x,
@@ -132,6 +80,18 @@ Matrix MatMulNT(const Matrix& a, const Matrix& b,
 // Gram matrices run on Syrk, not Gemm, since the output is symmetric.
 Matrix Gram(const Matrix& x, int num_threads = 1);       // X^T X
 Matrix OuterGram(const Matrix& x, int num_threads = 1);  // X X^T
+
+namespace internal_gemm {
+// The serial column-panel kernels Gemm/Syrk run below kBlockedGemmCutoff,
+// callable at any shape so tests and benchmarks can compare them with the
+// blocked engine (BlockedGemm / BlockedSyrkLower in linalg/gemm_kernel.h).
+// Both accumulate into C without applying beta, like the blocked entries.
+// C += alpha * op(A) * op(B); TT is not a panel case (Gemm always packs it).
+void PanelGemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
+               const Matrix& b, Matrix* c);
+// Lower triangle of C += alpha * X X^T (kNo) or alpha * X^T X (kTrans).
+void PanelSyrkLower(Trans trans, double alpha, const Matrix& x, Matrix* c);
+}  // namespace internal_gemm
 
 }  // namespace fedsc
 

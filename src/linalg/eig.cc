@@ -335,85 +335,92 @@ Matrix AccumulateQ(const Matrix& z, const Vector& taus, int num_threads) {
   return q;
 }
 
-bool UseBlockedEig(EigVariant variant, int64_t n) {
-  if (n < 3) return false;  // already tridiagonal
-  switch (variant) {
-    case EigVariant::kUnblocked:
-      return false;
-    case EigVariant::kBlocked:
-      return true;
-    case EigVariant::kAuto:
-      break;
-  }
-  return n >= kBlockedEigCutoff;
-}
-
-// Tridiagonalizes into (d, e) with either engine; returns the orthogonal
-// accumulation in z when accumulate is set (scratch otherwise).
-void Tridiagonalize(const Matrix& a, bool blocked, bool accumulate,
-                    int num_threads, Matrix* z, Vector* d, Vector* e) {
+// Reduces `a` with the engine its order picks, counting the reduction work
+// for the roofline join.
+internal_eig::Tridiagonal Tridiagonalize(const Matrix& a, bool accumulate,
+                                         int num_threads) {
   const int64_t n = a.rows();
   FEDSC_METRIC_COUNTER("linalg.eig.tridiag_flops")
       .Add((4 * n * n * n) / 3);
-  if (!blocked) {
-    *z = a;
-    Tred2(z, d, e, accumulate);
-    return;
+  if (n >= kBlockedEigCutoff) {
+    return internal_eig::BlockedTridiagonal(a, accumulate, num_threads);
   }
-  Matrix work = SymmetrizeFromLower(a);
-  Vector taus;
-  BlockedTridiagonalize(&work, d, e, &taus, num_threads);
-  if (accumulate) {
-    *z = AccumulateQ(work, taus, num_threads);
-  }
+  return internal_eig::Tred2Tridiagonal(a, accumulate);
 }
 
 }  // namespace
 
-Result<EigResult> SymmetricEigen(const Matrix& a, const EigOptions& options) {
-  FEDSC_RETURN_NOT_OK(CheckSquare(a));
-  const bool blocked = UseBlockedEig(options.variant, a.rows());
-  FEDSC_TRACE_SPAN("linalg/eig",
-                   {{"n", a.rows()}, {"blocked", blocked ? 1 : 0}});
-  FEDSC_METRIC_COUNTER("linalg.eig.calls").Increment();
-  Matrix z;
-  Vector d, e;
-  Tridiagonalize(a, blocked, /*accumulate=*/true, options.num_threads, &z, &d,
-                 &e);
-  FEDSC_RETURN_NOT_OK(Tql2(&d, &e, &z, /*accumulate=*/true));
+namespace internal_eig {
 
+Tridiagonal Tred2Tridiagonal(const Matrix& a, bool accumulate) {
+  Tridiagonal t;
+  t.q = a;
+  Tred2(&t.q, &t.d, &t.e, accumulate);
+  if (!accumulate) t.q = Matrix();
+  return t;
+}
+
+Tridiagonal BlockedTridiagonal(const Matrix& a, bool accumulate,
+                               int num_threads) {
+  FEDSC_CHECK(a.rows() >= 3) << "blocked tridiagonalization needs n >= 3";
+  Tridiagonal t;
+  Matrix work = SymmetrizeFromLower(a);
+  Vector taus;
+  BlockedTridiagonalize(&work, &t.d, &t.e, &taus, num_threads);
+  if (accumulate) t.q = AccumulateQ(work, taus, num_threads);
+  return t;
+}
+
+Result<EigResult> SolveTridiagonal(Tridiagonal t) {
+  const bool accumulate = !t.q.empty();
+  FEDSC_RETURN_NOT_OK(Tql2(&t.d, &t.e, &t.q, accumulate));
+  EigResult result;
+  if (!accumulate) {
+    std::sort(t.d.begin(), t.d.end());
+    result.values = std::move(t.d);
+    return result;
+  }
   // Sort ascending, permuting eigenvectors along.
-  const int64_t n = a.rows();
+  const int64_t n = t.q.rows();
   std::vector<int64_t> order(static_cast<size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](int64_t i, int64_t j) {
-    return d[static_cast<size_t>(i)] < d[static_cast<size_t>(j)];
+    return t.d[static_cast<size_t>(i)] < t.d[static_cast<size_t>(j)];
   });
-  EigResult result;
   result.values.resize(static_cast<size_t>(n));
   result.vectors = Matrix(n, n);
   for (int64_t j = 0; j < n; ++j) {
     const int64_t src = order[static_cast<size_t>(j)];
-    result.values[static_cast<size_t>(j)] = d[static_cast<size_t>(src)];
-    result.vectors.SetCol(j, z.ColData(src));
+    result.values[static_cast<size_t>(j)] = t.d[static_cast<size_t>(src)];
+    result.vectors.SetCol(j, t.q.ColData(src));
   }
   return result;
+}
+
+}  // namespace internal_eig
+
+Result<EigResult> SymmetricEigen(const Matrix& a, const EigOptions& options) {
+  FEDSC_RETURN_NOT_OK(CheckSquare(a));
+  const bool blocked = a.rows() >= kBlockedEigCutoff;
+  FEDSC_TRACE_SPAN("linalg/eig",
+                   {{"n", a.rows()}, {"blocked", blocked ? 1 : 0}});
+  FEDSC_METRIC_COUNTER("linalg.eig.calls").Increment();
+  return internal_eig::SolveTridiagonal(
+      Tridiagonalize(a, /*accumulate=*/true, options.num_threads));
 }
 
 Result<Vector> SymmetricEigenvalues(const Matrix& a,
                                     const EigOptions& options) {
   FEDSC_RETURN_NOT_OK(CheckSquare(a));
-  const bool blocked = UseBlockedEig(options.variant, a.rows());
+  const bool blocked = a.rows() >= kBlockedEigCutoff;
   FEDSC_TRACE_SPAN("linalg/eig",
                    {{"n", a.rows()}, {"blocked", blocked ? 1 : 0}});
   FEDSC_METRIC_COUNTER("linalg.eig.calls").Increment();
-  Matrix z;
-  Vector d, e;
-  Tridiagonalize(a, blocked, /*accumulate=*/false, options.num_threads, &z,
-                 &d, &e);
-  FEDSC_RETURN_NOT_OK(Tql2(&d, &e, &z, /*accumulate=*/false));
-  std::sort(d.begin(), d.end());
-  return d;
+  FEDSC_ASSIGN_OR_RETURN(
+      EigResult eig,
+      internal_eig::SolveTridiagonal(
+          Tridiagonalize(a, /*accumulate=*/false, options.num_threads)));
+  return std::move(eig.values);
 }
 
 }  // namespace fedsc

@@ -4,15 +4,13 @@
 // graphs and for the eigengap heuristic; large sparse graphs use Lanczos
 // (linalg/lanczos.h) instead.
 //
-// Two tridiagonalization engines sit behind SymmetricEigen, completing the
-// dispatch contract of DESIGN.md "Blocked factorizations & dispatch
-// contract": the classic element-wise tred2 sweep, and a blocked
-// (latrd/sytrd-style) reduction that accumulates Householder panels and
-// applies the two-sided trailing update as two GEMMs on the packed engine.
-// The switch is RESULT-AFFECTING (different floating-point grouping; both
-// reach valid tridiagonal forms whose QL eigensystems agree to roundoff)
-// and under EigVariant::kAuto is a pure function of the matrix order —
-// never of num_threads.
+// Two tridiagonalization engines sit behind SymmetricEigen: the classic
+// element-wise tred2 sweep below kBlockedEigCutoff, and a blocked
+// (latrd/sytrd-style) reduction at and above it that accumulates Householder
+// panels and applies the two-sided trailing update as two GEMMs. The switch
+// is result-affecting (both reach tridiagonal forms whose QL eigensystems
+// agree to roundoff) and picked by the matrix order alone; tests reach both
+// engines through internal_eig.
 
 #ifndef FEDSC_LINALG_EIG_H_
 #define FEDSC_LINALG_EIG_H_
@@ -29,26 +27,10 @@ struct EigResult {
   Matrix vectors;  // column j is the eigenvector of values[j]; orthonormal
 };
 
-// Which tridiagonalization engine runs. Result-affecting, pinned to
-// (options, shape) alone — the escape hatch mirroring QrVariant.
-enum class EigVariant {
-  // Blocked reduction when n >= kBlockedEigCutoff, classic tred2 below.
-  kAuto,
-  // Pin the element-wise tred2 path at every size: reproduces pre-blocked
-  // results bit-for-bit.
-  kUnblocked,
-  // Force the blocked panel reduction at every size (n >= 3; smaller
-  // matrices are already tridiagonal and fall back to tred2).
-  kBlocked,
-};
-
-// The kAuto matrix order at and above which the blocked reduction engages.
-// Result-affecting, like kBlockedQrCutoff: eigensystems are discontinuous
-// in their low-order bits across it but deterministic on both sides.
+// The matrix order at and above which the blocked reduction engages.
 inline constexpr int64_t kBlockedEigCutoff = 128;
 
 struct EigOptions {
-  EigVariant variant = EigVariant::kAuto;
   // Workers for the GEMM trailing updates and panel matvecs inside the
   // blocked path. Bit-identical results for every thread count.
   int num_threads = 1;
@@ -62,6 +44,29 @@ Result<EigResult> SymmetricEigen(const Matrix& a, const EigOptions& options = {}
 // 2-3x faster for the eigengap heuristic which needs no vectors).
 Result<Vector> SymmetricEigenvalues(const Matrix& a,
                                     const EigOptions& options = {});
+
+namespace internal_eig {
+
+// A = Q T Q^T with T symmetric tridiagonal: d is T's diagonal, e its
+// subdiagonal (e[i] couples rows i-1 and i, e[0] = 0), and q the
+// orthogonal Q (empty when not accumulated).
+struct Tridiagonal {
+  Vector d;
+  Vector e;
+  Matrix q;
+};
+
+// The two reductions SymmetricEigen picks between, callable at any order
+// (the blocked one needs n >= 3). Only the lower triangle of `a` is read.
+Tridiagonal Tred2Tridiagonal(const Matrix& a, bool accumulate);
+Tridiagonal BlockedTridiagonal(const Matrix& a, bool accumulate,
+                               int num_threads);
+
+// The shared QL stage (tql2): ascending eigenvalues of T, plus eigenvectors
+// of A when t.q is set (EigResult::vectors stays empty otherwise).
+Result<EigResult> SolveTridiagonal(Tridiagonal t);
+
+}  // namespace internal_eig
 
 }  // namespace fedsc
 

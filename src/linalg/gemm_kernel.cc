@@ -344,9 +344,11 @@ using CoreFn = void (*)(bool, bool, double, const double*, int64_t,
                         const double*, int64_t, int64_t, int64_t, int64_t,
                         Matrix*, bool, int);
 
-// Tier -> driver instantiation. `isa` arrives already resolved (never a
-// pin sentinel) and already validated against cpuid by ResolveGemmIsa.
+// Tier -> blocked-core instantiation, validated against cpuid first.
 CoreFn CoreForIsa(CpuIsa isa) {
+  FEDSC_CHECK(CpuIsaSupported(isa))
+      << "GEMM tier " << CpuIsaName(isa) << " requested but this host cannot "
+      << "execute it";
   switch (isa) {
     case CpuIsa::kGeneric:
       break;

@@ -38,9 +38,8 @@
 // mc/nc, or which micro-tile (full or edge-padded) computes it. The jr loop
 // is parallelized with ParallelForRanges over disjoint output columns, so
 // results are bit-identical for every thread count. Switching between this
-// engine and the legacy panel kernels IS result-affecting (different
-// summation order); linalg/blas.h documents the cutoff, the
-// GemmOptions::kernel pin, and the GemmOptions::isa pin.
+// engine and the column-panel kernels IS result-affecting (different
+// summation order); linalg/blas.h documents the shape cutoff.
 
 #ifndef FEDSC_LINALG_GEMM_KERNEL_H_
 #define FEDSC_LINALG_GEMM_KERNEL_H_
@@ -55,10 +54,12 @@ namespace fedsc {
 enum class Trans;  // defined in linalg/blas.h
 
 // C += alpha * op(A) * op(B) through the blocked packed engine. The caller
-// (the Gemm dispatcher in blas.cc) validates shapes, applies beta to C
-// first, and resolves the micro-kernel tier (ResolveGemmIsa in blas.h) —
-// `isa` here is the already-resolved executable tier. num_threads
-// parallelizes the jr (output-column) loop bit-exactly.
+// (the Gemm dispatcher in blas.cc) validates shapes and applies beta to C
+// first. `isa` picks the micro-kernel tier (Gemm passes
+// ResolveDefaultIsa().chosen; tests and benchmarks pass each tier); a tier
+// this host cannot execute aborts rather than faulting on an illegal
+// instruction. num_threads parallelizes the jr (output-column) loop
+// bit-exactly.
 void BlockedGemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
                  const Matrix& b, Matrix* c, int num_threads,
                  CpuIsa isa = CpuIsa::kGeneric);

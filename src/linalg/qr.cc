@@ -10,6 +10,33 @@
 
 namespace fedsc {
 
+namespace {
+
+// target := (I - t v v^T) target on rows [j, m), v = [1; col[j+1..m)].
+void ApplyReflector(const double* col, double t, double* target, int64_t j,
+                    int64_t m) {
+  double w = target[j] + Dot(col + j + 1, target + j + 1, m - j - 1);
+  w *= t;
+  target[j] -= w;
+  Axpy(-w, col + j + 1, target + j + 1, m - j - 1);
+}
+
+// Explicit (m - j0) x b copy of the panel's reflectors: column jj holds
+// reflector j0 + jj with its unit diagonal entry written out and zeros
+// above, so the compact-WY products below are plain Gemm calls.
+Matrix PanelV(const Matrix& work, int64_t j0, int64_t j1, int64_t m) {
+  const int64_t b = j1 - j0;
+  Matrix v(m - j0, b);
+  for (int64_t jj = 0; jj < b; ++jj) {
+    const double* col = work.ColData(j0 + jj);
+    v(jj, jj) = 1.0;
+    for (int64_t i = j0 + jj + 1; i < m; ++i) v(i - j0, jj) = col[i];
+  }
+  return v;
+}
+
+}  // namespace
+
 namespace internal_qr {
 
 double GenerateReflector(double* col, int64_t j, int64_t m) {
@@ -25,35 +52,8 @@ double GenerateReflector(double* col, int64_t j, int64_t m) {
   return t;
 }
 
-}  // namespace internal_qr
-
-namespace {
-
-using internal_qr::GenerateReflector;
-
-// target := (I - t v v^T) target on rows [j, m), v = [1; col[j+1..m)].
-void ApplyReflector(const double* col, double t, double* target, int64_t j,
-                    int64_t m) {
-  double w = target[j] + Dot(col + j + 1, target + j + 1, m - j - 1);
-  w *= t;
-  target[j] -= w;
-  Axpy(-w, col + j + 1, target + j + 1, m - j - 1);
-}
-
-bool UseBlockedQr(QrVariant variant, int64_t m, int64_t n) {
-  switch (variant) {
-    case QrVariant::kUnblocked:
-      return false;
-    case QrVariant::kBlocked:
-      return true;
-    case QrVariant::kAuto:
-      break;
-  }
-  return n >= kBlockedQrMinCols && m * n >= kBlockedQrCutoff;
-}
-
-// The pre-blocked path, unchanged: factor in place, then accumulate thin Q
-// by applying reflectors last to first.
+// Factor in place, then accumulate thin Q by applying reflectors last to
+// first.
 QrResult UnblockedQr(const Matrix& a) {
   const int64_t m = a.rows();
   const int64_t n = a.cols();
@@ -92,29 +92,14 @@ QrResult UnblockedQr(const Matrix& a) {
   return result;
 }
 
-// Explicit (m - j0) x b copy of the panel's reflectors: column jj holds
-// reflector j0 + jj with its unit diagonal entry written out and zeros
-// above, so the compact-WY products below are plain Gemm calls.
-Matrix PanelV(const Matrix& work, int64_t j0, int64_t j1, int64_t m) {
-  const int64_t b = j1 - j0;
-  Matrix v(m - j0, b);
-  for (int64_t jj = 0; jj < b; ++jj) {
-    const double* col = work.ColData(j0 + jj);
-    v(jj, jj) = 1.0;
-    for (int64_t i = j0 + jj + 1; i < m; ++i) v(i - j0, jj) = col[i];
-  }
-  return v;
-}
-
 // Compact-WY blocked QR: panels factor with the identical scalar reflector
 // kernel, then the trailing matrix and the thin Q ride the packed Gemm
 // engine through ApplyBlockReflector.
-QrResult BlockedQr(const Matrix& a, const QrOptions& options) {
-  using internal_qr::kQrPanelWidth;
+QrResult BlockedQr(const Matrix& a, int num_threads) {
   const int64_t m = a.rows();
   const int64_t n = a.cols();
   const int64_t k = std::min(m, n);
-  const int nt = options.num_threads;
+  const int nt = num_threads;
 
   Matrix work = a;
   Vector tau(static_cast<size_t>(k), 0.0);
@@ -133,7 +118,7 @@ QrResult BlockedQr(const Matrix& a, const QrOptions& options) {
     }
     if (j1 >= n) continue;
     const Matrix v = PanelV(work, j0, j1, m);
-    const Matrix t = internal_qr::BuildCompactWyT(v, tau.data() + j0);
+    const Matrix t = BuildCompactWyT(v, tau.data() + j0);
     // Trailing update C := (H_{j1-1} ... H_{j0}) C = (I - V T V^T)^T C on
     // rows [j0, m) of columns [j1, n).
     Matrix trailing(m - j0, n - j1);
@@ -142,7 +127,7 @@ QrResult BlockedQr(const Matrix& a, const QrOptions& options) {
       double* dst = trailing.ColData(c - j1);
       for (int64_t i = j0; i < m; ++i) dst[i - j0] = src[i];
     }
-    internal_qr::ApplyBlockReflector(v, t, /*transpose=*/true, &trailing, nt);
+    ApplyBlockReflector(v, t, /*transpose=*/true, &trailing, nt);
     for (int64_t c = j1; c < n; ++c) {
       const double* src = trailing.ColData(c - j1);
       double* dst = work.ColData(c);
@@ -168,14 +153,14 @@ QrResult BlockedQr(const Matrix& a, const QrOptions& options) {
   for (int64_t j0 = last_panel; j0 >= 0; j0 -= kQrPanelWidth) {
     const int64_t j1 = std::min(j0 + kQrPanelWidth, k);
     const Matrix v = PanelV(work, j0, j1, m);
-    const Matrix t = internal_qr::BuildCompactWyT(v, tau.data() + j0);
+    const Matrix t = BuildCompactWyT(v, tau.data() + j0);
     Matrix corner(m - j0, k - j0);
     for (int64_t c = j0; c < k; ++c) {
       const double* src = result.q.ColData(c);
       double* dst = corner.ColData(c - j0);
       for (int64_t i = j0; i < m; ++i) dst[i - j0] = src[i];
     }
-    internal_qr::ApplyBlockReflector(v, t, /*transpose=*/false, &corner, nt);
+    ApplyBlockReflector(v, t, /*transpose=*/false, &corner, nt);
     for (int64_t c = j0; c < k; ++c) {
       const double* src = corner.ColData(c - j0);
       double* dst = result.q.ColData(c);
@@ -184,10 +169,6 @@ QrResult BlockedQr(const Matrix& a, const QrOptions& options) {
   }
   return result;
 }
-
-}  // namespace
-
-namespace internal_qr {
 
 Matrix BuildCompactWyT(const Matrix& v, const double* taus) {
   const int64_t mv = v.rows();
@@ -255,7 +236,7 @@ Result<QrResult> HouseholderQr(const Matrix& a, const QrOptions& options) {
     return Status::InvalidArgument("QR of an empty matrix");
   }
   const int64_t k = std::min(m, n);
-  const bool blocked = UseBlockedQr(options.variant, m, n);
+  const bool blocked = n >= kBlockedQrMinCols && m * n >= kBlockedQrCutoff;
   FEDSC_TRACE_SPAN("linalg/qr",
                    {{"m", m}, {"n", n}, {"blocked", blocked ? 1 : 0}});
   FEDSC_METRIC_COUNTER("linalg.qr.calls").Increment();
@@ -264,9 +245,9 @@ Result<QrResult> HouseholderQr(const Matrix& a, const QrOptions& options) {
   // path.
   FEDSC_METRIC_COUNTER("linalg.qr.flops")
       .Add(2 * k * k * std::max(m, n) - (2 * k * k * k) / 3);
-  if (!blocked) return UnblockedQr(a);
+  if (!blocked) return internal_qr::UnblockedQr(a);
   FEDSC_METRIC_COUNTER("linalg.qr.blocked_calls").Increment();
-  return BlockedQr(a, options);
+  return internal_qr::BlockedQr(a, options.num_threads);
 }
 
 Matrix OrthonormalColumnBasis(const Matrix& a, double tol) {

@@ -1,20 +1,17 @@
 // Householder QR decomposition and column orthonormalization.
 //
-// Two engines sit behind HouseholderQr, mirroring the Gemm/Svd dispatch
-// contract (DESIGN.md "Blocked factorizations & dispatch contract"):
+// Two engines sit behind HouseholderQr, picked by shape alone (DESIGN.md
+// §5, "Blocked factorizations"):
 //
-//  * Unblocked: the classic one-reflector-at-a-time dot/axpy sweep — the
-//    pre-blocked behavior, bit-for-bit.
+//  * Unblocked: the classic one-reflector-at-a-time dot/axpy sweep.
 //  * Blocked: panels of kQrPanelWidth reflectors are accumulated into a
 //    compact-WY representation (I - V T V^T, T upper triangular) and the
 //    trailing matrix / thin-Q updates become two Gemm calls each, so the
 //    O(m n^2) bulk of the work rides the cache-blocked packed engine.
 //
-// The engine switch is RESULT-AFFECTING (the two paths group the floating-
-// point updates differently, so low-order output bits differ). Under
-// QrVariant::kAuto it is a pure function of the input shape — never of
-// num_threads — so results stay deterministic per (input, options), and
-// QrOptions::variant = kUnblocked pins the legacy bits at every size.
+// The switch is result-affecting (the two paths group the floating-point
+// updates differently), never a function of num_threads; tests reach both
+// engines through internal_qr.
 
 #ifndef FEDSC_LINALG_QR_H_
 #define FEDSC_LINALG_QR_H_
@@ -31,34 +28,16 @@ struct QrResult {
   Matrix r;  // k x n upper triangular
 };
 
-// Which factorization engine HouseholderQr runs. Result-affecting, pinned to
-// (options, shape) alone — the escape hatch mirroring GemmOptions::kernel.
-enum class QrVariant {
-  // Blocked compact-WY when n >= kBlockedQrMinCols and
-  // m * n >= kBlockedQrCutoff, unblocked below.
-  kAuto,
-  // Pin the legacy reflector-at-a-time path at every size: reproduces
-  // pre-blocked results bit-for-bit.
-  kUnblocked,
-  // Force the blocked compact-WY path at every size.
-  kBlocked,
-};
-
-// The kAuto work threshold (m * n) at and above which HouseholderQr switches
-// to the blocked compact-WY engine. Result-affecting, like the GEMM engine
-// cutoff: outputs are discontinuous across it but deterministic on both
-// sides.
+// HouseholderQr runs the blocked engine when n >= kBlockedQrMinCols and
+// m * n >= kBlockedQrCutoff, the unblocked one otherwise. Below
+// kBlockedQrMinCols the whole matrix is one skinny panel, so "blocked"
+// degenerates to the scalar panel factorization plus the compact-WY T build
+// and GEMM-call overhead with no trailing matrix to amortize them
+// (measurably slower than unblocked at n = 8 in BENCH_linalg.json).
 inline constexpr int64_t kBlockedQrCutoff = int64_t{1} << 13;
-// kAuto additionally requires this many columns: below it the whole matrix
-// is one skinny panel, so "blocked" degenerates to the scalar panel
-// factorization plus the compact-WY T build and GEMM-call overhead with no
-// trailing matrix to amortize them (measurably slower than unblocked at
-// n = 8 for every m in BENCH_linalg.json). Result-affecting, same contract
-// as kBlockedQrCutoff.
 inline constexpr int64_t kBlockedQrMinCols = 16;
 
 struct QrOptions {
-  QrVariant variant = QrVariant::kAuto;
   // Workers for the Gemm calls inside the blocked path (panel factorization
   // stays serial). Bit-identical results for every thread count.
   int num_threads = 1;
@@ -73,6 +52,11 @@ Result<QrResult> HouseholderQr(const Matrix& a, const QrOptions& options = {});
 Matrix OrthonormalColumnBasis(const Matrix& a, double tol = 1e-10);
 
 namespace internal_qr {
+
+// The two engines HouseholderQr picks between, callable at any non-empty
+// shape so tests and benchmarks can compare them.
+QrResult UnblockedQr(const Matrix& a);
+QrResult BlockedQr(const Matrix& a, int num_threads);
 
 // Reflectors per compact-WY panel. Result-affecting inside the blocked path
 // (it sets the Gemm grouping boundaries, like kKc in the packed engine);

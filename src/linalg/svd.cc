@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/metrics.h"
@@ -87,43 +88,16 @@ SvdResult FinishTall(Matrix work, Matrix v, int64_t m, int64_t n) {
   return result;
 }
 
-// Below this work size (rows * cols) SvdPairOrder::kAuto stays in the
-// classic cyclic (p, q) order and never fans out. The pair ordering is a
-// pure function of the problem size and the pair_order option — NOT of
-// num_threads — so JacobiSvd is bit-identical across thread counts at every
-// size: small problems always take the cyclic path, large ones always take
-// the round-robin path (whose rounds are order-independent; see below).
-// The two orders produce different low-order output bits, so results for
-// large inputs differ from the pre-round-robin (always-cyclic) versions and
-// are discontinuous across this cutoff; pin SvdPairOrder::kCyclic to
-// reproduce stored pre-threading outputs.
+// Below this work size (rows * cols) the sweep stays in the classic cyclic
+// (p, q) order and never fans out; at or above it the round-robin order
+// runs (whose rounds are order-independent; see below). The two orders
+// produce different low-order output bits, so results are discontinuous
+// across this cutoff, but the pick never depends on num_threads.
 constexpr int64_t kRoundRobinCutoff = 1 << 14;
 
-bool UseRoundRobin(int64_t m, int64_t n, const SvdOptions& options) {
-  switch (options.pair_order) {
-    case SvdPairOrder::kCyclic:
-      return false;
-    case SvdPairOrder::kRoundRobin:
-      return true;
-    case SvdPairOrder::kAuto:
-      break;
-  }
-  return m * n >= kRoundRobinCutoff;
-}
+}  // namespace
 
-bool UseQrPrecondition(int64_t m, int64_t n, const SvdOptions& options) {
-  switch (options.precondition) {
-    case SvdPrecondition::kNone:
-      return false;
-    case SvdPrecondition::kQr:
-      return m > n;
-    case SvdPrecondition::kAuto:
-      break;
-  }
-  return n >= 2 && m >= kSvdPrecondMinAspect * n && m * n >= kSvdPrecondMinWork;
-}
-
-Result<SvdResult> JacobiSvdTall(const Matrix& a, const SvdOptions& options);
+namespace internal_svd {
 
 // Thin QR first, Jacobi sweeps on the small n x n R, U recovered with one
 // GEMM. A = QR = Q (U_r S V^T), so U = Q U_r; zero columns of U_r (exactly
@@ -137,9 +111,7 @@ Result<SvdResult> QrPreconditionedSvd(const Matrix& a,
   QrOptions qr_options;
   qr_options.num_threads = options.num_threads;
   FEDSC_ASSIGN_OR_RETURN(QrResult qr, HouseholderQr(a, qr_options));
-  SvdOptions inner = options;
-  inner.precondition = SvdPrecondition::kNone;
-  FEDSC_ASSIGN_OR_RETURN(SvdResult small, JacobiSvdTall(qr.r, inner));
+  FEDSC_ASSIGN_OR_RETURN(SvdResult small, PlainJacobiSvd(qr.r, options));
   SvdResult result;
   result.u = Matrix(m, n);
   Gemm(Trans::kNo, Trans::kNo, 1.0, qr.q, small.u, 0.0, &result.u,
@@ -160,16 +132,13 @@ Result<SvdResult> QrPreconditionedSvd(const Matrix& a,
 // cyclic (p, q) order cannot be parallelized deterministically (later
 // rotations read columns written by earlier ones inside one sweep), so
 // small inputs — where threading could never pay for itself — keep it.
-Result<SvdResult> JacobiSvdTall(const Matrix& a, const SvdOptions& options) {
+Result<SvdResult> PlainJacobiSvd(const Matrix& a, const SvdOptions& options) {
   const int64_t m = a.rows();
   const int64_t n = a.cols();
-  if (UseQrPrecondition(m, n, options)) {
-    return QrPreconditionedSvd(a, options);
-  }
   Matrix work = a;
   Matrix v = Matrix::Identity(n);
 
-  if (!UseRoundRobin(m, n, options)) {
+  if (m * n < kRoundRobinCutoff) {
     bool cyclic_converged = false;
     int64_t rotations = 0;
     int sweeps = 0;
@@ -260,6 +229,19 @@ Result<SvdResult> JacobiSvdTall(const Matrix& a, const SvdOptions& options) {
   return FinishTall(std::move(work), std::move(v), m, n);
 }
 
+}  // namespace internal_svd
+
+namespace {
+
+Result<SvdResult> JacobiSvdTall(const Matrix& a, const SvdOptions& options) {
+  const int64_t m = a.rows();
+  const int64_t n = a.cols();
+  if (n >= 2 && m >= kSvdPrecondMinAspect * n && m * n >= kSvdPrecondMinWork) {
+    return internal_svd::QrPreconditionedSvd(a, options);
+  }
+  return internal_svd::PlainJacobiSvd(a, options);
+}
+
 }  // namespace
 
 Result<SvdResult> JacobiSvd(const Matrix& a, const SvdOptions& options) {
@@ -288,17 +270,17 @@ int64_t NumericalRank(const Vector& s, double rel_tol) {
 }
 
 Result<Matrix> PrincipalSubspace(const Matrix& a, int64_t rank,
-                                 double rel_tol,
-                                 const SvdOptions& svd_options) {
-  FEDSC_ASSIGN_OR_RETURN(SvdResult svd, JacobiSvd(a, svd_options));
+                                 double rel_tol) {
+  FEDSC_ASSIGN_OR_RETURN(SvdResult svd, JacobiSvd(a));
   int64_t r = rank > 0 ? std::min<int64_t>(rank, svd.u.cols())
                        : NumericalRank(svd.s, rel_tol);
-  if (r <= 0) {
-    return Status::FailedPrecondition("matrix has numerical rank 0");
-  }
-  // Never keep a direction with an exactly zero singular value: its U
-  // column is not defined.
-  while (r > 0 && svd.s[static_cast<size_t>(r - 1)] <= 0.0) --r;
+  // Never keep a direction whose singular value is at roundoff level
+  // (<= max(m, n) * eps * sigma_1, the LAPACK/NumPy numerical-rank
+  // tolerance): its U column is rounding noise, not a direction the data
+  // spans, and a fixed rank above the data's rank would otherwise return it.
+  const double roundoff = static_cast<double>(std::max(a.rows(), a.cols())) *
+                          std::numeric_limits<double>::epsilon() * svd.s[0];
+  while (r > 0 && svd.s[static_cast<size_t>(r - 1)] <= roundoff) --r;
   if (r <= 0) {
     return Status::FailedPrecondition("matrix has numerical rank 0");
   }

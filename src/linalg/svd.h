@@ -5,6 +5,8 @@
 #ifndef FEDSC_LINALG_SVD_H_
 #define FEDSC_LINALG_SVD_H_
 
+#include <cstdint>
+
 #include "common/result.h"
 #include "linalg/matrix.h"
 
@@ -16,47 +18,17 @@ struct SvdResult {
   Matrix v;  // n x k, orthonormal columns
 };
 
-// Which order a Jacobi sweep visits column pairs in. The two orders reach
-// the same factorization up to roundoff, but the individual rotations — and
-// therefore the low-order bits of the output and the sweep count — differ,
-// so this is a *result-affecting* choice, not a scheduling detail.
-enum class SvdPairOrder {
-  // Pick by problem size: cyclic below a fixed work cutoff (rows * cols <
-  // 2^14), round-robin at or above it. The choice depends only on the
-  // problem size, never on num_threads, so results stay bit-identical
-  // across thread counts.
-  kAuto,
-  // Classic cyclic (p, q) order — the pre-threading behavior at every size.
-  // Inherently sequential: always runs serially. Pin this to reproduce
-  // outputs stored before the round-robin sweep existed.
-  kCyclic,
-  // Round-robin (tournament) order at every size: each round's pairs are
-  // mutually disjoint, so sweeps parallelize bit-exactly.
-  kRoundRobin,
-};
-
-// Whether JacobiSvd runs a thin QR first and sweeps only the small R factor
-// (A = QR = Q(U_r S V^T), U = Q U_r via one GEMM). For tall inputs this cuts
-// each rotation from O(m) to O(n) work — the D x n_i basis-estimation shape
-// is exactly where it pays. Like SvdPairOrder this is *result-affecting*
-// (the preconditioned factorization reaches the same subspaces with
-// different low-order bits), and under kAuto the choice is a pure function
-// of the input shape, never of num_threads.
-enum class SvdPrecondition {
-  // QR-precondition iff n >= 2, m >= kSvdPrecondMinAspect * n, and
-  // m * n >= kSvdPrecondMinWork.
-  kAuto,
-  // Sweep the full matrix at every shape — the pre-preconditioning behavior,
-  // bit-for-bit.
-  kNone,
-  // Force the thin-QR + small-Jacobi path for every tall input (square and
-  // wide inputs with m == n still sweep directly; wide inputs transpose
-  // first as always).
-  kQr,
-};
-
-// kAuto preconditioning thresholds: minimum tallness ratio m / n and minimum
-// total work m * n. Result-affecting shape cutoffs, like kBlockedQrCutoff.
+// JacobiSvd picks two result-affecting engines by shape alone, never by
+// num_threads (DESIGN.md §5):
+//  * Pair order: the classic cyclic (p, q) sweep (always serial) below
+//    rows * cols = 2^14; the round-robin (tournament) sweep at or above it,
+//    whose rounds are mutually disjoint pairs and fan out bit-exactly.
+//  * QR preconditioning: iff n >= 2, m >= kSvdPrecondMinAspect * n and
+//    m * n >= kSvdPrecondMinWork, a thin QR runs first and only the small
+//    R factor is swept (A = QR = Q(U_r S V^T), U = Q U_r via one GEMM). For
+//    tall inputs this cuts each rotation from O(m) to O(n) work.
+// Tests reach both the plain and the preconditioned path through
+// internal_svd.
 inline constexpr int64_t kSvdPrecondMinAspect = 4;
 inline constexpr int64_t kSvdPrecondMinWork = int64_t{1} << 11;
 
@@ -69,8 +41,6 @@ struct SvdOptions {
   // mutually disjoint, so they fan out with bit-identical results for every
   // thread count.
   int num_threads = 1;
-  SvdPairOrder pair_order = SvdPairOrder::kAuto;
-  SvdPrecondition precondition = SvdPrecondition::kAuto;
 };
 
 // Thin SVD, k = min(m, n). Fails only on empty input or non-convergence
@@ -81,13 +51,24 @@ Result<SvdResult> JacobiSvd(const Matrix& a, const SvdOptions& options = {});
 int64_t NumericalRank(const Vector& s, double rel_tol = 1e-8);
 
 // The first `rank` left singular vectors of `a`: the orthonormal basis
-// Fed-SC estimates for span of a local cluster (Section IV-B). If
-// rank <= 0, the rank is chosen by NumericalRank with `rel_tol`.
-// `svd_options` tunes the underlying JacobiSvd (threads, preconditioning);
-// the default reproduces the historical behavior.
+// Fed-SC estimates for the span of a local cluster (Section IV-B). If
+// rank <= 0, the rank is chosen by NumericalRank with `rel_tol`. Either way
+// directions with sigma <= max(m, n) * eps * sigma_1 are dropped: they are
+// rounding noise, and sampling from them (Eq. 5) would leave the subspace.
 Result<Matrix> PrincipalSubspace(const Matrix& a, int64_t rank,
-                                 double rel_tol = 1e-8,
-                                 const SvdOptions& svd_options = {});
+                                 double rel_tol = 1e-8);
+
+namespace internal_svd {
+
+// The two paths JacobiSvd picks between for a non-empty m x n input with
+// m >= n, callable at any such shape so tests and benchmarks can compare
+// them: the one-sided Jacobi sweep on `a` itself, and thin QR followed by
+// that sweep on R.
+Result<SvdResult> PlainJacobiSvd(const Matrix& a, const SvdOptions& options);
+Result<SvdResult> QrPreconditionedSvd(const Matrix& a,
+                                      const SvdOptions& options);
+
+}  // namespace internal_svd
 
 }  // namespace fedsc
 

@@ -32,8 +32,7 @@ const char* ScMethodName(ScMethod method);
 // the method in run records (journal events, the options fingerprint).
 std::string ScMethodKey(ScMethod method);
 
-// Which central-clustering engine runs. Mirrors the GemmOptions::kernel /
-// QrOptions::variant dispatch contract: the choice is RESULT-AFFECTING (the
+// Which central-clustering engine runs. The choice is RESULT-AFFECTING (the
 // sketched path solves against a d-column dictionary and clusters the
 // landmark-factorized graph, so labels and affinities differ from the exact
 // path), and under kAuto it is a pure function of (method, N, k, sketch dim)
@@ -44,7 +43,7 @@ enum class CentralPath {
   // N >= kSketchedCutoffN and k <= sketch dim < N; exact otherwise.
   kAuto,
   // Pin today's O(N^2)-O(N^3) path at every size: reproduces pre-sketch
-  // results bit-for-bit (the escape hatch mirroring GemmKernel::kPanel).
+  // results bit-for-bit.
   kExact,
   // Force the sketched path at every size (dim >= N still falls back to
   // exact; an unsupported method is a typed error).

@@ -1,11 +1,15 @@
-// Batched tall-skinny factorizations (linalg/batch.h): the looped engine
-// must reproduce the per-panel PrincipalSubspace bits exactly (it IS the
-// pre-batched loop, fanned out), the Gram engine must span the same
-// subspace with orthonormal columns and the same rank decisions, kAuto must
-// be a pure function of each panel's shape, and every engine must be
+// Batched tall-skinny factorizations (linalg/batch.h): auto-rank requests
+// and panels outside the tall-skinny regime must reproduce the per-panel
+// PrincipalSubspace bits exactly (the looped route IS the per-panel call,
+// fanned out), fixed-rank tall panels take the Gram route and must span the
+// same subspace with orthonormal columns — falling back to the looped bits
+// where the Gram route would lose orthonormality — the route must be a pure
+// function of each panel's shape and rank, and every result must be
 // bit-identical across thread counts.
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -89,19 +93,26 @@ double OrthonormalityError(const Matrix& u) {
   return worst;
 }
 
+// True when BatchedPrincipalSubspace may take the Gram route for `panel`.
+bool InGramRegime(const Matrix& panel) {
+  return panel.cols() >= 1 && panel.cols() <= kGramEngineMaxCols &&
+         panel.rows() >= kGramEngineMinAspect * panel.cols();
+}
+
 TEST(BatchedSubspaceTest, LoopedEngineMatchesPrincipalSubspaceExactly) {
   Rng rng(311);
   const std::vector<Matrix> panels = RaggedBatch(&rng);
+  // Auto-rank requests take the looped route on every panel; fixed-rank
+  // requests do on panels outside the tall-skinny Gram regime.
   for (int64_t rank : {int64_t{0}, int64_t{3}}) {
     BatchedSubspaceOptions options;
-    options.engine = BatchEngine::kLooped;
     options.rank = rank;
     const std::vector<Result<Matrix>> batched =
         BatchedPrincipalSubspace(panels, options);
     ASSERT_EQ(batched.size(), panels.size());
     for (size_t i = 0; i < panels.size(); ++i) {
-      const auto direct =
-          PrincipalSubspace(panels[i], rank, options.rel_tol, options.svd);
+      if (rank > 0 && InGramRegime(panels[i])) continue;
+      const auto direct = PrincipalSubspace(panels[i], rank, options.rel_tol);
       ASSERT_EQ(batched[i].ok(), direct.ok()) << "panel " << i;
       if (direct.ok()) {
         ExpectBitEqual(*batched[i], *direct, "looped basis");
@@ -113,10 +124,9 @@ TEST(BatchedSubspaceTest, LoopedEngineMatchesPrincipalSubspaceExactly) {
 TEST(BatchedSubspaceTest, ResultsAreBitIdenticalAcrossThreadCounts) {
   Rng rng(313);
   const std::vector<Matrix> panels = RaggedBatch(&rng);
-  for (BatchEngine engine :
-       {BatchEngine::kAuto, BatchEngine::kLooped, BatchEngine::kGram}) {
+  for (int64_t rank : {int64_t{0}, int64_t{3}}) {
     BatchedSubspaceOptions options;
-    options.engine = engine;
+    options.rank = rank;
     options.num_threads = 1;
     const std::vector<Result<Matrix>> serial =
         BatchedPrincipalSubspace(panels, options);
@@ -138,23 +148,20 @@ TEST(BatchedSubspaceTest, ResultsAreBitIdenticalAcrossThreadCounts) {
 TEST(BatchedSubspaceTest, GramEngineSpansTheSameSubspaceWithTheSameRank) {
   Rng rng(317);
   const std::vector<Matrix> panels = RaggedBatch(&rng);
-  BatchedSubspaceOptions gram;
-  gram.engine = BatchEngine::kGram;
-  BatchedSubspaceOptions looped;
-  looped.engine = BatchEngine::kLooped;
-  const auto via_gram = BatchedPrincipalSubspace(panels, gram);
-  const auto via_svd = BatchedPrincipalSubspace(panels, looped);
+  BatchedSubspaceOptions options;
+  options.rank = 3;
+  const auto batched = BatchedPrincipalSubspace(panels, options);
   for (size_t i = 0; i < panels.size(); ++i) {
-    ASSERT_TRUE(via_gram[i].ok()) << via_gram[i].status().ToString();
-    ASSERT_TRUE(via_svd[i].ok());
-    // Same rank decision on these well-separated spectra (exactly
-    // rank-deficient panels have sigma ratios far below any tolerance).
-    ASSERT_EQ(via_gram[i]->cols(), via_svd[i]->cols()) << "panel " << i;
+    if (!InGramRegime(panels[i])) continue;
+    const auto looped = PrincipalSubspace(panels[i], options.rank);
+    ASSERT_TRUE(batched[i].ok()) << batched[i].status().ToString();
+    ASSERT_TRUE(looped.ok());
+    // A fixed rank gives both routes the same column count.
+    ASSERT_EQ(batched[i]->cols(), looped->cols()) << "panel " << i;
     // The Gram route squares the condition number, so agreement is to
     // ~sqrt(eps), not ulps — that is the documented contract.
-    EXPECT_LT(ProjectorDistance(*via_gram[i], *via_svd[i]), 1e-6)
-        << "panel " << i;
-    EXPECT_LT(OrthonormalityError(*via_gram[i]), 1e-10) << "panel " << i;
+    EXPECT_LT(ProjectorDistance(*batched[i], *looped), 1e-6) << "panel " << i;
+    EXPECT_LT(OrthonormalityError(*batched[i]), 1e-10) << "panel " << i;
   }
 }
 
@@ -167,40 +174,38 @@ TEST(BatchedSubspaceTest, AutoEngineIsAPureFunctionOfShapeAndRank) {
   const Matrix squat = RandomMatrix(20, 16, &rng);
   ASSERT_LT(squat.rows(), kGramEngineMinAspect * squat.cols());
 
-  // Fixed rank: the tall panel takes the Gram route, the others stay
-  // looped.
+  // Fixed rank: the tall panel takes the Gram route — its bits differ from
+  // the looped SVD's and do not depend on its batch-mates — and the others
+  // stay looped.
   {
-    BatchedSubspaceOptions auto_opts;
-    auto_opts.rank = 2;
-    BatchedSubspaceOptions gram = auto_opts;
-    gram.engine = BatchEngine::kGram;
-    BatchedSubspaceOptions looped = auto_opts;
-    looped.engine = BatchEngine::kLooped;
-
+    BatchedSubspaceOptions options;
+    options.rank = 2;
     const auto picked = BatchedPrincipalSubspace({tall, wide, squat},
-                                                 auto_opts);
-    const auto as_gram = BatchedPrincipalSubspace({tall}, gram);
-    const auto as_looped = BatchedPrincipalSubspace({wide, squat}, looped);
-    ExpectBitEqual(*picked[0], *as_gram[0], "tall panel takes the Gram route");
-    ExpectBitEqual(*picked[1], *as_looped[0], "wide panel stays looped");
-    ExpectBitEqual(*picked[2], *as_looped[1], "squat panel stays looped");
+                                                 options);
+    const auto alone = BatchedPrincipalSubspace({tall}, options);
+    ExpectBitEqual(*picked[0], *alone[0], "tall panel, batched vs alone");
+    const auto tall_looped = PrincipalSubspace(tall, 2);
+    ASSERT_TRUE(tall_looped.ok());
+    EXPECT_LT(ProjectorDistance(*picked[0], *tall_looped), 1e-6);
+    bool differs = false;
+    for (int64_t j = 0; j < 2; ++j) {
+      for (int64_t i = 0; i < tall.rows(); ++i) {
+        differs |= (*picked[0])(i, j) != (*tall_looped)(i, j);
+      }
+    }
+    EXPECT_TRUE(differs) << "tall panel should take the Gram route";
+    ExpectBitEqual(*picked[1], *PrincipalSubspace(wide, 2),
+                   "wide panel stays looped");
+    ExpectBitEqual(*picked[2], *PrincipalSubspace(squat, 2),
+                   "squat panel stays looped");
   }
 
-  // Auto rank: every panel stays looped regardless of shape — rank
-  // detection through the Gram noise floor could decide marginal spectra
-  // differently, so kAuto never substitutes it.
+  // Auto rank: every panel stays looped regardless of shape.
   {
-    BatchedSubspaceOptions auto_opts;
-    auto_opts.rank = 0;
-    BatchedSubspaceOptions looped = auto_opts;
-    looped.engine = BatchEngine::kLooped;
-
-    const auto picked = BatchedPrincipalSubspace({tall, wide, squat},
-                                                 auto_opts);
-    const auto as_looped =
-        BatchedPrincipalSubspace({tall, wide, squat}, looped);
+    const auto picked = BatchedPrincipalSubspace({tall, wide, squat});
+    const Matrix* panels[] = {&tall, &wide, &squat};
     for (size_t i = 0; i < 3; ++i) {
-      ExpectBitEqual(*picked[i], *as_looped[i],
+      ExpectBitEqual(*picked[i], *PrincipalSubspace(*panels[i], 0),
                      "auto-rank panels stay looped");
     }
   }
@@ -213,15 +218,92 @@ TEST(BatchedSubspaceTest, ErrorsStayInTheirSlot) {
   panels.push_back(Matrix(12, 0));              // empty: invalid argument
   panels.push_back(Matrix(12, 4));              // all-zero: rank 0
   panels.push_back(RandomMatrix(12, 3, &rng));  // fine
-  for (BatchEngine engine :
-       {BatchEngine::kAuto, BatchEngine::kLooped, BatchEngine::kGram}) {
+  // Auto rank (looped) and a fixed rank (Gram route on the tall panels).
+  for (int64_t rank : {int64_t{0}, int64_t{2}}) {
     BatchedSubspaceOptions options;
-    options.engine = engine;
+    options.rank = rank;
     const auto bases = BatchedPrincipalSubspace(panels, options);
     EXPECT_TRUE(bases[0].ok());
     EXPECT_EQ(bases[1].status().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(bases[2].status().code(), StatusCode::kFailedPrecondition);
     EXPECT_TRUE(bases[3].ok());
+  }
+}
+
+// rows x cols panel U diag(s) V^T with orthonormal random U, V: its
+// singular values are exactly `s` (up to rounding) and its rank s.size().
+Matrix PanelWithSpectrum(int64_t rows, int64_t cols, const Vector& s,
+                         Rng* rng) {
+  const int64_t r = static_cast<int64_t>(s.size());
+  auto u = HouseholderQr(RandomMatrix(rows, r, rng));
+  auto v = HouseholderQr(RandomMatrix(cols, r, rng));
+  Matrix us = u->q;
+  for (int64_t j = 0; j < r; ++j) {
+    Scal(s[static_cast<size_t>(j)], us.ColData(j), rows);
+  }
+  Matrix panel(rows, cols);
+  Gemm(Trans::kNo, Trans::kTrans, 1.0, us, v->q, 0.0, &panel);
+  return panel;
+}
+
+// Requesting more directions than a tall panel has squares the Gram route's
+// conditioning past recovery (U = X V_r would have UᵀU off the identity by
+// ~1); such panels must return the looped PrincipalSubspace bits instead:
+// an orthonormal basis of exactly the panel's span, without the
+// roundoff-level directions past its rank.
+TEST(BatchedSubspaceTest, GramRouteFallsBackWhereItWouldLoseOrthonormality) {
+  Rng rng(359);
+  struct Case {
+    int64_t rows, cols, true_rank, requested;
+  };
+  const Case cases[] = {{64, 8, 2, 4}, {256, 32, 2, 6}, {64, 12, 1, 5}};
+  std::vector<Matrix> panels;
+  for (const Case& c : cases) {
+    panels.push_back(RankDeficientPanel(c.rows, c.cols, c.true_rank, &rng));
+  }
+  for (size_t i = 0; i < panels.size(); ++i) {
+    BatchedSubspaceOptions options;
+    options.rank = cases[i].requested;
+    ASSERT_TRUE(InGramRegime(panels[i]));
+    const auto batched = BatchedPrincipalSubspace({panels[i]}, options);
+    const auto looped = PrincipalSubspace(panels[i], options.rank);
+    ASSERT_TRUE(batched[0].ok() && looped.ok());
+    ExpectBitEqual(*batched[0], *looped, "rank-deficient fallback");
+    EXPECT_EQ(batched[0]->cols(), cases[i].true_rank) << "panel " << i;
+    EXPECT_LE(OrthonormalityError(*batched[0]), 1e-6) << "panel " << i;
+  }
+
+  // The tolerance policy (DESIGN.md §5) on randomized tall shapes across
+  // conditioning: whichever route a slot takes, its basis is orthonormal to
+  // 1e-6 and spans the looped basis's subspace to 1e-6.
+  for (double ratio : {1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8}) {
+    std::vector<Matrix> sweep;
+    std::vector<int64_t> ranks;
+    for (int trial = 0; trial < 12; ++trial) {
+      const int64_t cols = 2 + rng.UniformInt(47);
+      const int64_t rows = 2 * cols + rng.UniformInt(200);
+      const int64_t rank = 1 + rng.UniformInt(std::min<int64_t>(cols, 8));
+      // sigma_1 = 1, sigma_rank = ratio, the rest log-uniform in between.
+      Vector s(static_cast<size_t>(rank), 1.0);
+      s.back() = rank > 1 ? ratio : 1.0;
+      for (int64_t j = 1; j + 1 < rank; ++j) {
+        s[static_cast<size_t>(j)] = std::pow(ratio, rng.Uniform());
+      }
+      std::sort(s.begin(), s.end(), std::greater<double>());
+      sweep.push_back(PanelWithSpectrum(rows, cols, s, &rng));
+      ranks.push_back(rank);
+    }
+    for (size_t i = 0; i < sweep.size(); ++i) {
+      BatchedSubspaceOptions options;
+      options.rank = ranks[i];
+      const auto batched = BatchedPrincipalSubspace({sweep[i]}, options);
+      const auto looped = PrincipalSubspace(sweep[i], ranks[i]);
+      ASSERT_TRUE(batched[0].ok() && looped.ok());
+      EXPECT_LE(OrthonormalityError(*batched[0]), 1e-6)
+          << "ratio " << ratio << " slot " << i;
+      EXPECT_LE(ProjectorDistance(*batched[0], *looped), 1e-6)
+          << "ratio " << ratio << " slot " << i;
+    }
   }
 }
 

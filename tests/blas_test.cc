@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/isa.h"
 #include "linalg/blas.h"
+#include "linalg/gemm_kernel.h"
 
 namespace fedsc {
 namespace {
@@ -143,20 +145,33 @@ void ExpectBitEqual(const Matrix& a, const Matrix& b, const char* what) {
   }
 }
 
-// The blocked packed engine and the legacy panel kernels accumulate in
-// different orders, so they agree to rounding — not bit-for-bit. Sweep
-// degenerate and awkward shapes (1-wide panels, non-multiples of the
-// micro-tile, sizes straddling the kc blocking) under every transpose combo
-// and the alpha/beta special cases the dispatcher short-circuits on.
+// C = alpha op(A) op(B) + beta C through one engine entry point, applying
+// beta first the way the Gemm dispatcher does.
+Matrix ViaEngine(bool blocked, Trans ta, Trans tb, double alpha,
+                 const Matrix& a, const Matrix& b, double beta,
+                 const Matrix& c0) {
+  Matrix c = c0;
+  c *= beta;
+  if (blocked) {
+    BlockedGemm(ta, tb, alpha, a, b, &c, 1, ResolveDefaultIsa().chosen);
+  } else {
+    internal_gemm::PanelGemm(ta, tb, alpha, a, b, &c);
+  }
+  return c;
+}
+
+// The blocked packed engine and the panel kernels accumulate in different
+// orders, so they agree to rounding — not bit-for-bit. Sweep degenerate and
+// awkward shapes (1-wide panels, non-multiples of the micro-tile, sizes
+// straddling the kc blocking) under every transpose combo and the
+// alpha/beta special cases the dispatcher short-circuits on. The panel
+// kernels have no TT case (Gemm always packs it), so blocked TT is held to
+// the naive reference instead.
 TEST(BlockedGemmTest, AgreesWithPanelAcrossShapesAndScalars) {
   const int64_t dims[] = {1, 3, 17, 64, 257};
   const Trans kinds[] = {Trans::kNo, Trans::kTrans};
   const double scalars[][2] = {
       {1.0, 0.0}, {-0.5, 1.0}, {0.0, -0.5}, {1.0, -0.5}};
-  GemmOptions panel;
-  panel.kernel = GemmKernel::kPanel;
-  GemmOptions blocked;
-  blocked.kernel = GemmKernel::kBlocked;
 
   Rng rng(101);
   for (int64_t m : dims) {
@@ -171,11 +186,13 @@ TEST(BlockedGemmTest, AgreesWithPanelAcrossShapesAndScalars) {
           for (Trans tb : kinds) {
             const Matrix& a = ta == Trans::kNo ? a_n : a_t;
             const Matrix& b = tb == Trans::kNo ? b_n : b_t;
+            const bool tt = ta == Trans::kTrans && tb == Trans::kTrans;
             for (const auto& ab : scalars) {
-              Matrix cp = c0;
-              Matrix cb = c0;
-              Gemm(ta, tb, ab[0], a, b, ab[1], &cp, panel);
-              Gemm(ta, tb, ab[0], a, b, ab[1], &cb, blocked);
+              const Matrix cb =
+                  ViaEngine(true, ta, tb, ab[0], a, b, ab[1], c0);
+              const Matrix cp =
+                  tt ? ReferenceGemm(ta, tb, ab[0], a, b, ab[1], c0)
+                     : ViaEngine(false, ta, tb, ab[0], a, b, ab[1], c0);
               ASSERT_TRUE(AllClose(cb, cp, 1e-10))
                   << "shape " << m << "x" << k << "x" << n << " trans "
                   << (ta == Trans::kTrans) << (tb == Trans::kTrans)
@@ -206,45 +223,6 @@ TEST(BlockedGemmTest, AutoDispatchLargeMatchesReference) {
       const Matrix expected = ReferenceGemm(ta, tb, -0.5, a, b, 1.0, c0);
       ASSERT_TRUE(AllClose(c, expected, 1e-10))
           << "trans " << (ta == Trans::kTrans) << (tb == Trans::kTrans);
-    }
-  }
-}
-
-// GemmKernel::kPanel is the escape hatch that reproduces the
-// pre-blocked-engine results bit-for-bit. The panel kernels produce each
-// output column independently, and a single-column product is always below
-// the kAuto cutoff, so column j of a pinned large product must be
-// bit-identical to the small kAuto call on that column alone — which is
-// exactly what yesterday's dispatcher computed.
-TEST(BlockedGemmTest, PanelPinReproducesLegacyBitsColumnByColumn) {
-  constexpr int64_t m = 60, k = 70, n = 90;
-  ASSERT_GE(m * k * n, kBlockedGemmCutoff);  // kAuto would go blocked
-  GemmOptions pin;
-  pin.kernel = GemmKernel::kPanel;
-
-  Rng rng(131);
-  const Trans kinds[] = {Trans::kNo, Trans::kTrans};
-  for (Trans ta : kinds) {
-    for (Trans tb : kinds) {
-      const Matrix a = ta == Trans::kNo ? RandomMatrix(m, k, &rng)
-                                        : RandomMatrix(k, m, &rng);
-      const Matrix b = tb == Trans::kNo ? RandomMatrix(k, n, &rng)
-                                        : RandomMatrix(n, k, &rng);
-      Matrix c(m, n);
-      Gemm(ta, tb, 1.0, a, b, 0.0, &c, pin);
-      for (int64_t j = 0; j < n; ++j) {
-        Vector bj(static_cast<size_t>(k));
-        for (int64_t p = 0; p < k; ++p) {
-          bj[static_cast<size_t>(p)] = tb == Trans::kNo ? b(p, j) : b(j, p);
-        }
-        Matrix cj(m, 1);
-        Gemm(ta, Trans::kNo, 1.0, a, Matrix::FromColumn(bj), 0.0, &cj);
-        for (int64_t i = 0; i < m; ++i) {
-          ASSERT_EQ(c(i, j), cj(i, 0))
-              << "column " << j << " row " << i << " trans "
-              << (ta == Trans::kTrans) << (tb == Trans::kTrans);
-        }
-      }
     }
   }
 }
@@ -307,72 +285,57 @@ TEST(BlasDeathTest, ShapeMismatchDies) {
                "gemm inner dims");
 }
 
-// ---- Runtime ISA dispatch (GemmOptions::isa, common/isa.h) ----
-
-GemmIsa PinForTier(CpuIsa tier) {
-  switch (tier) {
-    case CpuIsa::kGeneric:
-      return GemmIsa::kGeneric;
-    case CpuIsa::kAvx2:
-      return GemmIsa::kAvx2;
-    case CpuIsa::kAvx512:
-      return GemmIsa::kAvx512;
-  }
-  return GemmIsa::kGeneric;
-}
+// ---- Runtime ISA dispatch (common/isa.h) ----
 
 TEST(GemmIsaTest, ResolutionIsPureAndNamesRoundTrip) {
-  // Explicit pins resolve to themselves; kAuto resolves to the process-wide
-  // dispatch (cpuid, or FEDSC_FORCE_ISA) and never changes within a run.
-  EXPECT_EQ(ResolveGemmIsa(GemmIsa::kGeneric), CpuIsa::kGeneric);
-  const CpuIsa first = ResolveGemmIsa(GemmIsa::kAuto);
-  EXPECT_EQ(first, ResolveGemmIsa(GemmIsa::kAuto));
+  // The process-wide tier (cpuid, or FEDSC_FORCE_ISA) never changes within
+  // a run, and it is the tier Gemm runs: above the cutoff Gemm is exactly
+  // BlockedGemm on that tier.
+  const CpuIsa first = ResolveDefaultIsa().chosen;
   EXPECT_EQ(first, ResolveDefaultIsa().chosen);
   EXPECT_TRUE(CpuIsaSupported(first));
   EXPECT_TRUE(CpuIsaSupported(CpuIsa::kGeneric));
   EXPECT_TRUE(CpuIsaSupported(BestSupportedIsa()));
-
-  EXPECT_STREQ(GemmIsaName(GemmIsa::kAuto), "auto");
-  EXPECT_STREQ(GemmIsaName(GemmIsa::kGeneric), "generic");
-  EXPECT_STREQ(GemmIsaName(GemmIsa::kAvx2), "avx2");
-  EXPECT_STREQ(GemmIsaName(GemmIsa::kAvx512), "avx512");
   EXPECT_STREQ(CpuIsaName(CpuIsa::kGeneric), "generic");
   EXPECT_STREQ(CpuIsaName(CpuIsa::kAvx2), "avx2");
   EXPECT_STREQ(CpuIsaName(CpuIsa::kAvx512), "avx512");
+
+  Rng rng(227);
+  const Matrix a = RandomMatrix(50, 40, &rng);
+  const Matrix b = RandomMatrix(40, 45, &rng);
+  ASSERT_GE(int64_t{50} * 40 * 45, kBlockedGemmCutoff);
+  Matrix via_gemm(50, 45);
+  Matrix via_engine(50, 45);
+  Gemm(Trans::kNo, Trans::kNo, 1.0, a, b, 0.0, &via_gemm);
+  BlockedGemm(Trans::kNo, Trans::kNo, 1.0, a, b, &via_engine, 1, first);
+  ExpectBitEqual(via_gemm, via_engine, "Gemm vs BlockedGemm on the tier");
 }
 
 // Every tier the host supports must produce exactly the same bits for
 // nt in {1, 2, 8} (the determinism contract), and the tiers must agree with
-// the pinned-generic result to the documented ulp policy. The 61x70x90
-// shape sits above the kAuto cutoff and leaves ragged micro-tile edges in
-// every tier (61 % 24, 90 % 8, ...), which is where a packing bug would
-// show as garbage, not ulps.
+// the generic result to the documented ulp policy. The 61x70x90 shape
+// leaves ragged micro-tile edges in every tier (61 % 24, 90 % 8, ...),
+// which is where a packing bug would show as garbage, not ulps.
 TEST(GemmIsaTest, TiersAreThreadInvariantAndAgreeToUlpPolicy) {
   constexpr int64_t m = 61, k = 70, n = 90;
-  ASSERT_GE(m * k * n, kBlockedGemmCutoff);
   Rng rng(211);
   const Matrix a = RandomMatrix(m, k, &rng);
   const Matrix b = RandomMatrix(k, n, &rng);
-  const Matrix c0 = RandomMatrix(m, n, &rng);
+  Matrix c0 = RandomMatrix(m, n, &rng);
+  c0 *= -0.5;  // beta, applied up front as the dispatcher does
 
-  GemmOptions generic;
-  generic.kernel = GemmKernel::kBlocked;
-  generic.isa = GemmIsa::kGeneric;
   Matrix reference = c0;
-  Gemm(Trans::kNo, Trans::kNo, 1.0, a, b, -0.5, &reference, generic);
+  BlockedGemm(Trans::kNo, Trans::kNo, 1.0, a, b, &reference, 1,
+              CpuIsa::kGeneric);
 
   const CpuIsa tiers[] = {CpuIsa::kGeneric, CpuIsa::kAvx2, CpuIsa::kAvx512};
   for (CpuIsa tier : tiers) {
     if (!CpuIsaSupported(tier)) continue;
-    GemmOptions opts = generic;
-    opts.isa = PinForTier(tier);
-    opts.num_threads = 1;
     Matrix base = c0;
-    Gemm(Trans::kNo, Trans::kNo, 1.0, a, b, -0.5, &base, opts);
+    BlockedGemm(Trans::kNo, Trans::kNo, 1.0, a, b, &base, 1, tier);
     for (int nt : {2, 8}) {
-      opts.num_threads = nt;
       Matrix threaded = c0;
-      Gemm(Trans::kNo, Trans::kNo, 1.0, a, b, -0.5, &threaded, opts);
+      BlockedGemm(Trans::kNo, Trans::kNo, 1.0, a, b, &threaded, nt, tier);
       for (int64_t j = 0; j < n; ++j) {
         for (int64_t i = 0; i < m; ++i) {
           ASSERT_EQ(base(i, j), threaded(i, j))
@@ -388,24 +351,17 @@ TEST(GemmIsaTest, TiersAreThreadInvariantAndAgreeToUlpPolicy) {
 TEST(GemmIsaTest, SyrkTiersAreThreadInvariantAndAgreeToUlpPolicy) {
   Rng rng(223);
   const Matrix x = RandomMatrix(70, 61, &rng);  // X^T X is 61x61, ragged
-  GemmOptions generic;
-  generic.kernel = GemmKernel::kBlocked;
-  generic.isa = GemmIsa::kGeneric;
   Matrix reference(61, 61);
-  Syrk(Trans::kTrans, 1.0, x, 0.0, &reference, generic);
+  BlockedSyrkLower(Trans::kTrans, 1.0, x, &reference, 1, CpuIsa::kGeneric);
 
   const CpuIsa tiers[] = {CpuIsa::kGeneric, CpuIsa::kAvx2, CpuIsa::kAvx512};
   for (CpuIsa tier : tiers) {
     if (!CpuIsaSupported(tier)) continue;
-    GemmOptions opts = generic;
-    opts.isa = PinForTier(tier);
-    opts.num_threads = 1;
     Matrix base(61, 61);
-    Syrk(Trans::kTrans, 1.0, x, 0.0, &base, opts);
+    BlockedSyrkLower(Trans::kTrans, 1.0, x, &base, 1, tier);
     for (int nt : {2, 8}) {
-      opts.num_threads = nt;
       Matrix threaded(61, 61);
-      Syrk(Trans::kTrans, 1.0, x, 0.0, &threaded, opts);
+      BlockedSyrkLower(Trans::kTrans, 1.0, x, &threaded, nt, tier);
       for (int64_t j = 0; j < 61; ++j) {
         for (int64_t i = 0; i < 61; ++i) {
           ASSERT_EQ(base(i, j), threaded(i, j))
@@ -414,27 +370,6 @@ TEST(GemmIsaTest, SyrkTiersAreThreadInvariantAndAgreeToUlpPolicy) {
       }
     }
     ASSERT_TRUE(AllClose(base, reference, 1e-12)) << CpuIsaName(tier);
-  }
-}
-
-// GemmOptions::isa is pure dispatch: kAuto must produce exactly the bits of
-// explicitly pinning the tier it resolves to — no auto-only fast paths.
-TEST(GemmIsaTest, AutoDispatchBitMatchesThePinnedResolvedTier) {
-  Rng rng(227);
-  const Matrix a = RandomMatrix(50, 40, &rng);
-  const Matrix b = RandomMatrix(40, 45, &rng);
-  GemmOptions auto_opts;
-  auto_opts.kernel = GemmKernel::kBlocked;
-  GemmOptions pinned = auto_opts;
-  pinned.isa = PinForTier(ResolveGemmIsa(GemmIsa::kAuto));
-  Matrix c_auto(50, 45);
-  Matrix c_pinned(50, 45);
-  Gemm(Trans::kNo, Trans::kNo, 1.0, a, b, 0.0, &c_auto, auto_opts);
-  Gemm(Trans::kNo, Trans::kNo, 1.0, a, b, 0.0, &c_pinned, pinned);
-  for (int64_t j = 0; j < 45; ++j) {
-    for (int64_t i = 0; i < 50; ++i) {
-      ASSERT_EQ(c_auto(i, j), c_pinned(i, j));
-    }
   }
 }
 

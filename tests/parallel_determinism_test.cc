@@ -75,8 +75,10 @@ TEST(GemmDeterminismTest, BlockedEngineOddShapesMatchSerialBitForBit) {
   // tail: k = 257 spans two kc blocks, m = 130 spans mc blocks with a
   // partial micro-row, n = 100 leaves a partial NR micro-column. The jr
   // micro-blocks are the parallel axis; their results must be independent
-  // of how ParallelForRanges partitions them.
+  // of how ParallelForRanges partitions them. The shape is far above
+  // kBlockedGemmCutoff, so Gemm runs the blocked engine.
   constexpr int64_t m = 130, k = 257, n = 100;
+  static_assert(m * k * n >= kBlockedGemmCutoff);
   Rng rng(15);
   const Matrix c0 = RandomMatrix(m, n, &rng);
 
@@ -87,52 +89,21 @@ TEST(GemmDeterminismTest, BlockedEngineOddShapesMatchSerialBitForBit) {
                                         : RandomMatrix(k, m, &rng);
       const Matrix b = tb == Trans::kNo ? RandomMatrix(k, n, &rng)
                                         : RandomMatrix(n, k, &rng);
-      GemmOptions options;
-      options.kernel = GemmKernel::kBlocked;
-      options.num_threads = 1;
       Matrix serial = c0;
-      Gemm(ta, tb, 1.25, a, b, 0.5, &serial, options);
+      Gemm(ta, tb, 1.25, a, b, 0.5, &serial, 1);
       for (int threads : kThreadCounts) {
-        options.num_threads = threads;
         Matrix threaded = c0;
-        Gemm(ta, tb, 1.25, a, b, 0.5, &threaded, options);
+        Gemm(ta, tb, 1.25, a, b, 0.5, &threaded, threads);
         ExpectBitIdentical(serial, threaded, "blocked Gemm");
       }
     }
   }
 }
 
-TEST(GemmDeterminismTest, PanelPinMatchesSerialBitForBit) {
-  // The kPanel escape hatch keeps the legacy threaded column-panel path;
-  // its determinism contract must survive the dispatcher rewrite.
-  constexpr int64_t n = 48;
-  Rng rng(16);
-  const Matrix a = RandomMatrix(n, n, &rng);
-  const Matrix b = RandomMatrix(n, n, &rng);
-  const Matrix c0 = RandomMatrix(n, n, &rng);
-
-  const Trans kinds[] = {Trans::kNo, Trans::kTrans};
-  for (Trans ta : kinds) {
-    for (Trans tb : kinds) {
-      GemmOptions options;
-      options.kernel = GemmKernel::kPanel;
-      options.num_threads = 1;
-      Matrix serial = c0;
-      Gemm(ta, tb, 1.25, a, b, 0.5, &serial, options);
-      for (int threads : kThreadCounts) {
-        options.num_threads = threads;
-        Matrix threaded = c0;
-        Gemm(ta, tb, 1.25, a, b, 0.5, &threaded, options);
-        ExpectBitIdentical(serial, threaded, "panel Gemm");
-      }
-    }
-  }
-}
-
 TEST(SyrkDeterminismTest, BothOrientationsAndKernelsMatchSerialBitForBit) {
-  // 80 x 150 input: both orientations clear the blocked cutoff, and the
-  // panel pin exercises the threaded SyrkPanelLower + mirror path. The
-  // mirror is part of the output, so bit-identity covers it too.
+  // 80 x 150 input: both orientations clear the blocked cutoff, so the
+  // threaded blocked Syrk runs, followed by the threaded mirror. The mirror
+  // is part of the output, so bit-identity covers it too.
   Rng rng(17);
   const Matrix x = RandomMatrix(80, 150, &rng);
 
@@ -143,18 +114,12 @@ TEST(SyrkDeterminismTest, BothOrientationsAndKernelsMatchSerialBitForBit) {
     for (int64_t j = 0; j < nn; ++j) {
       for (int64_t i = 0; i < nn; ++i) c0(i, j) = r(i, j) + r(j, i);
     }
-    for (GemmKernel kernel : {GemmKernel::kBlocked, GemmKernel::kPanel}) {
-      GemmOptions options;
-      options.kernel = kernel;
-      options.num_threads = 1;
-      Matrix serial = c0;
-      Syrk(trans, 1.25, x, 0.5, &serial, options);
-      for (int threads : kThreadCounts) {
-        options.num_threads = threads;
-        Matrix threaded = c0;
-        Syrk(trans, 1.25, x, 0.5, &threaded, options);
-        ExpectBitIdentical(serial, threaded, "Syrk");
-      }
+    Matrix serial = c0;
+    Syrk(trans, 1.25, x, 0.5, &serial, 1);
+    for (int threads : kThreadCounts) {
+      Matrix threaded = c0;
+      Syrk(trans, 1.25, x, 0.5, &threaded, threads);
+      ExpectBitIdentical(serial, threaded, "Syrk");
     }
   }
 }

@@ -73,32 +73,26 @@ TEST_P(QrEngineTest, BlockedAgreesWithUnblocked) {
   const auto [rows, cols] = GetParam();
   Rng rng(900 + rows * 13 + cols);
   const Matrix a = RandomMatrix(rows, cols, &rng);
-  QrOptions unblocked;
-  unblocked.variant = QrVariant::kUnblocked;
-  QrOptions blocked;
-  blocked.variant = QrVariant::kBlocked;
-  auto qu = HouseholderQr(a, unblocked);
-  auto qb = HouseholderQr(a, blocked);
-  ASSERT_TRUE(qu.ok()) << qu.status().ToString();
-  ASSERT_TRUE(qb.ok()) << qb.status().ToString();
+  const QrResult qu = internal_qr::UnblockedQr(a);
+  const QrResult qb = internal_qr::BlockedQr(a, 1);
 
   const int64_t k = std::min(rows, cols);
   // Both engines reconstruct A with orthonormal Q.
-  EXPECT_TRUE(AllClose(MatMul(qb->q, qb->r), a, 1e-10));
-  EXPECT_TRUE(AllClose(Gram(qb->q), Matrix::Identity(k), 1e-12));
+  EXPECT_TRUE(AllClose(MatMul(qb.q, qb.r), a, 1e-10));
+  EXPECT_TRUE(AllClose(Gram(qb.q), Matrix::Identity(k), 1e-12));
   // Same sign convention (beta = -copysign(|x|, alpha) in both engines), so
   // the factors agree directly — no column-sign fixup needed.
-  EXPECT_TRUE(AllClose(qb->q, qu->q, 1e-10));
-  EXPECT_TRUE(AllClose(qb->r, qu->r, 1e-9));
+  EXPECT_TRUE(AllClose(qb.q, qu.q, 1e-10));
+  EXPECT_TRUE(AllClose(qb.r, qu.r, 1e-9));
   for (int64_t j = 0; j < k; ++j) {
-    if (qu->r(j, j) != 0.0) {
-      EXPECT_GT(qb->r(j, j) * qu->r(j, j), 0.0) << "diagonal sign at " << j;
+    if (qu.r(j, j) != 0.0) {
+      EXPECT_GT(qb.r(j, j) * qu.r(j, j), 0.0) << "diagonal sign at " << j;
     }
   }
   // R strictly upper triangular below the diagonal in the blocked engine
   // too (exact zeros, not small values).
   for (int64_t j = 0; j < cols; ++j) {
-    for (int64_t i = j + 1; i < k; ++i) EXPECT_EQ(qb->r(i, j), 0.0);
+    for (int64_t i = j + 1; i < k; ++i) EXPECT_EQ(qb.r(i, j), 0.0);
   }
 }
 
@@ -113,48 +107,39 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<int64_t, int64_t>{257, 65},  // odd panel tail
                       std::pair<int64_t, int64_t>{31, 33}));
 
+void ExpectSameQ(const QrResult& a, const QrResult& b) {
+  ASSERT_EQ(a.q.rows(), b.q.rows());
+  ASSERT_EQ(a.q.cols(), b.q.cols());
+  for (int64_t j = 0; j < a.q.cols(); ++j) {
+    for (int64_t i = 0; i < a.q.rows(); ++i) {
+      ASSERT_EQ(a.q(i, j), b.q(i, j));
+    }
+  }
+}
+
 TEST(QrEngineTest, AutoDispatchIsPureFunctionOfShape) {
   Rng rng(41);
-  // Below the cutoff kAuto must reproduce the unblocked bits exactly.
+  // Below the cutoff HouseholderQr reproduces the unblocked bits exactly.
   const Matrix small = RandomMatrix(64, 32, &rng);  // 2048 < 2^13
   ASSERT_LT(small.rows() * small.cols(), kBlockedQrCutoff);
-  QrOptions pinned;
-  pinned.variant = QrVariant::kUnblocked;
   auto qa = HouseholderQr(small);
-  auto qp = HouseholderQr(small, pinned);
-  ASSERT_TRUE(qa.ok() && qp.ok());
-  for (int64_t j = 0; j < qa->q.cols(); ++j) {
-    for (int64_t i = 0; i < qa->q.rows(); ++i) {
-      ASSERT_EQ(qa->q(i, j), qp->q(i, j));
-    }
-  }
-  // At/above the cutoff kAuto must reproduce the blocked bits exactly.
+  ASSERT_TRUE(qa.ok());
+  ExpectSameQ(*qa, internal_qr::UnblockedQr(small));
+  // At/above the cutoff it reproduces the blocked bits exactly.
   const Matrix large = RandomMatrix(256, 32, &rng);  // 8192 = 2^13
   ASSERT_GE(large.rows() * large.cols(), kBlockedQrCutoff);
-  QrOptions blocked;
-  blocked.variant = QrVariant::kBlocked;
   auto la = HouseholderQr(large);
-  auto lb = HouseholderQr(large, blocked);
-  ASSERT_TRUE(la.ok() && lb.ok());
-  for (int64_t j = 0; j < la->q.cols(); ++j) {
-    for (int64_t i = 0; i < la->q.rows(); ++i) {
-      ASSERT_EQ(la->q(i, j), lb->q(i, j));
-    }
-  }
+  ASSERT_TRUE(la.ok());
+  ExpectSameQ(*la, internal_qr::BlockedQr(large, 1));
   // A single skinny panel (n < kBlockedQrMinCols) has no trailing matrix to
-  // amortize the compact-WY overhead, so kAuto stays unblocked no matter
-  // how tall the matrix gets.
+  // amortize the compact-WY overhead, so it stays unblocked no matter how
+  // tall the matrix gets.
   const Matrix skinny = RandomMatrix(1024, 8, &rng);  // 8192 >= 2^13, n < 16
   ASSERT_GE(skinny.rows() * skinny.cols(), kBlockedQrCutoff);
   ASSERT_LT(skinny.cols(), kBlockedQrMinCols);
   auto sa = HouseholderQr(skinny);
-  auto sp = HouseholderQr(skinny, pinned);
-  ASSERT_TRUE(sa.ok() && sp.ok());
-  for (int64_t j = 0; j < sa->q.cols(); ++j) {
-    for (int64_t i = 0; i < sa->q.rows(); ++i) {
-      ASSERT_EQ(sa->q(i, j), sp->q(i, j));
-    }
-  }
+  ASSERT_TRUE(sa.ok());
+  ExpectSameQ(*sa, internal_qr::UnblockedQr(skinny));
 }
 
 TEST(QrEngineTest, BlockedHandlesRankDeficientColumns) {
@@ -164,21 +149,15 @@ TEST(QrEngineTest, BlockedHandlesRankDeficientColumns) {
   for (int64_t j = 2; j < a.cols(); j += 3) {
     for (int64_t i = 0; i < a.rows(); ++i) a(i, j) = a(i, j - 1);
   }
-  QrOptions blocked;
-  blocked.variant = QrVariant::kBlocked;
-  auto qr = HouseholderQr(a, blocked);
-  ASSERT_TRUE(qr.ok());
-  EXPECT_TRUE(AllClose(MatMul(qr->q, qr->r), a, 1e-10));
-  EXPECT_TRUE(AllClose(Gram(qr->q), Matrix::Identity(40), 1e-12));
+  const QrResult qr = internal_qr::BlockedQr(a, 1);
+  EXPECT_TRUE(AllClose(MatMul(qr.q, qr.r), a, 1e-10));
+  EXPECT_TRUE(AllClose(Gram(qr.q), Matrix::Identity(40), 1e-12));
 }
 
 TEST(QrEngineTest, BlockedHandlesZeroMatrix) {
-  QrOptions blocked;
-  blocked.variant = QrVariant::kBlocked;
-  auto qr = HouseholderQr(Matrix(50, 20), blocked);
-  ASSERT_TRUE(qr.ok());
-  EXPECT_TRUE(AllClose(qr->r, Matrix(20, 20), 0.0));
-  EXPECT_TRUE(AllClose(MatMul(qr->q, qr->r), Matrix(50, 20), 0.0));
+  const QrResult qr = internal_qr::BlockedQr(Matrix(50, 20), 1);
+  EXPECT_TRUE(AllClose(qr.r, Matrix(20, 20), 0.0));
+  EXPECT_TRUE(AllClose(MatMul(qr.q, qr.r), Matrix(50, 20), 0.0));
 }
 
 TEST(QrTest, HandlesDependentColumns) {

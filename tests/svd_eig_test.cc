@@ -106,13 +106,12 @@ class SvdPrecondTest
 TEST_P(SvdPrecondTest, MatchesPlainJacobi) {
   const auto [rows, cols] = GetParam();
   Rng rng(3000 + rows * 7 + cols);
-  const Matrix a = RandomMatrix(rows, cols, &rng);
-  SvdOptions plain;
-  plain.precondition = SvdPrecondition::kNone;
-  SvdOptions precond;
-  precond.precondition = SvdPrecondition::kQr;
-  auto sp = JacobiSvd(a, plain);
-  auto sq = JacobiSvd(a, precond);
+  Matrix a = RandomMatrix(rows, cols, &rng);
+  // Both paths factor tall inputs; JacobiSvd hands them a wide input's
+  // transpose, and so does this test.
+  if (rows < cols) a = a.Transposed();
+  auto sp = internal_svd::PlainJacobiSvd(a, {});
+  auto sq = internal_svd::QrPreconditionedSvd(a, {});
   ASSERT_TRUE(sp.ok()) << sp.status().ToString();
   ASSERT_TRUE(sq.ok()) << sq.status().ToString();
 
@@ -144,37 +143,33 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<int64_t, int64_t>{100, 50},   // mild aspect
                       std::pair<int64_t, int64_t>{8, 300}));  // wide input
 
-TEST(SvdPrecondTest, AutoDispatchIsPureFunctionOfShape) {
-  Rng rng(47);
-  // Below the aspect/work thresholds kAuto must reproduce the plain bits.
-  const Matrix small = RandomMatrix(100, 30, &rng);  // aspect 3.3 < 4
-  SvdOptions plain;
-  plain.precondition = SvdPrecondition::kNone;
-  auto sa = JacobiSvd(small);
-  auto sp = JacobiSvd(small, plain);
-  ASSERT_TRUE(sa.ok() && sp.ok());
-  for (size_t i = 0; i < sa->s.size(); ++i) ASSERT_EQ(sa->s[i], sp->s[i]);
-  for (int64_t j = 0; j < sa->u.cols(); ++j) {
-    for (int64_t i = 0; i < sa->u.rows(); ++i) {
-      ASSERT_EQ(sa->u(i, j), sp->u(i, j));
+void ExpectSameSvd(const SvdResult& a, const SvdResult& b) {
+  ASSERT_EQ(a.s, b.s);
+  ASSERT_EQ(a.u.rows(), b.u.rows());
+  ASSERT_EQ(a.u.cols(), b.u.cols());
+  for (int64_t j = 0; j < a.u.cols(); ++j) {
+    for (int64_t i = 0; i < a.u.rows(); ++i) {
+      ASSERT_EQ(a.u(i, j), b.u(i, j));
     }
   }
-  // Tall enough and big enough: kAuto must reproduce the preconditioned
-  // bits.
+}
+
+TEST(SvdPrecondTest, AutoDispatchIsPureFunctionOfShape) {
+  Rng rng(47);
+  // Below the aspect/work thresholds JacobiSvd reproduces the plain bits.
+  const Matrix small = RandomMatrix(100, 30, &rng);  // aspect 3.3 < 4
+  auto sa = JacobiSvd(small);
+  auto sp = internal_svd::PlainJacobiSvd(small, {});
+  ASSERT_TRUE(sa.ok() && sp.ok());
+  ExpectSameSvd(*sa, *sp);
+  // Tall enough and big enough: it reproduces the preconditioned bits.
   const Matrix tall = RandomMatrix(256, 16, &rng);  // aspect 16, work 4096
   ASSERT_GE(tall.rows(), kSvdPrecondMinAspect * tall.cols());
   ASSERT_GE(tall.rows() * tall.cols(), kSvdPrecondMinWork);
-  SvdOptions precond;
-  precond.precondition = SvdPrecondition::kQr;
   auto ta = JacobiSvd(tall);
-  auto tq = JacobiSvd(tall, precond);
+  auto tq = internal_svd::QrPreconditionedSvd(tall, {});
   ASSERT_TRUE(ta.ok() && tq.ok());
-  for (size_t i = 0; i < ta->s.size(); ++i) ASSERT_EQ(ta->s[i], tq->s[i]);
-  for (int64_t j = 0; j < ta->u.cols(); ++j) {
-    for (int64_t i = 0; i < ta->u.rows(); ++i) {
-      ASSERT_EQ(ta->u(i, j), tq->u(i, j));
-    }
-  }
+  ExpectSameSvd(*ta, *tq);
 }
 
 TEST(SvdPrecondTest, RankDeficientTallMatrix) {
@@ -184,26 +179,33 @@ TEST(SvdPrecondTest, RankDeficientTallMatrix) {
   const Matrix basis = RandomMatrix(200, 4, &rng);
   const Matrix coeffs = RandomMatrix(4, 12, &rng);
   const Matrix a = MatMul(basis, coeffs);
-  SvdOptions precond;
-  precond.precondition = SvdPrecondition::kQr;
-  auto svd = JacobiSvd(a, precond);
+  auto svd = internal_svd::QrPreconditionedSvd(a, {});
   ASSERT_TRUE(svd.ok());
   EXPECT_EQ(NumericalRank(svd->s, 1e-8), 4);
   EXPECT_TRUE(AllClose(Reconstruct(*svd), a, 1e-8 * svd->s[0]));
 }
 
-TEST(SvdPrecondTest, PrincipalSubspaceAcceptsOptions) {
+TEST(SvdPrecondTest, PrincipalSubspaceRidesThePreconditionerOnTallPanels) {
   Rng rng(59);
   const Matrix basis = RandomMatrix(128, 3, &rng);
   const Matrix coeffs = RandomMatrix(3, 16, &rng);
   const Matrix points = MatMul(basis, coeffs);
-  SvdOptions precond;
-  precond.precondition = SvdPrecondition::kQr;
-  auto u = PrincipalSubspace(points, 0, 1e-8, precond);
+  // 128 x 16 is tall and big enough for JacobiSvd to precondition.
+  ASSERT_GE(points.rows(), kSvdPrecondMinAspect * points.cols());
+  ASSERT_GE(points.rows() * points.cols(), kSvdPrecondMinWork);
+  auto u = PrincipalSubspace(points, 0, 1e-8);
   ASSERT_TRUE(u.ok());
   EXPECT_EQ(u->cols(), 3);
   const Matrix proj = MatMul(*u, MatMulTN(*u, points));
   EXPECT_TRUE(AllClose(proj, points, 1e-8 * points.MaxAbs()));
+  auto svd = internal_svd::QrPreconditionedSvd(points, {});
+  ASSERT_TRUE(svd.ok());
+  const Matrix top = svd->u.ColRange(0, 3);
+  for (int64_t j = 0; j < 3; ++j) {
+    for (int64_t i = 0; i < points.rows(); ++i) {
+      ASSERT_EQ((*u)(i, j), top(i, j));
+    }
+  }
 }
 
 TEST(NumericalRankTest, Thresholding) {
@@ -306,12 +308,10 @@ TEST_P(EigEngineTest, BlockedAgreesWithUnblocked) {
   Rng rng(4000 + n);
   Matrix a = RandomMatrix(n, n, &rng);
   a += a.Transposed();
-  EigOptions unblocked;
-  unblocked.variant = EigVariant::kUnblocked;
-  EigOptions blocked;
-  blocked.variant = EigVariant::kBlocked;
-  auto eu = SymmetricEigen(a, unblocked);
-  auto eb = SymmetricEigen(a, blocked);
+  auto eu = internal_eig::SolveTridiagonal(
+      internal_eig::Tred2Tridiagonal(a, /*accumulate=*/true));
+  auto eb = internal_eig::SolveTridiagonal(
+      internal_eig::BlockedTridiagonal(a, /*accumulate=*/true, 1));
   ASSERT_TRUE(eu.ok()) << eu.status().ToString();
   ASSERT_TRUE(eb.ok()) << eb.status().ToString();
 
@@ -332,49 +332,33 @@ TEST_P(EigEngineTest, BlockedAgreesWithUnblocked) {
   EXPECT_TRUE(AllClose(av, vd, 1e-8 * scale));
 
   // Eigenvalues-only path agrees with the full decomposition per engine.
-  auto vb = SymmetricEigenvalues(a, blocked);
+  auto vb = internal_eig::SolveTridiagonal(
+      internal_eig::BlockedTridiagonal(a, /*accumulate=*/false, 1));
   ASSERT_TRUE(vb.ok());
-  for (size_t i = 0; i < vb->size(); ++i) {
-    ASSERT_EQ((*vb)[i], eb->values[i]);
-  }
+  ASSERT_EQ(vb->values, eb->values);
 }
 
 // 3 = smallest order with a reflector, 33/65 = panel boundary stragglers,
-// 130 = above the kAuto cutoff.
+// 130 = above the dispatch cutoff.
 INSTANTIATE_TEST_SUITE_P(Sizes, EigEngineTest,
                          ::testing::Values<int64_t>(3, 4, 33, 65, 130));
 
 TEST(EigEngineTest, AutoDispatchIsPureFunctionOfShape) {
   Rng rng(61);
-  // Below the cutoff kAuto runs tred2 bit-for-bit.
-  {
-    const int64_t n = 40;
+  // Below the cutoff SymmetricEigen runs tred2 bit-for-bit; at the cutoff,
+  // the blocked engine.
+  for (const int64_t n : {int64_t{40}, kBlockedEigCutoff}) {
     Matrix a = RandomMatrix(n, n, &rng);
     a += a.Transposed();
-    EigOptions pinned;
-    pinned.variant = EigVariant::kUnblocked;
-    auto ea = SymmetricEigen(a);
-    auto ep = SymmetricEigen(a, pinned);
-    ASSERT_TRUE(ea.ok() && ep.ok());
+    auto picked = SymmetricEigen(a);
+    auto engine = internal_eig::SolveTridiagonal(
+        n < kBlockedEigCutoff
+            ? internal_eig::Tred2Tridiagonal(a, /*accumulate=*/true)
+            : internal_eig::BlockedTridiagonal(a, /*accumulate=*/true, 1));
+    ASSERT_TRUE(picked.ok() && engine.ok());
     for (int64_t j = 0; j < n; ++j) {
       for (int64_t i = 0; i < n; ++i) {
-        ASSERT_EQ(ea->vectors(i, j), ep->vectors(i, j));
-      }
-    }
-  }
-  // At the cutoff kAuto runs the blocked engine bit-for-bit.
-  {
-    const int64_t n = kBlockedEigCutoff;
-    Matrix a = RandomMatrix(n, n, &rng);
-    a += a.Transposed();
-    EigOptions blocked;
-    blocked.variant = EigVariant::kBlocked;
-    auto ea = SymmetricEigen(a);
-    auto eb = SymmetricEigen(a, blocked);
-    ASSERT_TRUE(ea.ok() && eb.ok());
-    for (int64_t j = 0; j < n; ++j) {
-      for (int64_t i = 0; i < n; ++i) {
-        ASSERT_EQ(ea->vectors(i, j), eb->vectors(i, j));
+        ASSERT_EQ(picked->vectors(i, j), engine->vectors(i, j)) << "n " << n;
       }
     }
   }
@@ -389,14 +373,12 @@ TEST(EigEngineTest, BlockedReadsOnlyLowerTriangle) {
   for (int64_t j = 1; j < n; ++j) {
     for (int64_t i = 0; i < j; ++i) garbage_upper(i, j) = rng.Gaussian();
   }
-  EigOptions blocked;
-  blocked.variant = EigVariant::kBlocked;
-  auto clean = SymmetricEigen(a, blocked);
-  auto dirty = SymmetricEigen(garbage_upper, blocked);
+  auto clean = internal_eig::SolveTridiagonal(
+      internal_eig::BlockedTridiagonal(a, /*accumulate=*/true, 1));
+  auto dirty = internal_eig::SolveTridiagonal(
+      internal_eig::BlockedTridiagonal(garbage_upper, /*accumulate=*/true, 1));
   ASSERT_TRUE(clean.ok() && dirty.ok());
-  for (size_t i = 0; i < clean->values.size(); ++i) {
-    ASSERT_EQ(clean->values[i], dirty->values[i]);
-  }
+  ASSERT_EQ(clean->values, dirty->values);
 }
 
 TEST(EigTest, RejectsEmptyAndNonSquare) {
