@@ -90,8 +90,8 @@ void Run(bool csv) {
   }
   for (int bits : {8, 4}) {
     FedScOptions options = base;
-    options.channel.quantize = true;
-    options.channel.bits_per_value = bits;
+    options.channel.codec.mode = CodecMode::kUniformQuant;
+    options.channel.codec.quant_bits = bits;
     const std::string name =
         "uplink quantized to " + std::to_string(bits) + " bits";
     run_variant(name.c_str(), options);

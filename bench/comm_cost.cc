@@ -4,13 +4,12 @@
 // bits, one round total. Also reports the 8-bit quantized uplink.
 //
 // The second table is the accuracy-vs-bits frontier over the serialized
-// uplink codecs (fed/codec.h) at D=1024, subspace dim m=4: raw f64/f32,
-// uniform quantization at 2/4/8/16 bits, and subspace-aware basis+coeffs
-// compression. Wire bytes are the true serialized message sizes
-// (CommStats::uplink_wire_bytes), headers and CRCs included. With
-// --json-out=PATH the frontier is also written as JSON for
+// uplink codecs (fed/codec.h) at D=1024, subspace dim m=4: raw f64/f32 and
+// uniform quantization at 2/4/8/16 bits. Wire bytes are the true serialized
+// message sizes (CommStats::uplink_wire_bytes), headers and CRCs included.
+// With --json-out=PATH the frontier is also written as JSON for
 // scripts/bench_baseline.sh, which folds it into BENCH_linalg.json where
-// scripts/check_bench_json.py enforces the >= 2x basis reduction floor.
+// scripts/check_bench_json.py checks every codec row is present.
 
 #include <cstdio>
 #include <cstring>
@@ -81,8 +80,8 @@ void Run(bool csv) {
     }
     {
       FedScOptions options;
-      options.channel.quantize = true;
-      options.channel.bits_per_value = 8;
+      options.channel.codec.mode = CodecMode::kUniformQuant;
+      options.channel.codec.quant_bits = 8;
       auto result = RunFedSc(*fed, kNumSubspaces, options);
       if (result.ok()) {
         add("Fed-SC (SSC, 8-bit)",
@@ -118,9 +117,7 @@ struct FrontierPoint {
 
 // Accuracy-vs-bits frontier at D=1024, subspace dim m=4. Devices upload
 // samples_per_cluster=12 samples per local cluster from its estimated
-// (rank-4) subspace, so each upload is a tall 1024 x 24 matrix of rank <= 8
-// — the m > 1 regime where kBasisCoeffs pays: a D x k basis plus k x S
-// coefficients instead of D x S raw columns.
+// (rank-4) subspace, so each upload is a tall 1024 x 24 matrix.
 std::vector<FrontierPoint> RunFrontier(bool csv) {
   constexpr int64_t kD = 1024;
   constexpr int64_t kM = 4;  // generating subspace dimension
@@ -166,11 +163,6 @@ std::vector<FrontierPoint> RunFrontier(bool csv) {
     quant.quant_bits = bits;
     configs.push_back({"quant_" + std::to_string(bits),
                        "quant " + std::to_string(bits) + "-bit", quant});
-  }
-  {
-    CodecOptions basis;
-    basis.mode = CodecMode::kBasisCoeffs;
-    configs.push_back({"basis", "basis+coeffs", basis});
   }
 
   std::vector<FrontierPoint> points;
@@ -231,12 +223,10 @@ void WriteFrontierJson(const std::vector<FrontierPoint>& points,
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return;
   }
-  double basis_reduction = 0.0;
   out << "{\"comm_cost\":{\"config\":\"D=1024,m=4,d_t=rank,spc=12\","
       << "\"frontier\":{";
   for (size_t i = 0; i < points.size(); ++i) {
     const FrontierPoint& point = points[i];
-    if (point.key == "basis") basis_reduction = point.reduction;
     char buffer[256];
     std::snprintf(buffer, sizeof(buffer),
                   "%s\"%s\":{\"acc\":%.2f,\"wire_bytes\":%lld,"
@@ -245,10 +235,7 @@ void WriteFrontierJson(const std::vector<FrontierPoint>& points,
                   static_cast<long long>(point.wire_bytes), point.reduction);
     out << buffer;
   }
-  char tail[64];
-  std::snprintf(tail, sizeof(tail), "},\"basis_reduction\":%.3f}}\n",
-                basis_reduction);
-  out << tail;
+  out << "}}}\n";
   std::fprintf(stderr, "wrote frontier to %s\n", path.c_str());
 }
 

@@ -55,8 +55,8 @@ trap 'rm -rf "${raw_dir}"' EXIT
 "${build_dir}/bench/micro_sc" \
   --benchmark_filter='BM_RunFedSc|BM_FedScBasisTallD' \
   --benchmark_format=json > "${raw_dir}/sc.json"
-# Serialized-codec accuracy-vs-bits frontier (deterministic byte counts, so
-# the >= 2x basis-reduction floor is a correctness gate, not a perf one).
+# Serialized-codec accuracy-vs-bits frontier (deterministic bytes and ACC,
+# so its rows are correctness records, not perf ones).
 "${build_dir}/bench/comm_cost" --json-out="${raw_dir}/comm.json" \
   > /dev/null
 # Byzantine-defense colluding sweep (deterministic accuracies, so the

@@ -48,9 +48,6 @@ MIN_ISA_BEST_OVER_GENERIC_512 = 1.25
 # the looped per-panel SVD at the fleet-scale batch of 1024.
 BATCHED_BASIS_BATCHES = ("64", "1024")
 MIN_BATCHED_BASIS_SPEEDUP_1024 = 2.0
-# The kBasisCoeffs codec must cut serialized uplink bytes at least in half
-# vs raw f64 at D=1024, m=4 (bench/comm_cost.cc accuracy-vs-bits frontier).
-MIN_BASIS_UPLINK_REDUCTION = 2.0
 # Byzantine-defense floors on the colluding sweep (bench/fig_robustness.cc
 # `robustness` section): at the 20% colluding rate the defended run must
 # beat the undefended one by at least this many accuracy points, and stay
@@ -72,7 +69,6 @@ MAX_SKETCHED_ACC_GAP = 2.0
 # Codecs the comm_cost frontier must report (bench/comm_cost.cc RunFrontier).
 COMM_CODECS = (
     "raw_f64", "raw_f32", "quant_16", "quant_8", "quant_4", "quant_2",
-    "basis",
 )
 
 _errors = []
@@ -247,13 +243,6 @@ def check(doc):
                     f"{where}.reduction {entry['reduction']} inconsistent "
                     f"with raw_f64/{codec} bytes = {derived:.3f}"
                 )
-    basis_reduction = comm.get("basis_reduction")
-    if positive(basis_reduction, "comm_cost.basis_reduction"):
-        if basis_reduction < MIN_BASIS_UPLINK_REDUCTION:
-            err(
-                f"basis codec uplink reduction {basis_reduction} below the "
-                f"{MIN_BASIS_UPLINK_REDUCTION}x floor (D=1024, m=4)"
-            )
 
     robustness = doc.get("robustness", {})
     collude = robustness.get("collude", {})

@@ -84,7 +84,7 @@ cmake -S "${repo_root}" -B "${asan_dir}" \
 cmake --build "${asan_dir}" -j "$(nproc)" \
   --target faults_test defense_test server_test blas_test batch_test \
   parallel_determinism_test qr_cholesky_test svd_eig_test codec_test \
-  wire_fuzz_test journal_test sketch_test sc_test
+  wire_fuzz_test journal_test sketch_test sc_test fed_test
 
 "${asan_dir}/tests/faults_test"
 # Screening indexes per-sample peer lists and per-device slots built from
@@ -121,6 +121,10 @@ cmake --build "${asan_dir}" -j "$(nproc)" \
 # The ADMM solvers index Z-update scratch whose row count depends on the
 # factored/direct operator shape; ASAN gates that indexing.
 "${asan_dir}/tests/sc_test"
+# The channel and privacy plumbing: encode/decode round trips through the
+# codec, retry/backoff bookkeeping, and the Gaussian mechanism's in-place
+# column clipping; ASAN gates the buffer handling.
+"${asan_dir}/tests/fed_test"
 
 # Forced-generic pass, mirroring the TSAN one: the ragged packed-panel
 # tails differ per micro-tile shape, so the generic tier's edge handling

@@ -108,7 +108,7 @@ echo "robustness smoke test passed"
 # a fully wire-corrupted round must degrade gracefully — corrupt uploads
 # rejected as typed wire-corrupt quarantines, never a crash. The decoder
 # fuzzer and codec property suites already ran under ctest above.
-for codec in raw quant basis; do
+for codec in raw quant; do
   build/tools/fedsc_cli --input "${obs_dir}/smoke.csv" --clusters 3 \
     --devices 4 --codec "${codec}" --wire-dump "${obs_dir}/up.${codec}.wire"
   head -c 4 "${obs_dir}/up.${codec}.wire" | grep -q "FSCW"

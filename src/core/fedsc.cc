@@ -247,6 +247,13 @@ Result<LocalClusteringOutput> LocalClusterAndSample(const Matrix& points,
   return out;
 }
 
+Result<Matrix> ReleaseUpload(const Matrix& samples,
+                             const FedScOptions& options, uint64_t seed) {
+  if (!options.use_dp) return samples;
+  Rng dp_rng(seed ^ 0xD1FFE4E47'1A1ULL);
+  return PrivatizeSamples(samples, options.dp, &dp_rng);
+}
+
 Result<CentralPool> PoolAndScreen(const std::vector<Matrix>& uploads,
                                   const FedScOptions& options,
                                   int64_t sim_ms) {
@@ -492,21 +499,16 @@ Result<FedScResult> RunFedSc(const FederatedDataset& data,
           locals[static_cast<size_t>(z)].num_local_clusters;
       FEDSC_METRIC_COUNTER("fedsc.local_clusters")
           .Add(locals[static_cast<size_t>(z)].num_local_clusters);
-      const Matrix* upload = &locals[static_cast<size_t>(z)].samples;
-      Matrix privatized;
-      if (options.use_dp) {
-        Rng dp_rng(device_seeds[static_cast<size_t>(z)] ^
-                   0xD1FFE4E47'1A1ULL);
-        FEDSC_ASSIGN_OR_RETURN(privatized,
-                               PrivatizeSamples(*upload, options.dp, &dp_rng));
-        upload = &privatized;
-      }
+      FEDSC_ASSIGN_OR_RETURN(
+          const Matrix upload,
+          ReleaseUpload(locals[static_cast<size_t>(z)].samples, options,
+                        device_seeds[static_cast<size_t>(z)]));
 
       // Devices upload concurrently in a real federation, so each gets its
       // own simulated clock; the phase lasts as long as the slowest device.
       SimClock device_clock;
       UplinkOutcome outcome = channel.UplinkWithRetry(
-          z, *upload, plan, options.retry, &device_clock);
+          z, upload, plan, options.retry, &device_clock);
       report.attempts = outcome.attempts;
       rounds_used = std::max<int64_t>(rounds_used, outcome.attempts);
       sim_uplink_ms = std::max(sim_uplink_ms, outcome.elapsed_ms);

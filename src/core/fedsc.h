@@ -148,6 +148,13 @@ Result<LocalClusteringOutput> LocalClusterAndSample(const Matrix& points,
                                                     const FedScOptions& options,
                                                     uint64_t seed);
 
+// What a device releases for upload: its samples, privatized by the
+// Gaussian mechanism (fed/privacy.h) on a stream keyed by `seed` when
+// options.use_dp. RunFedSc and FedScClient both call it, so the two paths
+// upload the same bits.
+Result<Matrix> ReleaseUpload(const Matrix& samples,
+                             const FedScOptions& options, uint64_t seed);
+
 // How one device fared in the round.
 enum class DeviceOutcome {
   kOk = 0,          // delivered; at least one sample accepted

@@ -81,6 +81,10 @@ std::string FedScOptionsFingerprint(const FedScOptions& options) {
     text += "|";
   };
   add(ScMethodKey(options.central_method));
+  add(CentralPathName(options.central));
+  add(std::to_string(options.central_sketch.dim));
+  add(SketchKindName(options.central_sketch.kind));
+  add(FormatDouble(options.central_sketch.leverage_ridge));
   add(std::to_string(options.use_eigengap));
   add(std::to_string(options.max_local_clusters));
   add(std::to_string(options.sample_dim));
@@ -88,11 +92,11 @@ std::string FedScOptionsFingerprint(const FedScOptions& options) {
   add(std::to_string(options.samples_per_cluster));
   add(FormatDouble(options.trim_fraction));
   add(FormatDouble(options.channel.noise_delta));
-  add(std::to_string(options.channel.bits_per_value));
-  add(std::to_string(options.channel.quantize));
-  add(FormatDouble(options.channel.quantization_range));
   add(std::to_string(options.channel.seed));
-  add(CodecModeName(EffectiveCodecOptions(options.channel).mode));
+  add(CodecModeName(options.channel.codec.mode));
+  add(std::to_string(options.channel.codec.quant_bits));
+  add(FormatDouble(options.channel.codec.quant_range));
+  add(std::to_string(options.channel.codec.raw_f32));
   add(FormatDouble(options.faults.dropout_rate));
   add(FormatDouble(options.faults.straggler_rate));
   add(FormatDouble(options.faults.straggler_mean_delay_ms));
@@ -128,6 +132,9 @@ std::string FedScOptionsFingerprint(const FedScOptions& options) {
   add(std::to_string(static_cast<int>(options.defense.robust_center)));
   add(FormatDouble(options.defense.max_device_fraction));
   add(std::to_string(options.use_dp));
+  add(FormatDouble(options.dp.epsilon));
+  add(FormatDouble(options.dp.delta));
+  add(FormatDouble(options.dp.sensitivity));
   add(std::to_string(options.seed));
   return HexDigest64(Fnv1a64(text));
 }

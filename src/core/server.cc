@@ -13,7 +13,7 @@ Result<Matrix> FedScClient::ProduceUpload() {
                            LocalClusterAndSample(points_, options_, seed_));
     ran_ = true;
   }
-  return local_.samples;
+  return ReleaseUpload(local_.samples, options_, seed_);
 }
 
 Result<std::vector<uint8_t>> FedScClient::ProduceEncodedUpload(

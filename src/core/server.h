@@ -29,8 +29,9 @@ class FedScClient {
   // random choice.
   FedScClient(Matrix points, FedScOptions options, uint64_t seed);
 
-  // Algorithm 2: cluster locally, estimate bases, draw samples. Idempotent
-  // (the result is cached).
+  // Algorithm 2: cluster locally, estimate bases, draw samples, then
+  // ReleaseUpload (the Gaussian mechanism when options.use_dp). Idempotent
+  // (the local phase is cached; the release is seeded).
   Result<Matrix> ProduceUpload();
 
   // ProduceUpload() serialized with `codec` (fed/codec.h): the byte stream

@@ -5,10 +5,6 @@
 #include <cstring>
 #include <string>
 
-#include "common/check.h"
-#include "linalg/blas.h"
-#include "linalg/svd.h"
-
 namespace fedsc {
 
 namespace {
@@ -66,16 +62,6 @@ std::vector<uint8_t> F64Payload(const Matrix& m) {
     std::memcpy(payload.data(), m.data(), payload.size());
   }
   return payload;
-}
-
-WireSectionSpec F64Section(WireSectionKind kind, const Matrix& m) {
-  WireSectionSpec section;
-  section.kind = kind;
-  section.dtype = WireDtype::kF64;
-  section.rows = static_cast<uint32_t>(m.rows());
-  section.cols = static_cast<uint32_t>(m.cols());
-  section.payload = F64Payload(m);
-  return section;
 }
 
 Matrix MatrixFromF64(const WireSectionView& view) {
@@ -183,9 +169,8 @@ Result<std::vector<uint8_t>> EncodeQuant(const Matrix& samples,
   header.cols = static_cast<uint32_t>(samples.cols());
   header.quant_range = options.quant_range;
 
-  // The same grid as the legacy in-place Channel quantizer: indices
-  // round((clamped + range) / step) on the 2^bits-level uniform grid over
-  // [-range, range], so the dequantized values are bit-identical to it.
+  // Indices round((clamped + range) / step) on the 2^bits-level uniform
+  // grid over [-range, range].
   const double range = options.quant_range;
   const double levels =
       static_cast<double>((uint64_t{1} << options.quant_bits) - 1);
@@ -203,42 +188,6 @@ Result<std::vector<uint8_t>> EncodeQuant(const Matrix& samples,
   return SerializeWireMessage(header, {std::move(section)});
 }
 
-Result<std::vector<uint8_t>> EncodeBasisCoeffs(const Matrix& samples,
-                                               const CodecOptions& options) {
-  const int64_t rows = samples.rows();
-  const int64_t cols = samples.cols();
-  // Rank-revealing split X = U C. Degenerate inputs (no columns, zero
-  // matrix) and splits that would not shrink the message fall back to raw
-  // sections — kBasisCoeffs never costs bytes over kRawSamples.
-  CodecOptions raw = options;
-  raw.raw_f32 = false;
-  if (rows == 0 || cols == 0) return EncodeRaw(samples, raw);
-  // Auto-rank basis; the wire golden fixtures pin its bits.
-  Result<Matrix> basis =
-      PrincipalSubspace(samples, /*rank=*/0, options.basis_rel_tol);
-  if (!basis.ok()) return EncodeRaw(samples, raw);
-  const int64_t k = basis->cols();
-  const int64_t raw_bytes =
-      static_cast<int64_t>(kWireSectionHeaderBytes) + 8 * rows * cols;
-  const int64_t split_bytes =
-      2 * static_cast<int64_t>(kWireSectionHeaderBytes) +
-      8 * (rows * k + k * cols);
-  if (split_bytes >= raw_bytes) return EncodeRaw(samples, raw);
-
-  Matrix coeffs(k, cols);
-  Gemm(Trans::kTrans, Trans::kNo, 1.0, *basis, samples, 0.0, &coeffs);
-
-  WireHeader header;
-  header.codec = static_cast<uint8_t>(CodecMode::kBasisCoeffs);
-  header.dtype = WireDtype::kF64;
-  header.rows = static_cast<uint32_t>(rows);
-  header.cols = static_cast<uint32_t>(cols);
-  std::vector<WireSectionSpec> sections;
-  sections.push_back(F64Section(WireSectionKind::kBasis, *basis));
-  sections.push_back(F64Section(WireSectionKind::kCoeffs, coeffs));
-  return SerializeWireMessage(header, sections);
-}
-
 }  // namespace
 
 const char* CodecModeName(CodecMode mode) {
@@ -247,16 +196,13 @@ const char* CodecModeName(CodecMode mode) {
       return "raw";
     case CodecMode::kUniformQuant:
       return "quant";
-    case CodecMode::kBasisCoeffs:
-      return "basis";
   }
   return "unknown";
 }
 
 Status ValidateCodecOptions(const CodecOptions& options) {
   if (options.mode != CodecMode::kRawSamples &&
-      options.mode != CodecMode::kUniformQuant &&
-      options.mode != CodecMode::kBasisCoeffs) {
+      options.mode != CodecMode::kUniformQuant) {
     return Status::InvalidArgument("unknown codec mode");
   }
   if (options.mode == CodecMode::kUniformQuant) {
@@ -270,9 +216,6 @@ Status ValidateCodecOptions(const CodecOptions& options) {
           "kUniformQuant requires a positive finite quant_range, got " +
           std::to_string(options.quant_range));
     }
-  }
-  if (!(options.basis_rel_tol >= 0.0)) {
-    return Status::InvalidArgument("basis_rel_tol must be >= 0");
   }
   if (options.limits.max_elements <= 0) {
     return Status::InvalidArgument("limits.max_elements must be positive");
@@ -294,8 +237,6 @@ Result<std::vector<uint8_t>> EncodeUpload(const Matrix& samples,
       return EncodeRaw(samples, options);
     case CodecMode::kUniformQuant:
       return EncodeQuant(samples, options);
-    case CodecMode::kBasisCoeffs:
-      return EncodeBasisCoeffs(samples, options);
   }
   return Status::InvalidArgument("unknown codec mode");
 }
@@ -305,7 +246,7 @@ Result<DecodedUpload> DecodeUpload(const uint8_t* data, size_t size,
   FEDSC_ASSIGN_OR_RETURN(WireMessage message,
                          ParseWireMessage(data, size, options.limits));
   const WireHeader& header = message.header;
-  if (header.codec > static_cast<uint8_t>(CodecMode::kBasisCoeffs)) {
+  if (header.codec > static_cast<uint8_t>(CodecMode::kUniformQuant)) {
     return Corrupt("unknown codec byte " + std::to_string(header.codec));
   }
   DecodedUpload out;
@@ -378,38 +319,6 @@ Result<DecodedUpload> DecodeUpload(const uint8_t* data, size_t size,
                                        out.samples.data());
       return out;
     }
-    case CodecMode::kBasisCoeffs: {
-      if (message.sections.size() != 2) {
-        return Corrupt("basis codec expects 2 sections, found " +
-                       std::to_string(message.sections.size()));
-      }
-      const WireSectionView& basis = message.sections[0];
-      const WireSectionView& coeffs = message.sections[1];
-      if (basis.kind != WireSectionKind::kBasis ||
-          coeffs.kind != WireSectionKind::kCoeffs) {
-        return Corrupt("basis codec expects sections [basis, coeffs]");
-      }
-      if (basis.dtype != WireDtype::kF64 ||
-          coeffs.dtype != WireDtype::kF64) {
-        return Corrupt("basis codec sections must be f64");
-      }
-      if (basis.rows != header.rows || coeffs.cols != header.cols ||
-          basis.cols != coeffs.rows) {
-        return Corrupt(
-            "basis/coeffs shapes are inconsistent: basis " +
-            std::to_string(basis.rows) + "x" + std::to_string(basis.cols) +
-            ", coeffs " + std::to_string(coeffs.rows) + "x" +
-            std::to_string(coeffs.cols) + ", header " +
-            std::to_string(header.rows) + "x" + std::to_string(header.cols));
-      }
-      const Matrix u = MatrixFromF64(basis);
-      const Matrix c = MatrixFromF64(coeffs);
-      out.samples = Matrix(header.rows, header.cols);
-      if (out.samples.size() > 0 && u.cols() > 0) {
-        Gemm(Trans::kNo, Trans::kNo, 1.0, u, c, 0.0, &out.samples);
-      }
-      return out;
-    }
   }
   return Corrupt("unknown codec byte " + std::to_string(header.codec));
 }
@@ -432,9 +341,6 @@ int64_t EncodedWireBytes(int64_t rows, int64_t cols,
              WirePayloadBytes(options.raw_f32 ? WireDtype::kF32
                                               : WireDtype::kF64,
                               rows, cols, 0);
-    case CodecMode::kBasisCoeffs:
-      // Data-dependent; the raw fallback bounds it from above.
-      return overhead + WirePayloadBytes(WireDtype::kF64, rows, cols, 0);
   }
   return -1;
 }

@@ -1,7 +1,7 @@
 // Uplink codecs over the wire format (fed/wire.h): how a device's sample
 // matrix becomes the byte stream a transport would carry.
 //
-// Three modes, picked by CodecOptions::mode (a user-facing bytes/accuracy
+// Two modes, picked by CodecOptions::mode (a user-facing bytes/accuracy
 // trade-off; the encoding is a pure function of the options and the data,
 // never of timing):
 //
@@ -11,18 +11,10 @@
 //                   serialized*: indices packed at quant_bits bits each, so
 //                   the measured wire bytes equal what a real transport
 //                   would carry.
-//   kBasisCoeffs  — subspace-aware compression: when the S uploaded columns
-//                   span a rank-k subspace with k < S (the m > 1
-//                   samples-per-cluster regime), ship an orthonormal D x k
-//                   basis plus the k x S coefficient matrix and reconstruct
-//                   X = U * C server-side — O(k (D + S)) values instead of
-//                   O(D S). Falls back to raw sections whenever that would
-//                   not shrink the message, so it never costs bytes.
 //
 // EncodeUpload / DecodeUpload round-trip exactly for kRawSamples (bit for
-// bit) and to numerical precision for kBasisCoeffs at full numerical rank;
-// kUniformQuant incurs at most a half-step error inside the clamp range
-// (tests/codec_test.cc sweeps all three across dtypes, degenerate shapes,
+// bit); kUniformQuant incurs at most a half-step error inside the clamp
+// range (tests/codec_test.cc sweeps both across dtypes, degenerate shapes,
 // and bit widths). DecodeUpload returns typed Status on ANY malformed
 // input — never crashing or reading out of bounds (tests/wire_fuzz_test.cc).
 
@@ -41,7 +33,6 @@ namespace fedsc {
 enum class CodecMode : uint8_t {
   kRawSamples = 0,
   kUniformQuant = 1,
-  kBasisCoeffs = 2,
 };
 
 const char* CodecModeName(CodecMode mode);
@@ -49,17 +40,11 @@ const char* CodecModeName(CodecMode mode);
 struct CodecOptions {
   CodecMode mode = CodecMode::kRawSamples;
   // kUniformQuant: bits per value (in [2, 32]) and the symmetric clamp
-  // range. The grid matches the legacy in-place Channel quantizer exactly,
-  // so switching a quantized channel to the serialized codec is
-  // result-preserving.
+  // range, i.e. Section IV-E's q and the grid's half-width.
   int quant_bits = 8;
   double quant_range = 1.5;
   // kRawSamples: ship f32 instead of f64 (halves payload, lossy rounding).
   bool raw_f32 = false;
-  // kBasisCoeffs: singular directions below basis_rel_tol * sigma_1 are
-  // dropped from the basis. The tight default keeps reconstruction exact to
-  // numerical precision; loosening it trades fidelity for bytes.
-  double basis_rel_tol = 1e-10;
   // Decoder resource bounds (see WireLimits).
   WireLimits limits;
 };
@@ -68,9 +53,7 @@ Status ValidateCodecOptions(const CodecOptions& options);
 
 struct DecodedUpload {
   Matrix samples;
-  // What the wire actually carried: kBasisCoeffs encoders fall back to
-  // kRawSamples when compression would not pay, and the header records the
-  // truth.
+  // The codec the header records.
   CodecMode mode = CodecMode::kRawSamples;
   uint16_t version = kWireVersion;
 };
@@ -89,11 +72,9 @@ Result<DecodedUpload> DecodeUpload(const uint8_t* data, size_t size,
 Result<DecodedUpload> DecodeUpload(const std::vector<uint8_t>& wire,
                                    const CodecOptions& options = {});
 
-// Exact serialized size in bytes of a rows x cols upload under `options`,
-// for the shape-determined modes (kRawSamples, kUniformQuant). For
-// kBasisCoeffs the size depends on the data's numerical rank, so this
-// returns the raw-fallback upper bound. Used by the accounting regression
-// tests and the comm-cost bench.
+// Exact serialized size in bytes of a rows x cols upload under `options`
+// (every mode's size is a function of the shape alone). Used by the
+// accounting regression tests and the comm-cost bench.
 int64_t EncodedWireBytes(int64_t rows, int64_t cols,
                          const CodecOptions& options);
 

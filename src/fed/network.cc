@@ -12,13 +12,7 @@
 namespace fedsc {
 
 CodecOptions EffectiveCodecOptions(const ChannelOptions& options) {
-  CodecOptions codec = options.codec;
-  if (options.quantize && codec.mode == CodecMode::kRawSamples) {
-    codec.mode = CodecMode::kUniformQuant;
-    codec.quant_bits = options.bits_per_value;
-    codec.quant_range = options.quantization_range;
-  }
-  return codec;
+  return options.codec;
 }
 
 Status ValidateChannelOptions(const ChannelOptions& options) {
@@ -26,22 +20,7 @@ Status ValidateChannelOptions(const ChannelOptions& options) {
     return Status::InvalidArgument("noise_delta must be >= 0, got " +
                                    std::to_string(options.noise_delta));
   }
-  if (options.bits_per_value < 1) {
-    return Status::InvalidArgument("bits_per_value must be >= 1, got " +
-                                   std::to_string(options.bits_per_value));
-  }
-  if (options.quantize &&
-      (options.bits_per_value < 2 || options.bits_per_value > 32)) {
-    return Status::InvalidArgument(
-        "quantization requires bits_per_value in [2, 32], got " +
-        std::to_string(options.bits_per_value));
-  }
-  if (options.quantize && options.quantization_range <= 0.0) {
-    return Status::InvalidArgument(
-        "quantization_range must be positive, got " +
-        std::to_string(options.quantization_range));
-  }
-  return ValidateCodecOptions(EffectiveCodecOptions(options));
+  return ValidateCodecOptions(options.codec);
 }
 
 Status ValidateRetryOptions(const RetryOptions& options) {
@@ -76,9 +55,7 @@ Result<Channel> Channel::Create(const ChannelOptions& options) {
 }
 
 Channel::Channel(const ChannelOptions& options)
-    : options_(options),
-      codec_(EffectiveCodecOptions(options)),
-      rng_(options.seed) {}
+    : options_(options), rng_(options.seed) {}
 
 void Channel::ApplyNoise(Matrix* samples) {
   if (options_.noise_delta <= 0.0 || samples->cols() == 0) return;
@@ -91,7 +68,7 @@ void Channel::ApplyNoise(Matrix* samples) {
 }
 
 std::vector<uint8_t> Channel::Encode(const Matrix& samples) {
-  Result<std::vector<uint8_t>> wire = EncodeUpload(samples, codec_);
+  Result<std::vector<uint8_t>> wire = EncodeUpload(samples, options_.codec);
   FEDSC_CHECK(wire.ok()) << "uplink encode failed on a validated channel: "
                          << wire.status().ToString();
   return std::move(*wire);
@@ -112,7 +89,7 @@ Matrix Channel::Uplink(const Matrix& samples) {
   std::vector<uint8_t> wire = Encode(noisy);
   ChargeUplinkAttempt(samples.size(), static_cast<int64_t>(wire.size()));
   if (options_.wire_sink) options_.wire_sink(-1, wire);
-  Result<DecodedUpload> decoded = DecodeUpload(wire, codec_);
+  Result<DecodedUpload> decoded = DecodeUpload(wire, options_.codec);
   FEDSC_CHECK(decoded.ok()) << "own encoding failed to decode: "
                             << decoded.status().ToString();
   return std::move(decoded->samples);
@@ -212,7 +189,7 @@ UplinkOutcome Channel::UplinkWithRetry(int64_t device, const Matrix& payload,
     const bool wire_faulted = plan.ApplyWireFault(device, &wire);
     ChargeUplinkAttempt(sent.size(), static_cast<int64_t>(wire.size()));
     if (options_.wire_sink) options_.wire_sink(device, wire);
-    Result<DecodedUpload> decoded = DecodeUpload(wire, codec_);
+    Result<DecodedUpload> decoded = DecodeUpload(wire, options_.codec);
     if (!decoded.ok()) {
       // Every scheduled wire fault is CRC/length-detectable; an undamaged
       // message failing to decode is a codec bug, not a simulation outcome.
@@ -231,7 +208,7 @@ UplinkOutcome Channel::UplinkWithRetry(int64_t device, const Matrix& payload,
     FEDSC_JOURNAL_EVENT("delivered", device, clock->now_ms(),
                         {{"attempt", attempt},
                          {"wire_bytes", static_cast<int64_t>(wire.size())},
-                         {"codec", CodecModeName(codec_.mode)}});
+                         {"codec", CodecModeName(options_.codec.mode)}});
     outcome.received = std::move(decoded->samples);
     outcome.delivered = true;
     outcome.status = Status::OK();

@@ -25,23 +25,12 @@ struct ChannelOptions {
   // Fig. 7's delta; the uplink of device z is perturbed by i.i.d. Gaussian
   // noise with stddev delta / sqrt(r^(z)). 0 disables noise.
   double noise_delta = 0.0;
-  // Bits per transmitted floating-point value (q in Section IV-E). With the
-  // serialized uplink this is no longer what the accounting charges — the
-  // wire carries whole encoded messages and uplink_bits counts their real
-  // bytes — but it still selects the quantizer width via the legacy
-  // `quantize` switch below.
-  int bits_per_value = 64;
-  // Legacy switch for Section IV-E's q-bit quantization: when true (and
-  // `codec.mode` was left at kRawSamples) the channel behaves as if
-  // codec.mode were kUniformQuant with quant_bits = bits_per_value and
-  // quant_range = quantization_range. Requires 2 <= bits_per_value <= 32.
-  bool quantize = false;
-  double quantization_range = 1.5;
   uint64_t seed = 0x5eed'c4a7ULL;
-  // How uploads are serialized (fed/codec.h). Every uplink is actually
-  // encoded to wire bytes and decoded back — CommStats counts the true
-  // serialized size, and wire faults (fed/faults.h) mutate the byte stream
-  // in between.
+  // How uploads are serialized (fed/codec.h); Section IV-E's q-bit
+  // quantization is codec.mode = kUniformQuant at codec.quant_bits. Every
+  // uplink is actually encoded to wire bytes and decoded back — CommStats
+  // counts the true serialized size, and wire faults (fed/faults.h) mutate
+  // the byte stream in between.
   CodecOptions codec;
   // Observation hook: called with every transmitted (post-wire-fault)
   // uplink message. Device is -1 for direct Uplink() calls that carry no
@@ -51,17 +40,12 @@ struct ChannelOptions {
       wire_sink;
 };
 
-// The codec the channel actually runs: `options.codec` unless the legacy
-// `quantize` switch asks for uniform quantization on top of a default
-// (kRawSamples) codec, in which case bits_per_value / quantization_range
-// map onto a kUniformQuant codec. Exposed so accounting tests and benches
-// can predict exact wire sizes via EncodedWireBytes.
+// The codec the channel runs: `options.codec`.
 CodecOptions EffectiveCodecOptions(const ChannelOptions& options);
 
 // Rejects out-of-range ChannelOptions up front instead of letting the
-// channel silently misbehave: bits_per_value must be positive (and within
-// [2, 32] when quantize is set), noise_delta nonnegative, and
-// quantization_range positive.
+// channel silently misbehave: noise_delta must be nonnegative and the
+// codec valid (ValidateCodecOptions).
 Status ValidateChannelOptions(const ChannelOptions& options);
 
 // Retry semantics for one device's uplink. The defaults describe the
@@ -135,11 +119,9 @@ class Channel {
   explicit Channel(const ChannelOptions& options);
 
   // Uplink of an n x r sample matrix from one device: applies channel noise
-  // (if configured), encodes the result with the effective codec, charges
-  // the serialized byte count to the stats, and returns the decoded matrix —
-  // i.e. exactly what the server reconstructs from the wire. Bit-identical
-  // to the historical in-place path for kRawSamples (f64) and for the
-  // legacy quantizer grid.
+  // (if configured), encodes the result with the codec, charges the
+  // serialized byte count to the stats, and returns the decoded matrix —
+  // i.e. exactly what the server reconstructs from the wire.
   Matrix Uplink(const Matrix& samples);
 
   // Fault-aware uplink of device z's payload: applies the device's payload
@@ -175,7 +157,7 @@ class Channel {
   // Adds channel noise in place (no-op when noise_delta == 0). Consumes
   // rng_ draws in the same order as the historical in-place path.
   void ApplyNoise(Matrix* samples);
-  // Serializes under the effective codec; encoding a validated channel's
+  // Serializes under the codec; encoding a validated channel's
   // payload cannot fail, so failures crash (programming error).
   std::vector<uint8_t> Encode(const Matrix& samples);
   // Charges one transmitted attempt: `values` sample values as
@@ -183,7 +165,6 @@ class Channel {
   void ChargeUplinkAttempt(int64_t values, int64_t wire_bytes);
 
   ChannelOptions options_;
-  CodecOptions codec_;
   Rng rng_;
   CommStats stats_;
 };

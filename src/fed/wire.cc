@@ -40,7 +40,7 @@ bool ValidDtype(uint8_t raw) {
 }
 
 bool ValidSectionKind(uint8_t raw) {
-  return raw <= static_cast<uint8_t>(WireSectionKind::kCoeffs);
+  return raw == static_cast<uint8_t>(WireSectionKind::kSamples);
 }
 
 }  // namespace
@@ -61,10 +61,6 @@ const char* WireSectionKindName(WireSectionKind kind) {
   switch (kind) {
     case WireSectionKind::kSamples:
       return "samples";
-    case WireSectionKind::kBasis:
-      return "basis";
-    case WireSectionKind::kCoeffs:
-      return "coeffs";
   }
   return "unknown";
 }

@@ -49,12 +49,10 @@ enum class WireDtype : uint8_t {
 
 const char* WireDtypeName(WireDtype dtype);
 
-// Role of a section inside the message. kRawSamples / kUniformQuant carry a
-// single kSamples section; kBasisCoeffs carries kBasis then kCoeffs.
+// Role of a section inside the message. Both codecs carry a single
+// kSamples section; other kind bytes are rejected on parse.
 enum class WireSectionKind : uint8_t {
   kSamples = 0,
-  kBasis = 1,
-  kCoeffs = 2,
 };
 
 const char* WireSectionKindName(WireSectionKind kind);

@@ -15,29 +15,6 @@ namespace fedsc {
 
 namespace {
 
-// Dictionary column j = X s_j / sqrt(d) with s_j a fresh random-sign vector
-// from Rng(MixSeeds(seed, j)). Generating the signs per output column keeps
-// the draw independent of the thread partition, and the Gemv runs inline on
-// the worker, so the dictionary is bit-identical for every thread count.
-Matrix JlDictionary(const Matrix& x, int64_t dim, uint64_t seed,
-                    int num_threads) {
-  const int64_t n = x.cols();
-  Matrix dictionary(x.rows(), dim);
-  const double scale = 1.0 / std::sqrt(static_cast<double>(dim));
-  ParallelForRanges(0, dim, num_threads, [&](int64_t j0, int64_t j1, int) {
-    Vector signs(static_cast<size_t>(n), 0.0);
-    for (int64_t j = j0; j < j1; ++j) {
-      Rng rng(MixSeeds(seed, static_cast<uint64_t>(j)));
-      for (int64_t i = 0; i < n; ++i) {
-        signs[static_cast<size_t>(i)] =
-            (rng.Next() & 1) != 0 ? scale : -scale;
-      }
-      Gemv(Trans::kNo, 1.0, x, signs.data(), 0.0, dictionary.ColData(j));
-    }
-  });
-  return dictionary;
-}
-
 std::vector<int64_t> UniformLandmarks(int64_t n, int64_t dim, uint64_t seed) {
   Rng rng(MixSeeds(seed, 0));
   std::vector<int64_t> landmarks = rng.SampleWithoutReplacement(n, dim);
@@ -80,8 +57,6 @@ std::vector<int64_t> LeverageLandmarks(const Vector& scores, int64_t dim,
 
 const char* SketchKindName(SketchKind kind) {
   switch (kind) {
-    case SketchKind::kJl:
-      return "jl";
     case SketchKind::kUniformLandmarks:
       return "uniform";
     case SketchKind::kLeverageLandmarks:
@@ -129,10 +104,6 @@ Result<SketchResult> SketchDictionary(const Matrix& x,
                                  {"dim", options.dim}});
   SketchResult result;
   switch (options.kind) {
-    case SketchKind::kJl:
-      result.dictionary =
-          JlDictionary(x, options.dim, options.seed, options.num_threads);
-      break;
     case SketchKind::kUniformLandmarks:
       result.landmarks = UniformLandmarks(n, options.dim, options.seed);
       result.dictionary = x.GatherCols(result.landmarks);

@@ -4,13 +4,10 @@
 // against a D x d dictionary B = X S built from the pooled data, so the
 // per-column cost drops from O(N * D) to O(d * D).
 //
-// Two sketch families are provided:
-//  * JL (subsampled random signs): B = X S / sqrt(d) with S in {-1, +1}^{N x d}.
-//    Dense combinations of the data; no landmark identity.
-//  * Column landmarks (uniform or ridge-leverage-score sampling): B gathers d
-//    actual data columns, so coefficient row a corresponds to pooled sample
-//    landmarks[a] — this is what the landmark-mediated affinity and the
-//    Nystrom spectral extension consume.
+// S selects d column landmarks (uniform or ridge-leverage-score sampling):
+// B gathers d actual data columns, so coefficient row a corresponds to
+// pooled sample landmarks[a] — this is what the landmark-mediated affinity
+// and the Nystrom spectral extension consume.
 //
 // Determinism contract: the sketch is a pure function of (data, options.seed,
 // shape). Every random draw comes from Rng(MixSeeds(seed, j)) keyed by the
@@ -29,8 +26,6 @@
 namespace fedsc {
 
 enum class SketchKind {
-  // B = X S / sqrt(d) with i.i.d. random-sign S (Achlioptas-style JL).
-  kJl,
   // d distinct data columns sampled uniformly without replacement.
   kUniformLandmarks,
   // d distinct data columns sampled by exact ridge leverage scores
@@ -59,7 +54,7 @@ struct SketchOptions {
 
 struct SketchResult {
   Matrix dictionary;  // D x d
-  // Data-column index of each dictionary atom, ascending; empty for kJl.
+  // Data-column index of each dictionary atom, ascending.
   std::vector<int64_t> landmarks;
 };
 

@@ -23,7 +23,6 @@
 #include "fed/faults.h"
 #include "fed/network.h"
 #include "fed/wire.h"
-#include "linalg/blas.h"
 #include "linalg/matrix.h"
 
 namespace fedsc {
@@ -37,16 +36,6 @@ Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed,
     m.data()[i] = scale * (2.0 * rng.Uniform() - 1.0);
   }
   return m;
-}
-
-// rows x cols matrix whose columns span a `rank`-dimensional subspace.
-Matrix LowRankMatrix(int64_t rows, int64_t cols, int64_t rank,
-                     uint64_t seed) {
-  const Matrix u = RandomMatrix(rows, rank, seed);
-  const Matrix c = RandomMatrix(rank, cols, seed ^ 0x9e3779b9ULL);
-  Matrix x(rows, cols);
-  Gemm(Trans::kNo, Trans::kNo, 1.0, u, c, 0.0, &x);
-  return x;
 }
 
 std::vector<uint8_t> MustEncode(const Matrix& samples,
@@ -240,47 +229,6 @@ TEST(CodecTest, UniformQuantDegenerateShapesAndWidths) {
   }
 }
 
-TEST(CodecTest, BasisCoeffsReconstructsLowRankDataExactly) {
-  // 64-dim ambient, 24 columns spanning a rank-4 subspace: the split ships
-  // 4 * (64 + 24) = 352 values instead of 64 * 24 = 1536.
-  const Matrix samples = LowRankMatrix(64, 24, 4, 31);
-  CodecOptions options;
-  options.mode = CodecMode::kBasisCoeffs;
-  const std::vector<uint8_t> wire = MustEncode(samples, options);
-  const int64_t raw_bytes = EncodedWireBytes(64, 24, CodecOptions{});
-  EXPECT_LT(static_cast<int64_t>(wire.size()), raw_bytes / 2);
-  const DecodedUpload decoded = MustDecode(wire);
-  EXPECT_EQ(decoded.mode, CodecMode::kBasisCoeffs);
-  ASSERT_EQ(decoded.samples.rows(), 64);
-  ASSERT_EQ(decoded.samples.cols(), 24);
-  EXPECT_TRUE(AllClose(decoded.samples, samples, 1e-9));
-}
-
-TEST(CodecTest, BasisCoeffsFallsBackToRawWhenCompressionDoesNotPay) {
-  CodecOptions options;
-  options.mode = CodecMode::kBasisCoeffs;
-  // Full-rank square-ish data: k * (D + S) >= D * S, so basis mode must
-  // quietly ship raw sections instead of inflating the message.
-  const Matrix full_rank = RandomMatrix(6, 5, 41);
-  const std::vector<uint8_t> wire = MustEncode(full_rank, options);
-  EXPECT_EQ(static_cast<int64_t>(wire.size()),
-            EncodedWireBytes(6, 5, CodecOptions{}));
-  const DecodedUpload decoded = MustDecode(wire);
-  EXPECT_EQ(decoded.mode, CodecMode::kRawSamples);
-  EXPECT_TRUE(AllClose(decoded.samples, full_rank, 0.0));  // raw => exact
-
-  // Degenerate shapes never crash the basis path either.
-  for (auto [rows, cols] : {std::pair<int64_t, int64_t>{4, 0},
-                            {1, 1},
-                            {1, 5}}) {
-    const Matrix m = RandomMatrix(rows, cols, 43);
-    const DecodedUpload d = MustDecode(MustEncode(m, options));
-    ASSERT_EQ(d.samples.rows(), rows);
-    ASSERT_EQ(d.samples.cols(), cols);
-    EXPECT_TRUE(AllClose(d.samples, m, 1e-9));
-  }
-}
-
 TEST(CodecTest, ValidatesOptions) {
   CodecOptions bad_bits;
   bad_bits.mode = CodecMode::kUniformQuant;
@@ -354,10 +302,20 @@ TEST(WireTest, NonzeroReservedWordsAreRejected) {
   // reserved u16 (bytes 2..3) must be zero. The section word has no CRC
   // over it, so only this check catches a flip there; the header word is
   // also re-checked with its CRC patched, so the CRC is not what rejects it.
-  CodecOptions options;
-  options.mode = CodecMode::kBasisCoeffs;  // two sections
-  const std::vector<uint8_t> clean =
-      MustEncode(LowRankMatrix(64, 24, 4, 31), options);
+  // Two sections, so a reserved word past the first section is covered too.
+  // The parser accepts any section count; only the codec insists on one.
+  WireHeader header;
+  std::vector<WireSectionSpec> sections(2);
+  for (WireSectionSpec& section : sections) {
+    section.rows = 4;
+    section.cols = 3;
+    section.payload.assign(4 * 3 * 8, 0x5a);
+  }
+  header.rows = 4;
+  header.cols = 3;
+  auto serialized = SerializeWireMessage(header, sections);
+  ASSERT_TRUE(serialized.ok()) << serialized.status().ToString();
+  const std::vector<uint8_t> clean = *serialized;
   auto parsed = ParseWireMessage(clean.data(), clean.size());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->sections.size(), 2u);
@@ -454,13 +412,6 @@ std::vector<GoldenCase> GoldenCases() {
     quant.samples = RandomMatrix(6, 4, 1003, 1.5);
     cases.push_back(std::move(quant));
   }
-  {
-    GoldenCase basis;
-    basis.file = "basis_16x8_rank2.wire";
-    basis.options.mode = CodecMode::kBasisCoeffs;
-    basis.samples = LowRankMatrix(16, 8, 2, 1004);
-    cases.push_back(std::move(basis));
-  }
   return cases;
 }
 
@@ -497,33 +448,6 @@ TEST(GoldenFixtureTest, EncodingsMatchTheCommittedBytes) {
     ASSERT_TRUE(ReadFileBytes(path, &committed))
         << "missing golden fixture " << path
         << " (generate with FEDSC_UPDATE_GOLDEN=1)";
-    if (c.options.mode == CodecMode::kBasisCoeffs) {
-      // The basis payload is SVD output, whose last ulp varies with the
-      // compiler flag set (plain vs sanitizer builds), so byte-pinning it
-      // would pin the toolchain, not the format. Pin the container layout
-      // instead: total size, the full 36-byte header (its CRC covers only
-      // the deterministic metadata), and each section header minus its
-      // payload CRC.
-      ASSERT_EQ(wire.size(), committed.size()) << c.file;
-      ASSERT_GE(wire.size(), kWireHeaderBytes + 2 * kWireSectionHeaderBytes);
-      EXPECT_TRUE(std::equal(wire.begin(), wire.begin() + kWireHeaderBytes,
-                             committed.begin()))
-          << c.file << ": message header changed";
-      size_t offset = kWireHeaderBytes;
-      for (int section = 0; section < 2; ++section) {
-        ASSERT_LE(offset + kWireSectionHeaderBytes, wire.size()) << c.file;
-        EXPECT_TRUE(std::equal(wire.begin() + offset,
-                               wire.begin() + offset + 20,
-                               committed.begin() + offset))
-            << c.file << ": section " << section << " header changed";
-        uint64_t payload_bytes = 0;
-        std::memcpy(&payload_bytes, wire.data() + offset + 12,
-                    sizeof(payload_bytes));
-        offset += kWireSectionHeaderBytes + payload_bytes;
-      }
-      EXPECT_EQ(offset, wire.size()) << c.file;
-      continue;
-    }
     // Byte-for-byte: any mismatch means the wire layout changed without a
     // version bump.
     EXPECT_EQ(wire, committed) << c.file;
@@ -545,13 +469,26 @@ TEST(GoldenFixtureTest, CommittedBytesDecodeToTheOriginalSamples) {
     ASSERT_EQ(decoded->samples.cols(), c.samples.cols()) << c.file;
     if (c.options.mode == CodecMode::kRawSamples && !c.options.raw_f32) {
       EXPECT_TRUE(AllClose(decoded->samples, c.samples, 0.0)) << c.file;
-    } else if (c.options.mode == CodecMode::kBasisCoeffs) {
-      EXPECT_TRUE(AllClose(decoded->samples, c.samples, 1e-9)) << c.file;
     } else {
       // f32 rounding / 5-bit quantization (half-step = 1.5 / 31 ~ 0.0484).
       EXPECT_TRUE(AllClose(decoded->samples, c.samples, 0.05)) << c.file;
     }
   }
+}
+
+// basis_16x8_rank2.wire is a well-formed version-1 message from the retired
+// basis+coefficients codec (codec byte 2, sections of kind 1 and 2). It stays
+// committed as a rejection fixture: today's decoder must refuse it with a
+// typed kWireCorrupt, never decode it or crash.
+TEST(GoldenFixtureTest, RetiredBasisCodecIsRejectedAsWireCorrupt) {
+  std::vector<uint8_t> committed;
+  ASSERT_TRUE(ReadFileBytes(GoldenPath("basis_16x8_rank2.wire"), &committed));
+  ASSERT_GE(committed.size(), kWireHeaderBytes);
+  EXPECT_EQ(committed[8], 2);  // the codec byte
+  auto decoded = DecodeUpload(committed);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kWireCorrupt)
+      << decoded.status().ToString();
 }
 
 }  // namespace

@@ -140,7 +140,7 @@ TEST(ChannelTest, AccountingMatchesFormulas) {
   channel.Uplink(Matrix(10, 2));
   channel.Downlink(5, 16);
   channel.FinishRound();
-  const CodecOptions codec = EffectiveCodecOptions(options);
+  const CodecOptions& codec = options.codec;
   const int64_t wire_bytes =
       EncodedWireBytes(10, 3, codec) + EncodedWireBytes(10, 2, codec);
   EXPECT_EQ(wire_bytes, 2 * (36 + 24) + 8 * 50);  // f64 payloads + framing
@@ -154,13 +154,12 @@ TEST(ChannelTest, AccountingMatchesFormulas) {
 
 TEST(ChannelTest, QuantizedAccountingChargesPackedBits) {
   ChannelOptions options;
-  options.quantize = true;
-  options.bits_per_value = 8;
+  options.codec.mode = CodecMode::kUniformQuant;
+  options.codec.quant_bits = 8;
   Channel channel(options);
   channel.Uplink(Matrix(10, 3));
   // 30 values at 8 bits pack into 30 payload bytes plus fixed framing.
-  const int64_t wire_bytes = EncodedWireBytes(
-      10, 3, EffectiveCodecOptions(options));
+  const int64_t wire_bytes = EncodedWireBytes(10, 3, options.codec);
   EXPECT_EQ(wire_bytes, 36 + 24 + 30);
   EXPECT_EQ(channel.stats().uplink_wire_bytes, wire_bytes);
   EXPECT_EQ(channel.stats().uplink_bits, 8 * wire_bytes);
@@ -323,9 +322,9 @@ TEST(PartitionTest, MaxBelowMinActsAsFixed) {
 
 TEST(ChannelTest, QuantizationRoundsToGrid) {
   ChannelOptions options;
-  options.quantize = true;
-  options.bits_per_value = 4;
-  options.quantization_range = 1.0;
+  options.codec.mode = CodecMode::kUniformQuant;
+  options.codec.quant_bits = 4;
+  options.codec.quant_range = 1.0;
   Channel channel(options);
   Matrix samples(1, 4);
   samples(0, 0) = 0.1234;
@@ -349,26 +348,23 @@ TEST(ChannelTest, CreateRejectsInvalidOptions) {
   // ValidateChannelOptions) rejects misconfigured channels up front instead
   // of silently passing values through unquantized.
   ChannelOptions options;
-  options.quantize = true;
-  options.bits_per_value = 64;  // outside the quantizable range [2, 32]
+  options.codec.mode = CodecMode::kUniformQuant;
+  options.codec.quant_bits = 64;  // outside the quantizable range [2, 32]
   auto rejected = Channel::Create(options);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 
-  options.bits_per_value = 1;  // too coarse to quantize
+  options.codec.quant_bits = 1;  // too coarse to quantize
   EXPECT_FALSE(Channel::Create(options).ok());
-  options.bits_per_value = 8;
-  options.quantization_range = 0.0;
+  options.codec.quant_bits = 8;
+  options.codec.quant_range = 0.0;
   EXPECT_FALSE(Channel::Create(options).ok());
-  options.quantization_range = 1.5;
+  options.codec.quant_range = 1.5;
   ASSERT_TRUE(Channel::Create(options).ok());
 
   ChannelOptions noisy;
   noisy.noise_delta = -0.5;
   EXPECT_FALSE(Channel::Create(noisy).ok());
-  ChannelOptions zero_bits;
-  zero_bits.bits_per_value = 0;
-  EXPECT_FALSE(Channel::Create(zero_bits).ok());
   EXPECT_TRUE(Channel::Create(ChannelOptions{}).ok());
 }
 

@@ -142,7 +142,6 @@ TEST(FedScTest, ExactClusteringWithTscServer) {
 TEST(FedScTest, CommunicationAccountingMatchesSectionIVE) {
   Federation f = MakeFederation(4, 40, 8, 2, 23);
   FedScOptions options;
-  options.channel.bits_per_value = 64;
   auto result = RunFedSc(f.fed, 4, options);
   ASSERT_TRUE(result.ok());
   // Uplink values = n * sum_z r^(z) (with s samples per cluster, s = 1);
@@ -150,7 +149,7 @@ TEST(FedScTest, CommunicationAccountingMatchesSectionIVE) {
   // (Section IV-E's n * q * r^(z) payload plus the format's framing).
   int64_t total_r = 0;
   int64_t wire_bytes = 0;
-  const CodecOptions codec = EffectiveCodecOptions(options.channel);
+  const CodecOptions& codec = options.channel.codec;
   for (int64_t r : result->local_cluster_counts) {
     total_r += r;
     wire_bytes += EncodedWireBytes(24, r, codec);
@@ -297,8 +296,8 @@ TEST(FedScTest, ParallelExecutionMatchesSequential) {
 TEST(FedScTest, QuantizedUplinkStillClusters) {
   Federation f = MakeFederation(4, 60, 12, 2, 61);
   FedScOptions options;
-  options.channel.quantize = true;
-  options.channel.bits_per_value = 8;
+  options.channel.codec.mode = CodecMode::kUniformQuant;
+  options.channel.codec.quant_bits = 8;
   auto result = RunFedSc(f.fed, 4, options);
   ASSERT_TRUE(result.ok());
   EXPECT_GE(ClusteringAccuracy(f.data.labels, result->global_labels), 95.0);

@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -336,6 +337,42 @@ TEST(RunReportTest, OptionsFingerprintTracksConfigNotThreads) {
   b = a;
   b.central_method = ScMethod::kTsc;
   EXPECT_NE(FedScOptionsFingerprint(a), FedScOptionsFingerprint(b));
+
+  // Each field below changes the run's labels or uplink bytes, so each
+  // must change the fingerprint on its own.
+  const std::vector<std::pair<const char*, void (*)(FedScOptions*)>>
+      label_shaping = {
+          {"codec.mode",
+           [](FedScOptions* o) {
+             o->channel.codec.mode = CodecMode::kUniformQuant;
+           }},
+          {"codec.quant_bits",
+           [](FedScOptions* o) { o->channel.codec.quant_bits = 4; }},
+          {"codec.quant_range",
+           [](FedScOptions* o) { o->channel.codec.quant_range = 1.0; }},
+          {"codec.raw_f32",
+           [](FedScOptions* o) { o->channel.codec.raw_f32 = true; }},
+          {"central",
+           [](FedScOptions* o) { o->central = CentralPath::kSketched; }},
+          {"central_sketch.dim",
+           [](FedScOptions* o) { o->central_sketch.dim = 64; }},
+          {"central_sketch.kind",
+           [](FedScOptions* o) {
+             o->central_sketch.kind = SketchKind::kLeverageLandmarks;
+           }},
+          {"central_sketch.leverage_ridge",
+           [](FedScOptions* o) { o->central_sketch.leverage_ridge = 1e-3; }},
+          {"dp.epsilon", [](FedScOptions* o) { o->dp.epsilon = 0.5; }},
+          {"dp.delta", [](FedScOptions* o) { o->dp.delta = 1e-3; }},
+          {"dp.sensitivity", [](FedScOptions* o) { o->dp.sensitivity = 1.0; }},
+      };
+  const FedScOptions base;
+  for (const auto& [field, mutate] : label_shaping) {
+    FedScOptions changed = base;
+    mutate(&changed);
+    EXPECT_NE(FedScOptionsFingerprint(base), FedScOptionsFingerprint(changed))
+        << field;
+  }
 }
 
 // ---------------------------------------------------------------------------

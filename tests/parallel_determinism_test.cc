@@ -337,7 +337,7 @@ TEST(SscAdmmDeterminismTest, BothOperatorBranchesMatchSerialExactly) {
   for (int64_t dim : {48, 16}) {
     SketchOptions sketch_options;
     sketch_options.dim = dim;
-    sketch_options.kind = SketchKind::kJl;
+    sketch_options.kind = SketchKind::kUniformLandmarks;
     auto sketch = SketchDictionary(x, sketch_options);
     ASSERT_TRUE(sketch.ok());
     SscAdmmOptions options;

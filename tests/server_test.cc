@@ -311,89 +311,102 @@ std::vector<JournalEvent> CentralEvents(const std::vector<JournalEvent>& all) {
 TEST(FedScServerTest, BitIdenticalToRunFedSc) {
   const Federation f = MakeFederation(4, 40, 10, 2, 313);
   const FederatedDataset lonely = WithLonelyDevice(f.fed, 17);
+  struct Config {
+    ScMethod method;
+    bool defense;
+    CentralPath path;
+    bool dp;
+  };
+  std::vector<Config> configs;
   for (ScMethod method : {ScMethod::kSsc, ScMethod::kTsc}) {
     for (bool defense : {false, true}) {
       for (CentralPath path : {CentralPath::kExact, CentralPath::kSketched}) {
-        SCOPED_TRACE(std::string(ScMethodKey(method)) +
-                     (defense ? " defended " : " ") + CentralPathName(path));
-        const FederatedDataset& fed = defense ? lonely : f.fed;
-        FedScOptions options;
-        options.central_method = method;
-        options.central = path;
-        options.central_sketch.dim = 10;
-        options.defense.enabled = defense;
-        options.quorum = 0.5;  // the screened device counts against it
-        // Threads the screen and the central solve (ci_tsan.sh runs this
-        // suite); labels are bit-identical for any thread count.
-        options.num_threads = 2;
-
-        ResetJournal();
-        EnableJournal(true);
-        auto batch = RunFedSc(fed, 4, options);
-        const std::vector<JournalEvent> batch_events =
-            CentralEvents(SnapshotJournal());
-        ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-        EXPECT_EQ(batch->screened_devices, defense ? 1 : 0);
-
-        ResetJournal();
-        FedScServer server(4, options);
-        std::vector<FedScClient> clients;
-        clients.reserve(static_cast<size_t>(fed.num_devices()));
-        const CodecOptions codec = EffectiveCodecOptions(options.channel);
-        Rng rng(options.seed);
-        for (int64_t z = 0; z < fed.num_devices(); ++z) {
-          clients.emplace_back(fed.points[static_cast<size_t>(z)], options,
-                               rng.Next());
-          auto wire = clients.back().ProduceEncodedUpload(codec);
-          ASSERT_TRUE(wire.ok()) << wire.status().ToString();
-          auto id = server.AddEncodedUpload(*wire);
-          ASSERT_TRUE(id.ok()) << id.status().ToString();
-          EXPECT_EQ(*id, z);
-        }
-        const Status clustered = server.Cluster();
-        const std::vector<JournalEvent> server_events =
-            CentralEvents(SnapshotJournal());
-        EnableJournal(false);
-        ASSERT_TRUE(clustered.ok()) << clustered.ToString();
-
-        // The same central events and payloads; only the clock differs.
-        ASSERT_EQ(server_events.size(), batch_events.size());
-        for (size_t e = 0; e < server_events.size(); ++e) {
-          EXPECT_EQ(server_events[e].type, batch_events[e].type);
-          EXPECT_EQ(server_events[e].device, batch_events[e].device);
-          EXPECT_EQ(server_events[e].fields, batch_events[e].fields);
-        }
-        for (const JournalEvent& event : batch_events) {
-          if (event.type != "central_start") continue;
-          const std::string want =
-              std::string("\"") + CentralPathName(path) + "\"";
-          EXPECT_EQ(event.fields.back().second, want);
-        }
-
-        // Screened samples hold the sentinel in the server's pooled labels
-        // and are absent from RunFedSc's solved pool.
-        std::vector<int64_t> solved;
-        for (int64_t label : server.sample_labels()) {
-          if (label != FedScResult::kFailedDeviceLabel) solved.push_back(label);
-        }
-        EXPECT_EQ(solved, batch->sample_labels);
-
-        for (int64_t z = 0; z < fed.num_devices(); ++z) {
-          const auto zi = static_cast<size_t>(z);
-          const bool screened = batch->device_reports[zi].outcome ==
-                                DeviceOutcome::kScreened;
-          EXPECT_EQ(server.screened(z), screened) << "device " << z;
-          auto assignments = server.AssignmentsFor(z);
-          if (screened) {
-            EXPECT_FALSE(assignments.ok());
-            continue;
-          }
-          ASSERT_TRUE(assignments.ok()) << assignments.status().ToString();
-          auto labels = clients[zi].ApplyAssignments(*assignments);
-          ASSERT_TRUE(labels.ok()) << labels.status().ToString();
-          EXPECT_EQ(*labels, batch->device_labels[zi]) << "device " << z;
-        }
+        configs.push_back({method, defense, path, false});
       }
+    }
+  }
+  // Both paths release their uploads through the same Gaussian mechanism.
+  configs.push_back({ScMethod::kSsc, false, CentralPath::kExact, true});
+  for (const Config& c : configs) {
+    SCOPED_TRACE(std::string(ScMethodKey(c.method)) +
+                 (c.defense ? " defended " : " ") + CentralPathName(c.path) +
+                 (c.dp ? " dp" : ""));
+    const FederatedDataset& fed = c.defense ? lonely : f.fed;
+    FedScOptions options;
+    options.central_method = c.method;
+    options.central = c.path;
+    options.central_sketch.dim = 10;
+    options.defense.enabled = c.defense;
+    options.use_dp = c.dp;
+    options.quorum = 0.5;  // the screened device counts against it
+    // Threads the screen and the central solve (ci_tsan.sh runs this
+    // suite); labels are bit-identical for any thread count.
+    options.num_threads = 2;
+
+    ResetJournal();
+    EnableJournal(true);
+    auto batch = RunFedSc(fed, 4, options);
+    const std::vector<JournalEvent> batch_events =
+        CentralEvents(SnapshotJournal());
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(batch->screened_devices, c.defense ? 1 : 0);
+
+    ResetJournal();
+    FedScServer server(4, options);
+    std::vector<FedScClient> clients;
+    clients.reserve(static_cast<size_t>(fed.num_devices()));
+    Rng rng(options.seed);
+    for (int64_t z = 0; z < fed.num_devices(); ++z) {
+      clients.emplace_back(fed.points[static_cast<size_t>(z)], options,
+                           rng.Next());
+      auto wire = clients.back().ProduceEncodedUpload(options.channel.codec);
+      ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+      auto id = server.AddEncodedUpload(*wire);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      EXPECT_EQ(*id, z);
+    }
+    const Status clustered = server.Cluster();
+    const std::vector<JournalEvent> server_events =
+        CentralEvents(SnapshotJournal());
+    EnableJournal(false);
+    ASSERT_TRUE(clustered.ok()) << clustered.ToString();
+
+    // The same central events and payloads; only the clock differs.
+    ASSERT_EQ(server_events.size(), batch_events.size());
+    for (size_t e = 0; e < server_events.size(); ++e) {
+      EXPECT_EQ(server_events[e].type, batch_events[e].type);
+      EXPECT_EQ(server_events[e].device, batch_events[e].device);
+      EXPECT_EQ(server_events[e].fields, batch_events[e].fields);
+    }
+    for (const JournalEvent& event : batch_events) {
+      if (event.type != "central_start") continue;
+      const std::string want =
+          std::string("\"") + CentralPathName(c.path) + "\"";
+      EXPECT_EQ(event.fields.back().second, want);
+    }
+
+    // Screened samples hold the sentinel in the server's pooled labels
+    // and are absent from RunFedSc's solved pool.
+    std::vector<int64_t> solved;
+    for (int64_t label : server.sample_labels()) {
+      if (label != FedScResult::kFailedDeviceLabel) solved.push_back(label);
+    }
+    EXPECT_EQ(solved, batch->sample_labels);
+
+    for (int64_t z = 0; z < fed.num_devices(); ++z) {
+      const auto zi = static_cast<size_t>(z);
+      const bool screened = batch->device_reports[zi].outcome ==
+                            DeviceOutcome::kScreened;
+      EXPECT_EQ(server.screened(z), screened) << "device " << z;
+      auto assignments = server.AssignmentsFor(z);
+      if (screened) {
+        EXPECT_FALSE(assignments.ok());
+        continue;
+      }
+      ASSERT_TRUE(assignments.ok()) << assignments.status().ToString();
+      auto labels = clients[zi].ApplyAssignments(*assignments);
+      ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+      EXPECT_EQ(*labels, batch->device_labels[zi]) << "device " << z;
     }
   }
 }

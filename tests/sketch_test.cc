@@ -65,15 +65,14 @@ bool SparseExactlyEqual(const SparseMatrix& a, const SparseMatrix& b) {
 }
 
 TEST(SketchTest, KindNames) {
-  EXPECT_STREQ(SketchKindName(SketchKind::kJl), "jl");
   EXPECT_STREQ(SketchKindName(SketchKind::kUniformLandmarks), "uniform");
   EXPECT_STREQ(SketchKindName(SketchKind::kLeverageLandmarks), "leverage");
 }
 
 TEST(SketchTest, DeterministicPerSeedAndBitIdenticalAcrossThreads) {
   const Dataset data = EasySubspaces(4, 50, 11);
-  for (SketchKind kind : {SketchKind::kJl, SketchKind::kUniformLandmarks,
-                          SketchKind::kLeverageLandmarks}) {
+  for (SketchKind kind :
+       {SketchKind::kUniformLandmarks, SketchKind::kLeverageLandmarks}) {
     SketchOptions options;
     options.dim = 32;
     options.kind = kind;
@@ -82,17 +81,13 @@ TEST(SketchTest, DeterministicPerSeedAndBitIdenticalAcrossThreads) {
     ASSERT_TRUE(base.ok()) << base.status().ToString();
     EXPECT_EQ(base->dictionary.rows(), data.points.rows());
     EXPECT_EQ(base->dictionary.cols(), 32);
-    if (kind == SketchKind::kJl) {
-      EXPECT_TRUE(base->landmarks.empty());
-    } else {
-      // d distinct data columns, ascending.
-      ASSERT_EQ(base->landmarks.size(), 32u);
-      EXPECT_TRUE(std::is_sorted(base->landmarks.begin(),
-                                 base->landmarks.end()));
-      const std::set<int64_t> unique(base->landmarks.begin(),
-                                     base->landmarks.end());
-      EXPECT_EQ(unique.size(), base->landmarks.size());
-    }
+    // d distinct data columns, ascending.
+    ASSERT_EQ(base->landmarks.size(), 32u);
+    EXPECT_TRUE(
+        std::is_sorted(base->landmarks.begin(), base->landmarks.end()));
+    const std::set<int64_t> unique(base->landmarks.begin(),
+                                   base->landmarks.end());
+    EXPECT_EQ(unique.size(), base->landmarks.size());
     for (int threads : {2, 8}) {
       SketchOptions threaded = options;
       threaded.num_threads = threads;
@@ -111,28 +106,6 @@ TEST(SketchTest, DeterministicPerSeedAndBitIdenticalAcrossThreads) {
     EXPECT_FALSE(AllClose(base->dictionary, other->dictionary, 0.0))
         << SketchKindName(kind);
   }
-}
-
-TEST(SketchTest, JlColumnEnergyMatchesFrobeniusRule) {
-  // For B = X S / sqrt(d) with random signs, E ||b_j||^2 = ||X||_F^2 / d.
-  const Dataset data = EasySubspaces(4, 50, 3);
-  SketchOptions options;
-  options.dim = 64;
-  options.kind = SketchKind::kJl;
-  options.seed = 21;
-  auto sketch = SketchDictionary(data.points, options);
-  ASSERT_TRUE(sketch.ok());
-  double mean_sq = 0.0;
-  for (int64_t j = 0; j < sketch->dictionary.cols(); ++j) {
-    const double norm = Norm2(sketch->dictionary.ColData(j),
-                              sketch->dictionary.rows());
-    mean_sq += norm * norm;
-  }
-  mean_sq /= static_cast<double>(sketch->dictionary.cols());
-  const double frob = data.points.FrobeniusNorm();
-  const double expected = frob * frob / 64.0;
-  EXPECT_GT(mean_sq, 0.7 * expected);
-  EXPECT_LT(mean_sq, 1.3 * expected);
 }
 
 TEST(SketchTest, LeverageScoresFavorSmallClusters) {
@@ -472,8 +445,6 @@ TEST(SketchedSscDifferentialTest, OperatorMatchesTheExplicitInverse) {
   };
   // Ambient dim 30: dim 31 is factored (D = d - 1), dim 30 direct (D = d).
   std::vector<Case> cases = {
-      {"jl d=D+1", EasySubspaces(4, 50, 51).points, SketchKind::kJl, 31},
-      {"jl d=D", EasySubspaces(4, 50, 52).points, SketchKind::kJl, 30},
       {"uniform d=D+1", EasySubspaces(4, 50, 53).points,
        SketchKind::kUniformLandmarks, 31},
       {"uniform d=D", EasySubspaces(4, 50, 54).points,
@@ -483,7 +454,8 @@ TEST(SketchedSscDifferentialTest, OperatorMatchesTheExplicitInverse) {
       {"leverage direct", EasySubspaces(4, 50, 56).points,
        SketchKind::kLeverageLandmarks, 16},
       // Two blocks, the second one partial.
-      {"jl two blocks", EasySubspaces(4, 75, 57).points, SketchKind::kJl, 48},
+      {"uniform two blocks", EasySubspaces(4, 75, 57).points,
+       SketchKind::kUniformLandmarks, 48},
   };
   // Column scales spanning 1e-3 .. 1e3 before normalization.
   Matrix scaled = EasySubspaces(4, 40, 58).points;
@@ -493,7 +465,8 @@ TEST(SketchedSscDifferentialTest, OperatorMatchesTheExplicitInverse) {
          scaled.rows());
   }
   scaled.NormalizeColumns();
-  cases.push_back({"scaled jl", scaled, SketchKind::kJl, 40});
+  cases.push_back({"scaled leverage", scaled, SketchKind::kLeverageLandmarks,
+                   40});
   cases.push_back({"scaled uniform", scaled, SketchKind::kUniformLandmarks, 20});
 
   for (bool duplicate : {false, true}) {

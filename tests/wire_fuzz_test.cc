@@ -22,7 +22,6 @@
 #include "common/rng.h"
 #include "fed/codec.h"
 #include "fed/wire.h"
-#include "linalg/blas.h"
 #include "linalg/matrix.h"
 
 namespace fedsc {
@@ -41,7 +40,7 @@ Matrix SeedMatrix(int64_t rows, int64_t cols, uint64_t seed) {
   return m;
 }
 
-// A corpus of valid encodings covering every codec mode, dtype, and a spread
+// A corpus of valid raw and quant encodings covering every dtype and a spread
 // of shapes (including degenerate ones) so mutations explore every parser
 // branch.
 std::vector<std::vector<uint8_t>> BuildCorpus() {
@@ -64,14 +63,12 @@ std::vector<std::vector<uint8_t>> BuildCorpus() {
     quant.quant_bits = bits;
     push(SeedMatrix(7, 3, static_cast<uint64_t>(10 + bits)), quant);
   }
-  // Low-rank input so the two-section basis+coeffs path is in the corpus.
-  CodecOptions basis;
-  basis.mode = CodecMode::kBasisCoeffs;
-  const Matrix u = SeedMatrix(16, 2, 20);
-  const Matrix c = SeedMatrix(2, 10, 21);
-  Matrix low_rank(16, 10);
-  Gemm(Trans::kNo, Trans::kNo, 1.0, u, c, 0.0, &low_rank);
-  push(low_rank, basis);
+  // A larger message, so mutations also land deep inside long payloads.
+  push(SeedMatrix(16, 10, 20), CodecOptions{});
+  CodecOptions quant5;
+  quant5.mode = CodecMode::kUniformQuant;
+  quant5.quant_bits = 5;  // indices straddle byte boundaries
+  push(SeedMatrix(16, 10, 21), quant5);
   return corpus;
 }
 

@@ -4,7 +4,7 @@
 //   fedsc_cli --input data.csv --clusters 8 --devices 40 ...
 //             [--clusters-per-device 2] [--clusters-per-device-max 0] ...
 //             [--central ssc|tsc|exact|sketch|auto] [--noise 0.0] ...
-//             [--sketch-dim 0] [--landmarks jl|uniform|leverage] ...
+//             [--sketch-dim 0] [--landmarks uniform|leverage] ...
 //             [--threads 1] ...
 //             [--fixed-r N] [--sample-dim 0] [--trim 0.0] ...
 //             [--quantize-bits 0] [--seed 42] [--output labels.csv] ...
@@ -13,7 +13,7 @@
 //             [--byzantine-mode random|collude|mimic] [--fault-seed S] ...
 //             [--defense on|off] [--defense-trim 0.1] ...
 //             [--quorum 1.0] [--max-attempts 1] [--timeout-ms 1000] ...
-//             [--codec raw|quant|basis] [--wire-dump msg.wire] ...
+//             [--codec raw|quant] [--wire-dump msg.wire] ...
 //             [--trace-out trace.json] [--metrics-out metrics.json]
 //
 // Flags accept both "--flag value" and "--flag=value". The input format is
@@ -36,8 +36,8 @@
 //
 // --codec picks the uplink serialization (fed/codec.h): raw ships f64
 // samples verbatim, quant packs them at --quantize-bits bits per value
-// (default 8), basis ships a subspace basis plus coefficients when that is
-// smaller. Every upload actually crosses the versioned wire format, so the
+// (default 8); --quantize-bits B > 0 alone also selects quant. Every
+// upload actually crosses the versioned wire format, so the
 // reported comm figures are true serialized byte counts. --wire-dump writes
 // the first transmitted wire message to a file for offline inspection;
 // --wire-corrupt is the per-device probability of in-flight byte damage
@@ -49,9 +49,8 @@
 // "--central tsc --central sketch". auto (the default) switches to the
 // sketched dictionary + landmark spectral path at kSketchedCutoffN pooled
 // samples. --sketch-dim overrides the sketch width d (0 = shape rule);
-// --landmarks picks the dictionary construction: jl (random-sign
-// projection), uniform (uniform column landmarks, default) or leverage
-// (ridge leverage-score landmarks).
+// --landmarks picks the dictionary's column landmarks: uniform (default)
+// or leverage (ridge leverage-score sampling).
 //
 // --trace-out records scoped spans across the run and writes Chrome
 // trace-event JSON (open in chrome://tracing or https://ui.perfetto.dev),
@@ -130,7 +129,7 @@ void PrintUsage(const char* binary) {
       "usage: %s --input data.csv --clusters L --devices Z\n"
       "  [--clusters-per-device L'] [--clusters-per-device-max M]\n"
       "  [--central ssc|tsc|exact|sketch|auto] [--noise delta]\n"
-      "  [--sketch-dim d] [--landmarks jl|uniform|leverage] [--threads T]\n"
+      "  [--sketch-dim d] [--landmarks uniform|leverage] [--threads T]\n"
       "  [--fixed-r R] [--sample-dim D] [--trim F]\n"
       "  [--quantize-bits B] [--seed S] [--output labels.csv]\n"
       "  [--dropout P] [--straggler P] [--transient P]\n"
@@ -138,7 +137,7 @@ void PrintUsage(const char* binary) {
       "  [--byzantine-mode random|collude|mimic]\n"
       "  [--defense on|off] [--defense-trim F]\n"
       "  [--quorum F] [--max-attempts A] [--timeout-ms T]\n"
-      "  [--codec raw|quant|basis] [--wire-dump msg.wire]\n"
+      "  [--codec raw|quant] [--wire-dump msg.wire]\n"
       "  [--trace-out trace.json] [--metrics-out metrics.json]\n"
       "  [--report-out report.json] [--journal-out journal.jsonl]\n"
       "  [--print-isa]\n",
@@ -304,17 +303,14 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
                  options->central_path.c_str());
     return false;
   }
-  if (options->landmarks != "jl" && options->landmarks != "uniform" &&
-      options->landmarks != "leverage") {
+  if (options->landmarks != "uniform" && options->landmarks != "leverage") {
     std::fprintf(stderr,
-                 "--landmarks must be 'jl', 'uniform' or 'leverage', got "
-                 "'%s'\n",
+                 "--landmarks must be 'uniform' or 'leverage', got '%s'\n",
                  options->landmarks.c_str());
     return false;
   }
-  if (options->codec != "raw" && options->codec != "quant" &&
-      options->codec != "basis") {
-    std::fprintf(stderr, "--codec must be 'raw', 'quant' or 'basis'\n");
+  if (options->codec != "raw" && options->codec != "quant") {
+    std::fprintf(stderr, "--codec must be 'raw' or 'quant'\n");
     return false;
   }
   if (options->byzantine_mode != "random" &&
@@ -400,23 +396,15 @@ int main(int argc, char** argv) {
                               ? CentralPath::kSketched
                               : CentralPath::kAuto;
   options.central_sketch.dim = cli.sketch_dim;
-  options.central_sketch.kind =
-      cli.landmarks == "jl"
-          ? SketchKind::kJl
-          : cli.landmarks == "leverage" ? SketchKind::kLeverageLandmarks
-                                        : SketchKind::kUniformLandmarks;
+  options.central_sketch.kind = cli.landmarks == "leverage"
+                                    ? SketchKind::kLeverageLandmarks
+                                    : SketchKind::kUniformLandmarks;
   options.channel.noise_delta = cli.noise;
-  if (cli.quantize_bits > 0) {
-    options.channel.quantize = true;
-    options.channel.bits_per_value = cli.quantize_bits;
-  }
-  if (cli.codec == "quant") {
+  if (cli.codec == "quant" || cli.quantize_bits > 0) {
     options.channel.codec.mode = CodecMode::kUniformQuant;
     if (cli.quantize_bits > 0) {
       options.channel.codec.quant_bits = cli.quantize_bits;
     }
-  } else if (cli.codec == "basis") {
-    options.channel.codec.mode = CodecMode::kBasisCoeffs;
   }
   // --wire-dump: capture the first transmitted uplink message.
   std::vector<uint8_t> first_wire;
@@ -499,7 +487,8 @@ int main(int argc, char** argv) {
               "(%lld samples)\n",
               static_cast<double>(result->comm.uplink_bits) / 1000.0,
               static_cast<long long>(result->comm.uplink_wire_bytes),
-              cli.codec.c_str(), result->comm.downlink_bits / 1000.0,
+              CodecModeName(options.channel.codec.mode),
+              result->comm.downlink_bits / 1000.0,
               static_cast<long long>(result->total_samples));
   if (!result->failed_devices.empty() || result->comm.retries > 0 ||
       result->quarantined_samples > 0) {
