@@ -7,7 +7,6 @@
 #include "cluster/spectral.h"
 #include "core/fedsc.h"
 #include "data/synthetic.h"
-#include "fed/partition.h"
 #include "linalg/svd.h"
 #include "sc/pipeline.h"
 
@@ -121,31 +120,6 @@ void BM_FedScLocalStage(benchmark::State& state) {
 }
 BENCHMARK(BM_FedScLocalStage)->Arg(15)->Arg(40)->Arg(100);
 
-// End-to-end Fed-SC: partition a union of subspaces across devices, run
-// every local stage, pool the samples, cluster globally, broadcast labels.
-// This is the wall-time number tracked in BENCH_linalg.json.
-void BM_RunFedSc(benchmark::State& state) {
-  SyntheticOptions options;
-  options.ambient_dim = 24;
-  options.subspace_dim = 4;
-  options.num_subspaces = 5;
-  options.points_per_subspace = state.range(0);
-  options.seed = 17;
-  auto data = GenerateUnionOfSubspaces(options);
-  PartitionOptions partition;
-  partition.num_devices = 8;
-  partition.clusters_per_device = 2;
-  partition.seed = 99;
-  auto fed = PartitionAcrossDevices(*data, partition);
-  FedScOptions fed_options;
-  for (auto _ : state) {
-    auto result = RunFedSc(*fed, options.num_subspaces, fed_options);
-    benchmark::DoNotOptimize(result->global_labels.data());
-  }
-  state.SetLabel("N=" + std::to_string(data->points.cols()));
-}
-BENCHMARK(BM_RunFedSc)->Arg(40)->Arg(120);
-
 // Tall-ambient basis estimation (D = 1024, n_i = 50): the exact
 // PrincipalSubspace work Fed-SC's local stage does per cluster, through the
 // plain Jacobi sweep ("before") and the QR-preconditioned path JacobiSvd
@@ -171,31 +145,6 @@ void BM_FedScBasisTallD(benchmark::State& state) {
   state.SetLabel(precond ? "precond_qr" : "plain");
 }
 BENCHMARK(BM_FedScBasisTallD)->Arg(0)->Arg(1);
-
-// End-to-end Fed-SC on a tall ambient dimension (D = 1024), where local
-// basis estimation dominates: the shape that rides the new QR-preconditioned
-// SVD via kAuto dispatch.
-void BM_RunFedScTallD(benchmark::State& state) {
-  SyntheticOptions options;
-  options.ambient_dim = 1024;
-  options.subspace_dim = 4;
-  options.num_subspaces = 4;
-  options.points_per_subspace = 100;
-  options.seed = 29;
-  auto data = GenerateUnionOfSubspaces(options);
-  PartitionOptions partition;
-  partition.num_devices = 4;
-  partition.clusters_per_device = 2;
-  partition.seed = 101;
-  auto fed = PartitionAcrossDevices(*data, partition);
-  FedScOptions fed_options;
-  for (auto _ : state) {
-    auto result = RunFedSc(*fed, options.num_subspaces, fed_options);
-    benchmark::DoNotOptimize(result->global_labels.data());
-  }
-  state.SetLabel("D=1024,N=" + std::to_string(data->points.cols()));
-}
-BENCHMARK(BM_RunFedScTallD);
 
 }  // namespace
 }  // namespace fedsc

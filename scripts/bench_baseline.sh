@@ -4,10 +4,10 @@
 # the TT packing-vs-copy comparison, the Syrk-vs-GEMM Gram ratio, the
 # blocked-vs-unblocked QR and tridiagonalization rates, the
 # QR-preconditioned-vs-plain Jacobi SVD rates, the tall-D basis-estimation
-# before/after, end-to-end RunFedSc wall time, and the exact-vs-sketched
-# central-clustering N-sweep. Run after any change to
-# the linalg kernels and commit the refreshed file so perf regressions show
-# up in review as a diff, not a surprise.
+# before/after, and the exact-vs-sketched central-clustering N-sweep
+# (bench_e2e/ times end-to-end rounds, with a per-layer breakdown). Run
+# after any change to the linalg kernels and commit the refreshed file so
+# perf regressions show up in review as a diff, not a surprise.
 #
 # The baseline MUST come from a Release build of the fedsc kernels: a Debug
 # or unset-CMAKE_BUILD_TYPE run produces numbers that are 5-20x off and the
@@ -53,7 +53,7 @@ trap 'rm -rf "${raw_dir}"' EXIT
   --benchmark_min_time=2 \
   --benchmark_format=json > "${raw_dir}/linalg.json"
 "${build_dir}/bench/micro_sc" \
-  --benchmark_filter='BM_RunFedSc|BM_FedScBasisTallD' \
+  --benchmark_filter='BM_FedScBasisTallD' \
   --benchmark_format=json > "${raw_dir}/sc.json"
 # Serialized-codec accuracy-vs-bits frontier (deterministic bytes and ACC,
 # so its rows are correctness records, not perf ones).
@@ -158,7 +158,6 @@ out = {
     # Fed-SC local basis estimation at D=1024, n_i=50: the before/after of
     # QR preconditioning at the pipeline call site.
     "basis_tall_d": {},
-    "run_fedsc_ms": {},
 }
 # Per-ISA micro-kernel rates for the blocked GEMM engine (BM_GemmIsa runs
 # BlockedGemm on each tier). Tiers the bench host cannot execute are
@@ -231,15 +230,6 @@ out["basis_tall_d"] = {
     "precond_ms": precond_ms,
     "speedup": round(plain_ms / precond_ms, 3),
 }
-for name, row in sorted(S.items()):
-    if not name.startswith("BM_RunFedSc"):
-        continue
-    # Key by the scenario, e.g. "RunFedSc/40" or "RunFedScTallD".
-    key = name[len("BM_"):]
-    out["run_fedsc_ms"][key] = {
-        "ms": ms(row),
-        "label": row.get("label", ""),
-    }
 # Serialized uplink codec frontier from bench/comm_cost.cc --json-out.
 out["comm_cost"] = json.load(open(sys.argv[5]))["comm_cost"]
 # Byzantine-defense colluding sweep from bench/fig_robustness.cc --json-out.

@@ -215,14 +215,6 @@ def check(doc):
         basis, "basis_tall_d", "plain_ms", "precond_ms", "speedup"
     )
 
-    fedsc = doc.get("run_fedsc_ms", {})
-    if not fedsc:
-        err("run_fedsc_ms is empty: no end-to-end wall time recorded")
-    elif not any("TallD" in key for key in fedsc):
-        err("run_fedsc_ms has no tall-D (RunFedScTallD) entry")
-    for scenario, entry in fedsc.items():
-        positive(entry.get("ms"), f"run_fedsc_ms[{scenario}].ms")
-
     comm = doc.get("comm_cost", {})
     frontier = comm.get("frontier", {})
     raw_bytes = None

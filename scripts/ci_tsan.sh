@@ -26,8 +26,8 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "${build_dir}/tests/thread_pool_test"
 "${build_dir}/tests/parallel_determinism_test"
 "${build_dir}/tests/fedsc_test"
-# The client/server API runs the same threaded screen and central solve as
-# RunFedSc (PoolAndScreen + SolveCentral), plus the call-sequence fuzz.
+# RunFedSc drives the same FedScServer (threaded screen and central solve)
+# as the client/server API; this suite adds the call-sequence fuzz.
 "${build_dir}/tests/server_test"
 # The fault plan is consumed from serial protocol code while Phase 1/2
 # kernels fan out over worker threads; TSAN proves the combination is clean.
@@ -84,7 +84,7 @@ cmake -S "${repo_root}" -B "${asan_dir}" \
 cmake --build "${asan_dir}" -j "$(nproc)" \
   --target faults_test defense_test server_test blas_test batch_test \
   parallel_determinism_test qr_cholesky_test svd_eig_test codec_test \
-  wire_fuzz_test journal_test sketch_test sc_test fed_test
+  wire_fuzz_test journal_test sketch_test sc_test fed_test fedsc_test
 
 "${asan_dir}/tests/faults_test"
 # Screening indexes per-sample peer lists and per-device slots built from
@@ -125,6 +125,10 @@ cmake --build "${asan_dir}" -j "$(nproc)" \
 # codec, retry/backoff bookkeeping, and the Gaussian mechanism's in-place
 # column clipping; ASAN gates the buffer handling.
 "${asan_dir}/tests/fed_test"
+# RunFedSc end to end: the server intake indexes truncated and duplicated
+# payload columns, and Phase 3 aligns each device's assignments to its
+# honest upload; ASAN gates both.
+"${asan_dir}/tests/fedsc_test"
 
 # Forced-generic pass, mirroring the TSAN one: the ragged packed-panel
 # tails differ per micro-tile shape, so the generic tier's edge handling

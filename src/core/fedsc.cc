@@ -12,6 +12,7 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/report.h"
+#include "core/server.h"
 #include "graph/eigengap.h"
 #include "linalg/batch.h"
 #include "linalg/blas.h"
@@ -132,22 +133,6 @@ Status ValidateOptions(const FedScOptions& options) {
 
 }  // namespace
 
-const char* DeviceOutcomeName(DeviceOutcome outcome) {
-  switch (outcome) {
-    case DeviceOutcome::kOk:
-      return "ok";
-    case DeviceOutcome::kDropped:
-      return "dropped";
-    case DeviceOutcome::kQuarantined:
-      return "quarantined";
-    case DeviceOutcome::kLocalError:
-      return "local error";
-    case DeviceOutcome::kScreened:
-      return "screened";
-  }
-  return "unknown";
-}
-
 Result<LocalClusteringOutput> LocalClusterAndSample(const Matrix& points,
                                                     const FedScOptions& options,
                                                     uint64_t seed) {
@@ -254,131 +239,6 @@ Result<Matrix> ReleaseUpload(const Matrix& samples,
   return PrivatizeSamples(samples, options.dp, &dp_rng);
 }
 
-Result<CentralPool> PoolAndScreen(const std::vector<Matrix>& uploads,
-                                  const FedScOptions& options,
-                                  int64_t sim_ms) {
-  CentralPool pool;
-  int64_t rows = 0;
-  int64_t total = 0;
-  for (const Matrix& m : uploads) {
-    if (m.cols() > 0) rows = m.rows();
-    total += m.cols();
-  }
-  pool.samples = Matrix(rows, total);
-  pool.device.reserve(static_cast<size_t>(total));
-  int64_t next = 0;
-  for (size_t z = 0; z < uploads.size(); ++z) {
-    const Matrix& m = uploads[z];
-    for (int64_t c = 0; c < m.cols(); ++c) {
-      pool.samples.SetCol(next++, m.ColData(c));
-      pool.device.push_back(static_cast<int64_t>(z));
-    }
-  }
-  pool.screened.assign(uploads.size(), false);
-  if (!options.defense.enabled || total == 0) return pool;
-
-  FEDSC_TRACE_SPAN("fedsc/defense/screen", {{"samples", total}});
-  FEDSC_ASSIGN_OR_RETURN(DefensePlan defense,
-                         DefensePlan::Create(options.defense));
-  pool.screening =
-      defense.Screen(pool.samples, pool.device, options.num_threads);
-  for (const DeviceScreenVerdict& verdict : pool.screening.verdicts) {
-    if (!verdict.screened) continue;
-    pool.screened[static_cast<size_t>(verdict.device)] = true;
-    FEDSC_METRIC_COUNTER("fedsc.screened_devices").Increment();
-    FEDSC_JOURNAL_EVENT("defense_screened", verdict.device, sim_ms,
-                        {{"statistic", verdict.statistic},
-                         {"support", verdict.support},
-                         {"residual", verdict.residual}});
-    FEDSC_LOG(Warning) << "device " << verdict.device
-                       << " screened by the Byzantine defense: "
-                       << verdict.statistic;
-  }
-  return pool;
-}
-
-Result<CentralSolution> SolveCentral(CentralPool pool, int64_t num_clusters,
-                                     int64_t num_devices,
-                                     const FedScOptions& options,
-                                     int64_t sim_ms) {
-  if (num_clusters < 1) {
-    return Status::InvalidArgument("need num_clusters >= 1");
-  }
-  CentralSolution out;
-  if (pool.screening.screened_devices == 0) {
-    out.samples = std::move(pool.samples);
-    out.sample_device = std::move(pool.device);
-  } else {
-    // Screened devices' columns stay out of the solve.
-    std::vector<int64_t> keep;
-    for (size_t c = 0; c < pool.device.size(); ++c) {
-      const int64_t z = pool.device[c];
-      if (pool.screened[static_cast<size_t>(z)]) continue;
-      keep.push_back(static_cast<int64_t>(c));
-      out.sample_device.push_back(z);
-    }
-    out.samples = pool.samples.GatherCols(keep);
-    pool.samples = Matrix();  // release the full pool before the solve
-  }
-  const int64_t total = out.samples.cols();
-  if (total < num_clusters) {
-    return Status::FailedPrecondition(
-        "server received fewer samples than clusters (" +
-        std::to_string(total) + " < " + std::to_string(num_clusters) + ")");
-  }
-
-  FEDSC_TRACE_SPAN("fedsc/phase2/central", {{"samples", total}});
-  ScPipelineOptions central;
-  central.method = options.central_method;
-  central.central = options.central;
-  central.sketch = options.central_sketch;
-  // The sketch stream and the k-means seed hang off the run seed alone, so
-  // the labels are a pure function of (seed, pooled uploads).
-  central.sketch.seed = MixSeeds(options.seed, 0x5ce7c4ULL);
-  central.ssc = options.central_ssc;
-  central.tsc = options.central_tsc;
-  if (central.tsc.q <= 0) {
-    // The paper's rule: q = max(3, ceil(Z / L)).
-    central.tsc.q = std::max<int64_t>(
-        3, (num_devices + num_clusters - 1) / num_clusters);
-  }
-  central.tsc.q = std::min<int64_t>(central.tsc.q, total - 1);
-  central.spectral = options.central_spectral;
-  central.spectral.kmeans.seed = options.seed ^ 0x5e47e4ULL;
-  if (options.defense.enabled) {
-    // Robust k-engine: trimmed assignment, robust centers, and a per-device
-    // influence cap on the embedding rows (one per solved column).
-    KMeansRobustOptions& robust = central.spectral.kmeans.robust;
-    robust.enabled = true;
-    robust.trim_fraction = options.defense.trim_fraction;
-    robust.center = options.defense.robust_center;
-    robust.max_group_fraction = options.defense.max_device_fraction;
-    robust.point_group = out.sample_device;
-  }
-  // Channel noise can leave samples slightly off the unit sphere;
-  // renormalize like the paper's analysis assumes.
-  central.normalize_columns = true;
-  // Phase 2 runs after every device reported, so the worker budget that
-  // fanned Phase 1 out across devices now threads the central kernels
-  // (bit-identical for any thread count).
-  central.num_threads = options.num_threads;
-  const CentralPath central_path =
-      ResolveCentralPath(central, total, num_clusters);
-  FEDSC_JOURNAL_EVENT("central_start", -1, sim_ms,
-                      {{"samples", total},
-                       {"method", ScMethodKey(options.central_method)},
-                       {"central_path", CentralPathName(central_path)}});
-  FEDSC_METRIC_GAUGE("fedsc.central_sketched", MetricKind::kDeterministic)
-      .Set(central_path == CentralPath::kSketched ? 1.0 : 0.0);
-  FEDSC_ASSIGN_OR_RETURN(ScResult result,
-                         RunSubspaceClustering(out.samples, num_clusters,
-                                               central));
-  out.labels = std::move(result.labels);
-  out.affinity = std::move(result.affinity);
-  FEDSC_JOURNAL_EVENT("central_finish", -1, sim_ms, {{"samples", total}});
-  return out;
-}
-
 std::vector<int64_t> RelabelPoints(const LocalClusteringOutput& local,
                                    const std::vector<int64_t>& assignments,
                                    std::vector<int64_t>* point_sample) {
@@ -445,9 +305,8 @@ Result<FedScResult> RunFedSc(const FederatedDataset& data,
   // Phase 1: local clustering and sampling on every device. Devices are
   // independent, so the work fans out over options.num_threads; seeds are
   // fixed up front so the outcome matches the sequential run exactly.
-  std::vector<LocalClusteringOutput> locals(
-      static_cast<size_t>(num_devices));
-  std::vector<Status> device_status(static_cast<size_t>(num_devices));
+  std::vector<Result<LocalClusteringOutput>> locals(
+      static_cast<size_t>(num_devices), Status::Internal("not run"));
   std::vector<double> device_seconds(static_cast<size_t>(num_devices), 0.0);
   std::vector<uint64_t> device_seeds(static_cast<size_t>(num_devices));
   for (auto& seed : device_seeds) seed = rng.Next();
@@ -455,207 +314,84 @@ Result<FedScResult> RunFedSc(const FederatedDataset& data,
     FEDSC_TRACE_SPAN("fedsc/phase1", {{"devices", num_devices}});
     ParallelFor(0, num_devices, options.num_threads, [&](int64_t z) {
       FEDSC_TRACE_SPAN("fedsc/phase1/device", {{"z", z}});
+      const auto zi = static_cast<size_t>(z);
       Stopwatch local_timer;
-      auto local = LocalClusterAndSample(data.points[static_cast<size_t>(z)],
-                                         options,
-                                         device_seeds[static_cast<size_t>(z)]);
-      device_seconds[static_cast<size_t>(z)] = local_timer.ElapsedSeconds();
-      if (local.ok()) {
-        locals[static_cast<size_t>(z)] = std::move(local).value();
-      } else {
-        device_status[static_cast<size_t>(z)] = local.status();
-      }
+      locals[zi] =
+          LocalClusterAndSample(data.points[zi], options, device_seeds[zi]);
+      device_seconds[zi] = local_timer.ElapsedSeconds();
     });
   }
 
   // Uplink with the failure model: the fault plan injects per-device
   // failures, the channel retries against a simulated clock, and the server
-  // quarantines corrupt sample columns instead of crashing. Everything here
-  // is serial protocol code, so metrics, schedules, and journal events are
-  // deterministic for any num_threads.
-  std::vector<Matrix> received(static_cast<size_t>(num_devices));
-  // For participating devices: the original upload column index of every
-  // accepted (post-quarantine) column, in accepted order.
-  std::vector<std::vector<int64_t>> kept_samples(
-      static_cast<size_t>(num_devices));
-  result.device_reports.resize(static_cast<size_t>(num_devices));
-  int64_t total_samples = 0;
+  // takes every device in, in device order, so server ids are device ids.
+  // Everything here is serial protocol code, so metrics, schedules, and
+  // journal events are deterministic for any num_threads.
+  FedScServer server(num_clusters, options, data.ambient_dim);
   int64_t rounds_used = 1;
   int64_t sim_uplink_ms = 0;
   {
     FEDSC_TRACE_SPAN("fedsc/uplink", {{"devices", num_devices}});
     for (int64_t z = 0; z < num_devices; ++z) {
-      DeviceReport& report = result.device_reports[static_cast<size_t>(z)];
-      report.device = z;
-      if (!device_status[static_cast<size_t>(z)].ok()) {
-        report.outcome = DeviceOutcome::kLocalError;
-        report.status = device_status[static_cast<size_t>(z)];
-        FEDSC_JOURNAL_EVENT("local_error", z, -1,
-                            {{"status", report.status.ToString()}});
+      const auto zi = static_cast<size_t>(z);
+      if (!locals[zi].ok()) {
+        server.AddLocalError(locals[zi].status());
         continue;
       }
-      result.local_seconds += device_seconds[static_cast<size_t>(z)];
-      result.local_cluster_counts[static_cast<size_t>(z)] =
-          locals[static_cast<size_t>(z)].num_local_clusters;
+      result.local_seconds += device_seconds[zi];
+      result.local_cluster_counts[zi] = locals[zi]->num_local_clusters;
       FEDSC_METRIC_COUNTER("fedsc.local_clusters")
-          .Add(locals[static_cast<size_t>(z)].num_local_clusters);
+          .Add(locals[zi]->num_local_clusters);
       FEDSC_ASSIGN_OR_RETURN(
           const Matrix upload,
-          ReleaseUpload(locals[static_cast<size_t>(z)].samples, options,
-                        device_seeds[static_cast<size_t>(z)]));
+          ReleaseUpload(locals[zi]->samples, options, device_seeds[zi]));
 
       // Devices upload concurrently in a real federation, so each gets its
       // own simulated clock; the phase lasts as long as the slowest device.
       SimClock device_clock;
-      UplinkOutcome outcome = channel.UplinkWithRetry(
+      const UplinkOutcome outcome = channel.UplinkWithRetry(
           z, upload, plan, options.retry, &device_clock);
-      report.attempts = outcome.attempts;
       rounds_used = std::max<int64_t>(rounds_used, outcome.attempts);
       sim_uplink_ms = std::max(sim_uplink_ms, outcome.elapsed_ms);
       // A rejected Byzantine device is worth its own journal event: its
       // payload was adversarial-yet-well-formed, so only a *co-scheduled*
       // fault (or validation bound) can stop it.
-      const auto journal_rejection = [&](const char* type,
-                                         const std::string& reason) {
-        if (!JournalEnabled()) return;
-        JournalRecord(type, z, outcome.elapsed_ms,
-                      {{"attempts", report.attempts}, {"reason", reason}});
-        if (plan.ScheduleFor(z).payload == PayloadFault::kByzantine) {
-          JournalRecord("byzantine_rejected", z, outcome.elapsed_ms,
-                        {{"attempts", report.attempts}});
-        }
-      };
-      if (!outcome.delivered) {
-        // A wire-corrupt upload *arrived* — the bytes just failed
-        // validation — so it is quarantined like any other unusable upload;
-        // devices that never delivered are dropped.
-        const bool corrupt =
-            outcome.status.code() == StatusCode::kWireCorrupt;
-        report.outcome = corrupt ? DeviceOutcome::kQuarantined
-                                 : DeviceOutcome::kDropped;
-        report.status = outcome.status;
-        if (corrupt) {
-          FEDSC_METRIC_COUNTER("fed.quarantine.devices").Increment();
-        } else {
-          FEDSC_METRIC_COUNTER("fed.faults.dropped_devices").Increment();
-        }
-        journal_rejection(corrupt ? "quarantined" : "dropped",
-                          outcome.status.ToString());
-        FEDSC_LOG(Warning) << "device " << z
-                           << " failed to upload: "
-                           << outcome.status.ToString();
-        continue;
+      if (!server.AddUplink(outcome).ok() &&
+          plan.ScheduleFor(z).payload == PayloadFault::kByzantine) {
+        FEDSC_JOURNAL_EVENT("byzantine_rejected", z, outcome.elapsed_ms,
+                            {{"attempts", outcome.attempts}});
       }
-      report.uploaded_samples = outcome.received.cols();
-
-      auto validation = ValidateUpload(outcome.received, data.ambient_dim,
-                                       options.validation);
-      if (!validation.ok()) {
-        // Structurally unusable (e.g. wrong ambient dimension): the whole
-        // upload is quarantined.
-        report.outcome = DeviceOutcome::kQuarantined;
-        report.quarantined_samples = outcome.received.cols();
-        report.status = validation.status();
-        result.quarantined_samples += report.quarantined_samples;
-        FEDSC_METRIC_COUNTER("fed.quarantine.devices").Increment();
-        journal_rejection("quarantined", validation.status().ToString());
-        FEDSC_LOG(Warning) << "device " << z << " upload quarantined: "
-                           << validation.status().ToString();
-        continue;
-      }
-      report.quarantined_samples =
-          static_cast<int64_t>(validation->quarantined.size());
-      result.quarantined_samples += report.quarantined_samples;
-      if (validation->accepted.cols() == 0) {
-        report.outcome = DeviceOutcome::kQuarantined;
-        report.status = Status::InvalidArgument(
-            "every sample of device " + std::to_string(z) +
-            " failed validation: " + QuarantinedColumnsSummary(*validation));
-        FEDSC_METRIC_COUNTER("fed.quarantine.devices").Increment();
-        journal_rejection("quarantined", report.status.ToString());
-        continue;
-      }
-      received[static_cast<size_t>(z)] = std::move(validation->accepted);
-      kept_samples[static_cast<size_t>(z)] = std::move(validation->kept);
-      total_samples += received[static_cast<size_t>(z)].cols();
-      result.participating_devices += 1;
-      FEDSC_JOURNAL_EVENT(
-          "accepted", z, outcome.elapsed_ms,
-          {{"attempts", report.attempts},
-           {"uploaded_samples", report.uploaded_samples},
-           {"accepted_samples", received[static_cast<size_t>(z)].cols()},
-           {"quarantined_samples", report.quarantined_samples}});
     }
   }
   // Byzantine defense: screen the accepted uploads before pooling. Screened
   // devices degrade exactly like quarantined ones — they count against the
   // quorum and their points get the sentinel label.
-  FEDSC_ASSIGN_OR_RETURN(CentralPool pool,
-                         PoolAndScreen(received, options, sim_uplink_ms));
-  for (const DeviceScreenVerdict& verdict : pool.screening.verdicts) {
-    if (!verdict.screened) continue;
-    const int64_t z = verdict.device;
-    DeviceReport& report = result.device_reports[static_cast<size_t>(z)];
-    report.outcome = DeviceOutcome::kScreened;
-    report.screen_statistic = verdict.statistic;
-    report.status = Status::InvalidArgument(
-        "device " + std::to_string(z) +
-        " screened by the Byzantine defense: " + verdict.statistic);
-    total_samples -= received[static_cast<size_t>(z)].cols();
-    result.participating_devices -= 1;
-    result.screened_devices += 1;
-  }
+  FEDSC_RETURN_NOT_OK(server.Screen(sim_uplink_ms));
+  result.device_reports = server.reports();
   for (const DeviceReport& report : result.device_reports) {
     if (report.outcome != DeviceOutcome::kOk) {
       result.failed_devices.push_back(report.device);
     }
   }
+  result.participating_devices = server.participating_devices();
+  result.quarantined_samples = server.quarantined_samples();
+  result.screened_devices = server.screened_devices();
   FEDSC_METRIC_COUNTER("fedsc.participating_devices")
       .Add(result.participating_devices);
-
-  // Participation quorum: proceed only when enough devices delivered a
-  // usable upload; otherwise fail with a typed status the caller can
-  // distinguish from a crash.
-  const double participation =
-      static_cast<double>(result.participating_devices) /
-      static_cast<double>(num_devices);
-  if (participation + 1e-12 < options.quorum) {
-    FEDSC_JOURNAL_EVENT("quorum_missed", -1, sim_uplink_ms,
-                        {{"participating", result.participating_devices},
-                         {"devices", num_devices},
-                         {"quorum", options.quorum}});
-    std::string detail;
-    for (int64_t z : result.failed_devices) {
-      const DeviceReport& report =
-          result.device_reports[static_cast<size_t>(z)];
-      if (!detail.empty()) detail += "; ";
-      detail += "device " + std::to_string(z) + " " +
-                DeviceOutcomeName(report.outcome);
-    }
-    return Status::QuorumNotMet(
-        std::to_string(result.participating_devices) + "/" +
-        std::to_string(num_devices) + " devices reported, quorum " +
-        std::to_string(options.quorum) + " (" + detail + ")");
-  }
-
-  FEDSC_JOURNAL_EVENT("quorum_reached", -1, sim_uplink_ms,
-                      {{"participating", result.participating_devices},
-                       {"devices", num_devices},
-                       {"quorum", options.quorum}});
-  result.total_samples = total_samples;
-  FEDSC_METRIC_COUNTER("fedsc.total_samples").Add(total_samples);
+  FEDSC_RETURN_NOT_OK(
+      CheckQuorum(result.device_reports, options.quorum, sim_uplink_ms));
 
   // Phase 2: central clustering of the pooled samples.
   Stopwatch central_timer;
-  FEDSC_ASSIGN_OR_RETURN(
-      CentralSolution central,
-      SolveCentral(std::move(pool), num_clusters, num_devices, options,
-                   sim_uplink_ms));
+  FEDSC_RETURN_NOT_OK(server.Cluster(sim_uplink_ms));
   result.central_seconds = central_timer.ElapsedSeconds();
-  result.samples = std::move(central.samples);
-  result.sample_device = std::move(central.sample_device);
-  result.sample_labels = std::move(central.labels);
-  result.central_affinity = std::move(central.affinity);
+  const CentralSolution& central = server.solution();
+  result.samples = central.samples;
+  result.sample_device = central.sample_device;
+  result.sample_labels = central.labels;
+  result.central_affinity = central.affinity;
+  result.total_samples = result.samples.cols();
+  FEDSC_METRIC_COUNTER("fedsc.total_samples").Add(result.total_samples);
 
   // Phase 3: downlink assignments; devices relabel their points. Points on
   // failed devices get the sentinel label — partial participation degrades
@@ -663,42 +399,34 @@ Result<FedScResult> RunFedSc(const FederatedDataset& data,
   FEDSC_TRACE_SPAN("fedsc/phase3/relabel");
   FEDSC_JOURNAL_EVENT("broadcast", -1, sim_uplink_ms,
                       {{"devices", result.participating_devices}});
-  int64_t offset = 0;  // first pooled column of the next participating device
   for (int64_t z = 0; z < num_devices; ++z) {
-    const LocalClusteringOutput& local = locals[static_cast<size_t>(z)];
-    auto& labels = result.device_labels[static_cast<size_t>(z)];
-    auto& point_sample = result.point_sample[static_cast<size_t>(z)];
-    if (result.device_reports[static_cast<size_t>(z)].outcome !=
-        DeviceOutcome::kOk) {
-      const size_t num_points =
-          static_cast<size_t>(data.points[static_cast<size_t>(z)].cols());
+    const auto zi = static_cast<size_t>(z);
+    auto& labels = result.device_labels[zi];
+    auto& point_sample = result.point_sample[zi];
+    const DeviceReport& report = result.device_reports[zi];
+    if (report.outcome != DeviceOutcome::kOk) {
+      const auto num_points = static_cast<size_t>(data.points[zi].cols());
       labels.assign(num_points, FedScResult::kFailedDeviceLabel);
       point_sample.assign(num_points, -1);
       continue;
     }
-    const std::vector<int64_t>& kept = kept_samples[static_cast<size_t>(z)];
-    channel.Downlink(static_cast<int64_t>(kept.size()), num_clusters);
-    FEDSC_JOURNAL_EVENT("downlink", z, sim_uplink_ms,
-                        {{"values", static_cast<int64_t>(kept.size())}});
+    const int64_t accepted =
+        report.uploaded_samples - report.quarantined_samples;
+    channel.Downlink(accepted, num_clusters);
+    FEDSC_JOURNAL_EVENT("downlink", z, sim_uplink_ms, {{"values", accepted}});
 
-    // The server's label and pooled column of each upload column. Faulted
-    // payloads may carry columns past the honest upload (duplication);
-    // those have no local cluster to label.
-    const size_t uploaded = local.sample_cluster.size();
-    std::vector<int64_t> assignments(uploaded,
-                                     FedScResult::kFailedDeviceLabel);
-    std::vector<int64_t> pooled_column(uploaded, -1);
-    for (size_t k = 0; k < kept.size(); ++k) {
-      const auto original = static_cast<size_t>(kept[k]);
-      if (original >= uploaded) continue;
-      pooled_column[original] = offset + static_cast<int64_t>(k);
-      assignments[original] =
-          result.sample_labels[static_cast<size_t>(pooled_column[original])];
-    }
-    offset += static_cast<int64_t>(kept.size());
+    // Aligned to the honest upload: columns a truncated payload lost keep
+    // the sentinel; a duplicated one's extra columns label no local cluster.
+    std::vector<int64_t> solved_column;
+    FEDSC_ASSIGN_OR_RETURN(std::vector<int64_t> assignments,
+                           server.AssignmentsFor(z, &solved_column));
+    const LocalClusteringOutput& local = *locals[zi];
+    assignments.resize(local.sample_cluster.size(),
+                       FedScResult::kFailedDeviceLabel);
+    solved_column.resize(local.sample_cluster.size(), -1);
     labels = RelabelPoints(local, assignments, &point_sample);
     for (int64_t& s : point_sample) {
-      if (s >= 0) s = pooled_column[static_cast<size_t>(s)];
+      if (s >= 0) s = solved_column[static_cast<size_t>(s)];
     }
   }
   channel.FinishRounds(rounds_used);

@@ -8,8 +8,8 @@
 // of each local cluster's subspace by truncated SVD, and upload one sample
 // per cluster drawn uniformly from the unit sphere of that subspace (Eq. 5).
 //
-// Phase 2 (server): pool the samples and cluster them into L groups with SSC
-// or TSC (PoolAndScreen + SolveCentral).
+// Phase 2 (server): validate, pool and screen the uploads, then cluster
+// them into L groups with SSC or TSC (FedScServer, core/server.h).
 //
 // Phase 3 (every client): relabel each local point by its local cluster's
 // global assignment (RelabelPoints).
@@ -155,7 +155,8 @@ Result<LocalClusteringOutput> LocalClusterAndSample(const Matrix& points,
 Result<Matrix> ReleaseUpload(const Matrix& samples,
                              const FedScOptions& options, uint64_t seed);
 
-// How one device fared in the round.
+// How one device fared in the round: the ledger FedScServer keeps, one
+// entry per intake (core/server.h).
 enum class DeviceOutcome {
   kOk = 0,          // delivered; at least one sample accepted
   kDropped,         // no upload arrived (dropout / straggler / retry budget)
@@ -218,39 +219,12 @@ struct FedScResult {
   std::shared_ptr<const RunReport> report;
 };
 
+// Algorithm 1, run through one FedScServer (core/server.h): Phase 1 on
+// every device, then per device Channel::UplinkWithRetry and server intake,
+// the screen, CheckQuorum, the central solve, and Phase 3 with the downlink.
 Result<FedScResult> RunFedSc(const FederatedDataset& data,
                              int64_t num_clusters,
                              const FedScOptions& options = {});
-
-// Phase 2, shared by RunFedSc and FedScServer. Two calls, so RunFedSc can
-// hold its quorum check (screened devices count against it) between them.
-struct CentralPool {
-  Matrix samples;               // every accepted column, in device order
-  std::vector<int64_t> device;  // device of each pooled column
-  ScreeningOutcome screening;   // defense verdicts (empty with it off)
-  std::vector<bool> screened;   // per device
-};
-
-// Pools `uploads` (per device, its accepted columns; empty if it did not
-// participate) and, with options.defense enabled, screens the pool,
-// journaling each screened device at `sim_ms`.
-Result<CentralPool> PoolAndScreen(const std::vector<Matrix>& uploads,
-                                  const FedScOptions& options, int64_t sim_ms);
-
-struct CentralSolution {
-  Matrix samples;                      // the solved (unscreened) columns
-  std::vector<int64_t> sample_device;  // device of each solved column
-  std::vector<int64_t> labels;         // server label of each solved column
-  SparseMatrix affinity;               // W over the solved columns
-};
-
-// Clusters the pool's unscreened columns into num_clusters groups,
-// journaling central_start/central_finish at `sim_ms`. `num_devices` is Z
-// in the paper's TSC rule q = max(3, ceil(Z / L)).
-Result<CentralSolution> SolveCentral(CentralPool pool, int64_t num_clusters,
-                                     int64_t num_devices,
-                                     const FedScOptions& options,
-                                     int64_t sim_ms);
 
 // Phase 3, shared by RunFedSc and FedScClient: a local cluster takes the
 // label of its first sample (in upload order) the server clustered, else

@@ -1,15 +1,18 @@
 // Stateful client/server API for Fed-SC.
 //
-// RunFedSc() drives the whole one-shot protocol over a FederatedDataset in
-// one call, which suits experiments. Real deployments have devices that come
-// and go: each FedScClient runs Algorithm 2 on its own data and produces an
-// upload; the FedScServer accumulates uploads and (re-)clusters on demand,
-// handing every client back the assignments for its samples. Adding a device
-// and re-clustering costs one more central solve — the local phases of the
-// other devices are never repeated.
-// Both paths run the same Phase 2 (PoolAndScreen + SolveCentral) and Phase
-// 3 (RelabelPoints) from core/fedsc.h, so the same uploads get the same
-// labels; quorum, the channel model, and DeviceReports stay RunFedSc's.
+// Real deployments have devices that come and go: each FedScClient runs
+// Algorithm 2 on its own data and produces an upload; the FedScServer takes
+// uploads in and (re-)clusters on demand, handing every client back the
+// assignments for its samples. Adding a device and re-clustering costs one
+// more central solve — the local phases of the other devices are never
+// repeated.
+//
+// FedScServer is the protocol's only server. RunFedSc() (core/fedsc.h)
+// drives one over a FederatedDataset, feeding it every device's channel
+// outcome or local failure, so upload validation and quarantine, the
+// per-device DeviceReport ledger, the Byzantine screen and the central
+// solve exist once. The participation quorum is the caller's: CheckQuorum
+// over reports(), between Screen() and Cluster().
 
 #ifndef FEDSC_CORE_SERVER_H_
 #define FEDSC_CORE_SERVER_H_
@@ -59,70 +62,113 @@ class FedScClient {
   LocalClusteringOutput local_;
 };
 
-// The coordinator: accumulates uploads, clusters them into num_clusters
-// groups with the central method (TSC's q rule counts the registered
-// devices as Z), and serves per-device assignments.
+// A central solve: the unscreened accepted columns in device order, the
+// device and server label of each, and the affinity W over them.
+struct CentralSolution {
+  Matrix samples;
+  std::vector<int64_t> sample_device;
+  std::vector<int64_t> labels;
+  SparseMatrix affinity;
+};
+
+// The coordinator: takes uploads in, clusters them into num_clusters groups
+// with the central method, and serves per-device assignments.
 class FedScServer {
  public:
-  FedScServer(int64_t num_clusters, FedScOptions options);
+  // `ambient_dim` is the federation's D when the caller knows it; with -1
+  // the first accepted upload fixes it.
+  FedScServer(int64_t num_clusters, FedScOptions options,
+              int64_t ambient_dim = -1);
 
-  // Registers one device's upload; returns the device's id. Invalidates any
-  // previous clustering. Sample columns that fail validation
-  // (FedScOptions::validation — non-finite values, norms far off the unit
-  // sphere) are quarantined rather than registered; an upload with no valid
-  // column (or the wrong ambient dimension) is rejected with a typed
-  // Status.
+  // Intake. Every call consumes the next device id (arrival order), appends
+  // that device's DeviceReport and journals its fate, rejected or not.
+  // Columns that fail validation (FedScOptions::validation) are quarantined;
+  // an upload with no valid column, or the wrong ambient dimension, is
+  // rejected with a typed Status. An accepted upload invalidates any
+  // previous screen and clustering.
   Result<int64_t> AddUpload(const Matrix& samples);
-
-  // AddUpload over a serialized wire message (fed/wire.h): decodes with the
-  // self-describing codec recorded in the message's header, then registers
-  // the reconstructed samples. Malformed bytes are rejected with the typed
-  // kWireCorrupt status (never a crash or out-of-bounds read).
+  // Decodes a wire message (fed/wire.h) first; malformed bytes quarantine
+  // the device with kWireCorrupt (never a crash or out-of-bounds read).
   Result<int64_t> AddEncodedUpload(const std::vector<uint8_t>& wire);
+  // A Channel::UplinkWithRetry outcome, on its attempts and simulated clock:
+  // undelivered is dropped, or quarantined when the bytes arrived but failed
+  // to decode (kWireCorrupt).
+  Result<int64_t> AddUplink(const UplinkOutcome& outcome);
+  // A device whose local phase failed with `status`.
+  int64_t AddLocalError(const Status& status);
 
-  int64_t num_devices() const { return static_cast<int64_t>(uploads_.size()); }
+  int64_t num_devices() const { return static_cast<int64_t>(reports_.size()); }
+  // Accepted columns, screened devices' included.
   int64_t total_samples() const { return total_samples_; }
-  // Sample columns rejected by AddUpload validation since construction.
+  // Delivered columns rejected by validation.
   int64_t quarantined_samples() const { return quarantined_samples_; }
+  int64_t participating_devices() const { return Count(DeviceOutcome::kOk); }
+  int64_t screened_devices() const { return Count(DeviceOutcome::kScreened); }
+  // One report per device id, with the last Screen()'s verdicts.
+  const std::vector<DeviceReport>& reports() const { return reports_; }
 
-  // (Re-)clusters all registered samples with PoolAndScreen + SolveCentral
-  // (typed errors: InvalidArgument for num_clusters < 1, FailedPrecondition
-  // for fewer unscreened samples than clusters). Idempotent until the next
-  // AddUpload.
-  Status Cluster();
+  // With options.defense enabled, screens the pooled accepted columns: a
+  // screened device's report turns kScreened (journaled defense_screened at
+  // `sim_ms`). Cluster() runs it first; call it directly to act between the
+  // screen and the solve, as RunFedSc's quorum does. Idempotent until the
+  // next accepted upload, like Cluster().
+  Status Screen(int64_t sim_ms = -1);
 
-  // Assignments for device `id`: one per *uploaded* column, in upload
-  // order, kFailedDeviceLabel at the columns validation quarantined.
-  // Requires a successful Cluster() since the last AddUpload. A device
-  // screened by the Byzantine defense (FedScOptions::defense) gets a typed
-  // error instead — its samples never entered the central solve.
-  Result<std::vector<int64_t>> AssignmentsFor(int64_t id) const;
+  // Screen(), then clusters the unscreened columns, journaling
+  // central_start/central_finish at `sim_ms` (InvalidArgument for
+  // num_clusters < 1, FailedPrecondition for fewer samples than clusters).
+  // TSC's q rule counts every device id as Z. Applies no quorum.
+  Status Cluster(int64_t sim_ms = -1);
 
-  // True when the last Cluster() screened device `id` (always false with
-  // the defense disabled or before Cluster() ran).
+  // Device `id`'s assignments: one per *uploaded* column, in upload order,
+  // kFailedDeviceLabel at quarantined columns. Requires a successful
+  // Cluster() since the last accepted upload; a device rejected at intake
+  // or screened gets a typed error. `solved_column`, when set, receives each
+  // uploaded column's column in solution() (-1 where none).
+  Result<std::vector<int64_t>> AssignmentsFor(
+      int64_t id, std::vector<int64_t>* solved_column = nullptr) const;
+
   bool screened(int64_t id) const {
-    return id >= 0 && id < static_cast<int64_t>(screened_.size()) &&
-           screened_[static_cast<size_t>(id)];
+    return id >= 0 && id < num_devices() &&
+           reports_[static_cast<size_t>(id)].outcome ==
+               DeviceOutcome::kScreened;
   }
 
-  // The full pooled clustering: one label per accepted sample, in
-  // registration order (the sentinel for screened devices' samples).
-  const std::vector<int64_t>& sample_labels() const { return sample_labels_; }
+  // The last successful Cluster()'s solve.
+  const CentralSolution& solution() const { return solution_; }
 
  private:
+  // The one intake; `received` is null when nothing was delivered.
+  Result<int64_t> Intake(const Matrix* received, const Status& status,
+                         int attempts, int64_t sim_ms);
+  // Marks the newest report `outcome` and journals it; returns `status`.
+  Status Reject(DeviceOutcome outcome, Status status, int64_t sim_ms);
+  int64_t Count(DeviceOutcome outcome) const;
+  // The accepted columns of every kOk device, in id order.
+  void Pool(Matrix* samples, std::vector<int64_t>* device) const;
+
   int64_t num_clusters_;
   FedScOptions options_;
-  int64_t ambient_dim_ = -1;
-  std::vector<Matrix> uploads_;  // accepted columns per device
-  // Per device and uploaded column: its column in the pool (and so in
-  // sample_labels_), or -1 when validation quarantined it.
-  std::vector<std::vector<int64_t>> pooled_column_;
+  int64_t ambient_dim_;
+  std::vector<DeviceReport> reports_;
+  // Per device id: its accepted columns and the upload column of each.
+  std::vector<Matrix> uploads_;
+  std::vector<std::vector<int64_t>> kept_;
   int64_t total_samples_ = 0;
   int64_t quarantined_samples_ = 0;
+  bool screen_current_ = false;
   bool clustered_ = false;
-  std::vector<bool> screened_;
-  std::vector<int64_t> sample_labels_;
+  CentralSolution solution_;
+  // Per device id: solution() column of its first accepted one, or -1.
+  std::vector<int64_t> solved_offset_;
 };
+
+// The participation quorum, over a round's device reports: journals
+// quorum_reached, or quorum_missed and returns kQuorumNotMet naming every
+// failed device, when fewer than `quorum` of the reports are kOk. Screened
+// devices count against it like rejected ones.
+Status CheckQuorum(const std::vector<DeviceReport>& reports, double quorum,
+                   int64_t sim_ms);
 
 }  // namespace fedsc
 

@@ -6,8 +6,8 @@
 // schedule of failures — dropout, straggler latency, transient upload
 // losses, payload truncation/duplication, corruption (NaN/Inf, wrong
 // dimension, non-unit-norm), and Byzantine uploads — that the Channel's
-// retry loop (fed/network.h) and RunFedSc's degradation logic
-// (core/fedsc.h) interpret. Every draw is a pure function of
+// retry loop (fed/network.h) and FedScServer's intake (core/server.h)
+// interpret. Every draw is a pure function of
 // (seed, device, attempt): schedules are bit-identical for any thread count
 // and any processing order, composable with ChannelOptions noise and
 // quantization, and replayable for regression tests.

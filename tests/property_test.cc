@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -100,6 +101,72 @@ TEST(PropertyTest, FedScIsRotationInvariant) {
   EXPECT_NEAR(acc_plain, acc_rotated, 4.0);
   EXPECT_GE(acc_plain, 94.0);
   EXPECT_GE(acc_rotated, 94.0);
+}
+
+// Well-separated noiseless subspaces over ten devices: the input of the two
+// RunFedSc metamorphic tests below, each of which compares a run on it with
+// a run on a transformed copy, partition against partition (ACC 100 between
+// the two label vectors means equal up to relabeling).
+FederatedDataset SeparatedFederation() {
+  SyntheticOptions synth;
+  synth.ambient_dim = 30;
+  synth.subspace_dim = 3;
+  synth.num_subspaces = 4;
+  synth.points_per_subspace = 60;
+  synth.seed = 17;
+  auto data = GenerateUnionOfSubspaces(synth);
+  EXPECT_TRUE(data.ok());
+  PartitionOptions partition;
+  partition.num_devices = 10;
+  partition.clusters_per_device = 2;
+  partition.seed = 18;
+  auto fed = PartitionAcrossDevices(*data, partition);
+  EXPECT_TRUE(fed.ok());
+  return std::move(fed).value();
+}
+
+TEST(PropertyTest, FedScIsEquivariantToPointOrderWithinADevice) {
+  const FederatedDataset fed = SeparatedFederation();
+  Rng rng(19);
+  for (size_t z : {size_t{0}, size_t{6}}) {
+    SCOPED_TRACE("device " + std::to_string(z));
+    FederatedDataset permuted = fed;
+    std::vector<int64_t> order(fed.global_index[z].size());
+    std::iota(order.begin(), order.end(), 0);
+    rng.Shuffle(&order);
+    permuted.points[z] = fed.points[z].GatherCols(order);
+    for (size_t k = 0; k < order.size(); ++k) {
+      const auto from = static_cast<size_t>(order[k]);
+      permuted.labels[z][k] = fed.labels[z][from];
+      permuted.global_index[z][k] = fed.global_index[z][from];
+    }
+    auto a = RunFedSc(fed, 4);
+    auto b = RunFedSc(permuted, 4);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    // global_labels are in dataset order, so the permutation is undone.
+    EXPECT_DOUBLE_EQ(ClusteringAccuracy(a->global_labels, b->global_labels),
+                     100.0);
+  }
+}
+
+TEST(PropertyTest, FedScIsInvariantToPerPointRescaling) {
+  const FederatedDataset fed = SeparatedFederation();
+  FederatedDataset scaled = fed;
+  Rng rng(20);
+  for (Matrix& points : scaled.points) {
+    for (int64_t j = 0; j < points.cols(); ++j) {
+      // Log-uniform in [1e-3, 1e3].
+      const double s = std::pow(10.0, rng.Uniform(-3.0, 3.0));
+      for (int64_t i = 0; i < points.rows(); ++i) points(i, j) *= s;
+    }
+  }
+  auto a = RunFedSc(fed, 4);
+  auto b = RunFedSc(scaled, 4);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_DOUBLE_EQ(ClusteringAccuracy(a->global_labels, b->global_labels),
+                   100.0);
 }
 
 TEST(PropertyTest, PipelineIsScaleInvariant) {

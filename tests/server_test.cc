@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "core/server.h"
 #include "data/synthetic.h"
 #include "fed/codec.h"
+#include "fed/faults.h"
 #include "fed/network.h"
 #include "fed/partition.h"
 #include "fed/privacy.h"
@@ -193,6 +195,15 @@ TEST(FedScServerTest, Validation) {
   EXPECT_FALSE(server.AddUpload(Matrix(5, 2)).ok());   // dimension mismatch
   EXPECT_FALSE(server.AssignmentsFor(0).ok());         // not clustered
   EXPECT_FALSE(server.AssignmentsFor(9).ok());         // unknown id
+
+  // Told the federation's D, the server rejects a wrong-dimension first
+  // upload instead of adopting its D.
+  Matrix wrong(5, 2);
+  wrong(0, 0) = 1.0;
+  wrong(1, 1) = 1.0;
+  FedScServer known(3, options, 4);
+  EXPECT_FALSE(known.AddUpload(wrong).ok());
+  EXPECT_TRUE(known.AddUpload(upload).ok());
 }
 
 TEST(FedScClientTest, AssignmentsValidation) {
@@ -250,8 +261,61 @@ TEST(FedScServerTest, AddUploadQuarantinesCorruptColumns) {
   auto rejected = server.AddUpload(hopeless);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(server.num_devices(), 1);
+  // The rejected upload still consumed a device id and left a report.
+  EXPECT_EQ(server.num_devices(), 2);
+  EXPECT_EQ(server.reports()[1].outcome, DeviceOutcome::kQuarantined);
   EXPECT_EQ(server.quarantined_samples(), 3);
+}
+
+// Every intake consumes its own id, so a rejected upload and the next
+// accepted one are journaled under different devices, and the rejected id
+// serves a typed error rather than another device's assignments.
+TEST(FedScServerTest, RejectedUploadConsumesItsOwnId) {
+  Federation f = MakeFederation(2, 30, 4, 2, 337);
+  FedScServer server(2, FedScOptions{});
+  std::vector<FedScClient> clients;
+  Rng rng(101);
+  for (const Matrix& points : f.fed.points) {
+    clients.emplace_back(points, FedScOptions{}, rng.Next());
+  }
+  ResetJournal();
+  EnableJournal(true);
+  std::vector<int64_t> accepted_ids;
+  for (size_t z = 0; z < clients.size(); ++z) {
+    auto upload = clients[z].ProduceUpload();
+    ASSERT_TRUE(upload.ok()) << upload.status().ToString();
+    auto id = server.AddUpload(*upload);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    accepted_ids.push_back(*id);
+    if (z == 0) {
+      Matrix hopeless(upload->rows(), 1);
+      hopeless(0, 0) = std::numeric_limits<double>::quiet_NaN();
+      EXPECT_FALSE(server.AddUpload(hopeless).ok());
+    }
+  }
+  const std::vector<JournalEvent> events = SnapshotJournal();
+  EnableJournal(false);
+  EXPECT_EQ(accepted_ids, (std::vector<int64_t>{0, 2, 3, 4}));
+  ASSERT_EQ(server.num_devices(), 5);
+
+  std::set<int64_t> journaled;
+  for (const JournalEvent& event : events) {
+    if (event.type != "accepted" && event.type != "quarantined") continue;
+    EXPECT_TRUE(journaled.insert(event.device).second)
+        << event.type << " reuses device id " << event.device;
+    EXPECT_EQ(event.type == "quarantined", event.device == 1);
+  }
+  EXPECT_EQ(journaled.size(), 5u);
+
+  ASSERT_TRUE(server.Cluster().ok());
+  auto rejected = server.AssignmentsFor(1);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  for (size_t z = 0; z < clients.size(); ++z) {
+    auto assignments = server.AssignmentsFor(accepted_ids[z]);
+    ASSERT_TRUE(assignments.ok()) << assignments.status().ToString();
+    EXPECT_TRUE(clients[z].ApplyAssignments(*assignments).ok());
+  }
 }
 
 TEST(FedScServerTest, NonPositiveClusterCountIsATypedError) {
@@ -293,52 +357,102 @@ FederatedDataset WithLonelyDevice(FederatedDataset fed, uint64_t seed) {
   return fed;
 }
 
+// The server-side events both paths emit: the defense screen, the quorum
+// verdict and the central solve.
 std::vector<JournalEvent> CentralEvents(const std::vector<JournalEvent>& all) {
   std::vector<JournalEvent> central;
   for (const JournalEvent& event : all) {
     if (event.type == "central_start" || event.type == "central_finish" ||
-        event.type == "defense_screened") {
+        event.type == "defense_screened" || event.type == "quorum_reached" ||
+        event.type == "quorum_missed") {
       central.push_back(event);
     }
   }
   return central;
 }
 
-// RunFedSc and the client/server API share one Phase 2 and one relabel
-// rule: seeded the way RunFedSc seeds its devices, over a fault-free raw
-// channel, the server API returns exactly RunFedSc's labels — not merely
-// the same partition up to a permutation.
+// The federation with one extra ambient row on device 0's points, so its
+// uploads carry the wrong dimension the way PayloadFault::kCorruptDim's do
+// (the fault plan's corruption cycle starts at kTruncate, so it never
+// schedules kCorruptDim on device 0).
+FederatedDataset WithWrongDimFirstDevice(FederatedDataset fed, uint64_t seed) {
+  Rng rng(seed);
+  const Matrix& points = fed.points[0];
+  Matrix wrong(points.rows() + 1, points.cols());
+  for (int64_t j = 0; j < points.cols(); ++j) {
+    for (int64_t i = 0; i < points.rows(); ++i) wrong(i, j) = points(i, j);
+    wrong(points.rows(), j) = rng.Gaussian();
+  }
+  fed.points[0] = std::move(wrong);
+  return fed;
+}
+
+// RunFedSc runs through one FedScServer: seeded the way RunFedSc seeds its
+// devices, a hand-written FedScClient -> Channel::UplinkWithRetry ->
+// FedScServer loop returns exactly RunFedSc's device reports and labels
+// (not merely the same partition up to a permutation), under faults too,
+// and misses the quorum with the same status before any central solve.
 TEST(FedScServerTest, BitIdenticalToRunFedSc) {
   const Federation f = MakeFederation(4, 40, 10, 2, 313);
   const FederatedDataset lonely = WithLonelyDevice(f.fed, 17);
+  const FederatedDataset wrong_dim = WithWrongDimFirstDevice(f.fed, 19);
   struct Config {
-    ScMethod method;
-    bool defense;
-    CentralPath path;
-    bool dp;
+    std::string name;
+    ScMethod method = ScMethod::kSsc;
+    bool defense = false;
+    CentralPath path = CentralPath::kExact;
+    bool dp = false;
+    FaultPlanOptions faults;
+    int max_attempts = 1;
+    double quorum = 0.5;  // the screened device counts against it
+    const FederatedDataset* fed = nullptr;  // default: f.fed, lonely with
+                                            // the defense
   };
   std::vector<Config> configs;
+  const auto add = [&](std::string name) -> Config& {
+    configs.emplace_back().name = std::move(name);
+    return configs.back();
+  };
   for (ScMethod method : {ScMethod::kSsc, ScMethod::kTsc}) {
     for (bool defense : {false, true}) {
       for (CentralPath path : {CentralPath::kExact, CentralPath::kSketched}) {
-        configs.push_back({method, defense, path, false});
+        Config& c = add(std::string(ScMethodKey(method)) +
+                        (defense ? " defended " : " ") +
+                        CentralPathName(path));
+        c.method = method;
+        c.defense = defense;
+        c.path = path;
       }
     }
   }
   // Both paths release their uploads through the same Gaussian mechanism.
-  configs.push_back({ScMethod::kSsc, false, CentralPath::kExact, true});
+  add("dp").dp = true;
+  add("dropout").faults.dropout_rate = 0.3;
+  Config& transient = add("transient with retries");
+  transient.faults.transient_rate = 0.6;
+  transient.max_attempts = 3;
+  // The corruption cycle runs truncate, duplicate, NaN, dim, norm.
+  Config& corrupt = add("payload corruption");
+  corrupt.faults.corrupt_rate = 0.6;
+  corrupt.faults.seed = 7;
+  add("wire corruption").faults.wire_corrupt_rate = 0.3;
+  Config& screened = add("quorum missed by screening alone");
+  screened.defense = true;
+  screened.quorum = 1.0;
+  add("wrong-dimension first upload").fed = &wrong_dim;
   for (const Config& c : configs) {
-    SCOPED_TRACE(std::string(ScMethodKey(c.method)) +
-                 (c.defense ? " defended " : " ") + CentralPathName(c.path) +
-                 (c.dp ? " dp" : ""));
-    const FederatedDataset& fed = c.defense ? lonely : f.fed;
+    SCOPED_TRACE(c.name);
+    const FederatedDataset& fed =
+        c.fed != nullptr ? *c.fed : c.defense ? lonely : f.fed;
     FedScOptions options;
     options.central_method = c.method;
     options.central = c.path;
     options.central_sketch.dim = 10;
     options.defense.enabled = c.defense;
     options.use_dp = c.dp;
-    options.quorum = 0.5;  // the screened device counts against it
+    options.faults = c.faults;
+    options.retry.max_attempts = c.max_attempts;
+    options.quorum = c.quorum;
     // Threads the screen and the central solve (ci_tsan.sh runs this
     // suite); labels are bit-identical for any thread count.
     options.num_threads = 2;
@@ -348,36 +462,56 @@ TEST(FedScServerTest, BitIdenticalToRunFedSc) {
     auto batch = RunFedSc(fed, 4, options);
     const std::vector<JournalEvent> batch_events =
         CentralEvents(SnapshotJournal());
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    EXPECT_EQ(batch->screened_devices, c.defense ? 1 : 0);
 
     ResetJournal();
-    FedScServer server(4, options);
+    FedScServer server(4, options, fed.ambient_dim);
+    Channel channel(options.channel);
+    auto plan = FaultPlan::Create(fed.num_devices(), options.faults);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     std::vector<FedScClient> clients;
     clients.reserve(static_cast<size_t>(fed.num_devices()));
     Rng rng(options.seed);
     for (int64_t z = 0; z < fed.num_devices(); ++z) {
       clients.emplace_back(fed.points[static_cast<size_t>(z)], options,
                            rng.Next());
-      auto wire = clients.back().ProduceEncodedUpload(options.channel.codec);
-      ASSERT_TRUE(wire.ok()) << wire.status().ToString();
-      auto id = server.AddEncodedUpload(*wire);
-      ASSERT_TRUE(id.ok()) << id.status().ToString();
-      EXPECT_EQ(*id, z);
+      auto upload = clients.back().ProduceUpload();
+      ASSERT_TRUE(upload.ok()) << upload.status().ToString();
+      SimClock clock;
+      const UplinkOutcome outcome =
+          channel.UplinkWithRetry(z, *upload, *plan, options.retry, &clock);
+      auto id = server.AddUplink(outcome);
+      if (id.ok()) {
+        EXPECT_EQ(*id, z);
+      }
+      EXPECT_EQ(server.num_devices(), z + 1);
     }
-    const Status clustered = server.Cluster();
+    ASSERT_TRUE(server.Screen().ok());
+    Status clustered = CheckQuorum(server.reports(), options.quorum, -1);
+    if (clustered.ok()) clustered = server.Cluster();
     const std::vector<JournalEvent> server_events =
         CentralEvents(SnapshotJournal());
     EnableJournal(false);
-    ASSERT_TRUE(clustered.ok()) << clustered.ToString();
 
-    // The same central events and payloads; only the clock differs.
+    // The same server-side events and payloads; only the clock differs.
     ASSERT_EQ(server_events.size(), batch_events.size());
     for (size_t e = 0; e < server_events.size(); ++e) {
       EXPECT_EQ(server_events[e].type, batch_events[e].type);
       EXPECT_EQ(server_events[e].device, batch_events[e].device);
       EXPECT_EQ(server_events[e].fields, batch_events[e].fields);
     }
+
+    if (c.quorum == 1.0) {
+      ASSERT_FALSE(batch.ok());
+      EXPECT_EQ(batch.status().code(), StatusCode::kQuorumNotMet);
+      EXPECT_EQ(clustered.ToString(), batch.status().ToString());
+      EXPECT_EQ(server.screened_devices(), 1);
+      ASSERT_FALSE(batch_events.empty());
+      EXPECT_EQ(batch_events.back().type, "quorum_missed");
+      continue;
+    }
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_TRUE(clustered.ok()) << clustered.ToString();
+    EXPECT_EQ(batch->screened_devices, c.defense ? 1 : 0);
     for (const JournalEvent& event : batch_events) {
       if (event.type != "central_start") continue;
       const std::string want =
@@ -385,25 +519,73 @@ TEST(FedScServerTest, BitIdenticalToRunFedSc) {
       EXPECT_EQ(event.fields.back().second, want);
     }
 
-    // Screened samples hold the sentinel in the server's pooled labels
-    // and are absent from RunFedSc's solved pool.
-    std::vector<int64_t> solved;
-    for (int64_t label : server.sample_labels()) {
-      if (label != FedScResult::kFailedDeviceLabel) solved.push_back(label);
+    // One ledger: the server's reports are RunFedSc's.
+    ASSERT_EQ(server.reports().size(), batch->device_reports.size());
+    std::set<DeviceOutcome> outcomes;
+    int64_t retried = 0;
+    for (size_t z = 0; z < server.reports().size(); ++z) {
+      const DeviceReport& got = server.reports()[z];
+      const DeviceReport& want = batch->device_reports[z];
+      EXPECT_EQ(got.device, want.device);
+      EXPECT_EQ(got.outcome, want.outcome) << "device " << z;
+      EXPECT_EQ(got.attempts, want.attempts) << "device " << z;
+      EXPECT_EQ(got.uploaded_samples, want.uploaded_samples);
+      EXPECT_EQ(got.quarantined_samples, want.quarantined_samples);
+      EXPECT_EQ(got.status.ToString(), want.status.ToString());
+      EXPECT_EQ(got.screen_statistic, want.screen_statistic);
+      outcomes.insert(want.outcome);
+      if (want.outcome == DeviceOutcome::kOk && want.attempts > 1) ++retried;
     }
-    EXPECT_EQ(solved, batch->sample_labels);
+    EXPECT_EQ(server.participating_devices(), batch->participating_devices);
+    EXPECT_EQ(server.quarantined_samples(), batch->quarantined_samples);
+    // Each faulted config exercises the fault it names.
+    if (c.faults.dropout_rate > 0.0) {
+      EXPECT_TRUE(outcomes.count(DeviceOutcome::kDropped));
+    }
+    if (c.faults.transient_rate > 0.0) {
+      EXPECT_GT(retried, 0);
+    }
+    if (c.faults.corrupt_rate > 0.0) {
+      std::set<PayloadFault> scheduled;
+      for (int64_t z = 0; z < fed.num_devices(); ++z) {
+        scheduled.insert(plan->ScheduleFor(z).payload);
+      }
+      for (PayloadFault fault :
+           {PayloadFault::kTruncate, PayloadFault::kDuplicate,
+            PayloadFault::kCorruptNan}) {
+        EXPECT_TRUE(scheduled.count(fault)) << PayloadFaultName(fault);
+      }
+    }
+    if (c.faults.wire_corrupt_rate > 0.0) {
+      EXPECT_TRUE(outcomes.count(DeviceOutcome::kQuarantined));
+    }
+    if (c.fed == &wrong_dim) {
+      // Device 0's D did not become the federation's: it alone is out.
+      EXPECT_EQ(batch->device_reports[0].outcome, DeviceOutcome::kQuarantined);
+      EXPECT_EQ(batch->participating_devices, fed.num_devices() - 1);
+    }
+
+    // The same solved pool: screened devices' samples are absent.
+    EXPECT_EQ(server.solution().labels, batch->sample_labels);
+    EXPECT_EQ(server.solution().sample_device, batch->sample_device);
 
     for (int64_t z = 0; z < fed.num_devices(); ++z) {
       const auto zi = static_cast<size_t>(z);
-      const bool screened = batch->device_reports[zi].outcome ==
-                            DeviceOutcome::kScreened;
-      EXPECT_EQ(server.screened(z), screened) << "device " << z;
+      EXPECT_EQ(server.screened(z), batch->device_reports[zi].outcome ==
+                                        DeviceOutcome::kScreened);
       auto assignments = server.AssignmentsFor(z);
-      if (screened) {
+      if (batch->device_reports[zi].outcome != DeviceOutcome::kOk) {
         EXPECT_FALSE(assignments.ok());
+        for (int64_t label : batch->device_labels[zi]) {
+          EXPECT_EQ(label, FedScResult::kFailedDeviceLabel);
+        }
         continue;
       }
       ASSERT_TRUE(assignments.ok()) << assignments.status().ToString();
+      // Aligned to the honest upload: truncated columns take the sentinel,
+      // duplicated ones are dropped.
+      assignments->resize(static_cast<size_t>(clients[zi].num_samples()),
+                          FedScResult::kFailedDeviceLabel);
       auto labels = clients[zi].ApplyAssignments(*assignments);
       ASSERT_TRUE(labels.ok()) << labels.status().ToString();
       EXPECT_EQ(*labels, batch->device_labels[zi]) << "device " << z;
@@ -452,8 +634,9 @@ TEST(FedScServerTest, PartialQuarantineRelabelsByTheSharedRule) {
     int64_t pooled = 0;
     for (int64_t s = 0; s < uploaded; ++s) {
       const int64_t want =
-          s == poisoned ? FedScResult::kFailedDeviceLabel
-                        : server.sample_labels()[static_cast<size_t>(pooled++)];
+          s == poisoned
+              ? FedScResult::kFailedDeviceLabel
+              : server.solution().labels[static_cast<size_t>(pooled++)];
       EXPECT_EQ((*assignments)[static_cast<size_t>(s)], want);
     }
     auto labels = clients[0].ApplyAssignments(*assignments);
@@ -495,7 +678,7 @@ TEST(FedScServerTest, CallSequenceFuzz) {
     FedScOptions options;
     options.defense.enabled = sequence % 2 == 1;
     FedScServer server(clusters, options);
-    std::vector<int64_t> uploaded_cols;  // per registered id
+    std::vector<int64_t> uploaded_cols;  // per id; -1 when rejected
     bool clustered = false;
     for (int step = 0; step < 24; ++step) {
       SCOPED_TRACE("sequence " + std::to_string(sequence) + " step " +
@@ -515,7 +698,8 @@ TEST(FedScServerTest, CallSequenceFuzz) {
         const int64_t probe = rng.UniformInt(server.num_devices() + 2) - 1;
         auto assignments = server.AssignmentsFor(probe);
         const bool known = probe >= 0 && probe < server.num_devices();
-        if (!known || !clustered || server.screened(probe)) {
+        if (!known || !clustered || server.screened(probe) ||
+            uploaded_cols[static_cast<size_t>(probe)] < 0) {
           EXPECT_FALSE(assignments.ok());
           continue;
         }
@@ -567,12 +751,16 @@ TEST(FedScServerTest, CallSequenceFuzz) {
             return server.AddUpload(upload);
         }
       }();
+      // Every intake consumes the next id, accepted or not.
+      EXPECT_EQ(server.num_devices(),
+                static_cast<int64_t>(uploaded_cols.size()) + 1);
       if (id.ok()) {
         EXPECT_EQ(*id, static_cast<int64_t>(uploaded_cols.size()));
         uploaded_cols.push_back(upload.cols());
         clustered = false;
       } else {
         EXPECT_FALSE(id.status().message().empty());
+        uploaded_cols.push_back(-1);
       }
     }
   }
