@@ -50,11 +50,6 @@ void RunDataset(const char* name, const Dataset& data, bench::Table* table) {
       options.central_method = central;
       options.use_eigengap = false;
       options.max_local_clusters = l_prime;
-      // The large-L' cells pool up to Z*L' samples at the server; a capped
-      // ADMM budget keeps the sweep's wall-clock reasonable with no
-      // measurable accuracy cost at these sizes.
-      options.central_ssc.max_iterations = 100;
-      options.central_ssc.tol = 1e-3;
       auto result = RunFedSc(*fed, data.num_clusters, options);
       auto& row = central == ScMethod::kSsc ? fedsc_ssc : fedsc_tsc;
       row.push_back(result.ok()

@@ -4,7 +4,8 @@
 # the fault-tolerance suite under TSAN (races), then rebuilds and runs the
 # fault suite plus the wire-decoder fuzzer under ASAN (corrupted payloads
 # and mutated wire bytes exercise truncated / duplicated / wrong-dimension /
-# length-lying buffers, exactly where an out-of-bounds read would hide).
+# length-lying buffers, exactly where an out-of-bounds read would hide),
+# along with the SSC-ADMM edge cases and their many operator re-forms.
 # Run from anywhere; artifacts go to build-tsan/ and build-asan/.
 set -euo pipefail
 
@@ -84,7 +85,8 @@ cmake -S "${repo_root}" -B "${asan_dir}" \
 cmake --build "${asan_dir}" -j "$(nproc)" \
   --target faults_test defense_test server_test blas_test batch_test \
   parallel_determinism_test qr_cholesky_test svd_eig_test codec_test \
-  wire_fuzz_test journal_test sketch_test sc_test fed_test fedsc_test
+  wire_fuzz_test journal_test sketch_test sc_test edge_cases_test fed_test \
+  fedsc_test
 
 "${asan_dir}/tests/faults_test"
 # Screening indexes per-sample peer lists and per-device slots built from
@@ -121,6 +123,10 @@ cmake --build "${asan_dir}" -j "$(nproc)" \
 # The ADMM solvers index Z-update scratch whose row count depends on the
 # factored/direct operator shape; ASAN gates that indexing.
 "${asan_dir}/tests/sc_test"
+# The tol = 1e-8 KKT solve runs the full iteration budget, re-forming the
+# Z-update operator and rescaling the dual at every residual-balancing rho
+# change; ASAN gates the operator swaps and the rescale passes.
+"${asan_dir}/tests/edge_cases_test"
 # The channel and privacy plumbing: encode/decode round trips through the
 # codec, retry/backoff bookkeeping, and the Gaussian mechanism's in-place
 # column clipping; ASAN gates the buffer handling.

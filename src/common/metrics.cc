@@ -110,6 +110,7 @@ MetricsRegistry::MetricsRegistry() {
         "linalg.subspace_iteration.calls",
         "linalg.subspace_iteration.iterations", "sc.ssc_admm.solves",
         "sc.ssc_admm.iterations", "sc.ssc_admm.converged",
+        "sc.ssc_admm.rho_updates",
         "cluster.kmeans.runs", "cluster.kmeans.restarts",
         "cluster.kmeans.iterations", "fed.comm.uplink_values",
         "fed.comm.uplink_bits", "fed.comm.uplink_wire_bytes",

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <numeric>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -20,8 +23,8 @@ namespace {
 
 // mu = min_i max_{j != i} |x_j^T x_i|, from the Gram matrix. Column panels
 // reduce to a per-chunk min-of-max, combined in chunk order below — min and
-// max are exact in any order (the same reduction shape as the ADMM stopping
-// rule), so the result is bit-identical for every thread count.
+// max are exact in any order, so the result is bit-identical for every
+// thread count.
 double MutualCoherenceFloor(const Matrix& gram, int num_threads) {
   const int64_t n = gram.rows();
   const int chunks =
@@ -60,49 +63,157 @@ void RecordGramFlops(int64_t nn, int64_t kk) {
   FEDSC_METRIC_COUNTER("sc.ssc_admm.gram_flops").Add(nn * (nn + 1) * kk);
 }
 
+// Residual balancing (Boyd et al. Section 3.4.1): every
+// kRhoCheckInterval-th iteration, when one normalized residual exceeds the
+// other by kRhoBalance (mu), rho moves by kRhoScale (tau) toward balance.
+constexpr int kRhoCheckInterval = 10;
+constexpr double kRhoBalance = 10.0;
+constexpr double kRhoScale = 2.0;
+// eps_abs = tol * kAbsTolScale (tol is eps_rel).
+constexpr double kAbsTolScale = 1e-3;
+
+// One column's squared-norm contributions to the stopping rule.
+struct ColumnSums {
+  double primal = 0.0;  // ||z - c||^2 (+ (1^T z - 1)^2 in affine mode)
+  double dual = 0.0;    // ||c - c_prev||^2
+  double z = 0.0;       // ||z||^2
+  double c = 0.0;       // ||c||^2
+  double u = 0.0;       // ||u||^2, after the dual update
+};
+
+// Boyd et al. Section 3.3 for a rows x sums.size() iterate:
+//   r = ||Z - C||_F,  s = rho ||C - C_prev||_F,
+//   eps_pri  = sqrt(rows * cols) eps_abs + eps_rel max(||Z||_F, ||C||_F),
+//   eps_dual = sqrt(rows * cols) eps_abs + eps_rel rho ||U||_F.
+// The per-column slots are summed serially in column order, so the result is
+// bit-identical however the columns were split across threads.
+struct Residuals {
+  double primal = std::numeric_limits<double>::infinity();
+  double dual = std::numeric_limits<double>::infinity();
+  double primal_threshold = 0.0;
+  double dual_threshold = 0.0;
+
+  double PrimalRatio() const { return primal / primal_threshold; }
+  double DualRatio() const { return dual / dual_threshold; }
+  bool Converged() const { return PrimalRatio() <= 1.0 && DualRatio() <= 1.0; }
+};
+
+Residuals StoppingResiduals(const std::vector<ColumnSums>& sums, int64_t rows,
+                            double rho, double tol) {
+  ColumnSums total;
+  for (const ColumnSums& col : sums) {
+    total.primal += col.primal;
+    total.dual += col.dual;
+    total.z += col.z;
+    total.c += col.c;
+    total.u += col.u;
+  }
+  const double abs_term =
+      std::sqrt(static_cast<double>(rows) * static_cast<double>(sums.size())) *
+      tol * kAbsTolScale;
+  Residuals r;
+  r.primal = std::sqrt(total.primal);
+  r.dual = rho * std::sqrt(total.dual);
+  r.primal_threshold =
+      abs_term + tol * std::max(std::sqrt(total.z), std::sqrt(total.c));
+  r.dual_threshold = abs_term + tol * rho * std::sqrt(total.u);
+  return r;
+}
+
+// The residual-balanced penalty for the next iterations (rho itself when the
+// normalized residuals are within kRhoBalance of each other).
+double BalancedRho(const Residuals& r, double rho) {
+  if (r.PrimalRatio() > kRhoBalance * r.DualRatio()) return rho * kRhoScale;
+  if (r.DualRatio() > kRhoBalance * r.PrimalRatio()) return rho / kRhoScale;
+  return rho;
+}
+
 // C-update over columns [j0, j1): soft-threshold Z + U at `threshold` with
 // row pinned(j) held at zero, fold in the dual update U += Z - C, and leave
-// the next Z-update input M = C - U + shift(j) in z. Returns the stopping
-// rule's max(|C - C_prev|, |Z - C|) over those columns.
+// the next Z-update input M = C - U + shift(j) in z. Column j's stopping-rule
+// sums go to sums[j].
 template <typename Pinned, typename Shift>
-double ThresholdColumns(int64_t j0, int64_t j1, double threshold,
-                        Pinned pinned, Shift shift, Matrix* c, Matrix* u,
-                        Matrix* z) {
-  double residual = 0.0;
+void ThresholdColumns(int64_t j0, int64_t j1, double threshold, Pinned pinned,
+                      Shift shift, Matrix* c, Matrix* u, Matrix* z,
+                      ColumnSums* sums) {
   for (int64_t j = j0; j < j1; ++j) {
     double* cj = c->ColData(j);
     double* uj = u->ColData(j);
     double* zj = z->ColData(j);
     const int64_t zero_row = pinned(j);
     const double offset = shift(j);
+    ColumnSums col;
     for (int64_t i = 0; i < c->rows(); ++i) {
       const double next =
           i == zero_row ? 0.0 : SoftThreshold(zj[i] + uj[i], threshold);
       const double gap = zj[i] - next;
-      residual = std::max({residual, std::fabs(next - cj[i]), std::fabs(gap)});
+      const double step = next - cj[i];
+      col.primal += gap * gap;
+      col.dual += step * step;
+      col.z += zj[i] * zj[i];
+      col.c += next * next;
       cj[i] = next;
       uj[i] += gap;
+      col.u += uj[i] * uj[i];
       zj[i] = next - uj[i] + offset;
     }
+    sums[j] = col;
   }
-  return residual;
+}
+
+// After rho changes by rho_old / rho_new = `ratio`: rescale the scaled dual
+// over columns [j0, j1) and rebuild the Z-update input M = C - U + shift(j).
+template <typename Shift>
+void RescaleDual(int64_t j0, int64_t j1, double ratio, Shift shift,
+                 const Matrix& c, Matrix* u, Matrix* z) {
+  for (int64_t j = j0; j < j1; ++j) {
+    const double* cj = c.ColData(j);
+    double* uj = u->ColData(j);
+    double* zj = z->ColData(j);
+    const double offset = shift(j);
+    for (int64_t i = 0; i < c.rows(); ++i) {
+      uj[i] *= ratio;
+      zj[i] = cj[i] - uj[i] + offset;
+    }
+  }
 }
 
 // Reports a finished solve to `info` and the sc.ssc_admm.* metrics.
-void RecordSolve(const char* solver, int iterations, double residual,
-                 bool converged, SscAdmmInfo* info) {
-  if (!converged) {
+void RecordSolve(const char* solver, const SscAdmmInfo& record,
+                 SscAdmmInfo* info) {
+  if (!record.converged) {
     FEDSC_LOG(Debug) << solver << " stopped at max_iterations with residual "
-                     << residual;
+                     << record.final_residual << " of its threshold";
   }
-  if (info != nullptr) *info = {iterations, residual, converged};
+  if (info != nullptr) *info = record;
   FEDSC_METRIC_COUNTER("sc.ssc_admm.solves").Increment();
-  FEDSC_METRIC_COUNTER("sc.ssc_admm.iterations").Add(iterations);
-  if (converged) FEDSC_METRIC_COUNTER("sc.ssc_admm.converged").Increment();
-  FEDSC_METRIC_HISTOGRAM("sc.ssc_admm.iterations_per_solve").Record(iterations);
+  FEDSC_METRIC_COUNTER("sc.ssc_admm.iterations").Add(record.iterations);
+  FEDSC_METRIC_COUNTER("sc.ssc_admm.rho_updates").Add(record.rho_updates);
+  if (record.converged) {
+    FEDSC_METRIC_COUNTER("sc.ssc_admm.converged").Increment();
+  }
+  FEDSC_METRIC_HISTOGRAM("sc.ssc_admm.iterations_per_solve")
+      .Record(record.iterations);
   // Last-writer-wins across concurrent device solves, hence kExecution.
   FEDSC_METRIC_GAUGE("sc.ssc_admm.last_residual", MetricKind::kExecution)
-      .Set(residual);
+      .Set(record.final_residual);
+}
+
+// The convergence record of a solve that stopped at `residuals`.
+SscAdmmInfo MakeRecord(int iterations, const Residuals& residuals, double rho,
+                       int rho_updates) {
+  SscAdmmInfo record;
+  record.iterations = iterations;
+  record.primal_residual = residuals.primal;
+  record.dual_residual = residuals.dual;
+  record.primal_threshold = residuals.primal_threshold;
+  record.dual_threshold = residuals.dual_threshold;
+  record.final_residual =
+      std::max(residuals.PrimalRatio(), residuals.DualRatio());
+  record.final_rho = rho;
+  record.rho_updates = rho_updates;
+  record.converged = residuals.Converged();
+  return record;
 }
 
 // The Z-update shared by both solvers. Over a dictionary A (r x m: A = X on
@@ -119,8 +230,35 @@ struct ZUpdate {
   double lambda = 0.0;
   double rho = 0.0;
   bool factored = false;
+  // A A^T (factored) or A^T A (direct): the rho-free part of S or H, kept so
+  // a rho change re-forms K without another Gram.
+  std::shared_ptr<const Matrix> gram;
   Matrix k;
   Matrix w;  // lambda S^{-1}, factored only
+
+  // The same operator at penalty `next_rho`.
+  Result<ZUpdate> WithRho(double next_rho, int num_threads) const {
+    ZUpdate op;
+    op.a = a;
+    op.lambda = lambda;
+    op.rho = next_rho;
+    op.factored = factored;
+    op.gram = gram;
+    Matrix s = *gram;  // S or H
+    s *= lambda;
+    for (int64_t i = 0; i < s.rows(); ++i) s(i, i) += next_rho;
+    if (factored) {
+      FEDSC_ASSIGN_OR_RETURN(op.w, SpdInverse(s));
+      op.w *= lambda;
+      op.k = Matrix(a->rows(), a->cols());
+      Gemm(Trans::kNo, Trans::kNo, 1.0, op.w, *a, 0.0, &op.k, num_threads);
+    } else {
+      FEDSC_ASSIGN_OR_RETURN(op.k, SpdInverse(s));
+      op.k *= -next_rho;
+      for (int64_t i = 0; i < op.k.rows(); ++i) op.k(i, i) += 1.0;
+    }
+    return op;
+  }
 
   // Y for the data columns x_blk (single-threaded: called per block).
   Matrix Target(const Matrix& x_blk) const {
@@ -154,38 +292,24 @@ struct ZUpdate {
   }
 };
 
-// Builds the operator for dictionary `a`. `gram` is A^T A when the caller
-// already holds it (the exact solve builds it for mu), else empty; it is
-// consumed either way.
+// Builds the operator for dictionary `a` at penalty `rho`. `gram` is A^T A
+// when the caller already holds it (the exact solve builds it for mu), else
+// empty; the direct branch keeps it, the factored one swaps it for A A^T.
 Result<ZUpdate> BuildZUpdate(const Matrix& a, Matrix gram, double lambda,
                              double rho, int num_threads) {
-  ZUpdate op;
-  op.a = &a;
-  op.lambda = lambda;
-  op.rho = rho;
-  op.factored = a.rows() < a.cols();
-  if (op.factored) {
-    gram = Matrix();
-    Matrix s = OuterGram(a, num_threads);  // A A^T, via Syrk
+  ZUpdate base;
+  base.a = &a;
+  base.lambda = lambda;
+  base.factored = a.rows() < a.cols();
+  if (base.factored) {
+    gram = OuterGram(a, num_threads);  // A A^T, via Syrk
     RecordGramFlops(a.rows(), a.cols());
-    s *= lambda;
-    for (int64_t i = 0; i < s.rows(); ++i) s(i, i) += rho;
-    FEDSC_ASSIGN_OR_RETURN(op.w, SpdInverse(s));
-    op.w *= lambda;
-    op.k = Matrix(a.rows(), a.cols());
-    Gemm(Trans::kNo, Trans::kNo, 1.0, op.w, a, 0.0, &op.k, num_threads);
-    return op;
-  }
-  if (gram.empty()) {
+  } else if (gram.empty()) {
     gram = Gram(a, num_threads);  // A^T A, via Syrk
     RecordGramFlops(a.cols(), a.rows());
   }
-  gram *= lambda;  // H, in place
-  for (int64_t i = 0; i < gram.rows(); ++i) gram(i, i) += rho;
-  FEDSC_ASSIGN_OR_RETURN(op.k, SpdInverse(gram));
-  op.k *= -rho;
-  for (int64_t i = 0; i < op.k.rows(); ++i) op.k(i, i) += 1.0;
-  return op;
+  base.gram = std::make_shared<const Matrix>(std::move(gram));
+  return base.WithRho(rho, num_threads);
 }
 
 }  // namespace
@@ -220,10 +344,10 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
         "all points are mutually orthogonal; self-expression is degenerate");
   }
   const double lambda = options.alpha / mu;
-  const double rho = options.rho > 0.0 ? options.rho : options.alpha;
-  // A = X: the Gram goes into the direct operator or is freed here.
+  double rho = options.rho > 0.0 ? options.rho : options.alpha;
+  // A = X: the direct operator keeps the Gram; the factored one frees it.
   FEDSC_ASSIGN_OR_RETURN(
-      const ZUpdate op,
+      ZUpdate op,
       BuildZUpdate(x, std::move(gram), lambda, rho, options.num_threads));
 
   Matrix c(num_points, num_points);
@@ -233,23 +357,34 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
   Matrix t(op.k.rows(), num_points);
 
   // Affine mode: Sherman-Morrison data for (lambda G + rho I + rho 1 1^T),
-  // plus the scaled dual of the 1^T Z = 1^T constraint.
+  // plus the scaled dual of the 1^T Z = 1^T constraint and its residual.
   Vector h_ones;          // H^{-1} 1
   double affine_scale = 0.0;  // rho / (1 + rho * 1^T H^{-1} 1)
   Vector u_affine;        // scaled dual, length N
-  if (options.affine) {
+  Vector affine_gap;      // 1^T z_j - 1, length N
+  const auto form_affine = [&] {
     h_ones = op.InverseOnes();
     double dot_1h1 = 0.0;
     for (double v : h_ones) dot_1h1 += v;
     affine_scale = rho / (1.0 + rho * dot_1h1);
+  };
+  if (options.affine) {
+    form_affine();
     u_affine.assign(static_cast<size_t>(num_points), 0.0);
+    affine_gap.assign(static_cast<size_t>(num_points), 0.0);
     z.Fill(1.0);
   }
+  const auto pinned = [](int64_t j) { return j; };
+  const auto shift = [&](int64_t j) {
+    return options.affine ? 1.0 - u_affine[static_cast<size_t>(j)] : 0.0;
+  };
 
   Stopwatch deadline_timer;
-  double residual = std::numeric_limits<double>::infinity();
+  std::vector<ColumnSums> sums(static_cast<size_t>(num_points));
+  Residuals residuals;
+  int rho_updates = 0;
   int iteration = 0;
-  for (; iteration < options.max_iterations; ++iteration) {
+  while (iteration < options.max_iterations) {
     if (options.deadline_seconds > 0.0 &&
         deadline_timer.ElapsedSeconds() > options.deadline_seconds) {
       return Status::DeadlineExceeded("SSC ADMM exceeded its time budget of " +
@@ -268,36 +403,49 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
         Axpy(-affine_scale * colsum, h_ones.data(), col, num_points);
         colsum = 0.0;
         for (int64_t i = 0; i < num_points; ++i) colsum += col[i];
+        affine_gap[static_cast<size_t>(j)] = colsum - 1.0;
         u_affine[static_cast<size_t>(j)] += colsum - 1.0;
       }
     }
 
-    // C-update with the diagonal pinned to zero. Column panels are
-    // disjoint, and the stopping-rule maxima reduce per chunk then combine —
-    // max is exact in any order, so the residual is bit-identical across
-    // thread counts.
-    const int chunks = std::max(
-        1, ParallelChunkCount(0, num_points, options.num_threads));
-    std::vector<double> chunk_residual(static_cast<size_t>(chunks), 0.0);
-    ParallelForRanges(
-        0, num_points, options.num_threads,
-        [&](int64_t j0, int64_t j1, int chunk) {
-          chunk_residual[static_cast<size_t>(chunk)] = ThresholdColumns(
-              j0, j1, 1.0 / rho, [](int64_t j) { return j; },
-              [&](int64_t j) {
-                return options.affine
-                           ? 1.0 - u_affine[static_cast<size_t>(j)]
-                           : 0.0;
-              },
-              &c, &u, &z);
-        });
-    residual = *std::max_element(chunk_residual.begin(), chunk_residual.end());
-    if (residual < options.tol) break;
+    // C-update with the diagonal pinned to zero over disjoint column panels,
+    // each column writing its own stopping-rule slot.
+    ParallelForRanges(0, num_points, options.num_threads,
+                      [&](int64_t j0, int64_t j1, int) {
+                        ThresholdColumns(j0, j1, 1.0 / rho, pinned, shift, &c,
+                                         &u, &z, sums.data());
+                      });
+    ++iteration;
+    if (options.affine) {
+      // The affine constraint is part of the primal residual.
+      for (int64_t j = 0; j < num_points; ++j) {
+        const double gap = affine_gap[static_cast<size_t>(j)];
+        sums[static_cast<size_t>(j)].primal += gap * gap;
+      }
+    }
+    residuals = StoppingResiduals(sums, num_points, rho, options.tol);
+    if (residuals.Converged()) break;
+    if (iteration % kRhoCheckInterval != 0 ||
+        iteration == options.max_iterations) {
+      continue;
+    }
+    const double next_rho = BalancedRho(residuals, rho);
+    if (next_rho == rho) continue;
+    FEDSC_ASSIGN_OR_RETURN(op, op.WithRho(next_rho, options.num_threads));
+    const double ratio = rho / next_rho;
+    rho = next_rho;
+    ++rho_updates;
+    if (options.affine) {
+      for (double& v : u_affine) v *= ratio;
+      form_affine();
+    }
+    ParallelForRanges(0, num_points, options.num_threads,
+                      [&](int64_t j0, int64_t j1, int) {
+                        RescaleDual(j0, j1, ratio, shift, c, &u, &z);
+                      });
   }
-  const bool converged = residual < options.tol;
-  // The break above skips the loop's increment, so count it explicitly.
-  RecordSolve("SSC ADMM", converged ? iteration + 1 : iteration, residual,
-              converged, info);
+  RecordSolve("SSC ADMM", MakeRecord(iteration, residuals, rho, rho_updates),
+              info);
   return SparsifyCoefficients(c, options.top_k, options.drop_tol,
                               options.num_threads);
 }
@@ -383,20 +531,20 @@ Result<SparseMatrix> SscSketchedSelfExpression(const Matrix& x,
         "self-expression is degenerate");
   }
   const double lambda = options.alpha / mu;
-  const double rho = options.rho > 0.0 ? options.rho : options.alpha;
+  const double initial_rho = options.rho > 0.0 ? options.rho : options.alpha;
 
-  // A = B: one Z-update operator shared by every block.
+  // A = B: one Z-update operator shared by every block until a block's own
+  // rho moves away from initial_rho.
   FEDSC_ASSIGN_OR_RETURN(
-      const ZUpdate op,
-      BuildZUpdate(b, Matrix(), lambda, rho, options.num_threads));
+      const ZUpdate shared_op,
+      BuildZUpdate(b, Matrix(), lambda, initial_rho, options.num_threads));
 
   const int64_t num_blocks =
       (num_points + kSketchBlockCols - 1) / kSketchBlockCols;
   std::vector<std::vector<Triplet>> chunk_triplets(static_cast<size_t>(
       std::max(1, ParallelChunkCount(0, num_blocks, options.num_threads))));
-  std::vector<int> block_iterations(static_cast<size_t>(num_blocks), 0);
-  std::vector<double> block_residual(static_cast<size_t>(num_blocks), 0.0);
-  std::vector<char> block_converged(static_cast<size_t>(num_blocks), 0);
+  std::vector<SscAdmmInfo> block_record(static_cast<size_t>(num_blocks));
+  std::vector<Status> block_status(static_cast<size_t>(num_blocks));
   std::atomic<bool> deadline_hit{false};
   Stopwatch deadline_timer;
 
@@ -406,6 +554,7 @@ Result<SparseMatrix> SscSketchedSelfExpression(const Matrix& x,
     std::vector<Triplet>& triplets =
         chunk_triplets[static_cast<size_t>(chunk)];
     std::vector<int64_t> order(static_cast<size_t>(num_atoms));
+    std::vector<ColumnSums> sums;
     for (int64_t blk = blk0; blk < blk1; ++blk) {
       if (options.deadline_seconds > 0.0 &&
           deadline_timer.ElapsedSeconds() > options.deadline_seconds) {
@@ -415,27 +564,51 @@ Result<SparseMatrix> SscSketchedSelfExpression(const Matrix& x,
       const int64_t j0 = blk * kSketchBlockCols;
       const int64_t j1 = std::min(num_points, j0 + kSketchBlockCols);
       const int64_t nb = j1 - j0;
-      const Matrix y = op.Target(x.ColRange(j0, j1));  // every iteration's Y
+      const Matrix x_blk = x.ColRange(j0, j1);
+      const ZUpdate* op = &shared_op;
+      ZUpdate block_op;  // this block's operator once its rho moves
+      Matrix y = op->Target(x_blk);  // every iteration's Y
 
       Matrix c(num_atoms, nb);
       Matrix u(num_atoms, nb);
       Matrix z(num_atoms, nb);  // M = C - U in, Z out
-      Matrix t(op.k.rows(), nb);
-      double residual = std::numeric_limits<double>::infinity();
+      Matrix t(op->k.rows(), nb);
+      sums.assign(static_cast<size_t>(nb), ColumnSums());
+      const auto pinned = [&](int64_t jj) {
+        return self_atom[static_cast<size_t>(j0 + jj)];
+      };
+      const auto no_shift = [](int64_t) { return 0.0; };
+      double rho = initial_rho;
+      Residuals residuals;
+      int rho_updates = 0;
       int iteration = 0;
-      for (; iteration < options.max_iterations; ++iteration) {
-        op.Apply(y, &t, &z, 1);
-        residual = ThresholdColumns(
-            0, nb, 1.0 / rho,
-            [&](int64_t jj) { return self_atom[static_cast<size_t>(j0 + jj)]; },
-            [](int64_t) { return 0.0; }, &c, &u, &z);
-        if (residual < options.tol) break;
+      while (iteration < options.max_iterations) {
+        op->Apply(y, &t, &z, 1);
+        ThresholdColumns(0, nb, 1.0 / rho, pinned, no_shift, &c, &u, &z,
+                         sums.data());
+        ++iteration;
+        residuals = StoppingResiduals(sums, num_atoms, rho, options.tol);
+        if (residuals.Converged()) break;
+        if (iteration % kRhoCheckInterval != 0 ||
+            iteration == options.max_iterations) {
+          continue;
+        }
+        const double next_rho = BalancedRho(residuals, rho);
+        if (next_rho == rho) continue;
+        auto reformed = shared_op.WithRho(next_rho, 1);
+        if (!reformed.ok()) {
+          block_status[static_cast<size_t>(blk)] = reformed.status();
+          break;
+        }
+        block_op = std::move(reformed).value();
+        op = &block_op;
+        y = op->Target(x_blk);
+        RescaleDual(0, nb, rho / next_rho, no_shift, c, &u, &z);
+        rho = next_rho;
+        ++rho_updates;
       }
-      const bool converged = residual < options.tol;
-      block_iterations[static_cast<size_t>(blk)] =
-          converged ? iteration + 1 : iteration;
-      block_residual[static_cast<size_t>(blk)] = residual;
-      block_converged[static_cast<size_t>(blk)] = converged ? 1 : 0;
+      block_record[static_cast<size_t>(blk)] =
+          MakeRecord(iteration, residuals, rho, rho_updates);
 
       // Sparsify the block's columns in place (same top-k / drop-tol rule
       // as SparsifyCoefficients, over the d atoms).
@@ -478,18 +651,27 @@ Result<SparseMatrix> SscSketchedSelfExpression(const Matrix& x,
         "sketched SSC ADMM exceeded its time budget of " +
         std::to_string(options.deadline_seconds) + "s");
   }
-
-  int iterations = 0;
-  double residual = 0.0;
-  bool converged = true;
-  for (int64_t blk = 0; blk < num_blocks; ++blk) {
-    iterations = std::max(iterations,
-                          block_iterations[static_cast<size_t>(blk)]);
-    residual = std::max(residual, block_residual[static_cast<size_t>(blk)]);
-    converged = converged && block_converged[static_cast<size_t>(blk)] != 0;
+  for (const Status& status : block_status) {
+    if (!status.ok()) return status;
   }
+
+  // The solve's record is its worst block's (the first on ties), with the
+  // iteration count of the longest block and every block's rho updates.
+  SscAdmmInfo record = block_record.front();
+  int iterations = 0;
+  int rho_updates = 0;
+  bool converged = true;
+  for (const SscAdmmInfo& block : block_record) {
+    if (block.final_residual > record.final_residual) record = block;
+    iterations = std::max(iterations, block.iterations);
+    rho_updates += block.rho_updates;
+    converged = converged && block.converged;
+  }
+  record.iterations = iterations;
+  record.rho_updates = rho_updates;
+  record.converged = converged;
   FEDSC_METRIC_COUNTER("sc.ssc_admm.sketched_solves").Increment();
-  RecordSolve("sketched SSC ADMM", iterations, residual, converged, info);
+  RecordSolve("sketched SSC ADMM", record, info);
 
   std::vector<Triplet> triplets;
   for (const auto& chunk : chunk_triplets) {

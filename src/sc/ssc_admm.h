@@ -11,6 +11,10 @@
 // Z = M + X^T (K - K M) with K = lambda (rho I + lambda X X^T)^{-1} X, when
 // n < N (two n x N x N GEMMs per iteration), else direct with the N x N
 // inverse (one N x N x N GEMM). Per iteration that is O(min(n, N) * N^2).
+// The solve stops on the primal/dual residual test of Boyd et al. Section
+// 3.3 and balances the two residuals by moving rho (Section 3.4.1); the
+// operator keeps its min(n, N)-order Gram, so a new rho re-forms K with one
+// SPD inverse and no new Gram (docs/ALGORITHMS.md).
 
 #ifndef FEDSC_SC_SSC_ADMM_H_
 #define FEDSC_SC_SSC_ADMM_H_
@@ -31,12 +35,21 @@ struct SscAdmmOptions {
   // own dual variable, and the augmented system is inverted with a
   // Sherman-Morrison rank-1 update on top of the usual operator.
   bool affine = false;
-  // ADMM penalty parameter; <= 0 picks rho = alpha (Elhamifar-Vidal's
-  // reference implementation default).
+  // Initial ADMM penalty parameter; <= 0 picks rho = alpha (Elhamifar-Vidal's
+  // reference implementation default). Residual balancing (Boyd et al.
+  // Section 3.4.1) then doubles or halves it every 10th iteration while one
+  // normalized residual exceeds the other tenfold, rescaling the scaled dual.
   double rho = -1.0;
+  // A solve that has not met the stopping rule after this many iterations
+  // stops there and reports converged = false.
   int max_iterations = 200;
-  // Stop when max(||Z - C||_inf, ||C - C_prev||_inf) < tol.
-  double tol = 2e-4;
+  // Relative tolerance eps_rel of the primal/dual residual test (Boyd et al.
+  // Section 3.3); the absolute tolerance is eps_abs = tol * 1e-3. A solve
+  // stops once ||Z - C||_F <= eps_pri and rho ||C - C_prev||_F <= eps_dual,
+  //   eps_pri  = sqrt(rows * cols) eps_abs + tol max(||Z||_F, ||C||_F),
+  //   eps_dual = sqrt(rows * cols) eps_abs + tol rho ||U||_F,
+  // over the whole N x N problem (exact) or one column block (sketched).
+  double tol = 1e-2;
   // Sparsification of the returned coefficients (see SparsifyCoefficients).
   int64_t top_k = 0;
   double drop_tol = 1e-6;
@@ -52,11 +65,20 @@ struct SscAdmmOptions {
 };
 
 // How a solve went, for callers that want to report or assert on convergence
-// (the iteration count and residual also feed the sc.ssc_admm.* metrics).
+// (the iteration count, rho updates and residual also feed the sc.ssc_admm.*
+// metrics). A sketched solve reports its worst block's residuals and rho,
+// the longest block's iterations, and the rho updates of all blocks.
 struct SscAdmmInfo {
-  int iterations = 0;        // ADMM iterations actually run
-  double final_residual = 0.0;  // max(||Z-C||_inf, ||C-C_prev||_inf) at exit
-  bool converged = false;    // residual dropped below tol within the budget
+  int iterations = 0;            // ADMM iterations actually run
+  double primal_residual = 0.0;  // ||Z - C||_F at exit
+  double dual_residual = 0.0;    // rho ||C - C_prev||_F at exit
+  double primal_threshold = 0.0;  // eps_pri at exit
+  double dual_threshold = 0.0;    // eps_dual at exit
+  // max(primal / eps_pri, dual / eps_dual): <= 1 exactly when converged.
+  double final_residual = 0.0;
+  double final_rho = 0.0;  // penalty in force at exit
+  int rho_updates = 0;     // residual-balancing changes of rho
+  bool converged = false;  // met the stopping rule within the budget
 };
 
 // Sparse self-expression matrix C for the columns of x (which should be

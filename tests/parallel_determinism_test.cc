@@ -297,7 +297,10 @@ TEST(SscOmpDeterminismTest, CoefficientMatrixMatchesSerialExactly) {
 TEST(SscAdmmDeterminismTest, BothOperatorBranchesMatchSerialExactly) {
   // The exact and sketched solvers share one Z-update operator whose
   // factored (rows < atoms) and direct branches thread differently; both
-  // must reproduce the serial CSR arrays bit for bit.
+  // must reproduce the serial CSR arrays bit for bit, and so must the
+  // stopping rule and the residual-balancing rho schedule: every input below
+  // moves rho away from its initial alpha, so an operator re-form and a dual
+  // rescale run inside each solve.
   SyntheticOptions synth;
   synth.ambient_dim = 24;
   synth.subspace_dim = 3;
@@ -308,48 +311,64 @@ TEST(SscAdmmDeterminismTest, BothOperatorBranchesMatchSerialExactly) {
   ASSERT_TRUE(data.ok());
   Matrix x = data->points;
   x.NormalizeColumns();
-  const auto expect_same = [](const SparseMatrix& a, const SparseMatrix& b,
+  const auto expect_same = [](const SparseMatrix& a, const SscAdmmInfo& a_info,
+                              const SparseMatrix& b, const SscAdmmInfo& b_info,
                               const std::string& what) {
     EXPECT_EQ(a.row_ptr(), b.row_ptr()) << what;
     EXPECT_EQ(a.col_idx(), b.col_idx()) << what;
     EXPECT_EQ(a.values(), b.values()) << what;
+    EXPECT_EQ(a_info.iterations, b_info.iterations) << what;
+    EXPECT_EQ(a_info.final_rho, b_info.final_rho) << what;
+    EXPECT_EQ(a_info.rho_updates, b_info.rho_updates) << what;
+    EXPECT_EQ(a_info.final_residual, b_info.final_residual) << what;
   };
+  const int thread_counts[] = {1, 2, 8};
 
   // Exact: N = 120 > n is factored, the first 20 columns direct.
   for (const Matrix& points : {x, x.ColRange(0, 20)}) {
     for (bool affine : {false, true}) {
+      const std::string name = "exact N=" + std::to_string(points.cols()) +
+                               " affine=" + std::to_string(affine);
       SscAdmmOptions options;
       options.affine = affine;
-      auto serial = SscSelfExpression(points, options);
+      SscAdmmInfo serial_info;
+      auto serial = SscSelfExpression(points, options, &serial_info);
       ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-      for (int threads : kThreadCounts) {
+      EXPECT_TRUE(serial_info.converged) << name;
+      EXPECT_GT(serial_info.rho_updates, 0) << name;
+      EXPECT_NE(serial_info.final_rho, options.alpha) << name;
+      for (int threads : thread_counts) {
         options.num_threads = threads;
-        auto threaded = SscSelfExpression(points, options);
+        SscAdmmInfo info;
+        auto threaded = SscSelfExpression(points, options, &info);
         ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
-        expect_same(*serial, *threaded,
-                    "exact N=" + std::to_string(points.cols()) +
-                        " affine=" + std::to_string(affine) +
-                        " nt=" + std::to_string(threads));
+        expect_same(*serial, serial_info, *threaded, info,
+                    name + " nt=" + std::to_string(threads));
       }
     }
   }
   // Sketched: d = 48 > n is factored, d = 16 direct.
   for (int64_t dim : {48, 16}) {
+    const std::string name = "sketched d=" + std::to_string(dim);
     SketchOptions sketch_options;
     sketch_options.dim = dim;
     sketch_options.kind = SketchKind::kUniformLandmarks;
     auto sketch = SketchDictionary(x, sketch_options);
     ASSERT_TRUE(sketch.ok());
     SscAdmmOptions options;
-    auto serial = SscSketchedSelfExpression(x, *sketch, options);
+    SscAdmmInfo serial_info;
+    auto serial = SscSketchedSelfExpression(x, *sketch, options, &serial_info);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    for (int threads : kThreadCounts) {
+    EXPECT_TRUE(serial_info.converged) << name;
+    EXPECT_GT(serial_info.rho_updates, 0) << name;
+    EXPECT_NE(serial_info.final_rho, options.alpha) << name;
+    for (int threads : thread_counts) {
       options.num_threads = threads;
-      auto threaded = SscSketchedSelfExpression(x, *sketch, options);
+      SscAdmmInfo info;
+      auto threaded = SscSketchedSelfExpression(x, *sketch, options, &info);
       ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
-      expect_same(*serial, *threaded,
-                  "sketched d=" + std::to_string(dim) +
-                      " nt=" + std::to_string(threads));
+      expect_same(*serial, serial_info, *threaded, info,
+                  name + " nt=" + std::to_string(threads));
     }
   }
 }

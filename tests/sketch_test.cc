@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "admm_reference.h"
 #include "common/journal.h"
 #include "common/rng.h"
 #include "core/fedsc.h"
@@ -363,10 +364,12 @@ TEST(SketchedRunTest, EndToEndFederatedRoundWithFaultsAndDefense) {
 
 // The sketched solve with the Z-update applied the plain way: the explicit
 // inverse (lambda B^T B + rho I)^{-1} times lambda B^T X_blk + rho (C - U),
-// over the solver's fixed 256-column blocks with block-local stopping.
-// Returns the dense d x N coefficients; *iterations gets the max over blocks.
+// over the solver's fixed 256-column blocks with block-local stopping and a
+// block-local penalty schedule. Returns the dense d x N coefficients;
+// *iterations gets the max over blocks and *rho_updates the sum.
 Matrix ReferenceSketchedSsc(const Matrix& x, const SketchResult& sketch,
-                            const SscAdmmOptions& options, int* iterations) {
+                            const SscAdmmOptions& options, int* iterations,
+                            int* rho_updates) {
   constexpr int64_t kBlockCols = 256;
   const Matrix& b = sketch.dictionary;
   const int64_t num_atoms = b.cols();
@@ -388,30 +391,38 @@ Matrix ReferenceSketchedSsc(const Matrix& x, const SketchResult& sketch,
     mu = std::min(mu, max_abs);
   }
   const double lambda = options.alpha / mu;
-  const double rho = options.rho > 0.0 ? options.rho : options.alpha;
-  Matrix h = Gram(b);
-  h *= lambda;
-  for (int64_t a = 0; a < num_atoms; ++a) h(a, a) += rho;
-  const Matrix h_inverse = SpdInverse(h).value();
+  const double initial_rho = options.rho > 0.0 ? options.rho : options.alpha;
+  Matrix lambda_gram = Gram(b);
+  lambda_gram *= lambda;
+  const auto inverse = [&](double rho) {
+    Matrix h = lambda_gram;
+    for (int64_t a = 0; a < num_atoms; ++a) h(a, a) += rho;
+    return SpdInverse(h).value();
+  };
 
   Matrix c_all(num_atoms, num_points);
   *iterations = 0;
+  *rho_updates = 0;
   for (int64_t j0 = 0; j0 < num_points; j0 += kBlockCols) {
     const int64_t j1 = std::min(num_points, j0 + kBlockCols);
     Matrix lambda_bx = MatMulTN(b, x.ColRange(j0, j1));
     lambda_bx *= lambda;
+    double rho = initial_rho;
+    Matrix h_inverse = inverse(rho);
     Matrix c(num_atoms, j1 - j0);
     Matrix u(num_atoms, j1 - j0);
-    double residual = std::numeric_limits<double>::infinity();
+    std::vector<ReferenceColumnSums> sums(static_cast<size_t>(j1 - j0));
     int iteration = 0;
-    for (; iteration < options.max_iterations; ++iteration) {
+    bool converged = false;
+    while (iteration < options.max_iterations && !converged) {
       Matrix rhs = c;
       rhs -= u;
       rhs *= rho;
       rhs += lambda_bx;
       const Matrix z = MatMul(h_inverse, rhs);
-      residual = 0.0;
       for (int64_t jj = 0; jj < j1 - j0; ++jj) {
+        ReferenceColumnSums& col = sums[static_cast<size_t>(jj)];
+        col = {};
         for (int64_t a = 0; a < num_atoms; ++a) {
           const double v = z(a, jj) + u(a, jj);
           const double t = 1.0 / rho;
@@ -419,16 +430,28 @@ Matrix ReferenceSketchedSsc(const Matrix& x, const SketchResult& sketch,
               a == self_atom[static_cast<size_t>(j0 + jj)]
                   ? 0.0
                   : (v > t ? v - t : (v < -t ? v + t : 0.0));
-          residual = std::max(residual, std::fabs(next - c(a, jj)));
+          col.primal += (z(a, jj) - next) * (z(a, jj) - next);
+          col.dual += (next - c(a, jj)) * (next - c(a, jj));
+          col.z += z(a, jj) * z(a, jj);
+          col.c += next * next;
           c(a, jj) = next;
-          residual = std::max(residual, std::fabs(z(a, jj) - next));
           u(a, jj) += z(a, jj) - next;
+          col.u += u(a, jj) * u(a, jj);
         }
       }
-      if (residual < options.tol) break;
+      ++iteration;
+      const ReferenceDecision decision =
+          ReferenceStoppingRule(sums, num_atoms, rho, options.tol, iteration,
+                                options.max_iterations);
+      converged = decision.converged;
+      if (decision.next_rho != rho) {
+        u *= rho / decision.next_rho;
+        rho = decision.next_rho;
+        h_inverse = inverse(rho);
+        ++*rho_updates;
+      }
     }
-    *iterations = std::max(
-        *iterations, residual < options.tol ? iteration + 1 : iteration);
+    *iterations = std::max(*iterations, iteration);
     for (int64_t jj = 0; jj < j1 - j0; ++jj) {
       c_all.SetCol(j0 + jj, c.ColData(jj));
     }
@@ -485,8 +508,10 @@ TEST(SketchedSscDifferentialTest, OperatorMatchesTheExplicitInverse) {
       SscAdmmOptions options;
       options.drop_tol = 0.0;
       int reference_iterations = 0;
-      const Matrix reference = ReferenceSketchedSsc(test.x, *sketch, options,
-                                                    &reference_iterations);
+      int reference_rho_updates = 0;
+      const Matrix reference =
+          ReferenceSketchedSsc(test.x, *sketch, options, &reference_iterations,
+                               &reference_rho_updates);
       SscAdmmInfo info;
       auto c = SscSketchedSelfExpression(test.x, *sketch, options, &info);
       ASSERT_TRUE(c.ok()) << name << ": " << c.status().ToString();
@@ -494,6 +519,7 @@ TEST(SketchedSscDifferentialTest, OperatorMatchesTheExplicitInverse) {
       ASSERT_GT(scale, 0.0) << name;
       EXPECT_LE((c->ToDense() - reference).MaxAbs(), 1e-8 * scale) << name;
       EXPECT_EQ(info.iterations, reference_iterations) << name;
+      EXPECT_EQ(info.rho_updates, reference_rho_updates) << name;
     }
   }
 }

@@ -131,6 +131,8 @@ TEST(MetricsDeterminismTest, CountersBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(serial.counters.at("fed.comm.uplink_bits"), 0);
   EXPECT_EQ(serial.counters.at("fed.comm.rounds"), 1);
   EXPECT_GT(serial.histograms.at("sc.ssc_admm.iterations_per_solve").count, 0);
+  // The residual-balancing rho changes are part of the deterministic record.
+  EXPECT_TRUE(serial.counters.count("sc.ssc_admm.rho_updates"));
 
   for (int threads : {2, 8}) {
     const MetricsSnapshot threaded = RunFedScWithMetrics(*fed, threads);
@@ -151,6 +153,12 @@ TEST(MetricsDeterminismTest, ExecutionCountersAreSegregated) {
   EXPECT_TRUE(snapshot.execution_counters.count("threadpool.tasks_executed"));
   EXPECT_FALSE(snapshot.counters.count("threadpool.tasks_scheduled"));
   EXPECT_TRUE(snapshot.execution_gauges.count("sc.ssc_admm.last_residual"));
+  // The gauge is the last solve's max(r / eps_pri, s / eps_dual), <= 1
+  // exactly when that solve converged; every solve of this run converges.
+  EXPECT_EQ(snapshot.counters.at("sc.ssc_admm.converged"),
+            snapshot.counters.at("sc.ssc_admm.solves"));
+  EXPECT_GT(snapshot.execution_gauges.at("sc.ssc_admm.last_residual"), 0.0);
+  EXPECT_LE(snapshot.execution_gauges.at("sc.ssc_admm.last_residual"), 1.0);
   EXPECT_GT(snapshot.execution_counters.at("threadpool.tasks_scheduled"), 0);
 }
 
