@@ -108,14 +108,18 @@ Status Tql2(Vector* dv, Vector* ev, Matrix* zm, bool accumulate) {
 
   constexpr int kMaxIterations = 50;
   const double eps = std::numeric_limits<double>::epsilon();
+  // EISPACK's running norm: an off-diagonal deflates once it is negligible
+  // against the largest |d_l| + |e_l| seen so far, not against its two
+  // neighbours, so a cluster of near-zero eigenvalues still splits off.
+  double tst1 = 0.0;
   for (int64_t l = 0; l < n; ++l) {
+    tst1 = std::max(tst1, std::fabs(d[static_cast<size_t>(l)]) +
+                              std::fabs(e[static_cast<size_t>(l)]));
     int iterations = 0;
     int64_t m;
     do {
       for (m = l; m < n - 1; ++m) {
-        const double dd = std::fabs(d[static_cast<size_t>(m)]) +
-                          std::fabs(d[static_cast<size_t>(m + 1)]);
-        if (std::fabs(e[static_cast<size_t>(m)]) <= eps * dd) break;
+        if (std::fabs(e[static_cast<size_t>(m)]) <= eps * tst1) break;
       }
       if (m != l) {
         if (iterations++ == kMaxIterations) {

@@ -127,14 +127,19 @@ void PackB(const double* b, int64_t ldb, bool transposed, int64_t pc,
     const int64_t nr = std::min<int64_t>(NR, nc - j0);
     if (!transposed) {
       // op(B)(p, j) = B(pc + p, jc + j): column jc+j is contiguous in p.
-      if (nr < NR) {
+      // The k loop runs outermost over nr column streams, so every k-step
+      // writes one contiguous NR-wide row of the micro-panel.
+      const double* src = b + (jc + j0) * ldb + pc;
+      if (nr == NR) {
         for (int64_t p = 0; p < kc; ++p) {
+          FEDSC_UNROLL_FULL
+          for (int j = 0; j < NR; ++j) out[p * NR + j] = src[j * ldb + p];
+        }
+      } else {
+        for (int64_t p = 0; p < kc; ++p) {
+          for (int64_t j = 0; j < nr; ++j) out[p * NR + j] = src[j * ldb + p];
           for (int64_t j = nr; j < NR; ++j) out[p * NR + j] = 0.0;
         }
-      }
-      for (int64_t j = 0; j < nr; ++j) {
-        const double* src = b + (jc + j0 + j) * ldb + pc;
-        for (int64_t p = 0; p < kc; ++p) out[p * NR + j] = src[p];
       }
     } else {
       // op(B)(p, j) = B(jc + j, pc + p): NR consecutive rows of a column.

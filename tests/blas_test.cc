@@ -1,5 +1,7 @@
 #include <cmath>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -345,6 +347,42 @@ TEST(GemmIsaTest, TiersAreThreadInvariantAndAgreeToUlpPolicy) {
       }
     }
     ASSERT_TRUE(AllClose(base, reference, 1e-12)) << CpuIsaName(tier);
+  }
+}
+
+// A non-transposed B is packed k-step by k-step from NR column streams, with
+// a zero-padded ragged last micro-panel. Per tier: n a multiple of its NR,
+// one past, and one short; k past kKc so the second depth slice packs from
+// pc > 0. Thread counts must agree bit for bit, and the panel kernels to
+// rounding.
+TEST(GemmIsaTest, NonTransposedBPacksEveryPanelShape) {
+  using internal_gemm::kKc;
+  constexpr int64_t m = 50;
+  constexpr int64_t k = kKc + 37;
+  const std::pair<CpuIsa, int64_t> tiers[] = {
+      {CpuIsa::kGeneric, internal_gemm::kGenericNr},
+      {CpuIsa::kAvx2, internal_gemm::kAvx2Nr},
+      {CpuIsa::kAvx512, internal_gemm::kAvx512Nr}};
+  Rng rng(229);
+  const Matrix a = RandomMatrix(m, k, &rng);
+  for (const auto& [tier, nr] : tiers) {
+    if (!CpuIsaSupported(tier)) continue;
+    for (const int64_t n : {5 * nr, 5 * nr + 1, 6 * nr - 1}) {
+      const Matrix b = RandomMatrix(k, n, &rng);
+      Matrix panel(m, n);
+      internal_gemm::PanelGemm(Trans::kNo, Trans::kNo, 1.0, a, b, &panel);
+      Matrix base(m, n);
+      BlockedGemm(Trans::kNo, Trans::kNo, 1.0, a, b, &base, 1, tier);
+      const std::string what =
+          std::string(CpuIsaName(tier)) + " n=" + std::to_string(n);
+      ASSERT_TRUE(AllClose(base, panel, 1e-10)) << what;
+      for (int nt : {2, 8}) {
+        Matrix threaded(m, n);
+        BlockedGemm(Trans::kNo, Trans::kNo, 1.0, a, b, &threaded, nt, tier);
+        ExpectBitEqual(base, threaded,
+                       (what + " nt=" + std::to_string(nt)).c_str());
+      }
+    }
   }
 }
 

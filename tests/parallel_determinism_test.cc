@@ -324,8 +324,9 @@ TEST(SscAdmmDeterminismTest, BothOperatorBranchesMatchSerialExactly) {
   };
   const int thread_counts[] = {1, 2, 8};
 
-  // Exact: N = 120 > n is factored, the first 20 columns direct.
-  for (const Matrix& points : {x, x.ColRange(0, 20)}) {
+  // Exact: N = 120 > n is factored, the first 20 or 17 columns direct. At
+  // N = 17 each column is two eight-row lane blocks and a one-row tail.
+  for (const Matrix& points : {x, x.ColRange(0, 20), x.ColRange(0, 17)}) {
     for (bool affine : {false, true}) {
       const std::string name = "exact N=" + std::to_string(points.cols()) +
                                " affine=" + std::to_string(affine);

@@ -93,14 +93,11 @@ TEST(PropertyTest, FedScIsRotationInvariant) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   // The algorithm sees only inner products, which the rotation preserves up
-  // to floating-point noise, so quality must match (labels themselves may
-  // differ on rounding-level ties).
-  const double acc_plain = ClusteringAccuracy(data->labels, a->global_labels);
-  const double acc_rotated =
-      ClusteringAccuracy(data->labels, b->global_labels);
-  EXPECT_NEAR(acc_plain, acc_rotated, 4.0);
-  EXPECT_GE(acc_plain, 94.0);
-  EXPECT_GE(acc_rotated, 94.0);
+  // to floating-point noise, so the two partitions must be the same up to
+  // relabeling.
+  EXPECT_DOUBLE_EQ(ClusteringAccuracy(a->global_labels, b->global_labels),
+                   100.0);
+  EXPECT_GE(ClusteringAccuracy(data->labels, a->global_labels), 94.0);
 }
 
 // Well-separated noiseless subspaces over ten devices: the input of the two

@@ -421,6 +421,7 @@ struct ReferenceSolve {
   Matrix c;
   int iterations = 0;
   double rho = 0.0;
+  int rho_updates = 0;
 };
 
 ReferenceSolve ReferenceSsc(const Matrix& x, const SscAdmmOptions& options) {
@@ -453,6 +454,7 @@ ReferenceSolve ReferenceSsc(const Matrix& x, const SscAdmmOptions& options) {
   Matrix u(num_points, num_points);
   std::vector<ReferenceColumnSums> sums(static_cast<size_t>(num_points));
   int iteration = 0;
+  int rho_updates = 0;
   bool converged = false;
   while (iteration < options.max_iterations && !converged) {
     Matrix rhs = c;
@@ -505,9 +507,10 @@ ReferenceSolve ReferenceSsc(const Matrix& x, const SscAdmmOptions& options) {
       for (double& v : u_affine) v *= rho / decision.next_rho;
       rho = decision.next_rho;
       invert();
+      ++rho_updates;
     }
   }
-  return {std::move(c), iteration, rho};
+  return {std::move(c), iteration, rho, rho_updates};
 }
 
 Matrix GaussianColumns(int64_t rows, int64_t cols, uint64_t seed) {
@@ -517,13 +520,33 @@ Matrix GaussianColumns(int64_t rows, int64_t cols, uint64_t seed) {
   return x;
 }
 
+struct DifferentialCase {
+  std::string name;
+  Matrix x;
+  bool affine = false;
+};
+
+// The solver's C agrees with the reference to 1e-8 of its largest entry,
+// after the same number of iterations and the same penalty schedule.
+void ExpectMatchesReference(const DifferentialCase& test) {
+  SscAdmmOptions options;
+  options.affine = test.affine;
+  options.drop_tol = 0.0;
+  const ReferenceSolve reference = ReferenceSsc(test.x, options);
+  SscAdmmInfo info;
+  auto c = SscSelfExpression(test.x, options, &info);
+  ASSERT_TRUE(c.ok()) << test.name << ": " << c.status().ToString();
+  const double scale = reference.c.MaxAbs();
+  ASSERT_GT(scale, 0.0) << test.name;
+  EXPECT_LE((c->ToDense() - reference.c).MaxAbs(), 1e-8 * scale)
+      << test.name;
+  EXPECT_EQ(info.iterations, reference.iterations) << test.name;
+  EXPECT_EQ(info.final_rho, reference.rho) << test.name;
+  EXPECT_EQ(info.rho_updates, reference.rho_updates) << test.name;
+}
+
 TEST(SscAdmmDifferentialTest, OperatorMatchesTheExplicitInverse) {
-  struct Case {
-    std::string name;
-    Matrix x;
-    bool affine = false;
-  };
-  std::vector<Case> cases;
+  std::vector<DifferentialCase> cases;
   // Both sides of the factored (n < N) / direct (n >= N) rule, at the edge.
   cases.push_back({"n=N-1", GaussianColumns(11, 12, 1)});
   cases.push_back({"n=N", GaussianColumns(12, 12, 2)});
@@ -546,26 +569,30 @@ TEST(SscAdmmDifferentialTest, OperatorMatchesTheExplicitInverse) {
     }
     cases.push_back({"scaled " + std::to_string(rows), std::move(x)});
   }
-  for (Case& test : cases) test.x.NormalizeColumns();
+  for (DifferentialCase& test : cases) test.x.NormalizeColumns();
   // Affine mode, unnormalized affine data, on both sides of the rule.
   cases.push_back({"affine factored", AffineSubspaces(71).points, true});
   cases.push_back(
       {"affine direct", AffineSubspaces(72).points.ColRange(0, 10), true});
 
-  for (const Case& test : cases) {
-    SscAdmmOptions options;
-    options.affine = test.affine;
-    options.drop_tol = 0.0;
-    const ReferenceSolve reference = ReferenceSsc(test.x, options);
-    SscAdmmInfo info;
-    auto c = SscSelfExpression(test.x, options, &info);
-    ASSERT_TRUE(c.ok()) << test.name << ": " << c.status().ToString();
-    const double scale = reference.c.MaxAbs();
-    ASSERT_GT(scale, 0.0) << test.name;
-    EXPECT_LE((c->ToDense() - reference.c).MaxAbs(), 1e-8 * scale)
-        << test.name;
-    EXPECT_EQ(info.iterations, reference.iterations) << test.name;
-    EXPECT_EQ(info.final_rho, reference.rho) << test.name;
+  for (const DifferentialCase& test : cases) ExpectMatchesReference(test);
+}
+
+// The C-update runs eight rows at a time, then a scalar tail. N = 2..7 is
+// all tail; from N = 8 on the pinned diagonal lands in a lane block for
+// j < N / 8 * 8 and in the tail after it. 10-dimensional points put
+// N <= 10 on the direct operator and N > 10 on the factored one.
+TEST(SscAdmmDifferentialTest, LaneBoundaryMatchesTheExplicitInverse) {
+  for (int64_t n = 2; n <= 17; ++n) {
+    Matrix x = GaussianColumns(10, n, 100 + static_cast<uint64_t>(n));
+    x.NormalizeColumns();
+    ExpectMatchesReference({"N=" + std::to_string(n), std::move(x)});
+  }
+  // Affine mode adds a nonzero shift 1 - u_affine to every lane.
+  const Matrix affine = AffineSubspaces(73).points;
+  for (const int64_t n : {7, 8, 9, 15, 16, 17}) {
+    ExpectMatchesReference(
+        {"affine N=" + std::to_string(n), affine.ColRange(0, n), true});
   }
 }
 

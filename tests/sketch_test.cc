@@ -479,6 +479,17 @@ TEST(SketchedSscDifferentialTest, OperatorMatchesTheExplicitInverse) {
       // Two blocks, the second one partial.
       {"uniform two blocks", EasySubspaces(4, 75, 57).points,
        SketchKind::kUniformLandmarks, 48},
+      // d % 8 in {1, 7}: one or seven atom rows run in the C-update's
+      // scalar tail after its eight-row lane blocks. Most of the 200
+      // columns are not landmarks, so their pinned row is -1.
+      {"uniform d=33", EasySubspaces(4, 50, 59).points,
+       SketchKind::kUniformLandmarks, 33},
+      {"leverage d=23", EasySubspaces(4, 50, 60).points,
+       SketchKind::kLeverageLandmarks, 23},
+      {"uniform d=9", EasySubspaces(4, 50, 61).points,
+       SketchKind::kUniformLandmarks, 9},
+      {"leverage d=17", EasySubspaces(4, 50, 62).points,
+       SketchKind::kLeverageLandmarks, 17},
   };
   // Column scales spanning 1e-3 .. 1e3 before normalization.
   Matrix scaled = EasySubspaces(4, 40, 58).points;

@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -285,6 +287,71 @@ TEST_P(EigSizeTest, DecomposesRandomSymmetric) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, EigSizeTest,
                          ::testing::Values<int64_t>(1, 2, 3, 10, 33, 80));
+
+// Residual checks for a rank-deficient spectrum: ||G V - V diag(values)||_F
+// <= c n eps ||G||_F and ||V^T V - I||_F <= c n eps.
+void ExpectAccurateEigen(const Matrix& g) {
+  const int64_t n = g.rows();
+  auto eig = SymmetricEigen(g);
+  ASSERT_TRUE(eig.ok()) << eig.status().ToString();
+  const double bound = 8.0 * static_cast<double>(n) *
+                       std::numeric_limits<double>::epsilon();
+  Matrix residual = MatMul(g, eig->vectors);
+  for (int64_t j = 0; j < n; ++j) {
+    Axpy(-eig->values[static_cast<size_t>(j)], eig->vectors.ColData(j),
+         residual.ColData(j), n);
+  }
+  EXPECT_LE(residual.FrobeniusNorm(), bound * g.FrobeniusNorm());
+  Matrix orthogonality = Gram(eig->vectors);
+  orthogonality -= Matrix::Identity(n);
+  EXPECT_LE(orthogonality.FrobeniusNorm(), bound);
+}
+
+// Grams of column-normalized rank-r panels have n - r eigenvalues at
+// rounding level, whose off-diagonals after tridiagonalization sit near
+// eps ||G|| rather than eps times their own tiny diagonal. Deflation must be
+// measured against the matrix's running norm for QL to split them off.
+TEST(EigTest, RankDeficientGramsDeflate) {
+  for (const int64_t n : {128, 130, 200}) {
+    for (const int64_t r : {2, 4, 8, 16}) {
+      for (uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " r=" + std::to_string(r) +
+                     " seed=" + std::to_string(seed));
+        Rng rng(seed * 1000 + static_cast<uint64_t>(n * 16 + r));
+        Matrix x = MatMul(RandomMatrix(1024, r, &rng),
+                          RandomMatrix(r, n, &rng));
+        x.NormalizeColumns();
+        ExpectAccurateEigen(Gram(x));
+      }
+    }
+  }
+}
+
+// A four-component graph Laplacian of order 128: a four-fold zero cluster.
+TEST(EigTest, BlockDiagonalLaplacianZeroCluster) {
+  constexpr int64_t kBlocks = 4;
+  constexpr int64_t kBlockSize = 32;
+  constexpr int64_t n = kBlocks * kBlockSize;
+  Rng rng(77);
+  Matrix laplacian(n, n);
+  for (int64_t b = 0; b < kBlocks; ++b) {
+    for (int64_t i = b * kBlockSize; i < (b + 1) * kBlockSize; ++i) {
+      for (int64_t j = b * kBlockSize; j < i; ++j) {
+        const double w = rng.Uniform();
+        laplacian(i, j) = laplacian(j, i) = -w;
+        laplacian(i, i) += w;
+        laplacian(j, j) += w;
+      }
+    }
+  }
+  ExpectAccurateEigen(laplacian);
+  auto values = SymmetricEigenvalues(laplacian);
+  ASSERT_TRUE(values.ok()) << values.status().ToString();
+  for (int64_t i = 0; i < kBlocks; ++i) {
+    EXPECT_NEAR((*values)[static_cast<size_t>(i)], 0.0, 1e-10);
+  }
+  EXPECT_GT((*values)[kBlocks], 1.0);
+}
 
 TEST(EigTest, TraceAndDeterminantInvariants) {
   Rng rng(31);
