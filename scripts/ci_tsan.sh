@@ -6,8 +6,8 @@
 # and mutated wire bytes exercise truncated / duplicated / wrong-dimension /
 # length-lying buffers, exactly where an out-of-bounds read would hide),
 # along with the SSC-ADMM edge cases and their many operator re-forms.
-# Last, a Release build without -march=native runs the ADMM and GEMM suites
-# on the baseline ISA. Run from anywhere; artifacts go to build-tsan/,
+# Last, a Release build without -march=native runs the ADMM, GEMM, property
+# and edge-case suites on the baseline ISA. Run from anywhere; artifacts go to build-tsan/,
 # build-asan/ and build-portable/.
 set -euo pipefail
 
@@ -56,14 +56,16 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # tridiagonalization) thread their GEMM updates and triangular multiplies.
 "${build_dir}/tests/qr_cholesky_test"
 "${build_dir}/tests/svd_eig_test"
-# The sketched central path fans per-column draws, block-local ADMM solves,
-# leverage-key selection, and the Nystrom core/extension GEMVs over the
-# pool, all writing disjoint slots; TSAN proves the slots really are
-# disjoint for nt in {1, 2, 8}.
+# The sketched central path fans per-column draws, the single-threaded
+# 256-column blocks of the one SSC-ADMM column solver, leverage-key
+# selection, and the Nystrom core/extension GEMVs over the pool, all writing
+# disjoint slots; TSAN proves the slots really are disjoint for nt in
+# {1, 2, 8}.
 "${build_dir}/tests/sketch_test"
-# The exact SSC-ADMM solve threads its Z-update GEMMs and its soft-threshold
-# pass, which writes C, U and the next Z-update input over disjoint column
-# panels; TSAN proves the panels really are disjoint.
+# The exact SSC-ADMM solve runs the same column solver as one threaded block
+# of all N columns: its Z-update GEMMs and its soft-threshold pass write C,
+# U and the next Z-update input over disjoint column panels; TSAN proves the
+# panels really are disjoint.
 "${build_dir}/tests/sc_test"
 
 # Forced-generic pass: FEDSC_FORCE_ISA pins the portable micro-kernel tier,
@@ -122,8 +124,9 @@ cmake --build "${asan_dir}" -j "$(nproc)" \
 # through touched-list scratch resets, and indexes per-atom core rows; ASAN
 # is the gate for an off-by-one in the gather/scatter index arithmetic.
 "${asan_dir}/tests/sketch_test"
-# The ADMM solvers index Z-update scratch whose row count depends on the
-# factored/direct operator shape; ASAN gates that indexing.
+# The ADMM column solver indexes Z-update scratch whose row count depends on
+# the factored/direct operator shape, for one N-column block (exact) or
+# 256-column blocks (sketched); ASAN gates that indexing.
 "${asan_dir}/tests/sc_test"
 # The tol = 1e-8 KKT solve runs the full iteration budget, re-forming the
 # Z-update operator and rescaling the dual at every residual-balancing rho
@@ -154,6 +157,9 @@ echo "reported errors."
 # cache variable check_cxx_compiler_flag writes skips the probe, so the
 # 8-lane vector code of the ADMM C-update is lowered to the baseline ISA
 # (SSE2 on x86-64) and must still build and reproduce every reference.
+# property_test adds TscAffinityIgnoresSignFlips and the RunFedSc
+# invariances, and edge_cases_test the KKT solve with its many rho
+# re-forms, all through the one solver per method.
 portable_dir="${repo_root}/build-portable"
 
 cmake -S "${repo_root}" -B "${portable_dir}" \
@@ -161,11 +167,15 @@ cmake -S "${repo_root}" -B "${portable_dir}" \
   -DFEDSC_HAS_MARCH_NATIVE=OFF
 
 cmake --build "${portable_dir}" -j "$(nproc)" \
-  --target sc_test sketch_test parallel_determinism_test blas_test
+  --target sc_test sketch_test parallel_determinism_test blas_test \
+  property_test edge_cases_test
 
 "${portable_dir}/tests/sc_test"
 "${portable_dir}/tests/sketch_test"
 "${portable_dir}/tests/parallel_determinism_test"
 "${portable_dir}/tests/blas_test"
+"${portable_dir}/tests/property_test"
+"${portable_dir}/tests/edge_cases_test"
 
-echo "Portable: the baseline-ISA build passed its ADMM and GEMM suites."
+echo "Portable: the baseline-ISA build passed its ADMM, GEMM, property and"
+echo "edge-case suites."

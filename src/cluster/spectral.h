@@ -3,8 +3,9 @@
 // Laplacian (equivalently, the k largest of D^{-1/2} W D^{-1/2}), normalize
 // the embedding rows, and run k-means.
 //
-// Small graphs use the dense symmetric eigensolver; large graphs use Lanczos
-// on the sparse normalized adjacency.
+// Small graphs use the dense symmetric eigensolver; large sparse graphs use
+// shifted subspace iteration (SubspaceIterationLargest) on the sparse
+// normalized adjacency.
 
 #ifndef FEDSC_CLUSTER_SPECTRAL_H_
 #define FEDSC_CLUSTER_SPECTRAL_H_
@@ -22,8 +23,9 @@ namespace fedsc {
 struct SpectralOptions {
   // Row-normalize the spectral embedding (Ng-Jordan-Weiss step).
   bool normalize_rows = true;
-  // Sparse graphs of at least this many vertices use Lanczos instead of
-  // densifying.
+  // Sparse graphs of at least this many vertices use subspace iteration
+  // (SubspaceIterationLargest) instead of densifying. The name predates
+  // that backend.
   int64_t lanczos_threshold = 900;
   // Workers for the dense eigendecomposition (blocked tridiagonalization
   // GEMMs). Bit-identical results for every thread count.

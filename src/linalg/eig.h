@@ -1,8 +1,8 @@
 // Dense symmetric eigendecomposition: Householder tridiagonalization
 // followed by the implicit-shift QL iteration (the classic EISPACK
 // tred2/tql2 pair). Used for spectral clustering of small/medium affinity
-// graphs and for the eigengap heuristic; large sparse graphs use Lanczos
-// (linalg/lanczos.h) instead.
+// graphs and for the eigengap heuristic; large sparse graphs use subspace
+// iteration (SubspaceIterationLargest, linalg/lanczos.h) instead.
 //
 // Two tridiagonalization engines sit behind SymmetricEigen: the classic
 // element-wise tred2 sweep below kBlockedEigCutoff, and a blocked

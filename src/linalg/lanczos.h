@@ -1,6 +1,8 @@
-// Lanczos iteration with full reorthogonalization for the extreme eigenpairs
-// of a symmetric linear operator. Spectral clustering of large sparse
-// affinity graphs uses this to avoid the O(N^3) dense eigensolver.
+// Iterative extreme eigenpairs of a symmetric linear operator: Lanczos with
+// full reorthogonalization, and orthogonal (subspace) iteration. Spectral
+// clustering of large sparse affinity graphs uses subspace iteration to
+// avoid the O(N^3) dense eigensolver; LanczosLargest has no caller in the
+// library (tests and bench/micro_linalg exercise it).
 
 #ifndef FEDSC_LINALG_LANCZOS_H_
 #define FEDSC_LINALG_LANCZOS_H_

@@ -1,6 +1,7 @@
 // Compressed-sparse-row matrix. Affinity graphs built by the subspace
 // clustering algorithms are sparse (q-NN / thresholded self-expression), and
-// spectral clustering of large graphs runs Lanczos on top of this SpMV.
+// spectral clustering of large graphs runs subspace iteration on top of
+// this SpMV.
 
 #ifndef FEDSC_LINALG_SPARSE_H_
 #define FEDSC_LINALG_SPARSE_H_

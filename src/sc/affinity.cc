@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -37,61 +36,6 @@ SparseMatrix AffinityFromCoefficients(const SparseMatrix& c,
     triplets.insert(triplets.end(), chunk.begin(), chunk.end());
   }
   return SparseMatrix::FromTriplets(c.rows(), c.cols(), std::move(triplets));
-}
-
-SparseMatrix SparsifyCoefficients(const Matrix& c, int64_t top_k,
-                                  double drop_tol, int num_threads) {
-  FEDSC_CHECK(c.rows() == c.cols()) << "coefficient matrix must be square";
-  const int64_t n = c.rows();
-  // Per-column top-k selection is independent; per-range triplet lists
-  // concatenate in column order, matching the serial stream exactly.
-  std::vector<std::vector<Triplet>> chunk_triplets(static_cast<size_t>(
-      std::max(1, ParallelChunkCount(0, n, num_threads))));
-  ParallelForRanges(0, n, num_threads, [&](int64_t c0, int64_t c1,
-                                           int chunk) {
-    std::vector<Triplet>& triplets =
-        chunk_triplets[static_cast<size_t>(chunk)];
-    std::vector<int64_t> order(static_cast<size_t>(n));
-    for (int64_t j = c0; j < c1; ++j) {
-      const double* col = c.ColData(j);
-      double max_abs = 0.0;
-      for (int64_t i = 0; i < n; ++i) {
-        if (i != j) max_abs = std::max(max_abs, std::fabs(col[i]));
-      }
-      if (max_abs <= 0.0) continue;
-      const double threshold = drop_tol * max_abs;
-
-      if (top_k > 0 && top_k < n - 1) {
-        std::iota(order.begin(), order.end(), 0);
-        const auto kth = order.begin() + top_k;
-        std::nth_element(order.begin(), kth, order.end(),
-                         [&](int64_t a, int64_t b) {
-                           const double fa =
-                               a == j ? -1.0 : std::fabs(col[a]);
-                           const double fb =
-                               b == j ? -1.0 : std::fabs(col[b]);
-                           return fa > fb;
-                         });
-        for (auto it = order.begin(); it != kth; ++it) {
-          const int64_t i = *it;
-          if (i == j) continue;
-          const double v = col[i];
-          if (std::fabs(v) > threshold) triplets.push_back({i, j, v});
-        }
-      } else {
-        for (int64_t i = 0; i < n; ++i) {
-          if (i == j) continue;
-          const double v = col[i];
-          if (std::fabs(v) > threshold) triplets.push_back({i, j, v});
-        }
-      }
-    }
-  });
-  std::vector<Triplet> triplets;
-  for (const auto& chunk : chunk_triplets) {
-    triplets.insert(triplets.end(), chunk.begin(), chunk.end());
-  }
-  return SparseMatrix::FromTriplets(n, n, std::move(triplets));
 }
 
 SparseMatrix AffinityFromLandmarkCoefficients(const SparseMatrix& c,

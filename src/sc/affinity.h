@@ -1,13 +1,12 @@
 // Shared helpers for building affinity graphs from self-expression
-// coefficients: W = |C| + |C|^T (Section III-A of the paper), with optional
-// per-column top-k sparsification.
+// coefficients: W = |C| + |C|^T (Section III-A of the paper), and its
+// landmark-mediated analogue for the sketched path.
 
 #ifndef FEDSC_SC_AFFINITY_H_
 #define FEDSC_SC_AFFINITY_H_
 
 #include <cstdint>
 
-#include "linalg/matrix.h"
 #include "linalg/sparse.h"
 
 namespace fedsc {
@@ -18,13 +17,6 @@ namespace fedsc {
 // W = |C| + |C|^T from a sparse coefficient matrix.
 SparseMatrix AffinityFromCoefficients(const SparseMatrix& c,
                                       int num_threads = 1);
-
-// Sparsifies a dense coefficient matrix column-wise: keeps the top_k largest
-// |c_ij| per column (all if top_k <= 0), drops entries with
-// |c_ij| <= drop_tol * max_i |c_ij|, and zeroes the diagonal.
-SparseMatrix SparsifyCoefficients(const Matrix& c, int64_t top_k,
-                                  double drop_tol = 1e-8,
-                                  int num_threads = 1);
 
 // Landmark-mediated affinity for the sketched path: from a d x N coefficient
 // matrix C (row a = dictionary atom a), builds the sparsified

@@ -129,4 +129,38 @@ Result<SketchResult> SketchDictionary(const Matrix& x,
   return result;
 }
 
+Result<std::vector<int64_t>> SketchSelfAtoms(const Matrix& x,
+                                             const SketchResult& sketch,
+                                             const std::string& method) {
+  const Matrix& dictionary = sketch.dictionary;
+  if (dictionary.cols() < 1) {
+    return Status::InvalidArgument("sketched " + method +
+                                   " needs a non-empty dictionary");
+  }
+  if (dictionary.rows() != x.rows()) {
+    return Status::InvalidArgument(
+        "dictionary ambient dim " + std::to_string(dictionary.rows()) +
+        " does not match data dim " + std::to_string(x.rows()));
+  }
+  if (static_cast<int64_t>(sketch.landmarks.size()) > dictionary.cols()) {
+    return Status::InvalidArgument("more landmarks than dictionary atoms");
+  }
+  std::vector<int64_t> self_atom(static_cast<size_t>(x.cols()), -1);
+  for (size_t a = 0; a < sketch.landmarks.size(); ++a) {
+    const int64_t landmark = sketch.landmarks[a];
+    if (landmark < 0 || landmark >= x.cols()) {
+      return Status::InvalidArgument("landmark " + std::to_string(landmark) +
+                                     " is not a data column");
+    }
+    self_atom[static_cast<size_t>(landmark)] = static_cast<int64_t>(a);
+  }
+  return self_atom;
+}
+
+std::vector<int64_t> IdentitySelfAtoms(int64_t num_points) {
+  std::vector<int64_t> self_atom(static_cast<size_t>(num_points));
+  std::iota(self_atom.begin(), self_atom.end(), 0);
+  return self_atom;
+}
+
 }  // namespace fedsc

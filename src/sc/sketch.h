@@ -18,6 +18,7 @@
 #define FEDSC_SC_SKETCH_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -67,6 +68,19 @@ Result<SketchResult> SketchDictionary(const Matrix& x,
 // every column (exposed for tests; O(N * D^2 + D^3)). `ridge` is absolute.
 Result<Vector> RidgeLeverageScores(const Matrix& x, double ridge,
                                    int num_threads = 1);
+
+// The self-expression solves (SSC-ADMM, SSC-OMP, TSC) run against a
+// dictionary B, and column j of x may not use atom self_atom[j] (-1: any
+// atom), the diag(C) = 0 analogue. The exact solves are the case B = X with
+// self_atom[j] = j (IdentitySelfAtoms); a landmark sketch pins column
+// landmarks[a] to atom a and leaves the other columns free. SketchSelfAtoms
+// returns that map after checking that the dictionary is non-empty and has
+// x's ambient dimension, and that each landmark is a column of x with an
+// atom; `method` names the solver in the error.
+Result<std::vector<int64_t>> SketchSelfAtoms(const Matrix& x,
+                                             const SketchResult& sketch,
+                                             const std::string& method);
+std::vector<int64_t> IdentitySelfAtoms(int64_t num_points);
 
 }  // namespace fedsc
 

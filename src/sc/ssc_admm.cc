@@ -1,12 +1,10 @@
 #include "sc/ssc_admm.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "common/logging.h"
@@ -16,40 +14,53 @@
 #include "common/trace.h"
 #include "linalg/blas.h"
 #include "linalg/cholesky.h"
-#include "sc/affinity.h"
 
 namespace fedsc {
 
 namespace {
 
-// mu = min_i max_{j != i} |x_j^T x_i|, from the Gram matrix. Column panels
-// reduce to a per-chunk min-of-max, combined in chunk order below — min and
-// max are exact in any order, so the result is bit-identical for every
-// thread count.
-double MutualCoherenceFloor(const Matrix& gram, int num_threads) {
-  const int64_t n = gram.rows();
+// The largest |v[a]| over a in [0, n), a != skip.
+double MaxAbsExcept(const double* v, int64_t n, int64_t skip) {
+  double max_abs = 0.0;
+  for (int64_t a = 0; a < n; ++a) {
+    if (a != skip) max_abs = std::max(max_abs, std::fabs(v[a]));
+  }
+  return max_abs;
+}
+
+// min_j column_max(j, scratch) over j in [0, num_points): Proposition 1's
+// mutual coherence floor mu, given each column's largest |score| against
+// the atoms it may use. Column panels reduce to a per-chunk min, combined in
+// chunk order; min and max are exact in any order, so the result is
+// bit-identical for every thread count. Each chunk gets `scratch_size`
+// doubles of scratch.
+template <typename ColumnMax>
+double MinOfColumnMax(int64_t num_points, int64_t scratch_size,
+                      int num_threads, ColumnMax column_max) {
   const int chunks =
-      std::max(1, ParallelChunkCount(0, n, num_threads));
+      std::max(1, ParallelChunkCount(0, num_points, num_threads));
   std::vector<double> chunk_mu(static_cast<size_t>(chunks),
                                std::numeric_limits<double>::infinity());
-  ParallelForRanges(0, n, num_threads,
-                    [&](int64_t i0, int64_t i1, int chunk) {
+  ParallelForRanges(0, num_points, num_threads,
+                    [&](int64_t j0, int64_t j1, int chunk) {
+                      Vector scratch(static_cast<size_t>(scratch_size));
                       double mu = std::numeric_limits<double>::infinity();
-                      for (int64_t i = i0; i < i1; ++i) {
-                        double max_abs = 0.0;
-                        const double* col = gram.ColData(i);
-                        for (int64_t j = 0; j < n; ++j) {
-                          if (j != i) {
-                            max_abs = std::max(max_abs, std::fabs(col[j]));
-                          }
-                        }
-                        mu = std::min(mu, max_abs);
+                      for (int64_t j = j0; j < j1; ++j) {
+                        mu = std::min(mu, column_max(j, scratch.data()));
                       }
                       chunk_mu[static_cast<size_t>(chunk)] = mu;
                     });
   double mu = std::numeric_limits<double>::infinity();
   for (double v : chunk_mu) mu = std::min(mu, v);
   return mu;
+}
+
+// mu from the Gram matrix X^T X: column j may not use atom j.
+double MutualCoherenceFloor(const Matrix& gram, int num_threads) {
+  const int64_t n = gram.rows();
+  return MinOfColumnMax(n, 0, num_threads, [&](int64_t j, double*) {
+    return MaxAbsExcept(gram.ColData(j), n, j);
+  });
 }
 
 double SoftThreshold(double v, double t) {
@@ -277,15 +288,16 @@ SscAdmmInfo MakeRecord(int iterations, const Residuals& residuals, double rho,
   return record;
 }
 
-// The Z-update shared by both solvers. Over a dictionary A (r x m: A = X on
-// the exact solve, A = B on the sketched one) it solves
+// The Z-update over a dictionary A (r x m: A = X on the exact solve, A = B
+// on the sketched one). It solves
 //   H Z = lambda A^T X_blk + rho M,   H = lambda A^T A + rho I,  M = C - U.
 // The push-through identity H^{-1} A^T = A^T S^{-1}, S = rho I + lambda A A^T,
 // plus Woodbury give Z = M + F^T (Y - K M), with
 //   factored (r < m): K = lambda S^{-1} A, F = A, Y = lambda S^{-1} X_blk;
 //   direct (r >= m):  K = I - rho H^{-1},  F = I, Y = lambda H^{-1} A^T X_blk.
 // On the exact solve X_blk = A, so Y = K in both branches. An iteration costs
-// two r x m x cols GEMMs (factored) or one m x m x cols GEMM (direct).
+// two r x m x cols GEMMs (factored) or one m x m x cols GEMM (direct). The
+// matrices are shared, so a copy of the operator copies no data.
 struct ZUpdate {
   const Matrix* a = nullptr;
   double lambda = 0.0;
@@ -294,8 +306,8 @@ struct ZUpdate {
   // A A^T (factored) or A^T A (direct): the rho-free part of S or H, kept so
   // a rho change re-forms K without another Gram.
   std::shared_ptr<const Matrix> gram;
-  Matrix k;
-  Matrix w;  // lambda S^{-1}, factored only
+  std::shared_ptr<const Matrix> k;
+  std::shared_ptr<const Matrix> w;  // lambda S^{-1}, factored only
 
   // The same operator at penalty `next_rho`.
   Result<ZUpdate> WithRho(double next_rho, int num_threads) const {
@@ -308,34 +320,36 @@ struct ZUpdate {
     Matrix s = *gram;  // S or H
     s *= lambda;
     for (int64_t i = 0; i < s.rows(); ++i) s(i, i) += next_rho;
+    FEDSC_ASSIGN_OR_RETURN(Matrix inverse, SpdInverse(s));
     if (factored) {
-      FEDSC_ASSIGN_OR_RETURN(op.w, SpdInverse(s));
-      op.w *= lambda;
-      op.k = Matrix(a->rows(), a->cols());
-      Gemm(Trans::kNo, Trans::kNo, 1.0, op.w, *a, 0.0, &op.k, num_threads);
+      inverse *= lambda;
+      Matrix k(a->rows(), a->cols());
+      Gemm(Trans::kNo, Trans::kNo, 1.0, inverse, *a, 0.0, &k, num_threads);
+      op.w = std::make_shared<const Matrix>(std::move(inverse));
+      op.k = std::make_shared<const Matrix>(std::move(k));
     } else {
-      FEDSC_ASSIGN_OR_RETURN(op.k, SpdInverse(s));
-      op.k *= -next_rho;
-      for (int64_t i = 0; i < op.k.rows(); ++i) op.k(i, i) += 1.0;
+      inverse *= -next_rho;
+      for (int64_t i = 0; i < inverse.rows(); ++i) inverse(i, i) += 1.0;
+      op.k = std::make_shared<const Matrix>(std::move(inverse));
     }
     return op;
   }
 
   // Y for the data columns x_blk (single-threaded: called per block).
   Matrix Target(const Matrix& x_blk) const {
-    if (factored) return MatMul(w, x_blk);
+    if (factored) return MatMul(*w, x_blk);
     // lambda H^{-1} = (lambda / rho) (I - K).
     const Matrix g = MatMulTN(*a, x_blk);
     Matrix y = g;
-    Gemm(Trans::kNo, Trans::kNo, -1.0, k, g, 1.0, &y);
+    Gemm(Trans::kNo, Trans::kNo, -1.0, *k, g, 1.0, &y);
     y *= lambda / rho;
     return y;
   }
 
   // H^{-1} 1 = (1/rho) (1 - F^T K 1), for the affine Sherman-Morrison step.
   Vector InverseOnes() const {
-    const Vector ones(static_cast<size_t>(k.cols()), 1.0);
-    Vector fk1 = Gemv(Trans::kNo, k, ones);
+    const Vector ones(static_cast<size_t>(k->cols()), 1.0);
+    Vector fk1 = Gemv(Trans::kNo, *k, ones);
     if (factored) fk1 = Gemv(Trans::kTrans, *a, fk1);
     for (double& v : fk1) v = (1.0 - v) / rho;
     return fk1;
@@ -344,7 +358,7 @@ struct ZUpdate {
   // *z holds M on entry and Z on exit; t is K.rows() x cols scratch.
   void Apply(const Matrix& y, Matrix* t, Matrix* z, int num_threads) const {
     *t = y;
-    Gemm(Trans::kNo, Trans::kNo, -1.0, k, *z, 1.0, t, num_threads);
+    Gemm(Trans::kNo, Trans::kNo, -1.0, *k, *z, 1.0, t, num_threads);
     if (factored) {
       Gemm(Trans::kTrans, Trans::kNo, 1.0, *a, *t, 1.0, z, num_threads);
     } else {
@@ -372,6 +386,142 @@ Result<ZUpdate> BuildZUpdate(const Matrix& a, Matrix gram, double lambda,
   base.gram = std::make_shared<const Matrix>(std::move(gram));
   return base.WithRho(rho, num_threads);
 }
+
+// The ADMM over one block of columns against op's dictionary A (m atoms):
+// Z-update, affine correction, C-update with column j held off atom
+// self_atom[j], the stopping rule, and residual balancing with its operator
+// re-form and dual rescale. x_blk holds the block's data columns, so
+// Y = Target(x_blk); it is null when the block is the dictionary itself
+// (the exact solve, A = X), where Y = K. Leaves the m x cols coefficients in
+// *c and returns the block's record. `clock` times the whole solve against
+// options.deadline_seconds. Only the exact solve runs affine mode.
+Result<SscAdmmInfo> SolveColumns(ZUpdate op, const Matrix* x_blk,
+                                 const int64_t* self_atom,
+                                 const SscAdmmOptions& options,
+                                 int num_threads, const Stopwatch& clock,
+                                 Matrix* c) {
+  const int64_t rows = op.a->cols();
+  const int64_t cols = x_blk != nullptr ? x_blk->cols() : rows;
+  Matrix target;  // Y, when it is not K
+  if (x_blk != nullptr) target = op.Target(*x_blk);
+
+  *c = Matrix(rows, cols);
+  Matrix u(rows, cols);
+  // M = C - U [+ 1 (1 - u_affine)^T] into each Z-update, Z out of it.
+  Matrix z(rows, cols);
+  Matrix t(op.k->rows(), cols);
+
+  // Affine mode: Sherman-Morrison data for (lambda G + rho I + rho 1 1^T),
+  // plus the scaled dual of the 1^T Z = 1^T constraint and its residual.
+  Vector h_ones;          // H^{-1} 1
+  double affine_scale = 0.0;  // rho / (1 + rho * 1^T H^{-1} 1)
+  Vector u_affine;        // scaled dual, length cols
+  Vector affine_gap;      // 1^T z_j - 1, length cols
+  const auto form_affine = [&] {
+    h_ones = op.InverseOnes();
+    double dot_1h1 = 0.0;
+    for (double v : h_ones) dot_1h1 += v;
+    affine_scale = op.rho / (1.0 + op.rho * dot_1h1);
+  };
+  if (options.affine) {
+    form_affine();
+    u_affine.assign(static_cast<size_t>(cols), 0.0);
+    affine_gap.assign(static_cast<size_t>(cols), 0.0);
+    z.Fill(1.0);
+  }
+  const auto pinned = [&](int64_t j) { return self_atom[j]; };
+  const auto shift = [&](int64_t j) {
+    return options.affine ? 1.0 - u_affine[static_cast<size_t>(j)] : 0.0;
+  };
+
+  std::vector<ColumnSums> sums(static_cast<size_t>(cols));
+  Residuals residuals;
+  int rho_updates = 0;
+  int iteration = 0;
+  while (iteration < options.max_iterations) {
+    if (options.deadline_seconds > 0.0 &&
+        clock.ElapsedSeconds() > options.deadline_seconds) {
+      return Status::DeadlineExceeded("SSC ADMM exceeded its time budget of " +
+                                      std::to_string(options.deadline_seconds) +
+                                      "s");
+    }
+    op.Apply(x_blk != nullptr ? target : *op.k, &t, &z, num_threads);
+    if (options.affine) {
+      // Sherman-Morrison correction for the rho 1 1^T term,
+      // Z -= (H^{-1} 1) * affine_scale * (1^T Z), then the dual update for
+      // 1^T Z = 1^T.
+      for (int64_t j = 0; j < cols; ++j) {
+        double* col = z.ColData(j);
+        double colsum = 0.0;
+        for (int64_t i = 0; i < rows; ++i) colsum += col[i];
+        Axpy(-affine_scale * colsum, h_ones.data(), col, rows);
+        colsum = 0.0;
+        for (int64_t i = 0; i < rows; ++i) colsum += col[i];
+        affine_gap[static_cast<size_t>(j)] = colsum - 1.0;
+        u_affine[static_cast<size_t>(j)] += colsum - 1.0;
+      }
+    }
+
+    // C-update over disjoint column panels, each column writing its own
+    // stopping-rule slot.
+    ParallelForRanges(0, cols, num_threads, [&](int64_t j0, int64_t j1, int) {
+      ThresholdColumns(j0, j1, 1.0 / op.rho, pinned, shift, c, &u, &z,
+                       sums.data());
+    });
+    ++iteration;
+    if (options.affine) {
+      // The affine constraint is part of the primal residual.
+      for (int64_t j = 0; j < cols; ++j) {
+        const double gap = affine_gap[static_cast<size_t>(j)];
+        sums[static_cast<size_t>(j)].primal += gap * gap;
+      }
+    }
+    residuals = StoppingResiduals(sums, rows, op.rho, options.tol);
+    if (residuals.Converged()) break;
+    if (iteration % kRhoCheckInterval != 0 ||
+        iteration == options.max_iterations) {
+      continue;
+    }
+    const double next_rho = BalancedRho(residuals, op.rho);
+    if (next_rho == op.rho) continue;
+    const double ratio = op.rho / next_rho;
+    FEDSC_ASSIGN_OR_RETURN(op, op.WithRho(next_rho, num_threads));
+    if (x_blk != nullptr) target = op.Target(*x_blk);
+    ++rho_updates;
+    if (options.affine) {
+      for (double& v : u_affine) v *= ratio;
+      form_affine();
+    }
+    ParallelForRanges(0, cols, num_threads, [&](int64_t j0, int64_t j1, int) {
+      RescaleDual(j0, j1, ratio, shift, *c, &u, &z);
+    });
+  }
+  return MakeRecord(iteration, residuals, op.rho, rho_updates);
+}
+
+// Appends the entries of each column j of c, as column col_offset + j, whose
+// |value| exceeds drop_tol times the column's largest |value|. An all-zero
+// column adds nothing, and neither does an atom pinned to zero.
+void AppendKeptEntries(const Matrix& c, int64_t col_offset, double drop_tol,
+                       std::vector<Triplet>* triplets) {
+  for (int64_t j = 0; j < c.cols(); ++j) {
+    const double* col = c.ColData(j);
+    const double max_abs = MaxAbsExcept(col, c.rows(), -1);
+    if (max_abs <= 0.0) continue;
+    const double drop = drop_tol * max_abs;
+    for (int64_t a = 0; a < c.rows(); ++a) {
+      if (std::fabs(col[a]) > drop) {
+        triplets->push_back({a, col_offset + j, col[a]});
+      }
+    }
+  }
+}
+
+// Column-block width for the sketched solve. A pure constant (never derived
+// from the thread count): the per-block GEMM shapes, stopping decisions, and
+// triplet order depend only on (N, kSketchBlockCols), so results are
+// bit-identical for every thread count.
+constexpr int64_t kSketchBlockCols = 256;
 
 }  // namespace
 
@@ -405,121 +555,28 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
         "all points are mutually orthogonal; self-expression is degenerate");
   }
   const double lambda = options.alpha / mu;
-  double rho = options.rho > 0.0 ? options.rho : options.alpha;
-  // A = X: the direct operator keeps the Gram; the factored one frees it.
+  const double rho = options.rho > 0.0 ? options.rho : options.alpha;
+  // B = X: the direct operator keeps the Gram; the factored one frees it.
   FEDSC_ASSIGN_OR_RETURN(
       ZUpdate op,
       BuildZUpdate(x, std::move(gram), lambda, rho, options.num_threads));
 
-  Matrix c(num_points, num_points);
-  Matrix u(num_points, num_points);
-  // M = C - U [+ 1 (1 - u_affine)^T] into each Z-update, Z out of it.
-  Matrix z(num_points, num_points);
-  Matrix t(op.k.rows(), num_points);
+  // One block of all N columns, so one stopping rule covers the whole solve.
+  const std::vector<int64_t> self_atom = IdentitySelfAtoms(num_points);
+  const Stopwatch clock;
+  Matrix c;
+  FEDSC_ASSIGN_OR_RETURN(
+      const SscAdmmInfo record,
+      SolveColumns(std::move(op), nullptr, self_atom.data(), options,
+                   options.num_threads, clock, &c));
+  RecordSolve("SSC ADMM", record, info);
 
-  // Affine mode: Sherman-Morrison data for (lambda G + rho I + rho 1 1^T),
-  // plus the scaled dual of the 1^T Z = 1^T constraint and its residual.
-  Vector h_ones;          // H^{-1} 1
-  double affine_scale = 0.0;  // rho / (1 + rho * 1^T H^{-1} 1)
-  Vector u_affine;        // scaled dual, length N
-  Vector affine_gap;      // 1^T z_j - 1, length N
-  const auto form_affine = [&] {
-    h_ones = op.InverseOnes();
-    double dot_1h1 = 0.0;
-    for (double v : h_ones) dot_1h1 += v;
-    affine_scale = rho / (1.0 + rho * dot_1h1);
-  };
-  if (options.affine) {
-    form_affine();
-    u_affine.assign(static_cast<size_t>(num_points), 0.0);
-    affine_gap.assign(static_cast<size_t>(num_points), 0.0);
-    z.Fill(1.0);
-  }
-  const auto pinned = [](int64_t j) { return j; };
-  const auto shift = [&](int64_t j) {
-    return options.affine ? 1.0 - u_affine[static_cast<size_t>(j)] : 0.0;
-  };
-
-  Stopwatch deadline_timer;
-  std::vector<ColumnSums> sums(static_cast<size_t>(num_points));
-  Residuals residuals;
-  int rho_updates = 0;
-  int iteration = 0;
-  while (iteration < options.max_iterations) {
-    if (options.deadline_seconds > 0.0 &&
-        deadline_timer.ElapsedSeconds() > options.deadline_seconds) {
-      return Status::DeadlineExceeded("SSC ADMM exceeded its time budget of " +
-                                      std::to_string(options.deadline_seconds) +
-                                      "s");
-    }
-    op.Apply(op.k, &t, &z, options.num_threads);
-    if (options.affine) {
-      // Sherman-Morrison correction for the rho 1 1^T term,
-      // Z -= (H^{-1} 1) * affine_scale * (1^T Z), then the dual update for
-      // 1^T Z = 1^T.
-      for (int64_t j = 0; j < num_points; ++j) {
-        double* col = z.ColData(j);
-        double colsum = 0.0;
-        for (int64_t i = 0; i < num_points; ++i) colsum += col[i];
-        Axpy(-affine_scale * colsum, h_ones.data(), col, num_points);
-        colsum = 0.0;
-        for (int64_t i = 0; i < num_points; ++i) colsum += col[i];
-        affine_gap[static_cast<size_t>(j)] = colsum - 1.0;
-        u_affine[static_cast<size_t>(j)] += colsum - 1.0;
-      }
-    }
-
-    // C-update with the diagonal pinned to zero over disjoint column panels,
-    // each column writing its own stopping-rule slot.
-    ParallelForRanges(0, num_points, options.num_threads,
-                      [&](int64_t j0, int64_t j1, int) {
-                        ThresholdColumns(j0, j1, 1.0 / rho, pinned, shift, &c,
-                                         &u, &z, sums.data());
-                      });
-    ++iteration;
-    if (options.affine) {
-      // The affine constraint is part of the primal residual.
-      for (int64_t j = 0; j < num_points; ++j) {
-        const double gap = affine_gap[static_cast<size_t>(j)];
-        sums[static_cast<size_t>(j)].primal += gap * gap;
-      }
-    }
-    residuals = StoppingResiduals(sums, num_points, rho, options.tol);
-    if (residuals.Converged()) break;
-    if (iteration % kRhoCheckInterval != 0 ||
-        iteration == options.max_iterations) {
-      continue;
-    }
-    const double next_rho = BalancedRho(residuals, rho);
-    if (next_rho == rho) continue;
-    FEDSC_ASSIGN_OR_RETURN(op, op.WithRho(next_rho, options.num_threads));
-    const double ratio = rho / next_rho;
-    rho = next_rho;
-    ++rho_updates;
-    if (options.affine) {
-      for (double& v : u_affine) v *= ratio;
-      form_affine();
-    }
-    ParallelForRanges(0, num_points, options.num_threads,
-                      [&](int64_t j0, int64_t j1, int) {
-                        RescaleDual(j0, j1, ratio, shift, c, &u, &z);
-                      });
-  }
-  RecordSolve("SSC ADMM", MakeRecord(iteration, residuals, rho, rho_updates),
-              info);
-  return SparsifyCoefficients(c, options.top_k, options.drop_tol,
-                              options.num_threads);
+  std::vector<Triplet> triplets;
+  AppendKeptEntries(c, 0, options.drop_tol, &triplets);
+  c = Matrix();  // the dense N x N C is not kept while the CSR is built
+  return SparseMatrix::FromTriplets(num_points, num_points,
+                                    std::move(triplets));
 }
-
-namespace {
-
-// Column-block width for the sketched solve. A pure constant (never derived
-// from the thread count): the per-block GEMM shapes, stopping decisions, and
-// triplet order depend only on (N, kSketchBlockCols), so results are
-// bit-identical for every thread count.
-constexpr int64_t kSketchBlockCols = 256;
-
-}  // namespace
 
 Result<SparseMatrix> SscSketchedSelfExpression(const Matrix& x,
                                                const SketchResult& sketch,
@@ -532,15 +589,8 @@ Result<SparseMatrix> SscSketchedSelfExpression(const Matrix& x,
   if (num_points < 1) {
     return Status::InvalidArgument("sketched SSC needs at least 1 point");
   }
-  if (num_atoms < 1) {
-    return Status::InvalidArgument("sketched SSC needs a non-empty "
-                                   "dictionary");
-  }
-  if (b.rows() != n) {
-    return Status::InvalidArgument(
-        "dictionary ambient dim " + std::to_string(b.rows()) +
-        " does not match data dim " + std::to_string(n));
-  }
+  FEDSC_ASSIGN_OR_RETURN(const std::vector<int64_t> self_atom,
+                         SketchSelfAtoms(x, sketch, "SSC"));
   if (options.alpha <= 1.0) {
     return Status::InvalidArgument("SSC alpha must exceed 1");
   }
@@ -551,167 +601,57 @@ Result<SparseMatrix> SscSketchedSelfExpression(const Matrix& x,
   FEDSC_TRACE_SPAN("sc/ssc_admm_sketched",
                    {{"points", num_points}, {"atoms", num_atoms}, {"dim", n}});
 
-  // Landmark sketches: atom index of each data column that is a landmark
-  // (-1 otherwise); that atom's coefficient is pinned to zero.
-  std::vector<int64_t> self_atom(static_cast<size_t>(num_points), -1);
-  for (size_t a = 0; a < sketch.landmarks.size(); ++a) {
-    self_atom[static_cast<size_t>(sketch.landmarks[a])] =
-        static_cast<int64_t>(a);
-  }
-
-  // lambda = alpha / mu with mu = min_j max_a |b_a^T x_j| (self atom
-  // excluded) — the dictionary/data analogue of Proposition 1's mutual
-  // coherence floor. Min-of-max reduces exactly in any order.
-  const int mu_chunks = std::max(
-      1, ParallelChunkCount(0, num_points, options.num_threads));
-  std::vector<double> chunk_mu(static_cast<size_t>(mu_chunks),
-                               std::numeric_limits<double>::infinity());
-  ParallelForRanges(
-      0, num_points, options.num_threads,
-      [&](int64_t j0, int64_t j1, int chunk) {
-        Vector scores(static_cast<size_t>(num_atoms), 0.0);
-        double mu = std::numeric_limits<double>::infinity();
-        for (int64_t j = j0; j < j1; ++j) {
-          Gemv(Trans::kTrans, 1.0, b, x.ColData(j), 0.0, scores.data());
-          const int64_t forbidden = self_atom[static_cast<size_t>(j)];
-          double max_abs = 0.0;
-          for (int64_t a = 0; a < num_atoms; ++a) {
-            if (a == forbidden) continue;
-            max_abs = std::max(max_abs,
-                               std::fabs(scores[static_cast<size_t>(a)]));
-          }
-          mu = std::min(mu, max_abs);
-        }
-        chunk_mu[static_cast<size_t>(chunk)] = mu;
+  // mu = min_j max_a |b_a^T x_j| over the atoms column j may use: the
+  // dictionary/data analogue of Proposition 1's mutual coherence floor.
+  const double mu = MinOfColumnMax(
+      num_points, num_atoms, options.num_threads,
+      [&](int64_t j, double* scores) {
+        Gemv(Trans::kTrans, 1.0, b, x.ColData(j), 0.0, scores);
+        return MaxAbsExcept(scores, num_atoms,
+                            self_atom[static_cast<size_t>(j)]);
       });
-  double mu = std::numeric_limits<double>::infinity();
-  for (double v : chunk_mu) mu = std::min(mu, v);
   if (!(mu > 0.0)) {
     return Status::FailedPrecondition(
         "every dictionary atom is orthogonal to some point; sketched "
         "self-expression is degenerate");
   }
   const double lambda = options.alpha / mu;
-  const double initial_rho = options.rho > 0.0 ? options.rho : options.alpha;
+  const double rho = options.rho > 0.0 ? options.rho : options.alpha;
 
-  // A = B: one Z-update operator shared by every block until a block's own
-  // rho moves away from initial_rho.
+  // One operator over B, shared by every block until a block's own rho moves.
   FEDSC_ASSIGN_OR_RETURN(
       const ZUpdate shared_op,
-      BuildZUpdate(b, Matrix(), lambda, initial_rho, options.num_threads));
+      BuildZUpdate(b, Matrix(), lambda, rho, options.num_threads));
 
+  // The Lasso separates per column: single-threaded blocks of
+  // kSketchBlockCols columns, each with its own stopping rule, fan out.
   const int64_t num_blocks =
       (num_points + kSketchBlockCols - 1) / kSketchBlockCols;
   std::vector<std::vector<Triplet>> chunk_triplets(static_cast<size_t>(
       std::max(1, ParallelChunkCount(0, num_blocks, options.num_threads))));
   std::vector<SscAdmmInfo> block_record(static_cast<size_t>(num_blocks));
   std::vector<Status> block_status(static_cast<size_t>(num_blocks));
-  std::atomic<bool> deadline_hit{false};
-  Stopwatch deadline_timer;
-
+  const Stopwatch clock;
   ParallelForRanges(0, num_blocks, options.num_threads, [&](int64_t blk0,
                                                             int64_t blk1,
                                                             int chunk) {
-    std::vector<Triplet>& triplets =
-        chunk_triplets[static_cast<size_t>(chunk)];
-    std::vector<int64_t> order(static_cast<size_t>(num_atoms));
-    std::vector<ColumnSums> sums;
     for (int64_t blk = blk0; blk < blk1; ++blk) {
-      if (options.deadline_seconds > 0.0 &&
-          deadline_timer.ElapsedSeconds() > options.deadline_seconds) {
-        deadline_hit.store(true, std::memory_order_relaxed);
-        return;
-      }
       const int64_t j0 = blk * kSketchBlockCols;
       const int64_t j1 = std::min(num_points, j0 + kSketchBlockCols);
-      const int64_t nb = j1 - j0;
       const Matrix x_blk = x.ColRange(j0, j1);
-      const ZUpdate* op = &shared_op;
-      ZUpdate block_op;  // this block's operator once its rho moves
-      Matrix y = op->Target(x_blk);  // every iteration's Y
-
-      Matrix c(num_atoms, nb);
-      Matrix u(num_atoms, nb);
-      Matrix z(num_atoms, nb);  // M = C - U in, Z out
-      Matrix t(op->k.rows(), nb);
-      sums.assign(static_cast<size_t>(nb), ColumnSums());
-      const auto pinned = [&](int64_t jj) {
-        return self_atom[static_cast<size_t>(j0 + jj)];
-      };
-      const auto no_shift = [](int64_t) { return 0.0; };
-      double rho = initial_rho;
-      Residuals residuals;
-      int rho_updates = 0;
-      int iteration = 0;
-      while (iteration < options.max_iterations) {
-        op->Apply(y, &t, &z, 1);
-        ThresholdColumns(0, nb, 1.0 / rho, pinned, no_shift, &c, &u, &z,
-                         sums.data());
-        ++iteration;
-        residuals = StoppingResiduals(sums, num_atoms, rho, options.tol);
-        if (residuals.Converged()) break;
-        if (iteration % kRhoCheckInterval != 0 ||
-            iteration == options.max_iterations) {
-          continue;
-        }
-        const double next_rho = BalancedRho(residuals, rho);
-        if (next_rho == rho) continue;
-        auto reformed = shared_op.WithRho(next_rho, 1);
-        if (!reformed.ok()) {
-          block_status[static_cast<size_t>(blk)] = reformed.status();
-          break;
-        }
-        block_op = std::move(reformed).value();
-        op = &block_op;
-        y = op->Target(x_blk);
-        RescaleDual(0, nb, rho / next_rho, no_shift, c, &u, &z);
-        rho = next_rho;
-        ++rho_updates;
+      Matrix c;
+      auto record =
+          SolveColumns(shared_op, &x_blk, self_atom.data() + j0, options, 1,
+                       clock, &c);
+      if (!record.ok()) {
+        block_status[static_cast<size_t>(blk)] = record.status();
+        return;
       }
-      block_record[static_cast<size_t>(blk)] =
-          MakeRecord(iteration, residuals, rho, rho_updates);
-
-      // Sparsify the block's columns in place (same top-k / drop-tol rule
-      // as SparsifyCoefficients, over the d atoms).
-      for (int64_t jj = 0; jj < nb; ++jj) {
-        const int64_t j = j0 + jj;
-        const double* col = c.ColData(jj);
-        double max_abs = 0.0;
-        for (int64_t a = 0; a < num_atoms; ++a) {
-          max_abs = std::max(max_abs, std::fabs(col[a]));
-        }
-        if (max_abs <= 0.0) continue;
-        const double drop = options.drop_tol * max_abs;
-        if (options.top_k > 0 && options.top_k < num_atoms) {
-          std::iota(order.begin(), order.end(), 0);
-          const auto kth = order.begin() + options.top_k;
-          std::nth_element(order.begin(), kth, order.end(),
-                           [&](int64_t p, int64_t q) {
-                             const double fp = std::fabs(col[p]);
-                             const double fq = std::fabs(col[q]);
-                             if (fp != fq) return fp > fq;
-                             return p < q;
-                           });
-          std::sort(order.begin(), kth);
-          for (auto it = order.begin(); it != kth; ++it) {
-            const double v = col[*it];
-            if (std::fabs(v) > drop) triplets.push_back({*it, j, v});
-          }
-        } else {
-          for (int64_t a = 0; a < num_atoms; ++a) {
-            const double v = col[a];
-            if (std::fabs(v) > drop) triplets.push_back({a, j, v});
-          }
-        }
-      }
+      block_record[static_cast<size_t>(blk)] = *record;
+      AppendKeptEntries(c, j0, options.drop_tol,
+                        &chunk_triplets[static_cast<size_t>(chunk)]);
     }
   });
-
-  if (deadline_hit.load(std::memory_order_relaxed)) {
-    return Status::DeadlineExceeded(
-        "sketched SSC ADMM exceeded its time budget of " +
-        std::to_string(options.deadline_seconds) + "s");
-  }
   for (const Status& status : block_status) {
     if (!status.ok()) return status;
   }

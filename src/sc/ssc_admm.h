@@ -1,20 +1,25 @@
 // Sparse subspace clustering self-expression via ADMM (Elhamifar & Vidal,
 // ref [9] of the paper; ADMM per Boyd et al., ref [50]).
 //
-// Solves the Lasso program (Eq. 2 of the paper) for all points at once:
+// One solver, over a dictionary B (D x d, Traganitis & Giannakis): it solves
+// the Lasso program (Eq. 2 of the paper)
 //
-//   min_C  ||C||_1 + lambda/2 ||X - X C||_F^2   s.t.  diag(C) = 0
+//   min_C  ||C||_1 + lambda/2 ||X - B C||_F^2,   C in R^{d x N},
 //
-// with lambda = alpha / mu, mu = min_i max_{j != i} |x_j^T x_i| (Proposition
-// 1 of Elhamifar-Vidal; the paper uses alpha = 50). The Z-update runs
-// through one operator shared with the sketched solver: factored,
-// Z = M + X^T (K - K M) with K = lambda (rho I + lambda X X^T)^{-1} X, when
-// n < N (two n x N x N GEMMs per iteration), else direct with the N x N
-// inverse (one N x N x N GEMM). Per iteration that is O(min(n, N) * N^2).
-// The solve stops on the primal/dual residual test of Boyd et al. Section
-// 3.3 and balances the two residuals by moving rho (Section 3.4.1); the
-// operator keeps its min(n, N)-order Gram, so a new rho re-forms K with one
-// SPD inverse and no new Gram (docs/ALGORITHMS.md).
+// with column j of C held off its self atom (sketch.h). Exact SSC is the
+// case B = X with atom j pinned for column j, i.e. diag(C) = 0; X is passed
+// as its own dictionary, never copied. lambda = alpha / mu with
+// mu = min_j max_{a != self(j)} |b_a^T x_j| (Proposition 1 of
+// Elhamifar-Vidal; the paper uses alpha = 50). The Z-update runs through one
+// operator over B: factored, Z = M + B^T (Y - K M) with
+// K = lambda (rho I + lambda B B^T)^{-1} B, when D < d (two D x d x cols
+// GEMMs per iteration), else direct with the d x d inverse (one
+// d x d x cols GEMM). A solve stops on the primal/dual residual test of
+// Boyd et al. Section 3.3 and balances the two residuals by moving rho
+// (Section 3.4.1); the operator keeps its min(D, d)-order Gram, so a new rho
+// re-forms K with one SPD inverse and no new Gram (docs/ALGORITHMS.md). The
+// exact solve runs all N columns as one block under one stopping rule; the
+// sketched solve runs blocks of 256 columns, each with its own.
 
 #ifndef FEDSC_SC_SSC_ADMM_H_
 #define FEDSC_SC_SSC_ADMM_H_
@@ -50,17 +55,16 @@ struct SscAdmmOptions {
   //   eps_dual = sqrt(rows * cols) eps_abs + tol rho ||U||_F,
   // over the whole N x N problem (exact) or one column block (sketched).
   double tol = 1e-2;
-  // Sparsification of the returned coefficients (see SparsifyCoefficients).
-  int64_t top_k = 0;
+  // Each returned column keeps the entries whose |c_ij| exceeds drop_tol
+  // times the column's largest |c_ij|.
   double drop_tol = 1e-6;
   // Wall-clock budget; > 0 aborts with DeadlineExceeded when the solve
   // overruns it (the paper's Table III enforces a 1-day cut-off on
   // centralized SSC the same way).
   double deadline_seconds = 0.0;
-  // Workers for the matrix-form updates: the Gram/Z-update GEMMs and the
-  // soft-threshold pass partition their output column panels, and the final
-  // sparsification fans out per column — all bit-identical for every thread
-  // count.
+  // Workers: the exact solve's Gram/Z-update GEMMs and soft-threshold pass
+  // partition their output column panels, and the sketched solve runs its
+  // column blocks in parallel — bit-identical for every thread count.
   int num_threads = 1;
 };
 
@@ -82,27 +86,19 @@ struct SscAdmmInfo {
 };
 
 // Sparse self-expression matrix C for the columns of x (which should be
-// l2-normalized). Requires N >= 2. `info`, when non-null, receives the
-// solve's convergence record.
+// l2-normalized): the dictionary solve with B = X. Requires N >= 2. `info`,
+// when non-null, receives the solve's convergence record.
 Result<SparseMatrix> SscSelfExpression(const Matrix& x,
                                        const SscAdmmOptions& options = {},
                                        SscAdmmInfo* info = nullptr);
 
-// Sketched variant (Traganitis-Giannakis): solves the same Lasso with the
-// d-column dictionary B = sketch.dictionary in place of X,
-//
-//   min_C ||C||_1 + lambda/2 ||X - B C||_F^2,   C in R^{d x N},
-//
-// with the exact solver's Z-update operator built over B: factored when
-// n < d, so a block iteration costs two n x d x cols GEMMs and never applies
-// a dense d x d inverse, else direct with one d x d x cols GEMM. Per
-// iteration that is O(min(n, d) * d * N) instead of O(N^2 min(n, N)). The Lasso
-// separates per column, so columns are processed in fixed-size blocks (a
-// pure function of N, never of the thread count) with block-local stopping;
-// results are bit-identical for every thread count. For landmark sketches a
-// landmark column's own atom is pinned to zero (the diag(C) = 0 analogue).
-// The affine mode is not supported on this path. Returns the d x N
-// coefficient matrix.
+// Sketched variant (Traganitis-Giannakis): the dictionary solve with
+// B = sketch.dictionary, so an iteration costs O(min(D, d) * d * N) instead
+// of O(min(D, N) * N^2). Columns run in fixed blocks of 256 (a pure function
+// of N, never of the thread count) with block-local stopping; results are
+// bit-identical for every thread count. A landmark column's own atom is
+// pinned to zero. The affine mode is not supported on this path. Returns the
+// d x N coefficient matrix.
 Result<SparseMatrix> SscSketchedSelfExpression(
     const Matrix& x, const SketchResult& sketch,
     const SscAdmmOptions& options = {}, SscAdmmInfo* info = nullptr);

@@ -9,37 +9,25 @@
 
 namespace fedsc {
 
-Result<SparseMatrix> SscOmpSketchedSelfExpression(const Matrix& x,
-                                                  const SketchResult& sketch,
-                                                  const SscOmpOptions& options) {
-  const Matrix& dictionary = sketch.dictionary;
+namespace {
+
+// Every column of x pursues atoms of `dictionary`, never self_atom[j].
+Result<SparseMatrix> DictionaryPursuit(const Matrix& x,
+                                       const Matrix& dictionary,
+                                       const std::vector<int64_t>& self_atom,
+                                       const SscOmpOptions& options) {
   const int64_t n = x.rows();
   const int64_t num_points = x.cols();
   const int64_t num_atoms = dictionary.cols();
-  if (num_atoms < 1) {
-    return Status::InvalidArgument("sketched SSC-OMP needs a non-empty "
-                                   "dictionary");
-  }
-  if (dictionary.rows() != n) {
-    return Status::InvalidArgument(
-        "dictionary ambient dim " + std::to_string(dictionary.rows()) +
-        " does not match data dim " + std::to_string(n));
-  }
   if (options.max_support < 1) {
     return Status::InvalidArgument("SSC-OMP max_support must be >= 1");
   }
 
-  // Landmark sketches: atom index of each data column that is a landmark
-  // (-1 otherwise), so a landmark column never expresses itself through its
-  // own atom.
-  std::vector<int64_t> self_atom(static_cast<size_t>(num_points), -1);
-  for (size_t a = 0; a < sketch.landmarks.size(); ++a) {
-    self_atom[static_cast<size_t>(sketch.landmarks[a])] =
-        static_cast<int64_t>(a);
-  }
-
-  // Same fan-out/concatenation pattern as the exact path: fixed column
-  // ranges, per-range triplet lists stitched in column order.
+  // Each column's pursuit is independent: the solves fan out over fixed
+  // column ranges, each range collecting its triplets locally. The per-range
+  // lists concatenate in column order below, reproducing the serial triplet
+  // order exactly (FromTriplets sums duplicates in input order, so order is
+  // part of the determinism contract).
   std::vector<std::vector<Triplet>> chunk_triplets(static_cast<size_t>(
       std::max(1, ParallelChunkCount(0, num_points, options.num_threads))));
 
@@ -66,6 +54,7 @@ Result<SparseMatrix> SscOmpSketchedSelfExpression(const Matrix& x,
 
       for (int64_t step = 0; step < k_max; ++step) {
         if (Norm2(residual.data(), n) < options.residual_tol) break;
+        // Most correlated unused atom.
         Gemv(Trans::kTrans, 1.0, dictionary, residual.data(), 0.0,
              scores.data());
         int64_t best = -1;
@@ -82,97 +71,10 @@ Result<SparseMatrix> SscOmpSketchedSelfExpression(const Matrix& x,
         support.push_back(best);
         in_support[static_cast<size_t>(best)] = 1;
 
-        const Matrix sub = dictionary.GatherCols(support);
-        Matrix gram = Gram(sub);
-        for (int64_t d = 0; d < gram.rows(); ++d) gram(d, d) += 1e-12;
-        const Vector rhs = Gemv(Trans::kTrans, sub, x.Col(j));
-        auto solved = SolveSpd(gram, Matrix::FromColumn(rhs));
-        if (!solved.ok()) break;
-        coeffs = solved->Col(0);
-
-        std::copy(x.ColData(j), x.ColData(j) + n, residual.begin());
-        Gemv(Trans::kNo, -1.0, sub, coeffs.data(), 1.0, residual.data());
-      }
-
-      for (size_t t = 0; t < support.size(); ++t) {
-        if (coeffs.size() > t && coeffs[t] != 0.0) {
-          triplets.push_back({support[t], j, coeffs[t]});
-        }
-      }
-    }
-  });
-
-  std::vector<Triplet> triplets;
-  for (const auto& chunk : chunk_triplets) {
-    triplets.insert(triplets.end(), chunk.begin(), chunk.end());
-  }
-  return SparseMatrix::FromTriplets(num_atoms, num_points,
-                                    std::move(triplets));
-}
-
-Result<SparseMatrix> SscOmpSelfExpression(const Matrix& x,
-                                          const SscOmpOptions& options) {
-  const int64_t n = x.rows();
-  const int64_t num_points = x.cols();
-  if (num_points < 2) {
-    return Status::InvalidArgument("SSC-OMP needs at least 2 points");
-  }
-  if (options.max_support < 1) {
-    return Status::InvalidArgument("SSC-OMP max_support must be >= 1");
-  }
-  const int64_t k_max =
-      std::min<int64_t>(options.max_support, num_points - 1);
-
-  // Each column's pursuit is independent: the solves fan out over fixed
-  // column ranges, each range collecting its triplets locally. The per-range
-  // lists concatenate in column order below, reproducing the serial triplet
-  // order exactly (FromTriplets sums duplicates in input order, so order is
-  // part of the determinism contract).
-  std::vector<std::vector<Triplet>> chunk_triplets(static_cast<size_t>(
-      std::max(1, ParallelChunkCount(0, num_points, options.num_threads))));
-
-  ParallelForRanges(0, num_points, options.num_threads, [&](int64_t c0,
-                                                            int64_t c1,
-                                                            int chunk) {
-    std::vector<Triplet>& triplets =
-        chunk_triplets[static_cast<size_t>(chunk)];
-    triplets.reserve(static_cast<size_t>(k_max * (c1 - c0)));
-
-    Vector residual(static_cast<size_t>(n), 0.0);
-    Vector scores(static_cast<size_t>(num_points), 0.0);
-    std::vector<int64_t> support;
-    std::vector<char> in_support(static_cast<size_t>(num_points), 0);
-
-    for (int64_t j = c0; j < c1; ++j) {
-      std::copy(x.ColData(j), x.ColData(j) + n, residual.begin());
-      support.clear();
-      std::fill(in_support.begin(), in_support.end(), 0);
-      in_support[static_cast<size_t>(j)] = 1;  // c_jj = 0
-      Vector coeffs;
-
-      for (int64_t step = 0; step < k_max; ++step) {
-        if (Norm2(residual.data(), n) < options.residual_tol) break;
-        // Most correlated unused atom.
-        Gemv(Trans::kTrans, 1.0, x, residual.data(), 0.0, scores.data());
-        int64_t best = -1;
-        double best_score = 0.0;
-        for (int64_t i = 0; i < num_points; ++i) {
-          if (in_support[static_cast<size_t>(i)]) continue;
-          const double s = std::fabs(scores[static_cast<size_t>(i)]);
-          if (s > best_score) {
-            best_score = s;
-            best = i;
-          }
-        }
-        if (best < 0 || best_score <= 1e-14) break;
-        support.push_back(best);
-        in_support[static_cast<size_t>(best)] = 1;
-
         // Least squares on the current support via normal equations
         // (supports stay tiny, and a diagonal jitter guards collinear
-        // atoms). Gram runs on the symmetric Syrk kernel; at these sizes
-        // that is the panel path, bit-identical to the old GEMM-backed Gram.
-        const Matrix sub = x.GatherCols(support);
+        // atoms).
+        const Matrix sub = dictionary.GatherCols(support);
         Matrix gram = Gram(sub);
         for (int64_t d = 0; d < gram.rows(); ++d) gram(d, d) += 1e-12;
         const Vector rhs = Gemv(Trans::kTrans, sub, x.Col(j));
@@ -194,12 +96,28 @@ Result<SparseMatrix> SscOmpSelfExpression(const Matrix& x,
   });
 
   std::vector<Triplet> triplets;
-  triplets.reserve(static_cast<size_t>(k_max * num_points));
   for (const auto& chunk : chunk_triplets) {
     triplets.insert(triplets.end(), chunk.begin(), chunk.end());
   }
-  return SparseMatrix::FromTriplets(num_points, num_points,
+  return SparseMatrix::FromTriplets(num_atoms, num_points,
                                     std::move(triplets));
+}
+
+}  // namespace
+
+Result<SparseMatrix> SscOmpSelfExpression(const Matrix& x,
+                                          const SscOmpOptions& options) {
+  if (x.cols() < 2) {
+    return Status::InvalidArgument("SSC-OMP needs at least 2 points");
+  }
+  return DictionaryPursuit(x, x, IdentitySelfAtoms(x.cols()), options);
+}
+
+Result<SparseMatrix> SscOmpSketchedSelfExpression(
+    const Matrix& x, const SketchResult& sketch, const SscOmpOptions& options) {
+  FEDSC_ASSIGN_OR_RETURN(const std::vector<int64_t> self_atom,
+                         SketchSelfAtoms(x, sketch, "SSC-OMP"));
+  return DictionaryPursuit(x, sketch.dictionary, self_atom, options);
 }
 
 }  // namespace fedsc

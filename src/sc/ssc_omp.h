@@ -1,6 +1,11 @@
 // SSC-OMP (You, Robinson & Vidal, ref [42] of the paper): per-point sparse
 // self-expression by orthogonal matching pursuit instead of the Lasso.
-// Greedy, O(k_max * n * N) per point; the scalable centralized baseline.
+//
+// One pursuit, over a dictionary B (D x d): every column x_j greedily picks
+// up to max_support atoms of B, never its self atom (sketch.h), and refits
+// them by least squares. O(k * d * D) per point. Exact SSC-OMP is the case
+// B = X with atom j pinned for column j (diag(C) = 0), O(k * N * D) per
+// point; the sketched variant uses a d-atom landmark dictionary.
 
 #ifndef FEDSC_SC_SSC_OMP_H_
 #define FEDSC_SC_SSC_OMP_H_
@@ -25,17 +30,14 @@ struct SscOmpOptions {
   int num_threads = 1;
 };
 
-// Sparse self-expression matrix C with OMP-selected supports; columns of x
-// should be l2-normalized.
+// Sparse self-expression matrix C with OMP-selected supports: the pursuit
+// with B = X. Columns of x should be l2-normalized. Requires N >= 2.
 Result<SparseMatrix> SscOmpSelfExpression(const Matrix& x,
                                           const SscOmpOptions& options = {});
 
-// Sketched variant: every column pursues atoms of sketch.dictionary (D x d)
-// instead of its N - 1 peers, dropping the per-column cost from O(k * N * D)
-// to O(k * d * D). Returns the d x N coefficient matrix (row a = dictionary
-// atom a). For landmark sketches a column that is itself a landmark never
-// selects its own atom (the diag(C) = 0 analogue). Bit-identical for every
-// thread count.
+// Sketched variant: the pursuit with B = sketch.dictionary. Returns the
+// d x N coefficient matrix (row a = dictionary atom a); a landmark column
+// never selects its own atom. Bit-identical for every thread count.
 Result<SparseMatrix> SscOmpSketchedSelfExpression(
     const Matrix& x, const SketchResult& sketch,
     const SscOmpOptions& options = {});

@@ -2,23 +2,45 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/thread_pool.h"
 #include "linalg/blas.h"
+#include "sc/affinity.h"
 
 namespace fedsc {
 
-Result<SparseMatrix> TscAffinity(const Matrix& x, const TscOptions& options) {
-  const int64_t n = x.rows();
+namespace {
+
+// The q entries of `score` with the highest values, ties going to the lower
+// index, in heap order. One pass keeps the weakest of the best q at the
+// front of a heap, so an entry that does not beat it costs one comparison.
+void SelectTopQ(const Vector& score, int64_t q, std::vector<int64_t>* best) {
+  const auto better = [&score](int64_t a, int64_t b) {
+    const double fa = score[static_cast<size_t>(a)];
+    const double fb = score[static_cast<size_t>(b)];
+    return fa != fb ? fa > fb : a < b;
+  };
+  best->clear();
+  for (int64_t a = 0; a < static_cast<int64_t>(score.size()); ++a) {
+    if (static_cast<int64_t>(best->size()) < q) {
+      best->push_back(a);
+      std::push_heap(best->begin(), best->end(), better);
+    } else if (better(a, best->front())) {
+      std::pop_heap(best->begin(), best->end(), better);
+      best->back() = a;
+      std::push_heap(best->begin(), best->end(), better);
+    }
+  }
+}
+
+// Every column of x keeps its q nearest atoms of `dictionary` in spherical
+// distance, never self_atom[j], weighted exp(-2 * arccos(|<b_a, x_j>|)).
+// Ties in |<b_a, x_j>| go to the lower atom index. Requires q >= 1.
+SparseMatrix DictionaryTopQ(const Matrix& x, const Matrix& dictionary,
+                            const std::vector<int64_t>& self_atom,
+                            const TscOptions& options) {
   const int64_t num_points = x.cols();
-  if (num_points < 2) {
-    return Status::InvalidArgument("TSC needs at least 2 points");
-  }
-  if (options.q < 1 || options.q >= num_points) {
-    return Status::InvalidArgument("TSC needs 1 <= q < N, got q=" +
-                                   std::to_string(options.q));
-  }
+  const int64_t num_atoms = dictionary.cols();
 
   // Neighbor selection is independent per column; fan out over fixed column
   // ranges and concatenate the per-range triplet lists in column order so
@@ -31,102 +53,11 @@ Result<SparseMatrix> TscAffinity(const Matrix& x, const TscOptions& options) {
                                                             int chunk) {
     std::vector<Triplet>& triplets =
         chunk_triplets[static_cast<size_t>(chunk)];
-    triplets.reserve(static_cast<size_t>(2 * options.q * (c1 - c0)));
-    Vector corr(static_cast<size_t>(num_points), 0.0);
-    std::vector<int64_t> order(static_cast<size_t>(num_points));
-
-    for (int64_t j = c0; j < c1; ++j) {
-      // |x_i^T x_j| for all i (one column of |X^T X| at a time keeps memory
-      // O(N) even for large N).
-      Gemv(Trans::kTrans, 1.0, x, x.ColData(j), 0.0, corr.data());
-      for (auto& v : corr) v = std::fabs(v);
-      corr[static_cast<size_t>(j)] = -1.0;  // never self-select
-
-      std::iota(order.begin(), order.end(), 0);
-      const auto kth = order.begin() + options.q;
-      std::nth_element(order.begin(), kth, order.end(),
-                       [&](int64_t a, int64_t b) {
-                         return corr[static_cast<size_t>(a)] >
-                                corr[static_cast<size_t>(b)];
-                       });
-      for (auto it = order.begin(); it != kth; ++it) {
-        const int64_t i = *it;
-        const double c = std::min(1.0, corr[static_cast<size_t>(i)]);
-        if (c <= 0.0) continue;
-        const double weight = std::exp(-2.0 * std::acos(c));
-        triplets.push_back({i, j, weight});
-        triplets.push_back({j, i, weight});
-      }
-    }
-  });
-  (void)n;
-
-  std::vector<Triplet> triplets;
-  triplets.reserve(static_cast<size_t>(2 * options.q * num_points));
-  for (const auto& chunk : chunk_triplets) {
-    triplets.insert(triplets.end(), chunk.begin(), chunk.end());
-  }
-
-  // Duplicate (i, j) entries (mutual neighbors) sum; halve them back to the
-  // single-edge weight by averaging.
-  SparseMatrix summed =
-      SparseMatrix::FromTriplets(num_points, num_points, std::move(triplets));
-  // An edge appears either twice (one direction selected) or four times
-  // (both directions selected, same weight). Rebuild with max-normalized
-  // semantics: divide every stored value by its multiplicity... simpler and
-  // equivalent: since both directions carry identical weights, dividing by 2
-  // when the edge was selected once and by 4 when twice gives the same graph
-  // up to a factor of 2 on mutual edges, which is the standard "adjacency
-  // union" construction. Keep the summed weights: spectral clustering is
-  // invariant to that mild reweighting and mutual neighbors deserve the
-  // extra affinity.
-  return summed;
-}
-
-Result<SparseMatrix> TscLandmarkCoefficients(const Matrix& x,
-                                             const SketchResult& sketch,
-                                             const TscOptions& options) {
-  const Matrix& dictionary = sketch.dictionary;
-  const int64_t n = x.rows();
-  const int64_t num_points = x.cols();
-  const int64_t num_atoms = dictionary.cols();
-  if (num_points < 1) {
-    return Status::InvalidArgument("TSC needs at least 1 point");
-  }
-  if (num_atoms < 1) {
-    return Status::InvalidArgument("sketched TSC needs a non-empty "
-                                   "dictionary");
-  }
-  if (dictionary.rows() != n) {
-    return Status::InvalidArgument(
-        "dictionary ambient dim " + std::to_string(dictionary.rows()) +
-        " does not match data dim " + std::to_string(n));
-  }
-  if (options.q < 1) {
-    return Status::InvalidArgument("TSC needs q >= 1, got q=" +
-                                   std::to_string(options.q));
-  }
-
-  std::vector<int64_t> self_atom(static_cast<size_t>(num_points), -1);
-  for (size_t a = 0; a < sketch.landmarks.size(); ++a) {
-    self_atom[static_cast<size_t>(sketch.landmarks[a])] =
-        static_cast<int64_t>(a);
-  }
-
-  // Same fan-out/concatenation pattern as the exact path: fixed column
-  // ranges, per-range triplet lists stitched in column order.
-  std::vector<std::vector<Triplet>> chunk_triplets(static_cast<size_t>(
-      std::max(1, ParallelChunkCount(0, num_points, options.num_threads))));
-
-  ParallelForRanges(0, num_points, options.num_threads, [&](int64_t c0,
-                                                            int64_t c1,
-                                                            int chunk) {
-    std::vector<Triplet>& triplets =
-        chunk_triplets[static_cast<size_t>(chunk)];
     Vector corr(static_cast<size_t>(num_atoms), 0.0);
-    std::vector<int64_t> order(static_cast<size_t>(num_atoms));
+    std::vector<int64_t> nearest;
 
     for (int64_t j = c0; j < c1; ++j) {
+      // |b_a^T x_j| for all atoms (one column at a time keeps memory O(d)).
       Gemv(Trans::kTrans, 1.0, dictionary, x.ColData(j), 0.0, corr.data());
       for (auto& v : corr) v = std::fabs(v);
       const int64_t forbidden = self_atom[static_cast<size_t>(j)];
@@ -135,17 +66,8 @@ Result<SparseMatrix> TscLandmarkCoefficients(const Matrix& x,
           options.q, num_atoms - (forbidden >= 0 ? 1 : 0));
       if (q < 1) continue;
 
-      std::iota(order.begin(), order.end(), 0);
-      const auto kth = order.begin() + q;
-      std::nth_element(order.begin(), kth, order.end(),
-                       [&](int64_t a, int64_t b) {
-                         const double fa = corr[static_cast<size_t>(a)];
-                         const double fb = corr[static_cast<size_t>(b)];
-                         if (fa != fb) return fa > fb;
-                         return a < b;
-                       });
-      for (auto it = order.begin(); it != kth; ++it) {
-        const int64_t a = *it;
+      SelectTopQ(corr, q, &nearest);
+      for (const int64_t a : nearest) {
         const double c = std::min(1.0, corr[static_cast<size_t>(a)]);
         if (c <= 0.0) continue;
         const double weight = std::exp(-2.0 * std::acos(c));
@@ -161,6 +83,40 @@ Result<SparseMatrix> TscLandmarkCoefficients(const Matrix& x,
   }
   return SparseMatrix::FromTriplets(num_atoms, num_points,
                                     std::move(triplets));
+}
+
+}  // namespace
+
+Result<SparseMatrix> TscAffinity(const Matrix& x, const TscOptions& options) {
+  const int64_t num_points = x.cols();
+  if (num_points < 2) {
+    return Status::InvalidArgument("TSC needs at least 2 points");
+  }
+  if (options.q < 1 || options.q >= num_points) {
+    return Status::InvalidArgument("TSC needs 1 <= q < N, got q=" +
+                                   std::to_string(options.q));
+  }
+  // An edge selected from both ends enters twice and sums: spectral
+  // clustering is invariant to that mild reweighting, and mutual neighbors
+  // deserve the extra affinity.
+  return AffinityFromCoefficients(
+      DictionaryTopQ(x, x, IdentitySelfAtoms(num_points), options),
+      options.num_threads);
+}
+
+Result<SparseMatrix> TscLandmarkCoefficients(const Matrix& x,
+                                             const SketchResult& sketch,
+                                             const TscOptions& options) {
+  if (x.cols() < 1) {
+    return Status::InvalidArgument("TSC needs at least 1 point");
+  }
+  FEDSC_ASSIGN_OR_RETURN(const std::vector<int64_t> self_atom,
+                         SketchSelfAtoms(x, sketch, "TSC"));
+  if (options.q < 1) {
+    return Status::InvalidArgument("TSC needs q >= 1, got q=" +
+                                   std::to_string(options.q));
+  }
+  return DictionaryTopQ(x, sketch.dictionary, self_atom, options);
 }
 
 }  // namespace fedsc

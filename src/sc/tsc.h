@@ -1,6 +1,11 @@
 // Thresholding-based subspace clustering (Heckel & Bölcskei, ref [10] of
-// the paper): connect every point to its q nearest neighbors in spherical
-// distance, weighting edges by exp(-2 * arccos(|<x_i, x_j>|)).
+// the paper).
+//
+// One selection, over a dictionary B (D x d): every point keeps its q
+// nearest atoms in spherical distance, never its self atom (sketch.h), with
+// weight exp(-2 * arccos(|<b_a, x_j>|)); ties go to the lower atom index.
+// O(d * D) per point. Exact TSC is the case B = X with atom j pinned for
+// column j: the q nearest peers, symmetrized by AffinityFromCoefficients.
 
 #ifndef FEDSC_SC_TSC_H_
 #define FEDSC_SC_TSC_H_
@@ -22,16 +27,14 @@ struct TscOptions {
   int num_threads = 1;
 };
 
-// Symmetric TSC affinity graph over the (l2-normalized) columns of x.
+// Symmetric TSC affinity graph over the (l2-normalized) columns of x:
+// W = |C| + |C|^T for the selection with B = X.
 Result<SparseMatrix> TscAffinity(const Matrix& x, const TscOptions& options);
 
-// Sketched variant: every point keeps its q nearest *dictionary atoms*
-// (spherical distance against sketch.dictionary) instead of its q nearest
-// peers, so the per-column cost is O(q + d * D) instead of O(q + N * D).
-// Returns the nonnegative d x N coefficient matrix (row a = atom a) whose
-// landmark-mediated product |C|^T |C| plays the role of the TSC graph. For
-// landmark sketches a column never selects its own atom. Bit-identical for
-// every thread count.
+// Sketched variant: the selection with B = sketch.dictionary. Returns the
+// nonnegative d x N coefficient matrix (row a = atom a) whose
+// landmark-mediated product |C|^T |C| plays the role of the TSC graph.
+// Bit-identical for every thread count.
 Result<SparseMatrix> TscLandmarkCoefficients(const Matrix& x,
                                              const SketchResult& sketch,
                                              const TscOptions& options);

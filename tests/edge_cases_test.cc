@@ -138,12 +138,24 @@ TEST(SpectralEdgeTest, SingleClusterAndAllSingletons) {
 }
 
 TEST(SparsifyEdgeTest, AllZeroAndSingleEntryCoefficients) {
-  EXPECT_EQ(SparsifyCoefficients(Matrix(3, 3), 0).nnz(), 0);
-  Matrix c(2, 2);
-  c(1, 0) = 0.5;
-  const SparseMatrix s = SparsifyCoefficients(c, 5);
-  EXPECT_EQ(s.nnz(), 1);
-  EXPECT_EQ(AffinityFromCoefficients(s).nnz(), 2);
+  // Two points: each column of C has one atom it may use, never its own.
+  const Matrix x = Matrix::FromColumns({{1.0, 0.0}, {0.6, 0.8}});
+  // No iterations leave C all zero, and an all-zero C yields no entries.
+  SscAdmmOptions no_iterations;
+  no_iterations.max_iterations = 0;
+  auto zero = SscSelfExpression(x, no_iterations);
+  ASSERT_TRUE(zero.ok()) << zero.status().ToString();
+  EXPECT_EQ(zero->nnz(), 0);
+
+  auto c = SscSelfExpression(x);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  EXPECT_EQ(c->nnz(), 2);
+  const Matrix dense = c->ToDense();
+  EXPECT_EQ(dense(0, 0), 0.0);
+  EXPECT_EQ(dense(1, 1), 0.0);
+  EXPECT_GT(dense(1, 0), 0.0);
+  EXPECT_GT(dense(0, 1), 0.0);
+  EXPECT_EQ(AffinityFromCoefficients(*c).nnz(), 2);
 }
 
 TEST(KFedEdgeTest, PcaDimExceedingPointsStillRuns) {

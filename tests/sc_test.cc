@@ -62,20 +62,6 @@ TEST(AffinityTest, FromCoefficientsSymmetrizesAbs) {
   EXPECT_TRUE(AllClose(w, w.Transposed(), 0.0));
 }
 
-TEST(AffinityTest, SparsifyKeepsTopKPerColumn) {
-  Matrix c(4, 4);
-  c(0, 1) = 5.0;
-  c(2, 1) = 3.0;
-  c(3, 1) = 1.0;
-  c(1, 1) = 9.0;  // diagonal must be dropped
-  const SparseMatrix s = SparsifyCoefficients(c, 2);
-  const Matrix dense = s.ToDense();
-  EXPECT_EQ(dense(0, 1), 5.0);
-  EXPECT_EQ(dense(2, 1), 3.0);
-  EXPECT_EQ(dense(3, 1), 0.0);
-  EXPECT_EQ(dense(1, 1), 0.0);
-}
-
 TEST(SscAdmmTest, SelfExpressionReconstructsPoints) {
   const Dataset data = EasySubspaces(3, 25, 42);
   auto c = SscSelfExpression(data.points);
@@ -252,6 +238,15 @@ TEST(SscAdmmTest, DeadlineExceededSurfacesAsStatus) {
             StatusCode::kDeadlineExceeded);
   options.deadline_seconds = 60.0;  // generous budget: solves normally
   EXPECT_TRUE(SscSelfExpression(data.points, options).ok());
+  // The sketched solve's blocks run under the same budget.
+  SketchResult identity;
+  identity.dictionary = data.points;
+  identity.landmarks = IdentitySelfAtoms(data.points.cols());
+  options.deadline_seconds = 1e-9;
+  EXPECT_EQ(SscSketchedSelfExpression(data.points, identity, options)
+                .status()
+                .code(),
+            StatusCode::kDeadlineExceeded);
 }
 
 // Union of affine subspaces: offset points need the 1^T c = 1 constraint.
@@ -552,6 +547,9 @@ TEST(SscAdmmDifferentialTest, OperatorMatchesTheExplicitInverse) {
   cases.push_back({"n=N", GaussianColumns(12, 12, 2)});
   cases.push_back({"subspaces factored", EasySubspaces(3, 20, 3).points});
   cases.push_back({"subspaces direct", EasySubspaces(2, 12, 4).points});
+  // Above the sketched solve's 256-column block: the exact solve still
+  // stops on one rule over all N columns, as the reference does.
+  cases.push_back({"subspaces factored N=264", EasySubspaces(4, 66, 6).points});
   // A duplicated column makes X^T X singular; H stays SPD through rho.
   for (const auto& [rows, cols] : {std::pair<int64_t, int64_t>{10, 25},
                                    std::pair<int64_t, int64_t>{30, 20}}) {
@@ -593,6 +591,80 @@ TEST(SscAdmmDifferentialTest, LaneBoundaryMatchesTheExplicitInverse) {
   for (const int64_t n : {7, 8, 9, 15, 16, 17}) {
     ExpectMatchesReference(
         {"affine N=" + std::to_string(n), affine.ColRange(0, n), true});
+  }
+}
+
+void ExpectSameCsr(const SparseMatrix& exact, const SparseMatrix& dictionary,
+                   const std::string& name) {
+  EXPECT_EQ(exact.rows(), dictionary.rows()) << name;
+  EXPECT_EQ(exact.cols(), dictionary.cols()) << name;
+  EXPECT_EQ(exact.row_ptr(), dictionary.row_ptr()) << name;
+  EXPECT_EQ(exact.col_idx(), dictionary.col_idx()) << name;
+  EXPECT_EQ(exact.values(), dictionary.values()) << name;
+}
+
+// Each exact solve is the dictionary solve with B = X and column j pinned
+// off atom j: the sketched entry points given the identity sketch (B = X,
+// landmarks 0..N-1) reproduce it. D = 120 puts N = 24 and 120 on the direct
+// ADMM operator; the other shapes are factored.
+TEST(DictionarySolveTest, ExactSolveIsTheIdentityDictionarySolve) {
+  for (const int64_t dim : {20, 120}) {
+    for (const int64_t num_points : {24, 120, 240}) {
+      SyntheticOptions synthetic;
+      synthetic.ambient_dim = dim;
+      synthetic.subspace_dim = 4;
+      synthetic.num_subspaces = 4;
+      synthetic.points_per_subspace = num_points / 4;
+      synthetic.noise_stddev = 0.05;
+      synthetic.seed = static_cast<uint64_t>(dim * 1000 + num_points);
+      auto data = GenerateUnionOfSubspaces(synthetic);
+      ASSERT_TRUE(data.ok());
+      const Matrix& x = data->points;
+      SketchResult identity;
+      identity.dictionary = x;
+      identity.landmarks = IdentitySelfAtoms(num_points);
+      for (const int threads : {1, 8}) {
+        const std::string name = "D=" + std::to_string(dim) +
+                                 " N=" + std::to_string(num_points) +
+                                 " nt=" + std::to_string(threads);
+        SscOmpOptions omp;
+        omp.num_threads = threads;
+        auto omp_exact = SscOmpSelfExpression(x, omp);
+        auto omp_dictionary = SscOmpSketchedSelfExpression(x, identity, omp);
+        ASSERT_TRUE(omp_exact.ok() && omp_dictionary.ok()) << name;
+        ExpectSameCsr(*omp_exact, *omp_dictionary, "OMP " + name);
+
+        TscOptions tsc;
+        tsc.q = 5;
+        tsc.num_threads = threads;
+        auto tsc_exact = TscAffinity(x, tsc);
+        auto tsc_dictionary = TscLandmarkCoefficients(x, identity, tsc);
+        ASSERT_TRUE(tsc_exact.ok() && tsc_dictionary.ok()) << name;
+        ExpectSameCsr(*tsc_exact,
+                      AffinityFromCoefficients(*tsc_dictionary, threads),
+                      "TSC " + name);
+
+        SscAdmmOptions ssc;
+        ssc.drop_tol = 0.0;
+        ssc.num_threads = threads;
+        SscAdmmInfo exact_info;
+        SscAdmmInfo dictionary_info;
+        auto ssc_exact = SscSelfExpression(x, ssc, &exact_info);
+        auto ssc_dictionary =
+            SscSketchedSelfExpression(x, identity, ssc, &dictionary_info);
+        ASSERT_TRUE(ssc_exact.ok() && ssc_dictionary.ok()) << name;
+        const Matrix exact_c = ssc_exact->ToDense();
+        const double scale = exact_c.MaxAbs();
+        ASSERT_GT(scale, 0.0) << name;
+        EXPECT_LE((exact_c - ssc_dictionary->ToDense()).MaxAbs(),
+                  1e-10 * scale)
+            << name;
+        EXPECT_EQ(exact_info.iterations, dictionary_info.iterations) << name;
+        EXPECT_EQ(exact_info.rho_updates, dictionary_info.rho_updates)
+            << name;
+        EXPECT_EQ(exact_info.final_rho, dictionary_info.final_rho) << name;
+      }
+    }
   }
 }
 

@@ -162,6 +162,16 @@ TEST(SketchTest, RejectsDegenerateShapes) {
   options.dim = 0;
   EXPECT_FALSE(SketchDictionary(x, options).ok());
   EXPECT_FALSE(SketchDictionary(Matrix(8, 0), options).ok());
+  // A landmark that is not a column of x is rejected by every solve.
+  SketchResult outside;
+  outside.dictionary = x.ColRange(0, 2);
+  outside.landmarks = {0, x.cols()};
+  EXPECT_EQ(SscSketchedSelfExpression(x, outside).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SscOmpSketchedSelfExpression(x, outside).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(TscLandmarkCoefficients(x, outside, TscOptions()).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CentralPathTest, ResolutionContract) {
