@@ -346,49 +346,84 @@ void BM_EigValuesVariant(benchmark::State& state) {
 }
 BENCHMARK(BM_EigValuesVariant)->ArgsProduct({{256, 512}, {0, 1}});
 
-// Batched basis estimation over a fleet of tall-skinny D=256 x n=32 panels
-// (the per-cluster shape of the Fed-SC local phase): the looped baseline
-// calls PrincipalSubspace (the QR-preconditioned Jacobi SVD) per panel, the
-// batched call takes the Gram route these shapes dispatch to. Rates are
-// panels/s so the looped-vs-batched ratio in BENCH_linalg.json is a direct
-// speedup.
-void BM_BatchedBasis(benchmark::State& state) {
-  const int64_t batch = state.range(0);
-  const bool batched = state.range(1) != 0;
-  const int64_t d = 256;
-  const int64_t n = 32;
-  const int64_t rank = 4;
-  Rng rng(10);
+// `batch` exactly rank-`rank` rows x cols panels U C with Gaussian factors,
+// each column scaled to unit norm when `unit_columns` is set.
+std::vector<Matrix> SubspacePanels(int64_t batch, int64_t rows, int64_t cols,
+                                   int64_t rank, bool unit_columns,
+                                   Rng* rng) {
   std::vector<Matrix> panels;
   panels.reserve(batch);
   for (int64_t i = 0; i < batch; ++i) {
-    // Exactly rank-4 panels: both engines make the same rank decision, so
-    // the comparison times the factorization, not divergent trailing work.
-    const Matrix u = RandomMatrix(d, rank, &rng);
-    const Matrix c = RandomMatrix(rank, n, &rng);
-    Matrix panel(d, n);
+    const Matrix u = RandomMatrix(rows, rank, rng);
+    const Matrix c = RandomMatrix(rank, cols, rng);
+    Matrix panel(rows, cols);
     Gemm(Trans::kNo, Trans::kNo, 1.0, u, c, 0.0, &panel);
+    for (int64_t j = 0; unit_columns && j < cols; ++j) {
+      Scal(1.0 / Norm2(panel.ColData(j), rows), panel.ColData(j), rows);
+    }
     panels.push_back(std::move(panel));
   }
-  BatchedSubspaceOptions options;
-  // Fixed rank, as the pipeline sets via sample_dim: only fixed-rank
-  // requests take the Gram route.
-  options.rank = rank;
+  return panels;
+}
+
+// Times one BatchedPrincipalSubspace call over `panels` (batched) or
+// PrincipalSubspace per panel (looped). Rates are panels/s, so the ratio
+// of a batched row to its looped row is a direct speedup.
+void TimeBasisBatch(benchmark::State& state, const std::vector<Matrix>& panels,
+                    const BatchedSubspaceOptions& options, bool batched,
+                    const char* batched_label) {
   for (auto _ : state) {
     if (batched) {
       auto bases = BatchedPrincipalSubspace(panels, options);
       benchmark::DoNotOptimize(bases.data());
     } else {
       for (const Matrix& panel : panels) {
-        auto basis = PrincipalSubspace(panel, rank);
+        auto basis = PrincipalSubspace(panel, options.rank, options.rel_tol);
         benchmark::DoNotOptimize(basis->data());
       }
     }
   }
-  state.SetLabel(batched ? "batched" : "looped");
-  state.SetItemsProcessed(state.iterations() * batch);
+  state.SetLabel(batched ? batched_label : "looped");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(panels.size()));
+}
+
+// Batched basis estimation over a fleet of tall-skinny D=256 x n=32 panels
+// (the per-cluster shape of the Fed-SC local phase) at a fixed rank of 4,
+// as the pipeline sets via sample_dim: the looped baseline runs the
+// QR-preconditioned Jacobi SVD per panel, the batched call the Gram route.
+// The panels are exactly rank 4, so both routes make the same rank
+// decision. BENCH_linalg.json records the looped-vs-batched ratio.
+void BM_BatchedBasis(benchmark::State& state) {
+  Rng rng(10);
+  const std::vector<Matrix> panels =
+      SubspacePanels(state.range(0), 256, 32, 4, false, &rng);
+  BatchedSubspaceOptions options;
+  options.rank = 4;
+  TimeBasisBatch(state, panels, options, state.range(1) != 0, "batched");
 }
 BENCHMARK(BM_BatchedBasis)->ArgsProduct({{64, 1024}, {0, 1}});
+
+// Auto-rank basis estimation (rank_rel_tol = 0.1, Fed-SC's default path) at
+// the panel shapes a round reaches: tall_d1024's 1024 x 50 local clusters,
+// noniid2_z160's 20 x 60 and fleet_z2500's 50 x 6. Columns are unit-norm
+// points of a `rank`-dimensional subspace (4 on the first two workloads, 5
+// on the fleet), in batches of 16 panels.
+void BM_BatchedBasisAuto(benchmark::State& state) {
+  Rng rng(11);
+  const std::vector<Matrix> panels = SubspacePanels(
+      16, state.range(0), state.range(1), state.range(2), true, &rng);
+  BatchedSubspaceOptions options;
+  options.rel_tol = 0.1;
+  TimeBasisBatch(state, panels, options, state.range(3) != 0, "gram");
+}
+BENCHMARK(BM_BatchedBasisAuto)
+    ->Args({1024, 50, 4, 0})
+    ->Args({1024, 50, 4, 1})
+    ->Args({20, 60, 4, 0})
+    ->Args({20, 60, 4, 1})
+    ->Args({50, 6, 5, 0})
+    ->Args({50, 6, 5, 1});
 
 SparseMatrix RandomSparseSymmetric(int64_t n, int64_t per_row, Rng* rng) {
   std::vector<Triplet> triplets;

@@ -149,6 +149,7 @@ FEDSC_FORCE_ISA=generic "${asan_dir}/tests/batch_test"
 FEDSC_FORCE_ISA=generic "${asan_dir}/tests/parallel_determinism_test"
 FEDSC_FORCE_ISA=generic "${asan_dir}/tests/sketch_test"
 FEDSC_FORCE_ISA=generic "${asan_dir}/tests/sc_test"
+FEDSC_FORCE_ISA=generic "${asan_dir}/tests/edge_cases_test"
 
 echo "ASAN: fault-injection, codec, and wire-fuzz suites passed with zero"
 echo "reported errors."
@@ -159,7 +160,9 @@ echo "reported errors."
 # (SSE2 on x86-64) and must still build and reproduce every reference.
 # property_test adds TscAffinityIgnoresSignFlips and the RunFedSc
 # invariances, and edge_cases_test the KKT solve with its many rho
-# re-forms, all through the one solver per method.
+# re-forms, all through the one solver per method. batch_test and the
+# extreme-scale cases of edge_cases_test cover the Gram basis route, which
+# produces every default-path local basis.
 portable_dir="${repo_root}/build-portable"
 
 cmake -S "${repo_root}" -B "${portable_dir}" \
@@ -168,14 +171,15 @@ cmake -S "${repo_root}" -B "${portable_dir}" \
 
 cmake --build "${portable_dir}" -j "$(nproc)" \
   --target sc_test sketch_test parallel_determinism_test blas_test \
-  property_test edge_cases_test
+  batch_test property_test edge_cases_test
 
 "${portable_dir}/tests/sc_test"
 "${portable_dir}/tests/sketch_test"
 "${portable_dir}/tests/parallel_determinism_test"
 "${portable_dir}/tests/blas_test"
+"${portable_dir}/tests/batch_test"
 "${portable_dir}/tests/property_test"
 "${portable_dir}/tests/edge_cases_test"
 
-echo "Portable: the baseline-ISA build passed its ADMM, GEMM, property and"
-echo "edge-case suites."
+echo "Portable: the baseline-ISA build passed its ADMM, GEMM, basis,"
+echo "property and edge-case suites."

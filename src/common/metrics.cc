@@ -103,6 +103,7 @@ MetricsRegistry::MetricsRegistry() {
         "linalg.gemv.flops", "linalg.qr.calls", "linalg.qr.flops",
         "linalg.qr.blocked_calls", "linalg.svd.calls", "linalg.svd.sweeps",
         "linalg.svd.rotations", "linalg.svd.precond_qr",
+        "linalg.basis.gram", "linalg.basis.looped",
         "linalg.eig.calls", "linalg.eig.tridiag_flops",
         "linalg.lanczos.calls",
         "linalg.lanczos.iterations", "linalg.lanczos.restarts",

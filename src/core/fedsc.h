@@ -70,7 +70,10 @@ struct FedScOptions {
   // rank_rel_tol * sigma_1 are treated as noise. Deliberately aggressive:
   // under-ranking still samples inside the true subspace (harmless), while
   // over-ranking mixes noise directions into the uploaded samples (fatal on
-  // noisy data).
+  // noisy data). At or above kGramSigmaFloor (1e-4, linalg/batch.h) every
+  // basis — local, trim refit and AssignNewPoints — comes from one small
+  // Gram eigensolve per cluster; below it, from the Jacobi SVD
+  // (PrincipalSubspace). The two span the same subspace but differ in bits.
   double rank_rel_tol = 0.1;
 
   // Samples uploaded per local cluster. The paper uploads exactly one; the

@@ -1,8 +1,11 @@
 #include "linalg/batch.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <optional>
 
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "linalg/blas.h"
 #include "linalg/eig.h"
@@ -11,50 +14,112 @@ namespace fedsc {
 
 namespace {
 
-// The Gram route (see batch.h) for a fixed rank on a tall panel. Returns
-// nothing when U = X V_r would not be orthonormal — sigma_rank / sigma_1 <=
-// kGramSigmaFloor or a failed eigensolve — and the caller falls back to the
-// looped route.
-std::optional<Matrix> GramSubspace(const Matrix& x, int64_t rank) {
+// Panels with max |x| outside [2^-kPrescaleExponent, 2^kPrescaleExponent]
+// are prescaled (see batch.h).
+constexpr int kPrescaleExponent = 250;
+
+// The exponent e with max|x| * 2^-e in [0.5, 1) when max|x| lies outside
+// that range, else 0 (also for an all-zero or non-finite panel, which the
+// routes below reject on their own).
+int PrescaleExponent(const Matrix& x) {
+  double peak = 0.0;
+  const double* data = x.data();
+  for (int64_t i = 0; i < x.size(); ++i) {
+    peak = std::max(peak, std::fabs(data[i]));
+  }
+  if (!(peak > 0.0) || !std::isfinite(peak) ||
+      (peak >= std::ldexp(1.0, -kPrescaleExponent) &&
+       peak <= std::ldexp(1.0, kPrescaleExponent))) {
+    return 0;
+  }
+  int e = 0;
+  std::frexp(peak, &e);
+  return e;
+}
+
+// The Gram route (see batch.h): one symmetric eigensolve of the smaller
+// Gram matrix. Returns nothing when the route cannot deliver an
+// orthonormal basis — sigma_r / sigma_1 <= kGramSigmaFloor, a failed
+// eigensolve or a non-finite or zero spectrum — and the caller falls back
+// to the looped route.
+std::optional<Matrix> GramSubspace(const Matrix& x,
+                                   const BatchedSubspaceOptions& options) {
   const int64_t m = x.rows();
   const int64_t n = x.cols();
-  Matrix gram(n, n);
-  Syrk(Trans::kTrans, 1.0, x, 0.0, &gram);
+  const bool tall = m >= n;
+  const int64_t k = std::min(m, n);
+  Matrix gram(k, k);
+  Syrk(tall ? Trans::kTrans : Trans::kNo, 1.0, x, 0.0, &gram);
   auto eig = SymmetricEigen(gram);
   if (!eig.ok()) return std::nullopt;
 
-  // Eigenvalues come back ascending; sigma_j^2 is the j-th largest. The
-  // test is negated so an overflowed (inf or NaN) spectrum falls back too.
-  const int64_t r = std::min(rank, n);
-  const double top = eig->values[static_cast<size_t>(n - 1)];
-  const double last = eig->values[static_cast<size_t>(n - r)];
-  if (!(last > kGramSigmaFloor * kGramSigmaFloor * top)) return std::nullopt;
-
-  // V_r: the top-r eigenvector columns in descending-eigenvalue order.
-  Matrix vr(n, r);
-  for (int64_t j = 0; j < r; ++j) {
-    vr.SetCol(j, eig->vectors.ColData(n - 1 - j));
+  // Eigenvalues come back ascending; sigma[j] = sqrt(lambda) is the j-th
+  // largest singular value (rounding can leave a null lambda just below 0).
+  Vector sigma(static_cast<size_t>(k));
+  for (int64_t j = 0; j < k; ++j) {
+    const double lambda = eig->values[static_cast<size_t>(k - 1 - j)];
+    if (!std::isfinite(lambda)) return std::nullopt;
+    sigma[static_cast<size_t>(j)] = std::sqrt(std::max(lambda, 0.0));
   }
+  int64_t r = std::min(options.rank, k);
+  if (options.rank <= 0) {
+    // PrincipalSubspace's auto rank: keep sigma_j > rel_tol * sigma_1, and
+    // never a roundoff-level sigma_j <= max(m, n) * eps * sigma_1.
+    const double cut =
+        std::max(options.rel_tol, static_cast<double>(std::max(m, n)) *
+                                      std::numeric_limits<double>::epsilon()) *
+        sigma[0];
+    r = 0;
+    while (r < k && sigma[static_cast<size_t>(r)] > cut) ++r;
+  }
+  if (r == 0 ||
+      !(sigma[static_cast<size_t>(r - 1)] > kGramSigmaFloor * sigma[0])) {
+    return std::nullopt;
+  }
+
   Matrix u(m, r);
-  Gemm(Trans::kNo, Trans::kNo, 1.0, x, vr, 0.0, &u);
-  // Each column has norm ~sigma_j > 0; normalize to unit length.
-  for (int64_t j = 0; j < r; ++j) {
-    Scal(1.0 / Norm2(u.ColData(j), m), u.ColData(j), m);
+  if (tall) {
+    // U = X V_r: each column has norm ~sigma_j > 0; normalize to unit length.
+    Matrix vr(n, r);
+    for (int64_t j = 0; j < r; ++j) {
+      vr.SetCol(j, eig->vectors.ColData(n - 1 - j));
+    }
+    Gemm(Trans::kNo, Trans::kNo, 1.0, x, vr, 0.0, &u);
+    for (int64_t j = 0; j < r; ++j) {
+      Scal(1.0 / Norm2(u.ColData(j), m), u.ColData(j), m);
+    }
+  } else {
+    // The eigenvectors of X X^T are the left singular vectors themselves.
+    for (int64_t j = 0; j < r; ++j) {
+      u.SetCol(j, eig->vectors.ColData(m - 1 - j));
+    }
   }
   return u;
 }
 
 Result<Matrix> PanelSubspace(const Matrix& panel,
                              const BatchedSubspaceOptions& options) {
-  const int64_t rows = panel.rows();
-  const int64_t cols = panel.cols();
-  if (options.rank > 0 && cols >= 1 && cols <= kGramEngineMaxCols &&
-      rows >= kGramEngineMinAspect * cols) {
-    if (std::optional<Matrix> u = GramSubspace(panel, options.rank)) {
+  // An empty panel has no spectrum: PrincipalSubspace types the error.
+  if (panel.empty()) return PrincipalSubspace(panel, options.rank);
+  // Exact power-of-two scaling leaves the span, and so the basis, unchanged.
+  const int e = PrescaleExponent(panel);
+  Matrix scaled;
+  if (e != 0) {
+    scaled = panel;
+    double* data = scaled.data();
+    for (int64_t i = 0; i < scaled.size(); ++i) {
+      data[i] = std::ldexp(data[i], -e);
+    }
+  }
+  const Matrix& x = e == 0 ? panel : scaled;
+  if (options.rank > 0 || options.rel_tol >= kGramSigmaFloor) {
+    if (std::optional<Matrix> u = GramSubspace(x, options)) {
+      FEDSC_METRIC_COUNTER("linalg.basis.gram").Increment();
       return *std::move(u);
     }
   }
-  return PrincipalSubspace(panel, options.rank, options.rel_tol);
+  FEDSC_METRIC_COUNTER("linalg.basis.looped").Increment();
+  return PrincipalSubspace(x, options.rank, options.rel_tol);
 }
 
 }  // namespace

@@ -5,28 +5,41 @@
 // small panel per local cluster (basis estimation, trim/refit) and the
 // server re-factors per global cluster in AssignNewPoints.
 //
-// Two routes sit behind BatchedPrincipalSubspace, picked per panel by its
-// shape and the requested rank alone — never by num_threads or by the other
-// panels in the batch, so a panel's bits do not depend on its batch-mates:
+// Two routes sit behind BatchedPrincipalSubspace, picked per panel by the
+// requested rank and rel_tol and by the panel's own spectrum — never by
+// num_threads or by the other panels in the batch, so a panel's bits do not
+// depend on its batch-mates:
 //
+//  * Gram — whenever rank > 0 or rel_tol >= kGramSigmaFloor (every default
+//    Fed-SC path: rank_rel_tol = 0.1), for any panel shape. It factors the
+//    smaller Gram matrix with one symmetric eigensolve: G = X^T X via Syrk
+//    and U = X V_r with columns normalized when rows >= cols, or G = X X^T
+//    and U = its top-r eigenvectors when rows < cols. sigma_j = sqrt(lambda_j)
+//    and the auto rank is PrincipalSubspace's rule: keep sigma_j >
+//    max(rel_tol, max(m, n) * eps) * sigma_1. For D >> n_i this replaces a
+//    thin QR plus O(n^3)-per-sweep Jacobi rotations with one Syrk and one
+//    small eigensolve.
 //  * Looped — exactly PrincipalSubspace(panel, rank, rel_tol), bit-for-bit;
 //    the batch only fans the panels out across threads (each panel is
-//    computed serially in one worker).
-//  * Gram — for fixed-rank requests (rank > 0) on tall-skinny panels
-//    (cols <= kGramEngineMaxCols, rows >= kGramEngineMinAspect * cols):
-//    G = X^T X via Syrk, symmetric eigendecomposition of the small n_i x n_i
-//    G, and U = X V_r with columns normalized to unit length. For D >> n_i
-//    this replaces O(D n^2) Jacobi rotation sweeps with one rank-n Syrk
-//    plus an O(n^3) eigensolve — the batched-basis speedup
-//    BENCH_linalg.json floors.
+//    computed serially in one worker). It is the reference the Gram route
+//    is tested against and the per-panel fallback below.
 //
-// The Gram route squares the condition number: when the requested rank
-// reaches directions with sigma_r <= kGramSigmaFloor * sigma_1 (including
-// rank > numerical rank), U = X V_r loses orthonormality. Such a panel falls
-// back to the looped route and returns PrincipalSubspace's bits. Both
-// routes therefore return the same number of columns — the route changes
-// bits, not structure — and a Gram basis is orthonormal and spans the
-// looped basis's subspace to 1e-6 (the tolerance policy in DESIGN.md §5).
+// The Gram route squares the condition number: when the kept rank reaches
+// directions with sigma_r <= kGramSigmaFloor * sigma_1 (a fixed rank above
+// the numerical rank, or rel_tol < kGramSigmaFloor such as
+// BatchedSubspaceOptions' default 1e-8 or a Fed-SC rank_rel_tol below
+// 1e-4), it cannot tell them from rounding. Such a panel — and one whose
+// eigensolve fails or whose spectrum is zero or not finite — returns
+// PrincipalSubspace's bits. Away from rank ties at the rel_tol cut both
+// routes keep the same number of columns; a Gram basis is orthonormal and
+// spans the looped basis's subspace to 1e-6 (DESIGN.md §5), rotated within
+// it.
+//
+// Before either route runs, a panel whose max |x| lies outside
+// [2^-250, 2^250] is scaled by a power of two
+// (exact) to max |x| in [0.5, 1): squared entries would otherwise overflow
+// or go subnormal in the Gram matrix and in the Jacobi dot products.
+// In-range panels keep their bits.
 
 #ifndef FEDSC_LINALG_BATCH_H_
 #define FEDSC_LINALG_BATCH_H_
@@ -41,9 +54,6 @@
 
 namespace fedsc {
 
-// Gram-route shape cutoffs (see above).
-inline constexpr int64_t kGramEngineMaxCols = 64;
-inline constexpr int64_t kGramEngineMinAspect = 2;
 // A Gram-route panel whose sigma_r / sigma_1 is at or below this ratio is
 // recomputed on the looped route. The Gram basis's orthonormality error
 // grows like eps / (sigma_r / sigma_1)^2: on randomized tall panels it

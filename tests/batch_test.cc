@@ -1,19 +1,22 @@
-// Batched tall-skinny factorizations (linalg/batch.h): auto-rank requests
-// and panels outside the tall-skinny regime must reproduce the per-panel
-// PrincipalSubspace bits exactly (the looped route IS the per-panel call,
-// fanned out), fixed-rank tall panels take the Gram route and must span the
-// same subspace with orthonormal columns — falling back to the looped bits
-// where the Gram route would lose orthonormality — the route must be a pure
-// function of each panel's shape and rank, and every result must be
+// Batched tall-skinny factorizations (linalg/batch.h): fixed-rank requests
+// and auto-rank requests with rel_tol >= kGramSigmaFloor take the Gram route
+// on every panel shape and must span PrincipalSubspace's subspace with the
+// same column count and orthonormal columns — falling back to the looped
+// bits where the Gram route would lose orthonormality; auto-rank requests
+// below the floor reproduce the per-panel PrincipalSubspace bits exactly
+// (the looped route IS the per-panel call, fanned out); a panel's route and
+// bits must not depend on its batch-mates, and every result must be
 // bit-identical across thread counts.
 
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "linalg/batch.h"
 #include "linalg/blas.h"
@@ -93,26 +96,57 @@ double OrthonormalityError(const Matrix& u) {
   return worst;
 }
 
-// True when BatchedPrincipalSubspace may take the Gram route for `panel`.
-bool InGramRegime(const Matrix& panel) {
-  return panel.cols() >= 1 && panel.cols() <= kGramEngineMaxCols &&
-         panel.rows() >= kGramEngineMinAspect * panel.cols();
+struct RouteCounts {
+  int64_t gram = 0;
+  int64_t looped = 0;
+};
+
+// Runs BatchedPrincipalSubspace with metrics on and counts the panels that
+// took the Gram route and the looped route.
+std::vector<Result<Matrix>> CountedBatch(const std::vector<Matrix>& panels,
+                                         const BatchedSubspaceOptions& options,
+                                         RouteCounts* counts) {
+  ResetMetrics();
+  EnableMetrics(true);
+  std::vector<Result<Matrix>> out = BatchedPrincipalSubspace(panels, options);
+  EnableMetrics(false);
+  const MetricsSnapshot snapshot = SnapshotMetrics();
+  counts->gram = snapshot.counters.at("linalg.basis.gram");
+  counts->looped = snapshot.counters.at("linalg.basis.looped");
+  return out;
 }
 
+// Tall, wide and square panels, full-rank and rank-deficient: the shapes
+// the auto-rank tests below sweep.
+std::vector<Matrix> ShapeSweep(Rng* rng) {
+  std::vector<Matrix> panels;
+  panels.push_back(RandomMatrix(200, 12, rng));            // tall
+  panels.push_back(RankDeficientPanel(40, 17, 4, rng));    // tall, rank 4
+  panels.push_back(RandomMatrix(20, 60, rng));             // wide
+  panels.push_back(RankDeficientPanel(6, 40, 3, rng));     // wide, rank 3
+  panels.push_back(RandomMatrix(30, 30, rng));             // square
+  panels.push_back(RankDeficientPanel(17, 17, 5, rng));    // square, rank 5
+  panels.push_back(RandomMatrix(20, 16, rng));             // squat
+  return panels;
+}
+
+// Below kGramSigmaFloor an auto-rank request cannot take the Gram route, so
+// every panel of every shape returns PrincipalSubspace's bits.
 TEST(BatchedSubspaceTest, LoopedEngineMatchesPrincipalSubspaceExactly) {
   Rng rng(311);
-  const std::vector<Matrix> panels = RaggedBatch(&rng);
-  // Auto-rank requests take the looped route on every panel; fixed-rank
-  // requests do on panels outside the tall-skinny Gram regime.
-  for (int64_t rank : {int64_t{0}, int64_t{3}}) {
+  std::vector<Matrix> panels = RaggedBatch(&rng);
+  for (Matrix& panel : ShapeSweep(&rng)) panels.push_back(std::move(panel));
+  for (double rel_tol : {1e-10, 1e-8, 0.5 * kGramSigmaFloor}) {
     BatchedSubspaceOptions options;
-    options.rank = rank;
+    options.rel_tol = rel_tol;
+    RouteCounts counts;
     const std::vector<Result<Matrix>> batched =
-        BatchedPrincipalSubspace(panels, options);
+        CountedBatch(panels, options, &counts);
     ASSERT_EQ(batched.size(), panels.size());
+    EXPECT_EQ(counts.gram, 0) << "rel_tol " << rel_tol;
+    EXPECT_EQ(counts.looped, static_cast<int64_t>(panels.size()));
     for (size_t i = 0; i < panels.size(); ++i) {
-      if (rank > 0 && InGramRegime(panels[i])) continue;
-      const auto direct = PrincipalSubspace(panels[i], rank, options.rel_tol);
+      const auto direct = PrincipalSubspace(panels[i], 0, rel_tol);
       ASSERT_EQ(batched[i].ok(), direct.ok()) << "panel " << i;
       if (direct.ok()) {
         ExpectBitEqual(*batched[i], *direct, "looped basis");
@@ -123,10 +157,15 @@ TEST(BatchedSubspaceTest, LoopedEngineMatchesPrincipalSubspaceExactly) {
 
 TEST(BatchedSubspaceTest, ResultsAreBitIdenticalAcrossThreadCounts) {
   Rng rng(313);
-  const std::vector<Matrix> panels = RaggedBatch(&rng);
-  for (int64_t rank : {int64_t{0}, int64_t{3}}) {
+  std::vector<Matrix> panels = RaggedBatch(&rng);
+  for (Matrix& panel : ShapeSweep(&rng)) panels.push_back(std::move(panel));
+  // Looped auto rank, Gram fixed rank and Gram auto rank.
+  const std::pair<int64_t, double> requests[] = {
+      {0, 1e-8}, {3, 1e-8}, {0, 0.1}};
+  for (const auto& [rank, rel_tol] : requests) {
     BatchedSubspaceOptions options;
     options.rank = rank;
+    options.rel_tol = rel_tol;
     options.num_threads = 1;
     const std::vector<Result<Matrix>> serial =
         BatchedPrincipalSubspace(panels, options);
@@ -145,69 +184,90 @@ TEST(BatchedSubspaceTest, ResultsAreBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(BatchedSubspaceTest, GramEngineSpansTheSameSubspaceWithTheSameRank) {
-  Rng rng(317);
-  const std::vector<Matrix> panels = RaggedBatch(&rng);
-  BatchedSubspaceOptions options;
-  options.rank = 3;
-  const auto batched = BatchedPrincipalSubspace(panels, options);
+// The Gram route against its reference: the same column count as
+// PrincipalSubspace, the same span to 1e-6 and orthonormal columns to
+// 1e-10. The Gram route squares the condition number, so agreement is to
+// ~sqrt(eps), not ulps — that is the documented contract.
+void ExpectGramMatchesLooped(const std::vector<Matrix>& panels,
+                             const BatchedSubspaceOptions& options) {
+  RouteCounts counts;
+  const auto batched = CountedBatch(panels, options, &counts);
+  EXPECT_EQ(counts.gram, static_cast<int64_t>(panels.size()))
+      << "rank " << options.rank << " rel_tol " << options.rel_tol;
+  EXPECT_EQ(counts.looped, 0);
   for (size_t i = 0; i < panels.size(); ++i) {
-    if (!InGramRegime(panels[i])) continue;
-    const auto looped = PrincipalSubspace(panels[i], options.rank);
+    const auto looped =
+        PrincipalSubspace(panels[i], options.rank, options.rel_tol);
     ASSERT_TRUE(batched[i].ok()) << batched[i].status().ToString();
     ASSERT_TRUE(looped.ok());
-    // A fixed rank gives both routes the same column count.
-    ASSERT_EQ(batched[i]->cols(), looped->cols()) << "panel " << i;
-    // The Gram route squares the condition number, so agreement is to
-    // ~sqrt(eps), not ulps — that is the documented contract.
-    EXPECT_LT(ProjectorDistance(*batched[i], *looped), 1e-6) << "panel " << i;
-    EXPECT_LT(OrthonormalityError(*batched[i]), 1e-10) << "panel " << i;
+    ASSERT_EQ(batched[i]->cols(), looped->cols())
+        << "panel " << i << " rank " << options.rank << " rel_tol "
+        << options.rel_tol;
+    EXPECT_LT(ProjectorDistance(*batched[i], *looped), 1e-6)
+        << "panel " << i << " rel_tol " << options.rel_tol;
+    EXPECT_LT(OrthonormalityError(*batched[i]), 1e-10)
+        << "panel " << i << " rel_tol " << options.rel_tol;
   }
 }
 
+TEST(BatchedSubspaceTest, GramEngineSpansTheSameSubspaceWithTheSameRank) {
+  Rng rng(317);
+  // Fixed rank on the ragged batch, the 1-column panel clamped to rank 1.
+  // The rank-2 panel is left out: its third direction is rounding, so it
+  // falls back to the looped route.
+  std::vector<Matrix> ragged = RaggedBatch(&rng);
+  ragged.erase(ragged.begin() + 4);
+  BatchedSubspaceOptions fixed;
+  fixed.rank = 3;
+  ExpectGramMatchesLooped(ragged, fixed);
+
+  // Auto rank on tall, wide and square panels.
+  const std::vector<Matrix> panels = ShapeSweep(&rng);
+  for (double rel_tol : {0.1, 1e-2, 1e-3}) {
+    BatchedSubspaceOptions options;
+    options.rel_tol = rel_tol;
+    ExpectGramMatchesLooped(panels, options);
+  }
+}
+
+// Which route a panel takes depends on the request and the panel alone:
+// a panel's bits are the same in any batch, the Gram route's bits differ
+// from the looped SVD's, and a request below the floor stays looped.
 TEST(BatchedSubspaceTest, AutoEngineIsAPureFunctionOfShapeAndRank) {
   Rng rng(331);
-  // Tall-skinny: inside the Gram regime. Wide: outside it (cols > max),
-  // and squat: outside it (rows < aspect * cols).
-  const Matrix tall = RandomMatrix(64, 8, &rng);
-  const Matrix wide = RandomMatrix(200, kGramEngineMaxCols + 1, &rng);
-  const Matrix squat = RandomMatrix(20, 16, &rng);
-  ASSERT_LT(squat.rows(), kGramEngineMinAspect * squat.cols());
-
-  // Fixed rank: the tall panel takes the Gram route — its bits differ from
-  // the looped SVD's and do not depend on its batch-mates — and the others
-  // stay looped.
-  {
-    BatchedSubspaceOptions options;
-    options.rank = 2;
-    const auto picked = BatchedPrincipalSubspace({tall, wide, squat},
-                                                 options);
-    const auto alone = BatchedPrincipalSubspace({tall}, options);
-    ExpectBitEqual(*picked[0], *alone[0], "tall panel, batched vs alone");
-    const auto tall_looped = PrincipalSubspace(tall, 2);
-    ASSERT_TRUE(tall_looped.ok());
-    EXPECT_LT(ProjectorDistance(*picked[0], *tall_looped), 1e-6);
-    bool differs = false;
-    for (int64_t j = 0; j < 2; ++j) {
-      for (int64_t i = 0; i < tall.rows(); ++i) {
-        differs |= (*picked[0])(i, j) != (*tall_looped)(i, j);
+  const std::vector<Matrix> panels = ShapeSweep(&rng);
+  BatchedSubspaceOptions fixed;
+  fixed.rank = 2;
+  BatchedSubspaceOptions auto_rank;
+  auto_rank.rel_tol = 0.1;
+  for (const BatchedSubspaceOptions& options : {fixed, auto_rank}) {
+    const auto picked = BatchedPrincipalSubspace(panels, options);
+    for (size_t i = 0; i < panels.size(); ++i) {
+      const auto alone = BatchedPrincipalSubspace({panels[i]}, options);
+      ASSERT_TRUE(picked[i].ok() && alone[0].ok()) << "panel " << i;
+      ExpectBitEqual(*picked[i], *alone[0], "batched vs alone");
+      const auto looped =
+          PrincipalSubspace(panels[i], options.rank, options.rel_tol);
+      ASSERT_TRUE(looped.ok());
+      ASSERT_EQ(picked[i]->cols(), looped->cols()) << "panel " << i;
+      EXPECT_LT(ProjectorDistance(*picked[i], *looped), 1e-6);
+      bool differs = false;
+      for (int64_t j = 0; j < looped->cols(); ++j) {
+        for (int64_t r = 0; r < looped->rows(); ++r) {
+          differs |= (*picked[i])(r, j) != (*looped)(r, j);
+        }
       }
+      EXPECT_TRUE(differs) << "panel " << i << " should take the Gram route";
     }
-    EXPECT_TRUE(differs) << "tall panel should take the Gram route";
-    ExpectBitEqual(*picked[1], *PrincipalSubspace(wide, 2),
-                   "wide panel stays looped");
-    ExpectBitEqual(*picked[2], *PrincipalSubspace(squat, 2),
-                   "squat panel stays looped");
   }
 
-  // Auto rank: every panel stays looped regardless of shape.
-  {
-    const auto picked = BatchedPrincipalSubspace({tall, wide, squat});
-    const Matrix* panels[] = {&tall, &wide, &squat};
-    for (size_t i = 0; i < 3; ++i) {
-      ExpectBitEqual(*picked[i], *PrincipalSubspace(*panels[i], 0),
-                     "auto-rank panels stay looped");
-    }
+  // The same panels below the floor: every one returns the looped bits.
+  BatchedSubspaceOptions below;
+  below.rel_tol = 1e-5;
+  const auto picked = BatchedPrincipalSubspace(panels, below);
+  for (size_t i = 0; i < panels.size(); ++i) {
+    ExpectBitEqual(*picked[i], *PrincipalSubspace(panels[i], 0, 1e-5),
+                   "below-floor panels stay looped");
   }
 }
 
@@ -218,10 +278,14 @@ TEST(BatchedSubspaceTest, ErrorsStayInTheirSlot) {
   panels.push_back(Matrix(12, 0));              // empty: invalid argument
   panels.push_back(Matrix(12, 4));              // all-zero: rank 0
   panels.push_back(RandomMatrix(12, 3, &rng));  // fine
-  // Auto rank (looped) and a fixed rank (Gram route on the tall panels).
-  for (int64_t rank : {int64_t{0}, int64_t{2}}) {
+  // Auto rank below the floor (looped), auto rank above it and a fixed rank
+  // (both on the Gram route).
+  const std::pair<int64_t, double> requests[] = {
+      {0, 1e-8}, {0, 0.1}, {2, 1e-8}};
+  for (const auto& [rank, rel_tol] : requests) {
     BatchedSubspaceOptions options;
     options.rank = rank;
+    options.rel_tol = rel_tol;
     const auto bases = BatchedPrincipalSubspace(panels, options);
     EXPECT_TRUE(bases[0].ok());
     EXPECT_EQ(bases[1].status().code(), StatusCode::kInvalidArgument);
@@ -264,7 +328,6 @@ TEST(BatchedSubspaceTest, GramRouteFallsBackWhereItWouldLoseOrthonormality) {
   for (size_t i = 0; i < panels.size(); ++i) {
     BatchedSubspaceOptions options;
     options.rank = cases[i].requested;
-    ASSERT_TRUE(InGramRegime(panels[i]));
     const auto batched = BatchedPrincipalSubspace({panels[i]}, options);
     const auto looped = PrincipalSubspace(panels[i], options.rank);
     ASSERT_TRUE(batched[0].ok() && looped.ok());

@@ -2,7 +2,10 @@
 // solution, numerically extreme inputs for the factorizations, and boundary
 // parameter values across modules.
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +14,7 @@
 #include "data/synthetic.h"
 #include "fed/kfed.h"
 #include "fed/partition.h"
+#include "linalg/batch.h"
 #include "linalg/blas.h"
 #include "linalg/eig.h"
 #include "linalg/svd.h"
@@ -85,6 +89,66 @@ TEST(SvdEdgeTest, ExtremeScalesPreserveRelativeAccuracy) {
     for (size_t i = 0; i < svd->s.size(); ++i) {
       EXPECT_NEAR(svd->s[i] / scale, base->s[i],
                   1e-9 * base->s[0]);
+    }
+  }
+}
+
+Matrix GaussianMatrix(int64_t rows, int64_t cols, Rng* rng) {
+  Matrix m(rows, cols);
+  for (int64_t j = 0; j < cols; ++j) {
+    for (int64_t i = 0; i < rows; ++i) m(i, j) = rng->Gaussian();
+  }
+  return m;
+}
+
+// Largest entry of U_a U_a^T - U_b U_b^T (zero iff equal spans).
+double ProjectorDistance(const Matrix& a, const Matrix& b) {
+  Matrix pa(a.rows(), a.rows());
+  Matrix pb(b.rows(), b.rows());
+  Gemm(Trans::kNo, Trans::kTrans, 1.0, a, a, 0.0, &pa);
+  Gemm(Trans::kNo, Trans::kTrans, 1.0, b, b, 0.0, &pb);
+  double worst = 0.0;
+  for (int64_t i = 0; i < pa.size(); ++i) {
+    worst = std::max(worst, std::fabs(pa.data()[i] - pb.data()[i]));
+  }
+  return worst;
+}
+
+// Squared entries of a panel at 1e±160 leave the normal double range (the
+// Gram route's X^T X goes subnormal or overflows), and at 1e±200 the Jacobi
+// dot products do too. The batched basis prescales such panels, so every
+// route keeps the unit-scale panel's rank and span.
+TEST(BatchedSubspaceEdgeTest, ExtremeScalesKeepRankAndSpan) {
+  Rng rng(407);
+  std::vector<Matrix> panels;
+  panels.push_back(MatMul(RandomOrthonormalBasis(48, 3, &rng),
+                          GaussianMatrix(3, 10, &rng)));  // tall, rank 3
+  panels.push_back(GaussianMatrix(64, 9, &rng));          // tall, full rank
+  panels.push_back(GaussianMatrix(6, 20, &rng));          // wide, full rank
+  // Auto rank on the Gram route, a fixed rank on it, and auto rank below
+  // kGramSigmaFloor on the looped route.
+  const std::pair<int64_t, double> requests[] = {
+      {0, 0.1}, {2, 1e-8}, {0, 1e-8}};
+  for (const auto& [rank, rel_tol] : requests) {
+    BatchedSubspaceOptions options;
+    options.rank = rank;
+    options.rel_tol = rel_tol;
+    const auto base = BatchedPrincipalSubspace(panels, options);
+    for (double scale : {1e-200, 1e-160, 1e160, 1e200}) {
+      std::vector<Matrix> scaled = panels;
+      for (Matrix& panel : scaled) panel *= scale;
+      const auto bases = BatchedPrincipalSubspace(scaled, options);
+      for (size_t i = 0; i < panels.size(); ++i) {
+        ASSERT_TRUE(base[i].ok());
+        ASSERT_TRUE(bases[i].ok())
+            << "panel " << i << " scale " << scale << ": "
+            << bases[i].status().ToString();
+        EXPECT_EQ(bases[i]->cols(), base[i]->cols())
+            << "panel " << i << " scale " << scale << " rel_tol " << rel_tol;
+        if (bases[i]->cols() != base[i]->cols()) continue;
+        EXPECT_LE(ProjectorDistance(*bases[i], *base[i]), 1e-6)
+            << "panel " << i << " scale " << scale << " rel_tol " << rel_tol;
+      }
     }
   }
 }

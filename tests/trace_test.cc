@@ -15,6 +15,7 @@
 #include "core/fedsc.h"
 #include "data/synthetic.h"
 #include "fed/partition.h"
+#include "linalg/batch.h"
 
 namespace fedsc {
 namespace {
@@ -60,11 +61,13 @@ std::string DeterministicFingerprint(const MetricsSnapshot& snapshot) {
 }
 
 MetricsSnapshot RunFedScWithMetrics(const FederatedDataset& fed,
-                                    int num_threads) {
+                                    int num_threads,
+                                    double rank_rel_tol = 0.1) {
   ResetMetrics();
   EnableMetrics(true);
   FedScOptions options;
   options.num_threads = num_threads;
+  options.rank_rel_tol = rank_rel_tol;
   auto result = RunFedSc(fed, 4, options);
   EnableMetrics(false);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -116,28 +119,45 @@ TEST(MetricsDeterminismTest, CountersBitIdenticalAcrossThreadCounts) {
   auto fed = MakeFederation();
   ASSERT_TRUE(fed.ok()) << fed.status().ToString();
 
-  const MetricsSnapshot serial = RunFedScWithMetrics(*fed, 1);
-  const std::string expected = DeterministicFingerprint(serial);
+  // The default rank_rel_tol takes the Gram basis route on every panel;
+  // one below kGramSigmaFloor takes the looped SVD route, so the SVD
+  // counters are fingerprinted too.
+  for (double rank_rel_tol : {0.1, 1e-6}) {
+    const MetricsSnapshot serial = RunFedScWithMetrics(*fed, 1, rank_rel_tol);
+    const std::string expected = DeterministicFingerprint(serial);
 
-  // Sanity: the run actually exercised the instrumented kernels.
-  EXPECT_EQ(serial.counters.at("fedsc.runs"), 1);
-  EXPECT_EQ(serial.counters.at("fedsc.devices"), 6);
-  EXPECT_GT(serial.counters.at("sc.ssc_admm.solves"), 0);
-  EXPECT_GT(serial.counters.at("sc.ssc_admm.iterations"), 0);
-  EXPECT_GT(serial.counters.at("linalg.gemm.calls"), 0);
-  EXPECT_GT(serial.counters.at("linalg.gemm.flops"), 0);
-  EXPECT_GT(serial.counters.at("linalg.svd.calls"), 0);
-  EXPECT_GT(serial.counters.at("cluster.kmeans.iterations"), 0);
-  EXPECT_GT(serial.counters.at("fed.comm.uplink_bits"), 0);
-  EXPECT_EQ(serial.counters.at("fed.comm.rounds"), 1);
-  EXPECT_GT(serial.histograms.at("sc.ssc_admm.iterations_per_solve").count, 0);
-  // The residual-balancing rho changes are part of the deterministic record.
-  EXPECT_TRUE(serial.counters.count("sc.ssc_admm.rho_updates"));
+    // Sanity: the run actually exercised the instrumented kernels.
+    EXPECT_EQ(serial.counters.at("fedsc.runs"), 1);
+    EXPECT_EQ(serial.counters.at("fedsc.devices"), 6);
+    EXPECT_GT(serial.counters.at("sc.ssc_admm.solves"), 0);
+    EXPECT_GT(serial.counters.at("sc.ssc_admm.iterations"), 0);
+    EXPECT_GT(serial.counters.at("linalg.gemm.calls"), 0);
+    EXPECT_GT(serial.counters.at("linalg.gemm.flops"), 0);
+    if (rank_rel_tol < kGramSigmaFloor) {
+      EXPECT_GT(serial.counters.at("linalg.svd.calls"), 0);
+      EXPECT_GT(serial.counters.at("linalg.basis.looped"), 0);
+      EXPECT_EQ(serial.counters.at("linalg.basis.gram"), 0);
+    } else {
+      EXPECT_GT(serial.counters.at("linalg.basis.gram"), 0);
+      EXPECT_EQ(serial.counters.at("linalg.basis.looped"), 0);
+      EXPECT_EQ(serial.counters.at("linalg.svd.calls"), 0);
+    }
+    EXPECT_GT(serial.counters.at("cluster.kmeans.iterations"), 0);
+    EXPECT_GT(serial.counters.at("fed.comm.uplink_bits"), 0);
+    EXPECT_EQ(serial.counters.at("fed.comm.rounds"), 1);
+    EXPECT_GT(serial.histograms.at("sc.ssc_admm.iterations_per_solve").count,
+              0);
+    // The residual-balancing rho changes are part of the deterministic
+    // record.
+    EXPECT_TRUE(serial.counters.count("sc.ssc_admm.rho_updates"));
 
-  for (int threads : {2, 8}) {
-    const MetricsSnapshot threaded = RunFedScWithMetrics(*fed, threads);
-    EXPECT_EQ(expected, DeterministicFingerprint(threaded))
-        << "deterministic metrics diverged at num_threads=" << threads;
+    for (int threads : {2, 8}) {
+      const MetricsSnapshot threaded =
+          RunFedScWithMetrics(*fed, threads, rank_rel_tol);
+      EXPECT_EQ(expected, DeterministicFingerprint(threaded))
+          << "deterministic metrics diverged at num_threads=" << threads
+          << ", rank_rel_tol=" << rank_rel_tol;
+    }
   }
 }
 
