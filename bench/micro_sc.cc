@@ -34,6 +34,38 @@ void BM_SscAdmm(benchmark::State& state) {
 }
 BENCHMARK(BM_SscAdmm)->Arg(20)->Arg(60)->Arg(160);
 
+// One device's exact SSC-ADMM solve at the shapes the four end-to-end
+// workloads reach: D x N points on two subspaces of dimension rank / 2
+// (tall_d1024 1024 x 100, noniid2_z160 20 x 120, fleet_z2500 50 x 12,
+// stream_byzantine 30 x 24), plus a noisy, full-rank 1024 x 100 device.
+// Args: D, N, rank, noise in thousandths.
+void BM_SscAdmmDeviceShapes(benchmark::State& state) {
+  SyntheticOptions options;
+  options.ambient_dim = state.range(0);
+  options.num_subspaces = 2;
+  options.points_per_subspace = state.range(1) / 2;
+  options.subspace_dim = state.range(2) / 2;
+  options.noise_stddev = static_cast<double>(state.range(3)) * 1e-3;
+  options.seed = 29;
+  const Dataset data = GenerateUnionOfSubspaces(options).value();
+  for (auto _ : state) {
+    auto c = SscSelfExpression(data.points);
+    benchmark::DoNotOptimize(c->nnz());
+  }
+  state.SetLabel(std::to_string(options.ambient_dim) + "x" +
+                 std::to_string(data.points.cols()) +
+                 (state.range(3) > 0 ? " noisy"
+                                     : " rank " + std::to_string(
+                                                      state.range(2))));
+}
+BENCHMARK(BM_SscAdmmDeviceShapes)
+    ->Args({1024, 100, 8, 0})
+    ->Args({20, 120, 8, 0})
+    ->Args({50, 12, 10, 0})
+    ->Args({30, 24, 8, 0})
+    ->Args({1024, 100, 8, 50})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_SscOmp(benchmark::State& state) {
   const Dataset data = MakeData(state.range(0), 2);
   SscOmpOptions options;

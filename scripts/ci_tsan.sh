@@ -7,9 +7,25 @@
 # length-lying buffers, exactly where an out-of-bounds read would hide),
 # along with the SSC-ADMM edge cases and their many operator re-forms.
 # Last, a Release build without -march=native runs the ADMM, GEMM, property
-# and edge-case suites on the baseline ISA. Run from anywhere; artifacts go to build-tsan/,
-# build-asan/ and build-portable/.
+# and edge-case suites on the baseline ISA. Run from anywhere; artifacts go
+# to build-tsan/, build-asan/ and build-portable/. Each suite's wall time is
+# printed as a "[suite]" line, so a suite that slows down under a sanitizer
+# shows in the log.
 set -euo pipefail
+
+# Runs one test binary and prints its wall time and exit status; a failing
+# suite still fails the script.
+run_suite() {
+  local start end status=0
+  start=$(date +%s%N)
+  "$@" || status=$?
+  end=$(date +%s%N)
+  local ms=$(( (end - start) / 1000000 ))
+  printf '[suite] %s%s: %d.%03d s, exit %d\n' \
+    "${FEDSC_FORCE_ISA:+FEDSC_FORCE_ISA=${FEDSC_FORCE_ISA} }" \
+    "${1#"${repo_root}/"}" $(( ms / 1000 )) $(( ms % 1000 )) "${status}"
+  return "${status}"
+}
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-tsan"
@@ -26,57 +42,57 @@ cmake --build "${build_dir}" -j "$(nproc)" \
 # halt_on_error makes the first race fail the run instead of just logging.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
-"${build_dir}/tests/thread_pool_test"
-"${build_dir}/tests/parallel_determinism_test"
-"${build_dir}/tests/fedsc_test"
+run_suite "${build_dir}/tests/thread_pool_test"
+run_suite "${build_dir}/tests/parallel_determinism_test"
+run_suite "${build_dir}/tests/fedsc_test"
 # RunFedSc drives the same FedScServer (threaded screen and central solve)
 # as the client/server API; this suite adds the call-sequence fuzz.
-"${build_dir}/tests/server_test"
+run_suite "${build_dir}/tests/server_test"
 # The fault plan is consumed from serial protocol code while Phase 1/2
 # kernels fan out over worker threads; TSAN proves the combination is clean.
-"${build_dir}/tests/faults_test"
+run_suite "${build_dir}/tests/faults_test"
 # Defense screening reduces pooled coherence/residual statistics across the
 # pool; TSAN proves the disjoint-slot parallel writes really are disjoint.
-"${build_dir}/tests/defense_test"
+run_suite "${build_dir}/tests/defense_test"
 # The observability layer records from every worker thread; run its suites
 # under TSAN too (trace recorder, metrics registry, log sink, and the run
 # ledger: the journal's mutex-guarded global log plus the profile builder
 # folding per-thread trace buffers while the pool is live).
-"${build_dir}/tests/trace_test"
-"${build_dir}/tests/journal_test"
-"${build_dir}/tests/logging_test"
+run_suite "${build_dir}/tests/trace_test"
+run_suite "${build_dir}/tests/journal_test"
+run_suite "${build_dir}/tests/logging_test"
 # The blocked GEMM/Syrk engine packs on the caller thread and fans the
 # micro-block loop out over the pool; TSAN checks the arena handoff.
-"${build_dir}/tests/blas_test"
+run_suite "${build_dir}/tests/blas_test"
 # BatchedPrincipalSubspace fans panels out with ParallelFor, each slot
 # running Syrk/Gemm (on the GEMM tier) or the looped SVD; TSAN proves the
 # per-slot writes really are disjoint.
-"${build_dir}/tests/batch_test"
+run_suite "${build_dir}/tests/batch_test"
 # The blocked factorizations (compact-WY QR, preconditioned SVD, blocked
 # tridiagonalization) thread their GEMM updates and triangular multiplies.
-"${build_dir}/tests/qr_cholesky_test"
-"${build_dir}/tests/svd_eig_test"
+run_suite "${build_dir}/tests/qr_cholesky_test"
+run_suite "${build_dir}/tests/svd_eig_test"
 # The sketched central path fans per-column draws, the single-threaded
 # 256-column blocks of the one SSC-ADMM column solver, leverage-key
 # selection, and the Nystrom core/extension GEMVs over the pool, all writing
 # disjoint slots; TSAN proves the slots really are disjoint for nt in
 # {1, 2, 8}.
-"${build_dir}/tests/sketch_test"
+run_suite "${build_dir}/tests/sketch_test"
 # The exact SSC-ADMM solve runs the same column solver as one threaded block
 # of all N columns: its Z-update GEMMs and its soft-threshold pass write C,
 # U and the next Z-update input over disjoint column panels; TSAN proves the
 # panels really are disjoint.
-"${build_dir}/tests/sc_test"
+run_suite "${build_dir}/tests/sc_test"
 
 # Forced-generic pass: FEDSC_FORCE_ISA pins the portable micro-kernel tier,
 # so the threaded packing/fan-out paths are race-checked on the exact code
 # the generic dispatch runs (the intrinsic tiers share the same driver; the
 # micro-kernels themselves touch only disjoint accumulators).
-FEDSC_FORCE_ISA=generic "${build_dir}/tests/blas_test"
-FEDSC_FORCE_ISA=generic "${build_dir}/tests/batch_test"
-FEDSC_FORCE_ISA=generic "${build_dir}/tests/parallel_determinism_test"
-FEDSC_FORCE_ISA=generic "${build_dir}/tests/sketch_test"
-FEDSC_FORCE_ISA=generic "${build_dir}/tests/sc_test"
+FEDSC_FORCE_ISA=generic run_suite "${build_dir}/tests/blas_test"
+FEDSC_FORCE_ISA=generic run_suite "${build_dir}/tests/batch_test"
+FEDSC_FORCE_ISA=generic run_suite "${build_dir}/tests/parallel_determinism_test"
+FEDSC_FORCE_ISA=generic run_suite "${build_dir}/tests/sketch_test"
+FEDSC_FORCE_ISA=generic run_suite "${build_dir}/tests/sc_test"
 
 echo "TSAN: all threaded suites passed with zero reported races."
 
@@ -92,64 +108,64 @@ cmake --build "${asan_dir}" -j "$(nproc)" \
   wire_fuzz_test journal_test sketch_test sc_test edge_cases_test fed_test \
   fedsc_test
 
-"${asan_dir}/tests/faults_test"
+run_suite "${asan_dir}/tests/faults_test"
 # Screening indexes per-sample peer lists and per-device slots built from
 # attacker-controlled pool shapes; ASAN gates the indexing.
-"${asan_dir}/tests/defense_test"
+run_suite "${asan_dir}/tests/defense_test"
 # The server state-machine fuzz feeds NaN columns, wrong dimensions,
 # truncated / bit-flipped wire bytes, and duplicated uploads through every
 # call; ASAN gates the per-upload column maps and the pooled-label scatter.
-"${asan_dir}/tests/server_test"
+run_suite "${asan_dir}/tests/server_test"
 # Packing writes into 64-byte-aligned arenas with zero-padded edge
 # micro-panels; ASAN is the gate for an off-by-one on the ragged tails.
-"${asan_dir}/tests/blas_test"
+run_suite "${asan_dir}/tests/blas_test"
 # The Gram route gathers ragged member panels and slices the top eigenvector
 # columns; ASAN gates the gather and the per-slot indexing.
-"${asan_dir}/tests/batch_test"
-"${asan_dir}/tests/parallel_determinism_test"
+run_suite "${asan_dir}/tests/batch_test"
+run_suite "${asan_dir}/tests/parallel_determinism_test"
 # Panel factorization indexes ragged tails (m % panel, n % panel); ASAN is
 # the gate for an off-by-one in the V/T/corner copies.
-"${asan_dir}/tests/qr_cholesky_test"
-"${asan_dir}/tests/svd_eig_test"
+run_suite "${asan_dir}/tests/qr_cholesky_test"
+run_suite "${asan_dir}/tests/svd_eig_test"
 # The wire decoder faces attacker-shaped bytes (truncation, length lies,
 # dtype confusion); the fuzzer's >= 10k mutations under ASAN are the
 # no-out-of-bounds-read proof, and the codec property suite covers the
 # round-trip paths the mutations start from.
-"${asan_dir}/tests/codec_test"
-"${asan_dir}/tests/wire_fuzz_test"
+run_suite "${asan_dir}/tests/codec_test"
+run_suite "${asan_dir}/tests/wire_fuzz_test"
 # The journal/report path renders every event payload into strings and the
 # profiler walks raw trace buffers; ASAN gates the string/buffer handling.
-"${asan_dir}/tests/journal_test"
+run_suite "${asan_dir}/tests/journal_test"
 # The sketched path gathers landmark columns, scatters top-q triplets
 # through touched-list scratch resets, and indexes per-atom core rows; ASAN
 # is the gate for an off-by-one in the gather/scatter index arithmetic.
-"${asan_dir}/tests/sketch_test"
+run_suite "${asan_dir}/tests/sketch_test"
 # The ADMM column solver indexes Z-update scratch whose row count depends on
 # the factored/direct operator shape, for one N-column block (exact) or
 # 256-column blocks (sketched); ASAN gates that indexing.
-"${asan_dir}/tests/sc_test"
+run_suite "${asan_dir}/tests/sc_test"
 # The tol = 1e-8 KKT solve runs the full iteration budget, re-forming the
 # Z-update operator and rescaling the dual at every residual-balancing rho
 # change; ASAN gates the operator swaps and the rescale passes.
-"${asan_dir}/tests/edge_cases_test"
+run_suite "${asan_dir}/tests/edge_cases_test"
 # The channel and privacy plumbing: encode/decode round trips through the
 # codec, retry/backoff bookkeeping, and the Gaussian mechanism's in-place
 # column clipping; ASAN gates the buffer handling.
-"${asan_dir}/tests/fed_test"
+run_suite "${asan_dir}/tests/fed_test"
 # RunFedSc end to end: the server intake indexes truncated and duplicated
 # payload columns, and Phase 3 aligns each device's assignments to its
 # honest upload; ASAN gates both.
-"${asan_dir}/tests/fedsc_test"
+run_suite "${asan_dir}/tests/fedsc_test"
 
 # Forced-generic pass, mirroring the TSAN one: the ragged packed-panel
 # tails differ per micro-tile shape, so the generic tier's edge handling
 # gets its own ASAN run.
-FEDSC_FORCE_ISA=generic "${asan_dir}/tests/blas_test"
-FEDSC_FORCE_ISA=generic "${asan_dir}/tests/batch_test"
-FEDSC_FORCE_ISA=generic "${asan_dir}/tests/parallel_determinism_test"
-FEDSC_FORCE_ISA=generic "${asan_dir}/tests/sketch_test"
-FEDSC_FORCE_ISA=generic "${asan_dir}/tests/sc_test"
-FEDSC_FORCE_ISA=generic "${asan_dir}/tests/edge_cases_test"
+FEDSC_FORCE_ISA=generic run_suite "${asan_dir}/tests/blas_test"
+FEDSC_FORCE_ISA=generic run_suite "${asan_dir}/tests/batch_test"
+FEDSC_FORCE_ISA=generic run_suite "${asan_dir}/tests/parallel_determinism_test"
+FEDSC_FORCE_ISA=generic run_suite "${asan_dir}/tests/sketch_test"
+FEDSC_FORCE_ISA=generic run_suite "${asan_dir}/tests/sc_test"
+FEDSC_FORCE_ISA=generic run_suite "${asan_dir}/tests/edge_cases_test"
 
 echo "ASAN: fault-injection, codec, and wire-fuzz suites passed with zero"
 echo "reported errors."
@@ -173,13 +189,13 @@ cmake --build "${portable_dir}" -j "$(nproc)" \
   --target sc_test sketch_test parallel_determinism_test blas_test \
   batch_test property_test edge_cases_test
 
-"${portable_dir}/tests/sc_test"
-"${portable_dir}/tests/sketch_test"
-"${portable_dir}/tests/parallel_determinism_test"
-"${portable_dir}/tests/blas_test"
-"${portable_dir}/tests/batch_test"
-"${portable_dir}/tests/property_test"
-"${portable_dir}/tests/edge_cases_test"
+run_suite "${portable_dir}/tests/sc_test"
+run_suite "${portable_dir}/tests/sketch_test"
+run_suite "${portable_dir}/tests/parallel_determinism_test"
+run_suite "${portable_dir}/tests/blas_test"
+run_suite "${portable_dir}/tests/batch_test"
+run_suite "${portable_dir}/tests/property_test"
+run_suite "${portable_dir}/tests/edge_cases_test"
 
 echo "Portable: the baseline-ISA build passed its ADMM, GEMM, basis,"
 echo "property and edge-case suites."

@@ -111,7 +111,7 @@ MetricsRegistry::MetricsRegistry() {
         "linalg.subspace_iteration.calls",
         "linalg.subspace_iteration.iterations", "sc.ssc_admm.solves",
         "sc.ssc_admm.iterations", "sc.ssc_admm.converged",
-        "sc.ssc_admm.rho_updates",
+        "sc.ssc_admm.rho_updates", "sc.ssc_admm.reduced_solves",
         "cluster.kmeans.runs", "cluster.kmeans.restarts",
         "cluster.kmeans.iterations", "fed.comm.uplink_values",
         "fed.comm.uplink_bits", "fed.comm.uplink_wire_bytes",
@@ -132,8 +132,10 @@ MetricsRegistry::MetricsRegistry() {
   gauges_.emplace("sc.ssc_admm.last_residual",
                   Entry<Gauge>{std::make_unique<Gauge>(),
                                MetricKind::kExecution});
-  histograms_.emplace("sc.ssc_admm.iterations_per_solve",
-                      std::make_unique<Histogram>());
+  for (const char* name :
+       {"sc.ssc_admm.iterations_per_solve", "sc.ssc_admm.dictionary_rows"}) {
+    histograms_.emplace(name, std::make_unique<Histogram>());
+  }
 }
 
 Counter& MetricsRegistry::GetCounter(const std::string& name,

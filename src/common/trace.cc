@@ -186,6 +186,12 @@ void TraceSpan::Begin(const char* name,
   TraceRecorder::Global().Record(name, RenderArgs(args), /*begin=*/true);
 }
 
+void TraceSpan::End(std::initializer_list<TraceArg> args) {
+  if (!active_) return;
+  active_ = false;
+  TraceRecorder::Global().Record(name_, RenderArgs(args), /*begin=*/false);
+}
+
 void WriteChromeTrace(std::ostream& os) {
   const auto logs = TraceRecorder::Global().Snapshot();
   os << "{\"traceEvents\":[";

@@ -84,6 +84,10 @@ class TraceSpan {
   // string literals).
   void Begin(const char* name);
   void Begin(const char* name, std::initializer_list<TraceArg> args);
+  // Records the end event now, carrying args known only once the work is
+  // done (trace viewers merge them into the span's). A span not ended this
+  // way ends without args when it goes out of scope.
+  void End(std::initializer_list<TraceArg> args);
 
  private:
   bool active_ = false;

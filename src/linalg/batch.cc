@@ -152,18 +152,4 @@ std::vector<Result<Matrix>> BatchedPrincipalSubspace(
   return out;
 }
 
-std::vector<Result<QrResult>> BatchedThinQr(const std::vector<Matrix>& panels,
-                                            const QrOptions& options,
-                                            int num_threads) {
-  std::vector<Result<QrResult>> out(
-      panels.size(),
-      Result<QrResult>(Status::Internal("batch slot not computed")));
-  ParallelFor(0, static_cast<int64_t>(panels.size()), num_threads,
-              [&](int64_t i) {
-                out[static_cast<size_t>(i)] =
-                    HouseholderQr(panels[static_cast<size_t>(i)], options);
-              });
-  return out;
-}
-
 }  // namespace fedsc

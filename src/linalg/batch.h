@@ -49,7 +49,6 @@
 
 #include "common/result.h"
 #include "linalg/matrix.h"
-#include "linalg/qr.h"
 #include "linalg/svd.h"
 
 namespace fedsc {
@@ -86,13 +85,6 @@ std::vector<Result<Matrix>> BatchedPrincipalSubspace(
 std::vector<Result<Matrix>> BatchedPrincipalSubspace(
     const Matrix& parent, const std::vector<std::vector<int64_t>>& groups,
     const BatchedSubspaceOptions& options = {});
-
-// Thin QR of every panel through HouseholderQr with one parallel region
-// over the batch. Slot i is bit-identical to HouseholderQr(panels[i],
-// options) for every num_threads.
-std::vector<Result<QrResult>> BatchedThinQr(const std::vector<Matrix>& panels,
-                                            const QrOptions& options = {},
-                                            int num_threads = 1);
 
 }  // namespace fedsc
 

@@ -1,6 +1,9 @@
 #include "linalg/cholesky.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "linalg/blas.h"
 
@@ -75,6 +78,55 @@ Result<Matrix> SolveSpd(const Matrix& a, const Matrix& b) {
 
 Result<Matrix> SpdInverse(const Matrix& a) {
   return SolveSpd(a, Matrix::Identity(a.rows()));
+}
+
+std::optional<Matrix> PivotedCholeskyFactor(const Matrix& a, double tol,
+                                            int64_t max_rank) {
+  const int64_t n = a.rows();
+  FEDSC_CHECK(a.cols() == n);
+  max_rank = std::min(std::max<int64_t>(max_rank, 0), n);
+  // Allocated once, up front; each step fills one contiguous column.
+  Matrix l(n, max_rank);
+  // The diagonal of A - L L^T; kDone marks a row already pivoted on.
+  constexpr double kDone = -std::numeric_limits<double>::infinity();
+  std::vector<double> remaining(static_cast<size_t>(n));
+  for (int64_t j = 0; j < n; ++j) remaining[static_cast<size_t>(j)] = a(j, j);
+  std::vector<int64_t> pivots;
+  pivots.reserve(static_cast<size_t>(max_rank));
+  int64_t rank = 0;
+  for (; rank < n; ++rank) {
+    int64_t pivot = -1;
+    double largest = kDone;
+    for (int64_t j = 0; j < n; ++j) {
+      const double d = remaining[static_cast<size_t>(j)];
+      if (d == kDone) continue;
+      if (!std::isfinite(d)) return std::nullopt;
+      if (d > largest) {
+        largest = d;
+        pivot = j;
+      }
+    }
+    if (largest <= tol) break;
+    if (rank == max_rank) return std::nullopt;
+    // Column `rank` of L: (a_p - sum_i l_pi l_i) / sqrt(d_p), held at
+    // exactly zero on the earlier pivots' rows.
+    double* col = l.ColData(rank);
+    std::copy(a.ColData(pivot), a.ColData(pivot) + n, col);
+    for (int64_t i = 0; i < rank; ++i) Axpy(-l(pivot, i), l.ColData(i), col, n);
+    const double root = std::sqrt(largest);
+    Scal(1.0 / root, col, n);
+    for (const int64_t p : pivots) col[p] = 0.0;
+    col[pivot] = root;
+    pivots.push_back(pivot);
+    for (int64_t j = 0; j < n; ++j) {
+      remaining[static_cast<size_t>(j)] -= col[j] * col[j];
+    }
+    remaining[static_cast<size_t>(pivot)] = kDone;
+  }
+  if (rank == max_rank) return l;
+  Matrix factor(n, rank);
+  std::copy(l.data(), l.data() + factor.size(), factor.data());
+  return factor;
 }
 
 }  // namespace fedsc

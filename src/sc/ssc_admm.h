@@ -7,19 +7,29 @@
 //   min_C  ||C||_1 + lambda/2 ||X - B C||_F^2,   C in R^{d x N},
 //
 // with column j of C held off its self atom (sketch.h). Exact SSC is the
-// case B = X with atom j pinned for column j, i.e. diag(C) = 0; X is passed
-// as its own dictionary, never copied. lambda = alpha / mu with
-// mu = min_j max_{a != self(j)} |b_a^T x_j| (Proposition 1 of
-// Elhamifar-Vidal; the paper uses alpha = 50). The Z-update runs through one
-// operator over B: factored, Z = M + B^T (Y - K M) with
+// case B = X with atom j pinned for column j, i.e. diag(C) = 0. lambda =
+// alpha / mu with mu = min_j max_{a != self(j)} |b_a^T x_j| (Proposition 1
+// of Elhamifar-Vidal; the paper uses alpha = 50). The Z-update runs through
+// one operator over B: factored, Z = M + B^T (Y - K M) with
 // K = lambda (rho I + lambda B B^T)^{-1} B, when D < d (two D x d x cols
 // GEMMs per iteration), else direct with the d x d inverse (one
-// d x d x cols GEMM). A solve stops on the primal/dual residual test of
-// Boyd et al. Section 3.3 and balances the two residuals by moving rho
-// (Section 3.4.1); the operator keeps its min(D, d)-order Gram, so a new rho
-// re-forms K with one SPD inverse and no new Gram (docs/ALGORITHMS.md). The
-// exact solve runs all N columns as one block under one stopping rule; the
-// sketched solve runs blocks of 256 columns, each with its own.
+// d x d x cols GEMM).
+//
+// The exact program reads X only through its Gram X^T X, so it is the same
+// program over any k x N R with R^T R = X^T X. The exact solve factors the
+// Gram it builds for mu by a pivoted Cholesky cut at rounding level
+// (k = the Gram's numerical rank, about L' d on a device) and runs the
+// factored operator over R when that costs fewer flops per iteration than
+// X's operator: k < N / 2 when D >= N, k < D when D < N. Otherwise the
+// factorization quits at the bound and X is its own dictionary, never
+// copied. SscAdmmInfo::dictionary_rows reports which (docs/ALGORITHMS.md).
+//
+// A solve stops on the primal/dual residual test of Boyd et al. Section 3.3
+// and balances the two residuals by moving rho (Section 3.4.1); the operator
+// keeps its min(rows, d)-order Gram, so a new rho re-forms K with one SPD
+// inverse and no new Gram. The exact solve runs all N columns as one block
+// under one stopping rule; the sketched solve runs blocks of 256 columns,
+// each with its own.
 
 #ifndef FEDSC_SC_SSC_ADMM_H_
 #define FEDSC_SC_SSC_ADMM_H_
@@ -73,6 +83,9 @@ struct SscAdmmOptions {
 // metrics). A sketched solve reports its worst block's residuals and rho,
 // the longest block's iterations, and the rho updates of all blocks.
 struct SscAdmmInfo {
+  // Rows of the dictionary the ADMM ran over: k when the exact solve took
+  // the rank-k R, else D.
+  int64_t dictionary_rows = 0;
   int iterations = 0;            // ADMM iterations actually run
   double primal_residual = 0.0;  // ||Z - C||_F at exit
   double dual_residual = 0.0;    // rho ||C - C_prev||_F at exit

@@ -389,24 +389,5 @@ TEST(BatchedSubspaceTest, GatherOverloadMatchesExplicitPanels) {
   }
 }
 
-TEST(BatchedThinQrTest, MatchesHouseholderQrExactlyOnRaggedBatches) {
-  Rng rng(353);
-  std::vector<Matrix> panels = RaggedBatch(&rng);
-  panels.push_back(RandomMatrix(3, 17, &rng));  // wide panel, k = 3
-  const QrOptions qr_options;
-  for (int nt : {1, 2, 8}) {
-    const auto batched = BatchedThinQr(panels, qr_options, nt);
-    ASSERT_EQ(batched.size(), panels.size());
-    for (size_t i = 0; i < panels.size(); ++i) {
-      const auto direct = HouseholderQr(panels[i], qr_options);
-      ASSERT_EQ(batched[i].ok(), direct.ok()) << "panel " << i;
-      if (direct.ok()) {
-        ExpectBitEqual(batched[i]->q, direct->q, "thin-QR Q");
-        ExpectBitEqual(batched[i]->r, direct->r, "thin-QR R");
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace fedsc

@@ -1,5 +1,9 @@
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -239,6 +243,66 @@ TEST(CholeskyTest, TriangularSolvesInPlace) {
   SolveLowerTransposedInPlace(l, &b);  // x1 = 1, x0 = (2 - 1)/2 = 0.5
   EXPECT_NEAR(b(1, 0), 1.0, 1e-12);
   EXPECT_NEAR(b(0, 0), 0.5, 1e-12);
+}
+
+// A rank-k Gram X^T X (X = rows x n of rank k) factors into k columns with
+// L L^T = X^T X to rounding; each column is zero on the earlier pivots'
+// rows, so L is lower triangular up to a row permutation.
+TEST(PivotedCholeskyTest, FactorsAGramAtItsNumericalRank) {
+  Rng rng(19);
+  for (const auto& [rows, n, rank] :
+       {std::tuple<int64_t, int64_t, int64_t>{40, 30, 1}, {40, 30, 7},
+        {12, 30, 12}, {30, 30, 29}, {8, 5, 5}}) {
+    const Matrix x = MatMul(RandomMatrix(rows, rank, &rng),
+                            RandomMatrix(rank, n, &rng));
+    const Matrix gram = Gram(x);
+    double max_diag = 0.0;
+    for (int64_t j = 0; j < n; ++j) max_diag = std::max(max_diag, gram(j, j));
+    const double tol = static_cast<double>(std::max(rows, n)) *
+                       std::numeric_limits<double>::epsilon() * max_diag;
+    const auto l = PivotedCholeskyFactor(gram, tol, n);
+    ASSERT_TRUE(l.has_value()) << rows << "x" << n << " rank " << rank;
+    EXPECT_EQ(l->rows(), n);
+    EXPECT_EQ(l->cols(), rank) << rows << "x" << n;
+    EXPECT_TRUE(AllClose(MatMulNT(*l, *l), gram, 1e-12 * max_diag))
+        << rows << "x" << n << " rank " << rank;
+    // Column i is exactly zero on the i earlier pivots' rows, and its own
+    // pivot's entry is its largest.
+    std::vector<int64_t> pivots;
+    for (int64_t i = 0; i < l->cols(); ++i) {
+      const double* col = l->ColData(i);
+      for (const int64_t p : pivots) EXPECT_EQ(col[p], 0.0);
+      const int64_t pivot =
+          std::max_element(col, col + n, [](double a, double b) {
+            return std::fabs(a) < std::fabs(b);
+          }) - col;
+      EXPECT_GT(col[pivot], 0.0);
+      pivots.push_back(pivot);
+    }
+  }
+}
+
+// The factorization gives up once the rank passes max_rank, and a zero
+// matrix or a NaN diagonal is handled without a factor.
+TEST(PivotedCholeskyTest, QuitsPastMaxRankAndOnNonFiniteInput) {
+  Rng rng(23);
+  const Matrix gram =
+      Gram(MatMul(RandomMatrix(20, 6, &rng), RandomMatrix(6, 15, &rng)));
+  const double tol = 1e-10 * gram.MaxAbs();
+  EXPECT_FALSE(PivotedCholeskyFactor(gram, tol, 5).has_value());
+  const auto at_rank = PivotedCholeskyFactor(gram, tol, 6);
+  ASSERT_TRUE(at_rank.has_value());
+  EXPECT_EQ(at_rank->cols(), 6);
+  EXPECT_FALSE(PivotedCholeskyFactor(gram, tol, 0).has_value());
+
+  const auto zero = PivotedCholeskyFactor(Matrix(4, 4), 0.0, 4);
+  ASSERT_TRUE(zero.has_value());
+  EXPECT_EQ(zero->rows(), 4);
+  EXPECT_EQ(zero->cols(), 0);
+
+  Matrix bad = gram;
+  bad(3, 3) = std::nan("");
+  EXPECT_FALSE(PivotedCholeskyFactor(bad, tol, 15).has_value());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "admm_reference.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "data/synthetic.h"
 #include "linalg/blas.h"
@@ -515,10 +516,28 @@ Matrix GaussianColumns(int64_t rows, int64_t cols, uint64_t seed) {
   return x;
 }
 
+// num_points unit points on `count` random subspaces of R^dim, each of
+// dimension subspace_dim and holding num_points / count of them: rank
+// count * subspace_dim when that is at most min(dim, num_points).
+Matrix SubspacePoints(int64_t dim, int64_t num_points, int64_t count,
+                      int64_t subspace_dim, uint64_t seed,
+                      double noise_stddev = 0.0) {
+  SyntheticOptions options;
+  options.ambient_dim = dim;
+  options.subspace_dim = subspace_dim;
+  options.num_subspaces = count;
+  options.points_per_subspace = num_points / count;
+  options.noise_stddev = noise_stddev;
+  options.seed = seed;
+  return GenerateUnionOfSubspaces(options).value().points;
+}
+
 struct DifferentialCase {
   std::string name;
   Matrix x;
   bool affine = false;
+  // When > 0, the rows of the dictionary the solve must run over.
+  int64_t dictionary_rows = 0;
 };
 
 // The solver's C agrees with the reference to 1e-8 of its largest entry,
@@ -538,6 +557,9 @@ void ExpectMatchesReference(const DifferentialCase& test) {
   EXPECT_EQ(info.iterations, reference.iterations) << test.name;
   EXPECT_EQ(info.final_rho, reference.rho) << test.name;
   EXPECT_EQ(info.rho_updates, reference.rho_updates) << test.name;
+  if (test.dictionary_rows > 0) {
+    EXPECT_EQ(info.dictionary_rows, test.dictionary_rows) << test.name;
+  }
 }
 
 TEST(SscAdmmDifferentialTest, OperatorMatchesTheExplicitInverse) {
@@ -572,6 +594,20 @@ TEST(SscAdmmDifferentialTest, OperatorMatchesTheExplicitInverse) {
   cases.push_back({"affine factored", AffineSubspaces(71).points, true});
   cases.push_back(
       {"affine direct", AffineSubspaces(72).points.ColRange(0, 10), true});
+  // Rank-deficient data, where the solve runs over the k x N Cholesky
+  // factor R of X^T X whenever that is cheaper than X (k < N / 2 at D >= N,
+  // k < D at D < N): k = 1, a device's L' d = 2 x 4, and min(D, N) - 1.
+  // D = 60 >= N = 40 takes R for k <= 19, D = 20 < N = 50 for k <= 19.
+  cases.push_back({"tall k=1", SubspacePoints(60, 40, 1, 1, 201), false, 1});
+  cases.push_back({"tall k=8", SubspacePoints(60, 40, 2, 4, 202), false, 8});
+  cases.push_back(
+      {"tall k=39", SubspacePoints(60, 40, 1, 39, 203), false, 60});
+  cases.push_back({"wide k=1", SubspacePoints(20, 50, 1, 1, 204), false, 1});
+  cases.push_back({"wide k=8", SubspacePoints(20, 50, 2, 4, 205), false, 8});
+  cases.push_back(
+      {"wide k=19", SubspacePoints(20, 50, 1, 19, 206), false, 19});
+  // Three affine planes in R^12 span 9 dimensions, under D = 12 < N = 75.
+  cases.push_back({"affine k=9", AffineSubspaces(74).points, true, 9});
 
   for (const DifferentialCase& test : cases) ExpectMatchesReference(test);
 }
@@ -665,6 +701,49 @@ TEST(DictionarySolveTest, ExactSolveIsTheIdentityDictionarySolve) {
         EXPECT_EQ(exact_info.final_rho, dictionary_info.final_rho) << name;
       }
     }
+  }
+}
+
+// The solve runs over R just below the break-even rank and over X at it, and
+// a device whose Gram R cannot shrink enough (fleet_z2500's 50 x 12 rank-10
+// panels, or noisy full-rank data) stays on X's operator. The rank is cut
+// at rounding level, so rank-8 data under 1e-6 noise counts as full rank.
+TEST(SscAdmmRouteTest, ReducedDictionaryOnlyBelowBreakEven) {
+  struct RouteCase {
+    std::string name;
+    Matrix x;
+    int64_t dictionary_rows;  // k when R is taken, else D
+  };
+  Matrix noisy = GaussianColumns(120, 60, 211);
+  noisy.NormalizeColumns();
+  std::vector<RouteCase> cases;
+  // D = 60 >= N = 40: the direct operator costs 2 N^3, R's 4 k N^2.
+  cases.push_back({"tall k=19", SubspacePoints(60, 40, 1, 19, 207), 19});
+  cases.push_back({"tall k=20", SubspacePoints(60, 40, 2, 10, 208), 60});
+  // D = 20 < N = 50: X's factored operator costs 4 D N^2.
+  cases.push_back({"wide k=19", SubspacePoints(20, 50, 1, 19, 209), 19});
+  cases.push_back({"wide k=20", SubspacePoints(20, 50, 2, 10, 210), 20});
+  cases.push_back(
+      {"fleet 50x12 k=10", SubspacePoints(50, 12, 2, 5, 212), 50});
+  cases.push_back({"noisy full rank", std::move(noisy), 120});
+  cases.push_back(
+      {"rank 8 + 1e-6 noise", SubspacePoints(60, 40, 2, 4, 214, 1e-6), 60});
+  for (const RouteCase& test : cases) {
+    const bool reduced = test.dictionary_rows < test.x.rows();
+    ResetMetrics();
+    EnableMetrics(true);
+    SscAdmmInfo info;
+    auto c = SscSelfExpression(test.x, {}, &info);
+    EnableMetrics(false);
+    ASSERT_TRUE(c.ok()) << test.name << ": " << c.status().ToString();
+    EXPECT_EQ(info.dictionary_rows, test.dictionary_rows) << test.name;
+    const MetricsSnapshot metrics = SnapshotMetrics();
+    EXPECT_EQ(metrics.counters.at("sc.ssc_admm.reduced_solves"),
+              reduced ? 1 : 0)
+        << test.name;
+    EXPECT_EQ(metrics.histograms.at("sc.ssc_admm.dictionary_rows").max,
+              test.dictionary_rows)
+        << test.name;
   }
 }
 

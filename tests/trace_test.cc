@@ -150,6 +150,14 @@ TEST(MetricsDeterminismTest, CountersBitIdenticalAcrossThreadCounts) {
     // The residual-balancing rho changes are part of the deterministic
     // record.
     EXPECT_TRUE(serial.counters.count("sc.ssc_admm.rho_updates"));
+    // So is each solve's dictionary: every device holds 20 points on two
+    // 3-dimensional subspaces of R^24, so its exact solve runs over the
+    // rank-6 Cholesky factor of its Gram, not over X.
+    EXPECT_GE(serial.counters.at("sc.ssc_admm.reduced_solves"), 6);
+    const HistogramSnapshot& rows =
+        serial.histograms.at("sc.ssc_admm.dictionary_rows");
+    EXPECT_EQ(rows.count, serial.counters.at("sc.ssc_admm.solves"));
+    EXPECT_EQ(rows.min, 6);
 
     for (int threads : {2, 8}) {
       const MetricsSnapshot threaded =
@@ -255,6 +263,9 @@ TEST(TraceTest, FullRunIsWellFormedAndExports) {
   EXPECT_NE(json.find("fedsc/phase1/device"), std::string::npos);
   EXPECT_NE(json.find("fedsc/phase2/central"), std::string::npos);
   EXPECT_NE(json.find("sc/ssc_admm"), std::string::npos);
+  // The local solves' end events carry the rank-6 dictionary they ran over.
+  EXPECT_NE(json.find("\"args\":{\"dictionary_rows\":6}}"),
+            std::string::npos);
   // Every begin pairs with an end.
   EXPECT_EQ(CountOccurrences(json, "\"ph\":\"B\""),
             CountOccurrences(json, "\"ph\":\"E\""));
