@@ -330,7 +330,8 @@ void BM_EigVariant(benchmark::State& state) {
   state.SetLabel(blocked ? "blocked" : "unblocked");
   state.SetItemsProcessed(state.iterations() * (4 * n * n * n) / 3);
 }
-BENCHMARK(BM_EigVariant)->ArgsProduct({{256, 512}, {0, 1}});
+BENCHMARK(BM_EigVariant)
+    ->ArgsProduct({{12, 24, 48, 64, 96, 120, 256, 512}, {0, 1}});
 
 void BM_EigValuesVariant(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -344,7 +345,8 @@ void BM_EigValuesVariant(benchmark::State& state) {
   state.SetLabel(blocked ? "blocked" : "unblocked");
   state.SetItemsProcessed(state.iterations() * (4 * n * n * n) / 3);
 }
-BENCHMARK(BM_EigValuesVariant)->ArgsProduct({{256, 512}, {0, 1}});
+BENCHMARK(BM_EigValuesVariant)
+    ->ArgsProduct({{12, 24, 48, 64, 96, 120, 256, 512}, {0, 1}});
 
 // `batch` exactly rank-`rank` rows x cols panels U C with Gaussian factors,
 // each column scaled to unit norm when `unit_columns` is set.

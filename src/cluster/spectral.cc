@@ -49,6 +49,24 @@ Result<SpectralResult> FinishFromEmbedding(Matrix embedding,
   return result;
 }
 
+// The dense path's embedding: the k largest eigenvectors of M, which are
+// the k smallest of the normalized Laplacian.
+Matrix TopEigenvectors(const EigResult& eig, int64_t k) {
+  const int64_t n = eig.vectors.rows();
+  Matrix embedding(n, k);
+  for (int64_t j = 0; j < k; ++j) {
+    embedding.SetCol(j, eig.vectors.ColData(n - 1 - j));
+  }
+  return embedding;
+}
+
+Result<EigResult> AdjacencyEigen(const Matrix& affinity,
+                                 const SpectralOptions& options) {
+  EigOptions eig_options;
+  eig_options.num_threads = options.num_threads;
+  return SymmetricEigen(NormalizedAdjacency(affinity), eig_options);
+}
+
 }  // namespace
 
 Result<SpectralResult> SpectralCluster(const Matrix& affinity, int64_t k,
@@ -56,17 +74,35 @@ Result<SpectralResult> SpectralCluster(const Matrix& affinity, int64_t k,
   FEDSC_RETURN_NOT_OK(ValidateArgs(affinity.rows(), affinity.cols(), k));
   FEDSC_TRACE_SPAN("cluster/spectral",
                    {{"n", affinity.rows()}, {"k", k}, {"kind", "dense"}});
-  const Matrix m = NormalizedAdjacency(affinity);
-  EigOptions eig_options;
-  eig_options.num_threads = options.num_threads;
-  FEDSC_ASSIGN_OR_RETURN(EigResult eig, SymmetricEigen(m, eig_options));
-  // Largest k eigenvectors of M == smallest k of the normalized Laplacian.
+  FEDSC_ASSIGN_OR_RETURN(EigResult eig, AdjacencyEigen(affinity, options));
+  return FinishFromEmbedding(TopEigenvectors(eig, k), options, k);
+}
+
+Result<EigengapSpectralResult> EigengapSpectralCluster(
+    const Matrix& affinity, const EigengapOptions& gap,
+    const SpectralOptions& options, Rng* rng) {
   const int64_t n = affinity.rows();
-  Matrix embedding(n, k);
-  for (int64_t j = 0; j < k; ++j) {
-    embedding.SetCol(j, eig.vectors.ColData(n - 1 - j));
+  if (n != affinity.cols() || n < 2) {
+    return Status::InvalidArgument(
+        "eigengap heuristic needs a square affinity of size >= 2");
   }
-  return FinishFromEmbedding(std::move(embedding), options, k);
+  FEDSC_ASSIGN_OR_RETURN(EigResult eig, AdjacencyEigen(affinity, options));
+  EigengapSpectralResult out;
+  FEDSC_ASSIGN_OR_RETURN(
+      out.num_clusters,
+      EstimateClusterCountFromSpectrum(
+          LaplacianSpectrumFromAdjacency(eig.values, Degrees(affinity)), gap));
+  const int64_t r = out.num_clusters;
+  if (r == 1) {
+    out.labels.assign(static_cast<size_t>(n), 0);
+    return out;
+  }
+  SpectralOptions at_r = options;
+  at_r.kmeans.seed = rng->Next();
+  FEDSC_ASSIGN_OR_RETURN(SpectralResult clusters,
+                         FinishFromEmbedding(TopEigenvectors(eig, r), at_r, r));
+  out.labels = std::move(clusters.labels);
+  return out;
 }
 
 Result<SpectralResult> SpectralCluster(const SparseMatrix& affinity, int64_t k,

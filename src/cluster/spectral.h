@@ -15,6 +15,8 @@
 
 #include "cluster/kmeans.h"
 #include "common/result.h"
+#include "common/rng.h"
+#include "graph/eigengap.h"
 #include "linalg/matrix.h"
 #include "linalg/sparse.h"
 
@@ -45,6 +47,21 @@ Result<SpectralResult> SpectralCluster(const Matrix& affinity, int64_t k,
 
 Result<SpectralResult> SpectralCluster(const SparseMatrix& affinity, int64_t k,
                                        const SpectralOptions& options = {});
+
+struct EigengapSpectralResult {
+  int64_t num_clusters = 1;     // r, the eigengap heuristic's pick
+  std::vector<int64_t> labels;  // size N, values in [0, r); all 0 at r = 1
+};
+
+// Algorithm 2's local step from one eigensolve of the normalized adjacency
+// M: r by the eigengap heuristic over the Laplacian spectrum read off M's
+// (the r EstimateClusterCount picks, bit for bit), then, when r > 1, the
+// dense SpectralCluster at r from the same eigenvectors. The k-means seed is
+// drawn from `rng` only when r > 1, so the stream advances as on the path
+// that runs the two calls.
+Result<EigengapSpectralResult> EigengapSpectralCluster(
+    const Matrix& affinity, const EigengapOptions& gap,
+    const SpectralOptions& options, Rng* rng);
 
 // Nystrom/landmark spectral clustering (the sketched central path): clusters
 // the N points of the implied affinity W = |C|^T |C|, where `coefficients`

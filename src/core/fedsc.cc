@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "cluster/spectral.h"
 #include "common/journal.h"
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -22,21 +23,6 @@
 namespace fedsc {
 
 namespace {
-
-// Uniform sample from the unit sphere of the subspace spanned by `basis`
-// (Eq. 5): theta = U alpha / ||U alpha||, alpha ~ N(0, I).
-Vector SampleFromSubspace(const Matrix& basis, Rng* rng) {
-  const int64_t n = basis.rows();
-  Vector theta(static_cast<size_t>(n), 0.0);
-  double norm = 0.0;
-  do {
-    const Vector alpha = rng->GaussianVector(basis.cols());
-    Gemv(Trans::kNo, 1.0, basis, alpha.data(), 0.0, theta.data());
-    norm = Norm2(theta.data(), n);
-  } while (norm <= 1e-300);
-  Scal(1.0 / norm, theta.data(), n);
-  return theta;
-}
 
 // Bases for every local cluster's subspace in two batched factorization
 // calls (linalg/batch.h): one over all member panels, then — when
@@ -160,32 +146,37 @@ Result<LocalClusteringOutput> LocalClusterAndSample(const Matrix& points,
       affinity = AffinityFromCoefficients(coeffs).ToDense();
     }
 
-    int64_t r = 1;
+    // Same lift as the pipeline: the run-level thread count applies unless
+    // the local spectral options pin their own. Nested calls made from
+    // inside the device fan-out run inline, so this cannot oversubscribe.
+    SpectralOptions spectral = options.local_spectral;
+    spectral.num_threads = spectral.num_threads > 1 ? spectral.num_threads
+                                                    : options.num_threads;
+    TraceSpan span;
+    if (TraceEnabled()) span.Begin("local/spectral", {{"n", num_points}});
     if (options.use_eigengap) {
-      FEDSC_TRACE_SPAN("local/eigengap");
+      // r^(z) and the partition from one eigensolve of the affinity.
       EigengapOptions gap;
       gap.max_clusters = options.max_local_clusters;
-      FEDSC_ASSIGN_OR_RETURN(r, EstimateClusterCount(affinity, gap));
+      FEDSC_ASSIGN_OR_RETURN(EigengapSpectralResult local,
+                             EigengapSpectralCluster(affinity, gap, spectral,
+                                                     &rng));
+      out.num_local_clusters = local.num_clusters;
+      out.partition = std::move(local.labels);
     } else {
-      r = std::min<int64_t>(options.max_local_clusters, num_points);
+      out.num_local_clusters =
+          std::min<int64_t>(options.max_local_clusters, num_points);
+      if (out.num_local_clusters == 1) {
+        out.partition.assign(static_cast<size_t>(num_points), 0);
+      } else {
+        spectral.kmeans.seed = rng.Next();
+        FEDSC_ASSIGN_OR_RETURN(
+            SpectralResult clusters,
+            SpectralCluster(affinity, out.num_local_clusters, spectral));
+        out.partition = std::move(clusters.labels);
+      }
     }
-    out.num_local_clusters = r;
-
-    if (r == 1) {
-      out.partition.assign(static_cast<size_t>(num_points), 0);
-    } else {
-      FEDSC_TRACE_SPAN("local/spectral", {{"r", r}});
-      SpectralOptions spectral = options.local_spectral;
-      spectral.kmeans.seed = rng.Next();
-      // Same lift as the pipeline: the run-level thread count applies unless
-      // the local spectral options pin their own. Nested calls made from
-      // inside the device fan-out run inline, so this cannot oversubscribe.
-      spectral.num_threads = spectral.num_threads > 1 ? spectral.num_threads
-                                                      : options.num_threads;
-      FEDSC_ASSIGN_OR_RETURN(SpectralResult clusters,
-                             SpectralCluster(affinity, r, spectral));
-      out.partition = std::move(clusters.labels);
-    }
+    if (TraceEnabled()) span.End({{"r", out.num_local_clusters}});
   }
 
   // Estimate each cluster's subspace and draw the uploaded samples. The
@@ -230,6 +221,21 @@ Result<LocalClusteringOutput> LocalClusterAndSample(const Matrix& points,
     }
   }
   return out;
+}
+
+Vector SampleFromSubspace(const Matrix& basis, Rng* rng) {
+  const int64_t n = basis.rows();
+  Vector coords(static_cast<size_t>(basis.cols()), 0.0);
+  Vector theta(static_cast<size_t>(n), 0.0);
+  double norm = 0.0;
+  do {
+    const Vector h = rng->GaussianVector(n);
+    Gemv(Trans::kTrans, 1.0, basis, h.data(), 0.0, coords.data());
+    Gemv(Trans::kNo, 1.0, basis, coords.data(), 0.0, theta.data());
+    norm = Norm2(theta.data(), n);
+  } while (norm <= 1e-300);
+  Scal(1.0 / norm, theta.data(), n);
+  return theta;
 }
 
 Result<Matrix> ReleaseUpload(const Matrix& samples,

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/rng.h"
 #include "fed/defense.h"
 #include "fed/faults.h"
 #include "fed/network.h"
@@ -150,6 +151,14 @@ struct LocalClusteringOutput {
 Result<LocalClusteringOutput> LocalClusterAndSample(const Matrix& points,
                                                     const FedScOptions& options,
                                                     uint64_t seed);
+
+// One uniform sample from the unit sphere of span(basis) (Eq. 5), drawn as
+// theta = P h / ||P h|| with P = U U^T and h ~ N(0, I_n): the projection of
+// an isotropic Gaussian is isotropic within the subspace, and P, so the
+// sample, depends only on the span, not on U's signs or a rotation inside
+// it. `basis` has orthonormal columns; consumes n Gaussians of `rng` per
+// attempt.
+Vector SampleFromSubspace(const Matrix& basis, Rng* rng);
 
 // What a device releases for upload: its samples, privatized by the
 // Gaussian mechanism (fed/privacy.h) on a stream keyed by `seed` when

@@ -1,7 +1,9 @@
 #include "graph/eigengap.h"
 
 #include <algorithm>
+#include <cmath>
 
+#include "common/check.h"
 #include "graph/laplacian.h"
 #include "linalg/eig.h"
 
@@ -31,15 +33,48 @@ Result<int64_t> EstimateClusterCountFromSpectrum(
   return best_index;
 }
 
+Vector LaplacianSpectrumFromAdjacency(const Vector& adjacency_ascending,
+                                      const Vector& degrees) {
+  const size_t n = adjacency_ascending.size();
+  FEDSC_CHECK(degrees.size() == n)
+      << "one degree per eigenvalue of the normalized adjacency";
+  // The isolated test mirrors NormalizedAdjacency's zero-degree convention.
+  const auto isolated = static_cast<size_t>(
+      std::count_if(degrees.begin(), degrees.end(),
+                    [](double degree) { return !(degree > 0.0); }));
+  // The isolated vertices' eigenvalues of M are (to rounding) 0: the
+  // `isolated` values nearest 0, a contiguous window of the ascending
+  // spectrum. Ties go to the lower window.
+  size_t window = 0;
+  double window_reach = 0.0;
+  for (size_t lo = 0; isolated > 0 && lo + isolated <= n; ++lo) {
+    const double reach =
+        std::max(std::fabs(adjacency_ascending[lo]),
+                 std::fabs(adjacency_ascending[lo + isolated - 1]));
+    if (lo == 0 || reach < window_reach) {
+      window = lo;
+      window_reach = reach;
+    }
+  }
+  Vector spectrum(isolated, 0.0);
+  spectrum.reserve(n);
+  for (size_t i = n; i-- > 0;) {
+    if (i >= window && i < window + isolated) continue;
+    spectrum.push_back(1.0 - adjacency_ascending[i]);
+  }
+  return spectrum;
+}
+
 Result<int64_t> EstimateClusterCount(const Matrix& w,
                                      const EigengapOptions& options) {
   if (w.rows() != w.cols() || w.rows() < 2) {
     return Status::InvalidArgument(
         "eigengap heuristic needs a square affinity of size >= 2");
   }
-  FEDSC_ASSIGN_OR_RETURN(Vector spectrum,
-                         SymmetricEigenvalues(NormalizedLaplacian(w)));
-  return EstimateClusterCountFromSpectrum(spectrum, options);
+  FEDSC_ASSIGN_OR_RETURN(Vector adjacency,
+                         SymmetricEigenvalues(NormalizedAdjacency(w)));
+  return EstimateClusterCountFromSpectrum(
+      LaplacianSpectrumFromAdjacency(adjacency, Degrees(w)), options);
 }
 
 }  // namespace fedsc

@@ -27,8 +27,13 @@ struct EigResult {
   Matrix vectors;  // column j is the eigenvector of values[j]; orthonormal
 };
 
-// The matrix order at and above which the blocked reduction engages.
-inline constexpr int64_t kBlockedEigCutoff = 128;
+// The matrix order at and above which the blocked reduction engages: the
+// measured crossover (BM_EigVariant / BM_EigValuesVariant medians, blocked
+// vs tred2, DESIGN.md §5). With vectors the engines tie at n = 64 (0.457 vs
+// 0.460 ms) and blocked wins from 96 on (1.18 vs 1.57 ms; 1.91 vs 2.57 ms
+// at 120), while tred2 wins below (0.272 vs 0.258 ms at 48, 0.019 vs
+// 0.012 ms at 12); values only, blocked wins at 64 (0.340 vs 0.380 ms).
+inline constexpr int64_t kBlockedEigCutoff = 64;
 
 struct EigOptions {
   // Workers for the GEMM trailing updates and panel matvecs inside the

@@ -1,11 +1,14 @@
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cluster/kmeans.h"
 #include "cluster/spectral.h"
 #include "common/rng.h"
+#include "graph/eigengap.h"
 #include "linalg/sparse.h"
 #include "metrics/clustering_metrics.h"
 
@@ -185,6 +188,98 @@ TEST(SpectralTest, EmbeddingHasRequestedShape) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->embedding.rows(), 12);
   EXPECT_EQ(result->embedding.cols(), 2);
+}
+
+// A symmetric nonnegative affinity like a device's |C| + |C|^T: sparse
+// random within-block weights, faint cross-block leakage, and `isolated`
+// trailing zero-degree vertices.
+Matrix RandomAffinity(const std::vector<int64_t>& sizes, double cross,
+                      int64_t isolated, Rng* rng) {
+  int64_t n = isolated;
+  std::vector<int64_t> block;
+  for (size_t b = 0; b < sizes.size(); ++b) {
+    n += sizes[b];
+    block.insert(block.end(), static_cast<size_t>(sizes[b]),
+                 static_cast<int64_t>(b));
+  }
+  const int64_t connected = n - isolated;
+  Matrix w(n, n);
+  for (int64_t j = 0; j < connected; ++j) {
+    for (int64_t i = j + 1; i < connected; ++i) {
+      const bool same =
+          block[static_cast<size_t>(i)] == block[static_cast<size_t>(j)];
+      double v = 0.0;
+      if (same && rng->Uniform() < 0.3) v = rng->Uniform();
+      if (!same && rng->Uniform() < 0.02) v = cross * rng->Uniform();
+      w(i, j) = v;
+      w(j, i) = v;
+    }
+  }
+  return w;
+}
+
+// One eigensolve gives the r and labels of EstimateClusterCount followed by
+// SpectralCluster at that r, with the k-means seed drawn from the same rng
+// position, across isolated vertices, disconnected graphs (eigenvalue 1 of
+// M repeated), the max_clusters cap and orders on both sides of the engine
+// cutoff.
+TEST(EigengapSpectralTest, FusedMatchesTheSeparatePath) {
+  struct Case {
+    std::vector<int64_t> sizes;
+    double cross;
+    int64_t isolated;
+    int64_t max_clusters;
+  };
+  const std::vector<Case> cases = {
+      {{10, 12, 8}, 0.0, 0, 0},       // n = 30, three components
+      {{20, 25}, 0.05, 3, 0},         // n = 48, isolated vertices
+      {{60}, 0.0, 0, 0},              // one block: r may be 1
+      {{8, 8, 8, 8, 8, 8, 8, 8}, 0.0, 0, 3},  // n = 64, capped at 3
+      {{14, 14, 14, 14}, 0.0, 7, 2},  // n = 63 with isolated, capped
+      {{58, 60}, 0.05, 2, 0},         // n = 120, the noniid2_z160 order
+      {{40, 35, 45, 30}, 0.02, 0, 0},  // n = 150
+  };
+  Rng rng(91);
+  for (const Case& c : cases) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const Matrix w = RandomAffinity(c.sizes, c.cross, c.isolated, &rng);
+      SCOPED_TRACE("n=" + std::to_string(w.rows()) +
+                   " trial=" + std::to_string(trial));
+      EigengapOptions gap;
+      gap.max_clusters = c.max_clusters;
+      SpectralOptions options;
+
+      Rng separate_rng(7 + trial);
+      auto r = EstimateClusterCount(w, gap);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      std::vector<int64_t> labels(static_cast<size_t>(w.rows()), 0);
+      if (*r > 1) {
+        SpectralOptions at_r = options;
+        at_r.kmeans.seed = separate_rng.Next();
+        auto clusters = SpectralCluster(w, *r, at_r);
+        ASSERT_TRUE(clusters.ok()) << clusters.status().ToString();
+        labels = clusters->labels;
+      }
+
+      Rng fused_rng(7 + trial);
+      auto fused = EigengapSpectralCluster(w, gap, options, &fused_rng);
+      ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+      EXPECT_EQ(fused->num_clusters, *r);
+      EXPECT_EQ(fused->labels, labels);
+      EXPECT_EQ(fused_rng.Next(), separate_rng.Next());
+      if (c.max_clusters > 0) {
+        EXPECT_LE(fused->num_clusters, c.max_clusters);
+      }
+    }
+  }
+}
+
+TEST(EigengapSpectralTest, RejectsBadAffinities) {
+  Rng rng(1);
+  EXPECT_FALSE(
+      EigengapSpectralCluster(Matrix(3, 4), EigengapOptions{}, {}, &rng).ok());
+  EXPECT_FALSE(
+      EigengapSpectralCluster(Matrix(1, 1), EigengapOptions{}, {}, &rng).ok());
 }
 
 TEST(SpectralTest, ReportsKMeansIterationsOfBestRestart) {

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -70,6 +71,43 @@ TEST(LocalClusteringTest, PartitionsTwoSubspacesAndSamplesFromThem) {
     Axpy(-1.0, local->samples.ColData(s), reconstructed.data(), 24);
     EXPECT_LT(Norm2(reconstructed.data(), 24), 1e-6)
         << "sample " << s << " not in subspace " << truth_label;
+  }
+}
+
+// Eq. 5's draw depends on the subspace, not on the basis spanning it:
+// flipping column signs or rotating U inside its span leaves every sample
+// unchanged to rounding, and the sample is a unit vector in the span.
+TEST(LocalClusteringTest, SamplesDependOnlyOnTheSpan) {
+  Rng basis_rng(17);
+  for (const int64_t d : {1, 2, 4}) {
+    SCOPED_TRACE("d=" + std::to_string(d));
+    const int64_t n = 30;
+    const Matrix u = RandomOrthonormalBasis(n, d, &basis_rng);
+    Matrix flipped = u;
+    for (int64_t j = 0; j < d; j += 2) Scal(-1.0, flipped.ColData(j), n);
+    const Matrix q = RandomOrthonormalBasis(d, d, &basis_rng);
+    Matrix rotated(n, d);
+    Gemm(Trans::kNo, Trans::kNo, 1.0, u, q, 0.0, &rotated);
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      Rng a(seed);
+      Rng b(seed);
+      Rng c(seed);
+      const Vector theta = SampleFromSubspace(u, &a);
+      const Vector theta_flipped = SampleFromSubspace(flipped, &b);
+      const Vector theta_rotated = SampleFromSubspace(rotated, &c);
+      EXPECT_NEAR(Norm2(theta.data(), n), 1.0, 1e-12);
+      const Vector coords = Gemv(Trans::kTrans, u, theta);
+      EXPECT_NEAR(Norm2(coords.data(), d), 1.0, 1e-12);
+      for (int64_t i = 0; i < n; ++i) {
+        const auto ii = static_cast<size_t>(i);
+        EXPECT_NEAR(theta[ii], theta_flipped[ii], 1e-12) << "row " << i;
+        EXPECT_NEAR(theta[ii], theta_rotated[ii], 1e-12) << "row " << i;
+      }
+      // The three draws consumed the same stream.
+      const uint64_t next = a.Next();
+      EXPECT_EQ(next, b.Next());
+      EXPECT_EQ(next, c.Next());
+    }
   }
 }
 

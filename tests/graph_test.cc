@@ -1,4 +1,6 @@
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -164,6 +166,62 @@ TEST(EigengapTest, FromSpectrumDirect) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, 3);
   EXPECT_FALSE(EstimateClusterCountFromSpectrum({0.5}).ok());
+}
+
+// BlockAffinity with `isolated` zero-degree vertices appended.
+Matrix WithIsolated(const Matrix& w, int64_t isolated) {
+  const int64_t n = w.rows();
+  Matrix out(n + isolated, n + isolated);
+  for (int64_t j = 0; j < n; ++j) {
+    for (int64_t i = 0; i < n; ++i) out(i, j) = w(i, j);
+  }
+  return out;
+}
+
+// The mapped adjacency spectrum is the Laplacian's: 1 - mu off the isolated
+// vertices, an exact 0 at the front for each of them.
+TEST(EigengapTest, LaplacianSpectrumFromAdjacencyMatchesLaplacian) {
+  Rng rng(9);
+  for (const int64_t isolated : {0, 1, 3}) {
+    SCOPED_TRACE("isolated=" + std::to_string(isolated));
+    const Matrix w =
+        WithIsolated(BlockAffinity({6, 9, 7}, 0.02, &rng), isolated);
+    auto adjacency = SymmetricEigenvalues(NormalizedAdjacency(w));
+    auto laplacian = SymmetricEigenvalues(NormalizedLaplacian(w));
+    ASSERT_TRUE(adjacency.ok() && laplacian.ok());
+    const Vector mapped = LaplacianSpectrumFromAdjacency(*adjacency, Degrees(w));
+    ASSERT_EQ(mapped.size(), laplacian->size());
+    for (int64_t i = 0; i < isolated; ++i) {
+      EXPECT_EQ(mapped[static_cast<size_t>(i)], 0.0);
+    }
+    for (size_t i = 0; i < mapped.size(); ++i) {
+      EXPECT_NEAR(mapped[i], (*laplacian)[i], 1e-12) << "lambda " << i;
+    }
+  }
+}
+
+TEST(EigengapTest, IsolatedVerticesCountAsComponents) {
+  Rng rng(10);
+  const Matrix w = WithIsolated(BlockAffinity({6, 7}, 0.0, &rng), 2);
+  auto r = EstimateClusterCount(w);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, 4);
+}
+
+// The eigengap reads values only, the spectral step the full solve; both
+// must see the same spectrum of M, on both sides of the engine cutoff.
+TEST(EigengapTest, AdjacencyValuesMatchTheFullSolveBitForBit) {
+  Rng rng(11);
+  for (const std::vector<int64_t>& sizes :
+       std::vector<std::vector<int64_t>>{{10, 12, 8}, {30, 33}, {32, 32},
+                                         {40, 50, 30}}) {
+    const Matrix m = NormalizedAdjacency(BlockAffinity(sizes, 0.05, &rng));
+    SCOPED_TRACE("n=" + std::to_string(m.rows()));
+    auto values = SymmetricEigenvalues(m);
+    auto full = SymmetricEigen(m);
+    ASSERT_TRUE(values.ok() && full.ok());
+    ASSERT_EQ(*values, full->values);
+  }
 }
 
 TEST(EigengapTest, RejectsTinyInput) {

@@ -66,14 +66,16 @@ TEST(IntegrationTest, Fig4Shape_FedScBeatsKFed) {
   EXPECT_GT(acc_fedsc, acc_kfed + 20.0);
 }
 
-// Fig. 5 in miniature: accuracy degrades as L'/L grows.
+// Fig. 5 in miniature: accuracy degrades as L'/L grows. One draw of
+// either federation spreads by several points of ACC (sd ~6 at L' = 2), so
+// the figure's claim is checked on the mean over a fixed set of 20 dataset
+// seeds rather than on a single draw.
 TEST(IntegrationTest, Fig5Shape_HeterogeneityHelps) {
   SyntheticOptions synth;
   synth.ambient_dim = 16;
   synth.subspace_dim = 4;
   synth.num_subspaces = 10;
   synth.points_per_subspace = 120;
-  synth.seed = 103;
 
   auto accuracy_at = [&](int64_t l_prime) {
     MiniFederation m = Make(synth, 50, l_prime, 13);
@@ -81,8 +83,14 @@ TEST(IntegrationTest, Fig5Shape_HeterogeneityHelps) {
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return ClusteringAccuracy(m.data.labels, result->global_labels);
   };
-  const double acc2 = accuracy_at(2);
-  const double acc_iid = accuracy_at(0);
+  constexpr int kSeeds = 20;
+  double acc2 = 0.0;
+  double acc_iid = 0.0;
+  for (int i = 0; i < kSeeds; ++i) {
+    synth.seed = 300 + static_cast<uint64_t>(i);
+    acc2 += accuracy_at(2) / kSeeds;
+    acc_iid += accuracy_at(0) / kSeeds;
+  }
   EXPECT_GE(acc2, acc_iid - 3.0);
   EXPECT_GE(acc2, 90.0);
 }

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/spectral.h"
 #include "common/rng.h"
 #include "core/fedsc.h"
 #include "data/synthetic.h"
@@ -19,6 +20,7 @@
 #include "linalg/eig.h"
 #include "linalg/qr.h"
 #include "linalg/svd.h"
+#include "sc/affinity.h"
 #include "sc/sketch.h"
 #include "sc/ssc_admm.h"
 #include "sc/ssc_omp.h"
@@ -260,6 +262,43 @@ TEST(EigDeterminismTest, BlockedEngineMatchesSerialBitForBit) {
     auto values_only = SymmetricEigenvalues(a, options);
     ASSERT_TRUE(values_only.ok());
     ASSERT_EQ(serial->values, *values_only) << threads << " threads";
+  }
+}
+
+TEST(EigengapSpectralDeterminismTest, FusedLocalStepMatchesSerialExactly) {
+  // A device-sized affinity (120 points on two subspaces, the noniid2_z160
+  // shape) is above kBlockedEigCutoff, so the one eigensolve behind r and
+  // the embedding runs the threaded blocked reduction.
+  SyntheticOptions synth;
+  synth.ambient_dim = 20;
+  synth.subspace_dim = 4;
+  synth.num_subspaces = 2;
+  synth.points_per_subspace = 60;
+  synth.seed = 23;
+  auto data = GenerateUnionOfSubspaces(synth);
+  ASSERT_TRUE(data.ok());
+  Matrix x = data->points;
+  x.NormalizeColumns();
+  auto coefficients = SscSelfExpression(x, SscAdmmOptions{});
+  ASSERT_TRUE(coefficients.ok()) << coefficients.status().ToString();
+  const Matrix affinity = AffinityFromCoefficients(*coefficients).ToDense();
+  ASSERT_GE(affinity.rows(), kBlockedEigCutoff);
+
+  auto run = [&](int threads) {
+    SpectralOptions options;
+    options.num_threads = threads;
+    Rng rng(5);
+    return EigengapSpectralCluster(affinity, EigengapOptions{}, options, &rng);
+  };
+  auto serial = run(1);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  EXPECT_EQ(serial->num_clusters, 2);
+  for (int threads : kThreadCounts) {
+    auto threaded = run(threads);
+    ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+    EXPECT_EQ(serial->num_clusters, threaded->num_clusters)
+        << threads << " threads";
+    EXPECT_EQ(serial->labels, threaded->labels) << threads << " threads";
   }
 }
 

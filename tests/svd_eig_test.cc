@@ -414,6 +414,7 @@ TEST(EigEngineTest, AutoDispatchIsPureFunctionOfShape) {
   Rng rng(61);
   // Below the cutoff SymmetricEigen runs tred2 bit-for-bit; at the cutoff,
   // the blocked engine.
+  static_assert(40 < kBlockedEigCutoff, "n = 40 must reach tred2");
   for (const int64_t n : {int64_t{40}, kBlockedEigCutoff}) {
     Matrix a = RandomMatrix(n, n, &rng);
     a += a.Transposed();

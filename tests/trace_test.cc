@@ -169,6 +169,25 @@ TEST(MetricsDeterminismTest, CountersBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// Each device decomposes its affinity once: r^(z) and the spectral
+// embedding come from one eigensolve of the normalized adjacency. The other
+// eigensolves of a round are one Gram per Gram-route basis and the central
+// spectral step's one.
+TEST(MetricsDeterminismTest, OneEigensolvePerDeviceAffinity) {
+  auto fed = MakeFederation();
+  ASSERT_TRUE(fed.ok());
+  int64_t devices_with_affinity = 0;
+  for (const Matrix& points : fed->points) {
+    devices_with_affinity += points.cols() >= 3 ? 1 : 0;
+  }
+  ASSERT_EQ(devices_with_affinity, 6);
+  const MetricsSnapshot snapshot = RunFedScWithMetrics(*fed, 1);
+  const int64_t central_calls = 1;
+  EXPECT_EQ(snapshot.counters.at("linalg.eig.calls"),
+            devices_with_affinity +
+                snapshot.counters.at("linalg.basis.gram") + central_calls);
+}
+
 TEST(MetricsDeterminismTest, ExecutionCountersAreSegregated) {
   auto fed = MakeFederation();
   ASSERT_TRUE(fed.ok());
@@ -266,6 +285,26 @@ TEST(TraceTest, FullRunIsWellFormedAndExports) {
   // The local solves' end events carry the rank-6 dictionary they ran over.
   EXPECT_NE(json.find("\"args\":{\"dictionary_rows\":6}}"),
             std::string::npos);
+  // Each device's local/spectral span opens with the affinity's order and
+  // closes with the r^(z) its one eigensolve picked.
+  int spectral_begins = 0;
+  int spectral_ends = 0;
+  std::istringstream events(json);
+  for (std::string line; std::getline(events, line);) {
+    if (line.find("\"name\":\"local/spectral\"") == std::string::npos) {
+      continue;
+    }
+    if (line.find("\"ph\":\"B\"") != std::string::npos) {
+      ++spectral_begins;
+      EXPECT_NE(line.find("\"args\":{\"n\":"), std::string::npos) << line;
+    } else {
+      ++spectral_ends;
+      EXPECT_NE(line.find("\"args\":{\"r\":"), std::string::npos) << line;
+    }
+  }
+  EXPECT_EQ(spectral_begins, 6);
+  EXPECT_EQ(spectral_ends, 6);
+  EXPECT_EQ(json.find("local/eigengap"), std::string::npos);
   // Every begin pairs with an end.
   EXPECT_EQ(CountOccurrences(json, "\"ph\":\"B\""),
             CountOccurrences(json, "\"ph\":\"E\""));
