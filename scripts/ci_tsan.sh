@@ -10,7 +10,8 @@
 # and edge-case suites on the baseline ISA. Run from anywhere; artifacts go
 # to build-tsan/, build-asan/ and build-portable/. Each suite's wall time is
 # printed as a "[suite]" line, so a suite that slows down under a sanitizer
-# shows in the log.
+# shows in the log, and each pass opens with a "[tier]" line naming the
+# GEMM tier its suites resolve.
 set -euo pipefail
 
 # Runs one test binary and prints its wall time and exit status; a failing
@@ -27,6 +28,15 @@ run_suite() {
   return "${status}"
 }
 
+# Prints the GEMM micro-kernel tier a pass's suites resolve (cpuid, or
+# FEDSC_FORCE_ISA when set), so the log shows whether the pass exercised
+# the AVX-512 tier's thin-output route and in-register tile commit.
+print_tier() {
+  local pass="$1" build="$2"
+  printf '[tier] %s: %s\n' "${pass}" \
+    "$("${build}/tools/fedsc_cli" --print-isa | tr '\n' ' ')"
+}
+
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-tsan"
 
@@ -37,10 +47,13 @@ cmake -S "${repo_root}" -B "${build_dir}" \
 cmake --build "${build_dir}" -j "$(nproc)" \
   --target thread_pool_test parallel_determinism_test fedsc_test \
   server_test faults_test defense_test trace_test journal_test logging_test \
-  blas_test batch_test qr_cholesky_test svd_eig_test sketch_test sc_test
+  blas_test batch_test qr_cholesky_test svd_eig_test sketch_test sc_test \
+  fedsc_cli
 
 # halt_on_error makes the first race fail the run instead of just logging.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
+
+print_tier "TSAN" "${build_dir}"
 
 run_suite "${build_dir}/tests/thread_pool_test"
 run_suite "${build_dir}/tests/parallel_determinism_test"
@@ -88,6 +101,7 @@ run_suite "${build_dir}/tests/sc_test"
 # so the threaded packing/fan-out paths are race-checked on the exact code
 # the generic dispatch runs (the intrinsic tiers share the same driver; the
 # micro-kernels themselves touch only disjoint accumulators).
+FEDSC_FORCE_ISA=generic print_tier "TSAN forced-generic" "${build_dir}"
 FEDSC_FORCE_ISA=generic run_suite "${build_dir}/tests/blas_test"
 FEDSC_FORCE_ISA=generic run_suite "${build_dir}/tests/batch_test"
 FEDSC_FORCE_ISA=generic run_suite "${build_dir}/tests/parallel_determinism_test"
@@ -106,8 +120,9 @@ cmake --build "${asan_dir}" -j "$(nproc)" \
   --target faults_test defense_test server_test blas_test batch_test \
   parallel_determinism_test qr_cholesky_test svd_eig_test codec_test \
   wire_fuzz_test journal_test sketch_test sc_test edge_cases_test fed_test \
-  fedsc_test
+  fedsc_test fedsc_cli
 
+print_tier "ASAN" "${asan_dir}"
 run_suite "${asan_dir}/tests/faults_test"
 # Screening indexes per-sample peer lists and per-device slots built from
 # attacker-controlled pool shapes; ASAN gates the indexing.
@@ -160,6 +175,7 @@ run_suite "${asan_dir}/tests/fedsc_test"
 # Forced-generic pass, mirroring the TSAN one: the ragged packed-panel
 # tails differ per micro-tile shape, so the generic tier's edge handling
 # gets its own ASAN run.
+FEDSC_FORCE_ISA=generic print_tier "ASAN forced-generic" "${asan_dir}"
 FEDSC_FORCE_ISA=generic run_suite "${asan_dir}/tests/blas_test"
 FEDSC_FORCE_ISA=generic run_suite "${asan_dir}/tests/batch_test"
 FEDSC_FORCE_ISA=generic run_suite "${asan_dir}/tests/parallel_determinism_test"
@@ -187,8 +203,12 @@ cmake -S "${repo_root}" -B "${portable_dir}" \
 
 cmake --build "${portable_dir}" -j "$(nproc)" \
   --target sc_test sketch_test parallel_determinism_test blas_test \
-  batch_test property_test edge_cases_test
+  batch_test property_test edge_cases_test fedsc_cli
 
+# On an AVX-512 host this pass runs the AVX-512 tier compiled without FMA
+# contraction, where the routes' commits must round as a separate multiply
+# and add (linalg/gemm_kernel.h); blas_test's GemmRouteTest checks that.
+print_tier "Portable" "${portable_dir}"
 run_suite "${portable_dir}/tests/sc_test"
 run_suite "${portable_dir}/tests/sketch_test"
 run_suite "${portable_dir}/tests/parallel_determinism_test"

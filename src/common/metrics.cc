@@ -98,8 +98,9 @@ MetricsRegistry::MetricsRegistry() {
   // the full schema. See DESIGN.md "Observability".
   for (const char* name :
        {"linalg.gemm.calls", "linalg.gemm.flops", "linalg.gemm.bytes",
-        "linalg.gemm.blocked_calls", "linalg.syrk.calls", "linalg.syrk.flops",
-        "linalg.syrk.bytes", "linalg.gemv.calls",
+        "linalg.gemm.blocked_calls", "linalg.gemm.thin_calls",
+        "linalg.syrk.calls", "linalg.syrk.flops", "linalg.syrk.bytes",
+        "linalg.gemv.calls",
         "linalg.gemv.flops", "linalg.qr.calls", "linalg.qr.flops",
         "linalg.qr.blocked_calls", "linalg.svd.calls", "linalg.svd.sweeps",
         "linalg.svd.rotations", "linalg.svd.precond_qr",

@@ -1,6 +1,7 @@
 #include "linalg/gemm_kernel.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 
@@ -9,6 +10,7 @@
 #endif
 
 #include "common/check.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "linalg/blas.h"
 
@@ -38,6 +40,8 @@ using internal_gemm::kKc;
 using internal_gemm::kMc;
 using internal_gemm::kNc;
 using internal_gemm::kPrefetchAhead;
+using internal_gemm::kThinMaxRows;
+using internal_gemm::kThinNr;
 
 int64_t RoundUp(int64_t value, int64_t multiple) {
   return (value + multiple - 1) / multiple * multiple;
@@ -187,6 +191,22 @@ void MicroGeneric(int64_t kc, const double* __restrict apanel,
   }
 }
 
+// C += alpha * acc, rounded the one way every AVX-512 commit rounds: one
+// fused multiply-add where this translation unit is compiled with FMA
+// (__FMA__, the -march=native builds), a rounded product and a separate add
+// otherwise (the portable build). The buffered, in-register and thin-route
+// commits all use this rule, so which of them commits an element cannot
+// move its bits. It is spelled out rather than left to the compiler's
+// contraction of `c += alpha * acc`, which depends on the optimization
+// level (GCC contracts at -O2 and above only).
+inline double CommitFma(double alpha, double acc, double c) {
+#if defined(__FMA__)
+  return std::fma(alpha, acc, c);
+#else
+  return c + alpha * acc;
+#endif
+}
+
 #if defined(__x86_64__) || defined(__i386__)
 
 // AVX2+FMA 8x6 tier: 12 ymm accumulators + 2 A vectors + 1 broadcast = 15
@@ -223,15 +243,27 @@ __attribute__((target("avx2,fma"))) void MicroAvx2(
   }
 }
 
+__attribute__((target("avx512f"), always_inline)) inline __m512d CommitFma512(
+    __m512d alpha, __m512d acc, __m512d c) {
+#if defined(__FMA__)
+  return _mm512_fmadd_pd(alpha, acc, c);
+#else
+  // Inside this avx512f function the compiler would contract a plain
+  // multiply and add into one FMA; the empty asm pins the rounded product.
+  __m512d product = _mm512_mul_pd(alpha, acc);
+  __asm__("" : "+v"(product));
+  return _mm512_add_pd(c, product);
+#endif
+}
+
 // AVX-512 24x8 tier: 24 zmm accumulators + 3 A vectors + 1 broadcast = 28
 // of 32 registers. Three A loads feed eight broadcast columns, so the two
 // FMA ports stay saturated at one load per two FMAs — ~65 GFLOP/s single
 // thread at n = 512 on the 2.1 GHz Ice-Lake-class baseline host (97% of
 // the dual-FMA peak), vs ~38 for the generic tier.
-__attribute__((target("avx512f"))) void MicroAvx512(
+__attribute__((target("avx512f"), always_inline)) inline void TileAvx512(
     int64_t kc, const double* __restrict apanel,
-    const double* __restrict bpanel, double* __restrict acc) {
-  __m512d c[kAvx512Nr][3];
+    const double* __restrict bpanel, __m512d (&c)[kAvx512Nr][3]) {
   for (int j = 0; j < kAvx512Nr; ++j) {
     c[j][0] = _mm512_setzero_pd();
     c[j][1] = _mm512_setzero_pd();
@@ -257,10 +289,111 @@ __attribute__((target("avx512f"))) void MicroAvx512(
       c[j][2] = _mm512_fmadd_pd(a2, b, c[j][2]);
     }
   }
+}
+
+__attribute__((target("avx512f"))) void MicroAvx512(
+    int64_t kc, const double* __restrict apanel,
+    const double* __restrict bpanel, double* __restrict acc) {
+  __m512d c[kAvx512Nr][3];
+  TileAvx512(kc, apanel, bpanel, c);
   for (int j = 0; j < kAvx512Nr; ++j) {
     _mm512_store_pd(acc + j * kAvx512Mr, c[j][0]);
     _mm512_store_pd(acc + j * kAvx512Mr + 8, c[j][1]);
     _mm512_store_pd(acc + j * kAvx512Mr + 16, c[j][2]);
+  }
+}
+
+// The same tile committed to a full 24x8 block of C straight from the
+// accumulators, skipping MicroAvx512's stack buffer and scalar commit loop.
+__attribute__((target("avx512f"))) void TileCommitAvx512(
+    int64_t kc, const double* __restrict apanel,
+    const double* __restrict bpanel, double alpha, double* __restrict ctile,
+    int64_t ldc) {
+  __m512d c[kAvx512Nr][3];
+  TileAvx512(kc, apanel, bpanel, c);
+  const __m512d alpha_v = _mm512_set1_pd(alpha);
+  for (int j = 0; j < kAvx512Nr; ++j) {
+    double* col = ctile + j * ldc;
+    for (int v = 0; v < 3; ++v) {
+      _mm512_storeu_pd(col + 8 * v,
+                       CommitFma512(alpha_v, c[j][v],
+                                    _mm512_loadu_pd(col + 8 * v)));
+    }
+  }
+}
+
+// Thin-output route: C(0:m, j) += alpha * op(A)(0:m, pc:pc+kc) * B(pc:pc+kc,
+// j) for NC columns of a non-transposed B read in place, with op(A) packed
+// as one 8-lane k-major micro-panel (m <= 8 rows, zero-padded). One zmm
+// accumulator per output column runs the engine's per-element chain: FMAs
+// from zero in ascending p, then one commit per kc block.
+template <int NC>
+__attribute__((target("avx512f"))) void ThinColumnsAvx512(
+    int64_t kc, const double* __restrict apanel, const double* __restrict b,
+    int64_t ldb, double alpha, __mmask8 rows, double* __restrict c,
+    int64_t ldc) {
+  __m512d acc[NC];
+  FEDSC_UNROLL_FULL
+  for (int j = 0; j < NC; ++j) acc[j] = _mm512_setzero_pd();
+  for (int64_t p = 0; p < kc; ++p) {
+    const __m512d a = _mm512_load_pd(apanel + p * kThinMaxRows);
+    FEDSC_UNROLL_FULL
+    for (int j = 0; j < NC; ++j) {
+      acc[j] = _mm512_fmadd_pd(a, _mm512_set1_pd(b[j * ldb + p]), acc[j]);
+    }
+  }
+  const __m512d alpha_v = _mm512_set1_pd(alpha);
+  FEDSC_UNROLL_FULL
+  for (int j = 0; j < NC; ++j) {
+    double* col = c + j * ldc;
+    _mm512_mask_storeu_pd(
+        col, rows,
+        CommitFma512(alpha_v, acc[j], _mm512_maskz_loadu_pd(rows, col)));
+  }
+}
+
+// The thin route over all of C: op(A) is m x k with m <= kThinMaxRows, B is
+// k x n and not transposed. Threads split the 8-column groups with the
+// packed path's ParallelForRanges rule; every element commits its kc blocks
+// in ascending pc order, whatever the split.
+void ThinGemmAvx512(bool trans_a, double alpha, const double* a, int64_t lda,
+                    const double* b, int64_t ldb, int64_t m, int64_t k,
+                    int64_t n, Matrix* c, int num_threads) {
+  double* apack = LocalGemmScratch().apack.EnsureCapacity(
+      kThinMaxRows * std::min<int64_t>(k, kKc));
+  double* cdata = c->data();
+  const int64_t ldc = c->rows();
+  const auto rows = static_cast<__mmask8>((1u << m) - 1);
+  const int threads =
+      m * k * n < (1 << 16) ? 1 : std::min<int>(num_threads, 64);
+  const int64_t num_groups = (n + kThinNr - 1) / kThinNr;
+  for (int64_t pc = 0; pc < k; pc += kKc) {
+    const int64_t kc = std::min<int64_t>(kKc, k - pc);
+    PackA<kThinMaxRows>(a, lda, trans_a, 0, pc, m, kc, apack);
+    const double* bblock = b + pc;
+    ParallelForRanges(
+        0, num_groups, threads, [&](int64_t g0, int64_t g1, int /*chunk*/) {
+          int64_t j = g0 * kThinNr;
+          const int64_t j_end = std::min<int64_t>(n, g1 * kThinNr);
+          for (; j + kThinNr <= j_end; j += kThinNr) {
+            ThinColumnsAvx512<kThinNr>(kc, apack, bblock + j * ldb, ldb,
+                                       alpha, rows, cdata + j * ldc, ldc);
+          }
+          // A ragged last group runs as 4-, 2- and 1-column pieces.
+          for (int64_t width = 4; width >= 1; width /= 2) {
+            if (j_end - j < width) continue;
+            const double* bj = bblock + j * ldb;
+            double* cj = cdata + j * ldc;
+            if (width == 4) {
+              ThinColumnsAvx512<4>(kc, apack, bj, ldb, alpha, rows, cj, ldc);
+            } else if (width == 2) {
+              ThinColumnsAvx512<2>(kc, apack, bj, ldb, alpha, rows, cj, ldc);
+            } else {
+              ThinColumnsAvx512<1>(kc, apack, bj, ldb, alpha, rows, cj, ldc);
+            }
+            j += width;
+          }
+        });
   }
 }
 
@@ -270,18 +403,25 @@ __attribute__((target("avx512f"))) void MicroAvx512(
 
 using MicroFn = void (*)(int64_t, const double* __restrict,
                          const double* __restrict, double* __restrict);
+// A full MR x NR tile computed and committed to C without the acc buffer.
+using TileCommitFn = void (*)(int64_t, const double* __restrict,
+                              const double* __restrict, double,
+                              double* __restrict, int64_t);
 
 // Shared core for GEMM and the lower-triangle SYRK, instantiated once per
 // micro-kernel tier. When lower_only is set, micro-tiles strictly above the
 // diagonal are skipped and write-back stores only elements with global
 // row >= global column. MR/NR vary per tier but are not result-affecting:
 // each output element still receives the identical p-ascending partial-sum
-// sequence bounded by kKc.
-template <int MR, int NR, MicroFn Micro>
+// sequence bounded by kKc. A tier with a TileCommit kernel (AVX-512) commits
+// every element by CommitFma, from registers for full tiles that no
+// diagonal cuts when register_commit is set and through acc otherwise; the
+// other tiers keep the pre-dispatch `+=` commit.
+template <int MR, int NR, MicroFn Micro, TileCommitFn TileCommit = nullptr>
 void BlockedCoreT(bool trans_a, bool trans_b, double alpha, const double* a,
                   int64_t lda, const double* b, int64_t ldb, int64_t m,
                   int64_t k, int64_t n, Matrix* c, bool lower_only,
-                  int num_threads) {
+                  int num_threads, bool register_commit) {
   GemmScratch& scratch = LocalGemmScratch();
   double* apack = scratch.apack.EnsureCapacity(
       RoundUp(std::min<int64_t>(m, kMc), MR) * std::min<int64_t>(k, kKc));
@@ -326,15 +466,27 @@ void BlockedCoreT(bool trans_a, bool trans_b, double alpha, const double* a,
                   // where SYRK halves the flops.
                   if (lower_only && ic + ir + mr - 1 < jc + jr) continue;
                   const double* apanel = apack + (ir / MR) * kc * MR;
-                  Micro(kc, apanel, bpanel, acc);
                   double* ctile = cdata + (jc + jr) * ldc + ic + ir;
+                  if constexpr (TileCommit != nullptr) {
+                    if (register_commit && mr == MR && nr == NR &&
+                        (!lower_only || ic + ir >= jc + jr + NR - 1)) {
+                      TileCommit(kc, apanel, bpanel, alpha, ctile, ldc);
+                      continue;
+                    }
+                  }
+                  Micro(kc, apanel, bpanel, acc);
                   for (int64_t j = 0; j < nr; ++j) {
                     const int64_t lower_start =
                         lower_only
                             ? std::max<int64_t>(0, (jc + jr + j) - (ic + ir))
                             : 0;
                     for (int64_t i = lower_start; i < mr; ++i) {
-                      ctile[j * ldc + i] += alpha * acc[j * MR + i];
+                      if constexpr (TileCommit != nullptr) {
+                        ctile[j * ldc + i] = CommitFma(
+                            alpha, acc[j * MR + i], ctile[j * ldc + i]);
+                      } else {
+                        ctile[j * ldc + i] += alpha * acc[j * MR + i];
+                      }
                     }
                   }
                 }
@@ -347,7 +499,7 @@ void BlockedCoreT(bool trans_a, bool trans_b, double alpha, const double* a,
 
 using CoreFn = void (*)(bool, bool, double, const double*, int64_t,
                         const double*, int64_t, int64_t, int64_t, int64_t,
-                        Matrix*, bool, int);
+                        Matrix*, bool, int, bool);
 
 // Tier -> blocked-core instantiation, validated against cpuid first.
 CoreFn CoreForIsa(CpuIsa isa) {
@@ -361,7 +513,8 @@ CoreFn CoreForIsa(CpuIsa isa) {
     case CpuIsa::kAvx2:
       return &BlockedCoreT<kAvx2Mr, kAvx2Nr, &MicroAvx2>;
     case CpuIsa::kAvx512:
-      return &BlockedCoreT<kAvx512Mr, kAvx512Nr, &MicroAvx512>;
+      return &BlockedCoreT<kAvx512Mr, kAvx512Nr, &MicroAvx512,
+                           &TileCommitAvx512>;
 #else
     default:
       break;
@@ -380,8 +533,17 @@ void BlockedGemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
   const int64_t m = ta ? a.cols() : a.rows();
   const int64_t k = ta ? a.rows() : a.cols();
   const int64_t n = tb ? b.rows() : b.cols();
-  CoreForIsa(isa)(ta, tb, alpha, a.data(), a.rows(), b.data(), b.rows(), m, k,
-                  n, c, /*lower_only=*/false, num_threads);
+  const CoreFn core = CoreForIsa(isa);  // validates the tier first
+#if defined(__x86_64__) || defined(__i386__)
+  if (isa == CpuIsa::kAvx512 && !tb && m >= 1 && m <= kThinMaxRows) {
+    FEDSC_METRIC_COUNTER("linalg.gemm.thin_calls").Increment();
+    ThinGemmAvx512(ta, alpha, a.data(), a.rows(), b.data(), b.rows(), m, k,
+                   n, c, num_threads);
+    return;
+  }
+#endif
+  core(ta, tb, alpha, a.data(), a.rows(), b.data(), b.rows(), m, k, n, c,
+       /*lower_only=*/false, num_threads, /*register_commit=*/true);
 }
 
 void BlockedSyrkLower(Trans trans, double alpha, const Matrix& x, Matrix* c,
@@ -392,7 +554,24 @@ void BlockedSyrkLower(Trans trans, double alpha, const Matrix& x, Matrix* c,
   const int64_t nn = gram ? x.cols() : x.rows();
   const int64_t kk = gram ? x.rows() : x.cols();
   CoreForIsa(isa)(gram, !gram, alpha, x.data(), x.rows(), x.data(), x.rows(),
-                  nn, kk, nn, c, /*lower_only=*/true, num_threads);
+                  nn, kk, nn, c, /*lower_only=*/true, num_threads,
+                  /*register_commit=*/true);
 }
+
+namespace internal_gemm {
+
+void PackedGemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
+                const Matrix& b, Matrix* c, int num_threads, CpuIsa isa,
+                bool register_commit) {
+  const bool ta = trans_a != Trans::kNo;
+  const bool tb = trans_b != Trans::kNo;
+  const int64_t m = ta ? a.cols() : a.rows();
+  const int64_t k = ta ? a.rows() : a.cols();
+  const int64_t n = tb ? b.rows() : b.cols();
+  CoreForIsa(isa)(ta, tb, alpha, a.data(), a.rows(), b.data(), b.rows(), m, k,
+                  n, c, /*lower_only=*/false, num_threads, register_commit);
+}
+
+}  // namespace internal_gemm
 
 }  // namespace fedsc

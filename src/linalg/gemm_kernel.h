@@ -31,15 +31,36 @@
 // when the generic tier is compiled with FMA contraction, as Release builds
 // here are).
 //
+// Routes per tier. The generic and AVX2 tiers run every product through
+// the packed loop nest above and commit each micro-tile through a stack
+// buffer with `C += alpha * acc` as the compiler rounds it. The AVX-512 tier
+// adds two routes:
+//   * thin output: op(A) with at most kThinMaxRows (8) rows against a
+//     non-transposed B. Only op(A) is packed (one 8-lane k-major panel per
+//     kc block, zero-padded rows); B's columns are read in place, and each
+//     output column keeps one zmm accumulator, kThinNr columns at a time.
+//     The SSC Z-update's T = K M (k = 8 rows) takes it.
+//   * in-register commit: a full 24x8 tile that no diagonal cuts commits to
+//     C straight from its accumulators (Z += R^T T takes it); edge and
+//     diagonal tiles still commit through the buffer.
+// Every AVX-512 commit, buffered or not, rounds one way: a fused
+// multiply-add where the translation unit is compiled with FMA (__FMA__,
+// the -march=native builds), a rounded product and a separate add otherwise
+// (the portable build). So the routes reproduce the packed, buffered
+// AVX-512 bits in every build, and in Release builds those equal the
+// compiler's contraction of `C += alpha * acc` (GCC contracts at -O2 and
+// above, not at the sanitizer builds' -O1).
+//
 // Determinism contract (DESIGN.md "Blocked GEMM & packing"): every output
 // element accumulates its kc-block partial sums in ascending p order inside
-// the micro-kernel and commits them to C in ascending pc order, a sequence
-// that depends only on the shapes and the fixed kKc — never on num_threads,
-// mc/nc, or which micro-tile (full or edge-padded) computes it. The jr loop
-// is parallelized with ParallelForRanges over disjoint output columns, so
-// results are bit-identical for every thread count. Switching between this
-// engine and the column-panel kernels IS result-affecting (different
-// summation order); linalg/blas.h documents the shape cutoff.
+// the micro-kernel (one FMA chain from zero) and commits them to C in
+// ascending pc order, a sequence that depends only on the shapes and the
+// fixed kKc — never on num_threads, mc/nc, the route, or which micro-tile
+// (full or edge-padded) computes it. The jr loop (the thin route's column
+// groups) is parallelized with ParallelForRanges over disjoint output
+// columns, so results are bit-identical for every thread count. Switching
+// between this engine and the column-panel kernels IS result-affecting
+// (different summation order); linalg/blas.h documents the shape cutoff.
 
 #ifndef FEDSC_LINALG_GEMM_KERNEL_H_
 #define FEDSC_LINALG_GEMM_KERNEL_H_
@@ -59,7 +80,9 @@ enum class Trans;  // defined in linalg/blas.h
 // ResolveDefaultIsa().chosen; tests and benchmarks pass each tier); a tier
 // this host cannot execute aborts rather than faulting on an illegal
 // instruction. num_threads parallelizes the jr (output-column) loop
-// bit-exactly.
+// bit-exactly. On the AVX-512 tier the thin-output route and the
+// in-register commit apply (see above); they reproduce PackedGemm's
+// buffered bits exactly.
 void BlockedGemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
                  const Matrix& b, Matrix* c, int num_threads,
                  CpuIsa isa = CpuIsa::kGeneric);
@@ -95,6 +118,10 @@ inline constexpr int kAvx2Nr = 6;
 // halving the per-FMA load traffic of the generic 16x6 shape.
 inline constexpr int kAvx512Mr = 24;
 inline constexpr int kAvx512Nr = 8;
+// AVX-512 thin-output route: op(A) rows up to one zmm of lanes, output
+// columns kThinNr at a time (8 accumulators + 1 A vector + 1 broadcast).
+inline constexpr int kThinMaxRows = 8;
+inline constexpr int kThinNr = 8;
 // Compatibility aliases (the generic tier's shape, as before dispatch).
 inline constexpr int kMr = kGenericMr;
 inline constexpr int kNr = kGenericNr;
@@ -107,6 +134,14 @@ inline constexpr int kPrefetchAhead = 4;
 inline constexpr int64_t kMc = 96;   // A block rows   (apack ~= mc*kc in L2)
 inline constexpr int64_t kKc = 256;  // rank-kc update depth; result-affecting
 inline constexpr int64_t kNc = 1024; // B block columns (bpack streams from L3)
+
+// The packed loop nest alone, for tests and benchmarks: BlockedGemm without
+// the thin-output route, and with register_commit = false every AVX-512
+// micro-tile commits through the acc buffer. BlockedGemm equals it with
+// register_commit = false bit for bit on every tier and shape.
+void PackedGemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
+                const Matrix& b, Matrix* c, int num_threads, CpuIsa isa,
+                bool register_commit);
 }  // namespace internal_gemm
 
 }  // namespace fedsc

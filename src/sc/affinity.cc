@@ -69,9 +69,11 @@ SparseMatrix AffinityFromLandmarkCoefficients(const SparseMatrix& c,
           scores[static_cast<size_t>(j)] += v_ia * v_aj;
         }
       }
-      // Touched indices accumulate in CSR traversal order; restore index
-      // order so the emitted stream is a pure function of the input.
-      std::sort(touched.begin(), touched.end());
+      // Touched indices accumulate in CSR traversal order. The selection
+      // order (score descending, index ascending) is a strict total order,
+      // so the kept top q is the same set whatever order nth_element sees;
+      // sorting only the kept indices back into index order then makes the
+      // emitted stream a pure function of the input.
       auto* keep_begin = touched.data();
       auto* keep_end = keep_begin + touched.size();
       if (top_q > 0 && top_q < static_cast<int64_t>(touched.size())) {
@@ -84,8 +86,8 @@ SparseMatrix AffinityFromLandmarkCoefficients(const SparseMatrix& c,
                            if (sa != sb) return sa > sb;
                            return a < b;
                          });
-        std::sort(keep_begin, keep_end);
       }
+      std::sort(keep_begin, keep_end);
       for (auto* it = keep_begin; it != keep_end; ++it) {
         const double s = scores[static_cast<size_t>(*it)];
         triplets.push_back({i, *it, s});

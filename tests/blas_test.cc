@@ -411,5 +411,140 @@ TEST(GemmIsaTest, SyrkTiersAreThreadInvariantAndAgreeToUlpPolicy) {
   }
 }
 
+// ---- AVX-512 routes (linalg/gemm_kernel.h) ----
+
+// The thin-output route (op(A) with at most 8 rows, B not transposed) must
+// reproduce the packed AVX-512 loop nest with buffered commits bit for bit:
+// every row count a zmm holds, depths on both sides of the kc boundary,
+// full and ragged 8-column groups, both op(A) layouts, the alpha/beta
+// cases, and thread counts that split the column groups differently.
+TEST(GemmRouteTest, ThinRouteMatchesPackedBitForBit) {
+  if (!CpuIsaSupported(CpuIsa::kAvx512)) {
+    GTEST_SKIP() << "this host cannot run the AVX-512 tier";
+  }
+  const Trans kinds[] = {Trans::kNo, Trans::kTrans};
+  Rng rng(233);
+  for (int64_t m = 1; m <= internal_gemm::kThinMaxRows; ++m) {
+    for (int64_t k : {1, 7, 255, 256, 257, 600}) {
+      for (int64_t n : {1, 7, 8, 9, 130}) {
+        const Matrix b = RandomMatrix(k, n, &rng);
+        const Matrix c0 = RandomMatrix(m, n, &rng);
+        for (Trans ta : kinds) {
+          const Matrix a = ta == Trans::kNo ? RandomMatrix(m, k, &rng)
+                                            : RandomMatrix(k, m, &rng);
+          for (double alpha : {1.0, -1.0, 0.75}) {
+            for (double beta : {0.0, 0.5, 1.0}) {
+              Matrix packed = c0;
+              packed *= beta;
+              const Matrix start = packed;
+              internal_gemm::PackedGemm(ta, Trans::kNo, alpha, a, b, &packed,
+                                        1, CpuIsa::kAvx512,
+                                        /*register_commit=*/false);
+              for (int nt : {1, 2, 8}) {
+                Matrix thin = start;
+                BlockedGemm(ta, Trans::kNo, alpha, a, b, &thin, nt,
+                            CpuIsa::kAvx512);
+                const std::string what =
+                    "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                    " n=" + std::to_string(n) +
+                    " trans_a=" + std::to_string(ta == Trans::kTrans) +
+                    " alpha=" + std::to_string(alpha) +
+                    " beta=" + std::to_string(beta) +
+                    " nt=" + std::to_string(nt);
+                ExpectBitEqual(thin, packed, what.c_str());
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Full 24x8 tiles commit from registers; edge tiles (rows past a multiple
+// of 24, columns past a multiple of 8, the kMc = 96 row-block seam) still
+// go through the acc buffer. Either way the bits must equal the all-buffered
+// loop nest, on every transpose combination and thread count.
+TEST(GemmRouteTest, RegisterCommitMatchesBufferedCommit) {
+  if (!CpuIsaSupported(CpuIsa::kAvx512)) {
+    GTEST_SKIP() << "this host cannot run the AVX-512 tier";
+  }
+  const Trans kinds[] = {Trans::kNo, Trans::kTrans};
+  Rng rng(239);
+  for (int64_t m : {24, 61, 120, 200}) {
+    for (int64_t k : {8, 256, 300}) {
+      for (int64_t n : {8, 21, 120}) {
+        const Matrix c0 = RandomMatrix(m, n, &rng);
+        for (Trans ta : kinds) {
+          for (Trans tb : kinds) {
+            const Matrix a = ta == Trans::kNo ? RandomMatrix(m, k, &rng)
+                                              : RandomMatrix(k, m, &rng);
+            const Matrix b = tb == Trans::kNo ? RandomMatrix(k, n, &rng)
+                                              : RandomMatrix(n, k, &rng);
+            for (double alpha : {1.0, -1.0, 0.75}) {
+              Matrix buffered = c0;
+              buffered *= 0.5;
+              const Matrix start = buffered;
+              internal_gemm::PackedGemm(ta, tb, alpha, a, b, &buffered, 1,
+                                        CpuIsa::kAvx512,
+                                        /*register_commit=*/false);
+              const std::string what =
+                  "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                  " n=" + std::to_string(n) + " trans=" +
+                  std::to_string(ta == Trans::kTrans) +
+                  std::to_string(tb == Trans::kTrans) +
+                  " alpha=" + std::to_string(alpha);
+              for (int nt : {1, 8}) {
+                Matrix in_register = start;
+                internal_gemm::PackedGemm(ta, tb, alpha, a, b, &in_register,
+                                          nt, CpuIsa::kAvx512,
+                                          /*register_commit=*/true);
+                ExpectBitEqual(in_register, buffered,
+                               (what + " nt=" + std::to_string(nt)).c_str());
+                Matrix routed = start;
+                BlockedGemm(ta, tb, alpha, a, b, &routed, nt,
+                            CpuIsa::kAvx512);
+                ExpectBitEqual(routed, buffered,
+                               (what + " routed nt=" + std::to_string(nt))
+                                   .c_str());
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Syrk commits its full tiles below the diagonal from registers and the
+// tiles the diagonal cuts through the buffer; its lower triangle must equal
+// the buffered GEMM of the same operands bit for bit.
+TEST(GemmRouteTest, SyrkRegisterCommitMatchesBufferedGemm) {
+  if (!CpuIsaSupported(CpuIsa::kAvx512)) {
+    GTEST_SKIP() << "this host cannot run the AVX-512 tier";
+  }
+  Rng rng(241);
+  for (const auto& [rows, cols] :
+       {std::pair<int64_t, int64_t>{70, 61}, {300, 130}, {40, 200}}) {
+    const Matrix x = RandomMatrix(rows, cols, &rng);
+    for (Trans trans : {Trans::kTrans, Trans::kNo}) {
+      const int64_t nn = trans == Trans::kTrans ? cols : rows;
+      Matrix syrk(nn, nn);
+      BlockedSyrkLower(trans, -0.75, x, &syrk, 2, CpuIsa::kAvx512);
+      Matrix gemm(nn, nn);
+      const Trans other = trans == Trans::kTrans ? Trans::kNo : Trans::kTrans;
+      internal_gemm::PackedGemm(trans, other, -0.75, x, x, &gemm, 1,
+                                CpuIsa::kAvx512, /*register_commit=*/false);
+      for (int64_t j = 0; j < nn; ++j) {
+        for (int64_t i = j; i < nn; ++i) {
+          ASSERT_EQ(syrk(i, j), gemm(i, j))
+              << rows << "x" << cols << " trans=" << (trans == Trans::kTrans)
+              << " at (" << i << ", " << j << ")";
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fedsc

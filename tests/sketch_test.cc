@@ -8,6 +8,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -305,6 +306,78 @@ TEST(SketchedRunTest, LandmarkAffinityRespectsTopQMemoryBound) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_LE(result->affinity.nnz(), 2 * n * q);
   EXPECT_GT(result->affinity.nnz(), 0);
+}
+
+// The landmark affinity as it was first written: sort each point's whole
+// touched list by index, then select its top q (score descending, index
+// ascending) and sort the kept ones by index again.
+SparseMatrix SortFirstLandmarkAffinity(const SparseMatrix& c, int64_t top_q) {
+  const int64_t n = c.cols();
+  const SparseMatrix ct = c.Transposed();
+  std::vector<Triplet> triplets;
+  for (int64_t i = 0; i < n; ++i) {
+    std::vector<double> scores(static_cast<size_t>(n), 0.0);
+    std::vector<int64_t> touched;
+    for (int64_t k = ct.row_ptr()[i]; k < ct.row_ptr()[i + 1]; ++k) {
+      const int64_t a = ct.col_idx()[k];
+      const double v_ia = std::fabs(ct.values()[k]);
+      if (v_ia == 0.0) continue;
+      for (int64_t m = c.row_ptr()[a]; m < c.row_ptr()[a + 1]; ++m) {
+        const int64_t j = c.col_idx()[m];
+        const double v_aj = std::fabs(c.values()[m]);
+        if (j == i || v_aj == 0.0) continue;
+        if (scores[j] == 0.0) touched.push_back(j);
+        scores[j] += v_ia * v_aj;
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    if (top_q > 0 && top_q < static_cast<int64_t>(touched.size())) {
+      std::nth_element(touched.begin(), touched.begin() + (top_q - 1),
+                       touched.end(), [&](int64_t a, int64_t b) {
+                         if (scores[a] != scores[b]) {
+                           return scores[a] > scores[b];
+                         }
+                         return a < b;
+                       });
+      touched.resize(static_cast<size_t>(top_q));
+      std::sort(touched.begin(), touched.end());
+    }
+    for (int64_t j : touched) {
+      triplets.push_back({i, j, scores[j]});
+      triplets.push_back({j, i, scores[j]});
+    }
+  }
+  return SparseMatrix::FromTriplets(n, n, std::move(triplets));
+}
+
+// Coefficients of magnitude 1 or 2 over 5 atoms make most neighbor scores
+// equal, so the top-q cut falls inside long runs of tied scores, where only
+// the index tie-break decides. Selecting first and sorting only the kept q
+// must emit the sort-first triplets bit for bit, for every q (including
+// q <= 0 and q past every touched list) and thread count.
+TEST(SketchedRunTest, LandmarkAffinityTopQMatchesSortFirstUnderTies) {
+  constexpr int64_t kAtoms = 5;
+  constexpr int64_t kPoints = 150;
+  Rng rng(43);
+  std::vector<Triplet> entries;
+  for (int64_t j = 0; j < kPoints; ++j) {
+    for (int64_t a = 0; a < kAtoms; ++a) {
+      if (rng.Uniform() < 0.4) continue;
+      const double magnitude = rng.Uniform() < 0.8 ? 1.0 : 2.0;
+      entries.push_back({a, j, rng.Uniform() < 0.5 ? -magnitude : magnitude});
+    }
+  }
+  const SparseMatrix c =
+      SparseMatrix::FromTriplets(kAtoms, kPoints, std::move(entries));
+  for (int64_t q : {int64_t{0}, int64_t{1}, int64_t{3}, int64_t{10},
+                    int64_t{60}, kPoints}) {
+    const SparseMatrix expected = SortFirstLandmarkAffinity(c, q);
+    for (int threads : {1, 2, 8}) {
+      EXPECT_TRUE(SparseExactlyEqual(
+          AffinityFromLandmarkCoefficients(c, q, threads), expected))
+          << "q=" << q << " nt=" << threads;
+    }
+  }
 }
 
 TEST(SketchedRunTest, EndToEndFederatedRoundWithFaultsAndDefense) {

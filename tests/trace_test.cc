@@ -10,12 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include "common/isa.h"
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "common/trace.h"
 #include "core/fedsc.h"
 #include "data/synthetic.h"
 #include "fed/partition.h"
 #include "linalg/batch.h"
+#include "linalg/blas.h"
+#include "sc/ssc_admm.h"
 
 namespace fedsc {
 namespace {
@@ -186,6 +190,42 @@ TEST(MetricsDeterminismTest, OneEigensolvePerDeviceAffinity) {
   EXPECT_EQ(snapshot.counters.at("linalg.eig.calls"),
             devices_with_affinity +
                 snapshot.counters.at("linalg.basis.gram") + central_calls);
+}
+
+// On the AVX-512 tier the exact solve of a rank-8 device (20 x 120) runs
+// its Z-update's T = K M (8 x 120 x 120) on the GEMM's thin-output route,
+// once per iteration. The route reproduces the packed path's bits, so the
+// solve counts the iterations and GEMM flops the packed path gave this
+// device: 108 and 49,797,120, recorded before the route existed.
+TEST(MetricsDeterminismTest, ThinGemmRouteLeavesTheDeviceSolveUnchanged) {
+  if (ResolveDefaultIsa().chosen != CpuIsa::kAvx512) {
+    GTEST_SKIP() << "the thin-output route belongs to the AVX-512 tier; this "
+                 << "process runs " << CpuIsaName(ResolveDefaultIsa().chosen);
+  }
+  Rng rng(47);
+  Matrix u(20, 8);
+  Matrix v(8, 120);
+  for (int64_t j = 0; j < 8; ++j) {
+    for (int64_t i = 0; i < 20; ++i) u(i, j) = rng.Gaussian();
+  }
+  for (int64_t j = 0; j < 120; ++j) {
+    for (int64_t i = 0; i < 8; ++i) v(i, j) = rng.Gaussian();
+  }
+  Matrix x = MatMul(u, v);
+  x.NormalizeColumns();
+
+  ResetMetrics();
+  EnableMetrics(true);
+  SscAdmmInfo info;
+  const auto c = SscSelfExpression(x, SscAdmmOptions(), &info);
+  EnableMetrics(false);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  ASSERT_EQ(info.dictionary_rows, 8);
+  const MetricsSnapshot snapshot = SnapshotMetrics();
+  EXPECT_GT(snapshot.counters.at("linalg.gemm.thin_calls"), 0);
+  EXPECT_EQ(snapshot.counters.at("linalg.gemm.thin_calls"), info.iterations);
+  EXPECT_EQ(snapshot.counters.at("sc.ssc_admm.iterations"), 108);
+  EXPECT_EQ(snapshot.counters.at("linalg.gemm.flops"), 49797120);
 }
 
 TEST(MetricsDeterminismTest, ExecutionCountersAreSegregated) {
