@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the hand-built linear-algebra
-// substrate: GEMM, QR, Cholesky, Jacobi SVD, symmetric eigensolver, sparse
-// SpMV, and Lanczos.
+// substrate: GEMM, QR, Cholesky, Jacobi SVD, symmetric eigensolver, and
+// sparse SpMV.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,6 @@
 #include "linalg/cholesky.h"
 #include "linalg/eig.h"
 #include "linalg/gemm_kernel.h"
-#include "linalg/lanczos.h"
 #include "linalg/qr.h"
 #include "linalg/sparse.h"
 #include "linalg/svd.h"
@@ -280,7 +279,7 @@ void BM_QrVariant(benchmark::State& state) {
   Rng rng(10);
   const Matrix a = RandomMatrix(m, n, &rng);
   for (auto _ : state) {
-    const QrResult qr = blocked ? internal_qr::BlockedQr(a, 1)
+    const QrResult qr = blocked ? internal_qr::BlockedQr(a)
                                 : internal_qr::UnblockedQr(a);
     benchmark::DoNotOptimize(qr.q.data());
   }
@@ -288,8 +287,12 @@ void BM_QrVariant(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(4.0 * n * n * (m - n / 3.0)));
 }
+// 512 x 40 adds the QR inside the preconditioned SVD of a k-FED PCA device
+// of table3's EMNIST-sim (D = 512, 15-67 points per device, median 37).
 BENCHMARK(BM_QrVariant)
-    ->ArgsProduct({{256, 1024, 4096}, {8, 32, 128}, {0, 1}});
+    ->ArgsProduct({{256, 1024, 4096}, {8, 32, 128}, {0, 1}})
+    ->Args({512, 40, 0})
+    ->Args({512, 40, 1});
 
 void BM_Cholesky(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -314,25 +317,6 @@ void BM_JacobiSvd(benchmark::State& state) {
 }
 BENCHMARK(BM_JacobiSvd)->Arg(16)->Arg(64);
 
-// Thread-count sweep over the round-robin Jacobi sweep (the 4*cols x cols
-// input is above the round-robin cutoff for cols >= 64), on the wall clock
-// like BM_GemmNNThreads.
-void BM_JacobiSvdThreads(benchmark::State& state) {
-  const int64_t cols = state.range(0);
-  const int threads = static_cast<int>(state.range(1));
-  Rng rng(5);
-  const Matrix a = RandomMatrix(4 * cols, cols, &rng);
-  SvdOptions options;
-  options.num_threads = threads;
-  for (auto _ : state) {
-    auto svd = JacobiSvd(a, options);
-    benchmark::DoNotOptimize(svd->s.data());
-  }
-}
-BENCHMARK(BM_JacobiSvdThreads)
-    ->ArgsProduct({{64}, {1, 2, 4, 8}})
-    ->UseRealTime();
-
 // QR-preconditioned vs. plain one-sided Jacobi on tall-skinny inputs: the
 // preconditioner moves every rotation from O(m) to O(n) work.
 // items_per_second counts the thin-SVD's useful flops (~6 m n^2 + n^3),
@@ -345,14 +329,21 @@ void BM_SvdTall(benchmark::State& state) {
   Rng rng(5);
   const Matrix a = RandomMatrix(m, n, &rng);
   for (auto _ : state) {
-    auto svd = precond ? internal_svd::QrPreconditionedSvd(a, {})
-                       : internal_svd::PlainJacobiSvd(a, {});
+    auto svd = precond ? internal_svd::QrPreconditionedSvd(a)
+                       : internal_svd::PlainJacobiSvd(a);
     benchmark::DoNotOptimize(svd->s.data());
   }
   state.SetLabel(precond ? "precond_qr" : "plain");
   state.SetItemsProcessed(state.iterations() * (6 * m * n * n + n * n * n));
 }
+// 512 x 40 and 256 x 45 are k-FED PCA device shapes of table3's EMNIST-sim
+// (median 37 points) and COIL-sim (largest device, 45 points); JacobiSvd
+// preconditions both.
 BENCHMARK(BM_SvdTall)
+    ->Args({512, 40, 0})
+    ->Args({512, 40, 1})
+    ->Args({256, 45, 0})
+    ->Args({256, 45, 1})
     ->Args({1024, 32, 0})
     ->Args({1024, 32, 1})
     ->Args({1024, 128, 0})
@@ -530,20 +521,6 @@ void BM_SparseMatVec(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * m.nnz());
 }
 BENCHMARK(BM_SparseMatVec)->Arg(1000)->Arg(10000);
-
-void BM_LanczosTop10(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Rng rng(9);
-  const SparseMatrix m = RandomSparseSymmetric(n, 8, &rng);
-  const SymmetricOperator apply = [&m](const double* x, double* y) {
-    m.Multiply(x, y);
-  };
-  for (auto _ : state) {
-    auto eig = LanczosLargest(apply, n, 10);
-    benchmark::DoNotOptimize(eig->values.data());
-  }
-}
-BENCHMARK(BM_LanczosTop10)->Arg(1000)->Arg(4000);
 
 }  // namespace
 }  // namespace fedsc

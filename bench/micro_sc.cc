@@ -169,8 +169,8 @@ void BM_FedScBasisTallD(benchmark::State& state) {
   options.seed = 23;
   auto data = GenerateUnionOfSubspaces(options);
   for (auto _ : state) {
-    auto svd = precond ? internal_svd::QrPreconditionedSvd(data->points, {})
-                       : internal_svd::PlainJacobiSvd(data->points, {});
+    auto svd = precond ? internal_svd::QrPreconditionedSvd(data->points)
+                       : internal_svd::PlainJacobiSvd(data->points);
     const Matrix basis = svd->u.ColRange(0, 4);
     benchmark::DoNotOptimize(basis.data());
   }

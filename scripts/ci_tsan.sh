@@ -5,7 +5,8 @@
 # fault suite plus the wire-decoder fuzzer under ASAN (corrupted payloads
 # and mutated wire bytes exercise truncated / duplicated / wrong-dimension /
 # length-lying buffers, exactly where an out-of-bounds read would hide),
-# along with the SSC-ADMM edge cases and their many operator re-forms.
+# along with the SSC-ADMM edge cases and their many operator re-forms and
+# the CSR sparse matrix.
 # Last, a Release build without -march=native runs the ADMM, GEMM, property
 # and edge-case suites on the baseline ISA. Run from anywhere; artifacts go
 # to build-tsan/, build-asan/ and build-portable/. Each suite's wall time is
@@ -120,7 +121,7 @@ cmake --build "${asan_dir}" -j "$(nproc)" \
   --target faults_test defense_test server_test blas_test batch_test \
   parallel_determinism_test qr_cholesky_test svd_eig_test codec_test \
   wire_fuzz_test journal_test sketch_test sc_test edge_cases_test fed_test \
-  fedsc_test fedsc_cli
+  fedsc_test sparse_lanczos_test fedsc_cli
 
 print_tier "ASAN" "${asan_dir}"
 run_suite "${asan_dir}/tests/faults_test"
@@ -171,6 +172,10 @@ run_suite "${asan_dir}/tests/fed_test"
 # payload columns, and Phase 3 aligns each device's assignments to its
 # honest upload; ASAN gates both.
 run_suite "${asan_dir}/tests/fedsc_test"
+# CSR assembly sorts and merges triplets into row pointers, and subspace
+# iteration (the sparse spectral-clustering backend) walks them per matvec;
+# ASAN gates the row-pointer and column-index arithmetic.
+run_suite "${asan_dir}/tests/sparse_lanczos_test"
 
 # Forced-generic pass, mirroring the TSAN one: the ragged packed-panel
 # tails differ per micro-tile shape, so the generic tier's edge handling

@@ -106,9 +106,6 @@ MetricsRegistry::MetricsRegistry() {
         "linalg.svd.rotations", "linalg.svd.precond_qr",
         "linalg.basis.gram", "linalg.basis.looped",
         "linalg.eig.calls", "linalg.eig.tridiag_flops",
-        "linalg.lanczos.calls",
-        "linalg.lanczos.iterations", "linalg.lanczos.restarts",
-        "linalg.lanczos.reorthogonalizations",
         "linalg.subspace_iteration.calls",
         "linalg.subspace_iteration.iterations", "sc.ssc_admm.solves",
         "sc.ssc_admm.iterations", "sc.ssc_admm.converged",

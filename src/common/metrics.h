@@ -3,9 +3,10 @@
 //
 // The paper's headline claims are running-time claims (T = sum_z T^(z) + T_c,
 // Section IV-E / VI), so the kernels report *what they computed* — ADMM
-// iterations, Jacobi sweeps and rotations, Lanczos steps, GEMM calls and FLOP
-// estimates, communication bits — not just how long it took. Two metric
-// classes keep that reconcilable with the bit-exact threading contract:
+// iterations, Jacobi sweeps and rotations, subspace-iteration steps, GEMM
+// calls and FLOP estimates, communication bits — not just how long it took.
+// Two metric classes keep that reconcilable with the bit-exact threading
+// contract:
 //
 //  * kDeterministic — the value is a pure function of (input, options) and is
 //    bit-identical for every num_threads. Counters and histograms only ever

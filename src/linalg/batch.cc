@@ -14,29 +14,6 @@ namespace fedsc {
 
 namespace {
 
-// Panels with max |x| outside [2^-kPrescaleExponent, 2^kPrescaleExponent]
-// are prescaled (see batch.h).
-constexpr int kPrescaleExponent = 250;
-
-// The exponent e with max|x| * 2^-e in [0.5, 1) when max|x| lies outside
-// that range, else 0 (also for an all-zero or non-finite panel, which the
-// routes below reject on their own).
-int PrescaleExponent(const Matrix& x) {
-  double peak = 0.0;
-  const double* data = x.data();
-  for (int64_t i = 0; i < x.size(); ++i) {
-    peak = std::max(peak, std::fabs(data[i]));
-  }
-  if (!(peak > 0.0) || !std::isfinite(peak) ||
-      (peak >= std::ldexp(1.0, -kPrescaleExponent) &&
-       peak <= std::ldexp(1.0, kPrescaleExponent))) {
-    return 0;
-  }
-  int e = 0;
-  std::frexp(peak, &e);
-  return e;
-}
-
 // The Gram route (see batch.h): one symmetric eigensolve of the smaller
 // Gram matrix. Returns nothing when the route cannot deliver an
 // orthonormal basis — sigma_r / sigma_1 <= kGramSigmaFloor, a failed
@@ -102,15 +79,8 @@ Result<Matrix> PanelSubspace(const Matrix& panel,
   // An empty panel has no spectrum: PrincipalSubspace types the error.
   if (panel.empty()) return PrincipalSubspace(panel, options.rank);
   // Exact power-of-two scaling leaves the span, and so the basis, unchanged.
-  const int e = PrescaleExponent(panel);
   Matrix scaled;
-  if (e != 0) {
-    scaled = panel;
-    double* data = scaled.data();
-    for (int64_t i = 0; i < scaled.size(); ++i) {
-      data[i] = std::ldexp(data[i], -e);
-    }
-  }
+  const int e = internal_svd::Prescale(panel, &scaled);
   const Matrix& x = e == 0 ? panel : scaled;
   if (options.rank > 0 || options.rel_tol >= kGramSigmaFloor) {
     if (std::optional<Matrix> u = GramSubspace(x, options)) {

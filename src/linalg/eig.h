@@ -36,8 +36,10 @@ struct EigResult {
 inline constexpr int64_t kBlockedEigCutoff = 64;
 
 struct EigOptions {
-  // Workers for the GEMM trailing updates and panel matvecs inside the
-  // blocked path. Bit-identical results for every thread count.
+  // Workers for the GEMM trailing updates, panel matvecs and compact-WY
+  // block reflectors (linalg/qr.h) inside the blocked path, the one thread
+  // count the SVD/QR/eigen layer takes. Bit-identical results for every
+  // thread count.
   int num_threads = 1;
 };
 

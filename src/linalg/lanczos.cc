@@ -9,201 +9,6 @@
 
 namespace fedsc {
 
-namespace {
-
-// Removes the components of v along the first `count` columns of basis
-// (two passes of classical Gram-Schmidt).
-void Reorthogonalize(const Matrix& basis, int64_t count, double* v) {
-  FEDSC_METRIC_COUNTER("linalg.lanczos.reorthogonalizations").Increment();
-  const int64_t n = basis.rows();
-  for (int pass = 0; pass < 2; ++pass) {
-    for (int64_t j = 0; j < count; ++j) {
-      const double* q = basis.ColData(j);
-      const double proj = Dot(q, v, n);
-      Axpy(-proj, q, v, n);
-    }
-  }
-}
-
-// A random unit vector orthogonal to the first `count` basis columns, for
-// restarting after breakdown (an invariant subspace was exhausted).
-bool RandomOrthogonalUnit(const Matrix& basis, int64_t count, Rng* rng,
-                          double* v) {
-  const int64_t n = basis.rows();
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    Vector draw = rng->UnitSphere(n);
-    std::copy(draw.begin(), draw.end(), v);
-    Reorthogonalize(basis, count, v);
-    const double norm = Norm2(v, n);
-    if (norm > 1e-8) {
-      Scal(1.0 / norm, v, n);
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-Result<EigResult> LanczosLargest(const SymmetricOperator& apply, int64_t dim,
-                                 int64_t k, const LanczosOptions& options) {
-  if (dim <= 0) return Status::InvalidArgument("Lanczos dimension must be > 0");
-  if (k <= 0 || k > dim) {
-    return Status::InvalidArgument("Lanczos k must be in [1, dim]");
-  }
-  const int64_t max_steps = std::min(dim, options.max_iterations);
-  if (max_steps < k) {
-    return Status::InvalidArgument("max_iterations below requested k");
-  }
-  FEDSC_METRIC_COUNTER("linalg.lanczos.calls").Increment();
-
-  Rng rng(options.seed);
-  Matrix basis(dim, max_steps);  // Lanczos vectors q_0 ... q_{j-1}
-  Vector alpha;                  // tridiagonal diagonal
-  Vector beta;                   // tridiagonal subdiagonal (beta[j] couples
-                                 // q_j and q_{j+1})
-  {
-    Vector q0 = rng.UnitSphere(dim);
-    basis.SetCol(0, q0);
-  }
-
-  Vector w(static_cast<size_t>(dim), 0.0);
-  EigResult tri_eig;
-  int64_t steps = 0;
-  bool exhausted = false;
-  // Degenerate eigenvalues are invisible to a single Krylov sequence: it
-  // converges to one copy per distinct eigenvalue. After the wanted pairs
-  // converge we therefore force a deflation restart (a fresh random vector
-  // orthogonal to the whole basis, coupled with beta = 0) and only stop once
-  // a restart leaves the top-k Ritz values unchanged.
-  bool force_restart = false;
-  int confirmations = 0;
-  int64_t last_restart_step = 0;
-  Vector confirmed_values;
-
-  while (steps < max_steps) {
-    const int64_t j = steps;
-    apply(basis.ColData(j), w.data());
-    const double a = Dot(basis.ColData(j), w.data(), dim);
-    alpha.push_back(a);
-    ++steps;
-
-    // Residual w := A q_j - alpha_j q_j - beta_{j-1} q_{j-1}, then full
-    // reorthogonalization against every Lanczos vector so far (the classic
-    // cure for loss of orthogonality in finite precision).
-    Axpy(-a, basis.ColData(j), w.data(), dim);
-    if (j > 0) {
-      Axpy(-beta[static_cast<size_t>(j - 1)], basis.ColData(j - 1), w.data(),
-           dim);
-    }
-    Reorthogonalize(basis, j + 1, w.data());
-    double b = Norm2(w.data(), dim);
-
-    const bool can_extend = steps < max_steps;
-    if (can_extend) {
-      if (b > 1e-12 && !force_restart) {
-        Scal(1.0 / b, w.data(), dim);
-        basis.SetCol(steps, w.data());
-        beta.push_back(b);
-      } else if (steps >= dim ||
-                 !RandomOrthogonalUnit(basis, steps, &rng, w.data())) {
-        exhausted = true;
-      } else {
-        // Breakdown (or a forced deflation restart): continue the recurrence
-        // in a fresh direction with a zero coupling coefficient.
-        basis.SetCol(steps, w.data());
-        beta.push_back(0.0);
-        force_restart = false;
-        last_restart_step = steps;
-        FEDSC_METRIC_COUNTER("linalg.lanczos.restarts").Increment();
-      }
-    }
-
-    // Convergence test every few steps once we have at least k Ritz values;
-    // a freshly restarted block needs a few steps before its Ritz values
-    // carry meaningful residual bounds.
-    const bool check_now =
-        steps >= k &&
-        (exhausted || !can_extend ||
-         (steps % 5 == 0 && steps - last_restart_step >= 3));
-    if (!check_now) continue;
-
-    Matrix tri(steps, steps);
-    for (int64_t i = 0; i < steps; ++i) {
-      tri(i, i) = alpha[static_cast<size_t>(i)];
-      if (i + 1 < steps) {
-        tri(i + 1, i) = beta[static_cast<size_t>(i)];
-        tri(i, i + 1) = beta[static_cast<size_t>(i)];
-      }
-    }
-    FEDSC_ASSIGN_OR_RETURN(tri_eig, SymmetricEigen(tri));
-
-    if (exhausted || steps == dim) break;
-    // Residual bound for Ritz pair i: |beta_last * s_{last, i}|.
-    const double last_beta =
-        static_cast<int64_t>(beta.size()) >= steps
-            ? beta[static_cast<size_t>(steps - 1)]
-            : 0.0;
-    const double scale =
-        std::max(std::fabs(tri_eig.values.front()),
-                 std::fabs(tri_eig.values.back()));
-    bool all_converged = true;
-    for (int64_t i = 0; i < k; ++i) {
-      const int64_t idx = steps - 1 - i;  // largest values are at the end
-      const double resid =
-          std::fabs(last_beta * tri_eig.vectors(steps - 1, idx));
-      if (resid > options.tol * std::max(scale, 1e-30)) {
-        all_converged = false;
-        break;
-      }
-    }
-    if (all_converged) {
-      // Compare the converged top-k against the last confirmation round.
-      Vector top(static_cast<size_t>(k));
-      for (int64_t i = 0; i < k; ++i) {
-        top[static_cast<size_t>(i)] =
-            tri_eig.values[static_cast<size_t>(steps - 1 - i)];
-      }
-      bool stable = confirmed_values.size() == top.size();
-      if (stable) {
-        for (size_t i = 0; i < top.size(); ++i) {
-          if (std::fabs(top[i] - confirmed_values[i]) >
-              options.tol * std::max(scale, 1e-30) * 100.0) {
-            stable = false;
-            break;
-          }
-        }
-      }
-      if (stable || confirmations >= std::max<int64_t>(3, k)) break;
-      confirmed_values = std::move(top);
-      ++confirmations;
-      force_restart = true;  // deflate: hunt for degenerate copies
-    }
-    if (!can_extend) break;
-  }
-
-  FEDSC_METRIC_COUNTER("linalg.lanczos.iterations").Add(steps);
-  if (tri_eig.values.empty()) {
-    return Status::Internal("Lanczos produced no Ritz values");
-  }
-
-  // Assemble the k largest Ritz pairs: values descending, vectors = Q * s.
-  const int64_t m = static_cast<int64_t>(tri_eig.values.size());
-  const int64_t take = std::min(k, m);
-  EigResult result;
-  result.values.resize(static_cast<size_t>(take));
-  result.vectors = Matrix(dim, take);
-  Matrix q = basis.ColRange(0, m);
-  for (int64_t i = 0; i < take; ++i) {
-    const int64_t idx = m - 1 - i;
-    result.values[static_cast<size_t>(i)] =
-        tri_eig.values[static_cast<size_t>(idx)];
-    Gemv(Trans::kNo, 1.0, q, tri_eig.vectors.ColData(idx), 0.0,
-         result.vectors.ColData(i));
-  }
-  return result;
-}
-
 Result<EigResult> SubspaceIterationLargest(
     const SymmetricOperator& apply, int64_t dim, int64_t k,
     const SubspaceIterationOptions& options) {

@@ -1,8 +1,8 @@
-// Iterative extreme eigenpairs of a symmetric linear operator: Lanczos with
-// full reorthogonalization, and orthogonal (subspace) iteration. Spectral
-// clustering of large sparse affinity graphs uses subspace iteration to
-// avoid the O(N^3) dense eigensolver; LanczosLargest has no caller in the
-// library (tests and bench/micro_linalg exercise it).
+// Iterative extreme eigenpairs of a symmetric linear operator by orthogonal
+// (subspace) iteration. Spectral clustering of large sparse affinity graphs
+// uses it to avoid the O(N^3) dense eigensolver. (The file keeps its name
+// from the Lanczos solver it once held, like
+// SpectralOptions::lanczos_threshold.)
 
 #ifndef FEDSC_LINALG_LANCZOS_H_
 #define FEDSC_LINALG_LANCZOS_H_
@@ -18,21 +18,6 @@ namespace fedsc {
 
 // y = A x for a symmetric A of dimension `dim` (y and x never alias).
 using SymmetricOperator = std::function<void(const double* x, double* y)>;
-
-struct LanczosOptions {
-  // Hard cap on Krylov dimension (also capped at the operator dimension).
-  int64_t max_iterations = 400;
-  // A Ritz pair converges when its residual bound drops below
-  // tol * |largest Ritz value|.
-  double tol = 1e-9;
-  uint64_t seed = 0x5eed'1a2b3c4dULL;
-};
-
-// The k algebraically largest eigenpairs, values descending. Runs Krylov
-// steps until the k wanted Ritz pairs converge (or the basis saturates the
-// space, in which case the result is exact).
-Result<EigResult> LanczosLargest(const SymmetricOperator& apply, int64_t dim,
-                                 int64_t k, const LanczosOptions& options = {});
 
 struct SubspaceIterationOptions {
   int64_t max_iterations = 500;

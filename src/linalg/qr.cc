@@ -95,11 +95,10 @@ QrResult UnblockedQr(const Matrix& a) {
 // Compact-WY blocked QR: panels factor with the identical scalar reflector
 // kernel, then the trailing matrix and the thin Q ride the packed Gemm
 // engine through ApplyBlockReflector.
-QrResult BlockedQr(const Matrix& a, int num_threads) {
+QrResult BlockedQr(const Matrix& a) {
   const int64_t m = a.rows();
   const int64_t n = a.cols();
   const int64_t k = std::min(m, n);
-  const int nt = num_threads;
 
   Matrix work = a;
   Vector tau(static_cast<size_t>(k), 0.0);
@@ -127,7 +126,7 @@ QrResult BlockedQr(const Matrix& a, int num_threads) {
       double* dst = trailing.ColData(c - j1);
       for (int64_t i = j0; i < m; ++i) dst[i - j0] = src[i];
     }
-    ApplyBlockReflector(v, t, /*transpose=*/true, &trailing, nt);
+    ApplyBlockReflector(v, t, /*transpose=*/true, &trailing, 1);
     for (int64_t c = j1; c < n; ++c) {
       const double* src = trailing.ColData(c - j1);
       double* dst = work.ColData(c);
@@ -160,7 +159,7 @@ QrResult BlockedQr(const Matrix& a, int num_threads) {
       double* dst = corner.ColData(c - j0);
       for (int64_t i = j0; i < m; ++i) dst[i - j0] = src[i];
     }
-    ApplyBlockReflector(v, t, /*transpose=*/false, &corner, nt);
+    ApplyBlockReflector(v, t, /*transpose=*/false, &corner, 1);
     for (int64_t c = j0; c < k; ++c) {
       const double* src = corner.ColData(c - j0);
       double* dst = result.q.ColData(c);
@@ -229,7 +228,7 @@ void ApplyBlockReflector(const Matrix& v, const Matrix& t, bool transpose,
 
 }  // namespace internal_qr
 
-Result<QrResult> HouseholderQr(const Matrix& a, const QrOptions& options) {
+Result<QrResult> HouseholderQr(const Matrix& a) {
   const int64_t m = a.rows();
   const int64_t n = a.cols();
   if (m == 0 || n == 0) {
@@ -247,7 +246,7 @@ Result<QrResult> HouseholderQr(const Matrix& a, const QrOptions& options) {
       .Add(2 * k * k * std::max(m, n) - (2 * k * k * k) / 3);
   if (!blocked) return internal_qr::UnblockedQr(a);
   FEDSC_METRIC_COUNTER("linalg.qr.blocked_calls").Increment();
-  return internal_qr::BlockedQr(a, options.num_threads);
+  return internal_qr::BlockedQr(a);
 }
 
 Matrix OrthonormalColumnBasis(const Matrix& a, double tol) {

@@ -1,4 +1,6 @@
-// Householder QR decomposition and column orthonormalization.
+// Householder QR decomposition and column orthonormalization. Its callers
+// are the QR-preconditioned SVD (linalg/svd.h) and the synthetic-data
+// generator; both run it at one thread.
 //
 // Two engines sit behind HouseholderQr, picked by shape alone (DESIGN.md
 // §5, "Blocked factorizations"):
@@ -10,8 +12,7 @@
 //    O(m n^2) bulk of the work rides the cache-blocked packed engine.
 //
 // The switch is result-affecting (the two paths group the floating-point
-// updates differently), never a function of num_threads; tests reach both
-// engines through internal_qr.
+// updates differently); tests reach both engines through internal_qr.
 
 #ifndef FEDSC_LINALG_QR_H_
 #define FEDSC_LINALG_QR_H_
@@ -37,14 +38,8 @@ struct QrResult {
 inline constexpr int64_t kBlockedQrCutoff = int64_t{1} << 13;
 inline constexpr int64_t kBlockedQrMinCols = 16;
 
-struct QrOptions {
-  // Workers for the Gemm calls inside the blocked path (panel factorization
-  // stays serial). Bit-identical results for every thread count.
-  int num_threads = 1;
-};
-
 // Thin QR of an m x n matrix via Householder reflections.
-Result<QrResult> HouseholderQr(const Matrix& a, const QrOptions& options = {});
+Result<QrResult> HouseholderQr(const Matrix& a);
 
 // Orthonormal basis for the column span of `a`: QR with column norms checked
 // against `tol` * (largest original column norm); dependent columns are
@@ -56,7 +51,7 @@ namespace internal_qr {
 // The two engines HouseholderQr picks between, callable at any non-empty
 // shape so tests and benchmarks can compare them.
 QrResult UnblockedQr(const Matrix& a);
-QrResult BlockedQr(const Matrix& a, int num_threads);
+QrResult BlockedQr(const Matrix& a);
 
 // Reflectors per compact-WY panel. Result-affecting inside the blocked path
 // (it sets the Gemm grouping boundaries, like kKc in the packed engine);
@@ -79,7 +74,8 @@ Matrix BuildCompactWyT(const Matrix& v, const double* taus);
 // c := (I - V T V^T) c (transpose = false, the Q-accumulation direction) or
 // c := (I - V T V^T)^T c (transpose = true, the trailing-update direction).
 // Both are two Gemm calls around a small triangular multiply; bit-identical
-// for every num_threads.
+// for every num_threads (the blocked tridiagonalization threads it; the
+// blocked QR runs it at one thread).
 void ApplyBlockReflector(const Matrix& v, const Matrix& t, bool transpose,
                          Matrix* c, int num_threads);
 

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "linalg/blas.h"
 #include "linalg/qr.h"
@@ -15,13 +14,19 @@ namespace fedsc {
 
 namespace {
 
+// At most kMaxSweeps sweeps; column pairs with |<a_p, a_q>| <= kTol *
+// ||a_p|| * ||a_q|| count as orthogonal.
+constexpr int kMaxSweeps = 60;
+constexpr double kTol = 1e-12;
+
+// Prescale's range: max |x| in [2^-kPrescaleExponent, 2^kPrescaleExponent].
+constexpr int kPrescaleExponent = 250;
+
 // Applies the Jacobi rotation for column pair (p, q), p < q, to the working
 // copy (m rows) and the accumulated V (n rows). Returns false when the pair
-// already counts as orthogonal (no rotation performed). Reads and writes
-// only columns p and q, so disjoint pairs are independent — the basis for
-// the round-parallel sweep below.
+// already counts as orthogonal (no rotation performed).
 bool RotatePair(Matrix* work, Matrix* v, int64_t p, int64_t q, int64_t m,
-                int64_t n, double tol) {
+                int64_t n) {
   double* cp = work->ColData(p);
   double* cq = work->ColData(q);
   const double app = Dot(cp, cp, m);
@@ -29,7 +34,7 @@ bool RotatePair(Matrix* work, Matrix* v, int64_t p, int64_t q, int64_t m,
   const double apq = Dot(cp, cq, m);
   // sqrt(app) * sqrt(aqq), NOT sqrt(app * aqq): the product under- or
   // overflows for extremely scaled inputs (|x| ~ 1e-120 or 1e+120).
-  if (std::fabs(apq) <= tol * std::sqrt(app) * std::sqrt(aqq)) {
+  if (std::fabs(apq) <= kTol * std::sqrt(app) * std::sqrt(aqq)) {
     return false;
   }
 
@@ -88,13 +93,6 @@ SvdResult FinishTall(Matrix work, Matrix v, int64_t m, int64_t n) {
   return result;
 }
 
-// Below this work size (rows * cols) the sweep stays in the classic cyclic
-// (p, q) order and never fans out; at or above it the round-robin order
-// runs (whose rounds are order-independent; see below). The two orders
-// produce different low-order output bits, so results are discontinuous
-// across this cutoff, but the pick never depends on num_threads.
-constexpr int64_t kRoundRobinCutoff = 1 << 14;
-
 }  // namespace
 
 namespace internal_svd {
@@ -102,160 +100,106 @@ namespace internal_svd {
 // Thin QR first, Jacobi sweeps on the small n x n R, U recovered with one
 // GEMM. A = QR = Q (U_r S V^T), so U = Q U_r; zero columns of U_r (exactly
 // zero singular values) stay exactly zero through the product.
-Result<SvdResult> QrPreconditionedSvd(const Matrix& a,
-                                      const SvdOptions& options) {
+Result<SvdResult> QrPreconditionedSvd(const Matrix& a) {
   const int64_t m = a.rows();
   const int64_t n = a.cols();
   FEDSC_TRACE_SPAN("linalg/svd/precond_qr", {{"m", m}, {"n", n}});
   FEDSC_METRIC_COUNTER("linalg.svd.precond_qr").Increment();
-  QrOptions qr_options;
-  qr_options.num_threads = options.num_threads;
-  FEDSC_ASSIGN_OR_RETURN(QrResult qr, HouseholderQr(a, qr_options));
-  FEDSC_ASSIGN_OR_RETURN(SvdResult small, PlainJacobiSvd(qr.r, options));
+  FEDSC_ASSIGN_OR_RETURN(QrResult qr, HouseholderQr(a));
+  FEDSC_ASSIGN_OR_RETURN(SvdResult small, PlainJacobiSvd(qr.r));
   SvdResult result;
   result.u = Matrix(m, n);
-  Gemm(Trans::kNo, Trans::kNo, 1.0, qr.q, small.u, 0.0, &result.u,
-       options.num_threads);
+  Gemm(Trans::kNo, Trans::kNo, 1.0, qr.q, small.u, 0.0, &result.u);
   result.s = std::move(small.s);
   result.v = std::move(small.v);
   return result;
 }
 
 // One-sided Jacobi on a with m >= n: orthogonalizes the columns of a working
-// copy by plane rotations, accumulating them into V.
-//
-// Large inputs visit pairs in round-robin (tournament) order: each sweep is
-// n-1 rounds (n padded to even) of n/2 mutually disjoint column pairs — the
-// circle method. Within a round every pair touches only its own two
-// columns, so the pairs of a round can run on any number of threads in any
-// order and the result is bit-identical to the serial sweep. The classic
-// cyclic (p, q) order cannot be parallelized deterministically (later
-// rotations read columns written by earlier ones inside one sweep), so
-// small inputs — where threading could never pay for itself — keep it.
-Result<SvdResult> PlainJacobiSvd(const Matrix& a, const SvdOptions& options) {
+// copy by plane rotations in cyclic (p, q) order, accumulating them into V.
+Result<SvdResult> PlainJacobiSvd(const Matrix& a) {
   const int64_t m = a.rows();
   const int64_t n = a.cols();
   Matrix work = a;
   Matrix v = Matrix::Identity(n);
 
-  if (m * n < kRoundRobinCutoff) {
-    bool cyclic_converged = false;
-    int64_t rotations = 0;
-    int sweeps = 0;
-    for (int sweep = 0; sweep < options.max_sweeps && !cyclic_converged;
-         ++sweep) {
-      cyclic_converged = true;
-      ++sweeps;
-      for (int64_t p = 0; p < n - 1; ++p) {
-        for (int64_t q = p + 1; q < n; ++q) {
-          if (RotatePair(&work, &v, p, q, m, n, options.tol)) {
-            cyclic_converged = false;
-            ++rotations;
-          }
-        }
-      }
-    }
-    FEDSC_METRIC_COUNTER("linalg.svd.sweeps").Add(sweeps);
-    FEDSC_METRIC_COUNTER("linalg.svd.rotations").Add(rotations);
-    if (!cyclic_converged) {
-      return Status::NotConverged("Jacobi SVD did not converge within " +
-                                  std::to_string(options.max_sweeps) +
-                                  " sweeps");
-    }
-    return FinishTall(std::move(work), std::move(v), m, n);
-  }
-
-  // Tournament schedule over positions 0..padded-1; position values >= n
-  // are the bye introduced when n is odd.
-  const int64_t padded = n + (n % 2);
-  std::vector<int64_t> circle(static_cast<size_t>(padded));
-  std::iota(circle.begin(), circle.end(), 0);
-  std::vector<std::pair<int64_t, int64_t>> round_pairs;
-  round_pairs.reserve(static_cast<size_t>(padded / 2));
-  std::vector<uint8_t> rotated(static_cast<size_t>(padded / 2), 0);
-  // Rotating 2 columns costs ~6m flops; cap the fan-out at something sane.
-  const int threads = std::min(options.num_threads, 64);
-
   bool converged = false;
   int64_t rotations = 0;
   int sweeps = 0;
-  for (int sweep = 0; sweep < options.max_sweeps && !converged; ++sweep) {
+  for (int sweep = 0; sweep < kMaxSweeps && !converged; ++sweep) {
     converged = true;
     ++sweeps;
-    std::iota(circle.begin(), circle.end(), 0);
-    for (int64_t round = 0; round < padded - 1; ++round) {
-      round_pairs.clear();
-      for (int64_t i = 0; i < padded / 2; ++i) {
-        int64_t p = circle[static_cast<size_t>(i)];
-        int64_t q = circle[static_cast<size_t>(padded - 1 - i)];
-        if (p >= n || q >= n) continue;  // bye
-        if (p > q) std::swap(p, q);
-        round_pairs.push_back({p, q});
-      }
-
-      std::fill(rotated.begin(), rotated.end(), 0);
-      ParallelForRanges(
-          0, static_cast<int64_t>(round_pairs.size()), threads,
-          [&](int64_t k0, int64_t k1, int /*chunk*/) {
-            for (int64_t k = k0; k < k1; ++k) {
-              const auto [p, q] = round_pairs[static_cast<size_t>(k)];
-              if (RotatePair(&work, &v, p, q, m, n, options.tol)) {
-                rotated[static_cast<size_t>(k)] = 1;
-              }
-            }
-          });
-      for (size_t k = 0; k < round_pairs.size(); ++k) {
-        if (rotated[k]) {
+    for (int64_t p = 0; p < n - 1; ++p) {
+      for (int64_t q = p + 1; q < n; ++q) {
+        if (RotatePair(&work, &v, p, q, m, n)) {
           converged = false;
           ++rotations;
         }
       }
-
-      // Advance the circle: position 0 is fixed, everyone else shifts.
-      const int64_t last = circle[static_cast<size_t>(padded - 1)];
-      for (int64_t i = padded - 1; i > 1; --i) {
-        circle[static_cast<size_t>(i)] = circle[static_cast<size_t>(i - 1)];
-      }
-      circle[1] = last;
     }
   }
   FEDSC_METRIC_COUNTER("linalg.svd.sweeps").Add(sweeps);
   FEDSC_METRIC_COUNTER("linalg.svd.rotations").Add(rotations);
   if (!converged) {
     return Status::NotConverged("Jacobi SVD did not converge within " +
-                                std::to_string(options.max_sweeps) +
-                                " sweeps");
+                                std::to_string(kMaxSweeps) + " sweeps");
   }
   return FinishTall(std::move(work), std::move(v), m, n);
+}
+
+int Prescale(const Matrix& x, Matrix* scaled) {
+  const double peak = x.MaxAbs();
+  if (!(peak > 0.0) || !std::isfinite(peak) ||
+      (peak >= std::ldexp(1.0, -kPrescaleExponent) &&
+       peak <= std::ldexp(1.0, kPrescaleExponent))) {
+    return 0;
+  }
+  int e = 0;
+  std::frexp(peak, &e);
+  *scaled = x;
+  double* data = scaled->data();
+  for (int64_t i = 0; i < scaled->size(); ++i) {
+    data[i] = std::ldexp(data[i], -e);
+  }
+  return e;
 }
 
 }  // namespace internal_svd
 
 namespace {
 
-Result<SvdResult> JacobiSvdTall(const Matrix& a, const SvdOptions& options) {
+Result<SvdResult> JacobiSvdTall(const Matrix& a) {
   const int64_t m = a.rows();
   const int64_t n = a.cols();
   if (n >= 2 && m >= kSvdPrecondMinAspect * n && m * n >= kSvdPrecondMinWork) {
-    return internal_svd::QrPreconditionedSvd(a, options);
+    return internal_svd::QrPreconditionedSvd(a);
   }
-  return internal_svd::PlainJacobiSvd(a, options);
+  return internal_svd::PlainJacobiSvd(a);
 }
 
 }  // namespace
 
-Result<SvdResult> JacobiSvd(const Matrix& a, const SvdOptions& options) {
+Result<SvdResult> JacobiSvd(const Matrix& a) {
   if (a.rows() == 0 || a.cols() == 0) {
     return Status::InvalidArgument("SVD of an empty matrix");
   }
   FEDSC_METRIC_COUNTER("linalg.svd.calls").Increment();
-  if (a.rows() >= a.cols()) return JacobiSvdTall(a, options);
-  // Wide matrix: factor the transpose and swap U <-> V.
-  FEDSC_ASSIGN_OR_RETURN(SvdResult t, JacobiSvdTall(a.Transposed(), options));
+  // RotatePair squares raw entries: out of range they would over- or
+  // underflow, so sweep an exactly scaled copy and scale sigma back.
+  Matrix scaled;
+  const int e = internal_svd::Prescale(a, &scaled);
+  const Matrix& x = e == 0 ? a : scaled;
   SvdResult result;
-  result.u = std::move(t.v);
-  result.v = std::move(t.u);
-  result.s = std::move(t.s);
+  if (x.rows() >= x.cols()) {
+    FEDSC_ASSIGN_OR_RETURN(result, JacobiSvdTall(x));
+  } else {
+    // Wide matrix: factor the transpose and swap U <-> V.
+    FEDSC_ASSIGN_OR_RETURN(SvdResult t, JacobiSvdTall(x.Transposed()));
+    result.u = std::move(t.v);
+    result.v = std::move(t.u);
+    result.s = std::move(t.s);
+  }
+  for (double& sv : result.s) sv = std::ldexp(sv, e);
   return result;
 }
 

@@ -1,6 +1,8 @@
 // Thin singular value decomposition via one-sided (Hestenes) Jacobi
-// rotations. Accurate for the small-to-medium factorizations this library
-// needs (subspace basis estimation, PCA, canonical angles).
+// rotations. Its callers are the PCA of the k-FED and PCA baselines
+// (fed/pca.cc), the canonical angles of core/theory.cc, and the per-panel
+// fallback of the batched basis (linalg/batch.h); every default-path local
+// basis comes from the batch's Gram route instead.
 
 #ifndef FEDSC_LINALG_SVD_H_
 #define FEDSC_LINALG_SVD_H_
@@ -18,34 +20,23 @@ struct SvdResult {
   Matrix v;  // n x k, orthonormal columns
 };
 
-// JacobiSvd picks two result-affecting engines by shape alone, never by
-// num_threads (DESIGN.md §5):
-//  * Pair order: the classic cyclic (p, q) sweep (always serial) below
-//    rows * cols = 2^14; the round-robin (tournament) sweep at or above it,
-//    whose rounds are mutually disjoint pairs and fan out bit-exactly.
-//  * QR preconditioning: iff n >= 2, m >= kSvdPrecondMinAspect * n and
-//    m * n >= kSvdPrecondMinWork, a thin QR runs first and only the small
-//    R factor is swept (A = QR = Q(U_r S V^T), U = Q U_r via one GEMM). For
-//    tall inputs this cuts each rotation from O(m) to O(n) work.
-// Tests reach both the plain and the preconditioned path through
-// internal_svd.
+// JacobiSvd sweeps column pairs in the classic cyclic (p, q) order, at
+// most 60 sweeps, until every pair has |<a_p, a_q>| <= 1e-12 * ||a_p|| *
+// ||a_q||. One result-affecting engine pick, by shape alone (DESIGN.md §5):
+// QR preconditioning iff n >= 2, m >= kSvdPrecondMinAspect * n and
+// m * n >= kSvdPrecondMinWork. Then a thin QR runs first and only the small
+// R factor is swept (A = QR = Q(U_r S V^T), U = Q U_r via one GEMM). For
+// tall inputs this cuts each rotation from O(m) to O(n) work. Tests reach
+// both the plain and the preconditioned path through internal_svd.
 inline constexpr int64_t kSvdPrecondMinAspect = 4;
 inline constexpr int64_t kSvdPrecondMinWork = int64_t{1} << 11;
 
-struct SvdOptions {
-  int max_sweeps = 60;
-  // Column pairs with |<a_p, a_q>| <= tol * ||a_p|| * ||a_q|| count as
-  // orthogonal.
-  double tol = 1e-12;
-  // Workers for the round-robin sweep: each round's column pairs are
-  // mutually disjoint, so they fan out with bit-identical results for every
-  // thread count.
-  int num_threads = 1;
-};
-
-// Thin SVD, k = min(m, n). Fails only on empty input or non-convergence
-// (which does not occur in practice within 60 sweeps).
-Result<SvdResult> JacobiSvd(const Matrix& a, const SvdOptions& options = {});
+// Thin SVD, k = min(m, n). An input whose max |x| lies outside
+// [2^-250, 2^250] is swept scaled by a power of two (exact; see
+// internal_svd::Prescale) and its singular values scaled back.
+// Fails only on empty input or non-convergence (which does not occur in
+// practice within 60 sweeps).
+Result<SvdResult> JacobiSvd(const Matrix& a);
 
 // Number of singular values > rel_tol * s[0] (0 if s is empty or all zero).
 int64_t NumericalRank(const Vector& s, double rel_tol = 1e-8);
@@ -63,10 +54,15 @@ namespace internal_svd {
 // The two paths JacobiSvd picks between for a non-empty m x n input with
 // m >= n, callable at any such shape so tests and benchmarks can compare
 // them: the one-sided Jacobi sweep on `a` itself, and thin QR followed by
-// that sweep on R.
-Result<SvdResult> PlainJacobiSvd(const Matrix& a, const SvdOptions& options);
-Result<SvdResult> QrPreconditionedSvd(const Matrix& a,
-                                      const SvdOptions& options);
+// that sweep on R. Neither prescales.
+Result<SvdResult> PlainJacobiSvd(const Matrix& a);
+Result<SvdResult> QrPreconditionedSvd(const Matrix& a);
+
+// Scaling for code that squares raw entries: the exponent e with
+// max|x| * 2^-e in [0.5, 1) when max|x| lies outside [2^-250, 2^250], else
+// 0 (also for an all-zero or non-finite x, which callers reject on their
+// own). When e != 0, *scaled receives x * 2^-e, which is exact.
+int Prescale(const Matrix& x, Matrix* scaled);
 
 }  // namespace internal_svd
 

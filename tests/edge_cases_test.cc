@@ -81,7 +81,7 @@ TEST(SvdEdgeTest, ExtremeScalesPreserveRelativeAccuracy) {
   }
   auto base = JacobiSvd(a);
   ASSERT_TRUE(base.ok());
-  for (double scale : {1e-120, 1e120}) {
+  for (double scale : {1e-200, 1e-160, 1e-120, 1e120, 1e160, 1e200}) {
     Matrix scaled = a;
     scaled *= scale;
     auto svd = JacobiSvd(scaled);

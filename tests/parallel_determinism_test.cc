@@ -18,8 +18,6 @@
 #include "fed/partition.h"
 #include "linalg/blas.h"
 #include "linalg/eig.h"
-#include "linalg/qr.h"
-#include "linalg/svd.h"
 #include "sc/affinity.h"
 #include "sc/sketch.h"
 #include "sc/ssc_admm.h"
@@ -147,93 +145,6 @@ TEST(GemvDeterminismTest, BothOrientationsMatchSerialBitForBit) {
             << "Gemv differs at " << i << " with " << threads << " threads";
       }
     }
-  }
-}
-
-TEST(SvdDeterminismTest, LargeInputMatchesSerialBitForBit) {
-  // 160 x 110 is above the round-robin cutoff: the parallel tournament
-  // sweep runs for every thread count, including 1.
-  Rng rng(13);
-  const Matrix a = RandomMatrix(160, 110, &rng);
-
-  SvdOptions serial_options;
-  serial_options.num_threads = 1;
-  auto serial = JacobiSvd(a, serial_options);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-  for (int threads : kThreadCounts) {
-    SvdOptions options;
-    options.num_threads = threads;
-    auto threaded = JacobiSvd(a, options);
-    ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
-    ASSERT_EQ(serial->s, threaded->s) << threads << " threads";
-    ExpectBitIdentical(serial->u, threaded->u, "SVD U");
-    ExpectBitIdentical(serial->v, threaded->v, "SVD V");
-  }
-}
-
-TEST(SvdDeterminismTest, SmallInputIsThreadCountInvariantToo) {
-  // Below the cutoff the sweep is cyclic and serial regardless of
-  // num_threads; the knob must still be a no-op on the bits.
-  Rng rng(14);
-  const Matrix a = RandomMatrix(40, 24, &rng);
-
-  SvdOptions serial_options;
-  auto serial = JacobiSvd(a, serial_options);
-  ASSERT_TRUE(serial.ok());
-
-  for (int threads : kThreadCounts) {
-    SvdOptions options;
-    options.num_threads = threads;
-    auto threaded = JacobiSvd(a, options);
-    ASSERT_TRUE(threaded.ok());
-    ASSERT_EQ(serial->s, threaded->s);
-    ExpectBitIdentical(serial->u, threaded->u, "SVD U");
-    ExpectBitIdentical(serial->v, threaded->v, "SVD V");
-  }
-}
-
-TEST(QrDeterminismTest, BlockedEngineMatchesSerialBitForBit) {
-  // 300 x 70 crosses the blocked cutoff (kAuto engages the compact-WY
-  // engine) and spans two panels plus a ragged tail; the trailing-update
-  // and Q-accumulation GEMMs are the parallel axis.
-  Rng rng(18);
-  const Matrix a = RandomMatrix(300, 70, &rng);
-
-  QrOptions serial_options;
-  serial_options.num_threads = 1;
-  auto serial = HouseholderQr(a, serial_options);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-  for (int threads : kThreadCounts) {
-    QrOptions options;
-    options.num_threads = threads;
-    auto threaded = HouseholderQr(a, options);
-    ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
-    ExpectBitIdentical(serial->q, threaded->q, "QR Q");
-    ExpectBitIdentical(serial->r, threaded->r, "QR R");
-  }
-}
-
-TEST(SvdDeterminismTest, PreconditionedPathMatchesSerialBitForBit) {
-  // 600 x 40: tall enough that kAuto QR-preconditions (aspect 15, work
-  // 24000), with the blocked QR and the U-recovery GEMM threaded inside.
-  Rng rng(19);
-  const Matrix a = RandomMatrix(600, 40, &rng);
-
-  SvdOptions serial_options;
-  serial_options.num_threads = 1;
-  auto serial = JacobiSvd(a, serial_options);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-  for (int threads : kThreadCounts) {
-    SvdOptions options;
-    options.num_threads = threads;
-    auto threaded = JacobiSvd(a, options);
-    ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
-    ASSERT_EQ(serial->s, threaded->s) << threads << " threads";
-    ExpectBitIdentical(serial->u, threaded->u, "precond SVD U");
-    ExpectBitIdentical(serial->v, threaded->v, "precond SVD V");
   }
 }
 

@@ -78,7 +78,7 @@ TEST_P(QrEngineTest, BlockedAgreesWithUnblocked) {
   Rng rng(900 + rows * 13 + cols);
   const Matrix a = RandomMatrix(rows, cols, &rng);
   const QrResult qu = internal_qr::UnblockedQr(a);
-  const QrResult qb = internal_qr::BlockedQr(a, 1);
+  const QrResult qb = internal_qr::BlockedQr(a);
 
   const int64_t k = std::min(rows, cols);
   // Both engines reconstruct A with orthonormal Q.
@@ -134,7 +134,7 @@ TEST(QrEngineTest, AutoDispatchIsPureFunctionOfShape) {
   ASSERT_GE(large.rows() * large.cols(), kBlockedQrCutoff);
   auto la = HouseholderQr(large);
   ASSERT_TRUE(la.ok());
-  ExpectSameQ(*la, internal_qr::BlockedQr(large, 1));
+  ExpectSameQ(*la, internal_qr::BlockedQr(large));
   // A single skinny panel (n < kBlockedQrMinCols) has no trailing matrix to
   // amortize the compact-WY overhead, so it stays unblocked no matter how
   // tall the matrix gets.
@@ -153,13 +153,13 @@ TEST(QrEngineTest, BlockedHandlesRankDeficientColumns) {
   for (int64_t j = 2; j < a.cols(); j += 3) {
     for (int64_t i = 0; i < a.rows(); ++i) a(i, j) = a(i, j - 1);
   }
-  const QrResult qr = internal_qr::BlockedQr(a, 1);
+  const QrResult qr = internal_qr::BlockedQr(a);
   EXPECT_TRUE(AllClose(MatMul(qr.q, qr.r), a, 1e-10));
   EXPECT_TRUE(AllClose(Gram(qr.q), Matrix::Identity(40), 1e-12));
 }
 
 TEST(QrEngineTest, BlockedHandlesZeroMatrix) {
-  const QrResult qr = internal_qr::BlockedQr(Matrix(50, 20), 1);
+  const QrResult qr = internal_qr::BlockedQr(Matrix(50, 20));
   EXPECT_TRUE(AllClose(qr.r, Matrix(20, 20), 0.0));
   EXPECT_TRUE(AllClose(MatMul(qr.q, qr.r), Matrix(50, 20), 0.0));
 }

@@ -84,101 +84,6 @@ TEST(SparseDeathTest, OutOfRangeTripletDies) {
   EXPECT_DEATH(SparseMatrix::FromTriplets(2, 2, {{2, 0, 1.0}}), "triplet");
 }
 
-class LanczosTest : public ::testing::TestWithParam<int64_t> {};
-
-TEST_P(LanczosTest, MatchesDenseEigOnRandomSymmetric) {
-  const int64_t n = 60;
-  const int64_t k = GetParam();
-  Rng rng(4000 + k);
-  Matrix a(n, n);
-  for (int64_t j = 0; j < n; ++j) {
-    for (int64_t i = 0; i <= j; ++i) {
-      const double v = rng.Gaussian();
-      a(i, j) = v;
-      a(j, i) = v;
-    }
-  }
-  auto dense = SymmetricEigen(a);
-  ASSERT_TRUE(dense.ok());
-
-  const SymmetricOperator apply = [&a, n](const double* x, double* y) {
-    Gemv(Trans::kNo, 1.0, a, x, 0.0, y);
-  };
-  auto lanczos = LanczosLargest(apply, n, k);
-  ASSERT_TRUE(lanczos.ok()) << lanczos.status().ToString();
-  ASSERT_EQ(static_cast<int64_t>(lanczos->values.size()), k);
-  for (int64_t i = 0; i < k; ++i) {
-    EXPECT_NEAR(lanczos->values[static_cast<size_t>(i)],
-                dense->values[static_cast<size_t>(n - 1 - i)], 1e-6);
-    // Residual check: ||A v - lambda v|| small.
-    Vector av(static_cast<size_t>(n));
-    apply(lanczos->vectors.ColData(i), av.data());
-    Axpy(-lanczos->values[static_cast<size_t>(i)],
-         lanczos->vectors.ColData(i), av.data(), n);
-    EXPECT_LT(Norm2(av.data(), n), 1e-5);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(TopK, LanczosTest, ::testing::Values<int64_t>(1, 3,
-                                                                       8));
-
-TEST(LanczosTest, BlockDiagonalWithRepeatedEigenvalues) {
-  // Two disconnected blocks, each a path graph: the adjacency has repeated
-  // extreme eigenvalues, which requires the restart-on-breakdown path.
-  const int64_t n = 40;
-  std::vector<Triplet> triplets;
-  for (int64_t b = 0; b < 2; ++b) {
-    const int64_t offset = b * (n / 2);
-    for (int64_t i = 0; i + 1 < n / 2; ++i) {
-      triplets.push_back({offset + i, offset + i + 1, 1.0});
-      triplets.push_back({offset + i + 1, offset + i, 1.0});
-    }
-  }
-  const SparseMatrix m = SparseMatrix::FromTriplets(n, n, triplets);
-  const SymmetricOperator apply = [&m](const double* x, double* y) {
-    m.Multiply(x, y);
-  };
-  auto lanczos = LanczosLargest(apply, n, 4);
-  ASSERT_TRUE(lanczos.ok());
-  auto dense = SymmetricEigen(m.ToDense());
-  ASSERT_TRUE(dense.ok());
-  for (int64_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(lanczos->values[static_cast<size_t>(i)],
-                dense->values[static_cast<size_t>(n - 1 - i)], 1e-6);
-  }
-}
-
-TEST(LanczosTest, ExactWhenKEqualsDim) {
-  const int64_t n = 12;
-  Rng rng(5);
-  Matrix a(n, n);
-  for (int64_t j = 0; j < n; ++j) {
-    for (int64_t i = 0; i <= j; ++i) {
-      const double v = rng.Gaussian();
-      a(i, j) = v;
-      a(j, i) = v;
-    }
-  }
-  const SymmetricOperator apply = [&a, n](const double* x, double* y) {
-    Gemv(Trans::kNo, 1.0, a, x, 0.0, y);
-  };
-  auto lanczos = LanczosLargest(apply, n, n);
-  ASSERT_TRUE(lanczos.ok());
-  auto dense = SymmetricEigen(a);
-  ASSERT_TRUE(dense.ok());
-  for (int64_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(lanczos->values[static_cast<size_t>(i)],
-                dense->values[static_cast<size_t>(n - 1 - i)], 1e-8);
-  }
-}
-
-TEST(LanczosTest, RejectsBadArguments) {
-  const SymmetricOperator noop = [](const double*, double*) {};
-  EXPECT_FALSE(LanczosLargest(noop, 0, 1).ok());
-  EXPECT_FALSE(LanczosLargest(noop, 5, 0).ok());
-  EXPECT_FALSE(LanczosLargest(noop, 5, 6).ok());
-}
-
 TEST(SubspaceIterationTest, MatchesDenseEigOnRandomSymmetric) {
   const int64_t n = 50;
   Rng rng(6001);

@@ -63,7 +63,11 @@ INSTANTIATE_TEST_SUITE_P(Shapes, SvdShapeTest,
                                            std::pair<int64_t, int64_t>{5, 20},
                                            std::pair<int64_t, int64_t>{40, 40},
                                            std::pair<int64_t, int64_t>{100,
-                                                                       12}));
+                                                                       12},
+                                           std::pair<int64_t, int64_t>{160,
+                                                                       110},
+                                           std::pair<int64_t, int64_t>{110,
+                                                                       160}));
 
 TEST(SvdTest, KnownDiagonal) {
   Matrix a(3, 3);
@@ -112,8 +116,8 @@ TEST_P(SvdPrecondTest, MatchesPlainJacobi) {
   // Both paths factor tall inputs; JacobiSvd hands them a wide input's
   // transpose, and so does this test.
   if (rows < cols) a = a.Transposed();
-  auto sp = internal_svd::PlainJacobiSvd(a, {});
-  auto sq = internal_svd::QrPreconditionedSvd(a, {});
+  auto sp = internal_svd::PlainJacobiSvd(a);
+  auto sq = internal_svd::QrPreconditionedSvd(a);
   ASSERT_TRUE(sp.ok()) << sp.status().ToString();
   ASSERT_TRUE(sq.ok()) << sq.status().ToString();
 
@@ -161,7 +165,7 @@ TEST(SvdPrecondTest, AutoDispatchIsPureFunctionOfShape) {
   // Below the aspect/work thresholds JacobiSvd reproduces the plain bits.
   const Matrix small = RandomMatrix(100, 30, &rng);  // aspect 3.3 < 4
   auto sa = JacobiSvd(small);
-  auto sp = internal_svd::PlainJacobiSvd(small, {});
+  auto sp = internal_svd::PlainJacobiSvd(small);
   ASSERT_TRUE(sa.ok() && sp.ok());
   ExpectSameSvd(*sa, *sp);
   // Tall enough and big enough: it reproduces the preconditioned bits.
@@ -169,7 +173,7 @@ TEST(SvdPrecondTest, AutoDispatchIsPureFunctionOfShape) {
   ASSERT_GE(tall.rows(), kSvdPrecondMinAspect * tall.cols());
   ASSERT_GE(tall.rows() * tall.cols(), kSvdPrecondMinWork);
   auto ta = JacobiSvd(tall);
-  auto tq = internal_svd::QrPreconditionedSvd(tall, {});
+  auto tq = internal_svd::QrPreconditionedSvd(tall);
   ASSERT_TRUE(ta.ok() && tq.ok());
   ExpectSameSvd(*ta, *tq);
 }
@@ -181,7 +185,7 @@ TEST(SvdPrecondTest, RankDeficientTallMatrix) {
   const Matrix basis = RandomMatrix(200, 4, &rng);
   const Matrix coeffs = RandomMatrix(4, 12, &rng);
   const Matrix a = MatMul(basis, coeffs);
-  auto svd = internal_svd::QrPreconditionedSvd(a, {});
+  auto svd = internal_svd::QrPreconditionedSvd(a);
   ASSERT_TRUE(svd.ok());
   EXPECT_EQ(NumericalRank(svd->s, 1e-8), 4);
   EXPECT_TRUE(AllClose(Reconstruct(*svd), a, 1e-8 * svd->s[0]));
@@ -200,7 +204,7 @@ TEST(SvdPrecondTest, PrincipalSubspaceRidesThePreconditionerOnTallPanels) {
   EXPECT_EQ(u->cols(), 3);
   const Matrix proj = MatMul(*u, MatMulTN(*u, points));
   EXPECT_TRUE(AllClose(proj, points, 1e-8 * points.MaxAbs()));
-  auto svd = internal_svd::QrPreconditionedSvd(points, {});
+  auto svd = internal_svd::QrPreconditionedSvd(points);
   ASSERT_TRUE(svd.ok());
   const Matrix top = svd->u.ColRange(0, 3);
   for (int64_t j = 0; j < 3; ++j) {
