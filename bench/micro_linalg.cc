@@ -32,9 +32,8 @@ Matrix RandomSymmetric(int64_t n, Rng* rng) {
   return a;
 }
 
-// Square GEMM through the default dispatcher (blocked packed engine at
-// every size benchmarked here). items_per_second is flops, so the reported
-// rate reads directly as FLOP/s.
+// Square GEMM through the default dispatcher (the blocked packed engine).
+// items_per_second is flops, so the reported rate reads directly as FLOP/s.
 void BM_GemmNN(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(1);
@@ -48,23 +47,6 @@ void BM_GemmNN(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_GemmNN)->Arg(64)->Arg(256)->Arg(512)->Arg(1024);
-
-// The column-panel kernels Gemm runs below kBlockedGemmCutoff, timed at
-// every size — the baseline the packed engine is measured against.
-void BM_GemmNNPanel(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Rng rng(1);
-  const Matrix a = RandomMatrix(n, n, &rng);
-  const Matrix b = RandomMatrix(n, n, &rng);
-  Matrix c(n, n);
-  for (auto _ : state) {
-    c.Fill(0.0);
-    internal_gemm::PanelGemm(Trans::kNo, Trans::kNo, 1.0, a, b, &c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_GemmNNPanel)->Arg(64)->Arg(256)->Arg(512)->Arg(1024);
 
 // Per-ISA micro-kernel sweep: the same blocked product on each
 // runtime-dispatched tier. The label carries the tier so bench_baseline.sh
@@ -127,29 +109,21 @@ void BM_GemmTN(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTN)->Arg(64)->Arg(256)->Arg(512);
 
-// A^T B^T: the blocked engine absorbs the double transpose into packing;
-// the panel kernels need an explicit B.Transposed() copy and a TN product.
+// A^T B^T: the blocked engine absorbs the double transpose into packing.
 void BM_GemmTT(benchmark::State& state) {
   const int64_t n = state.range(0);
-  const bool panel = state.range(1) != 0;
   Rng rng(2);
   const Matrix a = RandomMatrix(n, n, &rng);
   const Matrix b = RandomMatrix(n, n, &rng);
   Matrix c(n, n);
   for (auto _ : state) {
-    if (panel) {
-      c.Fill(0.0);
-      internal_gemm::PanelGemm(Trans::kTrans, Trans::kNo, 1.0, a,
-                               b.Transposed(), &c);
-    } else {
-      Gemm(Trans::kTrans, Trans::kTrans, 1.0, a, b, 0.0, &c);
-    }
+    Gemm(Trans::kTrans, Trans::kTrans, 1.0, a, b, 0.0, &c);
     benchmark::DoNotOptimize(c.data());
   }
-  state.SetLabel(panel ? "panel+copy" : "packed");
+  state.SetLabel("packed");
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_GemmTT)->ArgsProduct({{256, 512}, {0, 1}});
+BENCHMARK(BM_GemmTT)->Arg(256)->Arg(512);
 
 // The products of one SSC-ADMM Z-update on a round's devices, m x k x n
 // with op(A) transposed where the solve passes K^T: T = K M (8 x 120 x 120,
@@ -195,13 +169,11 @@ BENCHMARK(BM_GemmZUpdate)
     ->ArgsProduct({{50}, {315}, {256}, {0}, {0, 1}})
     ->Repetitions(5);
 
-// A sub-cutoff K M (8 x 24 x 24, below kBlockedGemmCutoff, so Gemm runs the
-// panel kernels) on each engine: 0 = the panel kernels Gemm runs today,
-// 1 = the packed AVX-512 loop nest, 2 = the AVX-512 thin-output route. A
-// record for the panel-kernel question (ROADMAP item 4), not a dispatch.
+// A small K M (8 x 24 x 24, a 24-point rank-8 device's) on each AVX-512
+// route: 0 = the packed loop nest, 1 = the thin-output route Gemm takes.
 void BM_GemmSubCutoff(benchmark::State& state) {
   const int engine = static_cast<int>(state.range(0));
-  if (engine != 0 && !CpuIsaSupported(CpuIsa::kAvx512)) {
+  if (!CpuIsaSupported(CpuIsa::kAvx512)) {
     state.SkipWithError("the AVX-512 tier is unsupported on this host");
     return;
   }
@@ -212,8 +184,6 @@ void BM_GemmSubCutoff(benchmark::State& state) {
   Matrix c = RandomMatrix(m, n, &rng);
   for (auto _ : state) {
     if (engine == 0) {
-      internal_gemm::PanelGemm(Trans::kTrans, Trans::kNo, 1.0, a, b, &c);
-    } else if (engine == 1) {
       internal_gemm::PackedGemm(Trans::kTrans, Trans::kNo, 1.0, a, b, &c, 1,
                                 CpuIsa::kAvx512, /*register_commit=*/true);
     } else {
@@ -222,11 +192,10 @@ void BM_GemmSubCutoff(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(c.data());
   }
-  const char* labels[] = {"panel", "packed", "thin"};
-  state.SetLabel(labels[engine]);
+  state.SetLabel(engine == 0 ? "packed" : "thin");
   state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
 }
-BENCHMARK(BM_GemmSubCutoff)->DenseRange(0, 2)->Repetitions(5);
+BENCHMARK(BM_GemmSubCutoff)->DenseRange(0, 1)->Repetitions(5);
 
 // Gram through Syrk (half the flops, lower triangle + mirror) vs through a
 // full GEMM. items_processed counts the *useful* 2*n^2*k flops for both, so

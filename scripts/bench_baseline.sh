@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates BENCH_linalg.json, the committed performance baseline for the
-# matrix-product and factorization engines: blocked-vs-panel GEMM GFLOP/s,
-# the TT packing-vs-copy comparison, the Syrk-vs-GEMM Gram ratio, the
+# matrix-product and factorization engines: blocked GEMM GFLOP/s per thread
+# count and per ISA tier, the TT rate, the Syrk-vs-GEMM Gram ratio, the
 # blocked-vs-unblocked QR and tridiagonalization rates, the
 # QR-preconditioned-vs-plain Jacobi SVD rates, the tall-D basis-estimation
 # before/after, and the exact-vs-sketched central-clustering N-sweep
@@ -132,15 +132,9 @@ out = {
         }
         for n in sizes
     },
-    # Column-panel kernels at every size, single thread (the baseline).
-    "gemm_panel_gflops": {str(n): gflops(f"BM_GemmNNPanel/{n}") for n in sizes},
-    # A^T B^T: packing absorbs the transpose vs the panel path's B copy.
+    # A^T B^T: packing absorbs the transpose.
     "gemm_tt_gflops": {
-        str(n): {
-            "packed": gflops(f"BM_GemmTT/{n}/0"),
-            "panel_copy": gflops(f"BM_GemmTT/{n}/1"),
-        }
-        for n in (256, 512)
+        str(n): {"packed": gflops(f"BM_GemmTT/{n}")} for n in (256, 512)
     },
     # Gram hot path: Syrk (lower triangle + mirror) vs full GEMM. Both rates
     # count the same useful 2*n^2*k flops, so ratio > 1 is end-to-end win.
@@ -237,10 +231,6 @@ out["robustness"] = json.load(open(sys.argv[6]))["robustness"]
 # Exact-vs-sketched central-clustering N-sweep from bench/fig_scaling.cc.
 out["central_scaling"] = json.load(open(sys.argv[7]))["central_scaling"]
 out["acceptance"] = {
-    "gemm512_blocked_over_panel": round(
-        out["gemm_blocked_gflops"]["512"]["1"] / out["gemm_panel_gflops"]["512"],
-        3,
-    ),
     "gram512_syrk_over_gemm": out["gram"]["512"]["ratio"],
     # Worst blocked-QR speedup over the shapes HouseholderQr actually runs
     # blocked (m >= 512 and n >= kBlockedQrMinCols = 16; the n = 8 column

@@ -27,7 +27,6 @@ SVD_SHAPES = ("1024x32", "1024x128", "4096x32")
 EIG_SIZES = ("256", "512")
 
 # Floors for the ratios recorded by the run that produced the baseline.
-MIN_GEMM512_BLOCKED_OVER_PANEL = 2.0
 MIN_GRAM512_SYRK_OVER_GEMM = 1.5
 # Blocked compact-WY QR must at least match the unblocked engine on every
 # shape HouseholderQr runs blocked with m >= 512 (n >= kBlockedQrMinCols = 16;
@@ -137,16 +136,12 @@ def check(doc):
         )
 
     blocked = doc.get("gemm_blocked_gflops", {})
-    panel = doc.get("gemm_panel_gflops", {})
     for n, t, rate in thread_rows(doc, blocked):
         positive(rate, f"gemm_blocked_gflops[{n}][{t}]")
-    for n in GEMM_SIZES:
-        positive(panel.get(n), f"gemm_panel_gflops[{n}]")
 
     tt = doc.get("gemm_tt_gflops", {})
     for n in TT_SIZES:
-        for kind in ("packed", "panel_copy"):
-            positive(tt.get(n, {}).get(kind), f"gemm_tt_gflops[{n}][{kind}]")
+        positive(tt.get(n, {}).get("packed"), f"gemm_tt_gflops[{n}][packed]")
 
     gram = doc.get("gram", {})
     for n in GEMM_SIZES:
@@ -330,25 +325,7 @@ def check(doc):
             )
 
     acceptance = doc.get("acceptance", {})
-    # The only floor built on a thread row reads the single-thread rate; pin
-    # that, so a floor can never quietly switch to an oversubscribed row.
-    gemm512 = acceptance.get("gemm512_blocked_over_panel")
-    one = blocked.get("512", {}).get("1")
-    if (
-        isinstance(gemm512, (int, float))
-        and isinstance(one, (int, float))
-        and panel.get("512")
-    ):
-        derived = one / panel["512"]
-        if abs(derived - gemm512) > 0.01:
-            err(
-                f"acceptance.gemm512_blocked_over_panel {gemm512} is not "
-                f"gemm_blocked_gflops[512][1]/gemm_panel_gflops[512] = "
-                f"{derived:.3f}"
-            )
     floors = (
-        ("gemm512_blocked_over_panel", MIN_GEMM512_BLOCKED_OVER_PANEL,
-         "blocked GEMM n=512 speedup"),
         ("gram512_syrk_over_gemm", MIN_GRAM512_SYRK_OVER_GEMM,
          "Syrk Gram n=512 speedup"),
         ("qr_blocked_over_unblocked_min_m512",

@@ -98,7 +98,7 @@ MetricsRegistry::MetricsRegistry() {
   // the full schema. See DESIGN.md "Observability".
   for (const char* name :
        {"linalg.gemm.calls", "linalg.gemm.flops", "linalg.gemm.bytes",
-        "linalg.gemm.blocked_calls", "linalg.gemm.thin_calls",
+        "linalg.gemm.thin_calls",
         "linalg.syrk.calls", "linalg.syrk.flops", "linalg.syrk.bytes",
         "linalg.gemv.calls",
         "linalg.gemv.flops", "linalg.qr.calls", "linalg.qr.flops",

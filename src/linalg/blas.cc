@@ -40,50 +40,6 @@ void Scal(double alpha, double* x, int64_t n) {
 
 namespace {
 
-// Each panel kernel produces every output column of C by its own sequence
-// of Axpy/Dot calls, in ascending column order.
-
-// C(m x n) = alpha * A(m x k) * B(k x n) + C, all column-major.
-// "gaxpy" order: the inner loop streams one column of A into one column of C.
-void GemmNNPanel(double alpha, const Matrix& a, const Matrix& b, Matrix* c) {
-  const int64_t m = a.rows(), k = a.cols();
-  for (int64_t j = 0; j < c->cols(); ++j) {
-    double* cj = c->ColData(j);
-    const double* bj = b.ColData(j);
-    for (int64_t p = 0; p < k; ++p) {
-      const double w = alpha * bj[p];
-      if (w != 0.0) Axpy(w, a.ColData(p), cj, m);
-    }
-  }
-}
-
-// C(m x n) = alpha * A^T(m x k) * B(k x n) + C where A is (k x m).
-// Each entry is a dot of two contiguous columns.
-void GemmTNPanel(double alpha, const Matrix& a, const Matrix& b, Matrix* c) {
-  const int64_t m = a.cols(), k = a.rows();
-  for (int64_t j = 0; j < c->cols(); ++j) {
-    const double* bj = b.ColData(j);
-    double* cj = c->ColData(j);
-    for (int64_t i = 0; i < m; ++i) {
-      cj[i] += alpha * Dot(a.ColData(i), bj, k);
-    }
-  }
-}
-
-// C(m x n) = alpha * A(m x k) * B^T(k x n) + C where B is (n x k).
-// Column j of C accumulates w_p * A(:, p) in ascending p.
-void GemmNTPanel(double alpha, const Matrix& a, const Matrix& b, Matrix* c) {
-  const int64_t m = a.rows(), k = a.cols();
-  for (int64_t j = 0; j < c->cols(); ++j) {
-    double* cj = c->ColData(j);
-    for (int64_t p = 0; p < k; ++p) {
-      // B(j, p) sits in column p of B.
-      const double w = alpha * b.ColData(p)[j];
-      if (w != 0.0) Axpy(w, a.ColData(p), cj, m);
-    }
-  }
-}
-
 // Copies the strictly-lower triangle into the strictly-upper one, column by
 // column. Mirror writes touch only rows [0, j) of column j (strictly upper)
 // and read only strictly-lower elements, which no mirror task writes — so
@@ -104,49 +60,6 @@ void MirrorLowerToUpper(Matrix* c, int num_threads) {
 }
 
 }  // namespace
-
-namespace internal_gemm {
-
-void PanelGemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
-               const Matrix& b, Matrix* c) {
-  FEDSC_CHECK(trans_a == Trans::kNo || trans_b == Trans::kNo)
-      << "the panel kernels have no TT case";
-  if (trans_a == Trans::kTrans) {
-    GemmTNPanel(alpha, a, b, c);
-  } else if (trans_b == Trans::kTrans) {
-    GemmNTPanel(alpha, a, b, c);
-  } else {
-    GemmNNPanel(alpha, a, b, c);
-  }
-}
-
-// Per output element the operation sequence matches the corresponding
-// full-GEMM panel kernel restricted to i >= j, so a panel Gram's lower
-// triangle is bit-identical to the MatMulTN panel result.
-void PanelSyrkLower(Trans trans, double alpha, const Matrix& x, Matrix* c) {
-  const int64_t nn = c->rows();
-  if (trans == Trans::kTrans) {
-    const int64_t kk = x.rows();
-    for (int64_t j = 0; j < nn; ++j) {
-      double* cj = c->ColData(j);
-      const double* xj = x.ColData(j);
-      for (int64_t i = j; i < nn; ++i) {
-        cj[i] += alpha * Dot(x.ColData(i), xj, kk);
-      }
-    }
-  } else {
-    const int64_t kk = x.cols();
-    for (int64_t j = 0; j < nn; ++j) {
-      double* cj = c->ColData(j);
-      for (int64_t p = 0; p < kk; ++p) {
-        const double w = alpha * x.ColData(p)[j];
-        if (w != 0.0) Axpy(w, x.ColData(p) + j, cj + j, nn - j);
-      }
-    }
-  }
-}
-
-}  // namespace internal_gemm
 
 void Gemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
           const Matrix& b, double beta, Matrix* c, int num_threads) {
@@ -174,15 +87,8 @@ void Gemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
   FEDSC_METRIC_COUNTER("linalg.gemm.bytes")
       .Add(8 * (m * ka + ka * n + 2 * m * n));
 
-  const bool trans_both =
-      trans_a == Trans::kTrans && trans_b == Trans::kTrans;
-  if (trans_both || m * ka * n >= kBlockedGemmCutoff) {
-    FEDSC_METRIC_COUNTER("linalg.gemm.blocked_calls").Increment();
-    BlockedGemm(trans_a, trans_b, alpha, a, b, c, num_threads,
-                ResolveDefaultIsa().chosen);
-    return;
-  }
-  internal_gemm::PanelGemm(trans_a, trans_b, alpha, a, b, c);
+  BlockedGemm(trans_a, trans_b, alpha, a, b, c, num_threads,
+              ResolveDefaultIsa().chosen);
 }
 
 void Syrk(Trans trans, double alpha, const Matrix& x, double beta, Matrix* c,
@@ -209,12 +115,8 @@ void Syrk(Trans trans, double alpha, const Matrix& x, double beta, Matrix* c,
   // Matrix traffic: X read once, the nn x nn output read+written.
   FEDSC_METRIC_COUNTER("linalg.syrk.bytes").Add(8 * (nn * kk + 2 * nn * nn));
 
-  if (nn * kk * nn >= kBlockedGemmCutoff) {
-    BlockedSyrkLower(trans, alpha, x, c, num_threads,
-                     ResolveDefaultIsa().chosen);
-  } else {
-    internal_gemm::PanelSyrkLower(trans, alpha, x, c);
-  }
+  BlockedSyrkLower(trans, alpha, x, c, num_threads,
+                   ResolveDefaultIsa().chosen);
   MirrorLowerToUpper(c, num_threads);
 }
 

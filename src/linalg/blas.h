@@ -1,8 +1,7 @@
 // Hand-rolled BLAS-like kernels (no external BLAS is available in this
 // environment). Loop orders are chosen for column-major storage so the hot
-// inner loops stream contiguous memory and autovectorize. Large products run
-// on the cache-blocked packed engine in linalg/gemm_kernel.h; small ones on
-// the column-panel kernels.
+// inner loops stream contiguous memory and autovectorize. Gemm and Syrk run
+// the cache-blocked packed engine in linalg/gemm_kernel.h at every shape.
 
 #ifndef FEDSC_LINALG_BLAS_H_
 #define FEDSC_LINALG_BLAS_H_
@@ -40,14 +39,10 @@ inline double Norm2(const Vector& x) {
 // thread count (the determinism contract in DESIGN.md). Tiny problems and
 // calls made from inside pool workers always run inline.
 
-// Gemm and Syrk run the cache-blocked packed engine (linalg/gemm_kernel.h)
-// when m * k * n >= kBlockedGemmCutoff, and always for TT (packing makes
-// the transpose free); the serial column-panel kernels below it. The switch
-// is result-affecting (the engines accumulate in different orders) and a
-// pure function of shape, never of num_threads. The blocked engine's
-// micro-kernel tier is ResolveDefaultIsa().chosen (cpuid, or
-// FEDSC_FORCE_ISA). See "Blocked GEMM & packing" in DESIGN.md.
-inline constexpr int64_t kBlockedGemmCutoff = int64_t{1} << 15;
+// Gemm and Syrk apply beta and then run the cache-blocked packed engine
+// (linalg/gemm_kernel.h) at every shape. Its micro-kernel tier is
+// ResolveDefaultIsa().chosen (cpuid, or FEDSC_FORCE_ISA). See "Blocked GEMM
+// & packing" in DESIGN.md.
 
 // C = alpha * op(A) * op(B) + beta * C. C must already have the result
 // shape; aliasing C with A or B is not allowed.
@@ -80,18 +75,6 @@ Matrix MatMulNT(const Matrix& a, const Matrix& b,
 // Gram matrices run on Syrk, not Gemm, since the output is symmetric.
 Matrix Gram(const Matrix& x, int num_threads = 1);       // X^T X
 Matrix OuterGram(const Matrix& x, int num_threads = 1);  // X X^T
-
-namespace internal_gemm {
-// The serial column-panel kernels Gemm/Syrk run below kBlockedGemmCutoff,
-// callable at any shape so tests and benchmarks can compare them with the
-// blocked engine (BlockedGemm / BlockedSyrkLower in linalg/gemm_kernel.h).
-// Both accumulate into C without applying beta, like the blocked entries.
-// C += alpha * op(A) * op(B); TT is not a panel case (Gemm always packs it).
-void PanelGemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
-               const Matrix& b, Matrix* c);
-// Lower triangle of C += alpha * X X^T (kNo) or alpha * X^T X (kTrans).
-void PanelSyrkLower(Trans trans, double alpha, const Matrix& x, Matrix* c);
-}  // namespace internal_gemm
 
 }  // namespace fedsc
 

@@ -431,8 +431,7 @@ void BlockedCoreT(bool trans_a, bool trans_b, double alpha, const double* a,
   double* cdata = c->data();
   const int64_t ldc = c->rows();
 
-  // Same serial-inline threshold as the panel kernels: never spin up
-  // workers for products too small to amortize a dispatch.
+  // Never spin up workers for products too small to amortize a dispatch.
   const int threads =
       m * k * n < (1 << 16) ? 1 : std::min<int>(num_threads, 64);
 

@@ -58,9 +58,9 @@
 // fixed kKc — never on num_threads, mc/nc, the route, or which micro-tile
 // (full or edge-padded) computes it. The jr loop (the thin route's column
 // groups) is parallelized with ParallelForRanges over disjoint output
-// columns, so results are bit-identical for every thread count. Switching
-// between this engine and the column-panel kernels IS result-affecting
-// (different summation order); linalg/blas.h documents the shape cutoff.
+// columns, so results are bit-identical for every thread count. Gemm and
+// Syrk run this engine at every shape; a product below 2^16 flops runs
+// inline on the calling thread.
 
 #ifndef FEDSC_LINALG_GEMM_KERNEL_H_
 #define FEDSC_LINALG_GEMM_KERNEL_H_

@@ -77,9 +77,9 @@ Result<EigResult> SubspaceIterationLargest(
     const bool check_now = iter % 5 == 4 || iter + 1 == options.max_iterations;
     if (check_now) {
       // Ritz values from the projected operator B = Q^T (A Q). Q and A Q are
-      // different matrices, so this is a genuine Gemm (blocked above the
-      // cutoff), not a Syrk — B is only symmetric up to roundoff, hence the
-      // explicit symmetrization below.
+      // different matrices, so this is a genuine Gemm, not a Syrk — B is
+      // only symmetric up to roundoff, hence the explicit symmetrization
+      // below.
       const Matrix b = MatMulTN(q, y);
       Matrix b_sym = b;
       b_sym += b.Transposed();

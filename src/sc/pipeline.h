@@ -53,9 +53,9 @@ enum class CentralPath {
 const char* CentralPathName(CentralPath path);
 
 // The kAuto pooled-sample count at and above which the sketched path
-// engages. Result-affecting, like kBlockedGemmCutoff: labels are
-// discontinuous across it but deterministic on both sides. Below it the
-// exact solve is cheap enough that sketching only costs accuracy.
+// engages. Result-affecting: labels are discontinuous across it but
+// deterministic on both sides. Below it the exact solve is cheap enough
+// that sketching only costs accuracy.
 inline constexpr int64_t kSketchedCutoffN = 4096;
 
 // The sketch width the pipeline uses when options.sketch.dim == 0: a pure

@@ -308,15 +308,13 @@ struct ZUpdate {
   const Matrix* a = nullptr;
   // A^T, when the caller holds it (the exact solve's Cholesky factor L of
   // X^T X, with A = R = L^T). The factored iteration then runs as
-  // T = Y - (K^T)^T M and Z = M + A^T T: below the GEMM blocking cutoff
-  // those are dots and axpys of length m instead of r, and a 30 x 24
-  // rank-8 solve takes 0.31 ms instead of 0.59 ms (DESIGN.md section 4).
-  // Above it, on the AVX-512 tier, T's product has r <= 8 rows and takes
-  // the GEMM's thin-output route (only K^T is packed, M is read in place),
-  // and Z's full 24 x 8 tiles commit from registers (linalg/gemm_kernel.h),
-  // bit for bit the packed path's result: at 8 x 120 x 120 and 120 x 8 x
-  // 120 the two run in 3.8 and 4.3 us instead of 12.1 and 5.9 us
-  // (BM_GemmZUpdate medians, DESIGN.md section 5).
+  // T = Y - (K^T)^T M and Z = M + A^T T (DESIGN.md section 4). On the
+  // AVX-512 tier T's product has r <= 8 rows and takes the GEMM's
+  // thin-output route (only K^T is packed, M is read in place), and Z's
+  // full 24 x 8 tiles commit from registers (linalg/gemm_kernel.h), bit for
+  // bit the packed path's result: at 8 x 120 x 120 and 120 x 8 x 120 the
+  // two run in 3.8 and 4.3 us instead of 12.1 and 5.9 us (BM_GemmZUpdate
+  // medians, DESIGN.md section 5).
   const Matrix* a_t = nullptr;
   double lambda = 0.0;
   double rho = 0.0;

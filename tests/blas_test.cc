@@ -67,13 +67,44 @@ struct GemmCase {
 
 class GemmParamTest : public ::testing::TestWithParam<GemmCase> {};
 
+// Gemm on the process's tier, and the blocked engine on every tier the host
+// supports, against the naive reference. Besides small odd shapes the list
+// holds small products a round makes on its devices (k-means centers,
+// Z-update and setup products, the small Grams and outer Grams written as
+// m x k x n), the empty shapes and the 1-wide ones.
 TEST_P(GemmParamTest, MatchesReference) {
   const GemmCase param = GetParam();
+  const CpuIsa tiers[] = {CpuIsa::kGeneric, CpuIsa::kAvx2, CpuIsa::kAvx512};
   Rng rng(31);
   for (auto [m, k, n] : {std::tuple<int64_t, int64_t, int64_t>{3, 4, 5},
                          {1, 7, 2},
                          {8, 1, 8},
-                         {13, 11, 9}}) {
+                         {13, 11, 9},
+                         {12, 12, 12},
+                         {13, 13, 13},
+                         {11, 11, 11},
+                         {14, 14, 14},
+                         {10, 10, 10},
+                         {50, 6, 5},
+                         {8, 23, 23},
+                         {8, 25, 25},
+                         {23, 8, 23},
+                         {2, 30, 2},
+                         {16, 32, 16},
+                         {25, 32, 25},
+                         {8, 8, 128},
+                         {6, 50, 6},
+                         {12, 50, 12},
+                         {50, 6, 50},
+                         {50, 12, 50},
+                         {20, 48, 20},
+                         {20, 69, 20},
+                         {0, 5, 3},
+                         {4, 5, 0},
+                         {0, 5, 0},
+                         {1, 1, 1},
+                         {3, 5, 1},
+                         {1, 5, 3}}) {
     const Matrix a = param.ta == Trans::kNo ? RandomMatrix(m, k, &rng)
                                             : RandomMatrix(k, m, &rng);
     const Matrix b = param.tb == Trans::kNo ? RandomMatrix(k, n, &rng)
@@ -85,6 +116,14 @@ TEST_P(GemmParamTest, MatchesReference) {
         ReferenceGemm(param.ta, param.tb, param.alpha, a, b, param.beta, c0);
     EXPECT_TRUE(AllClose(c, expected, 1e-10))
         << "shape " << m << "x" << k << "x" << n;
+    for (CpuIsa tier : tiers) {
+      if (!CpuIsaSupported(tier)) continue;
+      Matrix on_tier = c0;
+      on_tier *= param.beta;  // beta first, as the Gemm dispatcher does
+      BlockedGemm(param.ta, param.tb, param.alpha, a, b, &on_tier, 1, tier);
+      EXPECT_TRUE(AllClose(on_tier, expected, 1e-10))
+          << CpuIsaName(tier) << " shape " << m << "x" << k << "x" << n;
+    }
   }
 }
 
@@ -147,28 +186,21 @@ void ExpectBitEqual(const Matrix& a, const Matrix& b, const char* what) {
   }
 }
 
-// C = alpha op(A) op(B) + beta C through one engine entry point, applying
-// beta first the way the Gemm dispatcher does.
-Matrix ViaEngine(bool blocked, Trans ta, Trans tb, double alpha,
-                 const Matrix& a, const Matrix& b, double beta,
-                 const Matrix& c0) {
+// C = alpha op(A) op(B) + beta C through the blocked engine, applying beta
+// first the way the Gemm dispatcher does.
+Matrix ViaBlocked(Trans ta, Trans tb, double alpha, const Matrix& a,
+                  const Matrix& b, double beta, const Matrix& c0) {
   Matrix c = c0;
   c *= beta;
-  if (blocked) {
-    BlockedGemm(ta, tb, alpha, a, b, &c, 1, ResolveDefaultIsa().chosen);
-  } else {
-    internal_gemm::PanelGemm(ta, tb, alpha, a, b, &c);
-  }
+  BlockedGemm(ta, tb, alpha, a, b, &c, 1, ResolveDefaultIsa().chosen);
   return c;
 }
 
-// The blocked packed engine and the panel kernels accumulate in different
+// The blocked packed engine and the naive reference accumulate in different
 // orders, so they agree to rounding — not bit-for-bit. Sweep degenerate and
 // awkward shapes (1-wide panels, non-multiples of the micro-tile, sizes
 // straddling the kc blocking) under every transpose combo and the
-// alpha/beta special cases the dispatcher short-circuits on. The panel
-// kernels have no TT case (Gemm always packs it), so blocked TT is held to
-// the naive reference instead.
+// alpha/beta special cases the dispatcher short-circuits on.
 TEST(BlockedGemmTest, AgreesWithPanelAcrossShapesAndScalars) {
   const int64_t dims[] = {1, 3, 17, 64, 257};
   const Trans kinds[] = {Trans::kNo, Trans::kTrans};
@@ -188,14 +220,17 @@ TEST(BlockedGemmTest, AgreesWithPanelAcrossShapesAndScalars) {
           for (Trans tb : kinds) {
             const Matrix& a = ta == Trans::kNo ? a_n : a_t;
             const Matrix& b = tb == Trans::kNo ? b_n : b_t;
-            const bool tt = ta == Trans::kTrans && tb == Trans::kTrans;
+            // The naive product once per combo; each alpha/beta case is
+            // alpha * product + beta * C0, ReferenceGemm's own formula.
+            const Matrix product = ReferenceGemm(ta, tb, 1.0, a, b, 0.0, c0);
             for (const auto& ab : scalars) {
-              const Matrix cb =
-                  ViaEngine(true, ta, tb, ab[0], a, b, ab[1], c0);
-              const Matrix cp =
-                  tt ? ReferenceGemm(ta, tb, ab[0], a, b, ab[1], c0)
-                     : ViaEngine(false, ta, tb, ab[0], a, b, ab[1], c0);
-              ASSERT_TRUE(AllClose(cb, cp, 1e-10))
+              const Matrix cb = ViaBlocked(ta, tb, ab[0], a, b, ab[1], c0);
+              Matrix cr = product;
+              cr *= ab[0];
+              Matrix beta_c0 = c0;
+              beta_c0 *= ab[1];
+              cr += beta_c0;
+              ASSERT_TRUE(AllClose(cb, cr, 1e-10))
                   << "shape " << m << "x" << k << "x" << n << " trans "
                   << (ta == Trans::kTrans) << (tb == Trans::kTrans)
                   << " alpha " << ab[0] << " beta " << ab[1];
@@ -208,9 +243,8 @@ TEST(BlockedGemmTest, AgreesWithPanelAcrossShapesAndScalars) {
 }
 
 TEST(BlockedGemmTest, AutoDispatchLargeMatchesReference) {
-  // 65*40*50 = 130000 sits above kBlockedGemmCutoff, so the default path is
-  // the blocked engine; check it against the naive reference directly.
-  ASSERT_GE(int64_t{65} * 40 * 50, kBlockedGemmCutoff);
+  // The default path on a shape past one micro-tile in every direction,
+  // against the naive reference directly.
   Rng rng(113);
   const Trans kinds[] = {Trans::kNo, Trans::kTrans};
   for (Trans ta : kinds) {
@@ -230,9 +264,12 @@ TEST(BlockedGemmTest, AutoDispatchLargeMatchesReference) {
 }
 
 TEST(SyrkTest, MatchesReferenceGemmAndIsBitwiseSymmetric) {
-  // (kk, nn) pairs spanning the panel path, the cutoff edge, and blocked
-  // shapes with edge micro-tiles in both directions.
-  const int64_t shapes[][2] = {{7, 5}, {40, 30}, {20, 300}, {257, 64}};
+  // (kk, nn) pairs from empty and 1-wide through the small Grams a round
+  // makes (kTrans: 50 x 6, 50 x 12, 6 x 50 and 12 x 50 X; kNo: 20 x 48 and
+  // 20 x 69 X) to blocked shapes with edge micro-tiles in both directions.
+  const int64_t shapes[][2] = {{5, 0},   {1, 1},   {7, 5},    {50, 6},
+                               {50, 12}, {6, 50},  {12, 50},  {48, 20},
+                               {69, 20}, {40, 30}, {20, 300}, {257, 64}};
   Rng rng(141);
   for (const auto& s : shapes) {
     const int64_t kk = s[0], nn = s[1];
@@ -262,12 +299,12 @@ TEST(SyrkTest, MatchesReferenceGemmAndIsBitwiseSymmetric) {
 }
 
 TEST(SyrkTest, SubCutoffGramBitMatchesGemmBackedGram) {
-  // Below the cutoff Gram/OuterGram take the panel Syrk, whose per-element
-  // op sequence is the full-GEMM panel restricted to the lower triangle
-  // (and Dot / scalar products are bitwise symmetric) — so the Syrk rewrite
-  // changed no bits for the small Grams inside the OMP/ESC solvers.
+  // Syrk runs the blocked engine with strictly-upper micro-tiles skipped, so
+  // each lower-triangle element sees the op sequence of the full product
+  // (and the mirror copies it exactly): the small Grams inside the OMP/ESC
+  // solvers equal their MatMulTN/MatMulNT forms bit for bit.
   Rng rng(151);
-  const Matrix x = RandomMatrix(12, 20, &rng);  // 20*12*20 is sub-cutoff
+  const Matrix x = RandomMatrix(12, 20, &rng);  // 20 x 20 and 12 x 12 out
   ExpectBitEqual(Gram(x), MatMulTN(x, x), "Gram vs MatMulTN");
   ExpectBitEqual(OuterGram(x), MatMulNT(x, x), "OuterGram vs MatMulNT");
 }
@@ -291,8 +328,8 @@ TEST(BlasDeathTest, ShapeMismatchDies) {
 
 TEST(GemmIsaTest, ResolutionIsPureAndNamesRoundTrip) {
   // The process-wide tier (cpuid, or FEDSC_FORCE_ISA) never changes within
-  // a run, and it is the tier Gemm runs: above the cutoff Gemm is exactly
-  // BlockedGemm on that tier.
+  // a run, and it is the tier Gemm runs: Gemm is exactly BlockedGemm on that
+  // tier.
   const CpuIsa first = ResolveDefaultIsa().chosen;
   EXPECT_EQ(first, ResolveDefaultIsa().chosen);
   EXPECT_TRUE(CpuIsaSupported(first));
@@ -305,7 +342,6 @@ TEST(GemmIsaTest, ResolutionIsPureAndNamesRoundTrip) {
   Rng rng(227);
   const Matrix a = RandomMatrix(50, 40, &rng);
   const Matrix b = RandomMatrix(40, 45, &rng);
-  ASSERT_GE(int64_t{50} * 40 * 45, kBlockedGemmCutoff);
   Matrix via_gemm(50, 45);
   Matrix via_engine(50, 45);
   Gemm(Trans::kNo, Trans::kNo, 1.0, a, b, 0.0, &via_gemm);
@@ -353,7 +389,7 @@ TEST(GemmIsaTest, TiersAreThreadInvariantAndAgreeToUlpPolicy) {
 // A non-transposed B is packed k-step by k-step from NR column streams, with
 // a zero-padded ragged last micro-panel. Per tier: n a multiple of its NR,
 // one past, and one short; k past kKc so the second depth slice packs from
-// pc > 0. Thread counts must agree bit for bit, and the panel kernels to
+// pc > 0. Thread counts must agree bit for bit, and the naive reference to
 // rounding.
 TEST(GemmIsaTest, NonTransposedBPacksEveryPanelShape) {
   using internal_gemm::kKc;
@@ -369,13 +405,13 @@ TEST(GemmIsaTest, NonTransposedBPacksEveryPanelShape) {
     if (!CpuIsaSupported(tier)) continue;
     for (const int64_t n : {5 * nr, 5 * nr + 1, 6 * nr - 1}) {
       const Matrix b = RandomMatrix(k, n, &rng);
-      Matrix panel(m, n);
-      internal_gemm::PanelGemm(Trans::kNo, Trans::kNo, 1.0, a, b, &panel);
+      const Matrix reference =
+          ReferenceGemm(Trans::kNo, Trans::kNo, 1.0, a, b, 0.0, Matrix(m, n));
       Matrix base(m, n);
       BlockedGemm(Trans::kNo, Trans::kNo, 1.0, a, b, &base, 1, tier);
       const std::string what =
           std::string(CpuIsaName(tier)) + " n=" + std::to_string(n);
-      ASSERT_TRUE(AllClose(base, panel, 1e-10)) << what;
+      ASSERT_TRUE(AllClose(base, reference, 1e-10)) << what;
       for (int nt : {2, 8}) {
         Matrix threaded(m, n);
         BlockedGemm(Trans::kNo, Trans::kNo, 1.0, a, b, &threaded, nt, tier);

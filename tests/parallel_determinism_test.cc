@@ -48,8 +48,8 @@ void ExpectBitIdentical(const Matrix& a, const Matrix& b, const char* what) {
 }
 
 TEST(GemmDeterminismTest, AllTransposeCombosMatchSerialBitForBit) {
-  // 48^3 is above both the thread-throttle floor and kBlockedGemmCutoff, so
-  // the default path is the blocked packed engine with workers engaged.
+  // 48^3 is above the thread-throttle floor, so the blocked packed engine
+  // runs with workers engaged.
   constexpr int64_t n = 48;
   Rng rng(11);
   const Matrix a = RandomMatrix(n, n, &rng);
@@ -75,10 +75,8 @@ TEST(GemmDeterminismTest, BlockedEngineOddShapesMatchSerialBitForBit) {
   // tail: k = 257 spans two kc blocks, m = 130 spans mc blocks with a
   // partial micro-row, n = 100 leaves a partial NR micro-column. The jr
   // micro-blocks are the parallel axis; their results must be independent
-  // of how ParallelForRanges partitions them. The shape is far above
-  // kBlockedGemmCutoff, so Gemm runs the blocked engine.
+  // of how ParallelForRanges partitions them.
   constexpr int64_t m = 130, k = 257, n = 100;
-  static_assert(m * k * n >= kBlockedGemmCutoff);
   Rng rng(15);
   const Matrix c0 = RandomMatrix(m, n, &rng);
 
