@@ -5,8 +5,10 @@
 #include <benchmark/benchmark.h>
 
 #include "cluster/spectral.h"
+#include "common/rng.h"
 #include "core/fedsc.h"
 #include "data/synthetic.h"
+#include "linalg/sparse.h"
 #include "linalg/svd.h"
 #include "sc/pipeline.h"
 
@@ -133,6 +135,48 @@ void BM_SpectralClusterDense(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpectralClusterDense)->Arg(40)->Arg(120);
+
+// The two paths SpectralCluster picks between for a sparse graph, by size
+// (kSparseSpectralCutoff in cluster/spectral.cc): path 0 densifies and runs
+// the dense eigensolver, path 1 runs subspace iteration on the sparse
+// normalized adjacency. The graph is 5 disjoint blocks of N / 5 vertices,
+// each vertex linked to its successor and to 8 random vertices of its
+// block, both ways (~18 neighbours, like a q-NN central pool). Args: N,
+// path. DESIGN.md section 5 records the medians.
+void BM_SpectralSparseVsDense(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const bool sparse = state.range(1) != 0;
+  const int64_t k = 5;
+  const int64_t block = n / k;
+  Rng rng(11);
+  std::vector<Triplet> triplets;
+  const auto link = [&triplets](int64_t i, int64_t j) {
+    triplets.push_back({i, j, 1.0});
+    triplets.push_back({j, i, 1.0});
+  };
+  for (int64_t b = 0; b < k; ++b) {
+    const int64_t offset = b * block;
+    for (int64_t i = 0; i < block; ++i) {
+      link(offset + i, offset + (i + 1) % block);
+      for (int e = 0; e < 8; ++e) {
+        const int64_t j = static_cast<int64_t>(rng.Uniform() * block) % block;
+        if (j != i) link(offset + i, offset + j);
+      }
+    }
+  }
+  const SparseMatrix w =
+      SparseMatrix::FromTriplets(k * block, k * block, std::move(triplets));
+  for (auto _ : state) {
+    auto result = sparse ? internal_spectral::SparseSpectralCluster(w, k, {})
+                         : SpectralCluster(w.ToDense(), k);
+    benchmark::DoNotOptimize(result->labels.data());
+  }
+  state.SetLabel(sparse ? "sparse" : "dense");
+}
+BENCHMARK(BM_SpectralSparseVsDense)
+    ->ArgsProduct({{300, 600, 900, 1200, 2000}, {0, 1}})
+    ->Repetitions(5)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FedScLocalStage(benchmark::State& state) {
   // One device holding 2 subspaces with range(0) points each.

@@ -3,9 +3,9 @@
 // Laplacian (equivalently, the k largest of D^{-1/2} W D^{-1/2}), normalize
 // the embedding rows, and run k-means.
 //
-// Small graphs use the dense symmetric eigensolver; large sparse graphs use
-// shifted subspace iteration (SubspaceIterationLargest) on the sparse
-// normalized adjacency.
+// Small graphs use the dense symmetric eigensolver; sparse graphs of at
+// least 900 vertices use shifted subspace iteration
+// (SubspaceIterationLargest) on the sparse normalized adjacency.
 
 #ifndef FEDSC_CLUSTER_SPECTRAL_H_
 #define FEDSC_CLUSTER_SPECTRAL_H_
@@ -23,12 +23,6 @@
 namespace fedsc {
 
 struct SpectralOptions {
-  // Row-normalize the spectral embedding (Ng-Jordan-Weiss step).
-  bool normalize_rows = true;
-  // Sparse graphs of at least this many vertices use subspace iteration
-  // (SubspaceIterationLargest) instead of densifying. The name predates
-  // that backend.
-  int64_t lanczos_threshold = 900;
   // Workers for the dense eigendecomposition (blocked tridiagonalization
   // GEMMs). Bit-identical results for every thread count.
   int num_threads = 1;
@@ -37,7 +31,7 @@ struct SpectralOptions {
 
 struct SpectralResult {
   std::vector<int64_t> labels;  // size N, values in [0, k)
-  Matrix embedding;             // N x k spectral embedding (post-normalization)
+  Matrix embedding;             // N x k spectral embedding (rows normalized)
   // Lloyd iterations of the best k-means restart on the embedding.
   int kmeans_iterations = 0;
 };
@@ -47,6 +41,17 @@ Result<SpectralResult> SpectralCluster(const Matrix& affinity, int64_t k,
 
 Result<SpectralResult> SpectralCluster(const SparseMatrix& affinity, int64_t k,
                                        const SpectralOptions& options = {});
+
+namespace internal_spectral {
+
+// The subspace-iteration path SpectralCluster takes for a sparse graph of at
+// least 900 vertices, callable at any size so benchmarks can compare it with
+// the dense path. Requires 1 <= k <= N.
+Result<SpectralResult> SparseSpectralCluster(const SparseMatrix& affinity,
+                                             int64_t k,
+                                             const SpectralOptions& options);
+
+}  // namespace internal_spectral
 
 struct EigengapSpectralResult {
   int64_t num_clusters = 1;     // r, the eigengap heuristic's pick

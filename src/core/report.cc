@@ -74,17 +74,47 @@ std::string DeviceReportJson(const DeviceReport& report) {
 
 std::string FedScOptionsFingerprint(const FedScOptions& options) {
   // Every option field that shapes the run's deterministic outputs, in a
-  // fixed order. num_threads is deliberately excluded (see the header).
+  // fixed order. Left out: num_threads and the SSC deadline_seconds, which
+  // only the wall clock reads (see the header), and the two seeds the round
+  // overwrites from `seed` before use, local_spectral.kmeans.seed,
+  // central_spectral.kmeans.seed and central_sketch.seed.
   std::string text;
   const auto add = [&text](const std::string& value) {
     text += value;
     text += "|";
   };
+  const auto add_ssc = [&add](const SscAdmmOptions& ssc) {
+    add(FormatDouble(ssc.alpha));
+    add(std::to_string(ssc.affine));
+    add(FormatDouble(ssc.rho));
+    add(std::to_string(ssc.max_iterations));
+    add(FormatDouble(ssc.tol));
+    add(FormatDouble(ssc.drop_tol));
+  };
+  const auto add_spectral = [&add](const SpectralOptions& spectral) {
+    const KMeansOptions& kmeans = spectral.kmeans;
+    add(std::to_string(kmeans.max_iterations));
+    add(std::to_string(kmeans.num_init));
+    add(std::to_string(static_cast<int>(kmeans.init)));
+    add(FormatDouble(kmeans.tol));
+    add(std::to_string(kmeans.robust.enabled));
+    add(FormatDouble(kmeans.robust.trim_fraction));
+    add(std::to_string(static_cast<int>(kmeans.robust.center)));
+    add(FormatDouble(kmeans.robust.max_group_fraction));
+    add(std::to_string(kmeans.robust.point_group.size()));
+    for (int64_t group : kmeans.robust.point_group) {
+      add(std::to_string(group));
+    }
+  };
   add(ScMethodKey(options.central_method));
   add(CentralPathName(options.central));
   add(std::to_string(options.central_sketch.dim));
   add(SketchKindName(options.central_sketch.kind));
-  add(FormatDouble(options.central_sketch.leverage_ridge));
+  add_ssc(options.local_ssc);
+  add_ssc(options.central_ssc);
+  add(std::to_string(options.central_tsc.q));
+  add_spectral(options.local_spectral);
+  add_spectral(options.central_spectral);
   add(std::to_string(options.use_eigengap));
   add(std::to_string(options.max_local_clusters));
   add(std::to_string(options.sample_dim));
@@ -97,6 +127,7 @@ std::string FedScOptionsFingerprint(const FedScOptions& options) {
   add(std::to_string(options.channel.codec.quant_bits));
   add(FormatDouble(options.channel.codec.quant_range));
   add(std::to_string(options.channel.codec.raw_f32));
+  add(std::to_string(options.channel.codec.limits.max_elements));
   add(FormatDouble(options.faults.dropout_rate));
   add(FormatDouble(options.faults.straggler_rate));
   add(FormatDouble(options.faults.straggler_mean_delay_ms));
@@ -114,20 +145,10 @@ std::string FedScOptionsFingerprint(const FedScOptions& options) {
   add(std::to_string(options.retry.base_backoff_ms));
   add(FormatDouble(options.retry.backoff_multiplier));
   add(FormatDouble(options.retry.jitter_fraction));
-  add(std::to_string(options.validation.enabled));
   add(FormatDouble(options.validation.min_norm));
   add(FormatDouble(options.validation.max_norm));
   add(FormatDouble(options.quorum));
   add(std::to_string(options.defense.enabled));
-  add(FormatDouble(options.defense.coherence_mad_multiplier));
-  add(FormatDouble(options.defense.support_mad_multiplier));
-  add(FormatDouble(options.defense.min_support_mad));
-  add(FormatDouble(options.defense.max_screen_support_fraction));
-  add(std::to_string(options.defense.peer_rank));
-  add(FormatDouble(options.defense.residual_mad_multiplier));
-  add(FormatDouble(options.defense.min_residual_mad));
-  add(FormatDouble(options.defense.min_screen_residual));
-  add(std::to_string(options.defense.min_pool_devices));
   add(FormatDouble(options.defense.trim_fraction));
   add(std::to_string(static_cast<int>(options.defense.robust_center)));
   add(FormatDouble(options.defense.max_device_fraction));

@@ -14,13 +14,48 @@ namespace fedsc {
 
 namespace {
 
+// --- Screen 1: cross-device coherence support ---
+// Noise threshold theta = median + kCoherenceMadMultiplier * MAD over the
+// pooled cross-device |<s_i, s_j>| distribution; a device pair can only be
+// linked by a sample pair above theta (the relative edge rule below prunes
+// the survivors further).
+constexpr double kCoherenceMadMultiplier = 3.0;
 // Relative edge rule: a device pair is linked only when its best sample
-// pair is at least this fraction of the stronger device's own best
+// pair is at least this fraction of the weaker endpoint's own best
 // cross-device coherence. Colluders cohere near-perfectly with each other
 // (best ~1), so their weaker incidental alignments with honest subspaces
 // fall below the fraction and the clique stays isolated, independent of
 // where the global noise threshold theta lands.
 constexpr double kRelativeEdgeFraction = 0.85;
+// A device is support-screened when its support-graph component size falls
+// below median_size - kSupportMadMultiplier * max(MAD, kMinSupportMad) AND
+// below kMaxScreenSupportFraction of the pooled devices. The MAD floor keeps
+// a degenerate (all-equal) component distribution from screening everything
+// below the median; the fraction guard encodes the standing Byzantine
+// assumption (an adversarial clique is a minority) and protects legitimate
+// small subspace groups larger than that minority.
+constexpr double kSupportMadMultiplier = 3.0;
+constexpr double kMinSupportMad = 0.5;
+constexpr double kMaxScreenSupportFraction = 0.3;
+
+// --- Screen 2: peer-subspace self-consistency ---
+// Number of most-coherent cross-device peers spanning the reference
+// subspace each sample is reconstructed from. Deliberately larger than a
+// typical subspace dimension: honest peers beyond dim d cost nothing
+// (near-dependent directions vanish in the orthogonalization), while too
+// few peers can under-span the subspace and false-screen honest devices.
+constexpr int64_t kPeerRank = 6;
+// A device is residual-screened when even its best (minimum) sample
+// residual exceeds median + kResidualMadMultiplier * max(MAD,
+// kMinResidualMad) AND the absolute floor kMinScreenResidual (so noise on a
+// clean pool can never trip the screen).
+constexpr double kResidualMadMultiplier = 4.0;
+constexpr double kMinResidualMad = 0.02;
+constexpr double kMinScreenResidual = 0.15;
+
+// Below this many pooled devices the order statistics are meaningless and
+// screening is a no-op (every device passes).
+constexpr int64_t kMinPoolDevices = 4;
 
 // Value-based order statistics: insensitive to the order the inputs were
 // collected in, which is what makes the parallel collection passes safe.
@@ -54,42 +89,6 @@ std::string Format3(double value) {
 }  // namespace
 
 Status ValidateDefenseOptions(const DefenseOptions& options) {
-  const auto nonnegative = [](double value, const char* name) {
-    return value >= 0.0
-               ? Status::OK()
-               : Status::InvalidArgument(std::string("defense ") + name +
-                                         " must be nonnegative, got " +
-                                         std::to_string(value));
-  };
-  Status status = nonnegative(options.coherence_mad_multiplier,
-                              "coherence_mad_multiplier");
-  if (!status.ok()) return status;
-  status = nonnegative(options.support_mad_multiplier, "support_mad_multiplier");
-  if (!status.ok()) return status;
-  status = nonnegative(options.min_support_mad, "min_support_mad");
-  if (!status.ok()) return status;
-  status = nonnegative(options.residual_mad_multiplier,
-                       "residual_mad_multiplier");
-  if (!status.ok()) return status;
-  status = nonnegative(options.min_residual_mad, "min_residual_mad");
-  if (!status.ok()) return status;
-  status = nonnegative(options.min_screen_residual, "min_screen_residual");
-  if (!status.ok()) return status;
-  if (options.max_screen_support_fraction < 0.0 ||
-      options.max_screen_support_fraction > 1.0) {
-    return Status::InvalidArgument(
-        "defense max_screen_support_fraction must lie in [0, 1], got " +
-        std::to_string(options.max_screen_support_fraction));
-  }
-  if (options.peer_rank < 1) {
-    return Status::InvalidArgument("defense peer_rank must be >= 1, got " +
-                                   std::to_string(options.peer_rank));
-  }
-  if (options.min_pool_devices < 2) {
-    return Status::InvalidArgument(
-        "defense min_pool_devices must be >= 2, got " +
-        std::to_string(options.min_pool_devices));
-  }
   if (options.trim_fraction < 0.0 || options.trim_fraction > 0.5) {
     return Status::InvalidArgument(
         "defense trim_fraction must lie in [0, 0.5], got " +
@@ -107,7 +106,7 @@ Status ValidateDefenseOptions(const DefenseOptions& options) {
 Result<DefensePlan> DefensePlan::Create(const DefenseOptions& options) {
   Status status = ValidateDefenseOptions(options);
   if (!status.ok()) return status;
-  return DefensePlan(options);
+  return DefensePlan();
 }
 
 ScreeningOutcome DefensePlan::Screen(
@@ -132,7 +131,7 @@ ScreeningOutcome DefensePlan::Screen(
       outcome.verdicts[static_cast<size_t>(slot++)].device = z;
     }
   }
-  if (num_devices < options_.min_pool_devices || m < 2 || n < 1) {
+  if (num_devices < kMinPoolDevices || m < 2 || n < 1) {
     outcome.skipped = true;
     return outcome;
   }
@@ -173,14 +172,14 @@ ScreeningOutcome DefensePlan::Screen(
   const double coherence_median = MedianOf(cross);
   const double coherence_mad = MadAbout(cross, coherence_median);
   const double theta =
-      coherence_median + options_.coherence_mad_multiplier * coherence_mad;
+      coherence_median + kCoherenceMadMultiplier * coherence_mad;
   outcome.coherence_threshold = theta;
 
   // Per-sample pass: the best coherence from sample j to every other
   // device, and the peer-subspace residual of sample j. Each parallel
   // iteration writes only slots of sample j — disjoint across chunks.
   const int64_t rank =
-      std::min<int64_t>(options_.peer_rank, std::max<int64_t>(m - 1, 1));
+      std::min<int64_t>(kPeerRank, std::max<int64_t>(m - 1, 1));
   std::vector<double> pair_best(
       static_cast<size_t>(m) * static_cast<size_t>(num_devices), 0.0);
   std::vector<double> sample_residual(static_cast<size_t>(m), 1.0);
@@ -338,17 +337,17 @@ ScreeningOutcome DefensePlan::Screen(
 
   const double support_median = MedianOf(support);
   const double support_mad =
-      std::max(MadAbout(support, support_median), options_.min_support_mad);
+      std::max(MadAbout(support, support_median), kMinSupportMad);
   const double support_cut =
-      support_median - options_.support_mad_multiplier * support_mad;
-  const double support_ceiling = options_.max_screen_support_fraction *
-                                 static_cast<double>(num_devices);
+      support_median - kSupportMadMultiplier * support_mad;
+  const double support_ceiling =
+      kMaxScreenSupportFraction * static_cast<double>(num_devices);
 
   const double residual_median = MedianOf(residual);
   const double residual_mad =
-      std::max(MadAbout(residual, residual_median), options_.min_residual_mad);
+      std::max(MadAbout(residual, residual_median), kMinResidualMad);
   const double residual_cut =
-      residual_median + options_.residual_mad_multiplier * residual_mad;
+      residual_median + kResidualMadMultiplier * residual_mad;
 
   for (int64_t z = 0; z < num_devices; ++z) {
     DeviceScreenVerdict& verdict = outcome.verdicts[static_cast<size_t>(z)];
@@ -361,7 +360,7 @@ ScreeningOutcome DefensePlan::Screen(
         support[static_cast<size_t>(z)] < support_ceiling;
     const bool residual_screened =
         verdict.residual > residual_cut &&
-        verdict.residual > options_.min_screen_residual;
+        verdict.residual > kMinScreenResidual;
     verdict.screened = support_screened || residual_screened;
     if (support_screened) {
       verdict.statistic = "coherence component " +

@@ -22,9 +22,8 @@
 //      upload is near-orthogonal to everything and isolated outright. The
 //      screen is a median-absolute-deviation outlier test on the per-device
 //      component size: a device whose component falls a MAD-scaled margin
-//      below the pool median — and is a minority (below
-//      max_screen_support_fraction of the pooled devices, the standing
-//      Byzantine assumption) — is screened.
+//      below the pool median — and is a minority (below 30% of the pooled
+//      devices, the standing Byzantine assumption) — is screened.
 //
 //   2. Peer-subspace self-consistency. Each sample is projected onto the
 //      span of its most-coherent samples from other devices; honest samples
@@ -56,42 +55,8 @@ struct DefenseOptions {
   // Master switch. Off: RunFedSc and FedScServer behave exactly as before
   // this subsystem existed (no screening, no robust k-engine).
   bool enabled = false;
-
-  // --- Screen 1: cross-device coherence support ---
-  // Noise threshold theta = median + coherence_mad_multiplier * MAD over the
-  // pooled cross-device |<s_i, s_j>| distribution; a device pair can only be
-  // linked by a sample pair above theta (the relative edge rule in
-  // defense.cc prunes the survivors further).
-  double coherence_mad_multiplier = 3.0;
-  // A device is support-screened when its support-graph component size falls
-  // below median_size - support_mad_multiplier * max(MAD, min_support_mad)
-  // AND below max_screen_support_fraction of the pooled devices. The MAD
-  // floor keeps a degenerate (all-equal) component distribution from
-  // screening everything below the median; the fraction guard encodes the
-  // standing Byzantine assumption (an adversarial clique is a minority) and
-  // protects legitimate small subspace groups larger than that minority.
-  double support_mad_multiplier = 3.0;
-  double min_support_mad = 0.5;
-  double max_screen_support_fraction = 0.3;
-
-  // --- Screen 2: peer-subspace self-consistency ---
-  // Number of most-coherent cross-device peers spanning the reference
-  // subspace each sample is reconstructed from. Deliberately larger than a
-  // typical subspace dimension: honest peers beyond dim d cost nothing
-  // (near-dependent directions vanish in the orthogonalization), while too
-  // few peers can under-span the subspace and false-screen honest devices.
-  int64_t peer_rank = 6;
-  // A device is residual-screened when even its best (minimum) sample
-  // residual exceeds median + residual_mad_multiplier * max(MAD,
-  // min_residual_mad) AND the absolute floor min_screen_residual (so noise
-  // on a clean pool can never trip the screen).
-  double residual_mad_multiplier = 4.0;
-  double min_residual_mad = 0.02;
-  double min_screen_residual = 0.15;
-
-  // Below this many pooled devices the order statistics are meaningless and
-  // screening is a no-op (every device passes).
-  int64_t min_pool_devices = 4;
+  // The two screens' thresholds are constants in defense.cc (DESIGN.md
+  // section 11).
 
   // --- Robust central k-engine wiring (cluster/kmeans.h) ---
   // Applied to the central spectral k-means when the defense is enabled:
@@ -129,21 +94,18 @@ struct ScreeningOutcome {
   // Pool-derived coherence threshold theta (0 when screening was skipped).
   double coherence_threshold = 0.0;
   int64_t screened_devices = 0;
-  // True when the pool was too small (min_pool_devices) to screen.
+  // True when the pool was too small (under 4 devices) to screen.
   bool skipped = false;
 };
 
-// Immutable screening configuration; Screen() is a pure function of
-// (options, samples, sample_device) — bit-identical for any num_threads.
+// The screen. Its thresholds are constants, so Screen() is a pure function
+// of (samples, sample_device) — bit-identical for any num_threads.
 class DefensePlan {
  public:
   DefensePlan() = default;
 
-  // Validates thresholds (multipliers nonnegative, fractions in range).
+  // Validates the robust k-engine fractions.
   static Result<DefensePlan> Create(const DefenseOptions& options);
-
-  const DefenseOptions& options() const { return options_; }
-  bool enabled() const { return options_.enabled; }
 
   // Screens the pooled accepted uploads: `samples` holds every accepted
   // column (n x m) and sample_device[j] names the owning device of column j.
@@ -152,11 +114,6 @@ class DefensePlan {
   ScreeningOutcome Screen(const Matrix& samples,
                           const std::vector<int64_t>& sample_device,
                           int num_threads) const;
-
- private:
-  explicit DefensePlan(const DefenseOptions& options) : options_(options) {}
-
-  DefenseOptions options_;
 };
 
 }  // namespace fedsc

@@ -512,10 +512,6 @@ Result<UploadValidation> ValidateUpload(
   const int64_t n = samples.rows();
   std::vector<int64_t> kept;
   for (int64_t j = 0; j < samples.cols(); ++j) {
-    if (!options.enabled) {
-      kept.push_back(j);
-      continue;
-    }
     const double* col = samples.ColData(j);
     // Fast path: one vectorized Dot pass gives both checks at once. A
     // finite sum of squares proves every element finite (any NaN or inf

@@ -186,7 +186,6 @@ class FaultPlan {
 // magnitude off (or non-finite values, or a wrong ambient dimension) are
 // quarantined.
 struct UploadValidationOptions {
-  bool enabled = true;
   double min_norm = 1e-6;
   double max_norm = 1e6;
 };

@@ -1,8 +1,7 @@
 // Iterative extreme eigenpairs of a symmetric linear operator by orthogonal
 // (subspace) iteration. Spectral clustering of large sparse affinity graphs
 // uses it to avoid the O(N^3) dense eigensolver. (The file keeps its name
-// from the Lanczos solver it once held, like
-// SpectralOptions::lanczos_threshold.)
+// from the Lanczos solver it once held.)
 
 #ifndef FEDSC_LINALG_LANCZOS_H_
 #define FEDSC_LINALG_LANCZOS_H_

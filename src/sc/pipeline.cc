@@ -13,6 +13,11 @@ namespace fedsc {
 
 namespace {
 
+// Neighbors kept per point when the sketched path sparsifies the
+// landmark-mediated affinity W = |C|^T |C|: the affinity holds at most
+// 2 N kSketchTopQ entries in place of the dense N x N graph.
+constexpr int64_t kSketchTopQ = 8;
+
 bool MethodSupportsSketch(ScMethod method) {
   return method == ScMethod::kSsc || method == ScMethod::kSscOmp ||
          method == ScMethod::kTsc;
@@ -149,8 +154,7 @@ Result<SparseMatrix> BuildAffinity(const Matrix& x,
     const int64_t dim = SketchDimForShape(x.cols(), options.sketch.dim);
     FEDSC_ASSIGN_OR_RETURN(SparseMatrix coefficients,
                            SketchedCoefficients(x, options, dim, nullptr));
-    return AffinityFromLandmarkCoefficients(coefficients,
-                                            options.sketch_top_q,
+    return AffinityFromLandmarkCoefficients(coefficients, kSketchTopQ,
                                             options.num_threads);
   }
   // The pipeline knob lifts method-level defaults; an explicit per-method
@@ -227,7 +231,7 @@ Result<ScResult> RunSubspaceClustering(const Matrix& x, int64_t num_clusters,
     // induced-connectivity metric, report surfaces) see; the spectral step
     // clusters the full factorized graph |C|^T |C| via its d x d core.
     SparseMatrix affinity = AffinityFromLandmarkCoefficients(
-        coefficients, options.sketch_top_q, options.num_threads);
+        coefficients, kSketchTopQ, options.num_threads);
     SpectralResult spectral;
     {
       FEDSC_TRACE_SPAN("sc/spectral", {{"k", num_clusters}});

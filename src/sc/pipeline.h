@@ -92,9 +92,6 @@ struct ScPipelineOptions {
   // SketchDimForShape(N); sketch.num_threads is lifted by num_threads like
   // the per-method solvers.
   SketchOptions sketch;
-  // Neighbors kept per point when the landmark-mediated affinity
-  // W = |C|^T |C| is sparsified (sketched path only).
-  int64_t sketch_top_q = 8;
   // Pipeline-level worker count. Raises the per-method num_threads (SSC,
   // SSC-OMP, EnSC, TSC) and the affinity symmetrization to this value when
   // they are left at their default of 1; a method-level setting above 1

@@ -15,6 +15,11 @@ namespace fedsc {
 
 namespace {
 
+// Ridge for the leverage scores, relative to trace(X X^T) / D: small enough
+// that the scores follow the data's directions, large enough to keep
+// X X^T + ridge I safely invertible when X is rank-deficient.
+constexpr double kLeverageRidge = 1e-6;
+
 std::vector<int64_t> UniformLandmarks(int64_t n, int64_t dim, uint64_t seed) {
   Rng rng(MixSeeds(seed, 0));
   std::vector<int64_t> landmarks = rng.SampleWithoutReplacement(n, dim);
@@ -113,7 +118,7 @@ Result<SketchResult> SketchDictionary(const Matrix& x,
       // free; the trace equals ||X||_F^2, which one pass over the data gives.
       const double frob = x.FrobeniusNorm();
       const double ridge = std::max(
-          options.leverage_ridge * frob * frob /
+          kLeverageRidge * frob * frob /
               static_cast<double>(std::max<int64_t>(x.rows(), 1)),
           1e-300);
       FEDSC_ASSIGN_OR_RETURN(

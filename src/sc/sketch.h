@@ -46,8 +46,6 @@ struct SketchOptions {
   int64_t dim = 0;
   SketchKind kind = SketchKind::kUniformLandmarks;
   uint64_t seed = 0;
-  // Ridge for the leverage scores, relative to trace(X X^T) / D.
-  double leverage_ridge = 1e-6;
   // Workers for the per-column draws / score evaluations. Bit-identical
   // results for every thread count.
   int num_threads = 1;

@@ -308,13 +308,11 @@ struct ZUpdate {
   const Matrix* a = nullptr;
   // A^T, when the caller holds it (the exact solve's Cholesky factor L of
   // X^T X, with A = R = L^T). The factored iteration then runs as
-  // T = Y - (K^T)^T M and Z = M + A^T T (DESIGN.md section 4). On the
-  // AVX-512 tier T's product has r <= 8 rows and takes the GEMM's
-  // thin-output route (only K^T is packed, M is read in place), and Z's
-  // full 24 x 8 tiles commit from registers (linalg/gemm_kernel.h), bit for
-  // bit the packed path's result: at 8 x 120 x 120 and 120 x 8 x 120 the
-  // two run in 3.8 and 4.3 us instead of 12.1 and 5.9 us (BM_GemmZUpdate
-  // medians, DESIGN.md section 5).
+  // T = Y - K M and Z = M + L T (DESIGN.md section 4). On the AVX-512 tier
+  // T's product has r <= 8 rows and takes the GEMM's thin-output route
+  // (only K is packed, M is read in place), and Z's full 24 x 8 tiles
+  // commit from registers (linalg/gemm_kernel.h), bit for bit the packed
+  // path's result (BM_GemmZUpdate medians, DESIGN.md section 5).
   const Matrix* a_t = nullptr;
   double lambda = 0.0;
   double rho = 0.0;
@@ -324,7 +322,6 @@ struct ZUpdate {
   std::shared_ptr<const Matrix> gram;
   std::shared_ptr<const Matrix> k;
   std::shared_ptr<const Matrix> w;  // lambda S^{-1}, factored only
-  std::shared_ptr<const Matrix> k_t;  // K^T, with a_t only
 
   // The same operator at penalty `next_rho`.
   Result<ZUpdate> WithRho(double next_rho, int num_threads) const {
@@ -344,9 +341,6 @@ struct ZUpdate {
       Matrix k(a->rows(), a->cols());
       Gemm(Trans::kNo, Trans::kNo, 1.0, inverse, *a, 0.0, &k, num_threads);
       op.w = std::make_shared<const Matrix>(std::move(inverse));
-      if (a_t != nullptr) {
-        op.k_t = std::make_shared<const Matrix>(k.Transposed());
-      }
       op.k = std::make_shared<const Matrix>(std::move(k));
     } else {
       inverse *= -next_rho;
@@ -379,13 +373,10 @@ struct ZUpdate {
   // *z holds M on entry and Z on exit; t is K.rows() x cols scratch.
   void Apply(const Matrix& y, Matrix* t, Matrix* z, int num_threads) const {
     *t = y;
-    if (a_t != nullptr) {
-      Gemm(Trans::kTrans, Trans::kNo, -1.0, *k_t, *z, 1.0, t, num_threads);
-      Gemm(Trans::kNo, Trans::kNo, 1.0, *a_t, *t, 1.0, z, num_threads);
-      return;
-    }
     Gemm(Trans::kNo, Trans::kNo, -1.0, *k, *z, 1.0, t, num_threads);
-    if (factored) {
+    if (a_t != nullptr) {
+      Gemm(Trans::kNo, Trans::kNo, 1.0, *a_t, *t, 1.0, z, num_threads);
+    } else if (factored) {
       Gemm(Trans::kTrans, Trans::kNo, 1.0, *a, *t, 1.0, z, num_threads);
     } else {
       *z += *t;

@@ -7,6 +7,7 @@
 
 #include "cluster/kmeans.h"
 #include "cluster/spectral.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "graph/eigengap.h"
 #include "linalg/sparse.h"
@@ -145,20 +146,51 @@ TEST(SpectralTest, RecoversBlocksDense) {
   EXPECT_EQ(ClusteringAccuracy(truth, result->labels), 100.0);
 }
 
+// A sparse graph of disjoint blocks: vertex i of a block links to its
+// successor (so the block is connected) and to `degree` random vertices of
+// the same block, both ways.
+SparseMatrix SparseBlockAffinity(const std::vector<int64_t>& sizes,
+                                 int64_t degree, Rng* rng) {
+  int64_t n = 0;
+  for (int64_t s : sizes) n += s;
+  std::vector<Triplet> triplets;
+  const auto link = [&triplets](int64_t i, int64_t j) {
+    triplets.push_back({i, j, 1.0});
+    triplets.push_back({j, i, 1.0});
+  };
+  int64_t offset = 0;
+  for (int64_t s : sizes) {
+    for (int64_t i = 0; i < s; ++i) {
+      link(offset + i, offset + (i + 1) % s);
+      for (int64_t e = 0; e < degree; ++e) {
+        const int64_t j = static_cast<int64_t>(rng->Uniform() * s) % s;
+        if (j != i) link(offset + i, offset + j);
+      }
+    }
+    offset += s;
+  }
+  return SparseMatrix::FromTriplets(n, n, std::move(triplets));
+}
+
 TEST(SpectralTest, SparseLanczosPathMatchesTruth) {
-  // Force the Lanczos path with a low threshold.
-  std::vector<int64_t> sizes{40, 50, 35};
-  const Matrix w = BlockAffinity(sizes);
+  // 970 vertices: past the 900-vertex cutoff, so the sparse graph takes
+  // subspace iteration instead of being densified.
+  const std::vector<int64_t> sizes{300, 350, 320};
+  Rng rng(17);
+  const SparseMatrix w = SparseBlockAffinity(sizes, 4, &rng);
   std::vector<int64_t> truth;
   for (size_t c = 0; c < sizes.size(); ++c) {
     for (int64_t i = 0; i < sizes[c]; ++i) {
       truth.push_back(static_cast<int64_t>(c));
     }
   }
-  SpectralOptions options;
-  options.lanczos_threshold = 10;
-  auto result = SpectralCluster(SparsifyDense(w), 3, options);
+  ResetMetrics();
+  EnableMetrics(true);
+  auto result = SpectralCluster(w, 3);
+  EnableMetrics(false);
   ASSERT_TRUE(result.ok());
+  EXPECT_EQ(SnapshotMetrics().counters.at("linalg.subspace_iteration.calls"),
+            1);
   EXPECT_EQ(ClusteringAccuracy(truth, result->labels), 100.0);
 }
 

@@ -273,11 +273,6 @@ TEST(ValidateUploadTest, BoundsAndDisabledMode) {
   EXPECT_EQ(verdict->kept, (std::vector<int64_t>{0}));
   EXPECT_EQ(verdict->quarantined, (std::vector<int64_t>{1, 2}));
 
-  options.enabled = false;  // trust mode: everything passes
-  auto trusting = ValidateUpload(upload, 3, options);
-  ASSERT_TRUE(trusting.ok());
-  EXPECT_EQ(trusting->accepted.cols(), 3);
-
   // expected_dim < 0 skips the dimension check (first upload fixes it).
   EXPECT_TRUE(ValidateUpload(upload, -1, UploadValidationOptions{}).ok());
   EXPECT_FALSE(ValidateUpload(upload, 4, UploadValidationOptions{}).ok());

@@ -360,8 +360,95 @@ TEST(RunReportTest, OptionsFingerprintTracksConfigNotThreads) {
            [](FedScOptions* o) {
              o->central_sketch.kind = SketchKind::kLeverageLandmarks;
            }},
-          {"central_sketch.leverage_ridge",
-           [](FedScOptions* o) { o->central_sketch.leverage_ridge = 1e-3; }},
+          {"codec.limits.max_elements",
+           [](FedScOptions* o) {
+             o->channel.codec.limits.max_elements = 1 << 20;
+           }},
+          {"local_ssc.alpha", [](FedScOptions* o) { o->local_ssc.alpha = 20; }},
+          {"local_ssc.affine",
+           [](FedScOptions* o) { o->local_ssc.affine = true; }},
+          {"local_ssc.rho", [](FedScOptions* o) { o->local_ssc.rho = 10; }},
+          {"local_ssc.max_iterations",
+           [](FedScOptions* o) { o->local_ssc.max_iterations = 5; }},
+          {"local_ssc.tol", [](FedScOptions* o) { o->local_ssc.tol = 1e-4; }},
+          {"local_ssc.drop_tol",
+           [](FedScOptions* o) { o->local_ssc.drop_tol = 1e-3; }},
+          {"central_ssc.alpha",
+           [](FedScOptions* o) { o->central_ssc.alpha = 20; }},
+          {"central_ssc.affine",
+           [](FedScOptions* o) { o->central_ssc.affine = true; }},
+          {"central_ssc.rho", [](FedScOptions* o) { o->central_ssc.rho = 10; }},
+          {"central_ssc.max_iterations",
+           [](FedScOptions* o) { o->central_ssc.max_iterations = 5; }},
+          {"central_ssc.tol",
+           [](FedScOptions* o) { o->central_ssc.tol = 1e-4; }},
+          {"central_ssc.drop_tol",
+           [](FedScOptions* o) { o->central_ssc.drop_tol = 1e-3; }},
+          {"central_tsc.q", [](FedScOptions* o) { o->central_tsc.q = 7; }},
+          {"local_spectral.kmeans.max_iterations",
+           [](FedScOptions* o) {
+             o->local_spectral.kmeans.max_iterations = 7;
+           }},
+          {"local_spectral.kmeans.num_init",
+           [](FedScOptions* o) { o->local_spectral.kmeans.num_init = 9; }},
+          {"local_spectral.kmeans.init",
+           [](FedScOptions* o) {
+             o->local_spectral.kmeans.init = KMeansInit::kFarthestFirst;
+           }},
+          {"local_spectral.kmeans.tol",
+           [](FedScOptions* o) { o->local_spectral.kmeans.tol = 1e-3; }},
+          {"local_spectral.kmeans.robust.enabled",
+           [](FedScOptions* o) {
+             o->local_spectral.kmeans.robust.enabled = true;
+           }},
+          {"local_spectral.kmeans.robust.trim_fraction",
+           [](FedScOptions* o) {
+             o->local_spectral.kmeans.robust.trim_fraction = 0.2;
+           }},
+          {"local_spectral.kmeans.robust.center",
+           [](FedScOptions* o) {
+             o->local_spectral.kmeans.robust.center = KMeansCenter::kMean;
+           }},
+          {"local_spectral.kmeans.robust.max_group_fraction",
+           [](FedScOptions* o) {
+             o->local_spectral.kmeans.robust.max_group_fraction = 0.5;
+           }},
+          {"local_spectral.kmeans.robust.point_group",
+           [](FedScOptions* o) {
+             o->local_spectral.kmeans.robust.point_group = {0, 1};
+           }},
+          {"central_spectral.kmeans.max_iterations",
+           [](FedScOptions* o) {
+             o->central_spectral.kmeans.max_iterations = 7;
+           }},
+          {"central_spectral.kmeans.num_init",
+           [](FedScOptions* o) { o->central_spectral.kmeans.num_init = 9; }},
+          {"central_spectral.kmeans.init",
+           [](FedScOptions* o) {
+             o->central_spectral.kmeans.init = KMeansInit::kFarthestFirst;
+           }},
+          {"central_spectral.kmeans.tol",
+           [](FedScOptions* o) { o->central_spectral.kmeans.tol = 1e-3; }},
+          {"central_spectral.kmeans.robust.enabled",
+           [](FedScOptions* o) {
+             o->central_spectral.kmeans.robust.enabled = true;
+           }},
+          {"central_spectral.kmeans.robust.trim_fraction",
+           [](FedScOptions* o) {
+             o->central_spectral.kmeans.robust.trim_fraction = 0.2;
+           }},
+          {"central_spectral.kmeans.robust.center",
+           [](FedScOptions* o) {
+             o->central_spectral.kmeans.robust.center = KMeansCenter::kMean;
+           }},
+          {"central_spectral.kmeans.robust.max_group_fraction",
+           [](FedScOptions* o) {
+             o->central_spectral.kmeans.robust.max_group_fraction = 0.5;
+           }},
+          {"central_spectral.kmeans.robust.point_group",
+           [](FedScOptions* o) {
+             o->central_spectral.kmeans.robust.point_group = {0, 1};
+           }},
           {"dp.epsilon", [](FedScOptions* o) { o->dp.epsilon = 0.5; }},
           {"dp.delta", [](FedScOptions* o) { o->dp.delta = 1e-3; }},
           {"dp.sensitivity", [](FedScOptions* o) { o->dp.sensitivity = 1.0; }},

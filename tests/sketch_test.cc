@@ -300,8 +300,7 @@ TEST(SketchedRunTest, LandmarkAffinityRespectsTopQMemoryBound) {
   options.method = ScMethod::kSscOmp;
   options.central = CentralPath::kSketched;
   options.sketch.dim = 48;
-  const int64_t q = 4;
-  options.sketch_top_q = q;
+  const int64_t q = 8;  // the pipeline's kSketchTopQ
   auto result = RunSubspaceClustering(data.points, 4, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_LE(result->affinity.nnz(), 2 * n * q);
