@@ -344,13 +344,16 @@ BENCHMARK(BM_SymmetricEigenvaluesOnly)->Arg(64)->Arg(256);
 // eigendecomposition (the spectral-clustering server hot path).
 // items_per_second counts the 4 n^3 / 3 reduction flops, so the rate ratio
 // is the blocked speedup of the tridiagonalization-dominated run.
-// One engine's eigendecomposition of `a`: its tridiagonalization, then the
-// shared QL stage.
-Result<EigResult> EigWithEngine(const Matrix& a, bool blocked,
-                                bool accumulate) {
-  return internal_eig::SolveTridiagonal(
-      blocked ? internal_eig::BlockedTridiagonal(a, accumulate, 1)
-              : internal_eig::Tred2Tridiagonal(a, accumulate));
+// One engine's eigendecomposition of `a`: its tridiagonalization, then
+// every eigenpair (`vectors`) or every eigenvalue.
+Result<EigResult> EigWithEngine(const Matrix& a, bool blocked, bool vectors) {
+  const SymmetricEigensolver solver(
+      blocked ? internal_eig::BlockedTridiagonal(a, 1)
+              : internal_eig::Tred2Tridiagonal(a),
+      1);
+  if (vectors) return solver.Pairs(0, a.rows());
+  FEDSC_ASSIGN_OR_RETURN(Vector values, solver.Values(0, a.rows()));
+  return EigResult{std::move(values), Matrix()};
 }
 
 void BM_EigVariant(benchmark::State& state) {
@@ -359,7 +362,7 @@ void BM_EigVariant(benchmark::State& state) {
   Rng rng(6);
   const Matrix a = RandomSymmetric(n, &rng);
   for (auto _ : state) {
-    auto eig = EigWithEngine(a, blocked, /*accumulate=*/true);
+    auto eig = EigWithEngine(a, blocked, /*vectors=*/true);
     benchmark::DoNotOptimize(eig->values.data());
   }
   state.SetLabel(blocked ? "blocked" : "unblocked");
@@ -374,7 +377,7 @@ void BM_EigValuesVariant(benchmark::State& state) {
   Rng rng(7);
   const Matrix a = RandomSymmetric(n, &rng);
   for (auto _ : state) {
-    auto values = EigWithEngine(a, blocked, /*accumulate=*/false);
+    auto values = EigWithEngine(a, blocked, /*vectors=*/false);
     benchmark::DoNotOptimize(values->values.data());
   }
   state.SetLabel(blocked ? "blocked" : "unblocked");
@@ -382,6 +385,31 @@ void BM_EigValuesVariant(benchmark::State& state) {
 }
 BENCHMARK(BM_EigValuesVariant)
     ->ArgsProduct({{12, 24, 48, 64, 96, 120, 256, 512}, {0, 1}});
+
+// The windowed solve at the round's shapes: reduce once, then the top k
+// eigenpairs (k = n: every pair). (120, 2) is a noniid2_z160 device solved
+// whole, (60, 2) one of its two components, (320, 20) a noniid2_z160
+// central pool, (510, 10) and (296, 10) stream_byzantine's largest pool and
+// fleet_z2500's Nystrom core, (12, 12) a fleet_z2500 device.
+void BM_EigWindow(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const int64_t k = state.range(1);
+  Rng rng(8);
+  const Matrix a = RandomSymmetric(n, &rng);
+  for (auto _ : state) {
+    auto solver = SymmetricEigensolver::Create(a);
+    auto top = solver->Pairs(n - k, k);
+    benchmark::DoNotOptimize(top->vectors.data());
+  }
+  state.SetLabel("top-" + std::to_string(k) + " pairs");
+}
+BENCHMARK(BM_EigWindow)
+    ->Args({120, 2})
+    ->Args({60, 2})
+    ->Args({320, 20})
+    ->Args({510, 10})
+    ->Args({296, 10})
+    ->Args({12, 12});
 
 // `batch` exactly rank-`rank` rows x cols panels U C with Gaussian factors,
 // each column scaled to unit norm when `unit_columns` is set.

@@ -49,7 +49,7 @@ cmake --build "${build_dir}" -j "$(nproc)" \
   --target thread_pool_test parallel_determinism_test fedsc_test \
   server_test faults_test defense_test trace_test journal_test logging_test \
   blas_test batch_test qr_cholesky_test svd_eig_test sketch_test sc_test \
-  fedsc_cli
+  cluster_test graph_test fedsc_cli
 
 # halt_on_error makes the first race fail the run instead of just logging.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -86,6 +86,12 @@ run_suite "${build_dir}/tests/batch_test"
 # tridiagonalization) thread their GEMM updates and triangular multiplies.
 run_suite "${build_dir}/tests/qr_cholesky_test"
 run_suite "${build_dir}/tests/svd_eig_test"
+# Dense spectral clustering and the eigengap split the affinity into
+# connected components and reduce each block with the threaded blocked
+# tridiagonalization; the windowed back-transform threads its block
+# reflectors.
+run_suite "${build_dir}/tests/cluster_test"
+run_suite "${build_dir}/tests/graph_test"
 # The sketched central path fans per-column draws, the single-threaded
 # 256-column blocks of the one SSC-ADMM column solver, leverage-key
 # selection, and the Nystrom core/extension GEMVs over the pool, all writing
@@ -121,7 +127,7 @@ cmake --build "${asan_dir}" -j "$(nproc)" \
   --target faults_test defense_test server_test blas_test batch_test \
   parallel_determinism_test qr_cholesky_test svd_eig_test codec_test \
   wire_fuzz_test journal_test sketch_test sc_test edge_cases_test fed_test \
-  fedsc_test sparse_lanczos_test fedsc_cli
+  fedsc_test sparse_lanczos_test cluster_test graph_test fedsc_cli
 
 print_tier "ASAN" "${asan_dir}"
 run_suite "${asan_dir}/tests/faults_test"
@@ -143,6 +149,11 @@ run_suite "${asan_dir}/tests/parallel_determinism_test"
 # the gate for an off-by-one in the V/T/corner copies.
 run_suite "${asan_dir}/tests/qr_cholesky_test"
 run_suite "${asan_dir}/tests/svd_eig_test"
+# The component split gathers each component's rows and columns, and the
+# merged window scatters block eigenvectors into embedding columns; ASAN
+# gates that index arithmetic.
+run_suite "${asan_dir}/tests/cluster_test"
+run_suite "${asan_dir}/tests/graph_test"
 # The wire decoder faces attacker-shaped bytes (truncation, length lies,
 # dtype confusion); the fuzzer's >= 10k mutations under ASAN are the
 # no-out-of-bounds-read proof, and the codec property suite covers the

@@ -6,6 +6,7 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "graph/laplacian.h"
+#include "graph/spectrum.h"
 #include "linalg/blas.h"
 #include "linalg/eig.h"
 #include "linalg/lanczos.h"
@@ -15,12 +16,11 @@ namespace fedsc {
 namespace {
 
 // Sparse graphs of at least this many vertices take subspace iteration
-// instead of the dense eigensolver. BM_SpectralSparseVsDense (DESIGN.md
-// section 5) times both paths on sparse 5-block graphs, medians of 5 in ms
-// (dense / sparse): 11.0 / 1.56 at N = 300, 81.1 / 2.93 at 600,
-// 257 / 5.47 at 900, 684 / 9.84 at 1200 and 3072 / 14.9 at 2000. The
-// crossover lies below 300 there; the cutoff keeps the labels of the exact
-// central pools below 900 as they are.
+// instead of the dense eigensolver. On connected 5-block graphs (DESIGN.md
+// section 5, medians of 5 in ms, dense / sparse) the sparse path wins from
+// N = 100 up: 0.94 / 0.58 at 100, 9.01 / 2.14 at 300, 197 / 8.73 at 900.
+// The cutoff keeps the labels of the exact central pools below 900 as they
+// are.
 constexpr int64_t kSparseSpectralCutoff = 900;
 
 Status ValidateArgs(int64_t n, int64_t cols, int64_t k) {
@@ -57,22 +57,19 @@ Result<SpectralResult> FinishFromEmbedding(Matrix embedding,
   return result;
 }
 
-// The dense path's embedding: the k largest eigenvectors of M, which are
-// the k smallest of the normalized Laplacian.
-Matrix TopEigenvectors(const EigResult& eig, int64_t k) {
-  const int64_t n = eig.vectors.rows();
-  Matrix embedding(n, k);
-  for (int64_t j = 0; j < k; ++j) {
-    embedding.SetCol(j, eig.vectors.ColData(n - 1 - j));
+// At k = the component count the top-k eigenspace of M is spanned by the
+// components' D^{1/2} 1_c, so the row-normalized embedding is constant on
+// each component (docs/ALGORITHMS.md): the components are the partition,
+// with no vectors formed and no k-means run.
+SpectralResult ComponentPartition(const ComponentsResult& components) {
+  const auto n = static_cast<int64_t>(components.labels.size());
+  SpectralResult result;
+  result.labels = components.labels;
+  result.embedding = Matrix(n, components.count);
+  for (int64_t i = 0; i < n; ++i) {
+    result.embedding(i, components.labels[static_cast<size_t>(i)]) = 1.0;
   }
-  return embedding;
-}
-
-Result<EigResult> AdjacencyEigen(const Matrix& affinity,
-                                 const SpectralOptions& options) {
-  EigOptions eig_options;
-  eig_options.num_threads = options.num_threads;
-  return SymmetricEigen(NormalizedAdjacency(affinity), eig_options);
+  return result;
 }
 
 }  // namespace
@@ -82,8 +79,13 @@ Result<SpectralResult> SpectralCluster(const Matrix& affinity, int64_t k,
   FEDSC_RETURN_NOT_OK(ValidateArgs(affinity.rows(), affinity.cols(), k));
   FEDSC_TRACE_SPAN("cluster/spectral",
                    {{"n", affinity.rows()}, {"k", k}, {"kind", "dense"}});
-  FEDSC_ASSIGN_OR_RETURN(EigResult eig, AdjacencyEigen(affinity, options));
-  return FinishFromEmbedding(TopEigenvectors(eig, k), options, k);
+  const ComponentsResult components = ConnectedComponents(affinity);
+  if (k == components.count) return ComponentPartition(components);
+  FEDSC_ASSIGN_OR_RETURN(
+      ComponentSpectrum spectrum,
+      ComponentSpectrum::Create(affinity, options.num_threads));
+  FEDSC_ASSIGN_OR_RETURN(Matrix embedding, spectrum.Embedding(k));
+  return FinishFromEmbedding(std::move(embedding), options, k);
 }
 
 Result<EigengapSpectralResult> EigengapSpectralCluster(
@@ -94,12 +96,13 @@ Result<EigengapSpectralResult> EigengapSpectralCluster(
     return Status::InvalidArgument(
         "eigengap heuristic needs a square affinity of size >= 2");
   }
-  FEDSC_ASSIGN_OR_RETURN(EigResult eig, AdjacencyEigen(affinity, options));
-  EigengapSpectralResult out;
   FEDSC_ASSIGN_OR_RETURN(
-      out.num_clusters,
-      EstimateClusterCountFromSpectrum(
-          LaplacianSpectrumFromAdjacency(eig.values, Degrees(affinity)), gap));
+      ComponentSpectrum spectrum,
+      ComponentSpectrum::Create(affinity, options.num_threads));
+  EigengapSpectralResult out;
+  out.num_components = spectrum.components().count;
+  FEDSC_ASSIGN_OR_RETURN(out.num_clusters,
+                         EstimateClusterCount(spectrum, gap));
   const int64_t r = out.num_clusters;
   if (r == 1) {
     out.labels.assign(static_cast<size_t>(n), 0);
@@ -107,8 +110,13 @@ Result<EigengapSpectralResult> EigengapSpectralCluster(
   }
   SpectralOptions at_r = options;
   at_r.kmeans.seed = rng->Next();
+  if (r == out.num_components) {
+    out.labels = spectrum.components().labels;
+    return out;
+  }
+  FEDSC_ASSIGN_OR_RETURN(Matrix embedding, spectrum.Embedding(r));
   FEDSC_ASSIGN_OR_RETURN(SpectralResult clusters,
-                         FinishFromEmbedding(TopEigenvectors(eig, r), at_r, r));
+                         FinishFromEmbedding(std::move(embedding), at_r, r));
   out.labels = std::move(clusters.labels);
   return out;
 }
@@ -200,7 +208,9 @@ Result<SpectralResult> SpectralClusterLandmark(
 
   EigOptions eig_options;
   eig_options.num_threads = options.num_threads;
-  FEDSC_ASSIGN_OR_RETURN(EigResult eig, SymmetricEigen(core, eig_options));
+  FEDSC_ASSIGN_OR_RETURN(SymmetricEigensolver solver,
+                         SymmetricEigensolver::Create(core, eig_options));
+  FEDSC_ASSIGN_OR_RETURN(EigResult eig, solver.Pairs(num_atoms - k, k));
 
   // Extend the top-k core eigenvectors to all N rows: T v = lambda v gives
   // M^T M u = lambda u for u = M^T v / sqrt(lambda). Rows of the embedding
@@ -208,10 +218,10 @@ Result<SpectralResult> SpectralClusterLandmark(
   Vector inv_sqrt(static_cast<size_t>(k), 0.0);
   Matrix top_vectors(num_atoms, k);
   for (int64_t t = 0; t < k; ++t) {
-    const double lambda = eig.values[static_cast<size_t>(num_atoms - 1 - t)];
+    const double lambda = eig.values[static_cast<size_t>(k - 1 - t)];
     inv_sqrt[static_cast<size_t>(t)] =
         lambda > 1e-12 ? 1.0 / std::sqrt(lambda) : 0.0;
-    top_vectors.SetCol(t, eig.vectors.ColData(num_atoms - 1 - t));
+    top_vectors.SetCol(t, eig.vectors.ColData(k - 1 - t));
   }
   Matrix embedding(n, k);
   ParallelForRanges(0, n, options.num_threads, [&](int64_t i0, int64_t i1,

@@ -3,9 +3,12 @@
 // Laplacian (equivalently, the k largest of D^{-1/2} W D^{-1/2}), normalize
 // the embedding rows, and run k-means.
 //
-// Small graphs use the dense symmetric eigensolver; sparse graphs of at
-// least 900 vertices use shifted subspace iteration
-// (SubspaceIterationLargest) on the sparse normalized adjacency.
+// Small graphs use the dense symmetric eigensolver one connected component
+// at a time (ComponentSpectrum, graph/spectrum.h), forming only the top-k
+// vectors; at k = the component count the components are the clusters and
+// no vector is formed. Sparse graphs of at least 900 vertices use shifted
+// subspace iteration (SubspaceIterationLargest) on the sparse normalized
+// adjacency.
 
 #ifndef FEDSC_CLUSTER_SPECTRAL_H_
 #define FEDSC_CLUSTER_SPECTRAL_H_
@@ -31,7 +34,9 @@ struct SpectralOptions {
 
 struct SpectralResult {
   std::vector<int64_t> labels;  // size N, values in [0, k)
-  Matrix embedding;             // N x k spectral embedding (rows normalized)
+  // N x k spectral embedding (rows normalized); at k = the component count,
+  // each vertex's component indicator.
+  Matrix embedding;
   // Lloyd iterations of the best k-means restart on the embedding.
   int kmeans_iterations = 0;
 };
@@ -56,14 +61,16 @@ Result<SpectralResult> SparseSpectralCluster(const SparseMatrix& affinity,
 struct EigengapSpectralResult {
   int64_t num_clusters = 1;     // r, the eigengap heuristic's pick
   std::vector<int64_t> labels;  // size N, values in [0, r); all 0 at r = 1
+  int64_t num_components = 1;   // connected components of the affinity
 };
 
-// Algorithm 2's local step from one eigensolve of the normalized adjacency
-// M: r by the eigengap heuristic over the Laplacian spectrum read off M's
-// (the r EstimateClusterCount picks, bit for bit), then, when r > 1, the
-// dense SpectralCluster at r from the same eigenvectors. The k-means seed is
-// drawn from `rng` only when r > 1, so the stream advances as on the path
-// that runs the two calls.
+// Algorithm 2's local step from one reduction per connected component of
+// the normalized adjacency M: r by the eigengap heuristic over the smallest
+// Laplacian eigenvalues (the r EstimateClusterCount picks, bit for bit),
+// then, when r > 1, the labels the dense SpectralCluster gives at r from
+// the same reductions. The k-means seed is drawn from `rng` whenever
+// r > 1, also when r equals the component count and the components are the
+// labels, so the stream advances as on the path that runs the two calls.
 Result<EigengapSpectralResult> EigengapSpectralCluster(
     const Matrix& affinity, const EigengapOptions& gap,
     const SpectralOptions& options, Rng* rng);
@@ -73,7 +80,7 @@ Result<EigengapSpectralResult> EigengapSpectralCluster(
 // is the d x N atom-by-point matrix the sketched self-expression produced —
 // without ever forming the N x N graph. With M = |C| D^{-1/2}, the top-k
 // eigenvectors of the normalized adjacency M^T M are recovered from the
-// d x d core T = M M^T (blocked SymmetricEigen) and extended to all N rows
+// top-k eigenpairs of the d x d core T = M M^T and extended to all N rows
 // by u = M^T v / sqrt(lambda), then handed to the usual row-normalize +
 // k-means finish. Cost O(nnz(C) * d + d^3) instead of O(N^3). Requires
 // 1 <= k <= d. Bit-identical for every thread count.

@@ -105,7 +105,7 @@ MetricsRegistry::MetricsRegistry() {
         "linalg.qr.blocked_calls", "linalg.svd.calls", "linalg.svd.sweeps",
         "linalg.svd.rotations", "linalg.svd.precond_qr",
         "linalg.basis.gram", "linalg.basis.looped",
-        "linalg.eig.calls", "linalg.eig.tridiag_flops",
+        "linalg.eig.calls", "linalg.eig.tridiag_flops", "linalg.eig.vectors",
         "linalg.subspace_iteration.calls",
         "linalg.subspace_iteration.iterations", "sc.ssc_admm.solves",
         "sc.ssc_admm.iterations", "sc.ssc_admm.converged",

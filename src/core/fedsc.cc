@@ -154,8 +154,10 @@ Result<LocalClusteringOutput> LocalClusterAndSample(const Matrix& points,
                                                     : options.num_threads;
     TraceSpan span;
     if (TraceEnabled()) span.Begin("local/spectral", {{"n", num_points}});
+    int64_t components = 0;
     if (options.use_eigengap) {
-      // r^(z) and the partition from one eigensolve of the affinity.
+      // r^(z) and the partition from one reduction per connected component
+      // of the affinity.
       EigengapOptions gap;
       gap.max_clusters = options.max_local_clusters;
       FEDSC_ASSIGN_OR_RETURN(EigengapSpectralResult local,
@@ -163,6 +165,7 @@ Result<LocalClusteringOutput> LocalClusterAndSample(const Matrix& points,
                                                      &rng));
       out.num_local_clusters = local.num_clusters;
       out.partition = std::move(local.labels);
+      components = local.num_components;
     } else {
       out.num_local_clusters =
           std::min<int64_t>(options.max_local_clusters, num_points);
@@ -176,7 +179,9 @@ Result<LocalClusteringOutput> LocalClusterAndSample(const Matrix& points,
         out.partition = std::move(clusters.labels);
       }
     }
-    if (TraceEnabled()) span.End({{"r", out.num_local_clusters}});
+    if (TraceEnabled()) {
+      span.End({{"r", out.num_local_clusters}, {"components", components}});
+    }
   }
 
   // Estimate each cluster's subspace and draw the uploaded samples. The

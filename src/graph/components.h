@@ -1,5 +1,5 @@
 // Connected components of an undirected graph given as a (symmetric)
-// sparse adjacency/affinity matrix.
+// sparse or dense adjacency/affinity matrix.
 
 #ifndef FEDSC_GRAPH_COMPONENTS_H_
 #define FEDSC_GRAPH_COMPONENTS_H_
@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "linalg/matrix.h"
 #include "linalg/sparse.h"
 
 namespace fedsc {
@@ -20,6 +21,7 @@ struct ComponentsResult {
 // Any nonzero entry counts as an edge; the matrix is treated as symmetric
 // (an edge in either triangle connects both endpoints).
 ComponentsResult ConnectedComponents(const SparseMatrix& adjacency);
+ComponentsResult ConnectedComponents(const Matrix& adjacency);
 
 }  // namespace fedsc
 

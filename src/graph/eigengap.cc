@@ -1,11 +1,6 @@
 #include "graph/eigengap.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "common/check.h"
-#include "graph/laplacian.h"
-#include "linalg/eig.h"
 
 namespace fedsc {
 
@@ -33,36 +28,19 @@ Result<int64_t> EstimateClusterCountFromSpectrum(
   return best_index;
 }
 
-Vector LaplacianSpectrumFromAdjacency(const Vector& adjacency_ascending,
-                                      const Vector& degrees) {
-  const size_t n = adjacency_ascending.size();
-  FEDSC_CHECK(degrees.size() == n)
-      << "one degree per eigenvalue of the normalized adjacency";
-  // The isolated test mirrors NormalizedAdjacency's zero-degree convention.
-  const auto isolated = static_cast<size_t>(
-      std::count_if(degrees.begin(), degrees.end(),
-                    [](double degree) { return !(degree > 0.0); }));
-  // The isolated vertices' eigenvalues of M are (to rounding) 0: the
-  // `isolated` values nearest 0, a contiguous window of the ascending
-  // spectrum. Ties go to the lower window.
-  size_t window = 0;
-  double window_reach = 0.0;
-  for (size_t lo = 0; isolated > 0 && lo + isolated <= n; ++lo) {
-    const double reach =
-        std::max(std::fabs(adjacency_ascending[lo]),
-                 std::fabs(adjacency_ascending[lo + isolated - 1]));
-    if (lo == 0 || reach < window_reach) {
-      window = lo;
-      window_reach = reach;
-    }
+Result<int64_t> EstimateClusterCount(const ComponentSpectrum& spectrum,
+                                     const EigengapOptions& options) {
+  const int64_t n = spectrum.size();
+  if (n < 2) {
+    return Status::InvalidArgument(
+        "eigengap heuristic needs a square affinity of size >= 2");
   }
-  Vector spectrum(isolated, 0.0);
-  spectrum.reserve(n);
-  for (size_t i = n; i-- > 0;) {
-    if (i >= window && i < window + isolated) continue;
-    spectrum.push_back(1.0 - adjacency_ascending[i]);
-  }
-  return spectrum;
+  // Gaps at positions 1..limit read the limit + 1 smallest eigenvalues.
+  const int64_t limit = options.max_clusters > 0
+                            ? std::min(n - 1, options.max_clusters)
+                            : n - 1;
+  FEDSC_ASSIGN_OR_RETURN(Vector smallest, spectrum.LaplacianValues(limit + 1));
+  return EstimateClusterCountFromSpectrum(smallest, options);
 }
 
 Result<int64_t> EstimateClusterCount(const Matrix& w,
@@ -71,10 +49,9 @@ Result<int64_t> EstimateClusterCount(const Matrix& w,
     return Status::InvalidArgument(
         "eigengap heuristic needs a square affinity of size >= 2");
   }
-  FEDSC_ASSIGN_OR_RETURN(Vector adjacency,
-                         SymmetricEigenvalues(NormalizedAdjacency(w)));
-  return EstimateClusterCountFromSpectrum(
-      LaplacianSpectrumFromAdjacency(adjacency, Degrees(w)), options);
+  FEDSC_ASSIGN_OR_RETURN(ComponentSpectrum spectrum,
+                         ComponentSpectrum::Create(w));
+  return EstimateClusterCount(spectrum, options);
 }
 
 }  // namespace fedsc

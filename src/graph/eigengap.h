@@ -2,11 +2,12 @@
 // clusters in an affinity graph as the position of the largest gap in the
 // sorted spectrum of the normalized Laplacian.
 //
-// The Laplacian spectrum is read off the normalized adjacency
-// M = D^{-1/2} W D^{-1/2}, the matrix spectral clustering decomposes anyway
-// (docs/ALGORITHMS.md derives the mapping): a device that picks r^(z) and
-// then clusters at that r needs one eigensolve, and this call picks the
-// same r from the same spectrum.
+// The spectrum comes from ComponentSpectrum (graph/spectrum.h): each
+// connected component's block of the normalized adjacency
+// M = D^{-1/2} W D^{-1/2} is solved on its own, and a capped heuristic
+// reads only the max_clusters + 1 smallest Laplacian eigenvalues. Spectral
+// clustering embeds from the same reductions, so a device that picks r^(z)
+// and then clusters at that r reduces its affinity once.
 
 #ifndef FEDSC_GRAPH_EIGENGAP_H_
 #define FEDSC_GRAPH_EIGENGAP_H_
@@ -14,6 +15,7 @@
 #include <cstdint>
 
 #include "common/result.h"
+#include "graph/spectrum.h"
 #include "linalg/matrix.h"
 
 namespace fedsc {
@@ -25,24 +27,19 @@ struct EigengapOptions {
 };
 
 // r = argmax_{i in [N-1]} (sigma_{i+1} - sigma_i) over the ascending
-// eigenvalues of the normalized Laplacian of `w`, computed as the values
-// of its normalized adjacency through LaplacianSpectrumFromAdjacency.
-// Returns a value in [1, N-1] (or [1, max_clusters]).
+// eigenvalues of the normalized Laplacian of `w`. Returns a value in
+// [1, N-1] (or [1, max_clusters]).
 Result<int64_t> EstimateClusterCount(const Matrix& w,
+                                     const EigengapOptions& options = {});
+
+// The same heuristic over an already-reduced graph, reading its
+// min(N - 1, max_clusters) + 1 smallest Laplacian eigenvalues.
+Result<int64_t> EstimateClusterCount(const ComponentSpectrum& spectrum,
                                      const EigengapOptions& options = {});
 
 // Same heuristic applied to an already-computed ascending spectrum.
 Result<int64_t> EstimateClusterCountFromSpectrum(
     const Vector& ascending_eigenvalues, const EigengapOptions& options = {});
-
-// The ascending normalized-Laplacian spectrum from the ascending spectrum of
-// the normalized adjacency and the graph's degrees. L = I - M off the
-// isolated (zero-degree) vertices, whose rows and columns of both are zero:
-// each isolated vertex owns one eigenvalue 0 of M (one of those nearest 0),
-// which becomes an exact 0 at the front, and every other eigenvalue mu of M
-// gives 1 - mu.
-Vector LaplacianSpectrumFromAdjacency(const Vector& adjacency_ascending,
-                                      const Vector& degrees);
 
 }  // namespace fedsc
 

@@ -15,7 +15,8 @@ namespace fedsc {
 namespace {
 
 // The Gram route (see batch.h): one symmetric eigensolve of the smaller
-// Gram matrix. Returns nothing when the route cannot deliver an
+// Gram matrix, reading its top value, the count above the rank cut and the
+// top r eigenpairs. Returns nothing when the route cannot deliver an
 // orthonormal basis — sigma_r / sigma_1 <= kGramSigmaFloor, a failed
 // eigensolve or a non-finite or zero spectrum — and the caller falls back
 // to the looped route.
@@ -27,30 +28,31 @@ std::optional<Matrix> GramSubspace(const Matrix& x,
   const int64_t k = std::min(m, n);
   Matrix gram(k, k);
   Syrk(tall ? Trans::kTrans : Trans::kNo, 1.0, x, 0.0, &gram);
-  auto eig = SymmetricEigen(gram);
-  if (!eig.ok()) return std::nullopt;
+  auto solver = SymmetricEigensolver::Create(gram);
+  if (!solver.ok()) return std::nullopt;
 
-  // Eigenvalues come back ascending; sigma[j] = sqrt(lambda) is the j-th
-  // largest singular value (rounding can leave a null lambda just below 0).
-  Vector sigma(static_cast<size_t>(k));
-  for (int64_t j = 0; j < k; ++j) {
-    const double lambda = eig->values[static_cast<size_t>(k - 1 - j)];
-    if (!std::isfinite(lambda)) return std::nullopt;
-    sigma[static_cast<size_t>(j)] = std::sqrt(std::max(lambda, 0.0));
-  }
+  // sigma_j = sqrt(lambda_j) is the j-th largest singular value (rounding
+  // can leave a null lambda just below 0).
+  const auto sigma = [](double lambda) {
+    return std::sqrt(std::max(lambda, 0.0));
+  };
+  auto top = solver->Values(k - 1, 1);
+  if (!top.ok()) return std::nullopt;
+  const double sigma1 = sigma((*top)[0]);
   int64_t r = std::min(options.rank, k);
   if (options.rank <= 0) {
     // PrincipalSubspace's auto rank: keep sigma_j > rel_tol * sigma_1, and
-    // never a roundoff-level sigma_j <= max(m, n) * eps * sigma_1.
+    // never a roundoff-level sigma_j <= max(m, n) * eps * sigma_1. One Sturm
+    // count tells how many eigenvalues clear the cut.
     const double cut =
         std::max(options.rel_tol, static_cast<double>(std::max(m, n)) *
                                       std::numeric_limits<double>::epsilon()) *
-        sigma[0];
-    r = 0;
-    while (r < k && sigma[static_cast<size_t>(r)] > cut) ++r;
+        sigma1;
+    r = k - solver->CountBelow(cut * cut);
   }
-  if (r == 0 ||
-      !(sigma[static_cast<size_t>(r - 1)] > kGramSigmaFloor * sigma[0])) {
+  if (r <= 0) return std::nullopt;
+  auto eig = solver->Pairs(k - r, r);
+  if (!eig.ok() || !(sigma(eig->values[0]) > kGramSigmaFloor * sigma1)) {
     return std::nullopt;
   }
 
@@ -59,7 +61,7 @@ std::optional<Matrix> GramSubspace(const Matrix& x,
     // U = X V_r: each column has norm ~sigma_j > 0; normalize to unit length.
     Matrix vr(n, r);
     for (int64_t j = 0; j < r; ++j) {
-      vr.SetCol(j, eig->vectors.ColData(n - 1 - j));
+      vr.SetCol(j, eig->vectors.ColData(r - 1 - j));
     }
     Gemm(Trans::kNo, Trans::kNo, 1.0, x, vr, 0.0, &u);
     for (int64_t j = 0; j < r; ++j) {
@@ -68,7 +70,7 @@ std::optional<Matrix> GramSubspace(const Matrix& x,
   } else {
     // The eigenvectors of X X^T are the left singular vectors themselves.
     for (int64_t j = 0; j < r; ++j) {
-      u.SetCol(j, eig->vectors.ColData(m - 1 - j));
+      u.SetCol(j, eig->vectors.ColData(r - 1 - j));
     }
   }
   return u;

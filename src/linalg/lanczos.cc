@@ -69,7 +69,6 @@ Result<EigResult> SubspaceIterationLargest(
   };
 
   Vector previous_ritz;
-  EigResult small_eig;
   for (int64_t iter = 0; iter < options.max_iterations; ++iter) {
     FEDSC_METRIC_COUNTER("linalg.subspace_iteration.iterations").Increment();
     apply_shifted(q, &y);
@@ -84,20 +83,19 @@ Result<EigResult> SubspaceIterationLargest(
       Matrix b_sym = b;
       b_sym += b.Transposed();
       b_sym *= 0.5;
-      FEDSC_ASSIGN_OR_RETURN(small_eig, SymmetricEigen(b_sym));
+      FEDSC_ASSIGN_OR_RETURN(Vector ritz, SymmetricEigenvalues(b_sym));
       double scale = 1e-30;
-      for (double v : small_eig.values) scale = std::max(scale, std::fabs(v));
-      bool converged = previous_ritz.size() == small_eig.values.size();
+      for (double v : ritz) scale = std::max(scale, std::fabs(v));
+      bool converged = previous_ritz.size() == ritz.size();
       if (converged) {
         for (size_t i = 0; i < previous_ritz.size(); ++i) {
-          if (std::fabs(previous_ritz[i] - small_eig.values[i]) >
-              options.tol * scale) {
+          if (std::fabs(previous_ritz[i] - ritz[i]) > options.tol * scale) {
             converged = false;
             break;
           }
         }
       }
-      previous_ritz = small_eig.values;
+      previous_ritz = std::move(ritz);
       if (converged) break;
     }
 
@@ -113,7 +111,7 @@ Result<EigResult> SubspaceIterationLargest(
     b += bt;
     b *= 0.5;
   }
-  FEDSC_ASSIGN_OR_RETURN(small_eig, SymmetricEigen(b));
+  FEDSC_ASSIGN_OR_RETURN(EigResult small_eig, SymmetricEigen(b));
 
   EigResult result;
   result.values.resize(static_cast<size_t>(k));

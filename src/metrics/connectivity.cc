@@ -21,9 +21,11 @@ Result<ConnectivityResult> FromSubmatrices(
     const auto& idx = members[static_cast<size_t>(c)];
     if (idx.size() < 2) continue;  // singleton: lambda_2 := 0
     const Matrix sub = submatrix(idx);
-    FEDSC_ASSIGN_OR_RETURN(Vector spectrum,
-                           SymmetricEigenvalues(NormalizedLaplacian(sub)));
-    result.per_cluster[static_cast<size_t>(c)] = std::max(0.0, spectrum[1]);
+    FEDSC_ASSIGN_OR_RETURN(
+        SymmetricEigensolver solver,
+        SymmetricEigensolver::Create(NormalizedLaplacian(sub)));
+    FEDSC_ASSIGN_OR_RETURN(Vector lambda2, solver.Values(1, 1));
+    result.per_cluster[static_cast<size_t>(c)] = std::max(0.0, lambda2[0]);
   }
   double sum = 0.0;
   double min_value = result.per_cluster.empty() ? 0.0 : result.per_cluster[0];

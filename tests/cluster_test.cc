@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <cmath>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -10,6 +12,8 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "graph/eigengap.h"
+#include "graph/laplacian.h"
+#include "linalg/eig.h"
 #include "linalg/sparse.h"
 #include "metrics/clustering_metrics.h"
 
@@ -306,6 +310,94 @@ TEST(EigengapSpectralTest, FusedMatchesTheSeparatePath) {
   }
 }
 
+// Canonical renumbering: labels in order of first appearance, so two
+// partitions that differ only by label names compare equal.
+std::vector<int64_t> Renumbered(const std::vector<int64_t>& labels) {
+  std::map<int64_t, int64_t> names;
+  std::vector<int64_t> out;
+  for (int64_t label : labels) {
+    const auto next = static_cast<int64_t>(names.size());
+    out.push_back(names.emplace(label, next).first->second);
+  }
+  return out;
+}
+
+// When the eigengap's r equals the component count, the labels are the
+// components. The k-means path the shortcut skips — row-normalized top-r
+// eigenvectors of the full normalized adjacency, then k-means — gives the
+// same partition up to renumbering, and the rng ends where it would have.
+TEST(EigengapSpectralTest, ComponentShortcutMatchesTheKMeansPath) {
+  Rng rng(93);
+  int compared = 0;
+  for (const std::vector<int64_t>& sizes :
+       std::vector<std::vector<int64_t>>{{60, 60}, {10, 12, 8}, {30, 25}}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const Matrix w = RandomAffinity(sizes, 0.0, 0, &rng);
+      const int64_t c = static_cast<int64_t>(sizes.size());
+      SCOPED_TRACE("n=" + std::to_string(w.rows()) +
+                   " trial=" + std::to_string(trial));
+      Rng fused_rng(11 + trial);
+      auto fused =
+          EigengapSpectralCluster(w, EigengapOptions{}, {}, &fused_rng);
+      ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+      if (fused->num_components != c) continue;  // a block fell apart
+      ASSERT_EQ(fused->num_clusters, c);
+
+      Rng path_rng(11 + trial);
+      KMeansOptions kmeans;
+      kmeans.seed = path_rng.Next();
+      auto full = SymmetricEigen(NormalizedAdjacency(w));
+      ASSERT_TRUE(full.ok());
+      const int64_t n = w.rows();
+      Matrix points(c, n);  // k-means clusters columns
+      for (int64_t i = 0; i < n; ++i) {
+        double norm = 0.0;
+        for (int64_t t = 0; t < c; ++t) {
+          const double v = full->vectors(i, n - 1 - t);
+          norm += v * v;
+        }
+        for (int64_t t = 0; t < c; ++t) {
+          points(t, i) = full->vectors(i, n - 1 - t) / std::sqrt(norm);
+        }
+      }
+      auto km = KMeans(points, c, kmeans);
+      ASSERT_TRUE(km.ok());
+      EXPECT_EQ(Renumbered(fused->labels), Renumbered(km->labels));
+      EXPECT_EQ(fused_rng.Next(), path_rng.Next());
+      ++compared;
+    }
+  }
+  EXPECT_GE(compared, 6);
+}
+
+// Isolated vertices are components of their own: each gets its own label,
+// and the eigengap counts them.
+TEST(EigengapSpectralTest, IsolatedVerticesAreTheirOwnClusters) {
+  Rng rng(94);
+  const Matrix w = RandomAffinity({20, 25}, 0.0, 3, &rng);
+  Rng fused_rng(3);
+  auto fused = EigengapSpectralCluster(w, EigengapOptions{}, {}, &fused_rng);
+  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+  ASSERT_EQ(fused->num_components, 5);
+  EXPECT_EQ(fused->num_clusters, 5);
+  std::set<int64_t> isolated_labels;
+  for (int64_t i = 45; i < 48; ++i) {
+    isolated_labels.insert(fused->labels[static_cast<size_t>(i)]);
+    for (int64_t j = 0; j < 48; ++j) {
+      if (j != i) {
+        EXPECT_NE(fused->labels[static_cast<size_t>(j)],
+                  fused->labels[static_cast<size_t>(i)]);
+      }
+    }
+  }
+  EXPECT_EQ(isolated_labels.size(), 3u);
+  // SpectralCluster below the component count embeds isolated vertices by
+  // their unit vectors and still runs.
+  auto fewer = SpectralCluster(w, 3);
+  ASSERT_TRUE(fewer.ok()) << fewer.status().ToString();
+  EXPECT_EQ(fewer->embedding.cols(), 3);
+}
+
 TEST(EigengapSpectralTest, RejectsBadAffinities) {
   Rng rng(1);
   EXPECT_FALSE(
@@ -315,8 +407,18 @@ TEST(EigengapSpectralTest, RejectsBadAffinities) {
 }
 
 TEST(SpectralTest, ReportsKMeansIterationsOfBestRestart) {
-  const Matrix w = BlockAffinity({10, 15, 12});
+  Matrix w = BlockAffinity({10, 15, 12});
   SpectralOptions options;
+  // At k = the component count the components are the clusters: no
+  // k-means runs.
+  auto components = SpectralCluster(w, 3, options);
+  ASSERT_TRUE(components.ok());
+  EXPECT_EQ(components->kmeans_iterations, 0);
+  // Faint edges join the blocks into one component, so k-means runs.
+  for (int64_t i = 0; i < 10; ++i) {
+    w(i, 10 + i) = w(10 + i, i) = 0.01;
+    w(i, 25 + i) = w(25 + i, i) = 0.01;
+  }
   auto result = SpectralCluster(w, 3, options);
   ASSERT_TRUE(result.ok());
   // Lloyd always runs at least one iteration, and a converged run on clean

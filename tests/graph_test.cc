@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -8,6 +9,8 @@
 #include "graph/components.h"
 #include "graph/eigengap.h"
 #include "graph/laplacian.h"
+#include "graph/spectrum.h"
+#include "linalg/blas.h"
 #include "linalg/eig.h"
 
 namespace fedsc {
@@ -178,26 +181,124 @@ Matrix WithIsolated(const Matrix& w, int64_t isolated) {
   return out;
 }
 
-// The mapped adjacency spectrum is the Laplacian's: 1 - mu off the isolated
-// vertices, an exact 0 at the front for each of them.
-TEST(EigengapTest, LaplacianSpectrumFromAdjacencyMatchesLaplacian) {
+// The per-component spectrum is the Laplacian's: the merge of each
+// component's 1 - mu, and an exact 0 for each isolated vertex (sorted among
+// the components' zeros, which rounding can leave just below 0).
+TEST(ComponentSpectrumTest, LaplacianValuesMatchTheLaplacian) {
   Rng rng(9);
   for (const int64_t isolated : {0, 1, 3}) {
     SCOPED_TRACE("isolated=" + std::to_string(isolated));
     const Matrix w =
         WithIsolated(BlockAffinity({6, 9, 7}, 0.02, &rng), isolated);
-    auto adjacency = SymmetricEigenvalues(NormalizedAdjacency(w));
+    auto spectrum = ComponentSpectrum::Create(w);
     auto laplacian = SymmetricEigenvalues(NormalizedLaplacian(w));
-    ASSERT_TRUE(adjacency.ok() && laplacian.ok());
-    const Vector mapped = LaplacianSpectrumFromAdjacency(*adjacency, Degrees(w));
-    ASSERT_EQ(mapped.size(), laplacian->size());
-    for (int64_t i = 0; i < isolated; ++i) {
-      EXPECT_EQ(mapped[static_cast<size_t>(i)], 0.0);
-    }
-    for (size_t i = 0; i < mapped.size(); ++i) {
-      EXPECT_NEAR(mapped[i], (*laplacian)[i], 1e-12) << "lambda " << i;
+    ASSERT_TRUE(spectrum.ok() && laplacian.ok());
+    auto mapped = spectrum->LaplacianValues(w.rows());
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    ASSERT_EQ(mapped->size(), laplacian->size());
+    EXPECT_GE(std::count(mapped->begin(), mapped->end(), 0.0), isolated);
+    for (size_t i = 0; i < mapped->size(); ++i) {
+      EXPECT_NEAR((*mapped)[i], (*laplacian)[i], 1e-12) << "lambda " << i;
     }
   }
+}
+
+// Block-diagonal affinities with isolated vertices: every window of the
+// merged spectrum matches one full solve of the whole normalized Laplacian
+// to 1e-12 relative, and the merged embedding spans the full solve's
+// eigenvectors wherever the window does not cut a repeated eigenvalue.
+TEST(ComponentSpectrumTest, MergedWindowMatchesTheFullSolve) {
+  Rng rng(12);
+  struct Case {
+    std::vector<int64_t> sizes;
+    int64_t isolated;
+  };
+  for (const Case& c : std::vector<Case>{{{10, 12, 8}, 0},
+                                         {{30, 33}, 2},
+                                         {{40, 50, 30}, 1},
+                                         {{60, 60}, 0}}) {
+    // Random positive weights inside each block, none across.
+    int64_t n = c.isolated;
+    for (int64_t s : c.sizes) n += s;
+    Matrix w(n, n);
+    int64_t offset = 0;
+    for (int64_t s : c.sizes) {
+      for (int64_t j = 0; j < s; ++j) {
+        for (int64_t i = j + 1; i < s; ++i) {
+          const double v = rng.Uniform() < 0.4 ? rng.Uniform() : 0.0;
+          w(offset + i, offset + j) = v;
+          w(offset + j, offset + i) = v;
+        }
+        // A path keeps the block connected.
+        if (j + 1 < s) {
+          w(offset + j + 1, offset + j) = w(offset + j, offset + j + 1) = 0.5;
+        }
+      }
+      offset += s;
+    }
+    // Interleave the blocks: the components are not contiguous ranges.
+    std::vector<int64_t> order = rng.SampleWithoutReplacement(n, n);
+    Matrix shuffled(n, n);
+    for (int64_t j = 0; j < n; ++j) {
+      for (int64_t i = 0; i < n; ++i) {
+        shuffled(i, j) = w(order[static_cast<size_t>(i)],
+                           order[static_cast<size_t>(j)]);
+      }
+    }
+    SCOPED_TRACE("n=" + std::to_string(n));
+    auto spectrum = ComponentSpectrum::Create(shuffled);
+    ASSERT_TRUE(spectrum.ok()) << spectrum.status().ToString();
+    EXPECT_EQ(spectrum->components().count,
+              static_cast<int64_t>(c.sizes.size()) + c.isolated);
+    auto full = SymmetricEigen(NormalizedLaplacian(shuffled));
+    ASSERT_TRUE(full.ok());
+    for (const int64_t count :
+         {spectrum->components().count + 1, int64_t{3}, n}) {
+      auto values = spectrum->LaplacianValues(count);
+      ASSERT_TRUE(values.ok()) << values.status().ToString();
+      for (int64_t i = 0; i < count; ++i) {
+        const double expected = full->values[static_cast<size_t>(i)];
+        EXPECT_NEAR((*values)[static_cast<size_t>(i)], expected,
+                    1e-12 * std::max(1.0, std::fabs(expected)))
+            << "count " << count << " lambda " << i;
+      }
+    }
+    // The components' zeros plus the next eigenvalue: a window that ends in
+    // a spectral gap.
+    const int64_t k = spectrum->components().count + 1;
+    auto embedding = spectrum->Embedding(k);
+    ASSERT_TRUE(embedding.ok()) << embedding.status().ToString();
+    Matrix gram = MatMulTN(*embedding, *embedding);
+    gram -= Matrix::Identity(k);
+    EXPECT_LE(gram.FrobeniusNorm(), 1e-12);
+    const Matrix reference = full->vectors.ColRange(0, k);
+    Matrix off = *embedding;
+    off -= MatMul(reference, MatMulTN(reference, *embedding));
+    EXPECT_LE(off.FrobeniusNorm(), 1e-9);
+    // An isolated vertex's column is its unit vector.
+    const std::vector<int64_t>& labels = spectrum->components().labels;
+    std::vector<int64_t> sizes(static_cast<size_t>(k - 1), 0);
+    for (int64_t label : labels) ++sizes[static_cast<size_t>(label)];
+    for (int64_t i = 0; i < n; ++i) {
+      if (sizes[static_cast<size_t>(labels[static_cast<size_t>(i)])] != 1) {
+        continue;
+      }
+      double row = 0.0;
+      for (int64_t t = 0; t < k; ++t) row += std::fabs((*embedding)(i, t));
+      EXPECT_EQ(row, 1.0) << "isolated vertex " << i;
+    }
+  }
+}
+
+TEST(ComponentSpectrumTest, RejectsBadWindows) {
+  auto spectrum =
+      ComponentSpectrum::Create(BlockAffinity({3, 4}, 0.0, nullptr));
+  ASSERT_TRUE(spectrum.ok());
+  EXPECT_FALSE(spectrum->LaplacianValues(8).ok());
+  EXPECT_FALSE(spectrum->LaplacianValues(-1).ok());
+  EXPECT_FALSE(spectrum->Embedding(0).ok());
+  EXPECT_FALSE(spectrum->Embedding(8).ok());
+  EXPECT_FALSE(ComponentSpectrum::Create(Matrix(2, 3)).ok());
 }
 
 TEST(EigengapTest, IsolatedVerticesCountAsComponents) {

@@ -3,6 +3,7 @@
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,164 @@ Matrix RandomMatrix(int64_t rows, int64_t cols, Rng* rng) {
     for (int64_t i = 0; i < rows; ++i) m(i, j) = rng->Gaussian();
   }
   return m;
+}
+
+// --- Test-only reference: the full decomposition the windowed solver
+// replaced, EISPACK tred2 with Q accumulated, then tql2 rotating Q's
+// columns, sorted ascending. ---
+
+void ReferenceTred2(Matrix* zm, Vector* dv, Vector* ev) {
+  Matrix& z = *zm;
+  Vector& d = *dv;
+  Vector& e = *ev;
+  const int64_t n = z.rows();
+  d.assign(static_cast<size_t>(n), 0.0);
+  e.assign(static_cast<size_t>(n), 0.0);
+  for (int64_t i = n - 1; i > 0; --i) {
+    const int64_t l = i - 1;
+    double h = 0.0;
+    double scale = 0.0;
+    if (l > 0) {
+      for (int64_t k = 0; k <= l; ++k) scale += std::fabs(z(i, k));
+      if (scale == 0.0) {
+        e[static_cast<size_t>(i)] = z(i, l);
+      } else {
+        for (int64_t k = 0; k <= l; ++k) {
+          z(i, k) /= scale;
+          h += z(i, k) * z(i, k);
+        }
+        double f = z(i, l);
+        double g = f >= 0.0 ? -std::sqrt(h) : std::sqrt(h);
+        e[static_cast<size_t>(i)] = scale * g;
+        h -= f * g;
+        z(i, l) = f - g;
+        f = 0.0;
+        for (int64_t j = 0; j <= l; ++j) {
+          z(j, i) = z(i, j) / h;
+          g = 0.0;
+          for (int64_t k = 0; k <= j; ++k) g += z(j, k) * z(i, k);
+          for (int64_t k = j + 1; k <= l; ++k) g += z(k, j) * z(i, k);
+          e[static_cast<size_t>(j)] = g / h;
+          f += e[static_cast<size_t>(j)] * z(i, j);
+        }
+        const double hh = f / (h + h);
+        for (int64_t j = 0; j <= l; ++j) {
+          f = z(i, j);
+          g = e[static_cast<size_t>(j)] - hh * f;
+          e[static_cast<size_t>(j)] = g;
+          for (int64_t k = 0; k <= j; ++k) {
+            z(j, k) -= f * e[static_cast<size_t>(k)] + g * z(i, k);
+          }
+        }
+      }
+    } else {
+      e[static_cast<size_t>(i)] = z(i, l);
+    }
+    d[static_cast<size_t>(i)] = h;
+  }
+  d[0] = 0.0;
+  e[0] = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    if (d[static_cast<size_t>(i)] != 0.0) {
+      for (int64_t j = 0; j < i; ++j) {
+        double g = 0.0;
+        for (int64_t k = 0; k < i; ++k) g += z(i, k) * z(k, j);
+        for (int64_t k = 0; k < i; ++k) z(k, j) -= g * z(k, i);
+      }
+    }
+    d[static_cast<size_t>(i)] = z(i, i);
+    z(i, i) = 1.0;
+    for (int64_t j = 0; j < i; ++j) {
+      z(j, i) = 0.0;
+      z(i, j) = 0.0;
+    }
+  }
+}
+
+bool ReferenceTql2(Vector* dv, Vector* ev, Matrix* zm) {
+  Vector& d = *dv;
+  Vector& e = *ev;
+  Matrix& z = *zm;
+  const int64_t n = static_cast<int64_t>(d.size());
+  for (int64_t i = 1; i < n; ++i) {
+    e[static_cast<size_t>(i - 1)] = e[static_cast<size_t>(i)];
+  }
+  e[static_cast<size_t>(n - 1)] = 0.0;
+  const double eps = std::numeric_limits<double>::epsilon();
+  double tst1 = 0.0;
+  for (int64_t l = 0; l < n; ++l) {
+    tst1 = std::max(tst1, std::fabs(d[static_cast<size_t>(l)]) +
+                              std::fabs(e[static_cast<size_t>(l)]));
+    int iterations = 0;
+    int64_t m;
+    do {
+      for (m = l; m < n - 1; ++m) {
+        if (std::fabs(e[static_cast<size_t>(m)]) <= eps * tst1) break;
+      }
+      if (m != l) {
+        if (iterations++ == 50) return false;
+        double g = (d[static_cast<size_t>(l + 1)] - d[static_cast<size_t>(l)]) /
+                   (2.0 * e[static_cast<size_t>(l)]);
+        double r = std::hypot(g, 1.0);
+        g = d[static_cast<size_t>(m)] - d[static_cast<size_t>(l)] +
+            e[static_cast<size_t>(l)] / (g + std::copysign(r, g));
+        double s = 1.0;
+        double c = 1.0;
+        double p = 0.0;
+        int64_t i = m - 1;
+        for (; i >= l; --i) {
+          double f = s * e[static_cast<size_t>(i)];
+          const double b = c * e[static_cast<size_t>(i)];
+          r = std::hypot(f, g);
+          e[static_cast<size_t>(i + 1)] = r;
+          if (r == 0.0) {
+            d[static_cast<size_t>(i + 1)] -= p;
+            e[static_cast<size_t>(m)] = 0.0;
+            break;
+          }
+          s = f / r;
+          c = g / r;
+          g = d[static_cast<size_t>(i + 1)] - p;
+          r = (d[static_cast<size_t>(i)] - g) * s + 2.0 * c * b;
+          p = s * r;
+          d[static_cast<size_t>(i + 1)] = g + p;
+          g = c * r - b;
+          for (int64_t k = 0; k < n; ++k) {
+            f = z(k, i + 1);
+            z(k, i + 1) = s * z(k, i) + c * f;
+            z(k, i) = c * z(k, i) - s * f;
+          }
+        }
+        if (r == 0.0 && i >= l) continue;
+        d[static_cast<size_t>(l)] -= p;
+        e[static_cast<size_t>(l)] = g;
+        e[static_cast<size_t>(m)] = 0.0;
+      }
+    } while (m != l);
+  }
+  return true;
+}
+
+EigResult ReferenceEigen(const Matrix& a) {
+  const int64_t n = a.rows();
+  Matrix z = a;
+  Vector d;
+  Vector e;
+  ReferenceTred2(&z, &d, &e);
+  EXPECT_TRUE(ReferenceTql2(&d, &e, &z)) << "reference QL did not converge";
+  std::vector<int64_t> order(static_cast<size_t>(n));
+  for (int64_t j = 0; j < n; ++j) order[static_cast<size_t>(j)] = j;
+  std::stable_sort(order.begin(), order.end(), [&](int64_t i, int64_t j) {
+    return d[static_cast<size_t>(i)] < d[static_cast<size_t>(j)];
+  });
+  EigResult result;
+  result.vectors = Matrix(n, n);
+  for (int64_t j = 0; j < n; ++j) {
+    const int64_t src = order[static_cast<size_t>(j)];
+    result.values.push_back(d[static_cast<size_t>(src)]);
+    result.vectors.SetCol(j, z.ColData(src));
+  }
+  return result;
 }
 
 Matrix Reconstruct(const SvdResult& svd) {
@@ -379,10 +538,10 @@ TEST_P(EigEngineTest, BlockedAgreesWithUnblocked) {
   Rng rng(4000 + n);
   Matrix a = RandomMatrix(n, n, &rng);
   a += a.Transposed();
-  auto eu = internal_eig::SolveTridiagonal(
-      internal_eig::Tred2Tridiagonal(a, /*accumulate=*/true));
-  auto eb = internal_eig::SolveTridiagonal(
-      internal_eig::BlockedTridiagonal(a, /*accumulate=*/true, 1));
+  auto eu = SymmetricEigensolver(internal_eig::Tred2Tridiagonal(a), 1)
+                .Pairs(0, n);
+  auto eb = SymmetricEigensolver(internal_eig::BlockedTridiagonal(a, 1), 1)
+                .Pairs(0, n);
   ASSERT_TRUE(eu.ok()) << eu.status().ToString();
   ASSERT_TRUE(eb.ok()) << eb.status().ToString();
 
@@ -403,10 +562,10 @@ TEST_P(EigEngineTest, BlockedAgreesWithUnblocked) {
   EXPECT_TRUE(AllClose(av, vd, 1e-8 * scale));
 
   // Eigenvalues-only path agrees with the full decomposition per engine.
-  auto vb = internal_eig::SolveTridiagonal(
-      internal_eig::BlockedTridiagonal(a, /*accumulate=*/false, 1));
+  auto vb = SymmetricEigensolver(internal_eig::BlockedTridiagonal(a, 1), 1)
+                .Values(0, n);
   ASSERT_TRUE(vb.ok());
-  ASSERT_EQ(vb->values, eb->values);
+  ASSERT_EQ(*vb, eb->values);
 }
 
 // 3 = smallest order with a reflector, 33/65 = panel boundary stragglers,
@@ -423,10 +582,12 @@ TEST(EigEngineTest, AutoDispatchIsPureFunctionOfShape) {
     Matrix a = RandomMatrix(n, n, &rng);
     a += a.Transposed();
     auto picked = SymmetricEigen(a);
-    auto engine = internal_eig::SolveTridiagonal(
-        n < kBlockedEigCutoff
-            ? internal_eig::Tred2Tridiagonal(a, /*accumulate=*/true)
-            : internal_eig::BlockedTridiagonal(a, /*accumulate=*/true, 1));
+    auto engine =
+        SymmetricEigensolver(n < kBlockedEigCutoff
+                                 ? internal_eig::Tred2Tridiagonal(a)
+                                 : internal_eig::BlockedTridiagonal(a, 1),
+                             1)
+            .Pairs(0, n);
     ASSERT_TRUE(picked.ok() && engine.ok());
     for (int64_t j = 0; j < n; ++j) {
       for (int64_t i = 0; i < n; ++i) {
@@ -445,12 +606,291 @@ TEST(EigEngineTest, BlockedReadsOnlyLowerTriangle) {
   for (int64_t j = 1; j < n; ++j) {
     for (int64_t i = 0; i < j; ++i) garbage_upper(i, j) = rng.Gaussian();
   }
-  auto clean = internal_eig::SolveTridiagonal(
-      internal_eig::BlockedTridiagonal(a, /*accumulate=*/true, 1));
-  auto dirty = internal_eig::SolveTridiagonal(
-      internal_eig::BlockedTridiagonal(garbage_upper, /*accumulate=*/true, 1));
+  auto clean = SymmetricEigensolver(internal_eig::BlockedTridiagonal(a, 1), 1)
+                   .Pairs(0, n);
+  auto dirty =
+      SymmetricEigensolver(internal_eig::BlockedTridiagonal(garbage_upper, 1),
+                           1)
+          .Pairs(0, n);
   ASSERT_TRUE(clean.ok() && dirty.ok());
   ASSERT_EQ(clean->values, dirty->values);
+}
+
+// --- The windowed solver against the reference ---
+
+Matrix RandomSymmetric(int64_t n, Rng* rng) {
+  Matrix a = RandomMatrix(n, n, rng);
+  a += a.Transposed();
+  return a;
+}
+
+double SpectralNormOf(const EigResult& reference) {
+  double norm = 0.0;
+  for (double v : reference.values) norm = std::max(norm, std::fabs(v));
+  return norm;
+}
+
+// ||V^T V - I||_F for the columns of v.
+double OrthogonalityError(const Matrix& v) {
+  Matrix error = Gram(v);
+  error -= Matrix::Identity(v.cols());
+  return error.FrobeniusNorm();
+}
+
+// max_j ||A v_j - lambda_j v_j||_2.
+double MaxResidual(const Matrix& a, const EigResult& pairs) {
+  const int64_t n = a.rows();
+  const Matrix av = MatMul(a, pairs.vectors);
+  double worst = 0.0;
+  for (int64_t j = 0; j < pairs.vectors.cols(); ++j) {
+    Vector r(av.ColData(j), av.ColData(j) + n);
+    Axpy(-pairs.values[static_cast<size_t>(j)], pairs.vectors.ColData(j),
+         r.data(), n);
+    worst = std::max(worst, Norm2(r.data(), n));
+  }
+  return worst;
+}
+
+// sin of the largest principal angle between span(v) and span(u), both
+// with orthonormal columns of the same count, bounded by
+// ||(I - U U^T) V||_F.
+double SubspaceDistance(const Matrix& v, const Matrix& u) {
+  Matrix off = v;
+  off -= MatMul(u, MatMulTN(u, v));
+  return off.FrobeniusNorm();
+}
+
+// Checks the window [first, first + count) of `a` against the reference:
+// values within 4 n eps ||A||, residuals within 10 n eps ||A||,
+// orthogonality within 10 n eps, and Values equal to Pairs' values.
+void ExpectWindowAccurate(const Matrix& a, const EigResult& reference,
+                          int64_t first, int64_t count) {
+  const int64_t n = a.rows();
+  SCOPED_TRACE("n=" + std::to_string(n) + " window=[" +
+               std::to_string(first) + ", " + std::to_string(first + count) +
+               ")");
+  const double eps = std::numeric_limits<double>::epsilon();
+  const double norm = SpectralNormOf(reference);
+  auto solver = SymmetricEigensolver::Create(a);
+  ASSERT_TRUE(solver.ok()) << solver.status().ToString();
+  auto pairs = solver->Pairs(first, count);
+  ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
+  auto values = solver->Values(first, count);
+  ASSERT_TRUE(values.ok()) << values.status().ToString();
+  ASSERT_EQ(*values, pairs->values);
+  ASSERT_EQ(pairs->vectors.rows(), n);
+  ASSERT_EQ(pairs->vectors.cols(), count);
+  const double n_eps = static_cast<double>(n) * eps;
+  for (int64_t j = 0; j < count; ++j) {
+    EXPECT_NEAR(pairs->values[static_cast<size_t>(j)],
+                reference.values[static_cast<size_t>(first + j)],
+                4.0 * n_eps * norm)
+        << "lambda " << first + j;
+  }
+  EXPECT_LE(MaxResidual(a, *pairs), 10.0 * n_eps * norm);
+  EXPECT_LE(OrthogonalityError(pairs->vectors), 10.0 * n_eps);
+}
+
+class EigWindowTest : public ::testing::TestWithParam<int64_t> {};
+
+TEST_P(EigWindowTest, MatchesTheFullDecomposition) {
+  const int64_t n = GetParam();
+  Rng rng(5000 + static_cast<uint64_t>(n));
+  const Matrix a = RandomSymmetric(n, &rng);
+  const EigResult reference = ReferenceEigen(a);
+  const int64_t k = std::min<int64_t>(n, 5);
+  ExpectWindowAccurate(a, reference, n - 1, 1);          // top-1
+  ExpectWindowAccurate(a, reference, n - k, k);          // top-k
+  ExpectWindowAccurate(a, reference, 0, std::min<int64_t>(n, 2));  // bottom-2
+  ExpectWindowAccurate(a, reference, 0, n);              // all
+}
+
+// 1-3: the smallest orders; 12: a fleet_z2500 device; 63/64/65: the
+// tred2/blocked cutoff; 120: a noniid2_z160 device; 257: past eight panels.
+INSTANTIATE_TEST_SUITE_P(Sizes, EigWindowTest,
+                         ::testing::Values<int64_t>(1, 2, 3, 12, 63, 64, 65,
+                                                    120, 257));
+
+// The Sturm count GramSubspace reads its rank from agrees with the
+// reference spectrum between every pair of eigenvalues.
+TEST(EigWindowTest, CountBelowMatchesTheSpectrum) {
+  for (const int64_t n : {int64_t{12}, int64_t{65}}) {
+    Rng rng(5300 + static_cast<uint64_t>(n));
+    const Matrix a = RandomSymmetric(n, &rng);
+    const EigResult reference = ReferenceEigen(a);
+    auto solver = SymmetricEigensolver::Create(a);
+    ASSERT_TRUE(solver.ok());
+    EXPECT_EQ(solver->CountBelow(reference.values.front() - 1.0), 0);
+    EXPECT_EQ(solver->CountBelow(reference.values.back() + 1.0), n);
+    for (int64_t j = 1; j < n; ++j) {
+      const double between =
+          0.5 * (reference.values[static_cast<size_t>(j - 1)] +
+                 reference.values[static_cast<size_t>(j)]);
+      EXPECT_EQ(solver->CountBelow(between), j) << "n " << n;
+    }
+  }
+}
+
+// Exact multiplicities: c copies of one block put its top eigenvalue c
+// times at the top. Inside a repeated eigenvalue only the span is defined,
+// so the window's vectors are compared with the reference's by principal
+// angles.
+TEST(EigWindowTest, RepeatedTopEigenvalueSpansTheEigenspace) {
+  for (const int64_t c : {int64_t{2}, int64_t{3}, int64_t{5}}) {
+    for (const int64_t block : {int64_t{4}, int64_t{20}}) {
+      SCOPED_TRACE("c=" + std::to_string(c) + " block=" +
+                   std::to_string(block));
+      Rng rng(5400 + static_cast<uint64_t>(c * 100 + block));
+      const Matrix b = RandomSymmetric(block, &rng);
+      const int64_t n = c * block;
+      Matrix a(n, n);
+      for (int64_t copy = 0; copy < c; ++copy) {
+        for (int64_t j = 0; j < block; ++j) {
+          for (int64_t i = 0; i < block; ++i) {
+            a(copy * block + i, copy * block + j) = b(i, j);
+          }
+        }
+      }
+      const EigResult reference = ReferenceEigen(a);
+      auto solver = SymmetricEigensolver::Create(a);
+      ASSERT_TRUE(solver.ok());
+      auto top = solver->Pairs(n - c, c);
+      ASSERT_TRUE(top.ok()) << top.status().ToString();
+      const double norm = SpectralNormOf(reference);
+      const double eps = std::numeric_limits<double>::epsilon();
+      for (int64_t j = 0; j < c; ++j) {
+        EXPECT_NEAR(top->values[static_cast<size_t>(j)],
+                    reference.values[static_cast<size_t>(n - 1)],
+                    4.0 * static_cast<double>(n) * eps * norm);
+      }
+      EXPECT_LE(OrthogonalityError(top->vectors),
+                10.0 * static_cast<double>(n) * eps);
+      EXPECT_LE(MaxResidual(a, *top),
+                10.0 * static_cast<double>(n) * eps * norm);
+      EXPECT_LE(SubspaceDistance(top->vectors,
+                                 reference.vectors.ColRange(n - c, n)),
+                1e-10);
+    }
+  }
+}
+
+// Identity, zero and diagonal matrices reduce to a tridiagonal with every
+// e_i = 0, so T splits into 1 x 1 blocks.
+TEST(EigWindowTest, SplitTridiagonalsGiveUnitVectors) {
+  const int64_t n = 65;
+  Matrix diagonal(n, n);
+  Rng rng(5500);
+  for (int64_t i = 0; i < n; ++i) diagonal(i, i) = rng.Gaussian();
+  const std::vector<Matrix> inputs = {Matrix::Identity(12),
+                                      Matrix::Identity(n), Matrix(12, 12),
+                                      Matrix(n, n), diagonal};
+  for (size_t input = 0; input < inputs.size(); ++input) {
+    const Matrix& a = inputs[input];
+    const int64_t order = a.rows();
+    SCOPED_TRACE("n=" + std::to_string(order) +
+                 " max=" + std::to_string(a.MaxAbs()));
+    const EigResult reference = ReferenceEigen(a);
+    auto eig = SymmetricEigen(a);
+    ASSERT_TRUE(eig.ok()) << eig.status().ToString();
+    EXPECT_EQ(eig->values, reference.values);
+    EXPECT_LE(OrthogonalityError(eig->vectors), 1e-15);
+    EXPECT_EQ(MaxResidual(a, *eig), 0.0);
+    if (input + 1 == inputs.size()) {
+      // Distinct diagonal entries: each vector spans its reference's.
+      for (int64_t j = 0; j < order; ++j) {
+        EXPECT_LE(SubspaceDistance(eig->vectors.ColRange(j, j + 1),
+                                   reference.vectors.ColRange(j, j + 1)),
+                  1e-15);
+      }
+    }
+  }
+}
+
+// Entries near 2^600 square past the largest double and near 2^-600 below
+// the smallest; the solver scales by an exact power of two first, so both
+// come back right, and a non-finite matrix is a typed error.
+TEST(EigWindowTest, ExtremeScalesSolveOrFailTyped) {
+  for (const int64_t n : {int64_t{12}, int64_t{65}}) {
+    Rng rng(5600 + static_cast<uint64_t>(n));
+    const Matrix b = RandomSymmetric(n, &rng);
+    const EigResult reference = ReferenceEigen(b);
+    const double norm = SpectralNormOf(reference);
+    const double eps = std::numeric_limits<double>::epsilon();
+    for (const int exponent : {600, -600}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " 2^" + std::to_string(exponent));
+      Matrix a = b;
+      a *= std::ldexp(1.0, exponent);
+      auto solver = SymmetricEigensolver::Create(a);
+      ASSERT_TRUE(solver.ok()) << solver.status().ToString();
+      for (const auto& [first, count] :
+           {std::pair<int64_t, int64_t>{n - 3, 3}, {0, n}}) {
+        auto pairs = solver->Pairs(first, count);
+        ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
+        for (int64_t j = 0; j < count; ++j) {
+          EXPECT_NEAR(std::ldexp(pairs->values[static_cast<size_t>(j)],
+                                 -exponent),
+                      reference.values[static_cast<size_t>(first + j)],
+                      4.0 * static_cast<double>(n) * eps * norm);
+        }
+        EXPECT_LE(OrthogonalityError(pairs->vectors),
+                  10.0 * static_cast<double>(n) * eps);
+        EigResult unscaled = *pairs;
+        for (double& v : unscaled.values) v = std::ldexp(v, -exponent);
+        EXPECT_LE(MaxResidual(b, unscaled),
+                  10.0 * static_cast<double>(n) * eps * norm);
+      }
+    }
+  }
+  Matrix bad = Matrix::Identity(4);
+  bad(2, 1) = std::numeric_limits<double>::quiet_NaN();
+  auto nan = SymmetricEigensolver::Create(bad);
+  ASSERT_FALSE(nan.ok());
+  EXPECT_EQ(nan.status().code(), StatusCode::kInvalidArgument);
+  bad(2, 1) = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(SymmetricEigensolver::Create(bad).ok());
+}
+
+TEST(EigWindowTest, RejectsWindowsOutsideTheSpectrum) {
+  auto solver = SymmetricEigensolver::Create(Matrix::Identity(4));
+  ASSERT_TRUE(solver.ok());
+  EXPECT_FALSE(solver->Values(-1, 2).ok());
+  EXPECT_FALSE(solver->Values(3, 2).ok());
+  EXPECT_FALSE(solver->Pairs(0, 5).ok());
+  EXPECT_FALSE(solver->Pairs(2, -1).ok());
+  auto empty = solver->Pairs(4, 0);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->vectors.cols(), 0);
+}
+
+// The blocked reduction's trailing updates and the back-transform's block
+// reflectors thread; neither changes a bit.
+TEST(EigWindowTest, BitIdenticalAcrossThreadCounts) {
+  const int64_t n = 257;
+  Rng rng(5700);
+  const Matrix a = RandomSymmetric(n, &rng);
+  auto solve = [&](int threads, int64_t first, int64_t count) {
+    EigOptions options;
+    options.num_threads = threads;
+    auto solver = SymmetricEigensolver::Create(a, options);
+    EXPECT_TRUE(solver.ok());
+    auto pairs = solver->Pairs(first, count);
+    EXPECT_TRUE(pairs.ok());
+    return *pairs;
+  };
+  for (const auto& [first, count] :
+       {std::pair<int64_t, int64_t>{n - 10, 10}, {0, n}}) {
+    const EigResult serial = solve(1, first, count);
+    for (const int threads : {2, 8}) {
+      const EigResult threaded = solve(threads, first, count);
+      ASSERT_EQ(serial.values, threaded.values) << threads << " threads";
+      for (int64_t j = 0; j < count; ++j) {
+        for (int64_t i = 0; i < n; ++i) {
+          ASSERT_EQ(serial.vectors(i, j), threaded.vectors(i, j))
+              << threads << " threads, entry (" << i << ", " << j << ")";
+        }
+      }
+    }
+  }
 }
 
 TEST(EigTest, RejectsEmptyAndNonSquare) {

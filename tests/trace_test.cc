@@ -3,6 +3,7 @@
 // Fed-SC run), trace well-formedness (every begin has a matching end on
 // every thread), the exporters, and the near-zero disabled path.
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -17,8 +18,10 @@
 #include "core/fedsc.h"
 #include "data/synthetic.h"
 #include "fed/partition.h"
+#include "graph/components.h"
 #include "linalg/batch.h"
 #include "linalg/blas.h"
+#include "sc/affinity.h"
 #include "sc/ssc_admm.h"
 
 namespace fedsc {
@@ -173,23 +176,98 @@ TEST(MetricsDeterminismTest, CountersBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Each device decomposes its affinity once: r^(z) and the spectral
-// embedding come from one eigensolve of the normalized adjacency. The other
-// eigensolves of a round are one Gram per Gram-route basis and the central
-// spectral step's one.
+// Multi-vertex connected components of a graph: the eigensolves
+// ComponentSpectrum runs on it (an isolated vertex needs none).
+int64_t SolvedComponents(const SparseMatrix& affinity) {
+  const ComponentsResult components = ConnectedComponents(affinity);
+  std::vector<int64_t> sizes(static_cast<size_t>(components.count), 0);
+  for (int64_t label : components.labels) ++sizes[static_cast<size_t>(label)];
+  return std::count_if(sizes.begin(), sizes.end(),
+                       [](int64_t size) { return size > 1; });
+}
+
+// Each device reduces its affinity once per connected component: r^(z) and
+// the spectral embedding come from those reductions. The other eigensolves
+// of a round are one Gram per Gram-route basis and, unless the central
+// pool's components are its k clusters, one per component of the central
+// spectral step's affinity.
 TEST(MetricsDeterminismTest, OneEigensolvePerDeviceAffinity) {
   auto fed = MakeFederation();
   ASSERT_TRUE(fed.ok());
+  const FedScOptions options;
   int64_t devices_with_affinity = 0;
+  int64_t device_solves = 0;
   for (const Matrix& points : fed->points) {
-    devices_with_affinity += points.cols() >= 3 ? 1 : 0;
+    if (points.cols() < 3) continue;
+    ++devices_with_affinity;
+    Matrix normalized = points;
+    normalized.NormalizeColumns();
+    auto coefficients = SscSelfExpression(normalized, options.local_ssc);
+    ASSERT_TRUE(coefficients.ok()) << coefficients.status().ToString();
+    device_solves += SolvedComponents(AffinityFromCoefficients(*coefficients));
   }
   ASSERT_EQ(devices_with_affinity, 6);
-  const MetricsSnapshot snapshot = RunFedScWithMetrics(*fed, 1);
-  const int64_t central_calls = 1;
+  ASSERT_GE(device_solves, devices_with_affinity);
+  ResetMetrics();
+  EnableMetrics(true);
+  auto result = RunFedSc(*fed, 4, options);
+  EnableMetrics(false);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const MetricsSnapshot snapshot = SnapshotMetrics();
+  // When the central pool has exactly k components, they are its clusters
+  // and the central step solves nothing.
+  const int64_t central_solves =
+      ConnectedComponents(result->central_affinity).count == 4
+          ? 0
+          : SolvedComponents(result->central_affinity);
   EXPECT_EQ(snapshot.counters.at("linalg.eig.calls"),
-            devices_with_affinity +
-                snapshot.counters.at("linalg.basis.gram") + central_calls);
+            device_solves + snapshot.counters.at("linalg.basis.gram") +
+                central_solves);
+}
+
+// A round forms only the eigenvectors it reads: at most r^(z) per device
+// (none where the components are the clusters), each Gram-route basis's
+// rank, and the central step's k.
+TEST(MetricsDeterminismTest, EigenvectorsFormedAreTheOnesRead) {
+  auto fed = MakeFederation();
+  ASSERT_TRUE(fed.ok());
+  const FedScOptions options;
+  ResetMetrics();
+  EnableMetrics(true);
+  auto result = RunFedSc(*fed, 4, options);
+  EnableMetrics(false);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const int64_t vectors = SnapshotMetrics().counters.at("linalg.eig.vectors");
+
+  // Replays each device's local step outside the metrics, with the seeds
+  // RunFedSc draws from Rng(options.seed) in device order, for its r^(z)
+  // and partition, then the rank of each cluster's Gram-route basis.
+  Rng seeds(options.seed);
+  int64_t bound = 4;  // the central k
+  for (size_t z = 0; z < fed->points.size(); ++z) {
+    const Matrix& points = fed->points[z];
+    auto local = LocalClusterAndSample(points, options, seeds.Next());
+    ASSERT_TRUE(local.ok()) << local.status().ToString();
+    ASSERT_EQ(local->num_local_clusters, result->local_cluster_counts[z]);
+    bound += local->num_local_clusters;
+    std::vector<std::vector<int64_t>> members(
+        static_cast<size_t>(local->num_local_clusters));
+    for (int64_t i = 0; i < points.cols(); ++i) {
+      members[static_cast<size_t>(local->partition[static_cast<size_t>(i)])]
+          .push_back(i);
+    }
+    Matrix normalized = points;
+    normalized.NormalizeColumns();
+    BatchedSubspaceOptions batch;
+    batch.rank = options.sample_dim;
+    batch.rel_tol = options.rank_rel_tol;
+    for (const Result<Matrix>& basis :
+         BatchedPrincipalSubspace(normalized, members, batch)) {
+      if (basis.ok()) bound += basis->cols();
+    }
+  }
+  EXPECT_GT(vectors, 0);
+  EXPECT_LE(vectors, bound);
 }
 
 // On the AVX-512 tier the exact solve of a rank-8 device (20 x 120) runs
