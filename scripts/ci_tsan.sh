@@ -114,6 +114,10 @@ FEDSC_FORCE_ISA=generic run_suite "${build_dir}/tests/batch_test"
 FEDSC_FORCE_ISA=generic run_suite "${build_dir}/tests/parallel_determinism_test"
 FEDSC_FORCE_ISA=generic run_suite "${build_dir}/tests/sketch_test"
 FEDSC_FORCE_ISA=generic run_suite "${build_dir}/tests/sc_test"
+# The server's warm re-clusters carry one solve's iterate into the next; its
+# multi-call tests check the labels stay bit-identical across thread counts
+# on the generic tier too.
+FEDSC_FORCE_ISA=generic run_suite "${build_dir}/tests/server_test"
 
 echo "TSAN: all threaded suites passed with zero reported races."
 

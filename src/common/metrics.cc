@@ -110,6 +110,7 @@ MetricsRegistry::MetricsRegistry() {
         "linalg.subspace_iteration.iterations", "sc.ssc_admm.solves",
         "sc.ssc_admm.iterations", "sc.ssc_admm.converged",
         "sc.ssc_admm.rho_updates", "sc.ssc_admm.reduced_solves",
+        "sc.ssc_admm.warm_starts",
         "cluster.kmeans.runs", "cluster.kmeans.restarts",
         "cluster.kmeans.iterations", "fed.comm.uplink_values",
         "fed.comm.uplink_bits", "fed.comm.uplink_wire_bytes",

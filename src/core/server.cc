@@ -1,6 +1,7 @@
 #include "core/server.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/journal.h"
 #include "common/logging.h"
@@ -14,12 +15,15 @@ namespace {
 
 // Phase 2: clusters `out.samples` (the unscreened pool, one device id per
 // column in `out.sample_device`) into num_clusters groups. `num_devices` is
-// Z in the paper's TSC rule q = max(3, ceil(Z / L)).
+// Z in the paper's TSC rule q = max(3, ceil(Z / L)). `iterate` is the exact
+// SSC solve's warm start in and final iterate out; any other path empties
+// it.
 Result<CentralSolution> SolveCentral(CentralSolution out,
                                      int64_t num_clusters,
                                      int64_t num_devices,
                                      const FedScOptions& options,
-                                     int64_t sim_ms) {
+                                     int64_t sim_ms,
+                                     SscAdmmIterate* iterate) {
   if (num_clusters < 1) {
     return Status::InvalidArgument("need num_clusters >= 1");
   }
@@ -67,15 +71,23 @@ Result<CentralSolution> SolveCentral(CentralSolution out,
   central.num_threads = options.num_threads;
   const CentralPath central_path =
       ResolveCentralPath(central, total, num_clusters);
+  if (central_path != CentralPath::kExact ||
+      central.method != ScMethod::kSsc || central.ssc.affine) {
+    *iterate = SscAdmmIterate();
+  }
+  const int64_t warm_columns = std::count_if(
+      iterate->source.begin(), iterate->source.end(),
+      [](int64_t s) { return s >= 0; });
   FEDSC_JOURNAL_EVENT("central_start", -1, sim_ms,
                       {{"samples", total},
                        {"method", ScMethodKey(options.central_method)},
+                       {"warm_columns", warm_columns},
                        {"central_path", CentralPathName(central_path)}});
   FEDSC_METRIC_GAUGE("fedsc.central_sketched", MetricKind::kDeterministic)
       .Set(central_path == CentralPath::kSketched ? 1.0 : 0.0);
   FEDSC_ASSIGN_OR_RETURN(ScResult result,
                          RunSubspaceClustering(out.samples, num_clusters,
-                                               central));
+                                               central, iterate));
   out.labels = std::move(result.labels);
   out.affinity = std::move(result.affinity);
   FEDSC_JOURNAL_EVENT("central_finish", -1, sim_ms, {{"samples", total}});
@@ -309,12 +321,31 @@ Status FedScServer::Screen(int64_t sim_ms) {
 
 Status FedScServer::Cluster(int64_t sim_ms) {
   if (clustered_) return Status::OK();
+  // Taken out, so a failed call leaves no iterate behind.
+  SscAdmmIterate iterate = std::exchange(warm_, SscAdmmIterate());
   FEDSC_RETURN_NOT_OK(Screen(sim_ms));
   CentralSolution pool;
   Pool(&pool.samples, &pool.sample_device);
-  FEDSC_ASSIGN_OR_RETURN(solution_,
-                         SolveCentral(std::move(pool), num_clusters_,
-                                      num_devices(), options_, sim_ms));
+  if (!iterate.u.empty()) {
+    // A pooled column is keyed by (device id, accepted column); the last
+    // solve held device z's columns from solved_offset_[z] on. A device
+    // new to the pool, or screened from the last one, starts from zero.
+    iterate.source.resize(pool.sample_device.size());
+    int64_t column = 0;
+    for (size_t j = 0; j < pool.sample_device.size(); ++j) {
+      const auto z = static_cast<size_t>(pool.sample_device[j]);
+      column = j > 0 && pool.sample_device[j - 1] == pool.sample_device[j]
+                   ? column + 1
+                   : 0;
+      iterate.source[j] = z < solved_offset_.size() && solved_offset_[z] >= 0
+                              ? solved_offset_[z] + column
+                              : -1;
+    }
+  }
+  FEDSC_ASSIGN_OR_RETURN(
+      solution_, SolveCentral(std::move(pool), num_clusters_, num_devices(),
+                              options_, sim_ms, &iterate));
+  warm_ = std::move(iterate);
   solved_offset_.assign(reports_.size(), -1);
   int64_t next = 0;
   for (size_t z = 0; z < uploads_.size(); ++z) {

@@ -13,6 +13,22 @@
 // per-device DeviceReport ledger, the Byzantine screen and the central
 // solve exist once. The participation quorum is the caller's: CheckQuorum
 // over reports(), between Screen() and Cluster().
+//
+// Re-clustering is warm, so a call's labels depend on the call history.
+// After a successful Cluster() on the exact SSC path the server keeps that
+// solve's final C (its nonzeros), scaled dual U (dense N x N) and rho. The
+// next Cluster() starts SSC-ADMM from them (Boyd et al.'s warm start): each
+// pooled column, keyed by (device id, accepted column), continues its
+// column and atom of the last solve, and columns new to the pool (late
+// joiners, devices the last screen dropped) start from zero. The stopping
+// rule, rho balancing and max_iterations are the cold solve's, so the
+// result differs from a fresh server's on the same pool only within the
+// ADMM stopping tolerance, and labels can move by that much. Results stay
+// deterministic: servers fed the same call sequence return bit-identical
+// labels for any thread count. A failed call, the sketched path, a central
+// method other than SSC and affine SSC drop the stored iterate, so the next
+// call starts cold. For a result with no history, make a new server;
+// RunFedSc makes one call on a fresh server.
 
 #ifndef FEDSC_CORE_SERVER_H_
 #define FEDSC_CORE_SERVER_H_
@@ -21,6 +37,7 @@
 #include <vector>
 
 #include "core/fedsc.h"
+#include "sc/ssc_admm.h"
 
 namespace fedsc {
 
@@ -159,6 +176,9 @@ class FedScServer {
   bool screen_current_ = false;
   bool clustered_ = false;
   CentralSolution solution_;
+  // The last exact SSC solve's final iterate over solution()'s columns, or
+  // empty when the next Cluster() starts cold.
+  SscAdmmIterate warm_;
   // Per device id: solution() column of its first accepted one, or -1.
   std::vector<int64_t> solved_offset_;
 };

@@ -203,16 +203,11 @@ ScreeningOutcome DefensePlan::Screen(
         peers.push_back(i);
       }
       if (peers.empty()) continue;
-      std::sort(peers.begin(), peers.end(), [&](int64_t a, int64_t b) {
-        const double ca = std::fabs(gram(a, j));
-        const double cb = std::fabs(gram(b, j));
-        if (ca != cb) return ca > cb;
-        return a < b;
-      });
-      // Modified Gram-Schmidt basis of the top-rank peers; near-dependent
-      // peers contribute nothing (their orthogonalized direction vanishes).
       const int64_t take =
           std::min<int64_t>(rank, static_cast<int64_t>(peers.size()));
+      internal_defense::RankTopPeers(gram.ColData(j), take, &peers);
+      // Modified Gram-Schmidt basis of the top-rank peers; near-dependent
+      // peers contribute nothing (their orthogonalized direction vanishes).
       int64_t basis_cols = 0;
       for (int64_t p = 0; p < take; ++p) {
         basis.SetCol(basis_cols, x.ColData(peers[static_cast<size_t>(p)]));
@@ -378,5 +373,23 @@ ScreeningOutcome DefensePlan::Screen(
       .Add(outcome.screened_devices);
   return outcome;
 }
+
+namespace internal_defense {
+
+void RankTopPeers(const double* coherence, int64_t take,
+                  std::vector<int64_t>* peers) {
+  std::partial_sort(peers->begin(),
+                    peers->begin() + std::min<int64_t>(
+                                         take, static_cast<int64_t>(
+                                                   peers->size())),
+                    peers->end(), [coherence](int64_t a, int64_t b) {
+                      const double ca = std::fabs(coherence[a]);
+                      const double cb = std::fabs(coherence[b]);
+                      if (ca != cb) return ca > cb;
+                      return a < b;
+                    });
+}
+
+}  // namespace internal_defense
 
 }  // namespace fedsc

@@ -116,6 +116,18 @@ class DefensePlan {
                           int num_threads) const;
 };
 
+namespace internal_defense {
+
+// Puts the `take` entries of *peers most coherent with one sample first, in
+// rank order: |coherence[i]| descending, ties by the lower index i. The
+// order is strict and total, so they are the first `take` of a full sort
+// (the order of the rest is unspecified). `coherence` is that sample's
+// column of the pool Gram, indexed by sample.
+void RankTopPeers(const double* coherence, int64_t take,
+                  std::vector<int64_t>* peers);
+
+}  // namespace internal_defense
+
 }  // namespace fedsc
 
 #endif  // FEDSC_FED_DEFENSE_H_

@@ -147,7 +147,8 @@ CentralPath ResolveCentralPath(const ScPipelineOptions& options, int64_t n,
 }
 
 Result<SparseMatrix> BuildAffinity(const Matrix& x,
-                                   const ScPipelineOptions& options) {
+                                   const ScPipelineOptions& options,
+                                   SscAdmmIterate* ssc_iterate) {
   FEDSC_TRACE_SPAN("sc/affinity", {{"method", ScMethodName(options.method)},
                                    {"points", x.cols()}});
   if (ResolveCentralPath(options, x.cols(), 0) == CentralPath::kSketched) {
@@ -167,7 +168,8 @@ Result<SparseMatrix> BuildAffinity(const Matrix& x,
     case ScMethod::kSsc: {
       SscAdmmOptions ssc = options.ssc;
       ssc.num_threads = resolved(ssc.num_threads);
-      FEDSC_ASSIGN_OR_RETURN(SparseMatrix c, SscSelfExpression(x, ssc));
+      FEDSC_ASSIGN_OR_RETURN(SparseMatrix c,
+                             SscSelfExpression(x, ssc, nullptr, ssc_iterate));
       return AffinityFromCoefficients(c, options.num_threads);
     }
     case ScMethod::kSscOmp: {
@@ -196,7 +198,8 @@ Result<SparseMatrix> BuildAffinity(const Matrix& x,
 }
 
 Result<ScResult> RunSubspaceClustering(const Matrix& x, int64_t num_clusters,
-                                       const ScPipelineOptions& options) {
+                                       const ScPipelineOptions& options,
+                                       SscAdmmIterate* ssc_iterate) {
   if (num_clusters < 1 || num_clusters > x.cols()) {
     return Status::InvalidArgument("need 1 <= num_clusters <= N");
   }
@@ -256,7 +259,7 @@ Result<ScResult> RunSubspaceClustering(const Matrix& x, int64_t num_clusters,
   ScPipelineOptions exact_options = options;
   exact_options.central = CentralPath::kExact;
   FEDSC_ASSIGN_OR_RETURN(SparseMatrix affinity,
-                         BuildAffinity(*input, exact_options));
+                         BuildAffinity(*input, exact_options, ssc_iterate));
   SpectralResult spectral;
   {
     FEDSC_TRACE_SPAN("sc/spectral", {{"k", num_clusters}});

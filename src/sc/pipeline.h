@@ -106,13 +106,18 @@ struct ScResult {
 };
 
 // Builds W with the selected method over the columns of x and segments them
-// into num_clusters groups.
+// into num_clusters groups. `ssc_iterate`, when non-null, goes to the exact
+// SSC solve: its warm start in, its final iterate out (SscSelfExpression).
+// Every other method and the sketched path leave it untouched.
 Result<ScResult> RunSubspaceClustering(const Matrix& x, int64_t num_clusters,
-                                       const ScPipelineOptions& options = {});
+                                       const ScPipelineOptions& options = {},
+                                       SscAdmmIterate* ssc_iterate = nullptr);
 
-// Affinity-only entry point (shared by the federated scheme).
+// Affinity-only entry point (shared by the federated scheme); `ssc_iterate`
+// as in RunSubspaceClustering.
 Result<SparseMatrix> BuildAffinity(const Matrix& x,
-                                   const ScPipelineOptions& options);
+                                   const ScPipelineOptions& options,
+                                   SscAdmmIterate* ssc_iterate = nullptr);
 
 }  // namespace fedsc
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -412,23 +413,31 @@ Result<ZUpdate> BuildZUpdate(const Matrix& a, Matrix gram, double lambda,
 // self_atom[j], the stopping rule, and residual balancing with its operator
 // re-form and dual rescale. x_blk holds the block's data columns, so
 // Y = Target(x_blk); it is null when the block is the dictionary itself
-// (the exact solve, A = X), where Y = K. Leaves the m x cols coefficients in
-// *c and returns the block's record. `clock` times the whole solve against
-// options.deadline_seconds. Only the exact solve runs affine mode.
+// (the exact solve, A = X), where Y = K. *c and *u hold the starting C and
+// scaled dual U (m x cols), or are empty for a start from zero, and receive
+// the final ones; returns the block's record. `clock` times the whole solve
+// against options.deadline_seconds. Only the exact solve runs affine mode.
 Result<SscAdmmInfo> SolveColumns(ZUpdate op, const Matrix* x_blk,
                                  const int64_t* self_atom,
                                  const SscAdmmOptions& options,
                                  int num_threads, const Stopwatch& clock,
-                                 Matrix* c) {
+                                 Matrix* c, Matrix* u) {
   const int64_t rows = op.a->cols();
   const int64_t cols = x_blk != nullptr ? x_blk->cols() : rows;
   Matrix target;  // Y, when it is not K
   if (x_blk != nullptr) target = op.Target(*x_blk);
 
-  *c = Matrix(rows, cols);
-  Matrix u(rows, cols);
-  // M = C - U [+ 1 (1 - u_affine)^T] into each Z-update, Z out of it.
-  Matrix z(rows, cols);
+  // M = C - U [+ 1 (1 - u_affine)^T] into each Z-update, Z out of it. A
+  // warm start (never affine) forms its first M from its own C and U.
+  Matrix z;
+  if (c->empty()) {
+    *c = Matrix(rows, cols);
+    *u = Matrix(rows, cols);
+    z = Matrix(rows, cols);
+  } else {
+    z = *c;
+    z -= *u;
+  }
   Matrix t(op.k->rows(), cols);
 
   // Affine mode: Sherman-Morrison data for (lambda G + rho I + rho 1 1^T),
@@ -485,7 +494,7 @@ Result<SscAdmmInfo> SolveColumns(ZUpdate op, const Matrix* x_blk,
     // C-update over disjoint column panels, each column writing its own
     // stopping-rule slot.
     ParallelForRanges(0, cols, num_threads, [&](int64_t j0, int64_t j1, int) {
-      ThresholdColumns(j0, j1, 1.0 / op.rho, pinned, shift, c, &u, &z,
+      ThresholdColumns(j0, j1, 1.0 / op.rho, pinned, shift, c, u, &z,
                        sums.data());
     });
     ++iteration;
@@ -513,7 +522,7 @@ Result<SscAdmmInfo> SolveColumns(ZUpdate op, const Matrix* x_blk,
       form_affine();
     }
     ParallelForRanges(0, cols, num_threads, [&](int64_t j0, int64_t j1, int) {
-      RescaleDual(j0, j1, ratio, shift, *c, &u, &z);
+      RescaleDual(j0, j1, ratio, shift, *c, u, &z);
     });
   }
   return MakeRecord(op.a->rows(), iteration, residuals, op.rho, rho_updates);
@@ -558,6 +567,62 @@ std::optional<Matrix> ReducedFactor(const Matrix& gram, int64_t dim) {
   return PivotedCholeskyFactor(gram, tol, max_rank);
 }
 
+// Checks that `from`'s source map fits an N-point solve: one entry per
+// point, each -1 or a distinct point of the stored N_prev x N_prev iterate.
+Status CheckIterate(const SscAdmmIterate& from, int64_t num_points) {
+  const int64_t stored = from.u.cols();
+  if (static_cast<int64_t>(from.source.size()) != num_points ||
+      from.u.rows() != stored || from.c.rows() != stored ||
+      from.c.cols() != stored || !(from.rho > 0.0)) {
+    return Status::InvalidArgument(
+        "SSC warm start: the stored iterate does not fit " +
+        std::to_string(num_points) + " points");
+  }
+  std::vector<bool> taken(static_cast<size_t>(stored), false);
+  for (const int64_t s : from.source) {
+    if (s < -1 || s >= stored || (s >= 0 && taken[static_cast<size_t>(s)])) {
+      return Status::InvalidArgument(
+          "SSC warm start: source entry " + std::to_string(s) +
+          " is out of range or repeated");
+    }
+    if (s >= 0) taken[static_cast<size_t>(s)] = true;
+  }
+  return Status::OK();
+}
+
+// Scatters the stored C and U into the zeroed N x N c and u: entry (i, j)
+// continues entry (source[i], source[j]) when both points carry over.
+// Returns the number of points that do.
+int64_t ScatterIterate(const SscAdmmIterate& from, Matrix* c, Matrix* u) {
+  const int64_t num_points = c->cols();
+  std::vector<int64_t> target(static_cast<size_t>(from.u.cols()), -1);
+  int64_t carried = 0;
+  for (int64_t j = 0; j < num_points; ++j) {
+    const int64_t s = from.source[static_cast<size_t>(j)];
+    if (s < 0) continue;
+    target[static_cast<size_t>(s)] = j;
+    ++carried;
+    const double* from_col = from.u.ColData(s);
+    double* to_col = u->ColData(j);
+    for (int64_t i = 0; i < num_points; ++i) {
+      const int64_t r = from.source[static_cast<size_t>(i)];
+      if (r >= 0) to_col[i] = from_col[r];
+    }
+  }
+  const SparseMatrix& stored = from.c;  // CSR: row = atom, column = point
+  for (int64_t r = 0; r < stored.rows(); ++r) {
+    const int64_t i = target[static_cast<size_t>(r)];
+    if (i < 0) continue;
+    for (int64_t k = stored.row_ptr()[static_cast<size_t>(r)];
+         k < stored.row_ptr()[static_cast<size_t>(r) + 1]; ++k) {
+      const int64_t j =
+          target[static_cast<size_t>(stored.col_idx()[static_cast<size_t>(k)])];
+      if (j >= 0) (*c)(i, j) = stored.values()[static_cast<size_t>(k)];
+    }
+  }
+  return carried;
+}
+
 // Column-block width for the sketched solve. A pure constant (never derived
 // from the thread count): the per-block GEMM shapes, stopping decisions, and
 // triplet order depend only on (N, kSketchBlockCols), so results are
@@ -577,15 +642,22 @@ double SscLambdaFromGram(const Matrix& gram, double alpha, int num_threads) {
 
 Result<SparseMatrix> SscSelfExpression(const Matrix& x,
                                        const SscAdmmOptions& options,
-                                       SscAdmmInfo* info) {
+                                       SscAdmmInfo* info,
+                                       SscAdmmIterate* iterate) {
   const int64_t n = x.rows();
   const int64_t num_points = x.cols();
+  // The stored iterate is taken out, so every early return leaves *iterate
+  // empty.
+  SscAdmmIterate warm;
+  if (iterate != nullptr) std::swap(warm, *iterate);
   if (num_points < 2) {
     return Status::InvalidArgument("SSC needs at least 2 points");
   }
   if (options.alpha <= 1.0) {
     return Status::InvalidArgument("SSC alpha must exceed 1");
   }
+  const bool warm_start = !options.affine && !warm.source.empty();
+  if (warm_start) FEDSC_RETURN_NOT_OK(CheckIterate(warm, num_points));
   TraceSpan span;
   if (TraceEnabled()) {
     span.Begin("sc/ssc_admm", {{"points", num_points}, {"dim", n}});
@@ -599,7 +671,9 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
         "all points are mutually orthogonal; self-expression is degenerate");
   }
   const double lambda = options.alpha / mu;
-  const double rho = options.rho > 0.0 ? options.rho : options.alpha;
+  const double rho = warm_start         ? warm.rho
+                     : options.rho > 0.0 ? options.rho
+                                         : options.alpha;
   // The Lasso reads X only through X^T X, so a k x N R with R^T R = X^T X
   // poses the same problem; R is taken when its operator is cheaper than
   // X's. The direct operator keeps the Gram; the factored ones free it.
@@ -619,14 +693,34 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
   const std::vector<int64_t> self_atom = IdentitySelfAtoms(num_points);
   const Stopwatch clock;
   Matrix c;
+  Matrix u;
+  int64_t warm_columns = 0;
+  if (warm_start) {
+    // The warm iterate is built in the solve's own C and U; the stored one
+    // is released before the first iteration.
+    c = Matrix(num_points, num_points);
+    u = Matrix(num_points, num_points);
+    warm_columns = ScatterIterate(warm, &c, &u);
+  }
+  warm = SscAdmmIterate();
   FEDSC_ASSIGN_OR_RETURN(
-      const SscAdmmInfo record,
+      SscAdmmInfo record,
       SolveColumns(std::move(op), nullptr, self_atom.data(), options,
-                   options.num_threads, clock, &c));
+                   options.num_threads, clock, &c, &u));
+  record.warm_columns = warm_columns;
+  if (warm_start) FEDSC_METRIC_COUNTER("sc.ssc_admm.warm_starts").Increment();
   RecordSolve("SSC ADMM", record, info);
 
+  // The dense U goes to *iterate or is freed before the CSR is built.
+  const bool keep = iterate != nullptr && !options.affine;
+  if (keep) {
+    iterate->u = std::move(u);
+    iterate->rho = record.final_rho;
+  }
+  u = Matrix();
   std::vector<Triplet> triplets;
   AppendKeptEntries(c, 0, options.drop_tol, &triplets);
+  if (keep) iterate->c = SparsifyDense(c);
   c = Matrix();  // the dense N x N C is not kept while the CSR is built
   SparseMatrix coefficients = SparseMatrix::FromTriplets(
       num_points, num_points, std::move(triplets));
@@ -696,9 +790,10 @@ Result<SparseMatrix> SscSketchedSelfExpression(const Matrix& x,
       const int64_t j1 = std::min(num_points, j0 + kSketchBlockCols);
       const Matrix x_blk = x.ColRange(j0, j1);
       Matrix c;
+      Matrix u;
       auto record =
           SolveColumns(shared_op, &x_blk, self_atom.data() + j0, options, 1,
-                       clock, &c);
+                       clock, &c, &u);
       if (!record.ok()) {
         block_status[static_cast<size_t>(blk)] = record.status();
         return;

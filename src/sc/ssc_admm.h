@@ -30,9 +30,19 @@
 // inverse and no new Gram. The exact solve runs all N columns as one block
 // under one stopping rule; the sketched solve runs blocks of 256 columns,
 // each with its own.
+//
+// The exact solve can also start from an earlier solve's final iterate
+// (SscAdmmIterate), the warm start Boyd et al. recommend for a sequence of
+// related problems: a server that re-solves a pool grown by one wave of
+// uploads continues from the C, U and rho it left, with zeros for the new
+// columns and atoms. The stopping rule, the rho balancing and
+// max_iterations are the cold solve's, so the result is the same Lasso
+// solution to within the stopping tolerance.
 
 #ifndef FEDSC_SC_SSC_ADMM_H_
 #define FEDSC_SC_SSC_ADMM_H_
+
+#include <vector>
 
 #include "common/result.h"
 #include "linalg/matrix.h"
@@ -96,14 +106,36 @@ struct SscAdmmInfo {
   double final_rho = 0.0;  // penalty in force at exit
   int rho_updates = 0;     // residual-balancing changes of rho
   bool converged = false;  // met the stopping rule within the budget
+  // Columns that started from a stored iterate (0 for a cold start).
+  int64_t warm_columns = 0;
+};
+
+// The exact solve's final ADMM iterate over N points, and on entry the map
+// that carries it to the next solve's columns. C's rows and columns are both
+// indexed by point (atom j is point j), so one map serves both.
+struct SscAdmmIterate {
+  // On entry, per column of x: the column (and atom) of this iterate it
+  // continues, or -1 for a point that starts from zero. Empty on entry means
+  // a cold start; cleared on exit.
+  std::vector<int64_t> source;
+  SparseMatrix c;     // C's nonzero entries, unrounded
+  Matrix u;           // the scaled dual U, dense
+  double rho = 0.0;   // the penalty in force at exit
 };
 
 // Sparse self-expression matrix C for the columns of x (which should be
 // l2-normalized): the dictionary solve with B = X. Requires N >= 2. `info`,
 // when non-null, receives the solve's convergence record.
+//
+// `iterate`, when non-null, is read and then replaced: a non-empty
+// `source` starts the ADMM from the stored C, U and rho mapped through it
+// (InvalidArgument when `source` does not fit x or the iterate), and on
+// success *iterate receives this solve's final C, U and rho. It is left
+// empty on failure and in affine mode, which always starts cold.
 Result<SparseMatrix> SscSelfExpression(const Matrix& x,
                                        const SscAdmmOptions& options = {},
-                                       SscAdmmInfo* info = nullptr);
+                                       SscAdmmInfo* info = nullptr,
+                                       SscAdmmIterate* iterate = nullptr);
 
 // Sketched variant (Traganitis-Giannakis): the dictionary solve with
 // B = sketch.dictionary, so an iteration costs O(min(D, d) * d * N) instead

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cluster/kmeans.h"
@@ -174,6 +175,37 @@ TEST(ScreeningTest, RandomByzantineDevicesAreScreened) {
   // No honest device was taken down with them.
   for (int64_t z : screened) {
     EXPECT_TRUE(z == 5 || z == 11) << "false screen of device " << z;
+  }
+}
+
+// The residual screen's peer ranking selects only its top entries. With
+// tied |coherence| (equal values and equal magnitudes of opposite sign) the
+// lower index ranks first, and the selected prefix equals a full sort's.
+TEST(ScreeningTest, TopPeersBreakTiesByIndexLikeAFullSort) {
+  const std::vector<double> coherence = {0.5, -0.9, 0.9, 0.1, 0.5,
+                                         -0.5, 0.9, 0.0, 0.3, -0.1};
+  // Sample 7's own device is excluded; the rest arrive out of order.
+  const std::vector<int64_t> peers = {9, 5, 3, 6, 0, 8, 2, 4, 1};
+  std::vector<int64_t> full = peers;
+  std::sort(full.begin(), full.end(), [&](int64_t a, int64_t b) {
+    const double ca = std::fabs(coherence[static_cast<size_t>(a)]);
+    const double cb = std::fabs(coherence[static_cast<size_t>(b)]);
+    if (ca != cb) return ca > cb;
+    return a < b;
+  });
+  EXPECT_EQ(full, (std::vector<int64_t>{1, 2, 6, 0, 4, 5, 8, 3, 9}));
+  for (int64_t take = 0; take <= 10; ++take) {
+    SCOPED_TRACE("take " + std::to_string(take));
+    std::vector<int64_t> ranked = peers;
+    internal_defense::RankTopPeers(coherence.data(), take, &ranked);
+    const auto kept = static_cast<std::ptrdiff_t>(
+        std::min<int64_t>(take, static_cast<int64_t>(peers.size())));
+    EXPECT_TRUE(std::equal(ranked.begin(), ranked.begin() + kept,
+                           full.begin()));
+    std::sort(ranked.begin(), ranked.end());
+    std::vector<int64_t> sorted_peers = peers;
+    std::sort(sorted_peers.begin(), sorted_peers.end());
+    EXPECT_EQ(ranked, sorted_peers);  // a permutation of the peers
   }
 }
 

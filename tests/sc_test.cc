@@ -420,11 +420,21 @@ struct ReferenceSolve {
   int rho_updates = 0;
 };
 
-ReferenceSolve ReferenceSsc(const Matrix& x, const SscAdmmOptions& options) {
+// A dense starting iterate for the reference loop (non-affine only).
+struct ReferenceStart {
+  Matrix c;
+  Matrix u;
+  double rho = 0.0;
+};
+
+ReferenceSolve ReferenceSsc(const Matrix& x, const SscAdmmOptions& options,
+                            const ReferenceStart* start = nullptr) {
   const int64_t num_points = x.cols();
   const Matrix gram = Gram(x);
   const double lambda = SscLambdaFromGram(gram, options.alpha);
-  double rho = options.rho > 0.0 ? options.rho : options.alpha;
+  double rho = start != nullptr    ? start->rho
+               : options.rho > 0.0 ? options.rho
+                                   : options.alpha;
   Matrix lambda_gram = gram;
   lambda_gram *= lambda;
 
@@ -446,8 +456,8 @@ ReferenceSolve ReferenceSsc(const Matrix& x, const SscAdmmOptions& options) {
   invert();
   Vector u_affine(static_cast<size_t>(num_points), 0.0);
 
-  Matrix c(num_points, num_points);
-  Matrix u(num_points, num_points);
+  Matrix c = start != nullptr ? start->c : Matrix(num_points, num_points);
+  Matrix u = start != nullptr ? start->u : Matrix(num_points, num_points);
   std::vector<ReferenceColumnSums> sums(static_cast<size_t>(num_points));
   int iteration = 0;
   int rho_updates = 0;
@@ -610,6 +620,128 @@ TEST(SscAdmmDifferentialTest, OperatorMatchesTheExplicitInverse) {
   cases.push_back({"affine k=9", AffineSubspaces(74).points, true, 9});
 
   for (const DifferentialCase& test : cases) ExpectMatchesReference(test);
+}
+
+// A warm start: the solve over a changed pool (points dropped, points
+// added, the order shuffled) started from the previous solve's iterate
+// tracks the explicit-inverse reference started from the same C, U and rho,
+// laid out densely by hand; and it needs fewer iterations than a cold solve.
+TEST(SscAdmmWarmStartTest, MatchesTheReferenceFromTheMappedIterate) {
+  for (const auto& [name, all] :
+       {std::pair<std::string, Matrix>{"factored",
+                                       EasySubspaces(3, 24, 81).points},
+        std::pair<std::string, Matrix>{"reduced",
+                                       SubspacePoints(60, 72, 3, 3, 82)},
+        std::pair<std::string, Matrix>{"direct",
+                                       EasySubspaces(2, 10, 83).points}}) {
+    SCOPED_TRACE(name);
+    Matrix x = all;
+    x.NormalizeColumns();
+    const int64_t total = x.cols();
+    // The first pool: every column but the last sixth; the second drops
+    // every fifth of those, adds the last sixth and reverses the order.
+    const int64_t first = total - total / 6;
+    std::vector<int64_t> first_cols;
+    for (int64_t j = 0; j < first; ++j) first_cols.push_back(j);
+    std::vector<int64_t> second_cols;
+    std::vector<int64_t> source;
+    for (int64_t j = total - 1; j >= 0; --j) {
+      if (j < first && j % 5 == 0) continue;
+      second_cols.push_back(j);
+      source.push_back(j < first ? j : -1);
+    }
+    const Matrix x1 = x.GatherCols(first_cols);
+    const Matrix x2 = x.GatherCols(second_cols);
+    const auto n2 = static_cast<int64_t>(second_cols.size());
+
+    SscAdmmOptions options;
+    options.drop_tol = 0.0;
+    SscAdmmIterate iterate;
+    ASSERT_TRUE(SscSelfExpression(x1, options, nullptr, &iterate).ok());
+    ASSERT_EQ(iterate.u.cols(), first);
+    ASSERT_GT(iterate.rho, 0.0);
+    EXPECT_TRUE(iterate.source.empty());
+
+    ReferenceStart start;
+    start.c = Matrix(n2, n2);
+    start.u = Matrix(n2, n2);
+    start.rho = iterate.rho;
+    const Matrix stored_c = iterate.c.ToDense();
+    int64_t carried = 0;
+    for (int64_t j = 0; j < n2; ++j) {
+      const int64_t sj = source[static_cast<size_t>(j)];
+      if (sj < 0) continue;
+      ++carried;
+      for (int64_t i = 0; i < n2; ++i) {
+        const int64_t si = source[static_cast<size_t>(i)];
+        if (si < 0) continue;
+        start.c(i, j) = stored_c(si, sj);
+        start.u(i, j) = iterate.u(si, sj);
+      }
+    }
+    const ReferenceSolve reference = ReferenceSsc(x2, options, &start);
+
+    iterate.source = source;
+    SscAdmmInfo warm;
+    auto c = SscSelfExpression(x2, options, &warm, &iterate);
+    ASSERT_TRUE(c.ok()) << c.status().ToString();
+    EXPECT_EQ(warm.warm_columns, carried);
+    const double scale = reference.c.MaxAbs();
+    ASSERT_GT(scale, 0.0);
+    EXPECT_LE((c->ToDense() - reference.c).MaxAbs(), 1e-8 * scale);
+    EXPECT_EQ(warm.iterations, reference.iterations);
+    EXPECT_EQ(warm.final_rho, reference.rho);
+    EXPECT_EQ(warm.rho_updates, reference.rho_updates);
+    // The final iterate replaces the stored one.
+    EXPECT_TRUE(iterate.source.empty());
+    EXPECT_EQ(iterate.u.cols(), n2);
+    EXPECT_EQ(iterate.rho, warm.final_rho);
+
+    SscAdmmInfo cold;
+    ASSERT_TRUE(SscSelfExpression(x2, options, &cold).ok());
+    EXPECT_EQ(cold.warm_columns, 0);
+    EXPECT_LT(warm.iterations, cold.iterations);
+  }
+}
+
+// A source map that does not fit is a typed error and leaves no iterate;
+// affine mode never reads or returns one.
+TEST(SscAdmmWarmStartTest, RejectsAMisfitSourceAndSkipsAffineMode) {
+  Matrix x = EasySubspaces(2, 12, 84).points;
+  x.NormalizeColumns();
+  SscAdmmIterate stored;
+  ASSERT_TRUE(SscSelfExpression(x, {}, nullptr, &stored).ok());
+  const auto n = static_cast<int64_t>(x.cols());
+  std::vector<std::vector<int64_t>> misfits;
+  misfits.emplace_back(static_cast<size_t>(n - 1), -1);  // too short
+  misfits.emplace_back(static_cast<size_t>(n), -1);
+  misfits.back()[3] = n;  // past the stored iterate
+  misfits.emplace_back(static_cast<size_t>(n), -1);
+  misfits.back()[2] = misfits.back()[5] = 4;  // one stored column twice
+  for (const std::vector<int64_t>& source : misfits) {
+    SscAdmmIterate iterate = stored;
+    iterate.source = source;
+    auto c = SscSelfExpression(x, {}, nullptr, &iterate);
+    ASSERT_FALSE(c.ok());
+    EXPECT_EQ(c.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(iterate.u.empty());
+    EXPECT_EQ(iterate.c.nnz(), 0);
+  }
+
+  SscAdmmOptions affine;
+  affine.affine = true;
+  SscAdmmIterate iterate = stored;
+  iterate.source.resize(static_cast<size_t>(n));
+  for (int64_t j = 0; j < n; ++j) iterate.source[static_cast<size_t>(j)] = j;
+  SscAdmmInfo with_iterate;
+  SscAdmmInfo without;
+  auto c = SscSelfExpression(x, affine, &with_iterate, &iterate);
+  auto reference = SscSelfExpression(x, affine, &without);
+  ASSERT_TRUE(c.ok() && reference.ok());
+  EXPECT_EQ(with_iterate.warm_columns, 0);
+  EXPECT_EQ(with_iterate.iterations, without.iterations);
+  EXPECT_EQ(c->values(), reference->values());
+  EXPECT_TRUE(iterate.u.empty());
 }
 
 // The C-update runs eight rows at a time, then a scalar tail. N = 2..7 is

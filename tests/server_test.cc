@@ -1,6 +1,7 @@
 // Tests for the stateful client/server API (core/server.h) and the
 // differential-privacy uplink (fed/privacy.h).
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/journal.h"
+#include "common/metrics.h"
 #include "core/server.h"
 #include "data/synthetic.h"
 #include "fed/codec.h"
@@ -763,6 +765,309 @@ TEST(FedScServerTest, CallSequenceFuzz) {
         uploaded_cols.push_back(-1);
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Warm re-clustering: every Cluster() after the first starts the exact
+// SSC-ADMM from the last solve's iterate.
+
+// Every device's upload, produced once by its client.
+struct ClientUploads {
+  std::vector<FedScClient> clients;
+  std::vector<Matrix> uploads;
+};
+
+ClientUploads ProduceUploads(const FederatedDataset& fed, uint64_t seed) {
+  ClientUploads out;
+  out.clients.reserve(static_cast<size_t>(fed.num_devices()));
+  Rng rng(seed);
+  for (const Matrix& points : fed.points) {
+    out.clients.emplace_back(points, FedScOptions{}, rng.Next());
+    auto upload = out.clients.back().ProduceUpload();
+    EXPECT_TRUE(upload.ok()) << upload.status().ToString();
+    out.uploads.push_back(std::move(upload).value());
+  }
+  return out;
+}
+
+// server->Cluster() with the journal on. *warm_columns receives the
+// central_start event's warm_columns, or -1 when no solve started.
+Status ClusterJournaled(FedScServer* server, int64_t* warm_columns) {
+  ResetJournal();
+  EnableJournal(true);
+  const Status status = server->Cluster();
+  const std::vector<JournalEvent> events = SnapshotJournal();
+  EnableJournal(false);
+  *warm_columns = -1;
+  for (const JournalEvent& event : events) {
+    if (event.type != "central_start") continue;
+    for (const auto& [key, value] : event.fields) {
+      if (key == "warm_columns") *warm_columns = std::stoll(value);
+    }
+  }
+  return status;
+}
+
+// server->Cluster() with the metrics on: the status, and the ADMM
+// iterations and warm starts the call ran.
+struct ClusterCost {
+  Status status;
+  int64_t iterations = 0;
+  int64_t warm_starts = 0;
+};
+
+ClusterCost ClusterMetered(FedScServer* server) {
+  ResetMetrics();
+  EnableMetrics(true);
+  ClusterCost cost;
+  cost.status = server->Cluster();
+  EnableMetrics(false);
+  const MetricsSnapshot metrics = SnapshotMetrics();
+  cost.iterations = metrics.counters.at("sc.ssc_admm.iterations");
+  cost.warm_starts = metrics.counters.at("sc.ssc_admm.warm_starts");
+  return cost;
+}
+
+// ACC of the federation's points under the server's current assignments.
+double ServerAccuracy(const FedScServer& server, const Federation& f,
+                      const ClientUploads& u) {
+  std::vector<std::vector<int64_t>> device_labels;
+  for (size_t z = 0; z < u.clients.size(); ++z) {
+    auto assignments = server.AssignmentsFor(static_cast<int64_t>(z));
+    EXPECT_TRUE(assignments.ok()) << assignments.status().ToString();
+    auto labels = u.clients[z].ApplyAssignments(*assignments);
+    EXPECT_TRUE(labels.ok()) << labels.status().ToString();
+    device_labels.push_back(std::move(labels).value());
+  }
+  return ClusteringAccuracy(f.data.labels, f.fed.ToGlobalOrder(device_labels));
+}
+
+// Two servers fed the same uploads in the same four waves, with Cluster()
+// after each, serve bit-identical labels at every call for 1, 2 and 8
+// threads; calls 2-4 each start warm.
+TEST(FedScServerWarmStartTest, CallSequencesAreBitIdenticalAcrossThreads) {
+  const Federation f = MakeFederation(4, 60, 12, 2, 341);
+  const ClientUploads u = ProduceUploads(f.fed, 109);
+  std::vector<std::vector<int64_t>> reference;
+  for (int threads : {1, 2, 8}) {
+    for (int copy = 0; copy < 2; ++copy) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " copy " +
+                   std::to_string(copy));
+      FedScOptions options;
+      options.num_threads = threads;
+      FedScServer server(4, options);
+      std::vector<std::vector<int64_t>> labels;
+      for (size_t z = 0; z < u.uploads.size(); ++z) {
+        ASSERT_TRUE(server.AddUpload(u.uploads[z]).ok());
+        if (z % 3 != 2) continue;
+        const ClusterCost cost = ClusterMetered(&server);
+        ASSERT_TRUE(cost.status.ok()) << cost.status.ToString();
+        EXPECT_EQ(cost.warm_starts, z == 2 ? 0 : 1) << "after device " << z;
+        labels.push_back(server.solution().labels);
+      }
+      if (reference.empty()) reference = labels;
+      EXPECT_EQ(labels, reference);
+    }
+  }
+}
+
+// A warm second call on a separable federation runs fewer ADMM iterations
+// than a fresh server's cold solve of the same pool, at no lower ACC.
+TEST(FedScServerWarmStartTest, WarmCallRunsFewerIterationsAtNoLowerAcc) {
+  const Federation f = MakeFederation(5, 60, 16, 2, 343);
+  const ClientUploads u = ProduceUploads(f.fed, 113);
+  FedScServer warm(5, FedScOptions{});
+  for (size_t z = 0; z < u.uploads.size(); ++z) {
+    if (z == u.uploads.size() / 2) ASSERT_TRUE(warm.Cluster().ok());
+    ASSERT_TRUE(warm.AddUpload(u.uploads[z]).ok());
+  }
+  const ClusterCost warm_cost = ClusterMetered(&warm);
+  ASSERT_TRUE(warm_cost.status.ok()) << warm_cost.status.ToString();
+  EXPECT_EQ(warm_cost.warm_starts, 1);
+
+  FedScServer cold(5, FedScOptions{});
+  for (const Matrix& upload : u.uploads) {
+    ASSERT_TRUE(cold.AddUpload(upload).ok());
+  }
+  const ClusterCost cold_cost = ClusterMetered(&cold);
+  ASSERT_TRUE(cold_cost.status.ok()) << cold_cost.status.ToString();
+  EXPECT_EQ(cold_cost.warm_starts, 0);
+
+  EXPECT_LT(warm_cost.iterations, cold_cost.iterations);
+  const double warm_acc = ServerAccuracy(warm, f, u);
+  EXPECT_GE(warm_acc, ServerAccuracy(cold, f, u));
+  EXPECT_GE(warm_acc, 98.0);
+}
+
+// Points of `devices` extra devices on one subspace of R^dim that no other
+// device shares, `columns` each.
+std::vector<Matrix> LonelyUploads(int64_t dim, int64_t devices,
+                                  int64_t columns, uint64_t seed) {
+  Rng rng(seed);
+  const Matrix basis = RandomOrthonormalBasis(dim, 3, &rng);
+  std::vector<Matrix> uploads;
+  for (int64_t d = 0; d < devices; ++d) {
+    Matrix coeffs(3, columns);
+    for (int64_t i = 0; i < coeffs.size(); ++i) {
+      coeffs.data()[i] = rng.Gaussian();
+    }
+    Matrix points = MatMul(basis, coeffs);
+    points.NormalizeColumns();
+    uploads.push_back(std::move(points));
+  }
+  return uploads;
+}
+
+// The accepted columns of the devices kOk at both of two calls: what the
+// second call's solve can continue.
+int64_t SharedColumns(const std::vector<DeviceReport>& before,
+                      const std::vector<DeviceReport>& after) {
+  int64_t shared = 0;
+  for (size_t z = 0; z < before.size(); ++z) {
+    if (before[z].outcome == DeviceOutcome::kOk &&
+        after[z].outcome == DeviceOutcome::kOk) {
+      shared += after[z].uploaded_samples - after[z].quarantined_samples;
+    }
+  }
+  return shared;
+}
+
+// A device the defense screens in call 1 and admits in call 2 (its subspace
+// gains enough devices to stop being a minority) joins call 2's solve with
+// zeros: only the columns both pools hold start warm.
+TEST(FedScServerWarmStartTest, ScreenedThenAdmittedDeviceStartsCold) {
+  const Federation f = MakeFederation(4, 40, 10, 2, 347);
+  const ClientUploads u = ProduceUploads(f.fed, 127);
+  const std::vector<Matrix> lonely =
+      LonelyUploads(f.fed.ambient_dim, 6, 6, 131);
+  FedScOptions options;
+  options.defense.enabled = true;
+  FedScServer server(5, options);
+  for (const Matrix& upload : u.uploads) {
+    ASSERT_TRUE(server.AddUpload(upload).ok());
+  }
+  auto lonely_id = server.AddUpload(lonely[0]);
+  ASSERT_TRUE(lonely_id.ok());
+  int64_t warm_columns = 0;
+  ASSERT_TRUE(ClusterJournaled(&server, &warm_columns).ok());
+  EXPECT_EQ(warm_columns, 0);
+  ASSERT_TRUE(server.screened(*lonely_id));
+  auto refused = server.AssignmentsFor(*lonely_id);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  const int64_t first_pool = server.solution().samples.cols();
+  const std::vector<DeviceReport> first = server.reports();
+
+  for (size_t d = 1; d < lonely.size(); ++d) {
+    ASSERT_TRUE(server.AddUpload(lonely[d]).ok());
+  }
+  ASSERT_TRUE(ClusterJournaled(&server, &warm_columns).ok());
+  EXPECT_FALSE(server.screened(*lonely_id));
+  EXPECT_TRUE(server.AssignmentsFor(*lonely_id).ok());
+  EXPECT_EQ(warm_columns, SharedColumns(first, server.reports()));
+  EXPECT_LE(warm_columns, first_pool);
+  EXPECT_LE(warm_columns + 6 * static_cast<int64_t>(lonely.size()),
+            server.solution().samples.cols());
+}
+
+// Quarantine leaves the stored iterate alone: a rejected upload consumes an
+// id and adds no column, and a partly quarantined one adds only its kept
+// columns, which start from zero.
+TEST(FedScServerWarmStartTest, QuarantinedUploadsAddNoWarmColumns) {
+  const Federation f = MakeFederation(4, 40, 10, 2, 349);
+  const ClientUploads u = ProduceUploads(f.fed, 137);
+  FedScServer server(4, FedScOptions{});
+  for (size_t z = 0; z + 1 < u.uploads.size(); ++z) {
+    ASSERT_TRUE(server.AddUpload(u.uploads[z]).ok());
+  }
+  int64_t warm_columns = 0;
+  ASSERT_TRUE(ClusterJournaled(&server, &warm_columns).ok());
+  const int64_t first_pool = server.solution().samples.cols();
+
+  Matrix hopeless(f.fed.ambient_dim, 2);
+  hopeless(0, 0) = std::numeric_limits<double>::quiet_NaN();
+  hopeless(0, 1) = std::numeric_limits<double>::infinity();
+  auto rejected = server.AddUpload(hopeless);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(server.AssignmentsFor(0).ok());  // still clustered
+
+  Matrix partial = u.uploads.back();
+  partial(0, 0) = std::numeric_limits<double>::quiet_NaN();
+  auto partial_id = server.AddUpload(partial);
+  ASSERT_TRUE(partial_id.ok());
+  ASSERT_TRUE(ClusterJournaled(&server, &warm_columns).ok());
+  EXPECT_EQ(warm_columns, first_pool);
+  EXPECT_EQ(server.solution().samples.cols(),
+            first_pool + partial.cols() - 1);
+  auto refused = server.AssignmentsFor(*partial_id - 1);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  auto assignments = server.AssignmentsFor(*partial_id);
+  ASSERT_TRUE(assignments.ok()) << assignments.status().ToString();
+  EXPECT_EQ((*assignments)[0], FedScResult::kFailedDeviceLabel);
+}
+
+// A failed call drops the stored iterate, so the next call starts cold; a
+// pool that crosses to the sketched path starts cold and keeps none.
+TEST(FedScServerWarmStartTest, FailedCallAndSketchedPathStartCold) {
+  // Every honest point has a zero last coordinate, so a column along that
+  // axis is orthogonal to the whole pool: SSC's mutual coherence floor is
+  // 0 and the solve fails with a typed status.
+  const Federation f = MakeFederation(4, 40, 10, 2, 353);
+  const ClientUploads u = ProduceUploads(f.fed, 139);
+  const int64_t dim = f.fed.ambient_dim + 1;
+  const auto padded = [dim](const Matrix& m) {
+    Matrix out(dim, m.cols());
+    for (int64_t j = 0; j < m.cols(); ++j) {
+      std::copy(m.ColData(j), m.ColData(j) + m.rows(), out.ColData(j));
+    }
+    return out;
+  };
+  {
+    FedScServer server(4, FedScOptions{});
+    for (size_t z = 0; z < 5; ++z) {
+      ASSERT_TRUE(server.AddUpload(padded(u.uploads[z])).ok());
+    }
+    int64_t warm_columns = 0;
+    ASSERT_TRUE(ClusterJournaled(&server, &warm_columns).ok());
+    Matrix axis(dim, 1);
+    axis(dim - 1, 0) = 1.0;
+    ASSERT_TRUE(server.AddUpload(axis).ok());
+    const Status failed = ClusterJournaled(&server, &warm_columns);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.code(), StatusCode::kFailedPrecondition);
+    EXPECT_GT(warm_columns, 0);  // that call had started warm
+    EXPECT_FALSE(server.AssignmentsFor(0).ok());
+
+    Matrix tilted = padded(u.uploads[5]);
+    tilted(dim - 1, 0) = 1.0;
+    ASSERT_TRUE(server.AddUpload(tilted).ok());
+    ASSERT_TRUE(ClusterJournaled(&server, &warm_columns).ok());
+    EXPECT_EQ(warm_columns, 0);
+  }
+  {
+    // Forced sketch of width 40: exact while the pool has at most 40
+    // columns, sketched past it.
+    FedScOptions options;
+    options.central = CentralPath::kSketched;
+    options.central_sketch.dim = 40;
+    FedScServer server(4, options);
+    size_t z = 0;
+    while (server.total_samples() + u.uploads[z].cols() <= 40) {
+      ASSERT_TRUE(server.AddUpload(u.uploads[z++]).ok());
+    }
+    int64_t warm_columns = 0;
+    ASSERT_TRUE(ClusterJournaled(&server, &warm_columns).ok());
+    ASSERT_TRUE(server.AddUpload(u.uploads[z++]).ok());
+    ASSERT_GT(server.total_samples(), 40);
+    const ClusterCost sketched = ClusterMetered(&server);
+    ASSERT_TRUE(sketched.status.ok()) << sketched.status.ToString();
+    EXPECT_EQ(sketched.warm_starts, 0);
+    ASSERT_TRUE(server.AddUpload(u.uploads[z++]).ok());
+    ASSERT_TRUE(ClusterJournaled(&server, &warm_columns).ok());
+    EXPECT_EQ(warm_columns, 0);
   }
 }
 
