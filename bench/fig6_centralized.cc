@@ -96,7 +96,7 @@ void Run(bool csv) {
             bench::Fmt(ClusteringAccuracy(data->labels, result->labels)));
         row.push_back(bench::Fmt(
             NormalizedMutualInformation(data->labels, result->labels)));
-        auto conn = GraphConnectivity(result->affinity, data->labels);
+        auto conn = GraphConnectivity(RunAffinity(*result), data->labels);
         row.push_back(conn.ok() ? bench::Fmt(conn->mean_lambda2, 4) : "-");
         row.push_back(bench::Fmt(result->seconds, 3));
       } else {

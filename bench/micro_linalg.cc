@@ -125,32 +125,36 @@ void BM_GemmTT(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTT)->Arg(256)->Arg(512);
 
-// The products of one SSC-ADMM Z-update on a round's devices, m x k x n,
-// none transposed: T = K M (8 x 120 x 120, 8 x 100 x 100, 30 x 510 x 510
-// at rank 30), Z += L T with L = R^T (120 x 8 x 120, 100 x 8 x 100) and a
-// sketched block's K M (50 x 315 x 256). Each shape runs on the AVX-512
-// tier as BlockedGemm routes it (route 0: thin output for <= 8 rows,
-// in-register commit of full tiles) and through the packed loop nest with
-// every tile committed through the acc buffer (route 1).
-// Five repetitions; DESIGN.md section 5 records the medians.
+// The products of one SSC-ADMM Z-update on a round's devices, m x k x n:
+// T = K M (8 x 120 x 120, 8 x 100 x 100, 30 x 510 x 510 at rank 30, a
+// fleet device's 10 x 12 x 12), Z += L T with L = R^T (120 x 8 x 120,
+// 100 x 8 x 100), a sketched block's K M (50 x 315 x 256) and its
+// Z += B^T T (315 x 50 x 256, op(A) transposed). Arguments: m, k, n, route,
+// trans_a (1: A is stored k x m and read transposed). Each shape runs on
+// the AVX-512 tier as BlockedGemm routes it (route 0: thin output for <= 8
+// rows, in-register commit of full tiles, remainder row tiles) and through
+// the packed loop nest with every tile committed through the acc buffer
+// (route 1). Five repetitions; DESIGN.md section 5 records the medians.
 void BM_GemmZUpdate(benchmark::State& state) {
   const int64_t m = state.range(0);
   const int64_t k = state.range(1);
   const int64_t n = state.range(2);
   const bool routed = state.range(3) == 0;
+  const Trans trans_a = state.range(4) == 1 ? Trans::kTrans : Trans::kNo;
   if (!CpuIsaSupported(CpuIsa::kAvx512)) {
     state.SkipWithError("the AVX-512 tier is unsupported on this host");
     return;
   }
   Rng rng(5);
-  const Matrix a = RandomMatrix(m, k, &rng);
+  const Matrix a = trans_a == Trans::kNo ? RandomMatrix(m, k, &rng)
+                                         : RandomMatrix(k, m, &rng);
   const Matrix b = RandomMatrix(k, n, &rng);
   Matrix c = RandomMatrix(m, n, &rng);
   for (auto _ : state) {
     if (routed) {
-      BlockedGemm(Trans::kNo, Trans::kNo, 1.0, a, b, &c, 1, CpuIsa::kAvx512);
+      BlockedGemm(trans_a, Trans::kNo, 1.0, a, b, &c, 1, CpuIsa::kAvx512);
     } else {
-      internal_gemm::PackedGemm(Trans::kNo, Trans::kNo, 1.0, a, b, &c, 1,
+      internal_gemm::PackedGemm(trans_a, Trans::kNo, 1.0, a, b, &c, 1,
                                 CpuIsa::kAvx512, /*register_commit=*/false);
     }
     benchmark::DoNotOptimize(c.data());
@@ -159,12 +163,14 @@ void BM_GemmZUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
 }
 BENCHMARK(BM_GemmZUpdate)
-    ->ArgsProduct({{8}, {120}, {120}, {0, 1}})
-    ->ArgsProduct({{120}, {8}, {120}, {0, 1}})
-    ->ArgsProduct({{8}, {100}, {100}, {0, 1}})
-    ->ArgsProduct({{100}, {8}, {100}, {0, 1}})
-    ->ArgsProduct({{30}, {510}, {510}, {0, 1}})
-    ->ArgsProduct({{50}, {315}, {256}, {0, 1}})
+    ->ArgsProduct({{8}, {120}, {120}, {0, 1}, {0}})
+    ->ArgsProduct({{120}, {8}, {120}, {0, 1}, {0}})
+    ->ArgsProduct({{8}, {100}, {100}, {0, 1}, {0}})
+    ->ArgsProduct({{100}, {8}, {100}, {0, 1}, {0}})
+    ->ArgsProduct({{30}, {510}, {510}, {0, 1}, {0}})
+    ->ArgsProduct({{10}, {12}, {12}, {0, 1}, {0}})
+    ->ArgsProduct({{50}, {315}, {256}, {0, 1}, {0}})
+    ->ArgsProduct({{315}, {50}, {256}, {0, 1}, {1}})
     ->Repetitions(5);
 
 // A small K M (8 x 24 x 24, a 24-point rank-8 device's) on each AVX-512

@@ -115,7 +115,7 @@ void RunDataset(const DatasetSpec& spec, bench::Table* table) {
     auto result = RunSubspaceClustering(data.points, num_clusters, options);
     std::string name = ScMethodName(method);
     if (result.ok()) {
-      auto conn = GraphConnectivity(result->affinity, data.labels);
+      auto conn = GraphConnectivity(RunAffinity(*result), data.labels);
       add_row(name.c_str(),
               bench::Fmt(ClusteringAccuracy(data.labels, result->labels)),
               bench::Fmt(

@@ -83,7 +83,8 @@ int main() {
   auto pooled = RunSubspaceClustering(gallery->points, objects.num_classes,
                                       central);
   if (pooled.ok()) {
-    auto connectivity = GraphConnectivity(pooled->affinity, gallery->labels);
+    auto connectivity =
+        GraphConnectivity(RunAffinity(*pooled), gallery->labels);
     std::printf("Centralized SSC (pooled images — what federation avoids):\n");
     std::printf("  accuracy %.2f%%, time %.3fs\n",
                 ClusteringAccuracy(gallery->labels, pooled->labels),

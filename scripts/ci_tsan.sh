@@ -31,7 +31,8 @@ run_suite() {
 
 # Prints the GEMM micro-kernel tier a pass's suites resolve (cpuid, or
 # FEDSC_FORCE_ISA when set), so the log shows whether the pass exercised
-# the AVX-512 tier's thin-output route and in-register tile commit.
+# the AVX-512 tier's thin-output route, in-register tile commit and 8- and
+# 16-row remainder tiles.
 print_tier() {
   local pass="$1" build="$2"
   printf '[tier] %s: %s\n' "${pass}" \
@@ -76,7 +77,9 @@ run_suite "${build_dir}/tests/trace_test"
 run_suite "${build_dir}/tests/journal_test"
 run_suite "${build_dir}/tests/logging_test"
 # The blocked GEMM/Syrk engine packs on the caller thread and fans the
-# micro-block loop out over the pool; TSAN checks the arena handoff.
+# micro-block loop out over the pool; TSAN checks the arena handoff, at
+# every row count 1..100 (GemmRouteTest's remainder-tile cases, whose last
+# row tiles run 8 or 16 rows wide, at 1, 2 and 8 threads).
 run_suite "${build_dir}/tests/blas_test"
 # BatchedPrincipalSubspace fans panels out with ParallelFor, each slot
 # running Syrk/Gemm (on the GEMM tier) or the looped SVD; TSAN proves the
@@ -143,7 +146,9 @@ run_suite "${asan_dir}/tests/defense_test"
 # call; ASAN gates the per-upload column maps and the pooled-label scatter.
 run_suite "${asan_dir}/tests/server_test"
 # Packing writes into 64-byte-aligned arenas with zero-padded edge
-# micro-panels; ASAN is the gate for an off-by-one on the ragged tails.
+# micro-panels, and the AVX-512 remainder tiles read the top 8 or 16 rows
+# of a 24-row panel into a 24-row acc buffer; ASAN is the gate for an
+# off-by-one on the ragged tails.
 run_suite "${asan_dir}/tests/blas_test"
 # The Gram route gathers ragged member panels and slices the top eigenvector
 # columns; ASAN gates the gather and the per-slot indexing.
@@ -227,7 +232,8 @@ cmake --build "${portable_dir}" -j "$(nproc)" \
 
 # On an AVX-512 host this pass runs the AVX-512 tier compiled without FMA
 # contraction, where the routes' commits must round as a separate multiply
-# and add (linalg/gemm_kernel.h); blas_test's GemmRouteTest checks that.
+# and add (linalg/gemm_kernel.h); blas_test's GemmRouteTest checks that,
+# the remainder tiles' against a scalar std::fma reference.
 print_tier "Portable" "${portable_dir}"
 run_suite "${portable_dir}/tests/sc_test"
 run_suite "${portable_dir}/tests/sketch_test"

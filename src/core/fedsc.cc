@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "cluster/spectral.h"
 #include "common/journal.h"
@@ -396,12 +397,7 @@ Result<FedScResult> RunFedSc(const FederatedDataset& data,
   Stopwatch central_timer;
   FEDSC_RETURN_NOT_OK(server.Cluster(sim_uplink_ms));
   result.central_seconds = central_timer.ElapsedSeconds();
-  const CentralSolution& central = server.solution();
-  result.samples = central.samples;
-  result.sample_device = central.sample_device;
-  result.sample_labels = central.labels;
-  result.central_affinity = central.affinity;
-  result.total_samples = result.samples.cols();
+  result.total_samples = server.solution().samples.cols();
   FEDSC_METRIC_COUNTER("fedsc.total_samples").Add(result.total_samples);
 
   // Phase 3: downlink assignments; devices relabel their points. Points on
@@ -441,6 +437,12 @@ Result<FedScResult> RunFedSc(const FederatedDataset& data,
     }
   }
   channel.FinishRounds(rounds_used);
+  CentralSolution central = server.TakeSolution();
+  result.samples = std::move(central.samples);
+  result.sample_device = std::move(central.sample_device);
+  result.sample_labels = std::move(central.labels);
+  result.central_affinity = std::move(central.affinity);
+  result.central_coefficients = std::move(central.landmark_coefficients);
 
   result.global_labels = data.ToGlobalOrder(result.device_labels);
   result.comm = channel.stats();
@@ -526,13 +528,18 @@ Result<std::vector<int64_t>> AssignNewPoints(const FedScResult& result,
   return labels;
 }
 
+SparseMatrix CentralAffinity(const FedScResult& result) {
+  if (result.central_coefficients.rows() == 0) return result.central_affinity;
+  return LandmarkAffinity(result.central_coefficients);
+}
+
 Result<ConnectivityResult> InducedConnectivity(const FederatedDataset& data,
                                                const FedScResult& result) {
   // Truth labels and sample ids in dataset order.
   const std::vector<int64_t> truth = data.GlobalTruth();
   const std::vector<int64_t> sample_of_point =
       data.ToGlobalOrder(result.point_sample);
-  const Matrix central = result.central_affinity.ToDense();
+  const Matrix central = CentralAffinity(result).ToDense();
 
   // Build the induced affinity class by class (dense per class; classes are
   // small relative to N).

@@ -218,7 +218,11 @@ struct FedScResult {
   // Global sample column representing each local point's cluster (used to
   // induce the global affinity graph).
   std::vector<std::vector<int64_t>> point_sample;
-  SparseMatrix central_affinity;         // W over the pooled samples
+  // What the sample labels came from, as in CentralSolution: W over the
+  // pooled samples on the exact path, the d x N landmark coefficients on
+  // the sketched one (the other is empty). CentralAffinity reads either.
+  SparseMatrix central_affinity;
+  SparseMatrix central_coefficients;
 
   CommStats comm;
   double local_seconds = 0.0;    // sum_z T^(z)
@@ -258,6 +262,10 @@ Result<std::vector<int64_t>> AssignNewPoints(const FedScResult& result,
                                              int64_t num_clusters,
                                              const Matrix& new_points,
                                              double rank_rel_tol = 0.1);
+
+// W over the pooled samples: result.central_affinity on the exact path,
+// LandmarkAffinity(result.central_coefficients) on the sketched one.
+SparseMatrix CentralAffinity(const FedScResult& result);
 
 // Connectivity of the induced global affinity graph: two points are as
 // affine as the samples representing their local clusters (weight 1 within

@@ -90,6 +90,7 @@ Result<CentralSolution> SolveCentral(CentralSolution out,
                                                central, iterate));
   out.labels = std::move(result.labels);
   out.affinity = std::move(result.affinity);
+  out.landmark_coefficients = std::move(result.landmark_coefficients);
   FEDSC_JOURNAL_EVENT("central_finish", -1, sim_ms, {{"samples", total}});
   return out;
 }
@@ -355,6 +356,11 @@ Status FedScServer::Cluster(int64_t sim_ms) {
   }
   clustered_ = true;
   return Status::OK();
+}
+
+CentralSolution FedScServer::TakeSolution() {
+  clustered_ = false;
+  return std::exchange(solution_, CentralSolution());
 }
 
 Result<std::vector<int64_t>> FedScServer::AssignmentsFor(

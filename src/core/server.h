@@ -80,12 +80,15 @@ class FedScClient {
 };
 
 // A central solve: the unscreened accepted columns in device order, the
-// device and server label of each, and the affinity W over them.
+// device and server label of each, and what the labels came from: the
+// affinity W over them (exact path) or the d x N landmark coefficients
+// (sketched path; LandmarkAffinity builds their W on demand).
 struct CentralSolution {
   Matrix samples;
   std::vector<int64_t> sample_device;
   std::vector<int64_t> labels;
   SparseMatrix affinity;
+  SparseMatrix landmark_coefficients;
 };
 
 // The coordinator: takes uploads in, clusters them into num_clusters groups
@@ -153,6 +156,10 @@ class FedScServer {
 
   // The last successful Cluster()'s solve.
   const CentralSolution& solution() const { return solution_; }
+  // Moves that solve out instead of copying it. The server then counts as
+  // not clustered: AssignmentsFor fails until the next Cluster(), which
+  // keeps the stored warm start.
+  CentralSolution TakeSolution();
 
  private:
   // The one intake; `received` is null when nothing was delivered.

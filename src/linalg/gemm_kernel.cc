@@ -260,14 +260,16 @@ __attribute__((target("avx512f"), always_inline)) inline __m512d CommitFma512(
 // of 32 registers. Three A loads feed eight broadcast columns, so the two
 // FMA ports stay saturated at one load per two FMAs — ~65 GFLOP/s single
 // thread at n = 512 on the 2.1 GHz Ice-Lake-class baseline host (97% of
-// the dual-FMA peak), vs ~38 for the generic tier.
+// the dual-FMA peak), vs ~38 for the generic tier. V < 3 computes only the
+// top 8V rows of the tile from the same 24-stride panel: the remainder
+// tiles, where a last row tile of mr <= 8V rows would otherwise pad to 24.
+template <int V>
 __attribute__((target("avx512f"), always_inline)) inline void TileAvx512(
     int64_t kc, const double* __restrict apanel,
     const double* __restrict bpanel, __m512d (&c)[kAvx512Nr][3]) {
   for (int j = 0; j < kAvx512Nr; ++j) {
-    c[j][0] = _mm512_setzero_pd();
-    c[j][1] = _mm512_setzero_pd();
-    c[j][2] = _mm512_setzero_pd();
+    FEDSC_UNROLL_FULL
+    for (int v = 0; v < V; ++v) c[j][v] = _mm512_setzero_pd();
   }
   for (int64_t p = 0; p < kc; ++p) {
     const double* ap = apanel + p * kAvx512Mr;
@@ -278,28 +280,44 @@ __attribute__((target("avx512f"), always_inline)) inline void TileAvx512(
     _mm_prefetch(
         reinterpret_cast<const char*>(bp + kAvx512Nr * kPrefetchAhead),
         _MM_HINT_T0);
-    const __m512d a0 = _mm512_load_pd(ap);
-    const __m512d a1 = _mm512_load_pd(ap + 8);
-    const __m512d a2 = _mm512_load_pd(ap + 16);
+    __m512d a[V];
+    FEDSC_UNROLL_FULL
+    for (int v = 0; v < V; ++v) a[v] = _mm512_load_pd(ap + 8 * v);
     FEDSC_UNROLL_FULL
     for (int j = 0; j < kAvx512Nr; ++j) {
       const __m512d b = _mm512_set1_pd(bp[j]);
-      c[j][0] = _mm512_fmadd_pd(a0, b, c[j][0]);
-      c[j][1] = _mm512_fmadd_pd(a1, b, c[j][1]);
-      c[j][2] = _mm512_fmadd_pd(a2, b, c[j][2]);
+      FEDSC_UNROLL_FULL
+      for (int v = 0; v < V; ++v) c[j][v] = _mm512_fmadd_pd(a[v], b, c[j][v]);
     }
   }
 }
 
+// The tile's top 8V rows into acc (stride kAvx512Mr); rows past 8V are left
+// unwritten, and the loop nest commits only the tile's mr <= 8V rows.
+template <int V>
 __attribute__((target("avx512f"))) void MicroAvx512(
     int64_t kc, const double* __restrict apanel,
     const double* __restrict bpanel, double* __restrict acc) {
   __m512d c[kAvx512Nr][3];
-  TileAvx512(kc, apanel, bpanel, c);
+  TileAvx512<V>(kc, apanel, bpanel, c);
   for (int j = 0; j < kAvx512Nr; ++j) {
-    _mm512_store_pd(acc + j * kAvx512Mr, c[j][0]);
-    _mm512_store_pd(acc + j * kAvx512Mr + 8, c[j][1]);
-    _mm512_store_pd(acc + j * kAvx512Mr + 16, c[j][2]);
+    FEDSC_UNROLL_FULL
+    for (int v = 0; v < V; ++v) {
+      _mm512_store_pd(acc + j * kAvx512Mr + 8 * v, c[j][v]);
+    }
+  }
+}
+
+// A ragged last row tile of mr < 24 rows over the narrowest zmm multiple
+// that covers it: 8 or 16 rows.
+void RowTailAvx512(int64_t kc, int64_t mr, const double* __restrict apanel,
+                   const double* __restrict bpanel, double* __restrict acc) {
+  if (mr <= 8) {
+    MicroAvx512<1>(kc, apanel, bpanel, acc);
+  } else if (mr <= 16) {
+    MicroAvx512<2>(kc, apanel, bpanel, acc);
+  } else {
+    MicroAvx512<3>(kc, apanel, bpanel, acc);
   }
 }
 
@@ -310,7 +328,7 @@ __attribute__((target("avx512f"))) void TileCommitAvx512(
     const double* __restrict bpanel, double alpha, double* __restrict ctile,
     int64_t ldc) {
   __m512d c[kAvx512Nr][3];
-  TileAvx512(kc, apanel, bpanel, c);
+  TileAvx512<3>(kc, apanel, bpanel, c);
   const __m512d alpha_v = _mm512_set1_pd(alpha);
   for (int j = 0; j < kAvx512Nr; ++j) {
     double* col = ctile + j * ldc;
@@ -407,6 +425,9 @@ using MicroFn = void (*)(int64_t, const double* __restrict,
 using TileCommitFn = void (*)(int64_t, const double* __restrict,
                               const double* __restrict, double,
                               double* __restrict, int64_t);
+// A last row tile of mr < MR rows into acc, computing fewer than MR rows.
+using RowTailFn = void (*)(int64_t, int64_t, const double* __restrict,
+                           const double* __restrict, double* __restrict);
 
 // Shared core for GEMM and the lower-triangle SYRK, instantiated once per
 // micro-kernel tier. When lower_only is set, micro-tiles strictly above the
@@ -416,8 +437,11 @@ using TileCommitFn = void (*)(int64_t, const double* __restrict,
 // sequence bounded by kKc. A tier with a TileCommit kernel (AVX-512) commits
 // every element by CommitFma, from registers for full tiles that no
 // diagonal cuts when register_commit is set and through acc otherwise; the
-// other tiers keep the pre-dispatch `+=` commit.
-template <int MR, int NR, MicroFn Micro, TileCommitFn TileCommit = nullptr>
+// other tiers keep the pre-dispatch `+=` commit. A tier with a RowTail
+// kernel (AVX-512) computes a ragged last row tile through it rather than
+// padding it to MR rows; the tile's elements run the same FMA chains.
+template <int MR, int NR, MicroFn Micro, TileCommitFn TileCommit = nullptr,
+          RowTailFn RowTail = nullptr>
 void BlockedCoreT(bool trans_a, bool trans_b, double alpha, const double* a,
                   int64_t lda, const double* b, int64_t ldb, int64_t m,
                   int64_t k, int64_t n, Matrix* c, bool lower_only,
@@ -473,7 +497,15 @@ void BlockedCoreT(bool trans_a, bool trans_b, double alpha, const double* a,
                       continue;
                     }
                   }
-                  Micro(kc, apanel, bpanel, acc);
+                  if constexpr (RowTail != nullptr) {
+                    if (mr < MR) {
+                      RowTail(kc, mr, apanel, bpanel, acc);
+                    } else {
+                      Micro(kc, apanel, bpanel, acc);
+                    }
+                  } else {
+                    Micro(kc, apanel, bpanel, acc);
+                  }
                   for (int64_t j = 0; j < nr; ++j) {
                     const int64_t lower_start =
                         lower_only
@@ -512,8 +544,8 @@ CoreFn CoreForIsa(CpuIsa isa) {
     case CpuIsa::kAvx2:
       return &BlockedCoreT<kAvx2Mr, kAvx2Nr, &MicroAvx2>;
     case CpuIsa::kAvx512:
-      return &BlockedCoreT<kAvx512Mr, kAvx512Nr, &MicroAvx512,
-                           &TileCommitAvx512>;
+      return &BlockedCoreT<kAvx512Mr, kAvx512Nr, &MicroAvx512<3>,
+                           &TileCommitAvx512, &RowTailAvx512>;
 #else
     default:
       break;

@@ -34,7 +34,7 @@
 // Routes per tier. The generic and AVX2 tiers run every product through
 // the packed loop nest above and commit each micro-tile through a stack
 // buffer with `C += alpha * acc` as the compiler rounds it. The AVX-512 tier
-// adds two routes:
+// adds three routes:
 //   * thin output: op(A) with at most kThinMaxRows (8) rows against a
 //     non-transposed B. Only op(A) is packed (one 8-lane k-major panel per
 //     kc block, zero-padded rows); B's columns are read in place, and each
@@ -43,6 +43,11 @@
 //   * in-register commit: a full 24x8 tile that no diagonal cuts commits to
 //     C straight from its accumulators (Z += R^T T takes it); edge and
 //     diagonal tiles still commit through the buffer.
+//   * remainder row tiles: the last row tile of an mc block with mr < 24
+//     rows computes only the 8 or 16 rows (one or two zmm vectors) that
+//     cover mr, read from the same 24-stride packed panel, and commits
+//     through the buffer. A 50-row K M runs 48 + 8 rows instead of 72, a
+//     30-row one 24 + 8 instead of 48.
 // Every AVX-512 commit, buffered or not, rounds one way: a fused
 // multiply-add where the translation unit is compiled with FMA (__FMA__,
 // the -march=native builds), a rounded product and a separate add otherwise
@@ -56,11 +61,11 @@
 // the micro-kernel (one FMA chain from zero) and commits them to C in
 // ascending pc order, a sequence that depends only on the shapes and the
 // fixed kKc — never on num_threads, mc/nc, the route, or which micro-tile
-// (full or edge-padded) computes it. The jr loop (the thin route's column
-// groups) is parallelized with ParallelForRanges over disjoint output
-// columns, so results are bit-identical for every thread count. Gemm and
-// Syrk run this engine at every shape; a product below 2^16 flops runs
-// inline on the calling thread.
+// (full, edge-padded or remainder) computes it. The jr loop (the thin
+// route's column groups) is parallelized with ParallelForRanges over
+// disjoint output columns, so results are bit-identical for every thread
+// count. Gemm and Syrk run this engine at every shape; a product below
+// 2^16 flops runs inline on the calling thread.
 
 #ifndef FEDSC_LINALG_GEMM_KERNEL_H_
 #define FEDSC_LINALG_GEMM_KERNEL_H_

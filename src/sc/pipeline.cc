@@ -13,11 +13,6 @@ namespace fedsc {
 
 namespace {
 
-// Neighbors kept per point when the sketched path sparsifies the
-// landmark-mediated affinity W = |C|^T |C|: the affinity holds at most
-// 2 N kSketchTopQ entries in place of the dense N x N graph.
-constexpr int64_t kSketchTopQ = 8;
-
 bool MethodSupportsSketch(ScMethod method) {
   return method == ScMethod::kSsc || method == ScMethod::kSscOmp ||
          method == ScMethod::kTsc;
@@ -146,6 +141,17 @@ CentralPath ResolveCentralPath(const ScPipelineOptions& options, int64_t n,
   return CentralPath::kExact;
 }
 
+SparseMatrix LandmarkAffinity(const SparseMatrix& coefficients,
+                              int num_threads) {
+  return AffinityFromLandmarkCoefficients(coefficients, kSketchTopQ,
+                                          num_threads);
+}
+
+SparseMatrix RunAffinity(const ScResult& result) {
+  if (result.landmark_coefficients.rows() == 0) return result.affinity;
+  return LandmarkAffinity(result.landmark_coefficients);
+}
+
 Result<SparseMatrix> BuildAffinity(const Matrix& x,
                                    const ScPipelineOptions& options,
                                    SscAdmmIterate* ssc_iterate) {
@@ -155,8 +161,7 @@ Result<SparseMatrix> BuildAffinity(const Matrix& x,
     const int64_t dim = SketchDimForShape(x.cols(), options.sketch.dim);
     FEDSC_ASSIGN_OR_RETURN(SparseMatrix coefficients,
                            SketchedCoefficients(x, options, dim, nullptr));
-    return AffinityFromLandmarkCoefficients(coefficients, kSketchTopQ,
-                                            options.num_threads);
+    return LandmarkAffinity(coefficients, options.num_threads);
   }
   // The pipeline knob lifts method-level defaults; an explicit per-method
   // setting above 1 is respected as-is, even when the pipeline asks for
@@ -230,11 +235,9 @@ Result<ScResult> RunSubspaceClustering(const Matrix& x, int64_t num_clusters,
       FEDSC_ASSIGN_OR_RETURN(
           coefficients, SketchedCoefficients(*input, options, dim, nullptr));
     }
-    // The sparsified landmark affinity is what downstream consumers (the
-    // induced-connectivity metric, report surfaces) see; the spectral step
-    // clusters the full factorized graph |C|^T |C| via its d x d core.
-    SparseMatrix affinity = AffinityFromLandmarkCoefficients(
-        coefficients, kSketchTopQ, options.num_threads);
+    // The spectral step clusters the full factorized graph |C|^T |C| via its
+    // d x d core; no label reads the sparsified landmark affinity, so the
+    // result carries C and readers build W from it (RunAffinity).
     SpectralResult spectral;
     {
       FEDSC_TRACE_SPAN("sc/spectral", {{"k", num_clusters}});
@@ -248,7 +251,7 @@ Result<ScResult> RunSubspaceClustering(const Matrix& x, int64_t num_clusters,
     }
     ScResult result;
     result.labels = std::move(spectral.labels);
-    result.affinity = std::move(affinity);
+    result.landmark_coefficients = std::move(coefficients);
     result.seconds = timer.ElapsedSeconds();
     return result;
   }

@@ -99,11 +99,32 @@ struct ScPipelineOptions {
   int num_threads = 1;
 };
 
+// Neighbors kept per point when the sketched path's landmark-mediated
+// affinity W = |C|^T |C| is sparsified: the graph holds at most
+// 2 N kSketchTopQ entries in place of the dense N x N one.
+inline constexpr int64_t kSketchTopQ = 8;
+
 struct ScResult {
   std::vector<int64_t> labels;  // size N, values in [0, num_clusters)
-  SparseMatrix affinity;        // the symmetric W spectral clustering saw
-  double seconds = 0.0;         // wall-clock of affinity + spectral steps
+  // Exact path: the symmetric W spectral clustering saw. Empty on the
+  // sketched path, which clusters |C|^T |C| from landmark_coefficients.
+  SparseMatrix affinity;
+  // Sketched path: the d x N landmark coefficients C the labels came from.
+  // Empty on the exact path.
+  SparseMatrix landmark_coefficients;
+  double seconds = 0.0;  // wall-clock of affinity + spectral steps
 };
+
+// The sketched path's sparsified landmark affinity of d x N coefficients:
+// AffinityFromLandmarkCoefficients(coefficients, kSketchTopQ), the graph
+// BuildAffinity returns on that path. Bit-identical for every thread count.
+SparseMatrix LandmarkAffinity(const SparseMatrix& coefficients,
+                              int num_threads = 1);
+
+// The affinity W a run stands for, for readers such as GraphConnectivity:
+// result.affinity on the exact path, LandmarkAffinity of
+// result.landmark_coefficients (built on demand) on the sketched one.
+SparseMatrix RunAffinity(const ScResult& result);
 
 // Builds W with the selected method over the columns of x and segments them
 // into num_clusters groups. `ssc_iterate`, when non-null, goes to the exact

@@ -30,25 +30,21 @@ double MaxAbsExcept(const double* v, int64_t n, int64_t skip) {
   return max_abs;
 }
 
-// min_j column_max(j, scratch) over j in [0, num_points): Proposition 1's
-// mutual coherence floor mu, given each column's largest |score| against
-// the atoms it may use. Column panels reduce to a per-chunk min, combined in
-// chunk order; min and max are exact in any order, so the result is
-// bit-identical for every thread count. Each chunk gets `scratch_size`
-// doubles of scratch.
-template <typename ColumnMax>
-double MinOfColumnMax(int64_t num_points, int64_t scratch_size,
-                      int num_threads, ColumnMax column_max) {
-  const int chunks =
-      std::max(1, ParallelChunkCount(0, num_points, num_threads));
+// min_j value(j) over j in [0, count): Proposition 1's mutual coherence
+// floor mu, given each column's largest |score| against the atoms it may
+// use (or a column block's min of those). Index ranges reduce to a per-chunk
+// min, combined in chunk order; min and max are exact in any order, so the
+// result is bit-identical for every thread count.
+template <typename Value>
+double ParallelMin(int64_t count, int num_threads, Value value) {
+  const int chunks = std::max(1, ParallelChunkCount(0, count, num_threads));
   std::vector<double> chunk_mu(static_cast<size_t>(chunks),
                                std::numeric_limits<double>::infinity());
-  ParallelForRanges(0, num_points, num_threads,
+  ParallelForRanges(0, count, num_threads,
                     [&](int64_t j0, int64_t j1, int chunk) {
-                      Vector scratch(static_cast<size_t>(scratch_size));
                       double mu = std::numeric_limits<double>::infinity();
                       for (int64_t j = j0; j < j1; ++j) {
-                        mu = std::min(mu, column_max(j, scratch.data()));
+                        mu = std::min(mu, value(j));
                       }
                       chunk_mu[static_cast<size_t>(chunk)] = mu;
                     });
@@ -60,7 +56,7 @@ double MinOfColumnMax(int64_t num_points, int64_t scratch_size,
 // mu from the Gram matrix X^T X: column j may not use atom j.
 double MutualCoherenceFloor(const Matrix& gram, int num_threads) {
   const int64_t n = gram.rows();
-  return MinOfColumnMax(n, 0, num_threads, [&](int64_t j, double*) {
+  return ParallelMin(n, num_threads, [&](int64_t j) {
     return MaxAbsExcept(gram.ColData(j), n, j);
   });
 }
@@ -640,6 +636,27 @@ double SscLambdaFromGram(const Matrix& gram, double alpha, int num_threads) {
   return mu > 0.0 ? alpha / mu : alpha;
 }
 
+double DictionaryCoherenceFloor(const Matrix& b, const Matrix& x,
+                                const std::vector<int64_t>& self_atom,
+                                int num_threads) {
+  const int64_t num_atoms = b.cols();
+  const int64_t num_points = x.cols();
+  const int64_t num_blocks =
+      (num_points + kSketchBlockCols - 1) / kSketchBlockCols;
+  return ParallelMin(num_blocks, num_threads, [&](int64_t blk) {
+    const int64_t j0 = blk * kSketchBlockCols;
+    const int64_t j1 = std::min(num_points, j0 + kSketchBlockCols);
+    Matrix scores(num_atoms, j1 - j0);
+    Gemm(Trans::kTrans, Trans::kNo, 1.0, b, x.ColRange(j0, j1), 0.0, &scores);
+    double mu = std::numeric_limits<double>::infinity();
+    for (int64_t j = j0; j < j1; ++j) {
+      mu = std::min(mu, MaxAbsExcept(scores.ColData(j - j0), num_atoms,
+                                     self_atom[static_cast<size_t>(j)]));
+    }
+    return mu;
+  });
+}
+
 Result<SparseMatrix> SscSelfExpression(const Matrix& x,
                                        const SscAdmmOptions& options,
                                        SscAdmmInfo* info,
@@ -751,15 +768,9 @@ Result<SparseMatrix> SscSketchedSelfExpression(const Matrix& x,
   FEDSC_TRACE_SPAN("sc/ssc_admm_sketched",
                    {{"points", num_points}, {"atoms", num_atoms}, {"dim", n}});
 
-  // mu = min_j max_a |b_a^T x_j| over the atoms column j may use: the
-  // dictionary/data analogue of Proposition 1's mutual coherence floor.
-  const double mu = MinOfColumnMax(
-      num_points, num_atoms, options.num_threads,
-      [&](int64_t j, double* scores) {
-        Gemv(Trans::kTrans, 1.0, b, x.ColData(j), 0.0, scores);
-        return MaxAbsExcept(scores, num_atoms,
-                            self_atom[static_cast<size_t>(j)]);
-      });
+  // The dictionary/data analogue of Proposition 1's mutual coherence floor.
+  const double mu =
+      DictionaryCoherenceFloor(b, x, self_atom, options.num_threads);
   if (!(mu > 0.0)) {
     return Status::FailedPrecondition(
         "every dictionary atom is orthogonal to some point; sketched "

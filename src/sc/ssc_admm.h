@@ -157,6 +157,16 @@ double SscLambda(const Matrix& x, double alpha, int num_threads = 1);
 double SscLambdaFromGram(const Matrix& gram, double alpha,
                          int num_threads = 1);
 
+// The dictionary solve's mutual coherence floor, SscSketchedSelfExpression's
+// lambda = alpha / mu: mu = min_j max_a |b_a^T x_j| over the atoms column j
+// may use (a != self_atom[j]). Scores come from B^T X in 256-column GEMM
+// blocks, so with B = X and self_atom[j] = j every score is the bit of
+// Gram(X) that SscLambdaFromGram reads, and the floors are equal.
+// Bit-identical for every thread count.
+double DictionaryCoherenceFloor(const Matrix& b, const Matrix& x,
+                                const std::vector<int64_t>& self_atom,
+                                int num_threads = 1);
+
 }  // namespace fedsc
 
 #endif  // FEDSC_SC_SSC_ADMM_H_

@@ -1,7 +1,10 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -576,6 +579,148 @@ TEST(GemmRouteTest, SyrkRegisterCommitMatchesBufferedGemm) {
           ASSERT_EQ(syrk(i, j), gemm(i, j))
               << rows << "x" << cols << " trans=" << (trans == Trans::kTrans)
               << " at (" << i << ", " << j << ")";
+        }
+      }
+    }
+  }
+}
+
+
+// ---- Remainder row tiles against an independent reference ----
+
+// C's commit rule in the AVX-512 tier (gemm_kernel.cc CommitFma): one fused
+// multiply-add where this build has FMA, a rounded product and an add
+// otherwise.
+double CommitRule(double alpha, double acc, double c) {
+#if defined(__FMA__)
+  return std::fma(alpha, acc, c);
+#else
+  return c + alpha * acc;
+#endif
+}
+
+// Per element of op(A) op(B) (m x n), its partial sum over each kKc block
+// of the depth, as one scalar std::fma chain from zero in ascending p:
+// partial[blk](i, j). With `lower`, only the elements with i >= j.
+std::vector<Matrix> BlockPartials(Trans ta, Trans tb, const Matrix& a,
+                                  const Matrix& b, bool lower = false) {
+  const int64_t m = ta == Trans::kNo ? a.rows() : a.cols();
+  const int64_t k = ta == Trans::kNo ? a.cols() : a.rows();
+  const int64_t n = tb == Trans::kNo ? b.cols() : b.rows();
+  std::vector<Matrix> partial;
+  for (int64_t pc = 0; pc < k; pc += internal_gemm::kKc) {
+    const int64_t p_end = std::min(k, pc + internal_gemm::kKc);
+    Matrix block(m, n);
+    for (int64_t j = 0; j < n; ++j) {
+      for (int64_t i = lower ? j : 0; i < m; ++i) {
+        double acc = 0.0;
+        for (int64_t p = pc; p < p_end; ++p) {
+          const double av = ta == Trans::kNo ? a(i, p) : a(p, i);
+          const double bv = tb == Trans::kNo ? b(p, j) : b(j, p);
+          acc = std::fma(av, bv, acc);
+        }
+        block(i, j) = acc;
+      }
+    }
+    partial.push_back(std::move(block));
+  }
+  return partial;
+}
+
+// `start` plus alpha times the partials, committed in ascending block order.
+Matrix CommitPartials(const std::vector<Matrix>& partial, double alpha,
+                      Matrix start) {
+  for (const Matrix& block : partial) {
+    for (int64_t j = 0; j < start.cols(); ++j) {
+      for (int64_t i = 0; i < start.rows(); ++i) {
+        start(i, j) = CommitRule(alpha, block(i, j), start(i, j));
+      }
+    }
+  }
+  return start;
+}
+
+// Whether two matrices have the same shape and the same bytes.
+bool SameBytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(double) * static_cast<size_t>(a.size())) == 0;
+}
+
+// Every row count 1..100 (each remainder mod the 24-row tile, so the 8-,
+// 16- and 24-row remainder tiles, the thin route, and the kMc = 96 row-block
+// seam) against the scalar reference, bit for bit: both layouts of op(A)
+// and op(B), a depth past one kc block, ragged column groups, the
+// alpha/beta cases and thread counts.
+TEST(GemmRouteTest, RemainderTilesMatchScalarFmaReference) {
+  if (!CpuIsaSupported(CpuIsa::kAvx512)) {
+    GTEST_SKIP() << "this host cannot run the AVX-512 tier";
+  }
+  const Trans kinds[] = {Trans::kNo, Trans::kTrans};
+  constexpr int64_t k = 260;
+  constexpr int64_t n = 10;
+  Rng rng(251);
+  for (int64_t m = 1; m <= 100; ++m) {
+    const Matrix c0 = RandomMatrix(m, n, &rng);
+    for (Trans ta : kinds) {
+      for (Trans tb : kinds) {
+        const Matrix a = ta == Trans::kNo ? RandomMatrix(m, k, &rng)
+                                          : RandomMatrix(k, m, &rng);
+        const Matrix b = tb == Trans::kNo ? RandomMatrix(k, n, &rng)
+                                          : RandomMatrix(n, k, &rng);
+        const std::vector<Matrix> partial = BlockPartials(ta, tb, a, b);
+        for (double alpha : {1.0, -1.0, 0.75}) {
+          for (double beta : {0.0, 0.5, 1.0}) {
+            Matrix start = c0;
+            start *= beta;
+            const Matrix expected = CommitPartials(partial, alpha, start);
+            for (int nt : {1, 2, 8}) {
+              Matrix c = start;
+              BlockedGemm(ta, tb, alpha, a, b, &c, nt, CpuIsa::kAvx512);
+              ASSERT_TRUE(SameBytes(c, expected))
+                  << "m=" << m << " trans_a=" << (ta == Trans::kTrans)
+                  << " trans_b=" << (tb == Trans::kTrans) << " alpha=" << alpha
+                  << " beta=" << beta << " nt=" << nt;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The same reference for the lower triangle BlockedSyrkLower writes (the
+// upper one stays as it was), for both Grams at every order 1..100.
+TEST(GemmRouteTest, SyrkRemainderTilesMatchScalarFmaReference) {
+  if (!CpuIsaSupported(CpuIsa::kAvx512)) {
+    GTEST_SKIP() << "this host cannot run the AVX-512 tier";
+  }
+  constexpr int64_t k = 260;
+  Rng rng(257);
+  for (int64_t nn = 1; nn <= 100; ++nn) {
+    const Matrix c0 = RandomMatrix(nn, nn, &rng);
+    for (Trans trans : {Trans::kTrans, Trans::kNo}) {
+      const bool gram = trans == Trans::kTrans;
+      const Matrix x = gram ? RandomMatrix(k, nn, &rng)
+                            : RandomMatrix(nn, k, &rng);
+      const std::vector<Matrix> partial =
+          gram ? BlockPartials(Trans::kTrans, Trans::kNo, x, x, true)
+               : BlockPartials(Trans::kNo, Trans::kTrans, x, x, true);
+      for (double alpha : {1.0, -1.0, 0.75}) {
+        for (double beta : {0.0, 0.5, 1.0}) {
+          Matrix start = c0;
+          start *= beta;
+          Matrix expected = CommitPartials(partial, alpha, start);
+          for (int64_t j = 1; j < nn; ++j) {
+            for (int64_t i = 0; i < j; ++i) expected(i, j) = start(i, j);
+          }
+          for (int nt : {1, 2, 8}) {
+            Matrix c = start;
+            BlockedSyrkLower(trans, alpha, x, &c, nt, CpuIsa::kAvx512);
+            ASSERT_TRUE(SameBytes(c, expected))
+                << "n=" << nn << " gram=" << gram << " alpha=" << alpha
+                << " beta=" << beta << " nt=" << nt;
+          }
         }
       }
     }

@@ -10,6 +10,7 @@
 #include "fed/partition.h"
 #include "linalg/blas.h"
 #include "metrics/clustering_metrics.h"
+#include "sc/affinity.h"
 
 namespace fedsc {
 namespace {
@@ -262,6 +263,50 @@ TEST(FedScTest, InducedConnectivityPositiveForHealthyRun) {
   auto conn = InducedConnectivity(f.fed, *result);
   ASSERT_TRUE(conn.ok()) << conn.status().ToString();
   EXPECT_EQ(conn->per_cluster.size(), 4u);
+  EXPECT_GT(conn->mean_lambda2, 0.0);
+}
+
+// A forced-sketched round over a pool wider than its 16-atom sketch.
+Result<FedScResult> SketchedRun(const Federation& f) {
+  FedScOptions options;
+  options.central = CentralPath::kSketched;
+  options.central_sketch.dim = 16;
+  return RunFedSc(f.fed, 4, options);
+}
+
+TEST(FedScTest, SketchedRunCarriesCoefficientsNotAnAffinity) {
+  Federation f = MakeFederation(4, 60, 40, 2, 43);
+  auto result = SketchedRun(f);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GT(result->total_samples, 16);
+  // No N x N graph is built inside the round; the d x N coefficients the
+  // labels came from are carried instead.
+  EXPECT_EQ(result->central_affinity.rows(), 0);
+  EXPECT_EQ(result->central_affinity.nnz(), 0);
+  EXPECT_EQ(result->central_coefficients.rows(), 16);
+  EXPECT_EQ(result->central_coefficients.cols(), result->total_samples);
+  EXPECT_GT(result->central_coefficients.nnz(), 0);
+  const SparseMatrix w = CentralAffinity(*result);
+  EXPECT_EQ(w.rows(), result->total_samples);
+  EXPECT_LE(w.nnz(), 2 * result->total_samples * kSketchTopQ);
+}
+
+TEST(FedScTest, SketchedInducedConnectivityReadsTheLandmarkAffinity) {
+  Federation f = MakeFederation(4, 60, 40, 2, 43);
+  auto result = SketchedRun(f);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto conn = InducedConnectivity(f.fed, *result);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  // The same run carrying the eagerly built top-8 landmark affinity.
+  FedScResult eager = *result;
+  eager.central_affinity =
+      AffinityFromLandmarkCoefficients(result->central_coefficients, 8);
+  eager.central_coefficients = SparseMatrix();
+  auto eager_conn = InducedConnectivity(f.fed, eager);
+  ASSERT_TRUE(eager_conn.ok()) << eager_conn.status().ToString();
+  EXPECT_EQ(conn->per_cluster, eager_conn->per_cluster);
+  EXPECT_EQ(conn->min_lambda2, eager_conn->min_lambda2);
+  EXPECT_EQ(conn->mean_lambda2, eager_conn->mean_lambda2);
   EXPECT_GT(conn->mean_lambda2, 0.0);
 }
 

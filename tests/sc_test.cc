@@ -771,6 +771,60 @@ void ExpectSameCsr(const SparseMatrix& exact, const SparseMatrix& dictionary,
   EXPECT_EQ(exact.values(), dictionary.values()) << name;
 }
 
+// mu by its definition: one Gemv per column, the largest |b_a^T x_j| over
+// the atoms a != self_atom[j], minimized over j.
+double GemvCoherenceFloor(const Matrix& b, const Matrix& x,
+                          const std::vector<int64_t>& self_atom) {
+  double mu = std::numeric_limits<double>::infinity();
+  Vector scores(static_cast<size_t>(b.cols()));
+  for (int64_t j = 0; j < x.cols(); ++j) {
+    Gemv(Trans::kTrans, 1.0, b, x.ColData(j), 0.0, scores.data());
+    double max_abs = 0.0;
+    for (int64_t a = 0; a < b.cols(); ++a) {
+      if (a != self_atom[static_cast<size_t>(j)]) {
+        max_abs = std::max(max_abs, std::fabs(scores[static_cast<size_t>(a)]));
+      }
+    }
+    mu = std::min(mu, max_abs);
+  }
+  return mu;
+}
+
+// The blocked-GEMM mu against the per-column definition, across the
+// 256-column block seam, with landmark-pinned and free columns, on
+// Gaussian data and on columns scaled over 1e-150..1e150.
+TEST(DictionarySolveTest, CoherenceFloorMatchesPerColumnDefinition) {
+  Rng rng(83);
+  for (const bool scaled : {false, true}) {
+    for (const int64_t num_points : {1, 255, 256, 257, 700}) {
+      const int64_t num_atoms = 40;
+      Matrix b = GaussianColumns(20, num_atoms, rng.Next());
+      Matrix x = GaussianColumns(20, num_points, rng.Next());
+      if (scaled) {
+        for (Matrix* m : {&b, &x}) {
+          for (int64_t j = 0; j < m->cols(); ++j) {
+            Scal(std::pow(10.0, rng.Uniform(-150.0, 150.0)), m->ColData(j),
+                 m->rows());
+          }
+        }
+      }
+      // Column j < num_atoms is atom j's landmark; the rest are free.
+      std::vector<int64_t> self_atom(static_cast<size_t>(num_points), -1);
+      for (int64_t j = 0; j < std::min(num_points, num_atoms); ++j) {
+        self_atom[static_cast<size_t>(j)] = j;
+      }
+      const double reference = GemvCoherenceFloor(b, x, self_atom);
+      ASSERT_GT(reference, 0.0);
+      for (const int threads : {1, 3}) {
+        EXPECT_NEAR(DictionaryCoherenceFloor(b, x, self_atom, threads),
+                    reference, 1e-14 * reference)
+            << "scaled=" << scaled << " N=" << num_points
+            << " nt=" << threads;
+      }
+    }
+  }
+}
+
 // Each exact solve is the dictionary solve with B = X and column j pinned
 // off atom j: the sketched entry points given the identity sketch (B = X,
 // landmarks 0..N-1) reproduce it. D = 120 puts N = 24 and 120 on the direct
@@ -815,6 +869,12 @@ TEST(DictionarySolveTest, ExactSolveIsTheIdentityDictionarySolve) {
         SscAdmmOptions ssc;
         ssc.drop_tol = 0.0;
         ssc.num_threads = threads;
+        // Both solves run at the same lambda: the dictionary scores B^T X
+        // are the Gram's bits.
+        EXPECT_EQ(SscLambdaFromGram(Gram(x, threads), ssc.alpha, threads),
+                  ssc.alpha / DictionaryCoherenceFloor(
+                                  x, x, identity.landmarks, threads))
+            << name;
         SscAdmmInfo exact_info;
         SscAdmmInfo dictionary_info;
         auto ssc_exact = SscSelfExpression(x, ssc, &exact_info);

@@ -284,7 +284,12 @@ TEST(SketchedRunTest, BitIdenticalAcrossThreadCounts) {
       ASSERT_TRUE(threaded.ok());
       EXPECT_EQ(serial->labels, threaded->labels)
           << ScMethodName(method) << " nt=" << threads;
-      EXPECT_TRUE(SparseExactlyEqual(serial->affinity, threaded->affinity))
+      EXPECT_TRUE(SparseExactlyEqual(serial->landmark_coefficients,
+                                     threaded->landmark_coefficients))
+          << ScMethodName(method) << " nt=" << threads;
+      EXPECT_TRUE(SparseExactlyEqual(
+          LandmarkAffinity(serial->landmark_coefficients),
+          LandmarkAffinity(threaded->landmark_coefficients, threads)))
           << ScMethodName(method) << " nt=" << threads;
     }
   }
@@ -300,11 +305,20 @@ TEST(SketchedRunTest, LandmarkAffinityRespectsTopQMemoryBound) {
   options.method = ScMethod::kSscOmp;
   options.central = CentralPath::kSketched;
   options.sketch.dim = 48;
-  const int64_t q = 8;  // the pipeline's kSketchTopQ
+  const int64_t q = kSketchTopQ;
   auto result = RunSubspaceClustering(data.points, 4, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_LE(result->affinity.nnz(), 2 * n * q);
-  EXPECT_GT(result->affinity.nnz(), 0);
+  // The run carries the coefficients, and the graph is built from them.
+  EXPECT_EQ(result->affinity.nnz(), 0);
+  const SparseMatrix affinity = RunAffinity(*result);
+  EXPECT_LE(affinity.nnz(), 2 * n * q);
+  EXPECT_GT(affinity.nnz(), 0);
+  // The affinity-only entry point still builds that graph itself.
+  Matrix normalized = data.points;
+  normalized.NormalizeColumns();
+  auto built = BuildAffinity(normalized, options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_TRUE(SparseExactlyEqual(*built, affinity));
 }
 
 // The landmark affinity as it was first written: sort each point's whole
