@@ -241,32 +241,6 @@ void BM_HouseholderQr(benchmark::State& state) {
 }
 BENCHMARK(BM_HouseholderQr)->Arg(32)->Arg(128);
 
-// Blocked compact-WY vs. unblocked QR over the tall-skinny shapes of
-// Fed-SC's basis estimation (D x n_i). items_per_second counts the
-// factorization + thin-Q flops (~4 n^2 (m - n/3)), identical for both
-// engines, so the rate ratio is the blocked speedup.
-void BM_QrVariant(benchmark::State& state) {
-  const int64_t m = state.range(0);
-  const int64_t n = state.range(1);
-  const bool blocked = state.range(2) != 0;
-  Rng rng(10);
-  const Matrix a = RandomMatrix(m, n, &rng);
-  for (auto _ : state) {
-    const QrResult qr = blocked ? internal_qr::BlockedQr(a)
-                                : internal_qr::UnblockedQr(a);
-    benchmark::DoNotOptimize(qr.q.data());
-  }
-  state.SetLabel(blocked ? "blocked" : "unblocked");
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(4.0 * n * n * (m - n / 3.0)));
-}
-// 512 x 40 adds the QR inside the preconditioned SVD of a k-FED PCA device
-// of table3's EMNIST-sim (D = 512, 15-67 points per device, median 37).
-BENCHMARK(BM_QrVariant)
-    ->ArgsProduct({{256, 1024, 4096}, {8, 32, 128}, {0, 1}})
-    ->Args({512, 40, 0})
-    ->Args({512, 40, 1});
-
 void BM_Cholesky(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(4);
@@ -289,40 +263,6 @@ void BM_JacobiSvd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JacobiSvd)->Arg(16)->Arg(64);
-
-// QR-preconditioned vs. plain one-sided Jacobi on tall-skinny inputs: the
-// preconditioner moves every rotation from O(m) to O(n) work.
-// items_per_second counts the thin-SVD's useful flops (~6 m n^2 + n^3),
-// identical for both paths, so the rate ratio is the preconditioning
-// speedup.
-void BM_SvdTall(benchmark::State& state) {
-  const int64_t m = state.range(0);
-  const int64_t n = state.range(1);
-  const bool precond = state.range(2) != 0;
-  Rng rng(5);
-  const Matrix a = RandomMatrix(m, n, &rng);
-  for (auto _ : state) {
-    auto svd = precond ? internal_svd::QrPreconditionedSvd(a)
-                       : internal_svd::PlainJacobiSvd(a);
-    benchmark::DoNotOptimize(svd->s.data());
-  }
-  state.SetLabel(precond ? "precond_qr" : "plain");
-  state.SetItemsProcessed(state.iterations() * (6 * m * n * n + n * n * n));
-}
-// 512 x 40 and 256 x 45 are k-FED PCA device shapes of table3's EMNIST-sim
-// (median 37 points) and COIL-sim (largest device, 45 points); JacobiSvd
-// preconditions both.
-BENCHMARK(BM_SvdTall)
-    ->Args({512, 40, 0})
-    ->Args({512, 40, 1})
-    ->Args({256, 45, 0})
-    ->Args({256, 45, 1})
-    ->Args({1024, 32, 0})
-    ->Args({1024, 32, 1})
-    ->Args({1024, 128, 0})
-    ->Args({1024, 128, 1})
-    ->Args({4096, 32, 0})
-    ->Args({4096, 32, 1});
 
 void BM_SymmetricEigen(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -462,7 +402,7 @@ void TimeBasisBatch(benchmark::State& state, const std::vector<Matrix>& panels,
 // Batched basis estimation over a fleet of tall-skinny D=256 x n=32 panels
 // (the per-cluster shape of the Fed-SC local phase) at a fixed rank of 4,
 // as the pipeline sets via sample_dim: the looped baseline runs the
-// QR-preconditioned Jacobi SVD per panel, the batched call the Gram route.
+// one-sided Jacobi SVD per panel, the batched call the Gram route.
 // The panels are exactly rank 4, so both routes make the same rank
 // decision. BENCH_linalg.json records the looped-vs-batched ratio.
 void BM_BatchedBasis(benchmark::State& state) {

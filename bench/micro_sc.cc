@@ -9,7 +9,6 @@
 #include "core/fedsc.h"
 #include "data/synthetic.h"
 #include "linalg/sparse.h"
-#include "linalg/svd.h"
 #include "sc/pipeline.h"
 
 namespace fedsc {
@@ -195,32 +194,6 @@ void BM_FedScLocalStage(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FedScLocalStage)->Arg(15)->Arg(40)->Arg(100);
-
-// Tall-ambient basis estimation (D = 1024, n_i = 50): the exact
-// PrincipalSubspace work Fed-SC's local stage does per cluster, through the
-// plain Jacobi sweep ("before") and the QR-preconditioned path JacobiSvd
-// picks for this shape ("after"). The committed
-// baseline tracks both so the basis-estimation speedup is visible at the
-// pipeline level, not just in the factorization micro-kernels.
-void BM_FedScBasisTallD(benchmark::State& state) {
-  const bool precond = state.range(0) != 0;
-  SyntheticOptions options;
-  options.ambient_dim = 1024;
-  options.subspace_dim = 4;
-  options.num_subspaces = 1;
-  options.points_per_subspace = 50;
-  options.noise_stddev = 0.01;
-  options.seed = 23;
-  auto data = GenerateUnionOfSubspaces(options);
-  for (auto _ : state) {
-    auto svd = precond ? internal_svd::QrPreconditionedSvd(data->points)
-                       : internal_svd::PlainJacobiSvd(data->points);
-    const Matrix basis = svd->u.ColRange(0, 4);
-    benchmark::DoNotOptimize(basis.data());
-  }
-  state.SetLabel(precond ? "precond_qr" : "plain");
-}
-BENCHMARK(BM_FedScBasisTallD)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace fedsc

@@ -2,9 +2,8 @@
 # Regenerates BENCH_linalg.json, the committed performance baseline for the
 # matrix-product and factorization engines: blocked GEMM GFLOP/s per thread
 # count and per ISA tier, the TT rate, the Syrk-vs-GEMM Gram ratio, the
-# blocked-vs-unblocked QR and tridiagonalization rates, the
-# QR-preconditioned-vs-plain Jacobi SVD rates, the tall-D basis-estimation
-# before/after, and the exact-vs-sketched central-clustering N-sweep
+# blocked-vs-unblocked tridiagonalization rates, the batched-vs-looped basis
+# rates, and the exact-vs-sketched central-clustering N-sweep
 # (bench_e2e/ times end-to-end rounds, with a per-layer breakdown). Run
 # after any change to the linalg kernels and commit the refreshed file so
 # perf regressions show up in review as a diff, not a surprise.
@@ -37,7 +36,7 @@ if [ "${build_type}" != "Release" ]; then
   exit 1
 fi
 
-cmake --build "${build_dir}" --target micro_linalg micro_sc comm_cost \
+cmake --build "${build_dir}" --target micro_linalg comm_cost \
   fig_robustness fig_scaling -j "$(nproc)"
 
 raw_dir="$(mktemp -d)"
@@ -49,12 +48,9 @@ trap 'rm -rf "${raw_dir}"' EXIT
 # bursts on a shared single-core host — the acceptance ratios below compare
 # rates across benches, so a burst hitting only one of them skews a floor.
 "${build_dir}/bench/micro_linalg" \
-  --benchmark_filter='BM_Gemm|BM_Syrk|BM_QrVariant|BM_SvdTall|BM_EigVariant|BM_EigValuesVariant|BM_BatchedBasis' \
+  --benchmark_filter='BM_Gemm|BM_Syrk|BM_EigVariant|BM_EigValuesVariant|BM_BatchedBasis' \
   --benchmark_min_time=2 \
   --benchmark_format=json > "${raw_dir}/linalg.json"
-"${build_dir}/bench/micro_sc" \
-  --benchmark_filter='BM_FedScBasisTallD' \
-  --benchmark_format=json > "${raw_dir}/sc.json"
 # Serialized-codec accuracy-vs-bits frontier (deterministic bytes and ACC,
 # so its rows are correctness records, not perf ones).
 "${build_dir}/bench/comm_cost" --json-out="${raw_dir}/comm.json" \
@@ -69,15 +65,14 @@ trap 'rm -rf "${raw_dir}"' EXIT
 "${build_dir}/bench/fig_scaling" \
   --json-out="${raw_dir}/scaling.json" > /dev/null
 
-python3 - "${raw_dir}/linalg.json" "${raw_dir}/sc.json" "${build_type}" \
+python3 - "${raw_dir}/linalg.json" "${build_type}" \
   "${repo_root}/BENCH_linalg.json" "${raw_dir}/comm.json" \
   "${raw_dir}/robustness.json" "${raw_dir}/scaling.json" <<'PY'
 import json
 import sys
 
 linalg = json.load(open(sys.argv[1]))
-sc = json.load(open(sys.argv[2]))
-fedsc_build_type = sys.argv[3].lower()
+fedsc_build_type = sys.argv[2].lower()
 
 
 def rows(report):
@@ -90,22 +85,14 @@ def rows(report):
     }
 
 
-L, S = rows(linalg), rows(sc)
+L = rows(linalg)
 
 
 def gflops(name):
     return round(L[name]["items_per_second"] / 1e9, 3)
 
 
-def ms(row):
-    unit = row.get("time_unit", "ns")
-    scale = {"ns": 1e6, "us": 1e3, "ms": 1.0, "s": 1e-3}[unit]
-    return round(row["real_time"] / scale, 3)
-
-
 sizes = [64, 256, 512, 1024]
-QR_SHAPES = [(m, n) for m in (256, 1024, 4096) for n in (8, 32, 128)]
-SVD_SHAPES = [(1024, 32), (1024, 128), (4096, 32)]
 EIG_SIZES = [256, 512]
 
 context = {
@@ -139,19 +126,9 @@ out = {
     # Gram hot path: Syrk (lower triangle + mirror) vs full GEMM. Both rates
     # count the same useful 2*n^2*k flops, so ratio > 1 is end-to-end win.
     "gram": {},
-    # Blocked compact-WY vs unblocked Householder QR, single thread. Both
-    # rates count the same 4 n^2 (m - n/3) factorization+thin-Q flops, so
-    # speedup is the blocked engine's end-to-end win at that shape.
-    "qr": {},
-    # QR-preconditioned vs plain one-sided Jacobi on tall-skinny inputs.
-    # Both rates count the same 6 m n^2 + n^3 useful flops.
-    "svd_tall": {},
     # Blocked (latrd-style) vs element-wise tridiagonalization inside the
     # full eigendecomposition and the values-only path (4 n^3 / 3 flops).
     "eig_tridiag": {},
-    # Fed-SC local basis estimation at D=1024, n_i=50: the before/after of
-    # QR preconditioning at the pipeline call site.
-    "basis_tall_d": {},
 }
 # Per-ISA micro-kernel rates for the blocked GEMM engine (BM_GemmIsa runs
 # BlockedGemm on each tier). Tiers the bench host cannot execute are
@@ -186,22 +163,6 @@ for n in sizes:
         "gemm_gflops": gemm,
         "ratio": round(syrk / gemm, 3),
     }
-for m, n in QR_SHAPES:
-    unblocked = gflops(f"BM_QrVariant/{m}/{n}/0")
-    blocked = gflops(f"BM_QrVariant/{m}/{n}/1")
-    out["qr"][f"{m}x{n}"] = {
-        "blocked_gflops": blocked,
-        "unblocked_gflops": unblocked,
-        "speedup": round(blocked / unblocked, 3),
-    }
-for m, n in SVD_SHAPES:
-    plain = gflops(f"BM_SvdTall/{m}/{n}/0")
-    precond = gflops(f"BM_SvdTall/{m}/{n}/1")
-    out["svd_tall"][f"{m}x{n}"] = {
-        "precond_gflops": precond,
-        "plain_gflops": plain,
-        "speedup": round(precond / plain, 3),
-    }
 for n in EIG_SIZES:
     entry = {}
     for key, bench in (
@@ -216,36 +177,14 @@ for n in EIG_SIZES:
             "speedup": round(blocked / unblocked, 3),
         }
     out["eig_tridiag"][str(n)] = entry
-plain_ms = ms(S["BM_FedScBasisTallD/0"])
-precond_ms = ms(S["BM_FedScBasisTallD/1"])
-out["basis_tall_d"] = {
-    "shape": "D=1024,n=50,k=4",
-    "plain_ms": plain_ms,
-    "precond_ms": precond_ms,
-    "speedup": round(plain_ms / precond_ms, 3),
-}
 # Serialized uplink codec frontier from bench/comm_cost.cc --json-out.
-out["comm_cost"] = json.load(open(sys.argv[5]))["comm_cost"]
+out["comm_cost"] = json.load(open(sys.argv[4]))["comm_cost"]
 # Byzantine-defense colluding sweep from bench/fig_robustness.cc --json-out.
-out["robustness"] = json.load(open(sys.argv[6]))["robustness"]
+out["robustness"] = json.load(open(sys.argv[5]))["robustness"]
 # Exact-vs-sketched central-clustering N-sweep from bench/fig_scaling.cc.
-out["central_scaling"] = json.load(open(sys.argv[7]))["central_scaling"]
+out["central_scaling"] = json.load(open(sys.argv[6]))["central_scaling"]
 out["acceptance"] = {
     "gram512_syrk_over_gemm": out["gram"]["512"]["ratio"],
-    # Worst blocked-QR speedup over the shapes HouseholderQr actually runs
-    # blocked (m >= 512 and n >= kBlockedQrMinCols = 16; the n = 8 column
-    # tracks why skinnier panels stay unblocked).
-    "qr_blocked_over_unblocked_min_m512": min(
-        out["qr"][f"{m}x{n}"]["speedup"]
-        for m, n in QR_SHAPES
-        if m >= 512 and n >= 16
-    ),
-    # Worst preconditioned-SVD speedup over the tall shapes (m/n >= 8).
-    "svd_precond_over_plain_min_aspect8": min(
-        out["svd_tall"][f"{m}x{n}"]["speedup"]
-        for m, n in SVD_SHAPES
-        if m >= 8 * n
-    ),
     # Best runtime-dispatched tier over the generic kernel at n=512 (the
     # dispatch win on this host), and the batched-vs-looped basis speedup at
     # the fleet-scale batch.
@@ -257,10 +196,10 @@ out["acceptance"] = {
     "batched_basis_speedup_1024": out["batched_basis"]["1024"]["speedup"],
 }
 
-with open(sys.argv[4], "w") as f:
+with open(sys.argv[3], "w") as f:
     json.dump(out, f, indent=2)
     f.write("\n")
-print(f"wrote {sys.argv[4]}")
+print(f"wrote {sys.argv[3]}")
 PY
 
 python3 "${repo_root}/scripts/check_bench_json.py" \

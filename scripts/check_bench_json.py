@@ -4,8 +4,8 @@
 Stdlib only. Checks the schema produced by scripts/bench_baseline.sh: the
 baseline comes from a Release build, every tracked size/shape is present,
 every rate is a positive finite number, the derived ratios are consistent
-with their components, the acceptance floors for the blocked-GEMM,
-Syrk-Gram, blocked-QR, and preconditioned-SVD speedups hold, and the
+with their components, the acceptance floors for the Syrk-Gram, best-ISA
+GEMM, batched-basis and sketched-central speedups hold, and the
 Byzantine-defense accuracy floors on the colluding robustness sweep hold.
 Thread rows that ask for more threads than the bench host had
 (context.num_cpus) are reported as oversubscribed and never feed a floor:
@@ -22,19 +22,10 @@ import sys
 GEMM_SIZES = ("64", "256", "512", "1024")
 TT_SIZES = ("256", "512")
 THREADS = ("1", "8")
-QR_SHAPES = tuple(f"{m}x{n}" for m in (256, 1024, 4096) for n in (8, 32, 128))
-SVD_SHAPES = ("1024x32", "1024x128", "4096x32")
 EIG_SIZES = ("256", "512")
 
 # Floors for the ratios recorded by the run that produced the baseline.
 MIN_GRAM512_SYRK_OVER_GEMM = 1.5
-# Blocked compact-WY QR must at least match the unblocked engine on every
-# shape HouseholderQr runs blocked with m >= 512 (n >= kBlockedQrMinCols = 16;
-# skinnier panels have no trailing matrix and stay unblocked by design).
-MIN_QR_BLOCKED_OVER_UNBLOCKED_M512 = 1.0
-# QR preconditioning must at least halve the tall-skinny Jacobi SVD wall
-# time on every shape with aspect ratio m/n >= 8.
-MIN_SVD_PRECOND_OVER_PLAIN_ASPECT8 = 2.0
 # Sizes the per-ISA GEMM sweep (BM_GemmIsa) must report, the tiers a host
 # may report (generic is mandatory; SIMD tiers appear only where the bench
 # host can execute them), and the floor: the best runtime-dispatched tier
@@ -150,20 +141,6 @@ def check(doc):
             "ratio",
         )
 
-    qr = doc.get("qr", {})
-    for shape in QR_SHAPES:
-        check_ratio_entry(
-            qr.get(shape, {}), f"qr[{shape}]", "blocked_gflops",
-            "unblocked_gflops", "speedup",
-        )
-
-    svd = doc.get("svd_tall", {})
-    for shape in SVD_SHAPES:
-        check_ratio_entry(
-            svd.get(shape, {}), f"svd_tall[{shape}]", "precond_gflops",
-            "plain_gflops", "speedup",
-        )
-
     eig = doc.get("eig_tridiag", {})
     for n in EIG_SIZES:
         for key in ("full", "values"):
@@ -204,11 +181,6 @@ def check(doc):
             batched_basis.get(b, {}), f"batched_basis[{b}]",
             "batched_panels_per_s", "looped_panels_per_s", "speedup",
         )
-
-    basis = doc.get("basis_tall_d", {})
-    check_ratio_entry(
-        basis, "basis_tall_d", "plain_ms", "precond_ms", "speedup"
-    )
 
     comm = doc.get("comm_cost", {})
     frontier = comm.get("frontier", {})
@@ -328,12 +300,6 @@ def check(doc):
     floors = (
         ("gram512_syrk_over_gemm", MIN_GRAM512_SYRK_OVER_GEMM,
          "Syrk Gram n=512 speedup"),
-        ("qr_blocked_over_unblocked_min_m512",
-         MIN_QR_BLOCKED_OVER_UNBLOCKED_M512,
-         "worst blocked-QR speedup at m >= 512"),
-        ("svd_precond_over_plain_min_aspect8",
-         MIN_SVD_PRECOND_OVER_PLAIN_ASPECT8,
-         "worst preconditioned-SVD speedup at m/n >= 8"),
         ("isa_best_over_generic_512", MIN_ISA_BEST_OVER_GENERIC_512,
          "best-ISA over generic GEMM at n=512"),
         ("batched_basis_speedup_1024", MIN_BATCHED_BASIS_SPEEDUP_1024,

@@ -85,8 +85,9 @@ run_suite "${build_dir}/tests/blas_test"
 # running Syrk/Gemm (on the GEMM tier) or the looped SVD; TSAN proves the
 # per-slot writes really are disjoint.
 run_suite "${build_dir}/tests/batch_test"
-# The blocked factorizations (compact-WY QR, preconditioned SVD, blocked
-# tridiagonalization) thread their GEMM updates and triangular multiplies.
+# The blocked tridiagonalization threads its GEMM trailing updates, panel
+# matvecs and compact-WY back-transform (svd_eig_test); QR and the Jacobi
+# SVD run at one thread.
 run_suite "${build_dir}/tests/qr_cholesky_test"
 run_suite "${build_dir}/tests/svd_eig_test"
 # Dense spectral clustering and the eigengap split the affinity into

@@ -102,8 +102,7 @@ MetricsRegistry::MetricsRegistry() {
         "linalg.syrk.calls", "linalg.syrk.flops", "linalg.syrk.bytes",
         "linalg.gemv.calls",
         "linalg.gemv.flops", "linalg.qr.calls", "linalg.qr.flops",
-        "linalg.qr.blocked_calls", "linalg.svd.calls", "linalg.svd.sweeps",
-        "linalg.svd.rotations", "linalg.svd.precond_qr",
+        "linalg.svd.calls", "linalg.svd.sweeps", "linalg.svd.rotations",
         "linalg.basis.gram", "linalg.basis.looped",
         "linalg.eig.calls", "linalg.eig.tridiag_flops", "linalg.eig.vectors",
         "linalg.subspace_iteration.calls",

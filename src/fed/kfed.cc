@@ -69,8 +69,9 @@ Result<KFedResult> RunKFed(const FederatedDataset& data, int64_t num_clusters,
     return Status::FailedPrecondition(
         "server received fewer centroids than clusters");
   }
-  // Devices may upload centroids of different dimensionality when local PCA
-  // is enabled and a device has fewer points than pca_dim; zero-pad.
+  // With local PCA a device's centroids have one coordinate per direction
+  // its centred data spans (Pca's rank rule): fewer than pca_dim when it
+  // has at most pca_dim points or lower rank. Zero-pad to the largest.
   Matrix pooled(ambient, total_centroids);
   std::vector<int64_t> device_offset(static_cast<size_t>(num_devices), 0);
   int64_t next = 0;

@@ -1,9 +1,11 @@
 #include "fed/pca.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
+#include "linalg/batch.h"
 #include "linalg/blas.h"
-#include "linalg/svd.h"
 
 namespace fedsc {
 
@@ -20,17 +22,28 @@ Result<PcaResult> Pca(const Matrix& x, int64_t dim) {
   }
   Scal(1.0 / static_cast<double>(num_points), result.mean.data(), n);
 
-  Matrix centered = x;
+  std::vector<Matrix> centered(1, x);
   for (int64_t j = 0; j < num_points; ++j) {
-    Axpy(-1.0, result.mean.data(), centered.ColData(j), n);
+    Axpy(-1.0, result.mean.data(), centered[0].ColData(j), n);
   }
 
-  const int64_t keep = std::min<int64_t>(dim, std::min(n, num_points));
-  FEDSC_ASSIGN_OR_RETURN(SvdResult svd, JacobiSvd(centered));
-  result.components = svd.u.ColRange(0, keep);
+  if (centered[0].MaxAbs() == 0.0) {
+    // Identical points (one point, say): no direction carries variance.
+    result.components = Matrix(n, 0);
+  } else {
+    // The auto rank at rel_tol = kGramSigmaFloor keeps exactly the
+    // directions the Gram route resolves, so it never falls back to the
+    // Jacobi SVD on rank.
+    BatchedSubspaceOptions options;
+    options.rel_tol = kGramSigmaFloor;
+    std::vector<Result<Matrix>> bases =
+        BatchedPrincipalSubspace(centered, options);
+    FEDSC_ASSIGN_OR_RETURN(Matrix basis, std::move(bases[0]));
+    result.components = basis.ColRange(0, std::min(dim, basis.cols()));
+  }
   // Projection is a plain (non-symmetric) product, so it stays on Gemm —
   // which dispatches to the blocked packed engine above the cutoff.
-  result.projected = MatMulTN(result.components, centered);
+  result.projected = MatMulTN(result.components, centered[0]);
   return result;
 }
 

@@ -15,15 +15,18 @@
 namespace fedsc {
 
 struct PcaResult {
-  Matrix projected;  // dim x N scores
-  Matrix components;  // n x dim orthonormal principal directions
+  Matrix projected;   // r x N scores, r <= dim (see Pca)
+  Matrix components;  // n x r orthonormal principal directions
   Vector mean;        // n, the subtracted column mean
 };
 
-// Projects the columns of x onto their top `dim` principal components
-// (centering first). If dim exceeds the available rank, the projection keeps
-// every component and pads nothing; projected.rows() is min(dim, rank
-// bound).
+// Projects the columns of x onto their top principal components (centering
+// first). The components are the centred data's left singular vectors from
+// one Gram eigensolve (BatchedPrincipalSubspace's Gram route), and the rank
+// rule is: at most `dim` directions, and only those with
+// sigma_j > kGramSigmaFloor * sigma_1 (linalg/batch.h). Centred data has
+// rank <= min(n, N - 1), so projected.rows() can fall below dim; it is 0
+// when every point is the same. Each component's sign is arbitrary.
 Result<PcaResult> Pca(const Matrix& x, int64_t dim);
 
 }  // namespace fedsc

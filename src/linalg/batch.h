@@ -1,9 +1,10 @@
 // Batched tall-skinny factorizations: all per-cluster D x n_i panels of one
 // round go through a single call with one parallel region over the batch,
-// instead of a serial loop of per-panel JacobiSvd/HouseholderQr calls. This
-// is the shape Fed-SC spends its local phase in — every device factors one
-// small panel per local cluster (basis estimation, trim/refit) and the
-// server re-factors per global cluster in AssignNewPoints.
+// instead of a serial loop of per-panel JacobiSvd calls. This is the shape
+// Fed-SC spends its local phase in — every device factors one small panel
+// per local cluster (basis estimation, trim/refit) and the server
+// re-factors per global cluster in AssignNewPoints. The k-FED baseline's
+// PCA (fed/pca.h) reads its components off the same Gram route.
 //
 // Two routes sit behind BatchedPrincipalSubspace, picked per panel by the
 // requested rank and rel_tol and by the panel's own spectrum — never by
@@ -16,9 +17,9 @@
 //    and U = X V_r with columns normalized when rows >= cols, or G = X X^T
 //    and U = its top-r eigenvectors when rows < cols. sigma_j = sqrt(lambda_j)
 //    and the auto rank is PrincipalSubspace's rule: keep sigma_j >
-//    max(rel_tol, max(m, n) * eps) * sigma_1. For D >> n_i this replaces a
-//    thin QR plus O(n^3)-per-sweep Jacobi rotations with one Syrk and one
-//    small eigensolve.
+//    max(rel_tol, max(m, n) * eps) * sigma_1. For D >> n_i this replaces
+//    O(D n^2)-per-sweep Jacobi rotations with one Syrk and one small
+//    eigensolve.
 //  * Looped — exactly PrincipalSubspace(panel, rank, rel_tol), bit-for-bit;
 //    the batch only fans the panels out across threads (each panel is
 //    computed serially in one worker). It is the reference the Gram route

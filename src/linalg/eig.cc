@@ -406,7 +406,7 @@ Status CheckSquare(const Matrix& a) {
 // --- Blocked (latrd/sytrd-style) tridiagonalization ---
 
 // Columns per compact-WY panel; sets the rank-2b trailing-update grouping,
-// so it is result-affecting inside the blocked path like kQrPanelWidth.
+// so it is result-affecting inside the blocked path.
 constexpr int64_t kEigPanelWidth = 32;
 
 // The contract reads only the lower triangle; the blocked reduction wants a
@@ -528,11 +528,37 @@ void BlockedTridiagonalize(Matrix* zm, Vector* dv, Vector* ev, Vector* taus,
 }
 
 
+// c := (I - V T V^T) c, with T from internal_eig::BuildCompactWyT: two
+// Gemm calls around a small triangular multiply, bit-identical for every
+// num_threads.
+void ApplyBlockReflector(const Matrix& v, const Matrix& t, Matrix* c,
+                         int num_threads) {
+  const int64_t b = v.cols();
+  const int64_t nc = c->cols();
+  Matrix w(b, nc);
+  Gemm(Trans::kTrans, Trans::kNo, 1.0, v, *c, 0.0, &w, num_threads);
+  // w := T w; T is upper triangular, so each column updates in place in
+  // ascending rows (row i reads only rows >= i).
+  const int threads =
+      b * b * nc < (1 << 15) ? 1 : std::min<int>(num_threads, 64);
+  ParallelForRanges(0, nc, threads, [&](int64_t c0, int64_t c1, int) {
+    for (int64_t col = c0; col < c1; ++col) {
+      double* wc = w.ColData(col);
+      for (int64_t i = 0; i < b; ++i) {
+        double sum = 0.0;
+        for (int64_t l = i; l < b; ++l) sum += t(i, l) * wc[l];
+        wc[i] = sum;
+      }
+    }
+  });
+  Gemm(Trans::kNo, Trans::kNo, -1.0, v, w, 1.0, c, num_threads);
+}
+
 // x := Q x for the n x k block z, through the kept reflectors. Blocked:
-// Q = H_0 ... H_{n-3} applied panel by panel, last panel first, with the
-// compact-WY helpers shared with blocked QR; a panel [s, j1) touches rows
-// (s, n). Tred2: Q = H_{n-1} ... H_1, applied H_1 first, each a rank-1
-// update of rows [0, i).
+// Q = H_0 ... H_{n-3} applied panel by panel, last panel first, each panel
+// as one compact-WY block reflector; a panel [s, j1) touches rows (s, n).
+// Tred2: Q = H_{n-1} ... H_1, applied H_1 first, each a rank-1 update of
+// rows [0, i).
 void ApplyQ(const internal_eig::Tridiagonal& t, int num_threads, Matrix* z) {
   const int64_t n = z->rows();
   const int64_t k = z->cols();
@@ -543,20 +569,19 @@ void ApplyQ(const internal_eig::Tridiagonal& t, int num_threads, Matrix* z) {
       const int64_t j1 = std::min(s + kEigPanelWidth, n - 2);
       const int64_t b = j1 - s;
       // Reflector s + jj has its unit head at global row s + jj + 1: local
-      // row jj of a block starting at row s + 1, the PanelV layout.
+      // row jj of a block starting at row s + 1, with explicit zeros above.
       Matrix v(n - s - 1, b);
       for (int64_t jj = 0; jj < b; ++jj) {
         const double* col = t.reflectors.ColData(s + jj);
         v(jj, jj) = 1.0;
         for (int64_t i = s + jj + 2; i < n; ++i) v(i - s - 1, jj) = col[i];
       }
-      const Matrix tw = internal_qr::BuildCompactWyT(v, t.scales.data() + s);
+      const Matrix tw = internal_eig::BuildCompactWyT(v, t.scales.data() + s);
       Matrix rows(n - s - 1, k);
       for (int64_t c = 0; c < k; ++c) {
         std::copy(z->ColData(c) + s + 1, z->ColData(c) + n, rows.ColData(c));
       }
-      internal_qr::ApplyBlockReflector(v, tw, /*transpose=*/false, &rows,
-                                       num_threads);
+      ApplyBlockReflector(v, tw, &rows, num_threads);
       for (int64_t c = 0; c < k; ++c) {
         std::copy(rows.ColData(c), rows.ColData(c) + n - s - 1,
                   z->ColData(c) + s + 1);
@@ -581,6 +606,31 @@ void ApplyQ(const internal_eig::Tridiagonal& t, int num_threads, Matrix* z) {
 }  // namespace
 
 namespace internal_eig {
+
+Matrix BuildCompactWyT(const Matrix& v, const double* taus) {
+  const int64_t mv = v.rows();
+  const int64_t b = v.cols();
+  Matrix t(b, b);
+  Vector scratch(static_cast<size_t>(b), 0.0);
+  for (int64_t j = 0; j < b; ++j) {
+    const double tj = taus[j];
+    t(j, j) = tj;
+    if (j == 0 || tj == 0.0) continue;
+    // scratch(0:j) = V(:, 0:j)^T v_j, then T(0:j, j) = -tau_j T(0:j, 0:j)
+    // scratch — the standard forward compact-WY recurrence.
+    for (int64_t c = 0; c < j; ++c) {
+      scratch[static_cast<size_t>(c)] = Dot(v.ColData(c), v.ColData(j), mv);
+    }
+    for (int64_t i = 0; i < j; ++i) {
+      double sum = 0.0;
+      for (int64_t c = i; c < j; ++c) {
+        sum += t(i, c) * scratch[static_cast<size_t>(c)];
+      }
+      t(i, j) = -tj * sum;
+    }
+  }
+  return t;
+}
 
 Tridiagonal Tred2Tridiagonal(const Matrix& a) {
   Tridiagonal t;

@@ -64,9 +64,9 @@ inline constexpr int64_t kBlockedEigCutoff = 64;
 
 struct EigOptions {
   // Workers for the GEMM trailing updates, panel matvecs and compact-WY
-  // block reflectors (linalg/qr.h) inside the blocked reduction and the
-  // back-transform, the one thread count the SVD/QR/eigen layer takes.
-  // Bit-identical results for every thread count.
+  // block reflectors inside the blocked reduction and the back-transform,
+  // the one thread count the SVD/QR/eigen layer takes. Bit-identical
+  // results for every thread count.
   int num_threads = 1;
 };
 
@@ -92,6 +92,13 @@ struct Tridiagonal {
 // read.
 Tridiagonal Tred2Tridiagonal(const Matrix& a);
 Tridiagonal BlockedTridiagonal(const Matrix& a, int num_threads);
+
+// Upper-triangular T (b x b) with H_0 H_1 ... H_{b-1} = I - V T V^T, where
+// column j of V (mv x b, explicit zeros above the unit diagonal entry at row
+// j) is reflector j's Householder vector and taus[j] its scale: the
+// compact-WY form in which the blocked reduction's back-transform applies a
+// panel of reflectors as two Gemm calls.
+Matrix BuildCompactWyT(const Matrix& v, const double* taus);
 
 }  // namespace internal_eig
 

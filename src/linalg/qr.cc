@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "linalg/blas.h"
 
@@ -19,20 +18,6 @@ void ApplyReflector(const double* col, double t, double* target, int64_t j,
   w *= t;
   target[j] -= w;
   Axpy(-w, col + j + 1, target + j + 1, m - j - 1);
-}
-
-// Explicit (m - j0) x b copy of the panel's reflectors: column jj holds
-// reflector j0 + jj with its unit diagonal entry written out and zeros
-// above, so the compact-WY products below are plain Gemm calls.
-Matrix PanelV(const Matrix& work, int64_t j0, int64_t j1, int64_t m) {
-  const int64_t b = j1 - j0;
-  Matrix v(m - j0, b);
-  for (int64_t jj = 0; jj < b; ++jj) {
-    const double* col = work.ColData(j0 + jj);
-    v(jj, jj) = 1.0;
-    for (int64_t i = j0 + jj + 1; i < m; ++i) v(i - j0, jj) = col[i];
-  }
-  return v;
 }
 
 }  // namespace
@@ -52,18 +37,29 @@ double GenerateReflector(double* col, int64_t j, int64_t m) {
   return t;
 }
 
-// Factor in place, then accumulate thin Q by applying reflectors last to
-// first.
-QrResult UnblockedQr(const Matrix& a) {
+}  // namespace internal_qr
+
+Result<QrResult> HouseholderQr(const Matrix& a) {
   const int64_t m = a.rows();
   const int64_t n = a.cols();
+  if (m == 0 || n == 0) {
+    return Status::InvalidArgument("QR of an empty matrix");
+  }
   const int64_t k = std::min(m, n);
+  FEDSC_TRACE_SPAN("linalg/qr", {{"m", m}, {"n", n}});
+  FEDSC_METRIC_COUNTER("linalg.qr.calls").Increment();
+  // Factorization flops, 2 k^2 (max(m, n) - k / 3); the thin-Q
+  // accumulation is not counted.
+  FEDSC_METRIC_COUNTER("linalg.qr.flops")
+      .Add(2 * k * k * std::max(m, n) - (2 * k * k * k) / 3);
 
+  // Factor in place, then accumulate thin Q by applying reflectors last to
+  // first.
   Matrix work = a;
   Vector tau(static_cast<size_t>(k), 0.0);
   for (int64_t j = 0; j < k; ++j) {
     double* col = work.ColData(j);
-    const double t = GenerateReflector(col, j, m);
+    const double t = internal_qr::GenerateReflector(col, j, m);
     tau[static_cast<size_t>(j)] = t;
     if (t == 0.0) continue;
     for (int64_t c = j + 1; c < n; ++c) {
@@ -90,163 +86,6 @@ QrResult UnblockedQr(const Matrix& a) {
     }
   }
   return result;
-}
-
-// Compact-WY blocked QR: panels factor with the identical scalar reflector
-// kernel, then the trailing matrix and the thin Q ride the packed Gemm
-// engine through ApplyBlockReflector.
-QrResult BlockedQr(const Matrix& a) {
-  const int64_t m = a.rows();
-  const int64_t n = a.cols();
-  const int64_t k = std::min(m, n);
-
-  Matrix work = a;
-  Vector tau(static_cast<size_t>(k), 0.0);
-  for (int64_t j0 = 0; j0 < k; j0 += kQrPanelWidth) {
-    const int64_t j1 = std::min(j0 + kQrPanelWidth, k);
-    // Panel factorization: reflectors apply only to the remaining panel
-    // columns here; trailing columns wait for the blocked update.
-    for (int64_t j = j0; j < j1; ++j) {
-      double* col = work.ColData(j);
-      const double t = GenerateReflector(col, j, m);
-      tau[static_cast<size_t>(j)] = t;
-      if (t == 0.0) continue;
-      for (int64_t c = j + 1; c < j1; ++c) {
-        ApplyReflector(col, t, work.ColData(c), j, m);
-      }
-    }
-    if (j1 >= n) continue;
-    const Matrix v = PanelV(work, j0, j1, m);
-    const Matrix t = BuildCompactWyT(v, tau.data() + j0);
-    // Trailing update C := (H_{j1-1} ... H_{j0}) C = (I - V T V^T)^T C on
-    // rows [j0, m) of columns [j1, n).
-    Matrix trailing(m - j0, n - j1);
-    for (int64_t c = j1; c < n; ++c) {
-      const double* src = work.ColData(c);
-      double* dst = trailing.ColData(c - j1);
-      for (int64_t i = j0; i < m; ++i) dst[i - j0] = src[i];
-    }
-    ApplyBlockReflector(v, t, /*transpose=*/true, &trailing, 1);
-    for (int64_t c = j1; c < n; ++c) {
-      const double* src = trailing.ColData(c - j1);
-      double* dst = work.ColData(c);
-      for (int64_t i = j0; i < m; ++i) dst[i] = src[i - j0];
-    }
-  }
-
-  QrResult result;
-  result.r = Matrix(k, n);
-  for (int64_t j = 0; j < n; ++j) {
-    for (int64_t i = 0; i <= std::min(j, k - 1); ++i) {
-      result.r(i, j) = work(i, j);
-    }
-  }
-
-  // Thin Q = H_0 ... H_{k-1} I(m, k), block reflectors applied last panel to
-  // first. When panel [j0, j1) is applied, columns < j0 of the running Q are
-  // still unit vectors with support above row j0, so only the trailing
-  // [j0, m) x [j0, k) corner needs updating.
-  result.q = Matrix(m, k);
-  for (int64_t j = 0; j < k; ++j) result.q(j, j) = 1.0;
-  const int64_t last_panel = ((k - 1) / kQrPanelWidth) * kQrPanelWidth;
-  for (int64_t j0 = last_panel; j0 >= 0; j0 -= kQrPanelWidth) {
-    const int64_t j1 = std::min(j0 + kQrPanelWidth, k);
-    const Matrix v = PanelV(work, j0, j1, m);
-    const Matrix t = BuildCompactWyT(v, tau.data() + j0);
-    Matrix corner(m - j0, k - j0);
-    for (int64_t c = j0; c < k; ++c) {
-      const double* src = result.q.ColData(c);
-      double* dst = corner.ColData(c - j0);
-      for (int64_t i = j0; i < m; ++i) dst[i - j0] = src[i];
-    }
-    ApplyBlockReflector(v, t, /*transpose=*/false, &corner, 1);
-    for (int64_t c = j0; c < k; ++c) {
-      const double* src = corner.ColData(c - j0);
-      double* dst = result.q.ColData(c);
-      for (int64_t i = j0; i < m; ++i) dst[i] = src[i - j0];
-    }
-  }
-  return result;
-}
-
-Matrix BuildCompactWyT(const Matrix& v, const double* taus) {
-  const int64_t mv = v.rows();
-  const int64_t b = v.cols();
-  Matrix t(b, b);
-  Vector scratch(static_cast<size_t>(b), 0.0);
-  for (int64_t j = 0; j < b; ++j) {
-    const double tj = taus[j];
-    t(j, j) = tj;
-    if (j == 0 || tj == 0.0) continue;
-    // scratch(0:j) = V(:, 0:j)^T v_j, then T(0:j, j) = -tau_j T(0:j, 0:j)
-    // scratch — the standard forward compact-WY recurrence.
-    for (int64_t c = 0; c < j; ++c) {
-      scratch[static_cast<size_t>(c)] = Dot(v.ColData(c), v.ColData(j), mv);
-    }
-    for (int64_t i = 0; i < j; ++i) {
-      double sum = 0.0;
-      for (int64_t c = i; c < j; ++c) {
-        sum += t(i, c) * scratch[static_cast<size_t>(c)];
-      }
-      t(i, j) = -tj * sum;
-    }
-  }
-  return t;
-}
-
-void ApplyBlockReflector(const Matrix& v, const Matrix& t, bool transpose,
-                         Matrix* c, int num_threads) {
-  const int64_t b = v.cols();
-  const int64_t nc = c->cols();
-  Matrix w(b, nc);
-  Gemm(Trans::kTrans, Trans::kNo, 1.0, v, *c, 0.0, &w, num_threads);
-  // w := T w (transpose = false) or T^T w (transpose = true); T is upper
-  // triangular so each column updates in place, ascending rows for T
-  // (row i reads only rows >= i) and descending for T^T.
-  const int threads =
-      b * b * nc < (1 << 15) ? 1 : std::min<int>(num_threads, 64);
-  ParallelForRanges(0, nc, threads, [&](int64_t c0, int64_t c1, int) {
-    for (int64_t col = c0; col < c1; ++col) {
-      double* wc = w.ColData(col);
-      if (transpose) {
-        for (int64_t i = b - 1; i >= 0; --i) {
-          double sum = 0.0;
-          for (int64_t l = 0; l <= i; ++l) sum += t(l, i) * wc[l];
-          wc[i] = sum;
-        }
-      } else {
-        for (int64_t i = 0; i < b; ++i) {
-          double sum = 0.0;
-          for (int64_t l = i; l < b; ++l) sum += t(i, l) * wc[l];
-          wc[i] = sum;
-        }
-      }
-    }
-  });
-  Gemm(Trans::kNo, Trans::kNo, -1.0, v, w, 1.0, c, num_threads);
-}
-
-}  // namespace internal_qr
-
-Result<QrResult> HouseholderQr(const Matrix& a) {
-  const int64_t m = a.rows();
-  const int64_t n = a.cols();
-  if (m == 0 || n == 0) {
-    return Status::InvalidArgument("QR of an empty matrix");
-  }
-  const int64_t k = std::min(m, n);
-  const bool blocked = n >= kBlockedQrMinCols && m * n >= kBlockedQrCutoff;
-  FEDSC_TRACE_SPAN("linalg/qr",
-                   {{"m", m}, {"n", n}, {"blocked", blocked ? 1 : 0}});
-  FEDSC_METRIC_COUNTER("linalg.qr.calls").Increment();
-  // Factorization flops, 2 k^2 (max(m, n) - k / 3); Q accumulation adds a
-  // comparable level-3 term tracked by the Gemm counters on the blocked
-  // path.
-  FEDSC_METRIC_COUNTER("linalg.qr.flops")
-      .Add(2 * k * k * std::max(m, n) - (2 * k * k * k) / 3);
-  if (!blocked) return internal_qr::UnblockedQr(a);
-  FEDSC_METRIC_COUNTER("linalg.qr.blocked_calls").Increment();
-  return internal_qr::BlockedQr(a);
 }
 
 Matrix OrthonormalColumnBasis(const Matrix& a, double tol) {

@@ -4,11 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "common/metrics.h"
-#include "common/trace.h"
 #include "linalg/blas.h"
-#include "linalg/qr.h"
 
 namespace fedsc {
 
@@ -97,32 +96,45 @@ SvdResult FinishTall(Matrix work, Matrix v, int64_t m, int64_t n) {
 
 namespace internal_svd {
 
-// Thin QR first, Jacobi sweeps on the small n x n R, U recovered with one
-// GEMM. A = QR = Q (U_r S V^T), so U = Q U_r; zero columns of U_r (exactly
-// zero singular values) stay exactly zero through the product.
-Result<SvdResult> QrPreconditionedSvd(const Matrix& a) {
-  const int64_t m = a.rows();
-  const int64_t n = a.cols();
-  FEDSC_TRACE_SPAN("linalg/svd/precond_qr", {{"m", m}, {"n", n}});
-  FEDSC_METRIC_COUNTER("linalg.svd.precond_qr").Increment();
-  FEDSC_ASSIGN_OR_RETURN(QrResult qr, HouseholderQr(a));
-  FEDSC_ASSIGN_OR_RETURN(SvdResult small, PlainJacobiSvd(qr.r));
-  SvdResult result;
-  result.u = Matrix(m, n);
-  Gemm(Trans::kNo, Trans::kNo, 1.0, qr.q, small.u, 0.0, &result.u);
-  result.s = std::move(small.s);
-  result.v = std::move(small.v);
-  return result;
+int Prescale(const Matrix& x, Matrix* scaled) {
+  const double peak = x.MaxAbs();
+  if (!(peak > 0.0) || !std::isfinite(peak) ||
+      (peak >= std::ldexp(1.0, -kPrescaleExponent) &&
+       peak <= std::ldexp(1.0, kPrescaleExponent))) {
+    return 0;
+  }
+  int e = 0;
+  std::frexp(peak, &e);
+  *scaled = x;
+  double* data = scaled->data();
+  for (int64_t i = 0; i < scaled->size(); ++i) {
+    data[i] = std::ldexp(data[i], -e);
+  }
+  return e;
 }
 
-// One-sided Jacobi on a with m >= n: orthogonalizes the columns of a working
-// copy by plane rotations in cyclic (p, q) order, accumulating them into V.
-Result<SvdResult> PlainJacobiSvd(const Matrix& a) {
-  const int64_t m = a.rows();
-  const int64_t n = a.cols();
-  Matrix work = a;
+}  // namespace internal_svd
+
+Result<SvdResult> JacobiSvd(const Matrix& a) {
+  if (a.rows() == 0 || a.cols() == 0) {
+    return Status::InvalidArgument("SVD of an empty matrix");
+  }
+  FEDSC_METRIC_COUNTER("linalg.svd.calls").Increment();
+  // RotatePair squares raw entries: out of range they would over- or
+  // underflow, so sweep an exactly scaled copy and scale sigma back.
+  Matrix scaled;
+  const int e = internal_svd::Prescale(a, &scaled);
+  const Matrix& x = e == 0 ? a : scaled;
+  // A wide matrix is swept through its transpose, with U and V swapped back
+  // at the end.
+  const bool wide = x.rows() < x.cols();
+  Matrix work = wide ? x.Transposed() : x;
+  const int64_t m = work.rows();
+  const int64_t n = work.cols();
   Matrix v = Matrix::Identity(n);
 
+  // One-sided Jacobi: orthogonalize the columns of `work` by plane rotations
+  // in cyclic (p, q) order, accumulating them into V.
   bool converged = false;
   int64_t rotations = 0;
   int sweeps = 0;
@@ -144,61 +156,8 @@ Result<SvdResult> PlainJacobiSvd(const Matrix& a) {
     return Status::NotConverged("Jacobi SVD did not converge within " +
                                 std::to_string(kMaxSweeps) + " sweeps");
   }
-  return FinishTall(std::move(work), std::move(v), m, n);
-}
-
-int Prescale(const Matrix& x, Matrix* scaled) {
-  const double peak = x.MaxAbs();
-  if (!(peak > 0.0) || !std::isfinite(peak) ||
-      (peak >= std::ldexp(1.0, -kPrescaleExponent) &&
-       peak <= std::ldexp(1.0, kPrescaleExponent))) {
-    return 0;
-  }
-  int e = 0;
-  std::frexp(peak, &e);
-  *scaled = x;
-  double* data = scaled->data();
-  for (int64_t i = 0; i < scaled->size(); ++i) {
-    data[i] = std::ldexp(data[i], -e);
-  }
-  return e;
-}
-
-}  // namespace internal_svd
-
-namespace {
-
-Result<SvdResult> JacobiSvdTall(const Matrix& a) {
-  const int64_t m = a.rows();
-  const int64_t n = a.cols();
-  if (n >= 2 && m >= kSvdPrecondMinAspect * n && m * n >= kSvdPrecondMinWork) {
-    return internal_svd::QrPreconditionedSvd(a);
-  }
-  return internal_svd::PlainJacobiSvd(a);
-}
-
-}  // namespace
-
-Result<SvdResult> JacobiSvd(const Matrix& a) {
-  if (a.rows() == 0 || a.cols() == 0) {
-    return Status::InvalidArgument("SVD of an empty matrix");
-  }
-  FEDSC_METRIC_COUNTER("linalg.svd.calls").Increment();
-  // RotatePair squares raw entries: out of range they would over- or
-  // underflow, so sweep an exactly scaled copy and scale sigma back.
-  Matrix scaled;
-  const int e = internal_svd::Prescale(a, &scaled);
-  const Matrix& x = e == 0 ? a : scaled;
-  SvdResult result;
-  if (x.rows() >= x.cols()) {
-    FEDSC_ASSIGN_OR_RETURN(result, JacobiSvdTall(x));
-  } else {
-    // Wide matrix: factor the transpose and swap U <-> V.
-    FEDSC_ASSIGN_OR_RETURN(SvdResult t, JacobiSvdTall(x.Transposed()));
-    result.u = std::move(t.v);
-    result.v = std::move(t.u);
-    result.s = std::move(t.s);
-  }
+  SvdResult result = FinishTall(std::move(work), std::move(v), m, n);
+  if (wide) std::swap(result.u, result.v);
   for (double& sv : result.s) sv = std::ldexp(sv, e);
   return result;
 }

@@ -1,8 +1,8 @@
 // Thin singular value decomposition via one-sided (Hestenes) Jacobi
-// rotations. Its callers are the PCA of the k-FED and PCA baselines
-// (fed/pca.cc), the canonical angles of core/theory.cc, and the per-panel
-// fallback of the batched basis (linalg/batch.h); every default-path local
-// basis comes from the batch's Gram route instead.
+// rotations. Its callers are core/theory.cc (canonical angles and bases)
+// and the per-panel looped route of the batched basis (linalg/batch.h), which is the
+// Gram route's reference and fallback; every default-path local basis, and
+// the k-FED baseline's PCA (fed/pca.h), comes from the Gram route instead.
 
 #ifndef FEDSC_LINALG_SVD_H_
 #define FEDSC_LINALG_SVD_H_
@@ -20,20 +20,13 @@ struct SvdResult {
   Matrix v;  // n x k, orthonormal columns
 };
 
-// JacobiSvd sweeps column pairs in the classic cyclic (p, q) order, at
-// most 60 sweeps, until every pair has |<a_p, a_q>| <= 1e-12 * ||a_p|| *
-// ||a_q||. One result-affecting engine pick, by shape alone (DESIGN.md §5):
-// QR preconditioning iff n >= 2, m >= kSvdPrecondMinAspect * n and
-// m * n >= kSvdPrecondMinWork. Then a thin QR runs first and only the small
-// R factor is swept (A = QR = Q(U_r S V^T), U = Q U_r via one GEMM). For
-// tall inputs this cuts each rotation from O(m) to O(n) work. Tests reach
-// both the plain and the preconditioned path through internal_svd.
-inline constexpr int64_t kSvdPrecondMinAspect = 4;
-inline constexpr int64_t kSvdPrecondMinWork = int64_t{1} << 11;
-
-// Thin SVD, k = min(m, n). An input whose max |x| lies outside
-// [2^-250, 2^250] is swept scaled by a power of two (exact; see
-// internal_svd::Prescale) and its singular values scaled back.
+// Thin SVD, k = min(m, n), by one-sided Jacobi on the input itself (a wide
+// input is factored through its transpose). Column pairs are swept in the
+// classic cyclic (p, q) order, at most 60 sweeps, until every pair has
+// |<a_p, a_q>| <= 1e-12 * ||a_p|| * ||a_q||. An input whose max |x| lies
+// outside [2^-250, 2^250] is swept scaled by a power of two (exact; see
+// internal_svd::Prescale) and its singular values scaled back. A null
+// direction (sigma exactly 0) gets an exactly zero U column.
 // Fails only on empty input or non-convergence (which does not occur in
 // practice within 60 sweeps).
 Result<SvdResult> JacobiSvd(const Matrix& a);
@@ -50,13 +43,6 @@ Result<Matrix> PrincipalSubspace(const Matrix& a, int64_t rank,
                                  double rel_tol = 1e-8);
 
 namespace internal_svd {
-
-// The two paths JacobiSvd picks between for a non-empty m x n input with
-// m >= n, callable at any such shape so tests and benchmarks can compare
-// them: the one-sided Jacobi sweep on `a` itself, and thin QR followed by
-// that sweep on R. Neither prescales.
-Result<SvdResult> PlainJacobiSvd(const Matrix& a);
-Result<SvdResult> QrPreconditionedSvd(const Matrix& a);
 
 // Scaling for code that squares raw entries: the exponent e with
 // max|x| * 2^-e in [0.5, 1) when max|x| lies outside [2^-250, 2^250], else

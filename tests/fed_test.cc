@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "data/synthetic.h"
 #include "fed/kfed.h"
@@ -11,7 +12,9 @@
 #include "fed/partition.h"
 #include "fed/pca.h"
 #include "fed/privacy.h"
+#include "linalg/batch.h"
 #include "linalg/blas.h"
+#include "linalg/svd.h"
 #include "metrics/clustering_metrics.h"
 
 namespace fedsc {
@@ -242,6 +245,89 @@ TEST(PcaTest, ProjectionPreservesVarianceOrder) {
   EXPECT_FALSE(Pca(x, 0).ok());
 }
 
+// Test-only reference for Pca: a full Jacobi SVD of the centred data,
+// keeping its first min(dim, r) left singular vectors, r = #{sigma_j >
+// kGramSigmaFloor * sigma_1}. Returns the projected scores.
+Matrix ReferencePcaScores(const Matrix& x, int64_t dim) {
+  Matrix centered = x;
+  for (int64_t i = 0; i < x.rows(); ++i) {
+    double mean = 0.0;
+    for (int64_t j = 0; j < x.cols(); ++j) mean += x(i, j);
+    mean /= static_cast<double>(x.cols());
+    for (int64_t j = 0; j < x.cols(); ++j) centered(i, j) -= mean;
+  }
+  auto svd = JacobiSvd(centered);
+  EXPECT_TRUE(svd.ok());
+  const int64_t r = NumericalRank(svd->s, kGramSigmaFloor);
+  return MatMulTN(svd->u.ColRange(0, std::min(dim, r)), centered);
+}
+
+TEST(PcaTest, MatchesTheSvdReferenceUpToRowSigns) {
+  Rng rng(12);
+  // (rows, points, dim, faint): tall, wide, rank-deficient with fewer
+  // points than rows and dim >= points, and one with a faint last
+  // coordinate (scale 1e-6, below kGramSigmaFloor) that no row may keep.
+  // Coordinate i otherwise has scale 1 / (i + 1), so the leading singular
+  // values are well separated.
+  const struct {
+    int64_t rows, points, dim;
+    bool faint;
+    int64_t expected_rows;
+  } cases[] = {{40, 15, 5, false, 5},
+               {6, 50, 4, false, 4},
+               {30, 8, 10, false, 7},
+               {12, 12, 12, false, 11},
+               {5, 30, 5, true, 4}};
+  for (const auto& c : cases) {
+    Matrix x(c.rows, c.points);
+    for (int64_t j = 0; j < c.points; ++j) {
+      for (int64_t i = 0; i < c.rows; ++i) {
+        const double scale = c.faint && i == c.rows - 1
+                                 ? 1e-6
+                                 : 1.0 / static_cast<double>(i + 1);
+        x(i, j) = scale * rng.Gaussian() + 3.0;
+      }
+    }
+    auto pca = Pca(x, c.dim);
+    ASSERT_TRUE(pca.ok()) << pca.status().ToString();
+    const Matrix ref = ReferencePcaScores(x, c.dim);
+    // Rows follow min(dim, #{sigma_j > kGramSigmaFloor * sigma_1}); centred
+    // data has rank <= points - 1.
+    ASSERT_EQ(pca->projected.rows(), c.expected_rows)
+        << c.rows << "x" << c.points;
+    ASSERT_EQ(ref.rows(), c.expected_rows);
+    ASSERT_EQ(pca->components.cols(), c.expected_rows);
+    EXPECT_TRUE(AllClose(Gram(pca->components),
+                         Matrix::Identity(c.expected_rows), 1e-10));
+    // Each row agrees with the reference up to its sign.
+    const double tol = 1e-8 * ref.MaxAbs();
+    for (int64_t i = 0; i < ref.rows(); ++i) {
+      double dot = 0.0;
+      for (int64_t j = 0; j < c.points; ++j) {
+        dot += pca->projected(i, j) * ref(i, j);
+      }
+      const double sign = dot < 0.0 ? -1.0 : 1.0;
+      for (int64_t j = 0; j < c.points; ++j) {
+        EXPECT_NEAR(pca->projected(i, j), sign * ref(i, j), tol)
+            << c.rows << "x" << c.points << " row " << i;
+      }
+    }
+  }
+}
+
+TEST(PcaTest, IdenticalPointsHaveNoComponents) {
+  Matrix x(4, 3);
+  for (int64_t j = 0; j < 3; ++j) {
+    for (int64_t i = 0; i < 4; ++i) x(i, j) = static_cast<double>(i);
+  }
+  auto pca = Pca(x, 2);
+  ASSERT_TRUE(pca.ok()) << pca.status().ToString();
+  EXPECT_EQ(pca->components.rows(), 4);
+  EXPECT_EQ(pca->components.cols(), 0);
+  EXPECT_EQ(pca->projected.rows(), 0);
+  EXPECT_EQ(pca->projected.cols(), 3);
+}
+
 TEST(KFedTest, ClustersHeterogeneousBlobs) {
   const Dataset data = Blobs(8, 60, 8, 0.4, 12);
   PartitionOptions partition;
@@ -276,7 +362,15 @@ TEST(KFedTest, LocalPcaDestroysAlignment) {
   pca.local_k = 2;
   pca.pca_dim = 5;
   auto without = RunKFed(*fed, 6, plain);
+  ResetMetrics();
+  EnableMetrics(true);
   auto with = RunKFed(*fed, 6, pca);
+  EnableMetrics(false);
+  // Every device's PCA takes the Gram route: no Jacobi SVD runs.
+  const MetricsSnapshot metrics = SnapshotMetrics();
+  EXPECT_GT(metrics.counters.at("linalg.basis.gram"), 0);
+  EXPECT_EQ(metrics.counters.at("linalg.basis.looped"), 0);
+  EXPECT_EQ(metrics.counters.at("linalg.svd.calls"), 0);
   ASSERT_TRUE(without.ok());
   ASSERT_TRUE(with.ok());
   EXPECT_GT(ClusteringAccuracy(data.labels, without->global_labels),

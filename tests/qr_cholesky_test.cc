@@ -55,113 +55,43 @@ TEST_P(QrShapeTest, ReconstructsAndIsOrthonormal) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Shapes, QrShapeTest,
-                         ::testing::Values(std::pair<int64_t, int64_t>{1, 1},
-                                           std::pair<int64_t, int64_t>{5, 5},
-                                           std::pair<int64_t, int64_t>{12, 4},
-                                           std::pair<int64_t, int64_t>{4, 12},
-                                           std::pair<int64_t, int64_t>{30, 7},
-                                           std::pair<int64_t, int64_t>{64,
-                                                                       64}));
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, QrShapeTest,
+    ::testing::Values(std::pair<int64_t, int64_t>{1, 1},
+                      std::pair<int64_t, int64_t>{5, 5},
+                      std::pair<int64_t, int64_t>{12, 4},
+                      std::pair<int64_t, int64_t>{4, 12},
+                      std::pair<int64_t, int64_t>{30, 7},
+                      std::pair<int64_t, int64_t>{64, 64},
+                      std::pair<int64_t, int64_t>{33, 1},    // n = 1
+                      std::pair<int64_t, int64_t>{96, 96},
+                      std::pair<int64_t, int64_t>{200, 40},  // tall
+                      std::pair<int64_t, int64_t>{40, 200},  // wide
+                      std::pair<int64_t, int64_t>{257, 65},
+                      std::pair<int64_t, int64_t>{31, 33}));
 
 TEST(QrTest, EmptyInputFails) {
   EXPECT_FALSE(HouseholderQr(Matrix()).ok());
 }
 
-// --- Blocked vs. unblocked engine agreement (tentpole coverage) ---
-
-class QrEngineTest
-    : public ::testing::TestWithParam<std::pair<int64_t, int64_t>> {};
-
-TEST_P(QrEngineTest, BlockedAgreesWithUnblocked) {
-  const auto [rows, cols] = GetParam();
-  Rng rng(900 + rows * 13 + cols);
-  const Matrix a = RandomMatrix(rows, cols, &rng);
-  const QrResult qu = internal_qr::UnblockedQr(a);
-  const QrResult qb = internal_qr::BlockedQr(a);
-
-  const int64_t k = std::min(rows, cols);
-  // Both engines reconstruct A with orthonormal Q.
-  EXPECT_TRUE(AllClose(MatMul(qb.q, qb.r), a, 1e-10));
-  EXPECT_TRUE(AllClose(Gram(qb.q), Matrix::Identity(k), 1e-12));
-  // Same sign convention (beta = -copysign(|x|, alpha) in both engines), so
-  // the factors agree directly — no column-sign fixup needed.
-  EXPECT_TRUE(AllClose(qb.q, qu.q, 1e-10));
-  EXPECT_TRUE(AllClose(qb.r, qu.r, 1e-9));
-  for (int64_t j = 0; j < k; ++j) {
-    if (qu.r(j, j) != 0.0) {
-      EXPECT_GT(qb.r(j, j) * qu.r(j, j), 0.0) << "diagonal sign at " << j;
-    }
-  }
-  // R strictly upper triangular below the diagonal in the blocked engine
-  // too (exact zeros, not small values).
-  for (int64_t j = 0; j < cols; ++j) {
-    for (int64_t i = j + 1; i < k; ++i) EXPECT_EQ(qb.r(i, j), 0.0);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, QrEngineTest,
-    ::testing::Values(std::pair<int64_t, int64_t>{1, 1},     // degenerate
-                      std::pair<int64_t, int64_t>{33, 1},    // n = 1
-                      std::pair<int64_t, int64_t>{64, 64},   // m = n
-                      std::pair<int64_t, int64_t>{96, 96},   // m = n > panel
-                      std::pair<int64_t, int64_t>{200, 40},  // tall, 2 panels
-                      std::pair<int64_t, int64_t>{40, 200},  // wide
-                      std::pair<int64_t, int64_t>{257, 65},  // odd panel tail
-                      std::pair<int64_t, int64_t>{31, 33}));
-
-void ExpectSameQ(const QrResult& a, const QrResult& b) {
-  ASSERT_EQ(a.q.rows(), b.q.rows());
-  ASSERT_EQ(a.q.cols(), b.q.cols());
-  for (int64_t j = 0; j < a.q.cols(); ++j) {
-    for (int64_t i = 0; i < a.q.rows(); ++i) {
-      ASSERT_EQ(a.q(i, j), b.q(i, j));
-    }
-  }
-}
-
-TEST(QrEngineTest, AutoDispatchIsPureFunctionOfShape) {
-  Rng rng(41);
-  // Below the cutoff HouseholderQr reproduces the unblocked bits exactly.
-  const Matrix small = RandomMatrix(64, 32, &rng);  // 2048 < 2^13
-  ASSERT_LT(small.rows() * small.cols(), kBlockedQrCutoff);
-  auto qa = HouseholderQr(small);
-  ASSERT_TRUE(qa.ok());
-  ExpectSameQ(*qa, internal_qr::UnblockedQr(small));
-  // At/above the cutoff it reproduces the blocked bits exactly.
-  const Matrix large = RandomMatrix(256, 32, &rng);  // 8192 = 2^13
-  ASSERT_GE(large.rows() * large.cols(), kBlockedQrCutoff);
-  auto la = HouseholderQr(large);
-  ASSERT_TRUE(la.ok());
-  ExpectSameQ(*la, internal_qr::BlockedQr(large));
-  // A single skinny panel (n < kBlockedQrMinCols) has no trailing matrix to
-  // amortize the compact-WY overhead, so it stays unblocked no matter how
-  // tall the matrix gets.
-  const Matrix skinny = RandomMatrix(1024, 8, &rng);  // 8192 >= 2^13, n < 16
-  ASSERT_GE(skinny.rows() * skinny.cols(), kBlockedQrCutoff);
-  ASSERT_LT(skinny.cols(), kBlockedQrMinCols);
-  auto sa = HouseholderQr(skinny);
-  ASSERT_TRUE(sa.ok());
-  ExpectSameQ(*sa, internal_qr::UnblockedQr(skinny));
-}
-
-TEST(QrEngineTest, BlockedHandlesRankDeficientColumns) {
+TEST(QrTest, HandlesRankDeficientColumns) {
   Rng rng(43);
   // 120 x 40 with every third column a copy of the one before it.
   Matrix a = RandomMatrix(120, 40, &rng);
   for (int64_t j = 2; j < a.cols(); j += 3) {
     for (int64_t i = 0; i < a.rows(); ++i) a(i, j) = a(i, j - 1);
   }
-  const QrResult qr = internal_qr::BlockedQr(a);
-  EXPECT_TRUE(AllClose(MatMul(qr.q, qr.r), a, 1e-10));
-  EXPECT_TRUE(AllClose(Gram(qr.q), Matrix::Identity(40), 1e-12));
+  auto qr = HouseholderQr(a);
+  ASSERT_TRUE(qr.ok());
+  EXPECT_TRUE(AllClose(MatMul(qr->q, qr->r), a, 1e-10));
+  EXPECT_TRUE(AllClose(Gram(qr->q), Matrix::Identity(40), 1e-12));
 }
 
-TEST(QrEngineTest, BlockedHandlesZeroMatrix) {
-  const QrResult qr = internal_qr::BlockedQr(Matrix(50, 20));
-  EXPECT_TRUE(AllClose(qr.r, Matrix(20, 20), 0.0));
-  EXPECT_TRUE(AllClose(MatMul(qr.q, qr.r), Matrix(50, 20), 0.0));
+TEST(QrTest, HandlesZeroMatrix) {
+  auto qr = HouseholderQr(Matrix(50, 20));
+  ASSERT_TRUE(qr.ok());
+  EXPECT_TRUE(AllClose(qr->r, Matrix(20, 20), 0.0));
+  EXPECT_TRUE(AllClose(MatMul(qr->q, qr->r), Matrix(50, 20), 0.0));
 }
 
 TEST(QrTest, HandlesDependentColumns) {

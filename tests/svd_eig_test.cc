@@ -226,7 +226,16 @@ INSTANTIATE_TEST_SUITE_P(Shapes, SvdShapeTest,
                                            std::pair<int64_t, int64_t>{160,
                                                                        110},
                                            std::pair<int64_t, int64_t>{110,
-                                                                       160}));
+                                                                       160},
+                                           std::pair<int64_t, int64_t>{64, 8},
+                                           std::pair<int64_t, int64_t>{300,
+                                                                       10},
+                                           std::pair<int64_t, int64_t>{512,
+                                                                       32},
+                                           std::pair<int64_t, int64_t>{100,
+                                                                       50},
+                                           std::pair<int64_t, int64_t>{8,
+                                                                       300}));
 
 TEST(SvdTest, KnownDiagonal) {
   Matrix a(3, 3);
@@ -252,123 +261,26 @@ TEST(SvdTest, RankDeficientMatrix) {
 
 TEST(SvdTest, EmptyFails) { EXPECT_FALSE(JacobiSvd(Matrix()).ok()); }
 
-// --- QR-preconditioned vs. plain Jacobi (tentpole coverage) ---
-
-// Largest principal angle between the spans of two orthonormal-column
-// matrices, via the singular values of U1^T U2 (all cosines ~ 1 when the
-// subspaces coincide). Returns the worst cosine.
-double WorstPrincipalCosine(const Matrix& u1, const Matrix& u2) {
-  auto svd = JacobiSvd(MatMulTN(u1, u2));
-  EXPECT_TRUE(svd.ok());
-  double worst = 1.0;
-  for (double c : svd->s) worst = std::min(worst, c);
-  return worst;
-}
-
-class SvdPrecondTest
-    : public ::testing::TestWithParam<std::pair<int64_t, int64_t>> {};
-
-TEST_P(SvdPrecondTest, MatchesPlainJacobi) {
-  const auto [rows, cols] = GetParam();
-  Rng rng(3000 + rows * 7 + cols);
-  Matrix a = RandomMatrix(rows, cols, &rng);
-  // Both paths factor tall inputs; JacobiSvd hands them a wide input's
-  // transpose, and so does this test.
-  if (rows < cols) a = a.Transposed();
-  auto sp = internal_svd::PlainJacobiSvd(a);
-  auto sq = internal_svd::QrPreconditionedSvd(a);
-  ASSERT_TRUE(sp.ok()) << sp.status().ToString();
-  ASSERT_TRUE(sq.ok()) << sq.status().ToString();
-
-  // Singular values agree to 1e-10 (relative to the top one).
-  const double scale = std::max(1.0, sp->s[0]);
-  for (size_t i = 0; i < sp->s.size(); ++i) {
-    EXPECT_NEAR(sp->s[i], sq->s[i], 1e-10 * scale) << "sigma " << i;
-  }
-  // The preconditioned factorization reconstructs with orthonormal factors.
-  const int64_t k = std::min(rows, cols);
-  EXPECT_TRUE(AllClose(Reconstruct(*sq), a, 1e-9 * scale));
-  EXPECT_TRUE(AllClose(Gram(sq->u), Matrix::Identity(k), 1e-9));
-  EXPECT_TRUE(AllClose(Gram(sq->v), Matrix::Identity(k), 1e-9));
-  // Principal angles between the dominant singular subspaces vanish (use
-  // the top half of the spectrum, where Gaussian singular values are well
-  // separated from the tail).
-  const int64_t r = std::max<int64_t>(1, k / 2);
-  EXPECT_GT(WorstPrincipalCosine(sp->u.ColRange(0, r), sq->u.ColRange(0, r)),
-            1.0 - 1e-8);
-  EXPECT_GT(WorstPrincipalCosine(sp->v.ColRange(0, r), sq->v.ColRange(0, r)),
-            1.0 - 1e-8);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, SvdPrecondTest,
-    ::testing::Values(std::pair<int64_t, int64_t>{64, 8},
-                      std::pair<int64_t, int64_t>{300, 10},
-                      std::pair<int64_t, int64_t>{512, 32},
-                      std::pair<int64_t, int64_t>{100, 50},   // mild aspect
-                      std::pair<int64_t, int64_t>{8, 300}));  // wide input
-
-void ExpectSameSvd(const SvdResult& a, const SvdResult& b) {
-  ASSERT_EQ(a.s, b.s);
-  ASSERT_EQ(a.u.rows(), b.u.rows());
-  ASSERT_EQ(a.u.cols(), b.u.cols());
-  for (int64_t j = 0; j < a.u.cols(); ++j) {
-    for (int64_t i = 0; i < a.u.rows(); ++i) {
-      ASSERT_EQ(a.u(i, j), b.u(i, j));
-    }
-  }
-}
-
-TEST(SvdPrecondTest, AutoDispatchIsPureFunctionOfShape) {
-  Rng rng(47);
-  // Below the aspect/work thresholds JacobiSvd reproduces the plain bits.
-  const Matrix small = RandomMatrix(100, 30, &rng);  // aspect 3.3 < 4
-  auto sa = JacobiSvd(small);
-  auto sp = internal_svd::PlainJacobiSvd(small);
-  ASSERT_TRUE(sa.ok() && sp.ok());
-  ExpectSameSvd(*sa, *sp);
-  // Tall enough and big enough: it reproduces the preconditioned bits.
-  const Matrix tall = RandomMatrix(256, 16, &rng);  // aspect 16, work 4096
-  ASSERT_GE(tall.rows(), kSvdPrecondMinAspect * tall.cols());
-  ASSERT_GE(tall.rows() * tall.cols(), kSvdPrecondMinWork);
-  auto ta = JacobiSvd(tall);
-  auto tq = internal_svd::QrPreconditionedSvd(tall);
-  ASSERT_TRUE(ta.ok() && tq.ok());
-  ExpectSameSvd(*ta, *tq);
-}
-
-TEST(SvdPrecondTest, RankDeficientTallMatrix) {
+TEST(SvdTest, RankDeficientTallMatrix) {
   Rng rng(53);
-  // 200 x 12 of rank 4: preconditioned path must keep the exact-zero-U
-  // convention for null directions.
+  // 200 x 12 of rank 4, with two columns exactly zero: those are exact null
+  // directions, whose U columns stay exactly zero.
   const Matrix basis = RandomMatrix(200, 4, &rng);
-  const Matrix coeffs = RandomMatrix(4, 12, &rng);
+  Matrix coeffs = RandomMatrix(4, 12, &rng);
+  for (int64_t i = 0; i < 4; ++i) coeffs(i, 3) = coeffs(i, 8) = 0.0;
   const Matrix a = MatMul(basis, coeffs);
-  auto svd = internal_svd::QrPreconditionedSvd(a);
+  auto svd = JacobiSvd(a);
   ASSERT_TRUE(svd.ok());
   EXPECT_EQ(NumericalRank(svd->s, 1e-8), 4);
   EXPECT_TRUE(AllClose(Reconstruct(*svd), a, 1e-8 * svd->s[0]));
-}
-
-TEST(SvdPrecondTest, PrincipalSubspaceRidesThePreconditionerOnTallPanels) {
-  Rng rng(59);
-  const Matrix basis = RandomMatrix(128, 3, &rng);
-  const Matrix coeffs = RandomMatrix(3, 16, &rng);
-  const Matrix points = MatMul(basis, coeffs);
-  // 128 x 16 is tall and big enough for JacobiSvd to precondition.
-  ASSERT_GE(points.rows(), kSvdPrecondMinAspect * points.cols());
-  ASSERT_GE(points.rows() * points.cols(), kSvdPrecondMinWork);
-  auto u = PrincipalSubspace(points, 0, 1e-8);
-  ASSERT_TRUE(u.ok());
-  EXPECT_EQ(u->cols(), 3);
-  const Matrix proj = MatMul(*u, MatMulTN(*u, points));
-  EXPECT_TRUE(AllClose(proj, points, 1e-8 * points.MaxAbs()));
-  auto svd = internal_svd::QrPreconditionedSvd(points);
-  ASSERT_TRUE(svd.ok());
-  const Matrix top = svd->u.ColRange(0, 3);
-  for (int64_t j = 0; j < 3; ++j) {
-    for (int64_t i = 0; i < points.rows(); ++i) {
-      ASSERT_EQ((*u)(i, j), top(i, j));
+  EXPECT_EQ(svd->s[10], 0.0);
+  EXPECT_EQ(svd->s[11], 0.0);
+  for (int64_t j = 0; j < 12; ++j) {
+    const double norm = Norm2(svd->u.ColData(j), a.rows());
+    if (svd->s[static_cast<size_t>(j)] == 0.0) {
+      EXPECT_EQ(norm, 0.0) << "U column " << j;
+    } else {
+      EXPECT_NEAR(norm, 1.0, 1e-12) << "U column " << j;
     }
   }
 }
@@ -614,6 +526,47 @@ TEST(EigEngineTest, BlockedReadsOnlyLowerTriangle) {
           .Pairs(0, n);
   ASSERT_TRUE(clean.ok() && dirty.ok());
   ASSERT_EQ(clean->values, dirty->values);
+}
+
+TEST(EigEngineTest, CompactWyTIsTheReflectorProduct) {
+  Rng rng(71);
+  // (rows, reflectors): one reflector, a square panel, a full 32-wide panel
+  // and a ragged one. One scale is zero (an identity reflector).
+  for (const auto& [m, b] : {std::pair<int64_t, int64_t>{5, 1},
+                            std::pair<int64_t, int64_t>{12, 12},
+                            std::pair<int64_t, int64_t>{70, 32},
+                            std::pair<int64_t, int64_t>{40, 7}}) {
+    Matrix v(m, b);
+    Vector taus(static_cast<size_t>(b));
+    for (int64_t j = 0; j < b; ++j) {
+      v(j, j) = 1.0;
+      for (int64_t i = j + 1; i < m; ++i) v(i, j) = rng.Gaussian();
+      const double* col = v.ColData(j);
+      taus[static_cast<size_t>(j)] = 2.0 / Dot(col, col, m);
+    }
+    taus[static_cast<size_t>(b / 2)] = 0.0;
+    const Matrix t = internal_eig::BuildCompactWyT(v, taus.data());
+    // T is upper triangular.
+    for (int64_t j = 0; j < b; ++j) {
+      for (int64_t i = j + 1; i < b; ++i) EXPECT_EQ(t(i, j), 0.0);
+    }
+    // H_0 H_1 ... H_{b-1}, one explicit reflector at a time.
+    Matrix product = Matrix::Identity(m);
+    for (int64_t j = 0; j < b; ++j) {
+      Matrix h = Matrix::Identity(m);
+      const double* col = v.ColData(j);
+      for (int64_t c = 0; c < m; ++c) {
+        for (int64_t r = 0; r < m; ++r) {
+          h(r, c) -= taus[static_cast<size_t>(j)] * col[r] * col[c];
+        }
+      }
+      product = MatMul(product, h);
+    }
+    Matrix wy = MatMul(MatMul(v, t), v.Transposed());
+    Scal(-1.0, wy.data(), wy.size());
+    for (int64_t i = 0; i < m; ++i) wy(i, i) += 1.0;
+    EXPECT_TRUE(AllClose(wy, product, 1e-12)) << m << " x " << b;
+  }
 }
 
 // --- The windowed solver against the reference ---
